@@ -31,8 +31,6 @@ def _add_common(sub):
     sub.add_argument("--max-prime", type=int, default=DEFAULT_MAX_PRIME,
                      help="guard rail for the exhaustive subroutines "
                           f"(default {DEFAULT_MAX_PRIME})")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker count; output is identical for any value")
 
 
 def _field_for(args):
@@ -43,8 +41,6 @@ def _field_for(args):
     if args.p > DEFAULT_MAX_PRIME:
         print(f"warning: p = {args.p} is beyond the desk-scale default; "
               "expect long runtimes", file=sys.stderr)
-    if args.threads < 1:
-        raise FieldError("--threads must be positive")
     return make_field(args.p)
 
 

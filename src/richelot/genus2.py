@@ -614,18 +614,21 @@ def ra_type_from_automorphisms(curve: Genus2Curve) -> str:
 # ---------------------------------------------------------------------------
 # Canonical vertex keys in weighted projective space
 
+# Never written; perfbench/tracer.py reads len(_KEY_CACHE) unguarded.
 _KEY_CACHE = {}
 
 
 def canonical_key(cp: ClebschPoint):
-    """Lexicographically minimal weighted rescaling of (A, B, C, D).
+    """Weighted normal form of (A, B, C, D) under the action
+    (mu A, mu^2 B, mu^3 C, mu^5 D) of mu in GF(p^2)^*.
 
-    Scans mu over GF(p^2)^* applying (mu A, mu^2 B, mu^3 C, mu^5 D)
-    (every even-weight rescaling by lambda in the algebraic closure
-    acts through such a mu); tuples with a single nonzero coordinate
-    normalize to unit tuples directly.  Memoized per projective class.
+    Every even-weight rescaling by lambda in the algebraic closure acts
+    through such a mu.  With two or more nonzero coordinates exactly one
+    mu meets the first applicable condition: A' = 1; else C' = B';
+    else D' = B'^2; else D' = C'^2.  Its image is therefore a complete
+    invariant of the class.  Tuples with a single nonzero coordinate
+    normalize to unit tuples.
     """
-    ctx = cp.A.ctx
     coords = cp.tuple()
     nonzero = [k for k, c in enumerate(coords) if not c.is_zero()]
     if not nonzero:
@@ -635,30 +638,6 @@ def canonical_key(cp: ClebschPoint):
         unit[nonzero[0]] = (1, 0)
         return tuple(unit)
 
-    cache_key = (ctx.p, ctx.nonresidue, _class_normal_form(ctx, coords))
-    hit = _KEY_CACHE.get(cache_key)
-    if hit is not None:
-        return hit
-
-    A, B, C, D = coords
-    best = None
-    for mu in ctx.elements():
-        if mu.is_zero():
-            continue
-        mu2 = mu * mu
-        mu3 = mu2 * mu
-        mu5 = mu3 * mu2
-        cand = ((mu * A).key(), (mu2 * B).key(), (mu3 * C).key(),
-                (mu5 * D).key())
-        if best is None or cand < best:
-            best = cand
-    _KEY_CACHE[cache_key] = best
-    return best
-
-
-def _class_normal_form(ctx, coords):
-    """A cheap complete invariant of the weighted-projective class,
-    used only as a memoization key for the lex-min scan."""
     A, B, C, D = coords
     if not A.is_zero():
         mu = A.inverse()

@@ -74,7 +74,3 @@ def test_byte_identical_runs(capsys):
     first = capsys.readouterr().out
     assert run(["graph", "-p", "11", "--format", "json"]) == 0
     assert capsys.readouterr().out == first
-    # --threads may take any value without changing output
-    assert run(["graph", "-p", "11", "--format", "json",
-                "--threads", "4"]) == 0
-    assert capsys.readouterr().out == first

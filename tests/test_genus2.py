@@ -9,6 +9,7 @@ from richelot.genus2 import (ClebschPoint, Genus2Curve, Genus2Error,
                              ra_type_from_automorphisms, ra_type_from_clebsch,
                              reduced_automorphisms, splittings,
                              transform_curve, RAType)
+from richelot.graph import build_graph
 from richelot.poly import Poly
 
 from clebsch_fixtures import FIXTURES
@@ -197,23 +198,110 @@ def test_clebsch_table_rows(ctx23):
         ctx.one, ctx.zero, ctx.zero, ctx.zero)) == RAType.VI
 
 
+def lexmin_key_oracle(cp):
+    """Reference key: the lexicographically least weighted rescaling
+    (mu A, mu^2 B, mu^3 C, mu^5 D) over every mu in GF(p^2)^*, with
+    single-coordinate tuples sent to unit tuples."""
+    ctx = cp.A.ctx
+    coords = cp.tuple()
+    nonzero = [k for k, c in enumerate(coords) if not c.is_zero()]
+    if len(nonzero) == 1:
+        unit = [(0, 0)] * 4
+        unit[nonzero[0]] = (1, 0)
+        return tuple(unit)
+    A, B, C, D = coords
+    best = None
+    for mu in ctx.elements():
+        if mu.is_zero():
+            continue
+        mu2 = mu * mu
+        mu3 = mu2 * mu
+        mu5 = mu3 * mu2
+        cand = ((mu * A).key(), (mu2 * B).key(), (mu3 * C).key(),
+                (mu5 * D).key())
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def rescale(cp, mu):
+    return ClebschPoint(mu * cp.A, mu ** 2 * cp.B, mu ** 3 * cp.C,
+                        mu ** 5 * cp.D)
+
+
+def random_nonzero(ctx, rng):
+    while True:
+        x = random_element(ctx, rng)
+        if not x.is_zero():
+            return x
+
+
+def with_rescalings(cps, rng):
+    """Each point followed by two random rescalings of it."""
+    out = []
+    for cp in cps:
+        out.append(cp)
+        out.extend(rescale(cp, random_nonzero(cp.A.ctx, rng))
+                   for _ in range(2))
+    return out
+
+
+def assert_same_partition(points):
+    """canonical_key and the oracle split `points` into the same classes."""
+    pairs = {(canonical_key(cp), lexmin_key_oracle(cp)) for cp in points}
+    assert len({new for new, _ in pairs}) == len(pairs)
+    assert len({old for _, old in pairs}) == len(pairs)
+
+
 def test_canonical_key_weighted_rescaling(ctx23, rng):
+    ns = ctx23.nonsquare()
     for _ in range(30):
         cp = ClebschPoint(*[random_element(ctx23, rng) for _ in range(4)])
         if all(c.is_zero() for c in cp.tuple()):
             continue
-        lam = random_element(ctx23, rng)
-        if lam.is_zero():
-            continue
-        scaled = ClebschPoint(lam ** 2 * cp.A, lam ** 4 * cp.B,
-                              lam ** 6 * cp.C, lam ** 10 * cp.D)
-        assert canonical_key(cp) == canonical_key(scaled)
+        mu = random_nonzero(ctx23, rng)
+        # exactly one of mu and mu * ns is a square in GF(p^2)
+        for m in (mu, mu * ns):
+            assert canonical_key(cp) == canonical_key(rescale(cp, m))
     d = random_element(ctx23, rng)
     if not d.is_zero():
         assert canonical_key(ClebschPoint(ctx23.zero, ctx23.zero,
                                           ctx23.zero, d)) \
             == canonical_key(ClebschPoint(ctx23.zero, ctx23.zero,
                                           ctx23.zero, ctx23.one))
+
+
+def test_canonical_key_matches_lexmin_oracle_random(ctx23, rng):
+    cps = [ClebschPoint(*[random_element(ctx23, rng) for _ in range(4)])
+           for _ in range(40)]
+    cps = [cp for cp in cps if not all(c.is_zero() for c in cp.tuple())]
+    assert_same_partition(with_rescalings(cps, rng))
+
+
+@pytest.mark.parametrize("zero_coords", [(), (0,), (0, 2), (0, 1)],
+                         ids=["A", "BC", "BD", "CD"])
+def test_canonical_key_matches_lexmin_oracle_branches(ctx23, rng,
+                                                      zero_coords):
+    # one normal-form branch each: A != 0; A = 0 with B, C != 0;
+    # A = C = 0 with B, D != 0; A = B = 0 with C, D != 0
+    cps = []
+    for _ in range(15):
+        coords = [random_nonzero(ctx23, rng) for _ in range(4)]
+        for k in zero_coords:
+            coords[k] = ctx23.zero
+        cps.append(ClebschPoint(*coords))
+    assert_same_partition(with_rescalings(cps, rng))
+
+
+def test_canonical_key_matches_lexmin_oracle_on_graph():
+    # every Jacobian vertex and every Jacobian codomain of the p = 23 graph
+    g = build_graph(make_field(23))
+    curves = [v.representative for v in g.vertices.values()
+              if v.key.kind == "jacobian"]
+    curves += [e.hint[1].curve for e in g.edges
+               if e.hint[0] in ("jac", "glue")]
+    points = {cp.tuple(): cp for cp in map(clebsch_invariants, curves)}
+    assert_same_partition(points.values())
 
 
 def test_canonical_key_moebius_invariance(ctx23, rng):
