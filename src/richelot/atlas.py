@@ -28,7 +28,7 @@ from .genus2 import (Genus2Curve, QuadraticSplitting, RAType,
                      clebsch_invariants, moebius_orbits_on_splittings,
                      ra_type_from_clebsch, reduced_automorphisms, splittings)
 from .gluing import ProductSurface
-from .graph import VertexKey, neighbourhood
+from .graph import VertexKey, neighbourhood, ra_type_of
 from .poly import Poly
 
 
@@ -469,26 +469,8 @@ def _edge_labels(rep) -> list:
         if e.is_loop:
             out.append((e.weight, LOOP))
         else:
-            out.append((e.weight, _target_type(e)))
+            out.append((e.weight, ra_type_of(e.hint[1])))
     return sorted(out)
-
-
-def _target_type(edge) -> str:
-    kind = edge.hint[0]
-    payload = edge.hint[1]
-    if kind == "jac":
-        return ra_type_from_clebsch(clebsch_invariants(payload.curve))
-    if kind == "glue":
-        return ra_type_from_clebsch(clebsch_invariants(payload.curve))
-    if kind == "split":
-        from .gluing import ra_type_product_vertex
-        return ra_type_product_vertex(j_invariant(payload.E),
-                                      j_invariant(payload.E2))
-    if kind == "prod":
-        from .gluing import ra_type_product_vertex
-        S = payload.surface
-        return ra_type_product_vertex(j_invariant(S.E1), j_invariant(S.E2))
-    raise AtlasError(f"unexpected hint {kind}")
 
 
 def _expected_for(case: str, p: int) -> list:
@@ -628,7 +610,7 @@ def _verify_type_ii(ctx: FieldCtx) -> AtlasReport:
     types = []
     for spl in reps:
         e = edges[spl_to_orbit[spl.key()]]
-        types.append(LOOP if e.is_loop else _target_type(e))
+        types.append(LOOP if e.is_loop else ra_type_of(e.hint[1]))
     ok = (types[2] == expected[2]
           and sorted(types[:2]) == sorted(expected[:2]))
     return AtlasReport("II", p, ok, list(expected), types)

@@ -16,11 +16,12 @@ import sys
 from .atlas import (ALL_CASES, JACOBIAN_CASES, AtlasError, normal_form,
                     verify_case)
 from .census import CensusError, compare, expected_counts
-from .elliptic import curve_from_j, j_invariant
+from .elliptic import curve_from_j
 from .field import FieldError, make_field
-from .genus2 import Genus2Curve, clebsch_invariants, ra_type_from_clebsch
-from .gluing import ProductSurface, ra_type_product_vertex
-from .graph import build_graph, export, neighbourhood, validate
+from .genus2 import Genus2Curve
+from .gluing import ProductSurface
+from .graph import (build_graph, export, neighbourhood, ra_type_of,
+                    validate)
 from .poly import Poly
 
 DEFAULT_MAX_PRIME = 300
@@ -126,11 +127,7 @@ def _cmd_neighbourhood(args) -> int:
         rep = normal_form(args.atlas, ctx, params=params)
         if args.atlas in JACOBIAN_CASES:
             rep = rep[0]
-    if isinstance(rep, Genus2Curve):
-        own = ra_type_from_clebsch(clebsch_invariants(rep))
-    else:
-        own = ra_type_product_vertex(j_invariant(rep.E1),
-                                     j_invariant(rep.E2))
+    own = ra_type_of(rep)
     edges = neighbourhood(rep)
     rows = []
     for e in edges:

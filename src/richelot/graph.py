@@ -5,9 +5,11 @@ surfaces: Jacobians keyed by their canonical Clebsch tuple, elliptic
 products keyed by the unordered pair of j-invariants.  Edges are
 reduced-automorphism orbits of kernels, weighted by orbit size;
 orbits with equal endpoints are kept separate, as in the source
-tables.  build_graph runs a breadth-first closure from a supersingular
-product seed; validate checks 15-regularity, the ratio principle,
-dual involutivity, and classifier agreement.
+tables.  Each edge records the quotient it computed and the dual
+kernel on that quotient.  build_graph runs a breadth-first closure from
+a supersingular product seed; validate checks 15-regularity, the ratio
+principle, dual involutivity (transporting each recorded dual kernel
+onto the target's representative), and classifier agreement.
 """
 
 from __future__ import annotations
@@ -24,12 +26,11 @@ from .genus2 import (Genus2Curve, JACOBIAN_ORDER_TO_TYPE, RA_ORDER,
                      moebius_orbits_on_splittings, moebius_stabilizing,
                      point_key, ra_type_from_clebsch, reduced_automorphisms,
                      splitting_pairing, splittings, weierstrass_points)
-from .gluing import (GluedJacobian, ProductKernel, ProductQuotient,
-                     ProductSurface, kernel_orbits, quotient_diagonal,
+from .gluing import (ProductKernel, ProductQuotient, ProductSurface,
+                     TorsionActionGenerator, kernel_orbits, quotient_diagonal,
                      quotient_product, ra_order_product,
                      ra_type_product_vertex)
-from .isogeny import (JacobianCodomain, delta, richelot_generic,
-                      split_degenerate)
+from .isogeny import delta, richelot_generic, split_degenerate
 
 
 class GraphError(ValueError):
@@ -66,7 +67,14 @@ class VertexKey:
 
 @dataclass
 class OrbitEdge:
-    """One reduced-automorphism orbit of kernels out of a vertex."""
+    """One reduced-automorphism orbit of kernels out of a vertex.
+
+    hint is (kind, codomain, dual): the quotient by kernel_rep as
+    computed (Genus2Curve | ProductSurface) and the dual kernel on it
+    (QuadraticSplitting | ProductKernel, or None when it is unknown).
+    kind ("jac", "glue", "split", "prod", "induced") names the step
+    that built the edge; it is informational only.
+    """
 
     source: VertexKey
     target: VertexKey
@@ -85,9 +93,9 @@ class Vertex:
     representative: object  # Genus2Curve | ProductSurface
     ra_type: str
     ra_order: int
-    # populated when the vertex is expanded:
+    # populated when the vertex is expanded; kernels are keyed by
+    # their Weierstrass pairing (Jacobians) or ProductKernel.key()
     edges: list = field(default_factory=list)
-    pairing_to_edge: dict = field(default_factory=dict)
     kernel_to_edge: dict = field(default_factory=dict)
 
 
@@ -101,13 +109,19 @@ class Graph:
         return self.vertices[key]
 
 
+def ra_type_of(rep) -> str:
+    """RA type of a vertex representative (Genus2Curve or
+    ProductSurface)."""
+    if isinstance(rep, Genus2Curve):
+        return ra_type_from_clebsch(clebsch_invariants(rep))
+    return ra_type_product_vertex(j_invariant(rep.E1), j_invariant(rep.E2))
+
+
 def _make_vertex(key: VertexKey, rep) -> Vertex:
+    ra_type = ra_type_of(rep)
     if key.kind == "jacobian":
-        ra_type = ra_type_from_clebsch(clebsch_invariants(rep))
         ra_order = len(reduced_automorphisms(rep))
     else:
-        j1, j2 = j_invariant(rep.E1), j_invariant(rep.E2)
-        ra_type = ra_type_product_vertex(j1, j2)
         ra_order = ra_order_product(ra_type)
     return Vertex(key=key, representative=rep, ra_type=ra_type,
                   ra_order=ra_order)
@@ -121,12 +135,12 @@ def neighbourhood(rep) -> list:
     products: the torsion action groups the 15 product/diagonal
     kernels; one Velu or gluing step per orbit.
     """
-    edges, _, _ = _expand(rep)
+    edges, _ = _expand(rep)
     return edges
 
 
 def _expand(rep):
-    """Edges out of rep plus the kernel-to-edge lookup tables."""
+    """Edges out of rep plus the kernel-to-edge lookup table."""
     if isinstance(rep, Genus2Curve):
         return _expand_jacobian(rep)
     if isinstance(rep, ProductSurface):
@@ -145,23 +159,28 @@ def _expand_jacobian(curve: Genus2Curve):
     K, _ = weierstrass_points(curve)
     src = VertexKey.jacobian(curve)
     edges = []
-    pairing_to_edge = {}
+    kernel_to_edge = {}
     for orbit in orbits:
         rep_spl = spls[orbit[0]]
         if not delta(rep_spl).is_zero():
             cod = richelot_generic(rep_spl)
             tgt = VertexKey.jacobian(cod.curve)
-            hint = ("jac", cod)
+            hint = ("jac", cod.curve, cod.dual)
         else:
             sp = split_degenerate(rep_spl)
-            tgt = VertexKey.of_surface(ProductSurface(sp.E, sp.E2))
-            hint = ("split", sp)
+            S = ProductSurface(sp.E, sp.E2)
+            tgt = VertexKey.of_surface(S)
+            # the i <-> i matching generates the dual kernel, except on
+            # factors rebuilt from j, where the matching is lost
+            dual = None if sp.split_data.extended \
+                else ProductKernel.diagonal((1, 2, 3))
+            hint = ("split", S, dual)
         e = OrbitEdge(source=src, target=tgt, weight=len(orbit),
                       kernel_rep=rep_spl, is_loop=(src == tgt), hint=hint)
         edges.append(e)
         for idx in orbit:
-            pairing_to_edge[splitting_pairing(curve, spls[idx], K)] = e
-    return edges, pairing_to_edge, {}
+            kernel_to_edge[splitting_pairing(curve, spls[idx], K)] = e
+    return edges, kernel_to_edge
 
 
 def _expand_product(S: ProductSurface):
@@ -174,34 +193,25 @@ def _expand_product(S: ProductSurface):
         if k.kind == "product":
             q = quotient_product(S, k)
             tgt = VertexKey.of_surface(q.surface)
-            hint = ("prod", q)
+            # both Velu codomains carry the dual point as their first
+            # root, so the dual kernel is K(1,1)
+            hint = ("prod", q.surface, ProductKernel.product(1, 1))
         else:
             res = quotient_diagonal(S, k)
             if isinstance(res, ProductQuotient):
                 tgt = src  # isomorphism-induced: the quotient is S again
-                hint = ("induced", k)
+                # the quotient identification maps the kernel onto
+                # itself, so induced loops are self-dual
+                hint = ("induced", S, k)
             else:
                 tgt = VertexKey.jacobian(res.curve)
-                hint = ("glue", res)
+                hint = ("glue", res.curve, res.dual)
         e = OrbitEdge(source=src, target=tgt, weight=len(orbit),
                       kernel_rep=k, is_loop=(src == tgt), hint=hint)
         edges.append(e)
         for idx in orbit:
             kernel_to_edge[kernels[idx].key()] = e
-    return edges, {}, kernel_to_edge
-
-
-def _representative_for(key: VertexKey, hint) -> object:
-    kind, payload = hint[0], hint[1]
-    if kind == "jac":
-        return payload.curve
-    if kind == "glue":
-        return payload.curve
-    if kind == "split":
-        return ProductSurface(payload.E, payload.E2)
-    if kind == "prod":
-        return payload.surface
-    raise GraphError(f"no representative from hint {kind}")
+    return edges, kernel_to_edge
 
 
 def build_graph(ctx: FieldCtx, seed=None) -> Graph:
@@ -229,16 +239,12 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
         cur = queue[qpos]
         qpos += 1
         v = g.vertices[cur]
-        edges, pairing_to_edge, kernel_to_edge = _expand(v.representative)
-        v.edges = edges
-        v.pairing_to_edge = pairing_to_edge
-        v.kernel_to_edge = kernel_to_edge
-        g.edges.extend(edges)
+        v.edges, v.kernel_to_edge = _expand(v.representative)
+        g.edges.extend(v.edges)
         fresh = []
-        for e in edges:
+        for e in v.edges:
             if e.target not in g.vertices:
-                rep = _representative_for(e.target, e.hint)
-                g.vertices[e.target] = _make_vertex(e.target, rep)
+                g.vertices[e.target] = _make_vertex(e.target, e.hint[1])
                 fresh.append(e.target)
         queue.extend(sorted(set(fresh)))
     return g
@@ -285,85 +291,48 @@ def _lift_point(ext, p):
     return ext.embed(p)
 
 
+def _transport_kernel(src: ProductSurface, dst: ProductSurface,
+                      k: ProductKernel) -> ProductKernel:
+    """Image of k under an isomorphism src -> dst that keeps the
+    factor order (straight) or swaps it (crossed)."""
+    s1 = isomorphisms_with_torsion(src.E1, dst.E1)
+    s2 = isomorphisms_with_torsion(src.E2, dst.E2)
+    if s1 and s2:
+        return TorsionActionGenerator(perm1=s1[0],
+                                      perm2=s2[0]).apply_kernel(k)
+    c1 = isomorphisms_with_torsion(src.E1, dst.E2)
+    c2 = isomorphisms_with_torsion(src.E2, dst.E1)
+    if c1 and c2:
+        k = TorsionActionGenerator(perm1=c1[0], perm2=c2[0]).apply_kernel(k)
+        return TorsionActionGenerator(swap=(1, 2, 3)).apply_kernel(k)
+    raise GraphError("codomain factors do not match target product")
+
+
 def dual_edge(g: Graph, e: OrbitEdge) -> OrbitEdge:
-    """The orbit edge at e.target containing the dual kernel of e."""
+    """The orbit edge at e.target containing the dual kernel of e.
+
+    The dual kernel recorded on e's codomain is moved onto the target's
+    representative by an isomorphism and looked up there.  Any
+    isomorphism will do: two differ by an automorphism of the target,
+    which keeps the kernel inside its orbit.
+    """
     tgt = g.vertex(e.target)
-    src = g.vertex(e.source)
     if not tgt.edges:
         raise GraphError("target vertex not expanded")
-    kind = e.hint[0]
-
-    if kind == "jac":
-        cod: JacobianCodomain = e.hint[1]
-        pairing = _transport_pairing(cod.curve, tgt.representative, cod.dual)
-        try:
-            return tgt.pairing_to_edge[pairing]
-        except KeyError:
-            raise GraphError("dual splitting not found at target") from None
-
-    if kind == "glue":
-        glued: GluedJacobian = e.hint[1]
-        pairing = _transport_pairing(glued.curve, tgt.representative,
-                                     glued.dual)
-        try:
-            return tgt.pairing_to_edge[pairing]
-        except KeyError:
-            raise GraphError("dual splitting not found at target") from None
-
-    if kind == "induced":
-        # the quotient identification maps the kernel onto itself, so
-        # induced loops are self-dual
-        return e
-
-    if kind == "prod":
-        q: ProductQuotient = e.hint[1]
-        S_rep: ProductSurface = tgt.representative
-        # dual kernel on the computed codomain is K(1,1): both Velu
-        # codomains carry the dual point as their first root
-        straight1 = isomorphisms_with_torsion(q.surface.E1, S_rep.E1)
-        straight2 = isomorphisms_with_torsion(q.surface.E2, S_rep.E2)
-        if straight1 and straight2:
-            kk = ProductKernel.product(straight1[0][0], straight2[0][0])
-            return tgt.kernel_to_edge[kk.key()]
-        cross1 = isomorphisms_with_torsion(q.surface.E1, S_rep.E2)
-        cross2 = isomorphisms_with_torsion(q.surface.E2, S_rep.E1)
-        if cross1 and cross2:
-            kk = ProductKernel.product(cross2[0][0], cross1[0][0])
-            return tgt.kernel_to_edge[kk.key()]
-        raise GraphError("codomain factors do not match target product")
-
-    if kind == "split":
-        # dual of a Jacobian -> product edge: the diagonal kernel on
-        # the target representative whose gluing reproduces the source
-        # curve with the matching dual splitting
-        S_rep: ProductSurface = tgt.representative
-        src_curve: Genus2Curve = src.representative
-        src_edge_pairings = {pr for pr, ee in src.pairing_to_edge.items()
-                             if ee is e}
-        candidates = []
-        for kk in (k for k in _diagonal_kernels()):
-            res = quotient_diagonal(S_rep, kk)
-            if not isinstance(res, GluedJacobian):
-                continue
-            if VertexKey.jacobian(res.curve) != e.source:
-                continue
-            pairing = _transport_pairing(res.curve, src_curve, res.dual)
-            if pairing in src_edge_pairings:
-                candidates.append(tgt.kernel_to_edge[kk.key()])
-        if not candidates:
-            raise GraphError("no gluing at target reproduces the source")
-        first = candidates[0]
-        if any(c is not first for c in candidates):
-            raise GraphError("ambiguous dual for split edge")
-        return first
-
-    raise GraphError(f"unknown edge hint {kind}")
-
-
-def _diagonal_kernels():
-    from itertools import permutations
-    return [ProductKernel.diagonal(p) for p in
-            sorted(permutations((1, 2, 3)))]
+    _, codomain, dual = e.hint
+    where = (f"edge {e.source.as_string()} -> {e.target.as_string()} "
+             f"by {e.kernel_rep}")
+    if dual is None:
+        raise GraphError(f"no dual kernel recorded for {where}")
+    if isinstance(codomain, Genus2Curve):
+        kernel = _transport_pairing(codomain, tgt.representative, dual)
+    else:
+        kernel = _transport_kernel(codomain, tgt.representative, dual).key()
+    try:
+        return tgt.kernel_to_edge[kernel]
+    except KeyError:
+        raise GraphError(f"dual kernel not found at target of {where}") \
+            from None
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ Run with `pytest tests/test_acceptance.py -v`.
 
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -104,6 +105,16 @@ def test_criterion_3_ratio_principle(graphs):
             edges += 1
     _say(f"[PASS] criterion 3: ratio principle + involution on "
          f"{edges} edges")
+
+
+def test_mass_formula(graphs):
+    """Sum of 1/|Aut(A)| = (p-1)(p^2+1)/5760 with |Aut| = 2 #RA
+    (Ekedahl; Hashimoto--Ibukiyama), independent of the census."""
+    for p in CENSUS_PRIMES:
+        mass = sum(Fraction(1, 2 * v.ra_order)
+                   for v in graphs[p].vertices.values())
+        assert mass == Fraction((p - 1) * (p * p + 1), 5760), f"p={p}"
+    _say(f"[PASS] mass formula exact at {len(CENSUS_PRIMES)} primes")
 
 
 def _random_curve(ctx, rng, allow_quadratic_blocks=True):

@@ -298,8 +298,8 @@ def test_canonical_key_matches_lexmin_oracle_on_graph():
     g = build_graph(make_field(23))
     curves = [v.representative for v in g.vertices.values()
               if v.key.kind == "jacobian"]
-    curves += [e.hint[1].curve for e in g.edges
-               if e.hint[0] in ("jac", "glue")]
+    curves += [e.hint[1] for e in g.edges
+               if isinstance(e.hint[1], Genus2Curve)]
     points = {cp.tuple(): cp for cp in map(clebsch_invariants, curves)}
     assert_same_partition(points.values())
 

@@ -1,15 +1,19 @@
 """Graph enumeration: neighbourhoods, duals, BFS, validation, export."""
 
 import json
+from itertools import permutations
 
 import pytest
 
-from richelot.elliptic import EllipticCurveE2, two_isogeny
+from richelot.elliptic import (EllipticCurveE2, isomorphisms_with_torsion,
+                               two_isogeny)
 from richelot.field import make_field
 from richelot.genus2 import Genus2Curve, RAType
-from richelot.gluing import ProductSurface
-from richelot.graph import (GraphError, build_graph, dual_edge, export,
-                            neighbourhood, validate, VertexKey)
+from richelot.gluing import (GluedJacobian, ProductKernel, ProductSurface,
+                             quotient_diagonal)
+from richelot.graph import (GraphError, _transport_pairing, build_graph,
+                            dual_edge, export, neighbourhood, validate,
+                            VertexKey)
 from richelot.poly import Poly
 
 
@@ -99,6 +103,94 @@ def test_dual_edge_involution_and_ratio(ctx11):
         assert dual_edge(g, d) is e
         assert g.vertex(e.source).ra_order * d.weight \
             == g.vertex(e.target).ra_order * e.weight
+
+
+def dual_edge_oracle(g, e):
+    """Dual edge by search: the gluing-based dual_edge that
+    graph.dual_edge replaced, kept as the reference it is checked
+    against.  The split branch re-glues every diagonal kernel at the
+    target and keeps those that reproduce the source curve with a
+    dual splitting in e's orbit."""
+    tgt = g.vertex(e.target)
+    src = g.vertex(e.source)
+    if not tgt.edges:
+        raise GraphError("target vertex not expanded")
+    kind = e.hint[0]
+
+    if kind in ("jac", "glue"):
+        pairing = _transport_pairing(e.hint[1], tgt.representative,
+                                     e.hint[2])
+        try:
+            return tgt.kernel_to_edge[pairing]
+        except KeyError:
+            raise GraphError("dual splitting not found at target") from None
+
+    if kind == "induced":
+        # the quotient identification maps the kernel onto itself, so
+        # induced loops are self-dual
+        return e
+
+    if kind == "prod":
+        cod = e.hint[1]
+        S_rep = tgt.representative
+        # dual kernel on the computed codomain is K(1,1): both Velu
+        # codomains carry the dual point as their first root
+        straight1 = isomorphisms_with_torsion(cod.E1, S_rep.E1)
+        straight2 = isomorphisms_with_torsion(cod.E2, S_rep.E2)
+        if straight1 and straight2:
+            kk = ProductKernel.product(straight1[0][0], straight2[0][0])
+            return tgt.kernel_to_edge[kk.key()]
+        cross1 = isomorphisms_with_torsion(cod.E1, S_rep.E2)
+        cross2 = isomorphisms_with_torsion(cod.E2, S_rep.E1)
+        if cross1 and cross2:
+            kk = ProductKernel.product(cross2[0][0], cross1[0][0])
+            return tgt.kernel_to_edge[kk.key()]
+        raise GraphError("codomain factors do not match target product")
+
+    if kind == "split":
+        S_rep = tgt.representative
+        src_curve = src.representative
+        src_edge_pairings = {pr for pr, ee in src.kernel_to_edge.items()
+                             if ee is e}
+        candidates = []
+        for perm in sorted(permutations((1, 2, 3))):
+            kk = ProductKernel.diagonal(perm)
+            res = quotient_diagonal(S_rep, kk)
+            if not isinstance(res, GluedJacobian):
+                continue
+            if VertexKey.jacobian(res.curve) != e.source:
+                continue
+            pairing = _transport_pairing(res.curve, src_curve, res.dual)
+            if pairing in src_edge_pairings:
+                candidates.append(tgt.kernel_to_edge[kk.key()])
+        if not candidates:
+            raise GraphError("no gluing at target reproduces the source")
+        first = candidates[0]
+        if any(c is not first for c in candidates):
+            raise GraphError("ambiguous dual for split edge")
+        return first
+
+    raise GraphError(f"unknown edge hint {kind}")
+
+
+@pytest.mark.parametrize("p", [11, 23, 41])
+def test_dual_edge_matches_search_oracle(p):
+    g = build_graph(make_field(p))
+    kinds = set()
+    for e in g.edges:
+        assert dual_edge(g, e) is dual_edge_oracle(g, e), e.sort_key()
+        kinds.add(e.hint[0])
+    if p == 41:
+        assert kinds == {"jac", "glue", "prod", "split", "induced"}
+
+
+def test_dual_edge_names_edge_without_recorded_dual(ctx11):
+    g = build_graph(ctx11)
+    e = next(e for e in g.edges if e.hint[0] == "split")
+    e.hint = e.hint[:2] + (None,)
+    with pytest.raises(GraphError, match=e.source.as_string()):
+        dual_edge(g, e)
+    assert not validate(g).ok
 
 
 def test_export_json_round_trip(ctx11):
