@@ -128,12 +128,14 @@ class FieldCtx:
             return None
         if n == 1:
             return self.one
-        prime_divs = [q for q in (2, 3, 5, 7, 11, 13) if n % q == 0]
-        rem = n
-        for q in prime_divs:
-            while rem % q == 0:
-                rem //= q
-        if rem != 1:  # n with a large prime factor; generic fallback
+        prime_divs, rem, q = [], n, 2
+        while q * q <= rem:  # trial division: n <= p^2 - 1, so q < p
+            if rem % q == 0:
+                prime_divs.append(q)
+                while rem % q == 0:
+                    rem //= q
+            q += 1
+        if rem != 1:
             prime_divs.append(rem)
         for x in self.elements():
             if x.is_zero():

@@ -178,37 +178,46 @@ def point_key(pt):
     return (1, ) + pt.key()
 
 
+def _block_roots(g: Poly, K):
+    """The two points of a monic block of degree <= 2 over K (GF(p^2)
+    or GF(p^4)), INF partnering a linear block's root; None when the
+    block is irreducible over K."""
+    embed = K.embed if isinstance(K, ExtCtx) else (lambda x: x)
+    if g.degree() == 1:
+        return embed(-g[0]), INF
+    b, c = embed(g[1]), embed(g[0])
+    s = (b * b - 4 * c).sqrt()
+    if s is None:
+        return None
+    half = K.from_int(2).inverse()
+    return (s - b) * half, (-b - s) * half
+
+
+def splitting_points(spl: QuadraticSplitting):
+    """The six Weierstrass points of y^2 = spl.product(), sorted, read
+    off the blocks with one square root each; returns (field, points).
+
+    The field is GF(p^2) when every block splits there, else GF(p^4).
+    """
+    K = spl.ctx
+    roots = [_block_roots(g, K) for g in spl.blocks]
+    if None in roots:
+        K = K.extension()
+        roots = [_block_roots(g, K) for g in spl.blocks]
+    return K, sorted((pt for pair in roots for pt in pair), key=point_key)
+
+
 @lru_cache(maxsize=None)
 def weierstrass_points(curve: Genus2Curve):
     """The six Weierstrass points of the curve, sorted.
 
     Points live on P^1 over GF(p^2) when the defining polynomial
     splits (always the case at superspecial vertices) and over
-    GF(p^4) otherwise; returns (field, points).
+    GF(p^4) otherwise; returns (field, points).  Any splitting covers
+    all six points, so they are read off the first one: the curve is
+    factored once, by splittings().
     """
-    ctx = curve.ctx
-    linears, quads = factor_quadratic_pieces(curve.f)
-    if not quads:
-        pts = [-g[0] for g in linears]
-        if curve.f.degree() == 5:
-            pts.append(INF)
-        pts.sort(key=point_key)
-        return ctx, pts
-    ext = ctx.extension()
-    pts = [ext.embed(-g[0]) for g in linears]
-    for g in quads:
-        # roots of x^2 + bx + c in GF(p^4)
-        b, c = g[1], g[0]
-        disc = b * b - 4 * c
-        s = ext.embed(disc).sqrt()
-        half = ext.embed(ctx.from_int(2).inverse())
-        r1 = (ext.embed(-b) + s) * half
-        r2 = (ext.embed(-b) - s) * half
-        pts.extend([r1, r2])
-    if curve.f.degree() == 5:
-        pts.append(INF)
-    pts.sort(key=point_key)
-    return ext, pts
+    return splitting_points(splittings(curve)[0])
 
 
 @dataclass(frozen=True)
@@ -328,28 +337,18 @@ def reduced_automorphisms(curve: Genus2Curve) -> list:
 def splitting_pairing(curve: Genus2Curve, spl: QuadraticSplitting, K=None):
     """The splitting as a partition of Weierstrass point keys.
 
-    K must match the field returned by weierstrass_points(curve) when
-    the two are used together.
+    K must match the field of the points the pairing is used with:
+    weierstrass_points(curve)[0] (the default), or
+    splitting_points(s)[0] for another splitting s of the same curve.
     """
-    ctx = curve.ctx
     if K is None:
         K = weierstrass_points(curve)[0]
-    embed = K.embed if isinstance(K, ExtCtx) else (lambda x: x)
     pairs = []
     for g in spl.blocks:
-        if g.degree() == 1:
-            pairs.append(frozenset([point_key(embed(-g[0])),
-                                    point_key(INF)]))
-        else:
-            b, c = g[1], g[0]
-            disc = b * b - 4 * c
-            s = embed(disc).sqrt()
-            if s is None:  # irreducible block, only over GF(p^4)
-                raise Genus2Error("pairing requires the extension field")
-            half = embed(ctx.from_int(2).inverse())
-            r1 = (embed(-b) + s) * half
-            r2 = (embed(-b) - s) * half
-            pairs.append(frozenset([point_key(r1), point_key(r2)]))
+        roots = _block_roots(g, K)
+        if roots is None:  # irreducible block, only over GF(p^4)
+            raise Genus2Error("pairing requires the extension field")
+        pairs.append(frozenset(point_key(r) for r in roots))
     return frozenset(pairs)
 
 

@@ -25,7 +25,8 @@ from .genus2 import (Genus2Curve, JACOBIAN_ORDER_TO_TYPE, RA_ORDER,
                      canonical_key, clebsch_invariants,
                      moebius_orbits_on_splittings, moebius_stabilizing,
                      point_key, ra_type_from_clebsch, reduced_automorphisms,
-                     splitting_pairing, splittings, weierstrass_points)
+                     splitting_pairing, splitting_points, splittings,
+                     weierstrass_points)
 from .gluing import (ProductKernel, ProductQuotient, ProductSurface,
                      TorsionActionGenerator, kernel_orbits, quotient_diagonal,
                      quotient_product, ra_order_product,
@@ -259,10 +260,12 @@ def _transport_pairing(src_curve, dst_curve, spl):
 
     Requires the curves to be isomorphic; any Moebius map carrying the
     Weierstrass set of src_curve onto dst_curve's will do, since maps
-    differing by an automorphism move the image within one orbit.
+    differing by an automorphism move the image within one orbit.  The
+    source points are read off spl's blocks, so src_curve (an edge's
+    codomain) is never factored.
     """
     from .field import ExtCtx
-    K1, pts1 = weierstrass_points(src_curve)
+    K1, pts1 = splitting_points(spl)
     K2, pts2 = weierstrass_points(dst_curve)
     if isinstance(K1, ExtCtx) != isinstance(K2, ExtCtx):
         # mixed rationality: redo both over the extension

@@ -32,7 +32,7 @@ from richelot.genus2 import (Genus2Curve, JACOBIAN_ORDER_TO_TYPE, RAType,
 from richelot.gluing import (GluedJacobian, ProductKernel, ProductSurface,
                              quotient_diagonal)
 from richelot.graph import (VertexKey, build_graph, dual_edge,
-                            _transport_pairing)
+                            _transport_pairing, validate)
 from richelot.isogeny import delta, richelot_generic, split_degenerate
 from richelot.poly import Poly, is_squarefree
 
@@ -115,6 +115,19 @@ def test_mass_formula(graphs):
                    for v in graphs[p].vertices.values())
         assert mass == Fraction((p - 1) * (p * p + 1), 5760), f"p={p}"
     _say(f"[PASS] mass formula exact at {len(CENSUS_PRIMES)} primes")
+
+
+@pytest.mark.slow
+def test_p101_build_validate():
+    """Census, structural validators and mass formula at p = 101."""
+    p = 101
+    g = build_graph(make_field(p))
+    report = compare(g, expected_counts(p))
+    assert report.ok, report.as_table()
+    rep = validate(g)
+    assert rep.ok, rep.summary()
+    mass = sum(Fraction(1, 2 * v.ra_order) for v in g.vertices.values())
+    assert mass == Fraction((p - 1) * (p * p + 1), 5760)
 
 
 def _random_curve(ctx, rng, allow_quadratic_blocks=True):

@@ -88,6 +88,15 @@ def test_nth_roots_of_unity():
     assert z6 == scan
 
 
+@pytest.mark.parametrize("p, n", [(1597, 17 * 19), (1973, 17 * 29)])
+def test_nth_root_of_unity_two_large_prime_factors(p, n):
+    ctx = make_field(p)
+    z = ctx.nth_root_of_unity(n)
+    order = next(d for d in range(1, n + 1)
+                 if n % d == 0 and z ** d == ctx.one)
+    assert order == n
+
+
 def test_extension_field(ctx11):
     ext = ctx11.extension()
     assert ext.order == 11 ** 4

@@ -3,14 +3,16 @@
 import pytest
 
 from richelot.field import make_field
-from richelot.genus2 import (ClebschPoint, Genus2Curve, Genus2Error,
+from richelot.genus2 import (INF, ClebschPoint, Genus2Curve, Genus2Error,
                              canonical_key, clebsch_invariants,
                              derived_invariants, moebius_orbits_on_splittings,
-                             ra_type_from_automorphisms, ra_type_from_clebsch,
-                             reduced_automorphisms, splittings,
-                             transform_curve, RAType)
+                             point_key, ra_type_from_automorphisms,
+                             ra_type_from_clebsch, reduced_automorphisms,
+                             splitting_points, splittings, transform_curve,
+                             weierstrass_points, RAType)
 from richelot.graph import build_graph
-from richelot.poly import Poly
+from richelot.poly import (Poly, factor_quadratic_pieces, is_squarefree,
+                           roots as poly_roots)
 
 from clebsch_fixtures import FIXTURES
 from conftest import random_distinct_elements, random_element
@@ -188,6 +190,81 @@ def test_classifier_agreement_with_irrational_points(ctx23, rng):
         assert ra_type_from_automorphisms(C) \
             == ra_type_from_clebsch(clebsch_invariants(C))
         checked += 1
+
+
+def weierstrass_points_oracle(curve):
+    """Weierstrass points by factoring: the Cantor-Zassenhaus path that
+    genus2.weierstrass_points replaced, kept as the reference the
+    block-root path is checked against."""
+    ctx = curve.ctx
+    linears, quads = factor_quadratic_pieces(curve.f)
+    if not quads:
+        pts = [-g[0] for g in linears]
+        if curve.f.degree() == 5:
+            pts.append(INF)
+        pts.sort(key=point_key)
+        return ctx, pts
+    ext = ctx.extension()
+    pts = [ext.embed(-g[0]) for g in linears]
+    for g in quads:
+        # roots of x^2 + bx + c in GF(p^4)
+        b, c = g[1], g[0]
+        disc = b * b - 4 * c
+        s = ext.embed(disc).sqrt()
+        half = ext.embed(ctx.from_int(2).inverse())
+        r1 = (ext.embed(-b) + s) * half
+        r2 = (ext.embed(-b) - s) * half
+        pts.extend([r1, r2])
+    if curve.f.degree() == 5:
+        pts.append(INF)
+    pts.sort(key=point_key)
+    return ext, pts
+
+
+def random_irreducible_quadratic(ctx, rng):
+    while True:
+        q = Poly(ctx, [random_element(ctx, rng), random_element(ctx, rng),
+                       ctx.one])
+        if not poly_roots(q):
+            return q
+
+
+@pytest.mark.parametrize("n_roots, n_irred", [
+    (6, 0), (4, 1), (2, 2), (0, 3), (5, 0), (3, 1), (1, 2)])
+def test_splitting_points_match_factoring_oracle(ctx23, rng, n_roots,
+                                                 n_irred):
+    # odd n_roots gives degree-5 models (INF is a Weierstrass point);
+    # any irreducible block moves the points to GF(p^4)
+    checked = 0
+    while checked < 4:
+        f = Poly.from_roots(ctx23, random_distinct_elements(
+            ctx23, rng, n_roots))
+        for _ in range(n_irred):
+            f = f * random_irreducible_quadratic(ctx23, rng)
+        if not is_squarefree(f):
+            continue
+        C = Genus2Curve(f)
+        want = weierstrass_points_oracle(C)
+        assert (want[0] is ctx23) == (n_irred == 0)
+        assert weierstrass_points(C) == want
+        for s in splittings(C):
+            assert splitting_points(s) == want
+        checked += 1
+
+
+@pytest.mark.parametrize("p", [23, 41])
+def test_splitting_points_match_factoring_oracle_on_graph(p):
+    # the dual recorded on every Jacobian codomain, and every vertex
+    g = build_graph(make_field(p))
+    codomains = [e for e in g.edges if isinstance(e.hint[1], Genus2Curve)]
+    assert codomains
+    for e in codomains:
+        assert splitting_points(e.hint[2]) \
+            == weierstrass_points_oracle(e.hint[1]), e.sort_key()
+    for v in g.vertices.values():
+        if v.key.kind == "jacobian":
+            rep = v.representative
+            assert weierstrass_points(rep) == weierstrass_points_oracle(rep)
 
 
 def test_clebsch_table_rows(ctx23):

@@ -5,6 +5,7 @@ from itertools import permutations
 
 import pytest
 
+from richelot import genus2
 from richelot.elliptic import (EllipticCurveE2, isomorphisms_with_torsion,
                                two_isogeny)
 from richelot.field import make_field
@@ -182,6 +183,22 @@ def test_dual_edge_matches_search_oracle(p):
         kinds.add(e.hint[0])
     if p == 41:
         assert kinds == {"jac", "glue", "prod", "split", "induced"}
+
+
+def test_each_vertex_factored_once_and_validate_never(monkeypatch):
+    calls = []
+    real = genus2.factor_quadratic_pieces
+    monkeypatch.setattr(genus2, "factor_quadratic_pieces",
+                        lambda f: calls.append(f) or real(f))
+    for cached in (genus2.splittings, genus2.weierstrass_points,
+                   genus2.reduced_automorphisms):
+        cached.cache_clear()
+    g = build_graph(make_field(23))
+    jacobians = [v for v in g.vertices.values() if v.key.kind == "jacobian"]
+    assert len(calls) == len(jacobians)
+    del calls[:]
+    assert validate(g).ok
+    assert calls == []
 
 
 def test_dual_edge_names_edge_without_recorded_dual(ctx11):
