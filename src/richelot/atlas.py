@@ -26,7 +26,8 @@ from .elliptic import EllipticCurveE2, j_invariant, two_isogeny
 from .field import FieldCtx
 from .genus2 import (Genus2Curve, QuadraticSplitting, RAType,
                      clebsch_invariants, moebius_orbits_on_splittings,
-                     ra_type_from_clebsch, reduced_automorphisms, splittings)
+                     orbit_partition, ra_type_from_clebsch,
+                     reduced_automorphisms, splittings)
 from .gluing import ProductSurface
 from .graph import VertexKey, neighbourhood, ra_type_of
 from .poly import Poly
@@ -113,7 +114,7 @@ def orbit_partition_on_indices(curve: Genus2Curve, indexed) -> list:
         raise AtlasError("kernel indexing is not a bijection")
     kidx = [canon_to_k[sp.key()] for sp in spls]
     maps = reduced_automorphisms(curve)
-    orbits = moebius_orbits_on_splittings(curve, spls, maps)
+    orbits, _ = moebius_orbits_on_splittings(curve, spls, maps)
     return sorted(tuple(sorted(kidx[i] for i in o)) for o in orbits)
 
 
@@ -154,25 +155,6 @@ def expected_permutation_actions(case: str) -> list:
     if case not in PERMUTATION_FIXTURES:
         raise AtlasError(f"no permutation fixtures for case {case}")
     return [dict(pm) for pm in PERMUTATION_FIXTURES[case]]
-
-
-def partition_from_perms(perms) -> list:
-    parts, seen = [], set()
-    for start in range(1, 16):
-        if start in seen:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            cur = frontier.pop()
-            for pm in perms:
-                nxt = pm[cur]
-                if nxt not in orbit:
-                    orbit.add(nxt)
-                    frontier.append(nxt)
-        seen |= orbit
-        parts.append(tuple(sorted(orbit)))
-    return sorted(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +575,7 @@ def _verify_type_ii(ctx: FieldCtx) -> AtlasReport:
         return AtlasReport("II", p, False, list(expected), [],
                            detail="kernels not all rational")
     maps = reduced_automorphisms(curve)
-    orbits = moebius_orbits_on_splittings(curve, spls, maps)
+    orbits, _ = moebius_orbits_on_splittings(curve, spls, maps)
     if sorted(len(o) for o in orbits) != [5, 5, 5]:
         return AtlasReport("II", p, False, list(expected),
                            [len(o) for o in orbits],
@@ -650,7 +632,8 @@ def verify_permutation_fixtures(case: str, ctx: FieldCtx,
     curve, (s, t) = normal_form(case, ctx, rng=rng)
     indexed = indexed_splittings(ctx, s, t)
     computed = orbit_partition_on_indices(curve, indexed)
-    expected = partition_from_perms(expected_permutation_actions(case))
+    expected = orbit_partition(range(1, 16),
+                               expected_permutation_actions(case))
     if computed == expected:
         return PermutationFixtureReport(case, ctx.p, True, computed,
                                         expected, False)

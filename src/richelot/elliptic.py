@@ -51,9 +51,6 @@ class EllipticCurveE2:
         """x-coordinate of P_i, i in {1, 2, 3}."""
         return self.roots()[i - 1]
 
-    def sorted_key(self):
-        return tuple(sorted(r.key() for r in self.roots()))
-
     def __repr__(self):
         return f"E({self.r1}, {self.r2}, {self.r3})"
 

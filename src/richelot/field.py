@@ -297,7 +297,7 @@ class ExtCtx:
         self.order = base.order ** 2
         self.zero = ExtElement(self, base.zero, base.zero)
         self.one = ExtElement(self, base.one, base.zero)
-        self._nonsquare = None
+        self._nonsquare = ExtElement(self, base.zero, base.one)
 
     def __repr__(self):
         return f"GF({self.base.p}^4)"
@@ -312,19 +312,9 @@ class ExtCtx:
         return ExtElement(self, u, v)
 
     def nonsquare(self) -> "ExtElement":
-        if self._nonsquare is None:
-            # j is a non-square in GF(p^4): its square m is a non-square
-            # of GF(p^2), hence m^((p^4-1)/2) = (m^((p^2-1)/2))^((p^2+1))
-            # = (-1)^(p^2+1) = ... verified by the explicit test below.
-            j = ExtElement(self, self.base.zero, self.base.one)
-            if not j.is_square():
-                self._nonsquare = j
-            else:  # fall back to a scan; not expected to trigger
-                for u in self.base.elements():
-                    cand = ExtElement(self, u, self.base.one)
-                    if not cand.is_square():
-                        self._nonsquare = cand
-                        break
+        """j, a non-square of GF(p^4): j^2 = m is a non-square of
+        GF(p^2), so j^((p^4-1)/2) = (m^((p^2-1)/2))^((p^2+1)/2)
+        = (-1)^((p^2+1)/2) = -1, as (p^2+1)/2 is odd."""
         return self._nonsquare
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb, factorial, perm
 
 from .field import ExtCtx, FieldCtx, FieldElement
 from .poly import Poly, factor_quadratic_pieces, is_squarefree
@@ -193,18 +194,25 @@ def _block_roots(g: Poly, K):
     return (s - b) * half, (-b - s) * half
 
 
-def splitting_points(spl: QuadraticSplitting):
-    """The six Weierstrass points of y^2 = spl.product(), sorted, read
-    off the blocks with one square root each; returns (field, points).
-
-    The field is GF(p^2) when every block splits there, else GF(p^4).
+def splitting_root_pairs(spl: QuadraticSplitting):
+    """The Weierstrass points of y^2 = spl.product() as the three pairs
+    covered by spl's blocks, one square root each; returns (field,
+    pairs).  The field is GF(p^2) when every block splits there, else
+    GF(p^4).
     """
     K = spl.ctx
     roots = [_block_roots(g, K) for g in spl.blocks]
     if None in roots:
         K = K.extension()
         roots = [_block_roots(g, K) for g in spl.blocks]
-    return K, sorted((pt for pair in roots for pt in pair), key=point_key)
+    return K, roots
+
+
+def splitting_points(spl: QuadraticSplitting):
+    """The six Weierstrass points of y^2 = spl.product(), sorted;
+    returns (field, points) with the field of splitting_root_pairs."""
+    K, pairs = splitting_root_pairs(spl)
+    return K, sorted((pt for pair in pairs for pt in pair), key=point_key)
 
 
 @lru_cache(maxsize=None)
@@ -352,50 +360,59 @@ def splitting_pairing(curve: Genus2Curve, spl: QuadraticSplitting, K=None):
     return frozenset(pairs)
 
 
+def orbit_partition(points, gens) -> list:
+    """Orbits of the group generated by gens on points.
+
+    Each generator is a mapping point -> point (a dict, or a list on
+    range(n)) that permutes points.  Returns the orbits as sorted
+    tuples, in sorted order.
+    """
+    seen = set()
+    orbits = []
+    for start in points:
+        if start in seen:
+            continue
+        orbit = {start}
+        frontier = [start]
+        while frontier:
+            cur = frontier.pop()
+            for g in gens:
+                img = g[cur]
+                if img not in orbit:
+                    orbit.add(img)
+                    frontier.append(img)
+        seen |= orbit
+        orbits.append(tuple(sorted(orbit)))
+    return sorted(orbits)
+
+
 def moebius_orbits_on_splittings(curve: Genus2Curve, spls, maps):
     """Orbits of the splittings under the given Moebius maps.
 
-    Returns a list of orbits, each a sorted tuple of indices into
-    spls.  Raises if a map sends a splitting outside the given list
-    (an irrational image; cannot happen when all 15 are rational).
+    Returns (orbits, pairings): the orbits as sorted tuples of indices
+    into spls, in sorted order, and pairings[i] =
+    splitting_pairing(curve, spls[i]), the key of spls[i] as a kernel.
+    Each map moves the six Weierstrass points once and acts on the
+    splittings as the induced index permutation.  Raises if a map
+    sends a splitting outside the given list (an irrational image;
+    cannot happen when all 15 are rational).
     """
     K, pts = weierstrass_points(curve)
-    pt_of_key = {point_key(p): p for p in pts}
     pairings = [splitting_pairing(curve, s, K) for s in spls]
     index_of = {pr: i for i, pr in enumerate(pairings)}
-
-    def act(m, pairing):
-        out = []
-        for pair in pairing:
-            mapped = frozenset(point_key(m.apply(pt_of_key[k]))
-                               for k in pair)
-            out.append(mapped)
-        return frozenset(out)
-
-    n = len(spls)
-    seen = [False] * n
-    orbits = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        orbit = {i}
-        frontier = [i]
-        while frontier:
-            cur = frontier.pop()
-            for m in maps:
-                img = act(m, pairings[cur])
-                if img not in index_of:
-                    raise Genus2Error(
-                        "automorphism image of a splitting is irrational")
-                t = index_of[img]
-                if t not in orbit:
-                    orbit.add(t)
-                    frontier.append(t)
-        for t in orbit:
-            seen[t] = True
-        orbits.append(tuple(sorted(orbit)))
-    orbits.sort()
-    return orbits
+    perms = []
+    for m in maps:
+        image = {point_key(p): point_key(m.apply(p)) for p in pts}
+        action = []
+        for pairing in pairings:
+            img = frozenset(frozenset(image[k] for k in pair)
+                            for pair in pairing)
+            if img not in index_of:
+                raise Genus2Error(
+                    "automorphism image of a splitting is irrational")
+            action.append(index_of[img])
+        perms.append(action)
+    return orbit_partition(range(len(spls)), perms), pairings
 
 
 def transform_curve(curve: Genus2Curve, a, b, c, d) -> Genus2Curve:
@@ -429,7 +446,6 @@ def transform_curve(curve: Genus2Curve, a, b, c, d) -> Genus2Curve:
 
 def _binom_power(ctx, u, v, k):
     """Coefficients of (u x + v z)^k in x-degree order."""
-    from math import comb
     return [ctx.from_int(comb(k, t)) * (u ** t) * (v ** (k - t))
             for t in range(k + 1)]
 
@@ -438,12 +454,12 @@ def _binom_power(ctx, u, v, k):
 # Clebsch invariants via transvectants
 
 
-def _form_dx(cs, n):
-    return [cs[k + 1] * (k + 1) for k in range(n)]
-
-
-def _form_dz(cs, n):
-    return [cs[k] * (n - k) for k in range(n)]
+def _partial(F, m, a, b):
+    """d^(a+b) F / dx^a dz^b of the binary form F of order m: the
+    coefficient of x^k z^(m-a-b-k) is F[k+a] times the falling
+    factorials (k+a)!/k! and (m-k-a)!/(m-k-a-b)!."""
+    return [F[k + a] * (perm(k + a, a) * perm(m - k - a, b))
+            for k in range(m - a - b + 1)]
 
 
 def _form_mul(cs1, cs2):
@@ -461,39 +477,10 @@ def _transvectant(ctx, F, m, G, n, h):
     omega-process sum.  Characteristic > 5 keeps every denominator
     invertible.  Returns (form, order m + n - 2h).
     """
-    from math import comb, factorial
-    # mixed partials F^{(x^(h-j), z^j)} for j = 0..h
-    dF = {0: list(F)}
-    cur, order = list(F), m
-    for t in range(1, h + 1):
-        cur = _form_dx(cur, order)
-        order -= 1
-        dF[t] = cur
-    # dF[t] = d^t F / dx^t (order m - t); now add z-derivatives
-    tableF = {}
-    for j in range(h + 1):
-        g, o = dF[h - j], m - (h - j)
-        for _ in range(j):
-            g = _form_dz(g, o)
-            o -= 1
-        tableF[j] = g
-    dG = {0: list(G)}
-    cur, order = list(G), n
-    for t in range(1, h + 1):
-        cur = _form_dx(cur, order)
-        order -= 1
-        dG[t] = cur
-    tableG = {}
-    for j in range(h + 1):
-        g, o = dG[j], n - j
-        for _ in range(h - j):
-            g = _form_dz(g, o)
-            o -= 1
-        tableG[j] = g
     out_order = m + n - 2 * h
     acc = [ctx.zero] * (out_order + 1)
     for j in range(h + 1):
-        term = _form_mul(tableF[j], tableG[j])
+        term = _form_mul(_partial(F, m, h - j, j), _partial(G, n, j, h - j))
         sign = -1 if j % 2 else 1
         coef = ctx.from_int(sign * comb(h, j))
         for t in range(out_order + 1):

@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .elliptic import (EllipticCurveE2, TwoIsogeny, isomorphisms_with_torsion,
+from .elliptic import (EllipticCurveE2, isomorphisms_with_torsion,
                        j_invariant, two_isogeny)
 from .field import FieldElement
 from .genus2 import Genus2Curve, Genus2Error, QuadraticSplitting, RAType, \
-    RA_ORDER
+    RA_ORDER, orbit_partition
 from .poly import Poly
 
 
@@ -102,25 +102,19 @@ _KERNEL_BY_ELEMENTS = {k.elements(): k for k in product_kernels()}
 
 @dataclass(frozen=True)
 class ProductQuotient:
-    """Quotient isomorphic to a product; psi1/psi2 are the factor
-    2-isogenies (None for an isomorphism-induced diagonal kernel,
-    where the quotient is the original surface again)."""
+    """Quotient isomorphic to a product (for an isomorphism-induced
+    diagonal kernel, the original surface again)."""
 
     surface: ProductSurface
-    psi1: TwoIsogeny = None
-    psi2: TwoIsogeny = None
 
 
 @dataclass(frozen=True)
 class GluedJacobian:
     """Quotient glued to a Jacobian; `dual` is the splitting of the
-    dual kernel, `blocks_by_index` the same blocks in i-order (block i
-    covers the pair (P_i, P'_perm(i))), `intermediates` the HLP data."""
+    dual kernel."""
 
     curve: Genus2Curve
     dual: QuadraticSplitting
-    blocks_by_index: tuple
-    intermediates: dict
 
 
 def quotient_product(S: ProductSurface, k: ProductKernel) -> ProductQuotient:
@@ -130,8 +124,7 @@ def quotient_product(S: ProductSurface, k: ProductKernel) -> ProductQuotient:
     psi1 = two_isogeny(S.E1, k.i)
     psi2 = two_isogeny(S.E2, k.j)
     return ProductQuotient(surface=ProductSurface(psi1.codomain,
-                                                  psi2.codomain),
-                           psi1=psi1, psi2=psi2)
+                                                  psi2.codomain))
 
 
 def quotient_diagonal(S: ProductSurface, k: ProductKernel):
@@ -180,11 +173,8 @@ def quotient_diagonal(S: ProductSurface, k: ProductKernel):
     except Genus2Error as exc:
         raise DegenerateGluingError(f"glued curve invalid: {exc}", k) \
             from exc
-    dual = QuadraticSplitting.make(blocks, f.leading())
-    inter = {"A": A, "B": B, "a1": a1, "a2": a2, "b1": b1, "b2": b2}
-    return GluedJacobian(curve=curve, dual=dual,
-                         blocks_by_index=tuple(b.monic() for b in blocks),
-                         intermediates=inter)
+    return GluedJacobian(curve=curve,
+                         dual=QuadraticSplitting.make(blocks, f.leading()))
 
 
 def ra_type_product_vertex(j1: FieldElement, j2: FieldElement) -> str:
@@ -266,27 +256,13 @@ def torsion_action_generators(S: ProductSurface) -> list:
 
 
 def kernel_orbits(S: ProductSurface):
-    """Orbits of the 15 kernels under the RA-action, sorted."""
+    """Orbits of the 15 kernels under the RA-action.
+
+    Returns (orbits, kernels): kernels = product_kernels(), and the
+    orbits as sorted tuples of indices into kernels, in sorted order.
+    """
     kernels = product_kernels()
-    gens = torsion_action_generators(S)
     index = {k.key(): i for i, k in enumerate(kernels)}
-    seen = [False] * 15
-    orbits = []
-    for i, k in enumerate(kernels):
-        if seen[i]:
-            continue
-        orbit = {i}
-        frontier = [k]
-        while frontier:
-            cur = frontier.pop()
-            for g in gens:
-                img = g.apply_kernel(cur)
-                t = index[img.key()]
-                if t not in orbit:
-                    orbit.add(t)
-                    frontier.append(img)
-        for t in orbit:
-            seen[t] = True
-        orbits.append(tuple(sorted(orbit)))
-    orbits.sort()
-    return orbits, kernels
+    perms = [[index[g.apply_kernel(k).key()] for k in kernels]
+             for g in torsion_action_generators(S)]
+    return orbit_partition(range(len(kernels)), perms), kernels

@@ -25,8 +25,7 @@ from .genus2 import (Genus2Curve, JACOBIAN_ORDER_TO_TYPE, RA_ORDER,
                      canonical_key, clebsch_invariants,
                      moebius_orbits_on_splittings, moebius_stabilizing,
                      point_key, ra_type_from_clebsch, reduced_automorphisms,
-                     splitting_pairing, splitting_points, splittings,
-                     weierstrass_points)
+                     splitting_root_pairs, splittings, weierstrass_points)
 from .gluing import (ProductKernel, ProductQuotient, ProductSurface,
                      TorsionActionGenerator, kernel_orbits, quotient_diagonal,
                      quotient_product, ra_order_product,
@@ -149,70 +148,68 @@ def _expand(rep):
     raise GraphError(f"unsupported representative {rep!r}")
 
 
+def _orbit_edges(src: VertexKey, orbits, kernels, keys, step):
+    """One edge per orbit, built by step(kernel) -> (target, hint) on
+    the orbit's first kernel; kernel_to_edge maps keys[i] to the edge
+    of kernels[i]."""
+    edges = []
+    kernel_to_edge = {}
+    for orbit in orbits:
+        k = kernels[orbit[0]]
+        tgt, hint = step(k)
+        e = OrbitEdge(source=src, target=tgt, weight=len(orbit),
+                      kernel_rep=k, is_loop=(src == tgt), hint=hint)
+        edges.append(e)
+        for idx in orbit:
+            kernel_to_edge[keys[idx]] = e
+    return edges, kernel_to_edge
+
+
 def _expand_jacobian(curve: Genus2Curve):
     spls = splittings(curve)
     if len(spls) != 15:
         raise GraphError(
             f"only {len(spls)} rational kernels; vertex is not "
             "superspecial-complete")
-    maps = reduced_automorphisms(curve)
-    orbits = moebius_orbits_on_splittings(curve, spls, maps)
-    K, _ = weierstrass_points(curve)
-    src = VertexKey.jacobian(curve)
-    edges = []
-    kernel_to_edge = {}
-    for orbit in orbits:
-        rep_spl = spls[orbit[0]]
-        if not delta(rep_spl).is_zero():
-            cod = richelot_generic(rep_spl)
-            tgt = VertexKey.jacobian(cod.curve)
-            hint = ("jac", cod.curve, cod.dual)
-        else:
-            sp = split_degenerate(rep_spl)
-            S = ProductSurface(sp.E, sp.E2)
-            tgt = VertexKey.of_surface(S)
-            # the i <-> i matching generates the dual kernel, except on
-            # factors rebuilt from j, where the matching is lost
-            dual = None if sp.split_data.extended \
-                else ProductKernel.diagonal((1, 2, 3))
-            hint = ("split", S, dual)
-        e = OrbitEdge(source=src, target=tgt, weight=len(orbit),
-                      kernel_rep=rep_spl, is_loop=(src == tgt), hint=hint)
-        edges.append(e)
-        for idx in orbit:
-            kernel_to_edge[splitting_pairing(curve, spls[idx], K)] = e
-    return edges, kernel_to_edge
+    orbits, pairings = moebius_orbits_on_splittings(
+        curve, spls, reduced_automorphisms(curve))
+    return _orbit_edges(VertexKey.jacobian(curve), orbits, spls, pairings,
+                        _jacobian_step)
+
+
+def _jacobian_step(spl):
+    if not delta(spl).is_zero():
+        cod = richelot_generic(spl)
+        return VertexKey.jacobian(cod.curve), ("jac", cod.curve, cod.dual)
+    sp = split_degenerate(spl)
+    S = ProductSurface(sp.E, sp.E2)
+    # the i <-> i matching generates the dual kernel, except on factors
+    # rebuilt from j, where the matching is lost
+    dual = None if sp.split_data.extended \
+        else ProductKernel.diagonal((1, 2, 3))
+    return VertexKey.of_surface(S), ("split", S, dual)
 
 
 def _expand_product(S: ProductSurface):
     orbits, kernels = kernel_orbits(S)
     src = VertexKey.of_surface(S)
-    edges = []
-    kernel_to_edge = {}
-    for orbit in orbits:
-        k = kernels[orbit[0]]
+
+    def step(k):
         if k.kind == "product":
             q = quotient_product(S, k)
-            tgt = VertexKey.of_surface(q.surface)
             # both Velu codomains carry the dual point as their first
             # root, so the dual kernel is K(1,1)
-            hint = ("prod", q.surface, ProductKernel.product(1, 1))
-        else:
-            res = quotient_diagonal(S, k)
-            if isinstance(res, ProductQuotient):
-                tgt = src  # isomorphism-induced: the quotient is S again
-                # the quotient identification maps the kernel onto
-                # itself, so induced loops are self-dual
-                hint = ("induced", S, k)
-            else:
-                tgt = VertexKey.jacobian(res.curve)
-                hint = ("glue", res.curve, res.dual)
-        e = OrbitEdge(source=src, target=tgt, weight=len(orbit),
-                      kernel_rep=k, is_loop=(src == tgt), hint=hint)
-        edges.append(e)
-        for idx in orbit:
-            kernel_to_edge[kernels[idx].key()] = e
-    return edges, kernel_to_edge
+            return (VertexKey.of_surface(q.surface),
+                    ("prod", q.surface, ProductKernel.product(1, 1)))
+        res = quotient_diagonal(S, k)
+        if isinstance(res, ProductQuotient):
+            # isomorphism-induced: the quotient is S again, and its
+            # identification maps the kernel onto itself (self-dual)
+            return src, ("induced", S, k)
+        return VertexKey.jacobian(res.curve), ("glue", res.curve, res.dual)
+
+    return _orbit_edges(src, orbits, kernels,
+                        [k.key() for k in kernels], step)
 
 
 def build_graph(ctx: FieldCtx, seed=None) -> Graph:
@@ -255,34 +252,29 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
 # Dual edges
 
 
-def _transport_pairing(src_curve, dst_curve, spl):
-    """Move a splitting of src_curve to a pairing on dst_curve.
+def _transport_pairing(dst_curve, spl):
+    """Move a splitting of an edge's codomain to a pairing on dst_curve.
 
-    Requires the curves to be isomorphic; any Moebius map carrying the
-    Weierstrass set of src_curve onto dst_curve's will do, since maps
-    differing by an automorphism move the image within one orbit.  The
-    source points are read off spl's blocks, so src_curve (an edge's
-    codomain) is never factored.
+    Requires the codomain to be isomorphic to dst_curve; any Moebius map
+    carrying the codomain's Weierstrass set onto dst_curve's will do,
+    since maps differing by an automorphism move the image within one
+    orbit.  The codomain's points are the roots of spl's blocks, taken
+    once, so the codomain is never factored.
     """
     from .field import ExtCtx
-    K1, pts1 = splitting_points(spl)
+    K1, pairs = splitting_root_pairs(spl)
     K2, pts2 = weierstrass_points(dst_curve)
     if isinstance(K1, ExtCtx) != isinstance(K2, ExtCtx):
         # mixed rationality: redo both over the extension
-        ext = src_curve.ctx.extension()
-        if not isinstance(K1, ExtCtx):
-            pts1 = [_lift_point(ext, p) for p in pts1]
-        if not isinstance(K2, ExtCtx):
-            pts2 = [_lift_point(ext, p) for p in pts2]
-        K1 = ext
+        K1 = spl.ctx.extension()
+        pairs = [[_lift_point(K1, p) for p in pair] for pair in pairs]
+        pts2 = [_lift_point(K1, p) for p in pts2]
+    pts1 = sorted((p for pair in pairs for p in pair), key=point_key)
     m = moebius_stabilizing(K1, pts1, pts2, first_only=True)
     if m is None:
         raise GraphError("no Moebius map between isomorphic models")
-    pt_of_key = {point_key(p): p for p in pts1}
-    pairing = splitting_pairing(src_curve, spl, K1)
-    return frozenset(
-        frozenset(point_key(m.apply(pt_of_key[k])) for k in pair)
-        for pair in pairing)
+    return frozenset(frozenset(point_key(m.apply(p)) for p in pair)
+                     for pair in pairs)
 
 
 def _lift_point(ext, p):
@@ -328,7 +320,7 @@ def dual_edge(g: Graph, e: OrbitEdge) -> OrbitEdge:
     if dual is None:
         raise GraphError(f"no dual kernel recorded for {where}")
     if isinstance(codomain, Genus2Curve):
-        kernel = _transport_pairing(codomain, tgt.representative, dual)
+        kernel = _transport_pairing(tgt.representative, dual)
     else:
         kernel = _transport_kernel(codomain, tgt.representative, dual).key()
     try:

@@ -175,14 +175,6 @@ class Poly:
             e >>= 1
         return result
 
-    def shift(self, r: FieldElement) -> "Poly":
-        """The polynomial f(x + r)."""
-        out = Poly.zero(self.ctx)
-        xr = Poly(self.ctx, [r, self.ctx.one])
-        for c in reversed(self.coeffs):
-            out = out * xr + Poly(self.ctx, [c])
-        return out
-
 
 def is_squarefree(f: Poly) -> bool:
     """True iff gcd(f, f') is constant (f must be nonzero)."""

@@ -3,13 +3,12 @@
 import pytest
 
 from richelot.atlas import (AtlasError, indexed_splittings, normal_form,
-                            partition_from_perms,
                             expected_permutation_actions,
                             type_ii_kernels, verify_case,
                             verify_permutation_fixtures)
 from richelot.field import make_field
 from richelot.genus2 import (Genus2Curve, RAType, clebsch_invariants,
-                             splittings)
+                             orbit_partition, splittings)
 from richelot.graph import VertexKey
 from richelot.poly import Poly
 
@@ -77,10 +76,16 @@ def test_permutation_fixture_shapes():
         for pm in perms:
             assert sorted(pm.values()) == list(range(1, 16))
     # the fixture partitions carry the tabulated orbit sizes
-    assert sorted(len(o) for o in partition_from_perms(
-        expected_permutation_actions("IV"))) == [1, 1, 1, 3, 3, 3, 3]
-    assert sorted(len(o) for o in partition_from_perms(
-        expected_permutation_actions("VI"))) == [1, 4, 4, 6]
+    assert sorted(len(o) for o in orbit_partition(
+        range(1, 16), expected_permutation_actions("IV"))) \
+        == [1, 1, 1, 3, 3, 3, 3]
+    assert sorted(len(o) for o in orbit_partition(
+        range(1, 16), expected_permutation_actions("VI"))) == [1, 4, 4, 6]
+    # the group generated, not the generators' cycles: a 3-cycle and a
+    # transposition sharing a point join into one orbit
+    gens = [{0: 1, 1: 2, 2: 0, 3: 3, 4: 5, 5: 4}, [0, 1, 3, 2, 4, 5]]
+    assert orbit_partition(range(6), gens) == [(0, 1, 2, 3), (4, 5)]
+    assert orbit_partition(range(3), []) == [(0,), (1,), (2,)]
 
 
 def test_verify_permutation_fixtures_all_cases(ctx23):

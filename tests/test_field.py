@@ -108,3 +108,8 @@ def test_extension_field(ctx11):
     assert s is not None and s * s == ext.embed(nr)
     x = ext.element(ctx11.from_int(3), ctx11.from_int(5))
     assert x * x.inverse() == ext.one
+    # j is the non-square of GF(p^4) by proof; check it on several primes
+    for p in (7, 11, 13, 23, 41, 101):
+        ext = make_field(p).extension()
+        assert not ext.nonsquare().is_square()
+        assert ext.nonsquare() * ext.nonsquare() == ext.embed(ext.m)

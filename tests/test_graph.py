@@ -1,6 +1,7 @@
 """Graph enumeration: neighbourhoods, duals, BFS, validation, export."""
 
 import json
+import sys
 from itertools import permutations
 
 import pytest
@@ -119,8 +120,7 @@ def dual_edge_oracle(g, e):
     kind = e.hint[0]
 
     if kind in ("jac", "glue"):
-        pairing = _transport_pairing(e.hint[1], tgt.representative,
-                                     e.hint[2])
+        pairing = _transport_pairing(tgt.representative, e.hint[2])
         try:
             return tgt.kernel_to_edge[pairing]
         except KeyError:
@@ -161,7 +161,7 @@ def dual_edge_oracle(g, e):
                 continue
             if VertexKey.jacobian(res.curve) != e.source:
                 continue
-            pairing = _transport_pairing(res.curve, src_curve, res.dual)
+            pairing = _transport_pairing(src_curve, res.dual)
             if pairing in src_edge_pairings:
                 candidates.append(tgt.kernel_to_edge[kk.key()])
         if not candidates:
@@ -199,6 +199,21 @@ def test_each_vertex_factored_once_and_validate_never(monkeypatch):
     del calls[:]
     assert validate(g).ok
     assert calls == []
+
+
+def test_each_jacobian_vertex_pairs_once(monkeypatch):
+    calls = []
+    real = genus2.splitting_pairing
+    # patch every module that binds the function, not only genus2
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("richelot")
+                and getattr(mod, "splitting_pairing", None) is real):
+            monkeypatch.setattr(
+                mod, "splitting_pairing",
+                lambda *args: calls.append(args) or real(*args))
+    g = build_graph(make_field(23))
+    jacobians = [v for v in g.vertices.values() if v.key.kind == "jacobian"]
+    assert len(calls) == 15 * len(jacobians)
 
 
 def test_dual_edge_names_edge_without_recorded_dual(ctx11):
