@@ -94,15 +94,18 @@ def _cmd_verify_atlas(args) -> int:
     return 0 if ok else 1
 
 
-def _parse_field_elems(ctx, text):
+def _parse_field_elems(ctx, text, option):
     out = []
-    for part in text.split(","):
-        part = part.strip()
-        if "+" in part and part.endswith("i"):
-            a, b = part[:-1].split("+")
-            out.append(ctx.element(int(a), int(b)))
-        else:
-            out.append(ctx.from_int(int(part)))
+    try:
+        for part in text.split(","):
+            part = part.strip()
+            if "+" in part and part.endswith("i"):
+                a, b = part[:-1].split("+")
+                out.append(ctx.element(int(a), int(b)))
+            else:
+                out.append(ctx.from_int(int(part)))
+    except ValueError:
+        raise ValueError(f"{option}: cannot parse {text!r}") from None
     return out
 
 
@@ -112,18 +115,18 @@ def _cmd_neighbourhood(args) -> int:
              if x is not None]
     if len(given) != 1:
         raise AtlasError("choose exactly one of --sextic/--product/--atlas")
-    if args.sextic:
-        coeffs = _parse_field_elems(ctx, args.sextic)
+    if args.sextic is not None:
+        coeffs = _parse_field_elems(ctx, args.sextic, "--sextic")
         rep = Genus2Curve(Poly(ctx, coeffs))
-    elif args.product:
-        j1, j2 = _parse_field_elems(ctx, args.product)
+    elif args.product is not None:
+        j1, j2 = _parse_field_elems(ctx, args.product, "--product")
         E1, E2 = curve_from_j(ctx, j1), curve_from_j(ctx, j2)
         if E1 is None or E2 is None:
             raise AtlasError("no split-torsion model for a j-invariant")
         rep = ProductSurface(E1, E2)
     else:
-        params = _parse_field_elems(ctx, args.params) if args.params \
-            else None
+        params = None if args.params is None \
+            else _parse_field_elems(ctx, args.params, "--params")
         rep = normal_form(args.atlas, ctx, params=params)
         if args.atlas in JACOBIAN_CASES:
             rep = rep[0]

@@ -7,8 +7,9 @@ GF(p^2).  This module provides
 * Clebsch invariants (A : B : C : D) in P(2, 4, 6, 10), computed by
   transvectants of the binary sextic, and the derived invariants that
   drive Bolza's classification,
-* the reduced automorphism group, found by an exhaustive Moebius
-  search over the six Weierstrass points (in GF(p^4) if necessary),
+* the reduced automorphism group and Moebius maps between six-point
+  sets, read off a table of the Weierstrass points' ordered triples
+  sent to (0, 1, inf) (over GF(p^4) if necessary),
 * the two independent RA-type classifiers and the canonical vertex key.
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 from math import comb, factorial, perm
 
 from .field import ExtCtx, FieldCtx, FieldElement
@@ -298,35 +300,37 @@ def moebius_through(K, src, dst):
                            ic * ta + id_ * tc, ic * tb + id_ * td)
 
 
-def moebius_stabilizing(K, src_pts, dst_pts, first_only=False):
+def _signature(K, pts, triple):
+    """The sorted keys, concatenated, of the images of the points
+    outside pts[triple] under the Moebius map sending that ordered
+    triple to (0, 1, inf)."""
+    frame = MoebiusMap(*_to_zero_one_inf(K, *(pts[i] for i in triple)))
+    return sum(sorted(frame.apply(pts[i]).key()
+                      for i in range(len(pts)) if i not in triple), ())
+
+
+def moebius_frames(K, pts) -> dict:
+    """The ordered triples of indices into pts (distinct points over K),
+    listed by signature.  Two triples of two point sets share it exactly
+    when a Moebius map sends one triple to the other and one set onto
+    the other."""
+    frames = {}
+    for triple in permutations(range(len(pts)), 3):
+        frames.setdefault(_signature(K, pts, triple), []).append(triple)
+    return frames
+
+
+def moebius_stabilizing(K, src_pts, dst_pts, dst_frames):
     """Moebius maps sending the set src_pts onto the set dst_pts.
 
-    Solves the map through the first three source points against all
-    ordered triples of destination points.  With first_only, returns
-    the first hit (or None); otherwise the deduplicated sorted list.
+    A map is fixed by the image of the base triple src_pts[:3], and it
+    carries the set onto dst_pts exactly when that image has the base
+    triple's signature: one map per such triple in dst_frames =
+    moebius_frames(K, dst_pts).
     """
-    keys = set(point_key(p) for p in dst_pts)
-    base = src_pts[:3]
-    found = {}
-    n = len(dst_pts)
-    for i in range(n):
-        for j in range(n):
-            if j == i:
-                continue
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                m = moebius_through(
-                    K, base, (dst_pts[i], dst_pts[j], dst_pts[k]))
-                if m.key() in found:
-                    continue
-                if all(point_key(m.apply(p)) in keys for p in src_pts):
-                    if first_only:
-                        return m
-                    found[m.key()] = m
-    if first_only:
-        return None
-    return [found[k] for k in sorted(found)]
+    matches = dst_frames.get(_signature(K, src_pts, (0, 1, 2)), ())
+    return [moebius_through(K, src_pts[:3], [dst_pts[i] for i in triple])
+            for triple in matches]
 
 
 @lru_cache(maxsize=None)
@@ -334,12 +338,11 @@ def reduced_automorphisms(curve: Genus2Curve) -> list:
     """All Moebius transformations permuting the Weierstrass points.
 
     This is the reduced automorphism group RA(Jac(C)) acting on the
-    x-line; the search solves the unique map through three point
-    pairs for every ordered target triple and keeps the maps that
-    stabilize the full six-point set.
+    x-line: one map through the first three points and each ordered
+    triple of the same signature (moebius_stabilizing).
     """
     K, pts = weierstrass_points(curve)
-    return moebius_stabilizing(K, pts, pts)
+    return moebius_stabilizing(K, pts, pts, moebius_frames(K, pts))
 
 
 def splitting_pairing(curve: Genus2Curve, spl: QuadraticSplitting, K=None):

@@ -20,12 +20,12 @@ from dataclasses import dataclass, field
 
 from .elliptic import (EllipticCurveE2, isomorphisms_with_torsion,
                        j_invariant, find_supersingular_seed)
-from .field import FieldCtx
-from .genus2 import (Genus2Curve, JACOBIAN_ORDER_TO_TYPE, RA_ORDER,
-                     canonical_key, clebsch_invariants,
+from .field import ExtCtx, ExtElement, FieldCtx
+from .genus2 import (INF, Genus2Curve, JACOBIAN_ORDER_TO_TYPE, RA_ORDER,
+                     canonical_key, clebsch_invariants, moebius_frames,
                      moebius_orbits_on_splittings, moebius_stabilizing,
-                     point_key, ra_type_from_clebsch, reduced_automorphisms,
-                     splitting_root_pairs, splittings, weierstrass_points)
+                     point_key, ra_type_from_clebsch, splitting_root_pairs,
+                     splittings, weierstrass_points)
 from .gluing import (ProductKernel, ProductQuotient, ProductSurface,
                      TorsionActionGenerator, kernel_orbits, quotient_diagonal,
                      quotient_product, ra_order_product,
@@ -55,6 +55,14 @@ class VertexKey:
     @classmethod
     def of_surface(cls, S: ProductSurface) -> "VertexKey":
         return cls.product(j_invariant(S.E1), j_invariant(S.E2))
+
+    @classmethod
+    def of(cls, rep) -> "VertexKey":
+        if isinstance(rep, Genus2Curve):
+            return cls.jacobian(rep)
+        if isinstance(rep, ProductSurface):
+            return cls.of_surface(rep)
+        raise GraphError(f"unsupported representative {rep!r}")
 
     def as_string(self) -> str:
         tag = "jac" if self.kind == "jacobian" else "prod"
@@ -93,6 +101,8 @@ class Vertex:
     representative: object  # Genus2Curve | ProductSurface
     ra_type: str
     ra_order: int
+    # Jacobians: moebius_frames of the Weierstrass points
+    frames: dict = field(default=None, repr=False)
     # populated when the vertex is expanded; kernels are keyed by
     # their Weierstrass pairing (Jacobians) or ProductKernel.key()
     edges: list = field(default_factory=list)
@@ -119,12 +129,14 @@ def ra_type_of(rep) -> str:
 
 def _make_vertex(key: VertexKey, rep) -> Vertex:
     ra_type = ra_type_of(rep)
-    if key.kind == "jacobian":
-        ra_order = len(reduced_automorphisms(rep))
-    else:
-        ra_order = ra_order_product(ra_type)
+    if key.kind != "jacobian":
+        return Vertex(key=key, representative=rep, ra_type=ra_type,
+                      ra_order=ra_order_product(ra_type))
+    K, pts = weierstrass_points(rep)
+    frames = moebius_frames(K, pts)
     return Vertex(key=key, representative=rep, ra_type=ra_type,
-                  ra_order=ra_order)
+                  ra_order=len(moebius_stabilizing(K, pts, pts, frames)),
+                  frames=frames)
 
 
 def neighbourhood(rep) -> list:
@@ -135,17 +147,15 @@ def neighbourhood(rep) -> list:
     products: the torsion action groups the 15 product/diagonal
     kernels; one Velu or gluing step per orbit.
     """
-    edges, _ = _expand(rep)
+    edges, _ = _expand(_make_vertex(VertexKey.of(rep), rep))
     return edges
 
 
-def _expand(rep):
-    """Edges out of rep plus the kernel-to-edge lookup table."""
-    if isinstance(rep, Genus2Curve):
-        return _expand_jacobian(rep)
-    if isinstance(rep, ProductSurface):
-        return _expand_product(rep)
-    raise GraphError(f"unsupported representative {rep!r}")
+def _expand(v: Vertex):
+    """Edges out of v plus the kernel-to-edge lookup table."""
+    if v.key.kind == "jacobian":
+        return _expand_jacobian(v)
+    return _expand_product(v)
 
 
 def _orbit_edges(src: VertexKey, orbits, kernels, keys, step):
@@ -165,16 +175,16 @@ def _orbit_edges(src: VertexKey, orbits, kernels, keys, step):
     return edges, kernel_to_edge
 
 
-def _expand_jacobian(curve: Genus2Curve):
-    spls = splittings(curve)
+def _expand_jacobian(v: Vertex):
+    spls = splittings(v.representative)
     if len(spls) != 15:
         raise GraphError(
             f"only {len(spls)} rational kernels; vertex is not "
             "superspecial-complete")
+    K, pts = weierstrass_points(v.representative)
     orbits, pairings = moebius_orbits_on_splittings(
-        curve, spls, reduced_automorphisms(curve))
-    return _orbit_edges(VertexKey.jacobian(curve), orbits, spls, pairings,
-                        _jacobian_step)
+        v.representative, spls, moebius_stabilizing(K, pts, pts, v.frames))
+    return _orbit_edges(v.key, orbits, spls, pairings, _jacobian_step)
 
 
 def _jacobian_step(spl):
@@ -190,9 +200,9 @@ def _jacobian_step(spl):
     return VertexKey.of_surface(S), ("split", S, dual)
 
 
-def _expand_product(S: ProductSurface):
+def _expand_product(v: Vertex):
+    S, src = v.representative, v.key
     orbits, kernels = kernel_orbits(S)
-    src = VertexKey.of_surface(S)
 
     def step(k):
         if k.kind == "product":
@@ -225,10 +235,7 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
         seed = ProductSurface(E, E)
     if isinstance(seed, EllipticCurveE2):
         seed = ProductSurface(seed, seed)
-    if isinstance(seed, ProductSurface):
-        key = VertexKey.of_surface(seed)
-    else:
-        key = VertexKey.jacobian(seed)
+    key = VertexKey.of(seed)
     g = Graph(p=ctx.p, vertices={}, edges=[])
     g.vertices[key] = _make_vertex(key, seed)
     queue = [key]
@@ -237,7 +244,7 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
         cur = queue[qpos]
         qpos += 1
         v = g.vertices[cur]
-        v.edges, v.kernel_to_edge = _expand(v.representative)
+        v.edges, v.kernel_to_edge = _expand(v)
         g.edges.extend(v.edges)
         fresh = []
         for e in v.edges:
@@ -252,38 +259,35 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
 # Dual edges
 
 
-def _transport_pairing(dst_curve, spl):
-    """Move a splitting of an edge's codomain to a pairing on dst_curve.
+def _transport_pairing(target: Vertex, spl):
+    """Move a splitting of an edge's codomain to a pairing on the
+    representative of the Jacobian vertex target.
 
-    Requires the codomain to be isomorphic to dst_curve; any Moebius map
-    carrying the codomain's Weierstrass set onto dst_curve's will do,
-    since maps differing by an automorphism move the image within one
-    orbit.  The codomain's points are the roots of spl's blocks, taken
-    once, so the codomain is never factored.
+    Requires the codomain to be isomorphic to the representative; any
+    Moebius map carrying the codomain's Weierstrass set onto the
+    representative's will do, since maps differing by an automorphism
+    move the image within one orbit.  The codomain's points are the
+    roots of spl's blocks, so the codomain is never factored.
     """
-    from .field import ExtCtx
     K1, pairs = splitting_root_pairs(spl)
-    K2, pts2 = weierstrass_points(dst_curve)
+    K2, pts2 = weierstrass_points(target.representative)
+    frames = target.frames
     if isinstance(K1, ExtCtx) != isinstance(K2, ExtCtx):
-        # mixed rationality: redo both over the extension
+        # mixed rationality: redo both, and the table, over the extension
         K1 = spl.ctx.extension()
         pairs = [[_lift_point(K1, p) for p in pair] for pair in pairs]
         pts2 = [_lift_point(K1, p) for p in pts2]
-    pts1 = sorted((p for pair in pairs for p in pair), key=point_key)
-    m = moebius_stabilizing(K1, pts1, pts2, first_only=True)
-    if m is None:
+        frames = moebius_frames(K1, pts2)
+    maps = moebius_stabilizing(K1, [p for pair in pairs for p in pair],
+                               pts2, frames)
+    if not maps:
         raise GraphError("no Moebius map between isomorphic models")
-    return frozenset(frozenset(point_key(m.apply(p)) for p in pair)
+    return frozenset(frozenset(point_key(maps[0].apply(p)) for p in pair)
                      for pair in pairs)
 
 
 def _lift_point(ext, p):
-    from .genus2 import INF
-    if p is INF:
-        return p
-    if hasattr(p, "in_base_field"):
-        return p
-    return ext.embed(p)
+    return p if p is INF or isinstance(p, ExtElement) else ext.embed(p)
 
 
 def _transport_kernel(src: ProductSurface, dst: ProductSurface,
@@ -320,7 +324,7 @@ def dual_edge(g: Graph, e: OrbitEdge) -> OrbitEdge:
     if dual is None:
         raise GraphError(f"no dual kernel recorded for {where}")
     if isinstance(codomain, Genus2Curve):
-        kernel = _transport_pairing(tgt.representative, dual)
+        kernel = _transport_pairing(tgt, dual)
     else:
         kernel = _transport_kernel(codomain, tgt.representative, dual).key()
     try:

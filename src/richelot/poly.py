@@ -233,28 +233,6 @@ def roots(f: Poly) -> list:
     return out
 
 
-def roots_bruteforce(f: Poly) -> list:
-    """Exhaustive-evaluation root finder; the independent test oracle.
-
-    Intended for p <= 50.  Returns roots with multiplicity, sorted.
-    """
-    if f.is_zero():
-        raise PolyError("roots of zero polynomial")
-    out = []
-    for x in f.ctx.elements():
-        if f.evaluate(x).is_zero():
-            lin = Poly(f.ctx, [-x, f.ctx.one])
-            g = f
-            while True:
-                q, rem = divmod(g, lin)
-                if not rem.is_zero():
-                    break
-                out.append(x)
-                g = q
-    out.sort()
-    return out
-
-
 def factor_quadratic_pieces(f: Poly):
     """Factor squarefree f into monic irreducibles of degree <= 2.
 

@@ -1,8 +1,10 @@
 import random
+from itertools import permutations
 
 import pytest
 
 from richelot.field import make_field
+from richelot.genus2 import moebius_through, point_key
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +38,29 @@ def random_distinct_elements(ctx, rng, n):
         if all(x != y for y in out):
             out.append(x)
     return out
+
+
+def moebius_search_oracle(K, src_pts, dst_pts, first_only=False):
+    """Moebius maps sending the set src_pts onto the set dst_pts, by
+    search: the triple loop that genus2.moebius_stabilizing replaced,
+    kept as the reference it is checked against.
+
+    Solves the map through the first three source points against every
+    ordered triple of destination points and keeps the maps that send
+    all of src_pts into dst_pts.  With first_only, returns the first
+    hit (or None); otherwise the deduplicated list sorted by map key.
+    """
+    keys = set(point_key(p) for p in dst_pts)
+    base = src_pts[:3]
+    found = {}
+    for triple in permutations(dst_pts, 3):
+        m = moebius_through(K, base, triple)
+        if m.key() in found:
+            continue
+        if all(point_key(m.apply(p)) in keys for p in src_pts):
+            if first_only:
+                return m
+            found[m.key()] = m
+    if first_only:
+        return None
+    return [found[k] for k in sorted(found)]

@@ -32,7 +32,7 @@ from richelot.genus2 import (Genus2Curve, JACOBIAN_ORDER_TO_TYPE, RAType,
 from richelot.gluing import (GluedJacobian, ProductKernel, ProductSurface,
                              quotient_diagonal)
 from richelot.graph import (VertexKey, build_graph, dual_edge,
-                            _transport_pairing, validate)
+                            _make_vertex, _transport_pairing, validate)
 from richelot.isogeny import delta, richelot_generic, split_degenerate
 from richelot.poly import Poly, is_squarefree
 
@@ -305,7 +305,7 @@ def test_criterion_7_round_trips():
             reglue = quotient_diagonal(S2, ProductKernel.diagonal((1, 2, 3)))
             assert isinstance(reglue, GluedJacobian)
             assert VertexKey.jacobian(reglue.curve) == key
-            pairing = _transport_pairing(C, reglue.dual)
+            pairing = _transport_pairing(_make_vertex(key, C), reglue.dual)
             assert pairing in _pairing_orbit(C, res.dual)
             done += 1
             instances += 1

@@ -59,6 +59,15 @@ def test_neighbourhood_product(capsys):
     assert doc["out_weight"] == 15
 
 
+def test_neighbourhood_rejects_empty_options(capsys):
+    # an empty value is still the chosen option, not a fall-through to
+    # --atlas
+    for option in ("--sextic", "--product"):
+        assert run(["neighbourhood", "-p", "23", option, ""]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {option}: cannot parse ''"), err
+
+
 def test_neighbourhood_atlas_case(capsys):
     assert run(["neighbourhood", "-p", "23", "--atlas", "V"]) == 0
     assert "vertex type V" in capsys.readouterr().out

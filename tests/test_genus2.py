@@ -15,7 +15,8 @@ from richelot.poly import (Poly, factor_quadratic_pieces, is_squarefree,
                            roots as poly_roots)
 
 from clebsch_fixtures import FIXTURES
-from conftest import random_distinct_elements, random_element
+from conftest import (moebius_search_oracle, random_distinct_elements,
+                      random_element)
 
 
 def c_two_param(ctx, s, t):
@@ -171,25 +172,63 @@ def test_type_from_order_table(ctx23, rng):
         assert t1 == t2
 
 
-def test_classifier_agreement_with_irrational_points(ctx23, rng):
-    # curves with irreducible quadratic factors push the Moebius
-    # search into GF(p^4)
-    ctx = ctx23
-    checked = 0
-    while checked < 8:
+def random_curve_with_irrational_points(ctx, rng):
+    """Four distinct rational roots times an irreducible quadratic: two
+    Weierstrass points lie in GF(p^4) only."""
+    while True:
         irred = Poly(ctx, [random_element(ctx, rng),
                            random_element(ctx, rng), ctx.one])
-        from richelot.poly import roots as poly_roots, is_squarefree
         if poly_roots(irred):
             continue
         rs = random_distinct_elements(ctx, rng, 4)
         f = Poly.from_roots(ctx, rs) * irred
-        if not is_squarefree(f):
-            continue
-        C = Genus2Curve(f)
+        if is_squarefree(f):
+            return Genus2Curve(f)
+
+
+def test_classifier_agreement_with_irrational_points(ctx23, rng):
+    # curves with irreducible quadratic factors push the Moebius
+    # search into GF(p^4)
+    for _ in range(8):
+        C = random_curve_with_irrational_points(ctx23, rng)
         assert ra_type_from_automorphisms(C) \
             == ra_type_from_clebsch(clebsch_invariants(C))
-        checked += 1
+
+
+def assert_ra_matches_search_oracle(C):
+    K, pts = weierstrass_points(C)
+    got = sorted((m.key() for m in reduced_automorphisms(C)))
+    assert got == [m.key() for m in moebius_search_oracle(K, pts, pts)], C
+
+
+def test_reduced_automorphisms_match_search_oracle_random(ctx23, rng):
+    # sextics, quintics (INF is a Weierstrass point), curves with points
+    # in GF(p^4) only, and the special curves of the orders test
+    curves = [random_split_curve(ctx23, rng) for _ in range(6)]
+    curves += [random_split_curve(ctx23, rng, degree=5) for _ in range(6)]
+    curves += [random_curve_with_irrational_points(ctx23, rng)
+               for _ in range(6)]
+    z6 = ctx23.nth_root_of_unity(6)
+    u = ctx23.element(3, 1)
+    curves += [c_two_param(ctx23, z6, z6.inverse()),
+               c_two_param(ctx23, u, u.inverse()),
+               Genus2Curve(Poly.from_ints(make_field(19),
+                                          [-1, 0, 0, 0, 0, 1]))]
+    for C in curves:
+        assert_ra_matches_search_oracle(C)
+
+
+@pytest.mark.parametrize("p", [23, 41])
+def test_reduced_automorphisms_match_search_oracle_on_graph(p):
+    g = build_graph(make_field(p))
+    orders = set()
+    for v in g.vertices.values():
+        if v.key.kind == "jacobian":
+            assert_ra_matches_search_oracle(v.representative)
+            assert len(reduced_automorphisms(v.representative)) \
+                == v.ra_order
+            orders.add(v.ra_order)
+    assert len(orders) > 1
 
 
 def weierstrass_points_oracle(curve):

@@ -10,13 +10,15 @@ from richelot import genus2
 from richelot.elliptic import (EllipticCurveE2, isomorphisms_with_torsion,
                                two_isogeny)
 from richelot.field import make_field
-from richelot.genus2 import Genus2Curve, RAType
+from richelot.genus2 import (Genus2Curve, RAType, point_key,
+                             splitting_root_pairs, weierstrass_points)
 from richelot.gluing import (GluedJacobian, ProductKernel, ProductSurface,
                              quotient_diagonal)
-from richelot.graph import (GraphError, _transport_pairing, build_graph,
-                            dual_edge, export, neighbourhood, validate,
-                            VertexKey)
+from richelot.graph import (GraphError, build_graph, dual_edge, export,
+                            neighbourhood, validate, VertexKey)
 from richelot.poly import Poly
+
+from conftest import moebius_search_oracle
 
 
 def e_1728(ctx):
@@ -107,6 +109,22 @@ def test_dual_edge_involution_and_ratio(ctx11):
             == g.vertex(e.target).ra_order * e.weight
 
 
+def transport_pairing_oracle(dst_curve, spl):
+    """A splitting of a curve isomorphic to dst_curve, moved onto
+    dst_curve as a pairing by the first map moebius_search_oracle finds.
+    Both point sets must lie over the same field, as they do on every
+    graph edge."""
+    K1, pairs = splitting_root_pairs(spl)
+    K2, pts2 = weierstrass_points(dst_curve)
+    assert type(K1) is type(K2)
+    pts1 = sorted((p for pair in pairs for p in pair), key=point_key)
+    m = moebius_search_oracle(K1, pts1, pts2, first_only=True)
+    if m is None:
+        raise GraphError("no Moebius map between isomorphic models")
+    return frozenset(frozenset(point_key(m.apply(p)) for p in pair)
+                     for pair in pairs)
+
+
 def dual_edge_oracle(g, e):
     """Dual edge by search: the gluing-based dual_edge that
     graph.dual_edge replaced, kept as the reference it is checked
@@ -120,7 +138,7 @@ def dual_edge_oracle(g, e):
     kind = e.hint[0]
 
     if kind in ("jac", "glue"):
-        pairing = _transport_pairing(tgt.representative, e.hint[2])
+        pairing = transport_pairing_oracle(tgt.representative, e.hint[2])
         try:
             return tgt.kernel_to_edge[pairing]
         except KeyError:
@@ -161,7 +179,7 @@ def dual_edge_oracle(g, e):
                 continue
             if VertexKey.jacobian(res.curve) != e.source:
                 continue
-            pairing = _transport_pairing(src_curve, res.dual)
+            pairing = transport_pairing_oracle(src_curve, res.dual)
             if pairing in src_edge_pairings:
                 candidates.append(tgt.kernel_to_edge[kk.key()])
         if not candidates:
@@ -214,6 +232,25 @@ def test_each_jacobian_vertex_pairs_once(monkeypatch):
     g = build_graph(make_field(23))
     jacobians = [v for v in g.vertices.values() if v.key.kind == "jacobian"]
     assert len(calls) == 15 * len(jacobians)
+
+
+def test_each_jacobian_vertex_builds_frames_once(monkeypatch):
+    # one Moebius frame table per Jacobian vertex, shared by its RA
+    # order, its orbits and every dual transported to it; none for the
+    # mixed-rationality transport, which no p = 23 edge needs
+    calls = []
+    real = genus2.moebius_frames
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("richelot")
+                and getattr(mod, "moebius_frames", None) is real):
+            monkeypatch.setattr(
+                mod, "moebius_frames",
+                lambda *args: calls.append(args) or real(*args))
+    genus2.reduced_automorphisms.cache_clear()
+    g = build_graph(make_field(23))
+    assert validate(g).ok
+    jacobians = [v for v in g.vertices.values() if v.key.kind == "jacobian"]
+    assert len(calls) == len(jacobians)
 
 
 def test_dual_edge_names_edge_without_recorded_dual(ctx11):

@@ -3,9 +3,32 @@
 import pytest
 
 from richelot.poly import (Poly, PolyError, factor_quadratic_pieces,
-                           is_squarefree, roots, roots_bruteforce)
+                           is_squarefree, roots)
 
 from conftest import random_element
+
+
+def roots_bruteforce(f: Poly) -> list:
+    """Exhaustive-evaluation root finder; the independent oracle that
+    poly.roots is checked against.
+
+    Intended for p <= 50.  Returns roots with multiplicity, sorted.
+    """
+    if f.is_zero():
+        raise PolyError("roots of zero polynomial")
+    out = []
+    for x in f.ctx.elements():
+        if f.evaluate(x).is_zero():
+            lin = Poly(f.ctx, [-x, f.ctx.one])
+            g = f
+            while True:
+                q, rem = divmod(g, lin)
+                if not rem.is_zero():
+                    break
+                out.append(x)
+                g = q
+    out.sort()
+    return out
 
 
 def test_roots_examples(ctx11):
