@@ -24,10 +24,11 @@ from dataclasses import dataclass
 
 from .elliptic import EllipticCurveE2, j_invariant, two_isogeny
 from .field import FieldCtx
-from .genus2 import (Genus2Curve, QuadraticSplitting, RAType,
-                     clebsch_invariants, moebius_orbits_on_splittings,
+from .genus2 import (INF, Genus2Curve, RAType, clebsch_invariants,
+                     matching_splitting, moebius_orbits_on_splittings,
                      orbit_partition, ra_type_from_clebsch,
-                     reduced_automorphisms, splittings)
+                     reduced_automorphisms, splitting_pairing, splittings,
+                     weierstrass_points)
 from .gluing import ProductSurface
 from .graph import VertexKey, neighbourhood, ra_type_of
 from .poly import Poly
@@ -80,11 +81,8 @@ def _root_pairs(ctx, s, t):
 
 def indexed_splittings(ctx: FieldCtx, s, t) -> list:
     """The 15 splittings of curve_two_param(ctx, s, t) in K-order."""
-    out = []
-    for pairs in _root_pairs(ctx, s, t):
-        blocks = [Poly.from_roots(ctx, [a, b]) for a, b in pairs]
-        out.append(QuadraticSplitting.make(blocks, ctx.one))
-    return out
+    return [matching_splitting(ctx, (), pairs, ctx.one)
+            for pairs in _root_pairs(ctx, s, t)]
 
 
 def index_relabellings(ctx: FieldCtx, s, t) -> list:
@@ -113,8 +111,10 @@ def orbit_partition_on_indices(curve: Genus2Curve, indexed) -> list:
     if len(canon_to_k) != 15 or len(spls) != 15:
         raise AtlasError("kernel indexing is not a bijection")
     kidx = [canon_to_k[sp.key()] for sp in spls]
-    maps = reduced_automorphisms(curve)
-    orbits, _ = moebius_orbits_on_splittings(curve, spls, maps)
+    K, pts = weierstrass_points(curve)
+    orbits = moebius_orbits_on_splittings(
+        pts, [splitting_pairing(curve, s, K) for s in spls],
+        reduced_automorphisms(curve))
     return sorted(tuple(sorted(kidx[i] for i in o)) for o in orbits)
 
 
@@ -402,15 +402,10 @@ def type_ii_kernels(ctx: FieldCtx) -> list:
     z5 = ctx.nth_root_of_unity(5)
     if z5 is None:
         raise AtlasError(f"no fifth root of unity over GF({ctx.p}^2)")
-    one = Poly(ctx, [-ctx.one, ctx.one])
-    out = []
-    for (a, b), (c, d) in (((1, 2), (3, 4)), ((1, 3), (2, 4)),
-                           ((1, 4), (2, 3))):
-        blocks = [one,
-                  Poly.from_roots(ctx, [z5 ** a, z5 ** b]),
-                  Poly.from_roots(ctx, [z5 ** c, z5 ** d])]
-        out.append(QuadraticSplitting.make(blocks, ctx.one))
-    return out
+    return [matching_splitting(ctx, (), [(ctx.one, INF), (z5 ** a, z5 ** b),
+                                         (z5 ** c, z5 ** d)], ctx.one)
+            for (a, b), (c, d) in (((1, 2), (3, 4)), ((1, 3), (2, 4)),
+                                   ((1, 4), (2, 3)))]
 
 
 # ---------------------------------------------------------------------------
@@ -574,8 +569,10 @@ def _verify_type_ii(ctx: FieldCtx) -> AtlasReport:
     if len(spls) != 15:
         return AtlasReport("II", p, False, list(expected), [],
                            detail="kernels not all rational")
-    maps = reduced_automorphisms(curve)
-    orbits, _ = moebius_orbits_on_splittings(curve, spls, maps)
+    K, pts = weierstrass_points(curve)
+    orbits = moebius_orbits_on_splittings(
+        pts, [splitting_pairing(curve, s, K) for s in spls],
+        reduced_automorphisms(curve))
     if sorted(len(o) for o in orbits) != [5, 5, 5]:
         return AtlasReport("II", p, False, list(expected),
                            [len(o) for o in orbits],

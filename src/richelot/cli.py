@@ -119,8 +119,11 @@ def _cmd_neighbourhood(args) -> int:
         coeffs = _parse_field_elems(ctx, args.sextic, "--sextic")
         rep = Genus2Curve(Poly(ctx, coeffs))
     elif args.product is not None:
-        j1, j2 = _parse_field_elems(ctx, args.product, "--product")
-        E1, E2 = curve_from_j(ctx, j1), curve_from_j(ctx, j2)
+        js = _parse_field_elems(ctx, args.product, "--product")
+        if len(js) != 2:
+            raise ValueError(
+                f"--product: expected two j-invariants, got {len(js)}")
+        E1, E2 = (curve_from_j(ctx, j) for j in js)
         if E1 is None or E2 is None:
             raise AtlasError("no split-torsion model for a j-invariant")
         rep = ProductSurface(E1, E2)

@@ -141,33 +141,43 @@ def _matchings(items):
 INF = "inf"  # the point at infinity on the x-line
 
 
+def matching_splitting(ctx, forced, matching, scale) -> QuadraticSplitting:
+    """The forced blocks plus one block per pair of the matching, whose
+    roots are that pair (linear when the pair holds INF)."""
+    blocks = list(forced)
+    for a, b in matching:
+        if a is INF or b is INF:
+            blocks.append(Poly(ctx, [-(b if a is INF else a), ctx.one]))
+        else:
+            blocks.append(Poly.from_roots(ctx, [a, b]))
+    return QuadraticSplitting.make(blocks, scale)
+
+
+def point_splittings(ctx, forced, free, scale) -> list:
+    """(splitting, pairing) for each perfect matching of the free points
+    (GF(p^2) elements and INF) around the forced irreducible blocks,
+    sorted by splitting key.  The pairing is the matching's point keys,
+    as splitting_pairing gives it when nothing is forced."""
+    out = [(matching_splitting(ctx, forced, m, scale),
+            frozenset(frozenset(map(point_key, pair)) for pair in m))
+           for m in _matchings(list(free))]
+    out.sort(key=lambda sp: sp[0].key())
+    return out
+
+
 @lru_cache(maxsize=None)
 def splittings(curve: Genus2Curve) -> list:
     """All rational quadratic splittings of the curve, sorted.
 
     Every partition of the six Weierstrass points into three
-    Galois-stable pairs: irreducible quadratic factors are forced
-    blocks, rational roots (and infinity, for degree-5 models) pair
-    freely.  15 splittings exactly when all kernels are rational.
+    Galois-stable pairs: Cantor-Zassenhaus factoring, then
+    point_splittings with the rational roots (and infinity, for
+    degree-5 models) free.  15 splittings exactly when all are rational.
     """
-    ctx = curve.ctx
     f = curve.f
     linears, quads = factor_quadratic_pieces(f)
-    free_roots = [-g[0] for g in linears]
-    if f.degree() == 5:
-        free_roots = free_roots + [INF]
-    out = []
-    for matching in _matchings(free_roots):
-        blocks = list(quads)
-        for a, b in matching:
-            if a is INF or b is INF:
-                r = b if a is INF else a
-                blocks.append(Poly(ctx, [-r, ctx.one]))
-            else:
-                blocks.append(Poly.from_roots(ctx, [a, b]))
-        out.append(QuadraticSplitting.make(blocks, f.leading()))
-    out.sort(key=QuadraticSplitting.key)
-    return out
+    free = [-g[0] for g in linears] + ([INF] if f.degree() == 5 else [])
+    return [s for s, _ in point_splittings(f.ctx, quads, free, f.leading())]
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +229,11 @@ def splitting_points(spl: QuadraticSplitting):
 
 @lru_cache(maxsize=None)
 def weierstrass_points(curve: Genus2Curve):
-    """The six Weierstrass points of the curve, sorted.
-
-    Points live on P^1 over GF(p^2) when the defining polynomial
-    splits (always the case at superspecial vertices) and over
-    GF(p^4) otherwise; returns (field, points).  Any splitting covers
-    all six points, so they are read off the first one: the curve is
-    factored once, by splittings().
-    """
+    """The six Weierstrass points of the curve, sorted, as (field,
+    points): over GF(p^2) when f splits (always at superspecial
+    vertices), else over GF(p^4).  Read off the first of splittings(),
+    so the curve is factored; graph vertices reached by an edge read
+    theirs off its recorded dual splitting instead."""
     return splitting_points(splittings(curve)[0])
 
 
@@ -346,12 +353,9 @@ def reduced_automorphisms(curve: Genus2Curve) -> list:
 
 
 def splitting_pairing(curve: Genus2Curve, spl: QuadraticSplitting, K=None):
-    """The splitting as a partition of Weierstrass point keys.
-
-    K must match the field of the points the pairing is used with:
-    weierstrass_points(curve)[0] (the default), or
-    splitting_points(s)[0] for another splitting s of the same curve.
-    """
+    """The splitting as a partition of Weierstrass point keys, one
+    square root per block.  K must be the field of the points the
+    pairing is used with, by default weierstrass_points(curve)[0]."""
     if K is None:
         K = weierstrass_points(curve)[0]
     pairs = []
@@ -389,19 +393,16 @@ def orbit_partition(points, gens) -> list:
     return sorted(orbits)
 
 
-def moebius_orbits_on_splittings(curve: Genus2Curve, spls, maps):
-    """Orbits of the splittings under the given Moebius maps.
+def moebius_orbits_on_splittings(pts, pairings, maps):
+    """Orbits of kernels, given as pairings of the Weierstrass points
+    pts, under the given Moebius maps.
 
-    Returns (orbits, pairings): the orbits as sorted tuples of indices
-    into spls, in sorted order, and pairings[i] =
-    splitting_pairing(curve, spls[i]), the key of spls[i] as a kernel.
-    Each map moves the six Weierstrass points once and acts on the
-    splittings as the induced index permutation.  Raises if a map
-    sends a splitting outside the given list (an irrational image;
-    cannot happen when all 15 are rational).
+    Returns the orbits as sorted tuples of indices into pairings, in
+    sorted order.  Each map moves the six points once and acts on the
+    pairings as the induced index permutation.  Raises if a map sends
+    a pairing outside the given list (an irrational image; cannot
+    happen when all 15 are rational).
     """
-    K, pts = weierstrass_points(curve)
-    pairings = [splitting_pairing(curve, s, K) for s in spls]
     index_of = {pr: i for i, pr in enumerate(pairings)}
     perms = []
     for m in maps:
@@ -415,7 +416,7 @@ def moebius_orbits_on_splittings(curve: Genus2Curve, spls, maps):
                     "automorphism image of a splitting is irrational")
             action.append(index_of[img])
         perms.append(action)
-    return orbit_partition(range(len(spls)), perms), pairings
+    return orbit_partition(range(len(pairings)), perms)
 
 
 def transform_curve(curve: Genus2Curve, a, b, c, d) -> Genus2Curve:

@@ -24,8 +24,9 @@ from .field import ExtCtx, ExtElement, FieldCtx
 from .genus2 import (INF, Genus2Curve, JACOBIAN_ORDER_TO_TYPE, RA_ORDER,
                      canonical_key, clebsch_invariants, moebius_frames,
                      moebius_orbits_on_splittings, moebius_stabilizing,
-                     point_key, ra_type_from_clebsch, splitting_root_pairs,
-                     splittings, weierstrass_points)
+                     point_key, point_splittings, ra_type_from_clebsch,
+                     splitting_points, splitting_root_pairs, splittings,
+                     weierstrass_points)
 from .gluing import (ProductKernel, ProductQuotient, ProductSurface,
                      TorsionActionGenerator, kernel_orbits, quotient_diagonal,
                      quotient_product, ra_order_product,
@@ -97,11 +98,14 @@ class OrbitEdge:
 
 @dataclass
 class Vertex:
+    """A graph vertex; Jacobians also hold their Weierstrass points."""
+
     key: VertexKey
     representative: object  # Genus2Curve | ProductSurface
     ra_type: str
     ra_order: int
-    # Jacobians: moebius_frames of the Weierstrass points
+    # Jacobians: (field, sorted points) and the points' moebius_frames
+    points: tuple = field(default=None, repr=False)
     frames: dict = field(default=None, repr=False)
     # populated when the vertex is expanded; kernels are keyed by
     # their Weierstrass pairing (Jacobians) or ProductKernel.key()
@@ -127,16 +131,19 @@ def ra_type_of(rep) -> str:
     return ra_type_product_vertex(j_invariant(rep.E1), j_invariant(rep.E2))
 
 
-def _make_vertex(key: VertexKey, rep) -> Vertex:
+def _make_vertex(key: VertexKey, rep, dual=None) -> Vertex:
+    """The vertex record of rep.  A Jacobian's points are the block roots
+    of dual, the splitting recorded on the edge that reached it; only
+    seeds and neighbourhood queries factor rep (weierstrass_points)."""
     ra_type = ra_type_of(rep)
     if key.kind != "jacobian":
         return Vertex(key=key, representative=rep, ra_type=ra_type,
                       ra_order=ra_order_product(ra_type))
-    K, pts = weierstrass_points(rep)
+    K, pts = splitting_points(dual) if dual else weierstrass_points(rep)
     frames = moebius_frames(K, pts)
     return Vertex(key=key, representative=rep, ra_type=ra_type,
                   ra_order=len(moebius_stabilizing(K, pts, pts, frames)),
-                  frames=frames)
+                  points=(K, pts), frames=frames)
 
 
 def neighbourhood(rep) -> list:
@@ -176,14 +183,15 @@ def _orbit_edges(src: VertexKey, orbits, kernels, keys, step):
 
 
 def _expand_jacobian(v: Vertex):
-    spls = splittings(v.representative)
-    if len(spls) != 15:
+    K, pts = v.points
+    if isinstance(K, ExtCtx):
         raise GraphError(
-            f"only {len(spls)} rational kernels; vertex is not "
-            "superspecial-complete")
-    K, pts = weierstrass_points(v.representative)
-    orbits, pairings = moebius_orbits_on_splittings(
-        v.representative, spls, moebius_stabilizing(K, pts, pts, v.frames))
+            f"only {len(splittings(v.representative))} rational kernels; "
+            "vertex is not superspecial-complete")
+    f = v.representative.f
+    spls, pairings = zip(*point_splittings(f.ctx, (), pts, f.leading()))
+    orbits = moebius_orbits_on_splittings(
+        pts, pairings, moebius_stabilizing(K, pts, pts, v.frames))
     return _orbit_edges(v.key, orbits, spls, pairings, _jacobian_step)
 
 
@@ -249,7 +257,8 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
         fresh = []
         for e in v.edges:
             if e.target not in g.vertices:
-                g.vertices[e.target] = _make_vertex(e.target, e.hint[1])
+                g.vertices[e.target] = _make_vertex(e.target, e.hint[1],
+                                                    e.hint[2])
                 fresh.append(e.target)
         queue.extend(sorted(set(fresh)))
     return g
@@ -270,7 +279,7 @@ def _transport_pairing(target: Vertex, spl):
     roots of spl's blocks, so the codomain is never factored.
     """
     K1, pairs = splitting_root_pairs(spl)
-    K2, pts2 = weierstrass_points(target.representative)
+    K2, pts2 = target.points
     frames = target.frames
     if isinstance(K1, ExtCtx) != isinstance(K2, ExtCtx):
         # mixed rationality: redo both, and the table, over the extension

@@ -68,6 +68,13 @@ def test_neighbourhood_rejects_empty_options(capsys):
         assert err.startswith(f"error: {option}: cannot parse ''"), err
 
 
+def test_neighbourhood_product_needs_two_j_invariants(capsys):
+    for value, n in (("1,2,3", 3), ("5", 1)):
+        assert run(["neighbourhood", "-p", "23", "--product", value]) == 2
+        assert capsys.readouterr().err \
+            == f"error: --product: expected two j-invariants, got {n}\n"
+
+
 def test_neighbourhood_atlas_case(capsys):
     assert run(["neighbourhood", "-p", "23", "--atlas", "V"]) == 0
     assert "vertex type V" in capsys.readouterr().out

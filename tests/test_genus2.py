@@ -6,10 +6,11 @@ from richelot.field import make_field
 from richelot.genus2 import (INF, ClebschPoint, Genus2Curve, Genus2Error,
                              canonical_key, clebsch_invariants,
                              derived_invariants, moebius_orbits_on_splittings,
-                             point_key, ra_type_from_automorphisms,
+                             point_key, point_splittings,
+                             ra_type_from_automorphisms,
                              ra_type_from_clebsch, reduced_automorphisms,
-                             splitting_points, splittings, transform_curve,
-                             weierstrass_points, RAType)
+                             splitting_pairing, splitting_points, splittings,
+                             transform_curve, weierstrass_points, RAType)
 from richelot.graph import build_graph
 from richelot.poly import (Poly, factor_quadratic_pieces, is_squarefree,
                            roots as poly_roots)
@@ -304,6 +305,39 @@ def test_splitting_points_match_factoring_oracle_on_graph(p):
         if v.key.kind == "jacobian":
             rep = v.representative
             assert weierstrass_points(rep) == weierstrass_points_oracle(rep)
+            assert v.points == weierstrass_points_oracle(rep)
+
+
+def splittings_with_pairings_oracle(curve):
+    """(splitting, pairing) by factoring and one square root per block:
+    the path point_splittings replaced at graph vertices, kept as the
+    reference it is checked against."""
+    return [(s, splitting_pairing(curve, s)) for s in splittings(curve)]
+
+
+def test_point_splittings_match_factoring_oracle_random(ctx23, rng):
+    # sextics and quintics (INF is a Weierstrass point), all points
+    # rational
+    for degree in (6, 6, 6, 6, 5, 5, 5, 5):
+        C = random_split_curve(ctx23, rng, degree)
+        K, pts = weierstrass_points(C)
+        assert K is ctx23
+        assert point_splittings(ctx23, (), pts, C.f.leading()) \
+            == splittings_with_pairings_oracle(C), C
+
+
+@pytest.mark.parametrize("p", [23, 41])
+def test_point_splittings_match_factoring_oracle_on_graph(p):
+    # the kernels each Jacobian vertex builds from its own points
+    g = build_graph(make_field(p))
+    for v in g.vertices.values():
+        if v.key.kind == "jacobian":
+            rep = v.representative
+            built = point_splittings(rep.ctx, (), v.points[1],
+                                     rep.f.leading())
+            want = splittings_with_pairings_oracle(rep)
+            assert built == want, v.key.as_string()
+            assert set(v.kernel_to_edge) == {pr for _, pr in want}
 
 
 def test_clebsch_table_rows(ctx23):
@@ -440,9 +474,11 @@ def test_canonical_key_moebius_invariance(ctx23, rng):
 def test_orbit_sizes_sum_to_fifteen(ctx23, rng):
     for _ in range(5):
         C = random_split_curve(ctx23, rng)
-        spls = splittings(C)
-        maps = reduced_automorphisms(C)
-        orbits, _ = moebius_orbits_on_splittings(C, spls, maps)
+        K, pts = weierstrass_points(C)
+        pairings = [pr for _, pr in
+                    point_splittings(ctx23, (), pts, C.f.leading())]
+        orbits = moebius_orbits_on_splittings(pts, pairings,
+                                              reduced_automorphisms(C))
         assert sum(len(o) for o in orbits) == 15
 
 

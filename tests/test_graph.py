@@ -203,49 +203,67 @@ def test_dual_edge_matches_search_oracle(p):
         assert kinds == {"jac", "glue", "prod", "split", "induced"}
 
 
-def test_each_vertex_factored_once_and_validate_never(monkeypatch):
+def count_calls(monkeypatch, name):
+    """Record each call of genus2.<name> in a list, through every
+    richelot module that binds the function."""
     calls = []
-    real = genus2.factor_quadratic_pieces
-    monkeypatch.setattr(genus2, "factor_quadratic_pieces",
-                        lambda f: calls.append(f) or real(f))
+    real = getattr(genus2, name)
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("richelot")
+                and getattr(mod, name, None) is real):
+            monkeypatch.setattr(
+                mod, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def clear_genus2_caches():
     for cached in (genus2.splittings, genus2.weierstrass_points,
                    genus2.reduced_automorphisms):
         cached.cache_clear()
+
+
+def sextic_x6_plus_1(ctx):
+    return Genus2Curve(Poly.from_ints(ctx, [1, 0, 0, 0, 0, 0, 1]))
+
+
+def test_product_seeded_build_factors_and_pairs_nothing(monkeypatch):
+    # every Jacobian vertex is reached by an edge and reads its points
+    # off that edge's dual splitting: no Cantor-Zassenhaus and no
+    # square-root pairings, in the build or in validate
+    clear_genus2_caches()
+    names = ("factor_quadratic_pieces", "splitting_pairing", "splittings",
+             "weierstrass_points")
+    calls = {name: count_calls(monkeypatch, name) for name in names}
     g = build_graph(make_field(23))
-    jacobians = [v for v in g.vertices.values() if v.key.kind == "jacobian"]
-    assert len(calls) == len(jacobians)
-    del calls[:]
     assert validate(g).ok
-    assert calls == []
+    assert any(v.key.kind == "jacobian" for v in g.vertices.values())
+    assert {name: len(c) for name, c in calls.items()} \
+        == dict.fromkeys(names, 0)
 
 
-def test_each_jacobian_vertex_pairs_once(monkeypatch):
-    calls = []
-    real = genus2.splitting_pairing
-    # patch every module that binds the function, not only genus2
-    for mod in list(sys.modules.values()):
-        if (getattr(mod, "__name__", "").startswith("richelot")
-                and getattr(mod, "splitting_pairing", None) is real):
-            monkeypatch.setattr(
-                mod, "splitting_pairing",
-                lambda *args: calls.append(args) or real(*args))
-    g = build_graph(make_field(23))
-    jacobians = [v for v in g.vertices.values() if v.key.kind == "jacobian"]
-    assert len(calls) == 15 * len(jacobians)
+def test_jacobian_seeded_build_factors_once(monkeypatch):
+    # the seed is the one vertex with no dual to read its points off
+    clear_genus2_caches()
+    calls = count_calls(monkeypatch, "factor_quadratic_pieces")
+    ctx = make_field(23)
+    g = build_graph(ctx, seed=sextic_x6_plus_1(ctx))
+    assert validate(g).ok
+    assert len(calls) == 1
+
+
+def test_jacobian_seed_matches_product_seed():
+    ctx = make_field(23)
+    g = build_graph(ctx, seed=sextic_x6_plus_1(ctx))
+    assert next(iter(g.vertices)).kind == "jacobian"
+    assert export(g, "json") == export(build_graph(ctx), "json")
+    assert validate(g).ok
 
 
 def test_each_jacobian_vertex_builds_frames_once(monkeypatch):
     # one Moebius frame table per Jacobian vertex, shared by its RA
     # order, its orbits and every dual transported to it; none for the
     # mixed-rationality transport, which no p = 23 edge needs
-    calls = []
-    real = genus2.moebius_frames
-    for mod in list(sys.modules.values()):
-        if (getattr(mod, "__name__", "").startswith("richelot")
-                and getattr(mod, "moebius_frames", None) is real):
-            monkeypatch.setattr(
-                mod, "moebius_frames",
-                lambda *args: calls.append(args) or real(*args))
+    calls = count_calls(monkeypatch, "moebius_frames")
     genus2.reduced_automorphisms.cache_clear()
     g = build_graph(make_field(23))
     assert validate(g).ok
