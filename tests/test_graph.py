@@ -226,19 +226,31 @@ def sextic_x6_plus_1(ctx):
     return Genus2Curve(Poly.from_ints(ctx, [1, 0, 0, 0, 0, 0, 1]))
 
 
-def test_product_seeded_build_factors_and_pairs_nothing(monkeypatch):
+def test_each_vertex_factored_once_and_validate_never(monkeypatch):
     # every Jacobian vertex is reached by an edge and reads its points
-    # off that edge's dual splitting: no Cantor-Zassenhaus and no
-    # square-root pairings, in the build or in validate
+    # off that edge's dual splitting, so a product-seeded build runs no
+    # Cantor-Zassenhaus at all, and validate adds none
     clear_genus2_caches()
-    names = ("factor_quadratic_pieces", "splitting_pairing", "splittings",
-             "weierstrass_points")
+    names = ("factor_quadratic_pieces", "splittings", "weierstrass_points")
     calls = {name: count_calls(monkeypatch, name) for name in names}
     g = build_graph(make_field(23))
-    assert validate(g).ok
     assert any(v.key.kind == "jacobian" for v in g.vertices.values())
     assert {name: len(c) for name, c in calls.items()} \
         == dict.fromkeys(names, 0)
+    assert validate(g).ok
+    assert {name: len(c) for name, c in calls.items()} \
+        == dict.fromkeys(names, 0)
+
+
+def test_each_jacobian_vertex_pairs_once(monkeypatch):
+    # each vertex's pairings come from the point matchings made once
+    # with its frames: no square-root pairing in the build or validate
+    clear_genus2_caches()
+    calls = count_calls(monkeypatch, "splitting_pairing")
+    g = build_graph(make_field(23))
+    assert any(v.key.kind == "jacobian" for v in g.vertices.values())
+    assert validate(g).ok
+    assert calls == []
 
 
 def test_jacobian_seeded_build_factors_once(monkeypatch):
