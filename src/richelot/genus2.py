@@ -5,8 +5,9 @@ GF(p^2).  This module provides
 
 * enumeration of the rational quadratic splittings (the (2,2)-kernels),
 * Clebsch invariants (A : B : C : D) in P(2, 4, 6, 10), computed by
-  transvectants of the binary sextic, and the derived invariants that
-  drive Bolza's classification,
+  transvectants of the binary sextic as integer term tables on (a, b)
+  int pairs, one reduction mod p per output coefficient, and the
+  derived invariants that drive Bolza's classification,
 * the reduced automorphism group and Moebius maps between six-point
   sets, read off a table of the Weierstrass points' ordered triples
   sent to (0, 1, inf) (over GF(p^4) if necessary),
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from math import comb, factorial, perm
+from math import comb, perm
 
 from .field import ExtCtx, FieldCtx, FieldElement
 from .poly import Poly, factor_quadratic_pieces, is_squarefree
@@ -458,40 +459,46 @@ def _binom_power(ctx, u, v, k):
 # Clebsch invariants via transvectants
 
 
-def _partial(F, m, a, b):
-    """d^(a+b) F / dx^a dz^b of the binary form F of order m: the
-    coefficient of x^k z^(m-a-b-k) is F[k+a] times the falling
-    factorials (k+a)!/k! and (m-k-a)!/(m-k-a-b)!."""
-    return [F[k + a] * (perm(k + a, a) * perm(m - k - a, b))
-            for k in range(m - a - b + 1)]
+def _term_table(m, n, h):
+    """Integer terms (t, x, y, c) of the h-th transvectant of binary
+    forms F (order m) and G (order n): out[t] += c * F[x] * G[y].
 
-
-def _form_mul(cs1, cs2):
-    out = [cs1[0].ctx.zero] * (len(cs1) + len(cs2) - 1)
-    for i, a in enumerate(cs1):
-        for j, b in enumerate(cs2):
-            out[i + j] = out[i + j] + a * b
-    return out
-
-
-def _transvectant(ctx, F, m, G, n, h):
-    """h-th transvectant of binary forms F (order m) and G (order n).
-
-    Standard normalization: ((m-h)!(n-h)!)/(m!n!) times the Cayley
-    omega-process sum.  Characteristic > 5 keeps every denominator
-    invertible.  Returns (form, order m + n - 2h).
+    c sums, over j, (-1)^j binom(h, j) times the falling factorials that
+    d^h/dx^(h-j)dz^j puts on F[x] and d^h/dx^j dz^(h-j) puts on G[y]:
+    the omega process and the product of partials in one integer.
     """
-    out_order = m + n - 2 * h
-    acc = [ctx.zero] * (out_order + 1)
+    coef = {}
     for j in range(h + 1):
-        term = _form_mul(_partial(F, m, h - j, j), _partial(G, n, j, h - j))
-        sign = -1 if j % 2 else 1
-        coef = ctx.from_int(sign * comb(h, j))
-        for t in range(out_order + 1):
-            acc[t] = acc[t] + coef * term[t]
-    scale = ctx.from_int(factorial(m - h) * factorial(n - h)) \
-        / ctx.from_int(factorial(m) * factorial(n))
-    return [c * scale for c in acc], out_order
+        for x in range(h - j, m - j + 1):
+            for y in range(j, n - h + j + 1):
+                coef[x, y] = coef.get((x, y), 0) + (-1) ** j * comb(h, j) \
+                    * perm(x, h - j) * perm(m - x, j) \
+                    * perm(y, j) * perm(n - y, h - j)
+    return tuple((x + y - h, x, y, c)
+                 for (x, y), c in sorted(coef.items()) if c)
+
+
+# one term table per transvectant shape (m, n, h) in the Clebsch chain
+_TERM_TABLES = {s: _term_table(*s) for s in (
+    (6, 6, 6), (6, 6, 4), (4, 4, 4), (4, 4, 2), (6, 4, 4), (4, 2, 2),
+    (2, 2, 2))}
+
+
+def _int_transvectant(ctx, F, m, G, n, h):
+    """h-th transvectant of F (order m) and G (order n) with (a, b) int
+    pairs for coefficients a + b*i, divided by the normaliser
+    perm(m, h) perm(n, h) (invertible in characteristic > 5) and
+    reduced mod p once per output coefficient."""
+    p, nr = ctx.p, ctx.nonresidue
+    size = m + n - 2 * h + 1
+    re, im = [0] * size, [0] * size
+    for t, x, y, c in _TERM_TABLES[m, n, h]:
+        fa, fb = F[x]
+        ga, gb = G[y]
+        re[t] += c * (fa * ga + nr * fb * gb)
+        im[t] += c * (fa * gb + fb * ga)
+    inv = pow(perm(m, h) * perm(n, h), -1, p)
+    return [(re[t] * inv % p, im[t] * inv % p) for t in range(size)]
 
 
 @dataclass(frozen=True)
@@ -513,19 +520,22 @@ class ClebschPoint:
 @lru_cache(maxsize=None)
 def clebsch_invariants(curve: Genus2Curve) -> ClebschPoint:
     """Clebsch invariants of the defining sextic (degree-5 inputs are
-    homogenized with a vanishing leading coefficient)."""
+    homogenized with a vanishing leading coefficient): nine
+    transvectants on (a, b) int pairs, each one pass over its integer
+    term table.  Only the four invariants become FieldElements; the
+    FieldElement chain is the test oracle test_genus2.clebsch_oracle."""
     ctx = curve.ctx
-    f = [curve.f[k] for k in range(7)]
-    A, _ = _transvectant(ctx, f, 6, f, 6, 6)
-    i4, _ = _transvectant(ctx, f, 6, f, 6, 4)
-    B, _ = _transvectant(ctx, i4, 4, i4, 4, 4)
-    delta, _ = _transvectant(ctx, i4, 4, i4, 4, 2)
-    C, _ = _transvectant(ctx, i4, 4, delta, 4, 4)
-    y1, _ = _transvectant(ctx, f, 6, i4, 4, 4)
-    y2, _ = _transvectant(ctx, i4, 4, y1, 2, 2)
-    y3, _ = _transvectant(ctx, i4, 4, y2, 2, 2)
-    D, _ = _transvectant(ctx, y3, 2, y1, 2, 2)
-    return ClebschPoint(A[0], B[0], C[0], D[0])
+    f = [(c.a, c.b) for c in (curve.f[k] for k in range(7))]
+    A = _int_transvectant(ctx, f, 6, f, 6, 6)
+    i4 = _int_transvectant(ctx, f, 6, f, 6, 4)
+    B = _int_transvectant(ctx, i4, 4, i4, 4, 4)
+    delta = _int_transvectant(ctx, i4, 4, i4, 4, 2)
+    C = _int_transvectant(ctx, i4, 4, delta, 4, 4)
+    y1 = _int_transvectant(ctx, f, 6, i4, 4, 4)
+    y2 = _int_transvectant(ctx, i4, 4, y1, 2, 2)
+    y3 = _int_transvectant(ctx, i4, 4, y2, 2, 2)
+    D = _int_transvectant(ctx, y3, 2, y1, 2, 2)
+    return ClebschPoint(*(FieldElement(ctx, *X[0]) for X in (A, B, C, D)))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Genus-2 curves: splittings, Clebsch invariants, classifiers, keys."""
 
+from math import comb, factorial, perm
+
 import pytest
 
-from richelot.field import make_field
+from richelot.field import FieldElement, make_field
 from richelot.genus2 import (INF, ClebschPoint, Genus2Curve, Genus2Error,
                              canonical_key, clebsch_invariants,
                              derived_invariants, moebius_orbits_on_splittings,
@@ -87,6 +89,140 @@ def test_clebsch_cas_fixtures():
             cp = clebsch_invariants(C)
             for got, (num, den) in zip(cp.tuple(), vals):
                 assert got == ctx.from_int(num) / ctx.from_int(den)
+
+
+def _partial(F, m, a, b):
+    """d^(a+b) F / dx^a dz^b of the binary form F of order m: the
+    coefficient of x^k z^(m-a-b-k) is F[k+a] times the falling
+    factorials (k+a)!/k! and (m-k-a)!/(m-k-a-b)!."""
+    return [F[k + a] * (perm(k + a, a) * perm(m - k - a, b))
+            for k in range(m - a - b + 1)]
+
+
+def _form_mul(cs1, cs2):
+    out = [cs1[0].ctx.zero] * (len(cs1) + len(cs2) - 1)
+    for i, a in enumerate(cs1):
+        for j, b in enumerate(cs2):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+def _transvectant(ctx, F, m, G, n, h):
+    """h-th transvectant of binary forms F (order m) and G (order n),
+    normalised by ((m-h)!(n-h)!)/(m!n!) times the Cayley omega-process
+    sum."""
+    out_order = m + n - 2 * h
+    acc = [ctx.zero] * (out_order + 1)
+    for j in range(h + 1):
+        term = _form_mul(_partial(F, m, h - j, j), _partial(G, n, j, h - j))
+        sign = -1 if j % 2 else 1
+        coef = ctx.from_int(sign * comb(h, j))
+        for t in range(out_order + 1):
+            acc[t] = acc[t] + coef * term[t]
+    scale = ctx.from_int(factorial(m - h) * factorial(n - h)) \
+        / ctx.from_int(factorial(m) * factorial(n))
+    return [c * scale for c in acc]
+
+
+def clebsch_oracle(curve):
+    """Clebsch invariants by the FieldElement transvectant chain: the
+    path genus2.clebsch_invariants replaced with integer term tables,
+    kept as the reference it is checked against."""
+    ctx = curve.ctx
+    f = [curve.f[k] for k in range(7)]
+    A = _transvectant(ctx, f, 6, f, 6, 6)
+    i4 = _transvectant(ctx, f, 6, f, 6, 4)
+    B = _transvectant(ctx, i4, 4, i4, 4, 4)
+    delta = _transvectant(ctx, i4, 4, i4, 4, 2)
+    C = _transvectant(ctx, i4, 4, delta, 4, 4)
+    y1 = _transvectant(ctx, f, 6, i4, 4, 4)
+    y2 = _transvectant(ctx, i4, 4, y1, 2, 2)
+    y3 = _transvectant(ctx, i4, 4, y2, 2, 2)
+    D = _transvectant(ctx, y3, 2, y1, 2, 2)
+    return ClebschPoint(A[0], B[0], C[0], D[0])
+
+
+def random_curve_over_extension(ctx, rng, degree, all_irrational=False):
+    """A random squarefree f of the given degree whose coefficients are
+    not all in GF(p); with all_irrational, none of them is."""
+    while True:
+        cs = [random_element(ctx, rng) for _ in range(degree + 1)]
+        if all_irrational and any(c.b == 0 for c in cs):
+            continue
+        f = Poly(ctx, cs)
+        if f.degree() == degree and any(c.b for c in cs) \
+                and is_squarefree(f):
+            return Genus2Curve(f)
+
+
+@pytest.mark.parametrize("p", [23, 41])
+def test_clebsch_matches_oracle_on_graph(p):
+    # every vertex key and every Jacobian codomain the build keys
+    g = build_graph(make_field(p))
+    curves = [v.representative for v in g.vertices.values()
+              if v.key.kind == "jacobian"]
+    curves += [e.hint[1] for e in g.edges
+               if isinstance(e.hint[1], Genus2Curve)]
+    assert curves
+    for C in curves:
+        assert clebsch_invariants(C) == clebsch_oracle(C), C
+
+
+@pytest.mark.parametrize("p", [23, 101, 1009])
+def test_clebsch_matches_oracle_random(p, rng):
+    ctx = make_field(p)
+    for degree in (6, 5):
+        for _ in range(20):
+            C = random_curve_over_extension(ctx, rng, degree)
+            assert clebsch_invariants(C) == clebsch_oracle(C), C
+
+
+@pytest.mark.parametrize("p", [23, 101, 1009])
+def test_clebsch_frobenius_equivariant(p, rng):
+    # the invariants are polynomials over GF(p) in the coefficients, so
+    # x -> x^p commutes with them; every coefficient is outside GF(p),
+    # so a product that mixes up the a and b parts shows
+    ctx = make_field(p)
+    for degree in (6, 6, 6, 5, 5, 5):
+        C = random_curve_over_extension(ctx, rng, degree,
+                                        all_irrational=True)
+        conj = Genus2Curve(Poly(ctx, [c.frobenius() for c in C.f.coeffs]))
+        assert clebsch_invariants(conj).tuple() \
+            == tuple(x.frobenius() for x in clebsch_invariants(C).tuple())
+
+
+@pytest.mark.parametrize("p", [23, 101, 1009])
+def test_clebsch_scaling_equivariant(p, rng):
+    # A, B, C, D have degrees 2, 4, 6, 10 in the coefficients of f.
+    # Frobenius is also an automorphism of GF(p)[i] with i^2 = 1 or 0,
+    # so it cannot see a product that drops the nonresidue; scaling by
+    # an element outside GF(p) does
+    ctx = make_field(p)
+    for degree in (6, 6, 6, 5, 5, 5):
+        C = random_curve_over_extension(ctx, rng, degree,
+                                        all_irrational=True)
+        lam = ctx.element(rng.randrange(p), rng.randrange(1, p))
+        scaled = Genus2Curve(C.f * lam)
+        assert clebsch_invariants(scaled).tuple() == tuple(
+            x * lam ** w for x, w in zip(clebsch_invariants(C).tuple(),
+                                         (2, 4, 6, 10)))
+
+
+def test_clebsch_runs_on_plain_integers(monkeypatch, rng):
+    # the transvectants make no FieldElement multiplication and build
+    # no FieldElement but the four returned invariants
+    C = random_curve_over_extension(make_field(101), rng, 6)
+    clebsch_invariants.cache_clear()
+    muls, built = [], []
+    real_mul, real_init = FieldElement.__mul__, FieldElement.__init__
+    monkeypatch.setattr(FieldElement, "__mul__",
+                        lambda *args: muls.append(args) or real_mul(*args))
+    monkeypatch.setattr(FieldElement, "__rmul__", FieldElement.__mul__)
+    monkeypatch.setattr(FieldElement, "__init__",
+                        lambda *args: built.append(args) or real_init(*args))
+    clebsch_invariants(C)
+    assert len(muls) == 0
+    assert len(built) == 4
 
 
 def test_derived_invariants_substitutions(ctx23):
