@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from .elliptic import EllipticCurveE2, j_invariant, two_isogeny
 from .field import FieldCtx
 from .genus2 import (INF, Genus2Curve, RAType, clebsch_invariants,
-                     matching_splitting, moebius_orbits_on_splittings,
-                     orbit_partition, ra_type_from_clebsch,
-                     reduced_automorphisms, splitting_pairing, splittings,
+                     frame_permutations, matching_splitting, moebius_frames,
+                     moebius_orbits_on_splittings, orbit_partition,
+                     ra_type_from_clebsch, splitting_pairing, splittings,
                      weierstrass_points)
 from .gluing import ProductSurface
 from .graph import VertexKey, neighbourhood, ra_type_of
@@ -114,7 +114,7 @@ def orbit_partition_on_indices(curve: Genus2Curve, indexed) -> list:
     K, pts = weierstrass_points(curve)
     orbits = moebius_orbits_on_splittings(
         pts, [splitting_pairing(curve, s, K) for s in spls],
-        reduced_automorphisms(curve))
+        frame_permutations(K, pts, moebius_frames(K, pts)))
     return sorted(tuple(sorted(kidx[i] for i in o)) for o in orbits)
 
 
@@ -572,7 +572,7 @@ def _verify_type_ii(ctx: FieldCtx) -> AtlasReport:
     K, pts = weierstrass_points(curve)
     orbits = moebius_orbits_on_splittings(
         pts, [splitting_pairing(curve, s, K) for s in spls],
-        reduced_automorphisms(curve))
+        frame_permutations(K, pts, moebius_frames(K, pts)))
     if sorted(len(o) for o in orbits) != [5, 5, 5]:
         return AtlasReport("II", p, False, list(expected),
                            [len(o) for o in orbits],

@@ -9,8 +9,10 @@ GF(p^2).  This module provides
   int pairs, one reduction mod p per output coefficient, and the
   derived invariants that drive Bolza's classification,
 * the reduced automorphism group and Moebius maps between six-point
-  sets, read off a table of the Weierstrass points' ordered triples
-  sent to (0, 1, inf) (over GF(p^4) if necessary),
+  sets, as index permutations between frames of equal signature: each
+  ordered triple of Weierstrass points, sent to (0, 1, inf), followed
+  by the other three in the order of their images, the cross-ratios,
+  computed on (a, b) int pairs (ExtElements over GF(p^4)),
 * the two independent RA-type classifiers and the canonical vertex key.
 """
 
@@ -21,7 +23,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import comb, perm
 
-from .field import ExtCtx, FieldCtx, FieldElement
+from .field import ExtCtx, ExtElement, FieldCtx, FieldElement
 from .poly import Poly, factor_quadratic_pieces, is_squarefree
 
 
@@ -308,37 +310,81 @@ def moebius_through(K, src, dst):
                            ic * ta + id_ * tc, ic * tb + id_ * td)
 
 
-def _signature(K, pts, triple):
-    """The sorted keys, concatenated, of the images of the points
-    outside pts[triple] under the Moebius map sending that ordered
-    triple to (0, 1, inf)."""
-    frame = MoebiusMap(*_to_zero_one_inf(K, *(pts[i] for i in triple)))
-    return sum(sorted(frame.apply(pts[i]).key()
-                      for i in range(len(pts)) if i not in triple), ())
+def _frame_maker(K, pts, pairs):
+    """frame(i, j, k) -> (signature, frame) on six points over K.
+
+    The map sending (x_i, x_j, x_k) to (0, 1, inf) sends x_l to the
+    cross-ratio (x_l - x_i)(x_j - x_k) / ((x_l - x_k)(x_j - x_i)), a
+    factor holding INF read as 1.  The signature is the other three
+    images' keys, sorted and concatenated; the frame is (i, j, k) and
+    the other indices in that order.  x_a - x_b and its inverse are made
+    once per given pair (a, b), as (a, b) int pairs over GF(p^2) and as
+    ExtElements over GF(p^4), where GF(p^2) points are embedded.
+    """
+    if isinstance(K, ExtCtx):
+        xs = [x if x is INF or isinstance(x, ExtElement) else K.embed(x)
+              for x in pts]
+        one, mul = K.one, ExtElement.__mul__
+        difference, keyed = (lambda x, y: (x - y, (x - y).inverse()),
+                             lambda x, y: (x * y).key())
+    else:
+        p, nr = K.p, K.nonresidue
+        xs, one = [x if x is INF else (x.a, x.b) for x in pts], (1, 0)
+
+        def difference(x, y):
+            a, b = (x[0] - y[0]) % p, (x[1] - y[1]) % p
+            inv = pow(a * a - nr * b * b, -1, p)
+            return (a, b), (a * inv % p, -b * inv % p)
+
+        def mul(x, y):
+            (a, b), (c, d) = x, y
+            return (a * c + nr * b * d) % p, (a * d + b * c) % p
+        keyed = mul  # a reduced pair is its own key
+    diff, dinv = {}, {}
+    for a, b in pairs:
+        diff[a, b], dinv[a, b] = ((one, one) if INF in (xs[a], xs[b])
+                                  else difference(xs[a], xs[b]))
+
+    def frame(i, j, k):
+        c = mul(diff[j, k], dinv[j, i])
+        (s, x), (t, y), (u, z) = sorted(
+            [(keyed(mul(diff[l, i], dinv[l, k]), c), l)
+             for l in range(6) if l != i and l != j and l != k])
+        return s + t + u, (i, j, k, x, y, z)
+    return frame
 
 
 def moebius_frames(K, pts) -> dict:
-    """The ordered triples of indices into pts (distinct points over K),
-    listed by signature.  Two triples of two point sets share it exactly
-    when a Moebius map sends one triple to the other and one set onto
-    the other."""
+    """The frames of the six points pts over K, one per ordered triple,
+    listed by signature (_frame_maker).  Two frames of two point sets
+    share it exactly when a Moebius map sends one set onto the other,
+    and each point of the first frame to the point at the same place in
+    the second."""
+    frame = _frame_maker(K, pts, permutations(range(6), 2))
     frames = {}
-    for triple in permutations(range(len(pts)), 3):
-        frames.setdefault(_signature(K, pts, triple), []).append(triple)
+    for triple in permutations(range(6), 3):
+        signature, fr = frame(*triple)
+        frames.setdefault(signature, []).append(fr)
     return frames
 
 
-def moebius_stabilizing(K, src_pts, dst_pts, dst_frames):
-    """Moebius maps sending the set src_pts onto the set dst_pts.
+def frame_permutations(K, src_pts, dst_frames) -> list:
+    """The Moebius maps sending the set src_pts onto the point set of
+    dst_frames = moebius_frames(K, dst_pts), as index maps: m[i] is the
+    index in dst_pts of the image of src_pts[i].  One map per frame
+    sharing the signature of src_pts's base frame (0, 1, 2)."""
+    base_pairs = [(1, 2), (1, 0)] + [(l, a) for l in range(3, 6)
+                                     for a in (0, 2)]
+    signature, base = _frame_maker(K, src_pts, base_pairs)(0, 1, 2)
+    at = sorted(range(6), key=base.__getitem__)
+    return [[fr[t] for t in at] for fr in dst_frames.get(signature, ())]
 
-    A map is fixed by the image of the base triple src_pts[:3], and it
-    carries the set onto dst_pts exactly when that image has the base
-    triple's signature: one map per such triple in dst_frames =
-    moebius_frames(K, dst_pts).
-    """
-    matches = dst_frames.get(_signature(K, src_pts, (0, 1, 2)), ())
-    return [moebius_through(K, src_pts[:3], [dst_pts[i] for i in triple])
-            for triple in matches]
+
+def moebius_stabilizing(K, src_pts, dst_pts, dst_frames):
+    """Moebius maps sending the set src_pts onto the set dst_pts: one
+    map through src_pts[:3] per frame_permutations index map."""
+    return [moebius_through(K, src_pts[:3], [dst_pts[i] for i in m[:3]])
+            for m in frame_permutations(K, src_pts, dst_frames)]
 
 
 @lru_cache(maxsize=None)
@@ -346,8 +392,8 @@ def reduced_automorphisms(curve: Genus2Curve) -> list:
     """All Moebius transformations permuting the Weierstrass points.
 
     This is the reduced automorphism group RA(Jac(C)) acting on the
-    x-line: one map through the first three points and each ordered
-    triple of the same signature (moebius_stabilizing).
+    x-line: one map through the first three points per frame of the
+    same signature (moebius_stabilizing).
     """
     K, pts = weierstrass_points(curve)
     return moebius_stabilizing(K, pts, pts, moebius_frames(K, pts))
@@ -394,20 +440,21 @@ def orbit_partition(points, gens) -> list:
     return sorted(orbits)
 
 
-def moebius_orbits_on_splittings(pts, pairings, maps):
+def moebius_orbits_on_splittings(pts, pairings, perms):
     """Orbits of kernels, given as pairings of the Weierstrass points
-    pts, under the given Moebius maps.
+    pts, under Moebius maps given as index maps of pts
+    (frame_permutations).
 
     Returns the orbits as sorted tuples of indices into pairings, in
-    sorted order.  Each map moves the six points once and acts on the
-    pairings as the induced index permutation.  Raises if a map sends
-    a pairing outside the given list (an irrational image; cannot
-    happen when all 15 are rational).
+    sorted order.  Each map acts on the pairings as the induced index
+    permutation.  Raises if a map sends a pairing outside the given
+    list (an irrational image; cannot happen when all 15 are rational).
     """
+    keys = [point_key(p) for p in pts]
     index_of = {pr: i for i, pr in enumerate(pairings)}
-    perms = []
-    for m in maps:
-        image = {point_key(p): point_key(m.apply(p)) for p in pts}
+    actions = []
+    for m in perms:
+        image = dict(zip(keys, (keys[i] for i in m)))
         action = []
         for pairing in pairings:
             img = frozenset(frozenset(image[k] for k in pair)
@@ -416,8 +463,8 @@ def moebius_orbits_on_splittings(pts, pairings, maps):
                 raise Genus2Error(
                     "automorphism image of a splitting is irrational")
             action.append(index_of[img])
-        perms.append(action)
-    return orbit_partition(range(len(pairings)), perms)
+        actions.append(action)
+    return orbit_partition(range(len(pairings)), actions)
 
 
 def transform_curve(curve: Genus2Curve, a, b, c, d) -> Genus2Curve:

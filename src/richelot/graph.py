@@ -18,13 +18,14 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
+from .census import expected_counts
 from .elliptic import (EllipticCurveE2, isomorphisms_with_torsion,
                        j_invariant, find_supersingular_seed)
-from .field import ExtCtx, ExtElement, FieldCtx
-from .genus2 import (INF, Genus2Curve, JACOBIAN_ORDER_TO_TYPE, RA_ORDER,
-                     canonical_key, clebsch_invariants, moebius_frames,
-                     moebius_orbits_on_splittings, moebius_stabilizing,
-                     point_key, point_splittings, ra_type_from_clebsch,
+from .field import ExtCtx, FieldCtx
+from .genus2 import (Genus2Curve, JACOBIAN_ORDER_TO_TYPE, RA_ORDER,
+                     canonical_key, clebsch_invariants, frame_permutations,
+                     moebius_frames, moebius_orbits_on_splittings, point_key,
+                     point_splittings, ra_type_from_clebsch,
                      splitting_points, splitting_root_pairs, splittings,
                      weierstrass_points)
 from .gluing import (ProductKernel, ProductQuotient, ProductSurface,
@@ -104,7 +105,8 @@ class Vertex:
     representative: object  # Genus2Curve | ProductSurface
     ra_type: str
     ra_order: int
-    # Jacobians: (field, sorted points) and the points' moebius_frames
+    # Jacobians: (field, sorted points) and the points' moebius_frames,
+    # off which frame_permutations reads the RA maps and transports in
     points: tuple = field(default=None, repr=False)
     frames: dict = field(default=None, repr=False)
     # populated when the vertex is expanded; kernels are keyed by
@@ -142,7 +144,7 @@ def _make_vertex(key: VertexKey, rep, dual=None) -> Vertex:
     K, pts = splitting_points(dual) if dual else weierstrass_points(rep)
     frames = moebius_frames(K, pts)
     return Vertex(key=key, representative=rep, ra_type=ra_type,
-                  ra_order=len(moebius_stabilizing(K, pts, pts, frames)),
+                  ra_order=len(frame_permutations(K, pts, frames)),
                   points=(K, pts), frames=frames)
 
 
@@ -191,7 +193,7 @@ def _expand_jacobian(v: Vertex):
     f = v.representative.f
     spls, pairings = zip(*point_splittings(f.ctx, (), pts, f.leading()))
     orbits = moebius_orbits_on_splittings(
-        pts, pairings, moebius_stabilizing(K, pts, pts, v.frames))
+        pts, pairings, frame_permutations(K, pts, v.frames))
     return _orbit_edges(v.key, orbits, spls, pairings, _jacobian_step)
 
 
@@ -236,7 +238,8 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
     The default seed is E x E for the deterministic supersingular
     curve of find_supersingular_seed; any superspecial vertex
     representative may be passed instead (the closure is the same:
-    the superspecial graph is connected).
+    the superspecial graph is connected).  Raises GraphError once it
+    holds more vertices than the census counts.
     """
     if seed is None:
         E = find_supersingular_seed(ctx)
@@ -245,6 +248,7 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
         seed = ProductSurface(seed, seed)
     key = VertexKey.of(seed)
     g = Graph(p=ctx.p, vertices={}, edges=[])
+    bound = expected_counts(ctx.p).total()
     g.vertices[key] = _make_vertex(key, seed)
     queue = [key]
     qpos = 0
@@ -260,6 +264,9 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
                 g.vertices[e.target] = _make_vertex(e.target, e.hint[1],
                                                     e.hint[2])
                 fresh.append(e.target)
+        if len(g.vertices) > bound:
+            raise GraphError(f"{len(g.vertices)} vertices found at p = "
+                             f"{ctx.p}, but the census counts {bound}")
         queue.extend(sorted(set(fresh)))
     return g
 
@@ -276,27 +283,22 @@ def _transport_pairing(target: Vertex, spl):
     Moebius map carrying the codomain's Weierstrass set onto the
     representative's will do, since maps differing by an automorphism
     move the image within one orbit.  The codomain's points are the
-    roots of spl's blocks, so the codomain is never factored.
+    roots of spl's blocks, so the codomain is never factored, and the
+    first index map frame_permutations reads off the target's frames
+    moves them.
     """
     K1, pairs = splitting_root_pairs(spl)
-    K2, pts2 = target.points
+    K, pts2 = target.points
     frames = target.frames
-    if isinstance(K1, ExtCtx) != isinstance(K2, ExtCtx):
-        # mixed rationality: redo both, and the table, over the extension
-        K1 = spl.ctx.extension()
-        pairs = [[_lift_point(K1, p) for p in pair] for pair in pairs]
-        pts2 = [_lift_point(K1, p) for p in pts2]
-        frames = moebius_frames(K1, pts2)
-    maps = moebius_stabilizing(K1, [p for pair in pairs for p in pair],
-                               pts2, frames)
+    if isinstance(K1, ExtCtx) and not isinstance(K, ExtCtx):
+        # mixed rationality: the target's table over the extension
+        K, frames = K1, moebius_frames(K1, pts2)
+    maps = frame_permutations(K, [p for pair in pairs for p in pair], frames)
     if not maps:
         raise GraphError("no Moebius map between isomorphic models")
-    return frozenset(frozenset(point_key(maps[0].apply(p)) for p in pair)
-                     for pair in pairs)
-
-
-def _lift_point(ext, p):
-    return p if p is INF or isinstance(p, ExtElement) else ext.embed(p)
+    # the codomain's points were listed pair by pair
+    moved = iter(point_key(pts2[i]) for i in maps[0])
+    return frozenset(map(frozenset, zip(moved, moved)))
 
 
 def _transport_kernel(src: ProductSurface, dst: ProductSurface,

@@ -4,7 +4,8 @@ from itertools import permutations
 import pytest
 
 from richelot.field import make_field
-from richelot.genus2 import moebius_through, point_key
+from richelot.genus2 import (MoebiusMap, _to_zero_one_inf, moebius_through,
+                             point_key)
 
 
 @pytest.fixture(scope="session")
@@ -64,3 +65,22 @@ def moebius_search_oracle(K, src_pts, dst_pts, first_only=False):
     if first_only:
         return None
     return [found[k] for k in sorted(found)]
+
+
+def moebius_frames_oracle(K, pts):
+    """The ordered triples of indices into pts, listed by signature, by
+    moving points with MoebiusMap.apply on field elements: the table
+    that genus2.moebius_frames built before it read the images off
+    int-pair cross-ratios, kept as the reference it is checked against.
+
+    A triple's signature is the sorted keys, concatenated, of the images
+    of the other points under the map sending it to (0, 1, inf).
+    """
+    frames = {}
+    for triple in permutations(range(len(pts)), 3):
+        frame = MoebiusMap(*_to_zero_one_inf(K, *(pts[i] for i in triple)))
+        signature = sum(sorted(frame.apply(pts[i]).key()
+                               for i in range(len(pts)) if i not in triple),
+                        ())
+        frames.setdefault(signature, []).append(triple)
+    return frames

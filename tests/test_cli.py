@@ -51,6 +51,14 @@ def test_neighbourhood_sextic(capsys):
     assert out.count("weight  5") == 3
 
 
+def test_neighbourhood_sextic_with_irrational_points(capsys):
+    # x^6 + x + 1 has one root over GF(19^2): its frames are made over
+    # GF(19^4) before the expansion stops
+    assert run(["neighbourhood", "-p", "19",
+                "--sextic=1,1,0,0,0,0,1"]) == 2
+    assert "only 1 rational kernels" in capsys.readouterr().err
+
+
 def test_neighbourhood_product(capsys):
     assert run(["neighbourhood", "-p", "11", "--product", "0,1",
                 "--json"]) == 0

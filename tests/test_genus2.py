@@ -6,9 +6,11 @@ import pytest
 
 from richelot.field import FieldElement, make_field
 from richelot.genus2 import (INF, ClebschPoint, Genus2Curve, Genus2Error,
-                             canonical_key, clebsch_invariants,
-                             derived_invariants, moebius_orbits_on_splittings,
-                             point_key, point_splittings,
+                             MoebiusMap, _to_zero_one_inf, canonical_key,
+                             clebsch_invariants, derived_invariants,
+                             frame_permutations, moebius_frames,
+                             moebius_orbits_on_splittings, moebius_through,
+                             orbit_partition, point_key, point_splittings,
                              ra_type_from_automorphisms,
                              ra_type_from_clebsch, reduced_automorphisms,
                              splitting_pairing, splitting_points, splittings,
@@ -18,8 +20,8 @@ from richelot.poly import (Poly, factor_quadratic_pieces, is_squarefree,
                            roots as poly_roots)
 
 from clebsch_fixtures import FIXTURES
-from conftest import (moebius_search_oracle, random_distinct_elements,
-                      random_element)
+from conftest import (moebius_frames_oracle, moebius_search_oracle,
+                      random_distinct_elements, random_element)
 
 
 def c_two_param(ctx, s, t):
@@ -368,6 +370,109 @@ def test_reduced_automorphisms_match_search_oracle_on_graph(p):
     assert len(orders) > 1
 
 
+def assert_frames_match_oracle(K, pts):
+    """Same signatures in the same order, the same triples within each,
+    and each frame's tail in the order of its images' keys."""
+    frames = moebius_frames(K, pts)
+    oracle = moebius_frames_oracle(K, pts)
+    assert list(frames) == list(oracle)
+    assert [[fr[:3] for fr in frs] for frs in frames.values()] \
+        == list(oracle.values())
+    for signature, frs in frames.items():
+        for fr in frs:
+            to_frame = MoebiusMap(*_to_zero_one_inf(
+                K, *(pts[i] for i in fr[:3])))
+            assert sum((to_frame.apply(pts[i]).key() for i in fr[3:]),
+                       ()) == signature
+            # the map between two frames of a signature keeps the tails
+            m = moebius_through(K, [pts[i] for i in frs[0][:3]],
+                                [pts[i] for i in fr[:3]])
+            assert [point_key(m.apply(pts[i])) for i in frs[0][3:]] \
+                == [point_key(pts[i]) for i in fr[3:]]
+
+
+def lift_points(K, pts):
+    ext = K.extension()
+    return ext, [p if p is INF else ext.embed(p) for p in pts]
+
+
+@pytest.mark.parametrize("p", [23, 41])
+def test_moebius_frames_match_oracle_on_graph(p):
+    g = build_graph(make_field(p))
+    for v in g.vertices.values():
+        if v.key.kind == "jacobian":
+            assert_frames_match_oracle(*v.points)
+            assert_frames_match_oracle(*lift_points(*v.points))
+
+
+@pytest.mark.parametrize("p", [23, 101, 1009])
+def test_moebius_frames_match_oracle_random(p, rng):
+    # six finite points, and five with INF at a random place
+    ctx = make_field(p)
+    for _ in range(10):
+        assert_frames_match_oracle(ctx, random_distinct_elements(ctx, rng, 6))
+        pts = random_distinct_elements(ctx, rng, 5)
+        pts.insert(rng.randrange(6), INF)
+        assert_frames_match_oracle(ctx, pts)
+
+
+def test_moebius_frames_match_oracle_irrational_points(ctx23, rng):
+    # two Weierstrass points in GF(p^4) only
+    for _ in range(4):
+        C = random_curve_with_irrational_points(ctx23, rng)
+        assert_frames_match_oracle(*weierstrass_points(C))
+
+
+def test_moebius_frames_run_on_plain_integers(monkeypatch, rng):
+    # over GF(p^2) the frames and their matching make no FieldElement
+    # multiplication and build no FieldElement
+    ctx = make_field(101)
+    pts = random_distinct_elements(ctx, rng, 6)
+    muls, built = [], []
+    real_mul, real_init = FieldElement.__mul__, FieldElement.__init__
+    monkeypatch.setattr(FieldElement, "__mul__",
+                        lambda *args: muls.append(args) or real_mul(*args))
+    monkeypatch.setattr(FieldElement, "__rmul__", FieldElement.__mul__)
+    monkeypatch.setattr(FieldElement, "__init__",
+                        lambda *args: built.append(args) or real_init(*args))
+    perms = frame_permutations(ctx, pts, moebius_frames(ctx, pts))
+    assert list(range(6)) in perms
+    assert len(muls) == 0
+    assert len(built) == 0
+
+
+def induced_permutation(m, pts):
+    index = {point_key(q): i for i, q in enumerate(pts)}
+    return [index[point_key(m.apply(q))] for q in pts]
+
+
+@pytest.mark.parametrize("p", [23, 41])
+def test_frame_permutations_match_search_oracle_on_graph(p):
+    # the index maps read off the frames are the point permutations of
+    # the searched maps, and the kernel orbits the graph built are the
+    # orbits of those maps
+    g = build_graph(make_field(p))
+    for v in g.vertices.values():
+        if v.key.kind != "jacobian":
+            continue
+        K, pts = v.points
+        maps = moebius_search_oracle(K, pts, pts)
+        assert sorted(frame_permutations(K, pts, v.frames)) \
+            == sorted(induced_permutation(m, pts) for m in maps)
+        pairings = list(v.kernel_to_edge)
+        index_of = {pr: i for i, pr in enumerate(pairings)}
+        at_key = {point_key(q): q for q in pts}
+        actions = [[index_of[frozenset(
+            frozenset(point_key(m.apply(at_key[k])) for k in pair)
+            for pair in pairing)] for pairing in pairings] for m in maps]
+        want = {frozenset(pairings[i] for i in orbit)
+                for orbit in orbit_partition(range(15), actions)}
+        got = {}
+        for pairing, e in v.kernel_to_edge.items():
+            got.setdefault(id(e), set()).add(pairing)
+        assert {frozenset(o) for o in got.values()} == want
+
+
 def weierstrass_points_oracle(curve):
     """Weierstrass points by factoring: the Cantor-Zassenhaus path that
     genus2.weierstrass_points replaced, kept as the reference the
@@ -613,8 +718,8 @@ def test_orbit_sizes_sum_to_fifteen(ctx23, rng):
         K, pts = weierstrass_points(C)
         pairings = [pr for _, pr in
                     point_splittings(ctx23, (), pts, C.f.leading())]
-        orbits = moebius_orbits_on_splittings(pts, pairings,
-                                              reduced_automorphisms(C))
+        orbits = moebius_orbits_on_splittings(
+            pts, pairings, frame_permutations(K, pts, moebius_frames(K, pts)))
         assert sum(len(o) for o in orbits) == 15
 
 

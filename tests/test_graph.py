@@ -10,12 +10,13 @@ from richelot import genus2
 from richelot.elliptic import (EllipticCurveE2, isomorphisms_with_torsion,
                                two_isogeny)
 from richelot.field import make_field
-from richelot.genus2 import (Genus2Curve, RAType, point_key,
-                             splitting_root_pairs, weierstrass_points)
+from richelot.genus2 import (Genus2Curve, QuadraticSplitting, RAType,
+                             point_key, splitting_root_pairs,
+                             weierstrass_points)
 from richelot.gluing import (GluedJacobian, ProductKernel, ProductSurface,
                              quotient_diagonal)
-from richelot.graph import (GraphError, build_graph, dual_edge, export,
-                            neighbourhood, validate, VertexKey)
+from richelot.graph import (GraphError, OrbitEdge, build_graph, dual_edge,
+                            export, neighbourhood, validate, VertexKey)
 from richelot.poly import Poly
 
 from conftest import moebius_search_oracle
@@ -203,6 +204,30 @@ def test_dual_edge_matches_search_oracle(p):
         assert kinds == {"jac", "glue", "prod", "split", "induced"}
 
 
+def test_dual_transport_from_codomain_with_irrational_points():
+    # x -> j x, j^2 = m the nonsquare of GF(p^2), sends the points of
+    # y^2 = x^6 + 1 to those of y^2 = x^6 + m^3, all outside GF(p^2);
+    # the latter's blocks x^2 - m r^2 move back to the pairing {r, -r}
+    ctx = make_field(23)
+    C = sextic_x6_plus_1(ctx)
+    g = build_graph(ctx, seed=C)
+    v = g.vertex(VertexKey.of(C))
+    _, pts = v.points
+    m = ctx.nonsquare()
+    halves = [x for x in pts if point_key(x) < point_key(-x)]
+    spl = QuadraticSplitting.make(
+        [Poly(ctx, [-(m * x * x), ctx.zero, ctx.one]) for x in halves],
+        ctx.one)
+    assert spl.product() == Poly(ctx, [m * m * m] + [ctx.zero] * 5
+                                 + [ctx.one])
+    codomain = Genus2Curve(spl.product())
+    assert VertexKey.of(codomain) == v.key
+    e = OrbitEdge(source=v.key, target=v.key, weight=1, kernel_rep=None,
+                  is_loop=True, hint=("jac", codomain, spl))
+    minus = frozenset(frozenset((point_key(x), point_key(-x))) for x in pts)
+    assert dual_edge(g, e) is v.kernel_to_edge[minus]
+
+
 def count_calls(monkeypatch, name):
     """Record each call of genus2.<name> in a list, through every
     richelot module that binds the function."""
@@ -281,6 +306,17 @@ def test_each_jacobian_vertex_builds_frames_once(monkeypatch):
     assert validate(g).ok
     jacobians = [v for v in g.vertices.values() if v.key.kind == "jacobian"]
     assert len(calls) == len(jacobians)
+
+
+def test_build_graph_stops_past_census_count(monkeypatch):
+    # with Jacobian keys that never merge the closure would not end;
+    # the census count bounds it
+    fresh = iter(range(10 ** 6))
+    monkeypatch.setattr(VertexKey, "jacobian", classmethod(
+        lambda cls, curve: cls("jacobian", ((next(fresh), 0),))))
+    with pytest.raises(GraphError, match=r"^\d+ vertices found at p = 23, "
+                       r"but the census counts 16$"):
+        build_graph(make_field(23))
 
 
 def test_dual_edge_names_edge_without_recorded_dual(ctx11):
