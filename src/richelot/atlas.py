@@ -25,10 +25,8 @@ from dataclasses import dataclass
 from .elliptic import EllipticCurveE2, j_invariant, two_isogeny
 from .field import FieldCtx
 from .genus2 import (INF, Genus2Curve, RAType, clebsch_invariants,
-                     frame_permutations, matching_splitting, moebius_frames,
-                     moebius_orbits_on_splittings, orbit_partition,
-                     ra_type_from_clebsch, splitting_pairing, splittings,
-                     weierstrass_points)
+                     matching_pairing, matching_splitting, orbit_partition,
+                     ra_type_from_clebsch)
 from .gluing import ProductSurface
 from .graph import VertexKey, neighbourhood, ra_type_of
 from .poly import Poly
@@ -92,30 +90,27 @@ def index_relabellings(ctx: FieldCtx, s, t) -> list:
     same curve; each choice permutes the kernel indices.  Returns the
     (up to) eight permutations as dicts on 1..15.
     """
-    base = {sp.key(): i + 1 for i, sp in
-            enumerate(indexed_splittings(ctx, s, t))}
+    base = {matching_pairing(m): i + 1
+            for i, m in enumerate(_root_pairs(ctx, s, t))}
     perms = []
     for (a, b) in ((s, t), (-s, t), (s, -t), (-s, -t),
                    (t, s), (-t, s), (t, -s), (-t, -s)):
-        variant = indexed_splittings(ctx, a, b)
-        perm = {i + 1: base[sp.key()] for i, sp in enumerate(variant)}
+        perm = {i + 1: base[matching_pairing(m)]
+                for i, m in enumerate(_root_pairs(ctx, a, b))}
         if perm not in perms:
             perms.append(perm)
     return perms
 
 
-def orbit_partition_on_indices(curve: Genus2Curve, indexed) -> list:
-    """RA-orbit partition of the splittings, in K-indices, sorted."""
-    spls = splittings(curve)
-    canon_to_k = {sp.key(): i + 1 for i, sp in enumerate(indexed)}
-    if len(canon_to_k) != 15 or len(spls) != 15:
+def orbit_partition_on_indices(ctx: FieldCtx, s, t) -> list:
+    """RA-orbit partition of the kernels of curve_two_param(ctx, s, t),
+    in K-indices, sorted: the kernels of its neighbourhood's edges."""
+    k_of = {matching_pairing(m): i + 1
+            for i, m in enumerate(_root_pairs(ctx, s, t))}
+    edges = neighbourhood(curve_two_param(ctx, s, t))
+    if len(k_of) != 15 or set(k_of) != {k for e in edges for k in e.kernels}:
         raise AtlasError("kernel indexing is not a bijection")
-    kidx = [canon_to_k[sp.key()] for sp in spls]
-    K, pts = weierstrass_points(curve)
-    orbits = moebius_orbits_on_splittings(
-        pts, [splitting_pairing(curve, s, K) for s in spls],
-        frame_permutations(K, pts, moebius_frames(K, pts)))
-    return sorted(tuple(sorted(kidx[i] for i in o)) for o in orbits)
+    return sorted(tuple(sorted(k_of[k] for k in e.kernels)) for e in edges)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +209,19 @@ def s_t_type_iv(ctx: FieldCtx, v):
     return s, t
 
 
+def _s_t(case: str, ctx: FieldCtx, x):
+    """(s, t) of the Type-I, III or IV normal form with free parameters
+    x: (s, t) itself, (u, 1/u), or s_t_type_iv(v)."""
+    if case == "I":
+        return x
+    if case == "IV":
+        return s_t_type_iv(ctx, x[0])
+    u = x[0]
+    if u.is_zero() or u ** 4 == ctx.one:
+        raise AtlasError("u**4 must not be 1")
+    return u, u.inverse()
+
+
 def normal_form(case: str, ctx: FieldCtx, params=None, rng=None):
     """Vertex representative for a case; samples free parameters.
 
@@ -222,49 +230,20 @@ def normal_form(case: str, ctx: FieldCtx, params=None, rng=None):
     classifies as exactly the intended type.
     """
     rng = rng or random.Random(0)
-    if case == "I":
+    if case in ("I", "III", "IV"):
         for _ in range(400):
+            x = params or [_sample_element(ctx, rng)
+                           for _ in range(2 if case == "I" else 1)]
             try:
-                if params:
-                    s, t = params
-                else:
-                    s, t = (_sample_element(ctx, rng),
-                            _sample_element(ctx, rng))
+                s, t = _s_t(case, ctx, x)
                 C = curve_two_param(ctx, s, t)
             except (AtlasError, ValueError):
                 if params:
                     raise
                 continue
-            if ra_type_from_clebsch(clebsch_invariants(C)) == RAType.I \
-                    or params:
+            if params or ra_type_from_clebsch(clebsch_invariants(C)) == case:
                 return C, (s, t)
-        raise AtlasError("no generic Type-I parameters found")
-    if case == "III":
-        for _ in range(400):
-            u = params[0] if params else _sample_element(ctx, rng)
-            if u.is_zero() or (u ** 4) == ctx.one:
-                if params:
-                    raise AtlasError("u**4 must not be 1")
-                continue
-            C = curve_two_param(ctx, u, u.inverse())
-            if ra_type_from_clebsch(clebsch_invariants(C)) == RAType.III \
-                    or params:
-                return C, (u, u.inverse())
-        raise AtlasError("no generic Type-III parameter found")
-    if case == "IV":
-        for _ in range(400):
-            try:
-                v = params[0] if params else _sample_element(ctx, rng)
-                s, t = s_t_type_iv(ctx, v)
-                C = curve_two_param(ctx, s, t)
-            except (AtlasError, ValueError):
-                if params:
-                    raise
-                continue
-            if ra_type_from_clebsch(clebsch_invariants(C)) == RAType.IV \
-                    or params:
-                return C, (s, t)
-        raise AtlasError("no generic Type-IV parameter found")
+        raise AtlasError(f"no generic Type-{case} parameters found")
     if case == "V":
         z6 = ctx.nth_root_of_unity(6)
         C = curve_two_param(ctx, z6, z6.inverse())
@@ -398,12 +377,12 @@ TYPE_II_TABLE = {
 
 
 def type_ii_kernels(ctx: FieldCtx) -> list:
-    """Orbit representatives K_1, K_2, K_3 of x^5 - 1, as splittings."""
+    """Orbit representatives K_1, K_2, K_3 of x^5 - 1, as matchings of
+    its Weierstrass points."""
     z5 = ctx.nth_root_of_unity(5)
     if z5 is None:
         raise AtlasError(f"no fifth root of unity over GF({ctx.p}^2)")
-    return [matching_splitting(ctx, (), [(ctx.one, INF), (z5 ** a, z5 ** b),
-                                         (z5 ** c, z5 ** d)], ctx.one)
+    return [[(ctx.one, INF), (z5 ** a, z5 ** b), (z5 ** c, z5 ** d)]
             for (a, b), (c, d) in (((1, 2), (3, 4)), ((1, 3), (2, 4)),
                                    ((1, 4), (2, 3)))]
 
@@ -461,12 +440,16 @@ def _seeded_rng(case: str, p: int, attempt: int) -> random.Random:
     return random.Random(int.from_bytes(digest.digest()[:8], "big"))
 
 
-def verify_case(case: str, ctx: FieldCtx, retries: int = 12) -> AtlasReport:
+# draws of a sampled case's parameters before its table is failed
+GENERIC_ATTEMPTS = 12
+
+
+def verify_case(case: str, ctx: FieldCtx) -> AtlasReport:
     """Check a case's edge table at this prime.
 
-    Sampled (generic) cases are re-drawn a few times so that an
-    accidental specialization of a parameter or a neighbour does not
-    fail the table; deterministic cases get a single shot.  Type-VI at
+    Sampled (generic) cases are drawn up to GENERIC_ATTEMPTS times so
+    that an accidental specialization of a parameter or a neighbour does
+    not fail the table; deterministic cases get a single shot.  Type-VI at
     p in {13, 29} accepts either IV/V orbit assignment (the multiset
     comparison does); Type-II is handled per-kernel.
     """
@@ -476,30 +459,29 @@ def verify_case(case: str, ctx: FieldCtx, retries: int = 12) -> AtlasReport:
     expected = _expected_for(case, p)
     deterministic = case in ("V", "VI", RAType.PI01728, RAType.SIGMA0,
                              RAType.SIGMA1728)
-    attempts = 1 if deterministic else retries
+    attempts = 1 if deterministic else GENERIC_ATTEMPTS
     observed = None
-    detail = ""
     for attempt in range(attempts):
-        rng = _seeded_rng(case, p, attempt)
-        rep = normal_form(case, ctx, rng=rng)
+        rep = normal_form(case, ctx, rng=_seeded_rng(case, p, attempt))
+        params = None
         if case in JACOBIAN_CASES:
-            rep = rep[0]
+            rep, params = rep
         observed = _edge_labels(rep)
         if observed == expected:
-            detail = _extra_case_checks(case, ctx, rep, rng)
+            detail = _extra_case_checks(case, ctx, rep, params)
             ok = not detail.startswith("FAIL")
             return AtlasReport(case, p, ok, expected, observed, detail)
     return AtlasReport(case, p, False, expected, observed,
                        detail=f"no match in {attempts} attempts")
 
 
-def _extra_case_checks(case, ctx, rep, rng) -> str:
-    """Case-specific cross-checks beyond the edge table."""
+def _extra_case_checks(case, ctx, rep, params) -> str:
+    """Case-specific cross-checks beyond the edge table; params are
+    the (s, t) of a Jacobian normal form."""
     if case == "III":
-        return _check_iii_isogenous_factors(ctx, rep)
+        return _check_iii_isogenous_factors(ctx, params[0])
     if case == "V":
         # C_V = C_III(zeta_6): same canonical Clebsch key as x^6 + 1
-        z6 = ctx.nth_root_of_unity(6)
         direct = Genus2Curve(Poly.from_ints(ctx, [1, 0, 0, 0, 0, 0, 1]))
         if VertexKey.jacobian(direct) != VertexKey.jacobian(rep):
             return "FAIL: x^6 + 1 and C_III(zeta_6) keys differ"
@@ -526,21 +508,10 @@ def j_of_cubic(ctx, a, b, c, d):
     return (c4 * c4 * c4) / disc
 
 
-def _check_iii_isogenous_factors(ctx, curve) -> str:
-    """The two elliptic-square neighbours of a Type-III vertex have
-    2-isogenous factors; the second factor has a known closed form."""
-    # recover u from the curve's roots: the root set is
-    # {1, -1, u, -u, 1/u, -1/u}
-    from .poly import roots as poly_roots
-    rts = poly_roots(curve.f)
-    u = None
-    for r in rts:
-        if not r.is_zero() and r != ctx.one and r != -ctx.one \
-                and r.inverse() in rts:
-            u = r
-            break
-    if u is None:
-        return "FAIL: could not recover the Type-III parameter"
+def _check_iii_isogenous_factors(ctx, u) -> str:
+    """The two elliptic-square neighbours of the Type-III vertex of
+    parameter u have 2-isogenous factors; the second factor has a known
+    closed form."""
     one = ctx.one
     u2 = u * u
     E = EllipticCurveE2(one, u2, u2.inverse())
@@ -561,34 +532,17 @@ def _verify_type_ii(ctx: FieldCtx) -> AtlasReport:
     types are compared as an unordered pair; A_3 is canonical.
     """
     p = ctx.p
-    if ctx.nth_root_of_unity(5) is None:
-        raise AtlasError(f"x^5 - 1 has irrational kernels at p = {p}")
-    curve = Genus2Curve(Poly.from_ints(ctx, [-1, 0, 0, 0, 0, 1]))
+    curve, _ = normal_form("II", ctx)
     expected = TYPE_II_TABLE.get(p, TYPE_II_TABLE[None])
-    spls = splittings(curve)
-    if len(spls) != 15:
-        return AtlasReport("II", p, False, list(expected), [],
-                           detail="kernels not all rational")
-    K, pts = weierstrass_points(curve)
-    orbits = moebius_orbits_on_splittings(
-        pts, [splitting_pairing(curve, s, K) for s in spls],
-        frame_permutations(K, pts, moebius_frames(K, pts)))
-    if sorted(len(o) for o in orbits) != [5, 5, 5]:
+    edges = neighbourhood(curve)
+    if sorted(e.weight for e in edges) != [5, 5, 5]:
         return AtlasReport("II", p, False, list(expected),
-                           [len(o) for o in orbits],
+                           [e.weight for e in edges],
                            detail="orbits are not three fives")
-    reps = type_ii_kernels(ctx)
-    spl_to_orbit = {}
-    for oi, orbit in enumerate(orbits):
-        for i in orbit:
-            spl_to_orbit[spls[i].key()] = oi
-    edges = neighbourhood(curve)  # emitted in orbit order
-    if len(edges) != len(orbits):
-        return AtlasReport("II", p, False, list(expected), [],
-                           detail="orbit/edge misalignment")
     types = []
-    for spl in reps:
-        e = edges[spl_to_orbit[spl.key()]]
+    for m in type_ii_kernels(ctx):
+        label = matching_pairing(m)
+        e = next(e for e in edges if label in e.kernels)
         types.append(LOOP if e.is_loop else ra_type_of(e.hint[1]))
     ok = (types[2] == expected[2]
           and sorted(types[:2]) == sorted(expected[:2]))
@@ -626,9 +580,8 @@ def verify_permutation_fixtures(case: str, ctx: FieldCtx,
     VI are stated for one such parameter choice.
     """
     rng = rng or random.Random(20)
-    curve, (s, t) = normal_form(case, ctx, rng=rng)
-    indexed = indexed_splittings(ctx, s, t)
-    computed = orbit_partition_on_indices(curve, indexed)
+    _, (s, t) = normal_form(case, ctx, rng=rng)
+    computed = orbit_partition_on_indices(ctx, s, t)
     expected = orbit_partition(range(1, 16),
                                expected_permutation_actions(case))
     if computed == expected:

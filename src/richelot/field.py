@@ -14,6 +14,8 @@ GF(p^2) (Moebius searches, quadratic root extraction).
 
 from __future__ import annotations
 
+from math import gcd
+
 
 class FieldError(ValueError):
     """Invalid field construction or operation."""
@@ -120,30 +122,24 @@ class FieldCtx:
     def nth_root_of_unity(self, n: int):
         """Lexicographically smallest primitive n-th root of unity, or None.
 
-        A primitive root exists iff n divides p^2 - 1.
+        A primitive root exists iff n divides p^2 - 1.  Then each x != 0
+        gives an n-th root of unity r = x^((p^2 - 1)/n); the first x in
+        lex order whose r is primitive gives every primitive root as r^k
+        with k coprime to n, and the least of those is returned.
         """
         if n <= 0:
             raise FieldError(f"n must be positive, got {n}")
         if (self.order - 1) % n != 0:
             return None
-        if n == 1:
-            return self.one
-        prime_divs, rem, q = [], n, 2
-        while q * q <= rem:  # trial division: n <= p^2 - 1, so q < p
-            if rem % q == 0:
-                prime_divs.append(q)
-                while rem % q == 0:
-                    rem //= q
-            q += 1
-        if rem != 1:
-            prime_divs.append(rem)
         for x in self.elements():
             if x.is_zero():
                 continue
-            if x ** n == self.one and all(x ** (n // q) != self.one
-                                          for q in prime_divs):
-                return x
-        return None
+            powers = [x ** ((self.order - 1) // n)]
+            while len(powers) < n:
+                powers.append(powers[-1] * powers[0])
+            if powers.index(self.one) == n - 1:  # r has order n
+                return min(z for k, z in enumerate(powers, 1)
+                           if gcd(k, n) == 1)
 
 
 def make_field(p: int) -> FieldCtx:

@@ -156,13 +156,18 @@ def matching_splitting(ctx, forced, matching, scale) -> QuadraticSplitting:
     return QuadraticSplitting.make(blocks, scale)
 
 
+def matching_pairing(matching) -> frozenset:
+    """The kernel label of a matching of Weierstrass points: its pairs
+    as sets of point keys (the pairing of the splitting it makes)."""
+    return frozenset(frozenset(map(point_key, pair)) for pair in matching)
+
+
 def point_splittings(ctx, forced, free, scale) -> list:
     """(splitting, pairing) for each perfect matching of the free points
     (GF(p^2) elements and INF) around the forced irreducible blocks,
-    sorted by splitting key.  The pairing is the matching's point keys,
-    as splitting_pairing gives it when nothing is forced."""
-    out = [(matching_splitting(ctx, forced, m, scale),
-            frozenset(frozenset(map(point_key, pair)) for pair in m))
+    sorted by splitting key.  The pairing is the matching's label, as
+    splitting_pairing gives it when nothing is forced."""
+    out = [(matching_splitting(ctx, forced, m, scale), matching_pairing(m))
            for m in _matchings(list(free))]
     out.sort(key=lambda sp: sp[0].key())
     return out
@@ -405,13 +410,10 @@ def splitting_pairing(curve: Genus2Curve, spl: QuadraticSplitting, K=None):
     pairing is used with, by default weierstrass_points(curve)[0]."""
     if K is None:
         K = weierstrass_points(curve)[0]
-    pairs = []
-    for g in spl.blocks:
-        roots = _block_roots(g, K)
-        if roots is None:  # irreducible block, only over GF(p^4)
-            raise Genus2Error("pairing requires the extension field")
-        pairs.append(frozenset(point_key(r) for r in roots))
-    return frozenset(pairs)
+    pairs = [_block_roots(g, K) for g in spl.blocks]
+    if None in pairs:  # irreducible block, only over GF(p^4)
+        raise Genus2Error("pairing requires the extension field")
+    return matching_pairing(pairs)
 
 
 def orbit_partition(points, gens) -> list:

@@ -24,10 +24,10 @@ from .elliptic import (EllipticCurveE2, isomorphisms_with_torsion,
 from .field import ExtCtx, FieldCtx
 from .genus2 import (Genus2Curve, JACOBIAN_ORDER_TO_TYPE, RA_ORDER,
                      canonical_key, clebsch_invariants, frame_permutations,
-                     moebius_frames, moebius_orbits_on_splittings, point_key,
-                     point_splittings, ra_type_from_clebsch,
-                     splitting_points, splitting_root_pairs, splittings,
-                     weierstrass_points)
+                     matching_pairing, moebius_frames,
+                     moebius_orbits_on_splittings, point_splittings,
+                     ra_type_from_clebsch, splitting_points,
+                     splitting_root_pairs, splittings, weierstrass_points)
 from .gluing import (ProductKernel, ProductQuotient, ProductSurface,
                      TorsionActionGenerator, kernel_orbits, quotient_diagonal,
                      quotient_product, ra_order_product,
@@ -83,7 +83,10 @@ class OrbitEdge:
     computed (Genus2Curve | ProductSurface) and the dual kernel on it
     (QuadraticSplitting | ProductKernel, or None when it is unknown).
     kind ("jac", "glue", "split", "prod", "induced") names the step
-    that built the edge; it is informational only.
+    that built the edge; it is informational only.  kernels labels every
+    kernel of the orbit, kernel_rep's among them: by its Weierstrass
+    pairing (genus2.matching_pairing) on a Jacobian, by
+    ProductKernel.key() on a product.
     """
 
     source: VertexKey
@@ -92,6 +95,7 @@ class OrbitEdge:
     kernel_rep: object  # QuadraticSplitting | ProductKernel
     is_loop: bool
     hint: tuple = field(repr=False, default=())
+    kernels: tuple = field(repr=False, default=())
 
     def sort_key(self):
         return (self.source, self.target, self.weight, str(self.kernel_rep))
@@ -99,7 +103,13 @@ class OrbitEdge:
 
 @dataclass
 class Vertex:
-    """A graph vertex; Jacobians also hold their Weierstrass points."""
+    """A graph vertex; Jacobians also hold their Weierstrass points.
+
+    edges are the orbit edges out of the vertex; kernel_to_edge maps
+    each of their kernel labels (OrbitEdge.kernels) to its edge, for
+    dual_edge to look duals up in.  build_graph fills in both when it
+    expands the vertex.
+    """
 
     key: VertexKey
     representative: object  # Genus2Curve | ProductSurface
@@ -109,8 +119,6 @@ class Vertex:
     # off which frame_permutations reads the RA maps and transports in
     points: tuple = field(default=None, repr=False)
     frames: dict = field(default=None, repr=False)
-    # populated when the vertex is expanded; kernels are keyed by
-    # their Weierstrass pairing (Jacobians) or ProductKernel.key()
     edges: list = field(default_factory=list)
     kernel_to_edge: dict = field(default_factory=dict)
 
@@ -156,32 +164,29 @@ def neighbourhood(rep) -> list:
     products: the torsion action groups the 15 product/diagonal
     kernels; one Velu or gluing step per orbit.
     """
-    edges, _ = _expand(_make_vertex(VertexKey.of(rep), rep))
-    return edges
+    return _expand(_make_vertex(VertexKey.of(rep), rep))
 
 
 def _expand(v: Vertex):
-    """Edges out of v plus the kernel-to-edge lookup table."""
+    """The orbit edges out of v."""
     if v.key.kind == "jacobian":
         return _expand_jacobian(v)
     return _expand_product(v)
 
 
-def _orbit_edges(src: VertexKey, orbits, kernels, keys, step):
+def _orbit_edges(src: VertexKey, orbits, kernels, labels, step):
     """One edge per orbit, built by step(kernel) -> (target, hint) on
-    the orbit's first kernel; kernel_to_edge maps keys[i] to the edge
-    of kernels[i]."""
+    the orbit's first kernel; it carries labels[i] for each kernels[i]
+    in the orbit."""
     edges = []
-    kernel_to_edge = {}
     for orbit in orbits:
         k = kernels[orbit[0]]
         tgt, hint = step(k)
-        e = OrbitEdge(source=src, target=tgt, weight=len(orbit),
-                      kernel_rep=k, is_loop=(src == tgt), hint=hint)
-        edges.append(e)
-        for idx in orbit:
-            kernel_to_edge[keys[idx]] = e
-    return edges, kernel_to_edge
+        edges.append(OrbitEdge(
+            source=src, target=tgt, weight=len(orbit), kernel_rep=k,
+            is_loop=(src == tgt), hint=hint,
+            kernels=tuple(labels[i] for i in orbit)))
+    return edges
 
 
 def _expand_jacobian(v: Vertex):
@@ -256,7 +261,8 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
         cur = queue[qpos]
         qpos += 1
         v = g.vertices[cur]
-        v.edges, v.kernel_to_edge = _expand(v)
+        v.edges = _expand(v)
+        v.kernel_to_edge = {k: e for e in v.edges for k in e.kernels}
         g.edges.extend(v.edges)
         fresh = []
         for e in v.edges:
@@ -297,8 +303,8 @@ def _transport_pairing(target: Vertex, spl):
     if not maps:
         raise GraphError("no Moebius map between isomorphic models")
     # the codomain's points were listed pair by pair
-    moved = iter(point_key(pts2[i]) for i in maps[0])
-    return frozenset(map(frozenset, zip(moved, moved)))
+    moved = iter(pts2[i] for i in maps[0])
+    return matching_pairing(zip(moved, moved))
 
 
 def _transport_kernel(src: ProductSurface, dst: ProductSurface,

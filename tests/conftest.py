@@ -1,8 +1,10 @@
 import random
+import sys
 from itertools import permutations
 
 import pytest
 
+from richelot import genus2
 from richelot.field import make_field
 from richelot.genus2 import (MoebiusMap, _to_zero_one_inf, moebius_through,
                              point_key)
@@ -84,3 +86,16 @@ def moebius_frames_oracle(K, pts):
                         ())
         frames.setdefault(signature, []).append(triple)
     return frames
+
+
+def count_calls(monkeypatch, name, module=genus2):
+    """Record each call of module.<name> in a list, through every
+    richelot module that binds the function."""
+    calls = []
+    real = getattr(module, name)
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("richelot")
+                and getattr(mod, name, None) is real):
+            monkeypatch.setattr(
+                mod, name, lambda *args: calls.append(args) or real(*args))
+    return calls

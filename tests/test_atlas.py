@@ -2,15 +2,18 @@
 
 import pytest
 
+from richelot import poly
 from richelot.atlas import (AtlasError, indexed_splittings, normal_form,
                             expected_permutation_actions,
                             type_ii_kernels, verify_case,
                             verify_permutation_fixtures)
 from richelot.field import make_field
 from richelot.genus2 import (Genus2Curve, RAType, clebsch_invariants,
-                             orbit_partition, splittings)
+                             matching_splitting, orbit_partition, splittings)
 from richelot.graph import VertexKey
 from richelot.poly import Poly
+
+from conftest import count_calls
 
 
 def test_indexed_splittings_bijection(ctx23):
@@ -44,7 +47,8 @@ def test_normal_form_rejects_degenerate_params(ctx23):
 
 def test_type_ii_kernels_are_orbit_representatives():
     ctx = make_field(19)
-    ks = type_ii_kernels(ctx)
+    ks = [matching_splitting(ctx, (), m, ctx.one)
+          for m in type_ii_kernels(ctx)]
     assert len({k.key() for k in ks}) == 3
     C = Genus2Curve(Poly.from_ints(ctx, [-1, 0, 0, 0, 0, 1]))
     all_keys = {sp.key() for sp in splittings(C)}
@@ -98,3 +102,31 @@ def test_atlas_error_on_unavailable_case():
     # zeta_5 is irrational over GF(23^2)
     with pytest.raises(AtlasError):
         normal_form("II", make_field(23))
+
+
+def test_type_ii_reads_its_orbits_off_the_neighbourhood(monkeypatch):
+    # the neighbourhood's orbit computation is the only one, and its
+    # pairings are read off point matchings, with no square root
+    orbits = count_calls(monkeypatch, "moebius_orbits_on_splittings")
+    pairings = count_calls(monkeypatch, "splitting_pairing")
+    rep = verify_case("II", make_field(29))
+    assert rep.ok, rep.summary()
+    assert len(orbits) == 1 and pairings == []
+
+
+def test_type_iii_check_takes_u_from_the_normal_form(monkeypatch):
+    # the closed-form check uses the sampled u, not the curve's roots
+    calls = count_calls(monkeypatch, "roots", module=poly)
+    rep = verify_case("III", make_field(29))
+    assert rep.ok, rep.summary()
+    assert rep.detail.startswith("2-isogeny")
+    assert calls == []
+
+
+def test_permutation_fixtures_one_orbit_computation_per_case(monkeypatch,
+                                                              ctx23):
+    calls = count_calls(monkeypatch, "moebius_orbits_on_splittings")
+    for n, case in enumerate(("I", "III", "IV", "V", "VI"), 1):
+        rep = verify_permutation_fixtures(case, ctx23)
+        assert rep.ok, rep.summary()
+        assert len(calls) == n

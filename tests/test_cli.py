@@ -59,6 +59,15 @@ def test_neighbourhood_sextic_with_irrational_points(capsys):
     assert "only 1 rational kernels" in capsys.readouterr().err
 
 
+def test_neighbourhood_sextic_with_irrational_split_factors(capsys):
+    # the blocks (x - a)(x - (1+i)/a), a = 2, 3, 5, form a delta = 0
+    # kernel whose elliptic factors have j-invariants outside GF(23^2)
+    assert run(["neighbourhood", "-p", "23",
+                "--sextic=16+8i,17+7i,14+16i,1+17i,5+11i,2+12i,1"]) == 2
+    assert "factor j-invariant not rational over GF(p^2)" \
+        in capsys.readouterr().err
+
+
 def test_neighbourhood_product(capsys):
     assert run(["neighbourhood", "-p", "11", "--product", "0,1",
                 "--json"]) == 0

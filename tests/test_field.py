@@ -97,6 +97,31 @@ def test_nth_root_of_unity_two_large_prime_factors(p, n):
     assert order == n
 
 
+def nth_root_scan_oracle(ctx, n):
+    """The lex-least primitive n-th root of unity by scanning GF(p^2):
+    the search nth_root_of_unity replaced, kept as its reference."""
+    if (ctx.order - 1) % n:
+        return None
+    primes = [q for q in range(2, n + 1)
+              if n % q == 0 and all(q % r for r in range(2, q))]
+    return next(x for x in ctx.elements() if not x.is_zero()
+                and x ** n == ctx.one
+                and all(x ** (n // q) != ctx.one for q in primes))
+
+
+@pytest.mark.parametrize("p", [7, 11, 13, 17, 19, 23, 29, 31, 41, 53, 101,
+                               109, 151])
+def test_nth_root_of_unity_matches_scan_oracle(p):
+    ctx = make_field(p)
+    for n in (1, 2, 3, 4, 5, 6, 8, 10, 12, 24):
+        assert ctx.nth_root_of_unity(n) == nth_root_scan_oracle(ctx, n)
+
+
+def test_nth_root_of_unity_matches_scan_oracle_large_order():
+    ctx = make_field(1597)
+    assert ctx.nth_root_of_unity(17 * 19) == nth_root_scan_oracle(ctx, 323)
+
+
 def test_extension_field(ctx11):
     ext = ctx11.extension()
     assert ext.order == 11 ** 4

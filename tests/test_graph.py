@@ -1,7 +1,6 @@
 """Graph enumeration: neighbourhoods, duals, BFS, validation, export."""
 
 import json
-import sys
 from itertools import permutations
 
 import pytest
@@ -11,15 +10,15 @@ from richelot.elliptic import (EllipticCurveE2, isomorphisms_with_torsion,
                                two_isogeny)
 from richelot.field import make_field
 from richelot.genus2 import (Genus2Curve, QuadraticSplitting, RAType,
-                             point_key, splitting_root_pairs,
-                             weierstrass_points)
+                             matching_pairing, point_key,
+                             splitting_root_pairs, weierstrass_points)
 from richelot.gluing import (GluedJacobian, ProductKernel, ProductSurface,
-                             quotient_diagonal)
+                             kernel_orbits, quotient_diagonal)
 from richelot.graph import (GraphError, OrbitEdge, build_graph, dual_edge,
                             export, neighbourhood, validate, VertexKey)
 from richelot.poly import Poly
 
-from conftest import moebius_search_oracle
+from conftest import count_calls, moebius_search_oracle
 
 
 def e_1728(ctx):
@@ -228,17 +227,28 @@ def test_dual_transport_from_codomain_with_irrational_points():
     assert dual_edge(g, e) is v.kernel_to_edge[minus]
 
 
-def count_calls(monkeypatch, name):
-    """Record each call of genus2.<name> in a list, through every
-    richelot module that binds the function."""
-    calls = []
-    real = getattr(genus2, name)
-    for mod in list(sys.modules.values()):
-        if (getattr(mod, "__name__", "").startswith("richelot")
-                and getattr(mod, name, None) is real):
-            monkeypatch.setattr(
-                mod, name, lambda *args: calls.append(args) or real(*args))
-    return calls
+@pytest.mark.parametrize("p", [23, 41])
+def test_edges_carry_their_orbit_kernels(p):
+    # the kernel labels on a vertex's edges are its 15 kernels, each on
+    # one edge, kernel_rep's among its own; kernel_to_edge is read off
+    # them
+    g = build_graph(make_field(p))
+    for v in g.vertices.values():
+        labels = [k for e in v.edges for k in e.kernels]
+        if v.key.kind == "product":
+            want = {k.key() for k in kernel_orbits(v.representative)[1]}
+            reps = [e.kernel_rep.key() for e in v.edges]
+        else:
+            want = {matching_pairing(m) for m in genus2._matchings(
+                v.points[1])}
+            reps = [matching_pairing(splitting_root_pairs(e.kernel_rep)[1])
+                    for e in v.edges]
+        assert len(labels) == 15 and set(labels) == want
+        assert all(e.weight == len(e.kernels) and r in e.kernels
+                   for e, r in zip(v.edges, reps))
+        assert len(v.kernel_to_edge) == 15
+        assert all(v.kernel_to_edge[k] is e
+                   for e in v.edges for k in e.kernels)
 
 
 def clear_genus2_caches():

@@ -5,8 +5,9 @@ import pytest
 from richelot.elliptic import EllipticCurveE2, j_invariant, two_isogeny
 from richelot.genus2 import (Genus2Curve, QuadraticSplitting, canonical_key,
                              clebsch_invariants, splittings)
-from richelot.isogeny import (RichelotError, delta, richelot_generic,
-                              split_degenerate)
+from richelot.graph import neighbourhood
+from richelot.isogeny import (IrrationalSplitError, RichelotError, delta,
+                              richelot_generic, split_degenerate)
 from richelot.poly import Poly
 
 from conftest import random_distinct_elements, random_element
@@ -113,6 +114,22 @@ def test_split_k1_of_type_v_lands_on_j_zero(ctx23):
     res = split_degenerate(k1_splitting(ctx, z6, z6.inverse()))
     assert j_invariant(res.E).is_zero()
     assert j_invariant(res.E2).is_zero()
+
+
+def test_split_over_extension_with_irrational_factors(ctx23):
+    # blocks (x - a)(x - m/a) share the root product m, a nonsquare, so
+    # delta = 0 and the pencil's square-making roots lie in GF(p^4) only;
+    # the factors rebuilt there have no GF(p^2)-rational j-invariant
+    ctx = ctx23
+    m = ctx.nonsquare()
+    spl = QuadraticSplitting.make(
+        [Poly(ctx, [m, -(a + m / a), ctx.one])
+         for a in map(ctx.from_int, (2, 3, 5))], ctx.one)
+    assert delta(spl).is_zero()
+    with pytest.raises(IrrationalSplitError, match="factor j-invariant"):
+        split_degenerate(spl)
+    with pytest.raises(IrrationalSplitError, match="factor j-invariant"):
+        neighbourhood(Genus2Curve(spl.product()))
 
 
 def test_split_data_identity_quintic(ctx23, rng):
