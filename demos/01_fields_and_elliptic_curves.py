@@ -35,7 +35,7 @@ for i in (1, 2, 3):
     print(f"  E_1728 / <P_{i}>  has j = {j_invariant(phi.codomain)}"
           f"   (66^3 mod {p} = {66**3 % p})")
 
-# supersingularity by exact point count over GF(p^2)
+# supersingularity by the Hasse invariant of the Legendre form
 print("E_1728 supersingular at 23:", is_supersingular(E1728))
 print("E_0    supersingular at 23:", is_supersingular(E0))
 seed = find_supersingular_seed(make_field(13))

@@ -4,7 +4,9 @@ Each case instantiates its normal form over GF(p^2) (sampling free
 parameters under genericity constraints, reparametrized for full
 rational 2-torsion), computes its neighbourhood, and compares the
 multiset of (weight, codomain type | loop) against the known local
-edge data, including the prime-specific specializations.
+edge data, including the prime-specific specializations.  A Jacobian
+normal form reaches neighbourhood as its K_1 splitting, whose blocks
+carry its known Weierstrass points, so no normal form is factored.
 
 The fifteen kernels of the two-parameter curve
 y^2 = (x^2 - 1)(x^2 - s^2)(x^2 - t^2) carry a fixed indexing
@@ -24,8 +26,9 @@ from dataclasses import dataclass
 
 from .elliptic import EllipticCurveE2, j_invariant, two_isogeny
 from .field import FieldCtx
-from .genus2 import (INF, Genus2Curve, RAType, clebsch_invariants,
-                     matching_pairing, matching_splitting, orbit_partition,
+from .genus2 import (INF, Genus2Curve, QuadraticSplitting, RAType,
+                     clebsch_invariants, matching_pairing,
+                     matching_splitting, orbit_partition,
                      ra_type_from_clebsch)
 from .gluing import ProductSurface
 from .graph import VertexKey, neighbourhood, ra_type_of
@@ -77,10 +80,12 @@ def _root_pairs(ctx, s, t):
     ]
 
 
-def indexed_splittings(ctx: FieldCtx, s, t) -> list:
-    """The 15 splittings of curve_two_param(ctx, s, t) in K-order."""
-    return [matching_splitting(ctx, (), pairs, ctx.one)
-            for pairs in _root_pairs(ctx, s, t)]
+def normal_form_splitting(ctx: FieldCtx, st) -> QuadraticSplitting:
+    """K_1 of the Jacobian normal form with normal_form's second value
+    st: of curve_two_param(ctx, *st), or of x^5 - 1 for st = None.  Its
+    product is the normal form's sextic."""
+    pairs = type_ii_kernels(ctx)[0] if st is None else _root_pairs(ctx, *st)[0]
+    return matching_splitting(ctx, (), pairs, ctx.one)
 
 
 def index_relabellings(ctx: FieldCtx, s, t) -> list:
@@ -107,7 +112,7 @@ def orbit_partition_on_indices(ctx: FieldCtx, s, t) -> list:
     in K-indices, sorted: the kernels of its neighbourhood's edges."""
     k_of = {matching_pairing(m): i + 1
             for i, m in enumerate(_root_pairs(ctx, s, t))}
-    edges = neighbourhood(curve_two_param(ctx, s, t))
+    edges = neighbourhood(normal_form_splitting(ctx, (s, t)))
     if len(k_of) != 15 or set(k_of) != {k for e in edges for k in e.kernels}:
         raise AtlasError("kernel indexing is not a bijection")
     return sorted(tuple(sorted(k_of[k] for k in e.kernels)) for e in edges)
@@ -381,7 +386,7 @@ def type_ii_kernels(ctx: FieldCtx) -> list:
     its Weierstrass points."""
     z5 = ctx.nth_root_of_unity(5)
     if z5 is None:
-        raise AtlasError(f"no fifth root of unity over GF({ctx.p}^2)")
+        raise AtlasError(f"x^5 - 1 has irrational kernels at p = {ctx.p}")
     return [[(ctx.one, INF), (z5 ** a, z5 ** b), (z5 ** c, z5 ** d)]
             for (a, b), (c, d) in (((1, 2), (3, 4)), ((1, 3), (2, 4)),
                                    ((1, 4), (2, 3)))]
@@ -417,16 +422,14 @@ class AtlasReport:
                 "detail": self.detail}
 
 
-def _edge_labels(rep) -> list:
-    """Sorted multiset of (weight, type-or-loop) for a vertex."""
-    edges = neighbourhood(rep)
-    out = []
-    for e in edges:
-        if e.is_loop:
-            out.append((e.weight, LOOP))
-        else:
-            out.append((e.weight, ra_type_of(e.hint[1])))
-    return sorted(out)
+def _target_type(e) -> str:
+    """LOOP, or the RA type of the edge's codomain."""
+    return LOOP if e.is_loop else ra_type_of(e.hint[1])
+
+
+def _edge_labels(edges) -> list:
+    """Sorted multiset of (weight, type-or-loop) of a vertex's edges."""
+    return sorted((e.weight, _target_type(e)) for e in edges)
 
 
 def _expected_for(case: str, p: int) -> list:
@@ -463,23 +466,25 @@ def verify_case(case: str, ctx: FieldCtx) -> AtlasReport:
     observed = None
     for attempt in range(attempts):
         rep = normal_form(case, ctx, rng=_seeded_rng(case, p, attempt))
-        params = None
+        params, query = None, rep
         if case in JACOBIAN_CASES:
             rep, params = rep
-        observed = _edge_labels(rep)
+            query = normal_form_splitting(ctx, params)
+        edges = neighbourhood(query)
+        observed = _edge_labels(edges)
         if observed == expected:
-            detail = _extra_case_checks(case, ctx, rep, params)
+            detail = _extra_case_checks(case, ctx, rep, params, edges)
             ok = not detail.startswith("FAIL")
             return AtlasReport(case, p, ok, expected, observed, detail)
     return AtlasReport(case, p, False, expected, observed,
                        detail=f"no match in {attempts} attempts")
 
 
-def _extra_case_checks(case, ctx, rep, params) -> str:
+def _extra_case_checks(case, ctx, rep, params, edges) -> str:
     """Case-specific cross-checks beyond the edge table; params are
-    the (s, t) of a Jacobian normal form."""
+    the (s, t) of a Jacobian normal form, edges its neighbourhood."""
     if case == "III":
-        return _check_iii_isogenous_factors(ctx, params[0])
+        return _check_iii_isogenous_factors(ctx, params[0], edges)
     if case == "V":
         # C_V = C_III(zeta_6): same canonical Clebsch key as x^6 + 1
         direct = Genus2Curve(Poly.from_ints(ctx, [1, 0, 0, 0, 0, 0, 1]))
@@ -508,10 +513,10 @@ def j_of_cubic(ctx, a, b, c, d):
     return (c4 * c4 * c4) / disc
 
 
-def _check_iii_isogenous_factors(ctx, u) -> str:
-    """The two elliptic-square neighbours of the Type-III vertex of
-    parameter u have 2-isogenous factors; the second factor has a known
-    closed form."""
+def _check_iii_isogenous_factors(ctx, u, edges) -> str:
+    """The factors of the two weight-1 Sigma codomains among edges, the
+    vertex's neighbourhood, are E = (1, u^2, u^-2) and its Velu quotient
+    E/<(1, 0)>, whose j-invariant has a known closed form in u."""
     one = ctx.one
     u2 = u * u
     E = EllipticCurveE2(one, u2, u2.inverse())
@@ -522,6 +527,11 @@ def _check_iii_isogenous_factors(ctx, u) -> str:
     j_stated = j_of_cubic(ctx, stated[3], stated[2], stated[1], stated[0])
     if j_invariant(phi.codomain) != j_stated:
         return "FAIL: Velu quotient does not match the closed form"
+    seen = {j_invariant(F).key() for e in edges
+            if e.weight == 1 and _target_type(e) == RAType.SIGMA
+            for F in (e.hint[1].E1, e.hint[1].E2)}
+    if seen != {j_invariant(E).key(), j_stated.key()}:
+        return "FAIL: the Sigma neighbours' factors are not E and E/<(1, 0)>"
     return "2-isogeny between the two elliptic-square factors verified"
 
 
@@ -532,18 +542,15 @@ def _verify_type_ii(ctx: FieldCtx) -> AtlasReport:
     types are compared as an unordered pair; A_3 is canonical.
     """
     p = ctx.p
-    curve, _ = normal_form("II", ctx)
     expected = TYPE_II_TABLE.get(p, TYPE_II_TABLE[None])
-    edges = neighbourhood(curve)
+    edges = neighbourhood(normal_form_splitting(ctx, None))
     if sorted(e.weight for e in edges) != [5, 5, 5]:
         return AtlasReport("II", p, False, list(expected),
                            [e.weight for e in edges],
                            detail="orbits are not three fives")
-    types = []
-    for m in type_ii_kernels(ctx):
-        label = matching_pairing(m)
-        e = next(e for e in edges if label in e.kernels)
-        types.append(LOOP if e.is_loop else ra_type_of(e.hint[1]))
+    edge_of = {k: e for e in edges for k in e.kernels}
+    types = [_target_type(edge_of[matching_pairing(m)])
+             for m in type_ii_kernels(ctx)]
     ok = (types[2] == expected[2]
           and sorted(types[:2]) == sorted(expected[:2]))
     return AtlasReport("II", p, ok, list(expected), types)

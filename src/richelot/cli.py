@@ -14,7 +14,7 @@ import json
 import sys
 
 from .atlas import (ALL_CASES, JACOBIAN_CASES, AtlasError, normal_form,
-                    verify_case)
+                    normal_form_splitting, verify_case)
 from .census import CensusError, compare, expected_counts
 from .elliptic import curve_from_j
 from .field import FieldError, make_field
@@ -117,7 +117,7 @@ def _cmd_neighbourhood(args) -> int:
         raise AtlasError("choose exactly one of --sextic/--product/--atlas")
     if args.sextic is not None:
         coeffs = _parse_field_elems(ctx, args.sextic, "--sextic")
-        rep = Genus2Curve(Poly(ctx, coeffs))
+        rep = query = Genus2Curve(Poly(ctx, coeffs))
     elif args.product is not None:
         js = _parse_field_elems(ctx, args.product, "--product")
         if len(js) != 2:
@@ -126,15 +126,15 @@ def _cmd_neighbourhood(args) -> int:
         E1, E2 = (curve_from_j(ctx, j) for j in js)
         if E1 is None or E2 is None:
             raise AtlasError("no split-torsion model for a j-invariant")
-        rep = ProductSurface(E1, E2)
+        rep = query = ProductSurface(E1, E2)
     else:
         params = None if args.params is None \
             else _parse_field_elems(ctx, args.params, "--params")
-        rep = normal_form(args.atlas, ctx, params=params)
+        rep = query = normal_form(args.atlas, ctx, params=params)
         if args.atlas in JACOBIAN_CASES:
-            rep = rep[0]
+            rep, query = rep[0], normal_form_splitting(ctx, rep[1])
     own = ra_type_of(rep)
-    edges = neighbourhood(rep)
+    edges = neighbourhood(query)
     rows = []
     for e in edges:
         label = "loop" if e.is_loop else e.target.as_string()

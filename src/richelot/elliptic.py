@@ -10,6 +10,7 @@ go under 2-isogenies and isomorphisms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .field import FieldCtx, FieldElement
 from .poly import Poly, roots as poly_roots
@@ -114,19 +115,16 @@ def two_isogeny(E: EllipticCurveE2, i: int) -> TwoIsogeny:
 
 
 def is_supersingular(E: EllipticCurveE2) -> bool:
-    """Exact point count over GF(p^2): supersingular iff #E = (p -+ 1)^2."""
+    """E is supersingular iff the Hasse invariant sum_i C(m, i)^2 lam^i,
+    m = (p - 1)/2, of its Legendre form y^2 = x(x - 1)(x - lam) vanishes,
+    lam = (r3 - r1)/(r2 - r1) (Silverman, AEC, Thm V.4.1); O(p) steps."""
     ctx = E.ctx
-    sq = ctx.square_table()
-    count = 1  # point at infinity
-    r1, r2, r3 = E.roots()
-    for x in ctx.elements():
-        y2 = (x - r1) * (x - r2) * (x - r3)
-        if y2.is_zero():
-            count += 1
-        elif (y2.a, y2.b) in sq:
-            count += 2
-    p = ctx.p
-    return count == (p - 1) ** 2 or count == (p + 1) ** 2
+    lam = (E.r3 - E.r1) / (E.r2 - E.r1)
+    m = (ctx.p - 1) // 2
+    h = ctx.zero
+    for i in range(m, -1, -1):
+        h = h * lam + ctx.from_int(comb(m, i) ** 2)
+    return h.is_zero()
 
 
 def isomorphisms_with_torsion(E: EllipticCurveE2, E2: EllipticCurveE2):
@@ -177,7 +175,7 @@ def find_supersingular_seed(ctx: FieldCtx) -> EllipticCurveE2:
     """A supersingular curve over GF(p^2) with labelled 2-torsion.
 
     Uses j = 1728 when p = 3 (mod 4) and j = 0 when p = 2 (mod 3);
-    otherwise scans j in GF(p) with the exact point-count test.
+    otherwise scans j in GF(p) with the Hasse-invariant test.
     """
     p = ctx.p
     if p % 4 == 3:

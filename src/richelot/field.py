@@ -67,7 +67,6 @@ class FieldCtx:
         self.zero = FieldElement(self, 0, 0)
         self.one = FieldElement(self, 1, 0)
         self.i = FieldElement(self, 0, 1)
-        self._squares = None
         self._nonsquare = None
         self._ext = None
 
@@ -92,17 +91,6 @@ class FieldCtx:
         for a in range(self.p):
             for b in range(self.p):
                 yield FieldElement(self, a, b)
-
-    def square_table(self) -> frozenset:
-        """Set of (a, b) pairs that are nonzero squares in GF(p^2)."""
-        if self._squares is None:
-            sq = set()
-            for x in self.elements():
-                if not x.is_zero():
-                    y = x * x
-                    sq.add((y.a, y.b))
-            self._squares = frozenset(sq)
-        return self._squares
 
     def nonsquare(self) -> FieldElement:
         """Lexicographically smallest non-square of GF(p^2)."""

@@ -23,8 +23,8 @@ from .elliptic import (EllipticCurveE2, isomorphisms_with_torsion,
                        j_invariant, find_supersingular_seed)
 from .field import ExtCtx, FieldCtx
 from .genus2 import (Genus2Curve, JACOBIAN_ORDER_TO_TYPE, RA_ORDER,
-                     canonical_key, clebsch_invariants, frame_permutations,
-                     matching_pairing, moebius_frames,
+                     QuadraticSplitting, canonical_key, clebsch_invariants,
+                     frame_permutations, matching_pairing, moebius_frames,
                      moebius_orbits_on_splittings, point_splittings,
                      ra_type_from_clebsch, splitting_points,
                      splitting_root_pairs, splittings, weierstrass_points)
@@ -143,8 +143,8 @@ def ra_type_of(rep) -> str:
 
 def _make_vertex(key: VertexKey, rep, dual=None) -> Vertex:
     """The vertex record of rep.  A Jacobian's points are the block roots
-    of dual, the splitting recorded on the edge that reached it; only
-    seeds and neighbourhood queries factor rep (weierstrass_points)."""
+    of dual: the splitting on the edge that reached it, or the one given
+    to neighbourhood.  Only seeds and bare curves are factored."""
     ra_type = ra_type_of(rep)
     if key.kind != "jacobian":
         return Vertex(key=key, representative=rep, ra_type=ra_type,
@@ -159,12 +159,18 @@ def _make_vertex(key: VertexKey, rep, dual=None) -> Vertex:
 def neighbourhood(rep) -> list:
     """Orbit edges out of a vertex representative.
 
+    rep is a Genus2Curve, a ProductSurface, or a QuadraticSplitting
+    standing for the Jacobian of y^2 = rep.product(), whose Weierstrass
+    points are read off its blocks; only a bare curve is factored.
     For Jacobians: the reduced automorphisms permute the 15 rational
     splittings; one Richelot or splitting step per orbit.  For
     products: the torsion action groups the 15 product/diagonal
     kernels; one Velu or gluing step per orbit.
     """
-    return _expand(_make_vertex(VertexKey.of(rep), rep))
+    dual = None
+    if isinstance(rep, QuadraticSplitting):
+        rep, dual = Genus2Curve(rep.product()), rep
+    return _expand(_make_vertex(VertexKey.of(rep), rep, dual))
 
 
 def _expand(v: Vertex):

@@ -3,24 +3,27 @@
 import pytest
 
 from richelot import poly
-from richelot.atlas import (AtlasError, indexed_splittings, normal_form,
-                            expected_permutation_actions,
+from richelot.atlas import (ALL_CASES, AtlasError,
+                            _check_iii_isogenous_factors, _root_pairs,
+                            curve_two_param, expected_permutation_actions,
+                            normal_form, normal_form_splitting,
                             type_ii_kernels, verify_case,
                             verify_permutation_fixtures)
 from richelot.field import make_field
 from richelot.genus2 import (Genus2Curve, RAType, clebsch_invariants,
                              matching_splitting, orbit_partition, splittings)
-from richelot.graph import VertexKey
+from richelot.graph import VertexKey, neighbourhood
 from richelot.poly import Poly
 
-from conftest import count_calls
+from conftest import clear_genus2_caches, count_calls
 
 
 def test_indexed_splittings_bijection(ctx23):
+    # K_1..K_15 of the two-parameter curve are its 15 splittings
     s, t = ctx23.from_int(3), ctx23.from_int(5)
-    indexed = indexed_splittings(ctx23, s, t)
+    indexed = [matching_splitting(ctx23, (), pairs, ctx23.one)
+               for pairs in _root_pairs(ctx23, s, t)]
     assert len({sp.key() for sp in indexed}) == 15
-    from richelot.atlas import curve_two_param
     C = curve_two_param(ctx23, s, t)
     assert {sp.key() for sp in splittings(C)} \
         == {sp.key() for sp in indexed}
@@ -130,3 +133,40 @@ def test_permutation_fixtures_one_orbit_computation_per_case(monkeypatch,
         rep = verify_permutation_fixtures(case, ctx23)
         assert rep.ok, rep.summary()
         assert len(calls) == n
+
+
+def test_type_iii_check_reads_the_sigma_neighbours():
+    # the closed form must name the factors of the vertex's two Sigma
+    # neighbours: a wrong u still passes Velu against the closed form,
+    # but not the graph
+    ctx = make_field(29)
+    C, (u, _) = normal_form("III", ctx)
+    edges = neighbourhood(normal_form_splitting(ctx, (u, u.inverse())))
+    assert _check_iii_isogenous_factors(ctx, u, edges).startswith("2-isog")
+    assert _check_iii_isogenous_factors(ctx, u + ctx.one, edges) \
+        .startswith("FAIL")
+
+
+def test_atlas_factors_no_normal_form(monkeypatch, ctx23):
+    # every Jacobian normal form reaches neighbourhood as a splitting
+    # whose blocks carry its points: no Cantor-Zassenhaus anywhere
+    clear_genus2_caches()
+    calls = count_calls(monkeypatch, "factor_quadratic_pieces", module=poly)
+    for p in (29, 101):
+        for case in ALL_CASES:
+            rep = verify_case(case, make_field(p))
+            assert rep.ok, rep.summary()
+    for case in ("I", "III", "IV", "V", "VI"):
+        assert verify_permutation_fixtures(case, ctx23).ok
+    assert calls == []
+
+
+def test_normal_form_splitting_is_the_normal_form():
+    # K_1, the splitting neighbourhood is given, multiplies back to the
+    # normal form's sextic
+    ctx = make_field(29)
+    for case in ("I", "III", "IV", "V", "VI", "II"):
+        C, st = normal_form(case, ctx)
+        spl = normal_form_splitting(ctx, st)
+        assert spl.product() == C.f
+        assert spl.key() in {sp.key() for sp in splittings(C)}

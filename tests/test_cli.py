@@ -2,7 +2,10 @@
 
 import json
 
+from richelot import poly
 from richelot.cli import run
+
+from conftest import clear_genus2_caches, count_calls
 
 
 def test_census_ok(capsys):
@@ -107,3 +110,12 @@ def test_byte_identical_runs(capsys):
     first = capsys.readouterr().out
     assert run(["graph", "-p", "11", "--format", "json"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_neighbourhood_atlas_factors_nothing(monkeypatch, capsys):
+    # the normal form reaches neighbourhood as its K_1 splitting
+    clear_genus2_caches()
+    calls = count_calls(monkeypatch, "factor_quadratic_pieces", module=poly)
+    assert run(["neighbourhood", "-p", "29", "--atlas", "III"]) == 0
+    assert "vertex type III, out-weight 15" in capsys.readouterr().out
+    assert calls == []

@@ -1,11 +1,15 @@
 """Elliptic curves with labelled 2-torsion: j, Velu, supersingularity."""
 
-from richelot.elliptic import (EllipticCurveE2, find_supersingular_seed,
-                               is_supersingular, isomorphisms_with_torsion,
-                               j_invariant, two_isogeny)
+import pytest
+
+from richelot.elliptic import (EllipticCurveE2, curve_from_j,
+                               find_supersingular_seed, is_supersingular,
+                               isomorphisms_with_torsion, j_invariant,
+                               two_isogeny)
 from richelot.field import make_field
 
-from conftest import random_distinct_elements, random_element
+from conftest import (point_count_supersingular, random_distinct_elements,
+                      random_element, square_set)
 
 
 def e_1728(ctx):
@@ -115,7 +119,7 @@ def test_is_supersingular():
 def test_supersingular_trace(ctx11):
     # point count is (p -+ 1)^2, i.e. trace +-2p
     ctx = ctx11
-    sq = ctx.square_table()
+    sq = square_set(ctx)
     E = e_0(ctx)
     count = 1
     for x in ctx.elements():
@@ -169,3 +173,25 @@ def test_find_supersingular_seed():
     for p in (11, 13, 23, 37):
         E = find_supersingular_seed(make_field(p))
         assert is_supersingular(E)
+        assert point_count_supersingular(E)
+
+
+@pytest.mark.parametrize("p", [13, 37, 61, 73, 97])
+def test_hasse_invariant_matches_point_count(p):
+    # every split-torsion model of j in GF(p), ordinary and supersingular
+    ctx = make_field(p)
+    squares = square_set(ctx)
+    verdicts = []
+    for j in range(p):
+        E = curve_from_j(ctx, ctx.from_int(j))
+        if E is not None:
+            verdicts.append(is_supersingular(E))
+            assert verdicts[-1] == point_count_supersingular(E, squares), j
+    assert True in verdicts and False in verdicts
+
+
+def test_supersingular_seed_by_hasse_invariant_at_409():
+    # p = 1 (mod 12) scans j in GF(p): p/2 steps per trial j for the
+    # Hasse invariant against p^2 for a point count
+    ctx = make_field(409)
+    assert j_invariant(find_supersingular_seed(ctx)) == ctx.from_int(106)

@@ -18,7 +18,8 @@ from richelot.graph import (GraphError, OrbitEdge, build_graph, dual_edge,
                             export, neighbourhood, validate, VertexKey)
 from richelot.poly import Poly
 
-from conftest import count_calls, moebius_search_oracle
+from conftest import (clear_genus2_caches, count_calls,
+                      moebius_search_oracle)
 
 
 def e_1728(ctx):
@@ -54,6 +55,38 @@ def test_neighbourhood_type_ii_three_fives():
     C = Genus2Curve(Poly.from_ints(ctx, [-1, 0, 0, 0, 0, 1]))
     edges = neighbourhood(C)
     assert sorted(e.weight for e in edges) == [5, 5, 5]
+
+
+@pytest.mark.parametrize("p", [23, 41])
+def test_neighbourhood_of_a_splitting_matches_its_curve(p):
+    # a splitting stands for y^2 = spl.product() with its points read off
+    # the blocks; the edges equal those of the factored curve
+    g = build_graph(make_field(p))
+    for v in g.vertices.values():
+        if v.key.kind != "jacobian":
+            continue
+        curve_edges = neighbourhood(v.representative)
+        for spl in [e.kernel_rep for e in v.edges][:3]:
+            assert Genus2Curve(spl.product()) == v.representative
+            spl_edges = neighbourhood(spl)
+            assert len(spl_edges) == len(curve_edges)
+            for a, b in zip(spl_edges, curve_edges):
+                assert (a.target, a.weight, a.kernels, a.kernel_rep) \
+                    == (b.target, b.weight, b.kernels, b.kernel_rep)
+
+
+def test_neighbourhood_of_a_splitting_with_an_irreducible_block(ctx23):
+    ctx = ctx23
+    blocks = [Poly(ctx, [-ctx.nonsquare(), ctx.zero, ctx.one])] + [
+        Poly.from_roots(ctx, list(map(ctx.from_int, pair)))
+        for pair in ((1, 2), (3, 4))]
+    spl = QuadraticSplitting.make(blocks, ctx.one)
+    with pytest.raises(GraphError) as from_curve:
+        neighbourhood(Genus2Curve(spl.product()))
+    with pytest.raises(GraphError) as from_splitting:
+        neighbourhood(spl)
+    assert "only 3 rational kernels" in str(from_curve.value)
+    assert str(from_splitting.value) == str(from_curve.value)
 
 
 def test_build_graph_anchor_vertex_sets():
@@ -249,12 +282,6 @@ def test_edges_carry_their_orbit_kernels(p):
         assert len(v.kernel_to_edge) == 15
         assert all(v.kernel_to_edge[k] is e
                    for e in v.edges for k in e.kernels)
-
-
-def clear_genus2_caches():
-    for cached in (genus2.splittings, genus2.weierstrass_points,
-                   genus2.reduced_automorphisms):
-        cached.cache_clear()
 
 
 def sextic_x6_plus_1(ctx):
