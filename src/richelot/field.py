@@ -9,7 +9,9 @@ unity, vertex keys) is reproducible across runs and machines.
 GF(p^4) is built the same way on top of GF(p^2), using the
 lexicographically smallest non-square of GF(p^2).  It is only needed
 where Weierstrass points of a genus-2 curve are irrational over
-GF(p^2) (Moebius searches, quadratic root extraction).
+GF(p^2) (Moebius frames, roots of irreducible blocks).  Square roots
+in both fields use the norm method (Adj and Rodriguez-Henriquez, IEEE
+TC 2014), down to the builtin pow in GF(p).
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ class FieldCtx:
         self.zero = FieldElement(self, 0, 0)
         self.one = FieldElement(self, 1, 0)
         self.i = FieldElement(self, 0, 1)
-        self._nonsquare = None
         self._ext = None
 
     def __repr__(self):
@@ -94,18 +95,33 @@ class FieldCtx:
 
     def nonsquare(self) -> FieldElement:
         """Lexicographically smallest non-square of GF(p^2)."""
-        if self._nonsquare is None:
-            for x in self.elements():
-                if not x.is_zero() and not x.is_square():
-                    self._nonsquare = x
-                    break
-        return self._nonsquare
+        return next(x for x in self.elements()
+                    if not x.is_zero() and not x.is_square())
 
     def extension(self) -> "ExtCtx":
         """GF(p^4) as a quadratic extension of this field (cached)."""
         if self._ext is None:
             self._ext = ExtCtx(self)
         return self._ext
+
+    # kernels on (a, b) int pairs a + b*i, inputs possibly unreduced
+
+    def pmul(self, x, y):
+        (a, b), (c, d) = x, y
+        return ((a * c + self.nonresidue * b * d) % self.p,
+                (a * d + b * c) % self.p)
+
+    def pminor(self, x, y, z, w):
+        """x*y - z*w, reduced once."""
+        (a, b), (c, d), (e, f), (g, h) = x, y, z, w
+        n, p = self.nonresidue, self.p
+        return (a * c + n * b * d - e * g - n * f * h) % p, \
+            (a * d + b * c - e * h - f * g) % p
+
+    def pinv(self, x):
+        a, b = x
+        inv = pow(a * a - self.nonresidue * b * b, -1, self.p)
+        return a * inv % self.p, -b * inv % self.p
 
     def nth_root_of_unity(self, n: int):
         """Lexicographically smallest primitive n-th root of unity, or None.
@@ -221,10 +237,7 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        p, n = self.ctx.p, self.ctx.nonresidue
-        norm = (self.a * self.a - n * self.b * self.b) % p
-        inv = pow(norm, p - 2, p)
-        return FieldElement(self.ctx, self.a * inv % p, -self.b * inv % p)
+        return FieldElement(self.ctx, *self.ctx.pinv((self.a, self.b)))
 
     def __truediv__(self, other):
         if isinstance(other, int):
@@ -252,9 +265,6 @@ class FieldElement:
         """x -> x^p, the nontrivial automorphism of GF(p^2)/GF(p)."""
         return FieldElement(self.ctx, self.a, -self.b % self.ctx.p)
 
-    def in_prime_field(self) -> bool:
-        return self.b == 0
-
     def is_square(self) -> bool:
         if self.is_zero():
             return True
@@ -264,12 +274,20 @@ class FieldElement:
         """Deterministic square root in GF(p^2), or None if non-square.
 
         Of the two roots +-y, returns the lexicographically smaller
-        (a, b) pair.
+        (a, b) pair.  Norm method: a + b*i is a square iff its norm
+        N = a^2 - n*b^2 is one in GF(p); then y = c + b/(2c) i, c^2 being
+        whichever of (a +- sqrt(N))/2 is a nonzero square in GF(p) (their
+        product is n*b^2/4), or, if neither is (b = 0), y = sqrt(a/n) i.
         """
-        y = _tonelli(self, self.ctx.order, self.ctx.nonsquare)
-        if y is None:
+        p, n, a, b = self.ctx.p, self.ctx.nonresidue, self.a, self.b
+        s = _sqrt_mod(a * a - n * b * b, p, n)
+        if s is None:
             return None
-        return min(y, -y)
+        c = _sqrt_mod((a + s) * (p + 1) // 2, p, n) \
+            or _sqrt_mod((a - s) * (p + 1) // 2, p, n)
+        y = (c, b * pow(2 * c, -1, p) % p) if c \
+            else (0, _sqrt_mod(a * pow(n, -1, p), p, n))
+        return FieldElement(self.ctx, *min(y, (-y[0] % p, -y[1] % p)))
 
 
 class ExtCtx:
@@ -281,7 +299,6 @@ class ExtCtx:
         self.order = base.order ** 2
         self.zero = ExtElement(self, base.zero, base.zero)
         self.one = ExtElement(self, base.one, base.zero)
-        self._nonsquare = ExtElement(self, base.zero, base.one)
 
     def __repr__(self):
         return f"GF({self.base.p}^4)"
@@ -294,12 +311,6 @@ class ExtCtx:
 
     def element(self, u: FieldElement, v: FieldElement) -> "ExtElement":
         return ExtElement(self, u, v)
-
-    def nonsquare(self) -> "ExtElement":
-        """j, a non-square of GF(p^4): j^2 = m is a non-square of
-        GF(p^2), so j^((p^4-1)/2) = (m^((p^2-1)/2))^((p^2+1)/2)
-        = (-1)^((p^2+1)/2) = -1, as (p^2+1)/2 is odd."""
-        return self._nonsquare
 
 
 class ExtElement:
@@ -388,40 +399,36 @@ class ExtElement:
         return self ** ((self.ctx.order - 1) // 2) == self.ctx.one
 
     def sqrt(self):
-        """Deterministic square root in GF(p^4), or None if non-square."""
-        y = _tonelli(self, self.ctx.order, self.ctx.nonsquare)
-        if y is None:
+        """Deterministic square root in GF(p^4), or None if non-square:
+        the lexicographically smaller of +-y, by FieldElement.sqrt's
+        norm method over GF(p^2)."""
+        ctx, u, v = self.ctx, self.u, self.v
+        s = (u * u - ctx.m * (v * v)).sqrt()
+        if s is None:
             return None
+        cs = [c for c in (((u + s) / 2).sqrt(), ((u - s) / 2).sqrt())
+              if c is not None and not c.is_zero()]
+        y = ExtElement(ctx, cs[0], v / (2 * cs[0])) if cs \
+            else ExtElement(ctx, ctx.base.zero, (u / ctx.m).sqrt())
         return min(y, -y)
 
 
-def _tonelli(x, q: int, nonsquare_fn):
-    """Tonelli-Shanks in a field of odd order q; returns one root or None.
-
-    Works uniformly over GF(p^2) and GF(p^4); `nonsquare_fn` supplies a
-    fixed non-square of the field when needed.
-    """
-    ctx = x.ctx
-    if x.is_zero():
-        return x
-    if x ** ((q - 1) // 2) != ctx.one:
+def _sqrt_mod(t: int, p: int, n: int):
+    """A square root of t in GF(p), or None; n is a non-residue mod p."""
+    t %= p
+    if p % 4 == 3:
+        r = pow(t, (p + 1) // 4, p)
+        return r if r * r % p == t else None
+    if pow(t, (p - 1) // 2, p) > 1:
         return None
-    m, e = q - 1, 0
+    m, e = p - 1, 0
     while m % 2 == 0:
-        m //= 2
-        e += 1
-    if e == 1:
-        return x ** ((q + 1) // 4)
-    z = nonsquare_fn() ** m
-    y = x ** ((m + 1) // 2)
-    b = x ** m
-    while b != ctx.one:
-        t, k = b, 0
-        while t != ctx.one:
-            t = t * t
-            k += 1
-        y = y * (z ** (1 << (e - k - 1)))
-        z = z ** (1 << (e - k))
-        b = b * z
-        e = k
-    return y
+        m, e = m // 2, e + 1
+    z, r, u = pow(n, m, p), pow(t, (m + 1) // 2, p), pow(t, m, p)
+    while u > 1:  # Tonelli-Shanks, keeping r^2 = t*u
+        k, w = 0, u
+        while w != 1:
+            w, k = w * w % p, k + 1
+        z = pow(z, 1 << (e - k - 1), p)
+        r, z, e, u = r * z % p, z * z % p, k, u * z * z % p
+    return r

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb, perm
 
 from .field import ExtCtx, ExtElement, FieldCtx, FieldElement
@@ -78,7 +78,8 @@ RA_ORDER = {RAType.A: 1, RAType.I: 2, RAType.II: 5, RAType.III: 4,
 
 @dataclass(frozen=True)
 class Genus2Curve:
-    """y^2 = f(x), f squarefree of degree 5 or 6."""
+    """y^2 = f(x), f squarefree of degree 5 or 6: by gcd(f, f') for a
+    bare f, in closed form for a product of blocks (of_blocks)."""
 
     f: Poly
 
@@ -87,6 +88,37 @@ class Genus2Curve:
             raise Genus2Error(f"degree must be 5 or 6, got {self.f.degree()}")
         if not is_squarefree(self.f):
             raise Genus2Error("defining polynomial must be squarefree")
+
+    @classmethod
+    def of_blocks(cls, ctx: FieldCtx, blocks, scale) -> "Genus2Curve":
+        """y^2 = scale * g1*g2*g3; scale and each block's (c0, c1, c2),
+        low first, are (a, b) int pairs.  Of degree 5 or 6, the product
+        is squarefree iff each block, as a binary quadratic form, has a
+        nonzero discriminant and each two a nonzero resultant
+        (c2 e0 - e2 c0)^2 - (c2 e1 - e2 c1)(c1 e0 - e1 c0); that also
+        vanishes on two linear blocks, as both vanish at infinity."""
+        p, nr, m = ctx.p, ctx.nonresidue, ctx.pminor
+        f = [scale]
+        for g in blocks:
+            re, im = [0] * (len(f) + 2), [0] * (len(f) + 2)
+            for i, (a, b) in enumerate(f):
+                for j, (c, d) in enumerate(g):
+                    re[i + j] += a * c + nr * b * d
+                    im[i + j] += a * d + b * c
+            f = [(x % p, y % p) for x, y in zip(re, im)]
+        f = Poly(ctx, [FieldElement(ctx, *c) for c in f])
+        if f.degree() not in (5, 6):
+            raise Genus2Error(f"degree must be 5 or 6, got {f.degree()}")
+        forms = [m(c1, c1, (4 * c2[0], 4 * c2[1]), c0)
+                 for c0, c1, c2 in blocks]
+        for (c0, c1, c2), (e0, e1, e2) in combinations(blocks, 2):
+            r = m(c2, e0, e2, c0)
+            forms.append(m(r, r, m(c2, e1, e2, c1), m(c1, e0, e1, c0)))
+        if (0, 0) in forms:
+            raise Genus2Error("defining polynomial must be squarefree")
+        curve = object.__new__(cls)
+        object.__setattr__(curve, "f", f)
+        return curve
 
     @property
     def ctx(self) -> FieldCtx:
@@ -109,8 +141,8 @@ class QuadraticSplitting:
 
     @classmethod
     def make(cls, blocks, scale) -> "QuadraticSplitting":
-        return cls(tuple(sorted((b.monic() for b in blocks), key=Poly.key)),
-                   scale)
+        """The splitting of the given monic blocks, sorted."""
+        return cls(tuple(sorted(blocks, key=Poly.key)), scale)
 
     @property
     def ctx(self) -> FieldCtx:
@@ -145,14 +177,15 @@ INF = "inf"  # the point at infinity on the x-line
 
 
 def matching_splitting(ctx, forced, matching, scale) -> QuadraticSplitting:
-    """The forced blocks plus one block per pair of the matching, whose
-    roots are that pair (linear when the pair holds INF)."""
+    """The forced monic blocks plus x^2 - (r + s)x + rs, made on (a, b)
+    int pairs, per pair (r, s) of the matching (x - r when s is INF)."""
     blocks = list(forced)
-    for a, b in matching:
-        if a is INF or b is INF:
-            blocks.append(Poly(ctx, [-(b if a is INF else a), ctx.one]))
+    for r, s in matching:
+        if r is INF or s is INF:
+            blocks.append(Poly(ctx, [-(s if r is INF else r), ctx.one]))
         else:
-            blocks.append(Poly.from_roots(ctx, [a, b]))
+            rs = FieldElement(ctx, *ctx.pmul((r.a, r.b), (s.a, s.b)))
+            blocks.append(Poly(ctx, [rs, -(r + s), ctx.one]))
     return QuadraticSplitting.make(blocks, scale)
 
 
@@ -287,9 +320,6 @@ class MoebiusMap:
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d)
 
-    def is_identity(self) -> bool:
-        return self.b.is_zero() and self.c.is_zero() and self.a == self.d
-
 
 def _to_zero_one_inf(K, p1, p2, p3):
     """Matrix of the Moebius map sending (p1, p2, p3) to (0, 1, inf)."""
@@ -333,18 +363,12 @@ def _frame_maker(K, pts, pairs):
         difference, keyed = (lambda x, y: (x - y, (x - y).inverse()),
                              lambda x, y: (x * y).key())
     else:
-        p, nr = K.p, K.nonresidue
         xs, one = [x if x is INF else (x.a, x.b) for x in pts], (1, 0)
+        mul = keyed = K.pmul  # a reduced pair is its own key
 
         def difference(x, y):
-            a, b = (x[0] - y[0]) % p, (x[1] - y[1]) % p
-            inv = pow(a * a - nr * b * b, -1, p)
-            return (a, b), (a * inv % p, -b * inv % p)
-
-        def mul(x, y):
-            (a, b), (c, d) = x, y
-            return (a * c + nr * b * d) % p, (a * d + b * c) % p
-        keyed = mul  # a reduced pair is its own key
+            d = (x[0] - y[0]) % K.p, (x[1] - y[1]) % K.p
+            return d, K.pinv(d)
     diff, dinv = {}, {}
     for a, b in pairs:
         diff[a, b], dinv[a, b] = ((one, one) if INF in (xs[a], xs[b])

@@ -174,7 +174,8 @@ def quotient_diagonal(S: ProductSurface, k: ProductKernel):
         raise DegenerateGluingError(f"glued curve invalid: {exc}", k) \
             from exc
     return GluedJacobian(curve=curve,
-                         dual=QuadraticSplitting.make(blocks, f.leading()))
+                         dual=QuadraticSplitting.make(
+                             [b.monic() for b in blocks], f.leading()))
 
 
 def ra_type_product_vertex(j1: FieldElement, j2: FieldElement) -> str:

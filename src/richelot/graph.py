@@ -209,10 +209,11 @@ def _expand_jacobian(v: Vertex):
 
 
 def _jacobian_step(spl):
-    if not delta(spl).is_zero():
-        cod = richelot_generic(spl)
+    d = delta(spl)
+    if not d.is_zero():
+        cod = richelot_generic(spl, d)
         return VertexKey.jacobian(cod.curve), ("jac", cod.curve, cod.dual)
-    sp = split_degenerate(spl)
+    sp = split_degenerate(spl, d)
     S = ProductSurface(sp.E, sp.E2)
     # the i <-> i matching generates the dual kernel, except on factors
     # rebuilt from j, where the matching is lost

@@ -15,21 +15,28 @@ from dataclasses import dataclass
 from .elliptic import EllipticCurveE2, curve_from_j
 from .field import FieldElement
 from .genus2 import Genus2Curve, Genus2Error, QuadraticSplitting
+from .poly import Poly
 
 
 class RichelotError(ValueError):
     """Invalid isogeny-step input (wrong delta branch, bad splitting)."""
 
 
+def _rows(s: QuadraticSplitting) -> list:
+    """The blocks c + b x + a x^2 of s as (c, b, a), in (a, b) int pairs."""
+    return [tuple((g[k].a, g[k].b) for k in range(3)) for g in s.blocks]
+
+
 def delta(s: QuadraticSplitting) -> FieldElement:
-    """det of the 3x3 coefficient matrix of the (monic) blocks.
+    """det of the 3x3 coefficient matrix of the (monic) blocks, on int
+    pairs: -sum a_i (b_j c_k - b_k c_j) over cyclic (i, j, k).
 
     Zero exactly when the quotient splits as an elliptic product.
     """
-    r = [(g[0], g[1], g[2]) for g in s.blocks]
-    return (r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-            - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-            + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
+    ctx, F = s.ctx, _rows(s)
+    t = [ctx.pmul(F[i][2], ctx.pminor(F[k][1], F[j][0], F[j][1], F[k][0]))
+         for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]
+    return FieldElement(ctx, *(sum(x) % ctx.p for x in zip(*t)))
 
 
 @dataclass(frozen=True)
@@ -41,24 +48,29 @@ class JacobianCodomain:
     dual: QuadraticSplitting
 
 
-def richelot_generic(s: QuadraticSplitting) -> JacobianCodomain:
-    """Richelot's algorithm: G_i = (F_j' F_k - F_k' F_j)/delta."""
-    d = delta(s)
+def richelot_generic(s: QuadraticSplitting, d=None) -> JacobianCodomain:
+    """Richelot's algorithm: G_i = (F_j' F_k - F_k' F_j)/delta, on (a, b)
+    int pairs, where delta G_i is the 2x2 minors (b_j c_k - b_k c_j)
+    + 2(a_j c_k - a_k c_j) x + (a_j b_k - a_k b_j) x^2 of the blocks.
+    Genus2Curve.of_blocks checks y^2 = G_0 G_1 G_2 in closed form; the
+    dual splitting is the G_i made monic.  d is delta(s), if known."""
+    d = delta(s) if d is None else d
     if d.is_zero():
         raise RichelotError("delta = 0: quotient is an elliptic product")
-    dinv = d.inverse()
-    F = list(s.blocks)
-    G = []
-    for (j, k) in ((1, 2), (2, 0), (0, 1)):
-        G.append((F[j].derivative() * F[k] - F[k].derivative() * F[j])
-                 * dinv)
-    fprime = G[0] * G[1] * G[2]
+    ctx, F = s.ctx, _rows(s)
+    m, mul, dinv = ctx.pminor, ctx.pmul, ctx.pinv((d.a, d.b))
+    G = [(m(bj, ck, bk, cj), mul((2, 0), m(aj, ck, ak, cj)),
+          m(aj, bk, ak, bj)) for (cj, bj, aj), (ck, bk, ak)
+         in zip(F[1:] + F[:1], F[2:] + F[:2])]
     try:
-        curve = Genus2Curve(fprime)
+        curve = Genus2Curve.of_blocks(ctx, G, mul(dinv, mul(dinv, dinv)))
     except Genus2Error as exc:
         raise RichelotError(f"degenerate Richelot codomain: {exc}") from exc
-    dual = QuadraticSplitting.make(G, fprime.leading())
-    return JacobianCodomain(curve=curve, dual=dual)
+    invs = [ctx.pinv(g[2] if g[2] != (0, 0) else g[1]) for g in G]
+    blocks = [Poly(ctx, [FieldElement(ctx, *mul(c, inv)) for c in g])
+              for g, inv in zip(G, invs)]
+    return JacobianCodomain(curve, QuadraticSplitting.make(
+        blocks, curve.f.leading()))
 
 
 @dataclass(frozen=True)
@@ -146,7 +158,7 @@ def _solve_alpha_beta(P, Q, F):
     raise RichelotError("U^2 and V^2 are not independent")
 
 
-def split_degenerate(s: QuadraticSplitting) -> SplitCodomain:
+def split_degenerate(s: QuadraticSplitting, d=None) -> SplitCodomain:
     """Split a delta = 0 quotient into its elliptic product.
 
     Pencil method: F1 + t*F2 is a perfect square exactly at the two
@@ -154,8 +166,9 @@ def split_degenerate(s: QuadraticSplitting) -> SplitCodomain:
     roots since f is squarefree); U^2 and V^2 span the pencil and each
     F_i decomposes as alpha_i U^2 + beta_i V^2.  The factors are
     E: y^2 = prod(alpha_i x + beta_i) and E2: y^2 = prod(beta_i x + alpha_i).
+    d is delta(s), when the caller has it.
     """
-    if not delta(s).is_zero():
+    if not (delta(s) if d is None else d).is_zero():
         raise RichelotError("delta != 0: quotient is a Jacobian")
     ctx = s.ctx
     blocks = list(s.blocks)

@@ -142,12 +142,6 @@ class Poly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def evaluate(self, x: FieldElement) -> FieldElement:
-        acc = self.ctx.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def derivative(self) -> "Poly":
         return Poly(self.ctx, [self.coeffs[k] * k
                                for k in range(1, len(self.coeffs))])

@@ -6,8 +6,9 @@ import pytest
 
 from richelot import genus2
 from richelot.field import make_field
-from richelot.genus2 import (MoebiusMap, _to_zero_one_inf, moebius_through,
-                             point_key)
+from richelot.genus2 import (Genus2Curve, MoebiusMap, QuadraticSplitting,
+                             _to_zero_one_inf, moebius_through, point_key)
+from richelot.isogeny import JacobianCodomain, RichelotError
 
 
 @pytest.fixture(scope="session")
@@ -137,3 +138,55 @@ def point_count_supersingular(E, squares=None):
             elif y in squares:
                 count += 2
     return count in ((p - 1) ** 2, (p + 1) ** 2)
+
+
+def tonelli_oracle(x, nonsquare):
+    """The lexicographically smaller square root of x, or None: Tonelli-
+    Shanks on field elements, uniform over GF(p^2) and GF(p^4), given a
+    non-square of x's field.  The algorithm FieldElement.sqrt and
+    ExtElement.sqrt ran before the norm method, kept as their oracle."""
+    ctx, q = x.ctx, x.ctx.order
+    if x.is_zero():
+        return x
+    if x ** ((q - 1) // 2) != ctx.one:
+        return None
+    m, e = q - 1, 0
+    while m % 2 == 0:
+        m //= 2
+        e += 1
+    z = nonsquare ** m
+    y = x ** ((m + 1) // 2)
+    b = x ** m
+    while b != ctx.one:
+        t, k = b, 0
+        while t != ctx.one:
+            t = t * t
+            k += 1
+        y = y * (z ** (1 << (e - k - 1)))
+        z = z ** (1 << (e - k))
+        b = b * z
+        e = k
+    return min(y, -y)
+
+
+def richelot_poly_oracle(s):
+    """Richelot's step on FieldElement polynomials: the cofactor delta,
+    G_i = (F_j' F_k - F_k' F_j)/delta by Poly arithmetic, and the gcd
+    squarefree test of Genus2Curve(f).  What isogeny.richelot_generic
+    computed before it ran on int pairs, kept as its oracle."""
+    r = [(g[0], g[1], g[2]) for g in s.blocks]
+    d = (r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
+         - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
+         + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
+    if d.is_zero():
+        raise RichelotError("delta = 0: quotient is an elliptic product")
+    F, dinv = s.blocks, d.inverse()
+    G = [(F[j].derivative() * F[k] - F[k].derivative() * F[j]) * dinv
+         for j, k in ((1, 2), (2, 0), (0, 1))]
+    fprime = G[0] * G[1] * G[2]
+    try:
+        curve = Genus2Curve(fprime)
+    except genus2.Genus2Error as exc:
+        raise RichelotError(f"degenerate Richelot codomain: {exc}") from exc
+    return JacobianCodomain(curve, QuadraticSplitting.make(
+        [g.monic() for g in G], fprime.leading()))

@@ -1,10 +1,12 @@
 """Field arithmetic in GF(p^2) and GF(p^4)."""
 
+import random
+
 import pytest
 
 from richelot.field import FieldError, legendre, make_field
 
-from conftest import random_element
+from conftest import random_element, tonelli_oracle
 
 
 def test_make_field_smallest_nonresidue():
@@ -59,13 +61,46 @@ def test_sqrt_contract_matches_euler(ctx11):
             assert y <= -y  # deterministic choice
 
 
+@pytest.mark.parametrize("p", [7, 11, 13, 17, 23, 29, 41, 53, 97, 101,
+                               257])
+def test_sqrt_matches_tonelli_oracle_everywhere(p):
+    # every element, non-squares included; 2^8 divides 257 - 1, so p = 257
+    # runs the Tonelli-Shanks branch of the GF(p) root deep
+    ctx = make_field(p)
+    ns = ctx.nonsquare()
+    for x in ctx.elements():
+        assert x.sqrt() == tonelli_oracle(x, ns)
+
+
+@pytest.mark.parametrize("p", [151, 409])
+def test_sqrt_matches_tonelli_oracle_random(p):
+    ctx = make_field(p)
+    ns, rng = ctx.nonsquare(), random.Random(p)
+    xs = [random_element(ctx, rng) for _ in range(2000)]
+    assert [x.sqrt() for x in xs] == [tonelli_oracle(x, ns) for x in xs]
+    assert None in [x.sqrt() for x in xs]
+
+
+@pytest.mark.parametrize("p", [19, 23])
+def test_ext_sqrt_matches_tonelli_oracle_random(p):
+    ext = make_field(p).extension()
+    j, rng = ext.element(ext.base.zero, ext.base.one), random.Random(p)
+    xs = [ext.element(random_element(ext.base, rng),
+                      random_element(ext.base, rng)) for _ in range(2000)]
+    xs += [ext.embed(random_element(ext.base, rng)) for _ in range(100)]
+    got = [x.sqrt() for x in xs]
+    assert got == [tonelli_oracle(x, j) for x in xs]
+    assert None in got
+    assert all(y is None or y * y == x for x, y in zip(xs, got))
+
+
 def test_frobenius_involution_fixes_prime_field(ctx13):
     fixed = 0
     for x in ctx13.elements():
         assert x.frobenius().frobenius() == x
         if x.frobenius() == x:
             fixed += 1
-            assert x.in_prime_field()
+            assert x.b == 0
     assert fixed == ctx13.p
 
 
@@ -133,8 +168,11 @@ def test_extension_field(ctx11):
     assert s is not None and s * s == ext.embed(nr)
     x = ext.element(ctx11.from_int(3), ctx11.from_int(5))
     assert x * x.inverse() == ext.one
-    # j is the non-square of GF(p^4) by proof; check it on several primes
+    # j is a non-square of GF(p^4): j^2 = m is a non-square of GF(p^2),
+    # so j^((p^4-1)/2) = (m^((p^2-1)/2))^((p^2+1)/2) = (-1)^((p^2+1)/2)
+    # = -1, as (p^2+1)/2 is odd; check it on several primes
     for p in (7, 11, 13, 23, 41, 101):
         ext = make_field(p).extension()
-        assert not ext.nonsquare().is_square()
-        assert ext.nonsquare() * ext.nonsquare() == ext.embed(ext.m)
+        j = ext.element(ext.base.zero, ext.base.one)
+        assert not j.is_square()
+        assert j * j == ext.embed(ext.m)

@@ -11,7 +11,7 @@ from richelot.genus2 import (INF, ClebschPoint, Genus2Curve, Genus2Error,
                              frame_permutations, moebius_frames,
                              moebius_orbits_on_splittings, moebius_through,
                              orbit_partition, point_key, point_splittings,
-                             ra_type_from_automorphisms,
+                             QuadraticSplitting, ra_type_from_automorphisms,
                              ra_type_from_clebsch, reduced_automorphisms,
                              splitting_pairing, splitting_points, splittings,
                              transform_curve, weierstrass_points, RAType)
@@ -293,7 +293,7 @@ def test_reduced_automorphisms_group_closure(ctx23):
     for m1 in maps:
         for m2 in maps:
             assert m1.compose(m2).key() in keys
-    assert any(m.is_identity() for m in maps)
+    assert any(m.b.is_zero() and m.c.is_zero() and m.a == m.d for m in maps)
 
 
 def test_type_from_order_table(ctx23, rng):
@@ -579,6 +579,31 @@ def test_point_splittings_match_factoring_oracle_on_graph(p):
             want = splittings_with_pairings_oracle(rep)
             assert built == want, v.key.as_string()
             assert set(v.kernel_to_edge) == {pr for _, pr in want}
+
+
+def test_point_splittings_run_on_ints(monkeypatch):
+    # at every Jacobian vertex at p = 41 each block is Poly.from_roots of
+    # its pair of points, and building them makes no FieldElement product
+    ctx = make_field(41)
+    g = build_graph(ctx)
+    cases = [(v.points[1], v.representative.f.leading())
+             for v in g.vertices.values() if v.key.kind == "jacobian"]
+    for pts, scale in cases:
+        at = {point_key(x): x for x in pts}
+        for spl, pairing in point_splittings(ctx, (), pts, scale):
+            pairs = [sorted(map(at.get, pair), key=point_key)
+                     for pair in pairing]
+            blocks = [Poly(ctx, [-s, ctx.one]) if r is INF
+                      else Poly.from_roots(ctx, [r, s]) for r, s in pairs]
+            assert spl == QuadraticSplitting.make(blocks, scale)
+    muls = []
+    real_mul = FieldElement.__mul__
+    monkeypatch.setattr(FieldElement, "__mul__",
+                        lambda *args: muls.append(args) or real_mul(*args))
+    monkeypatch.setattr(FieldElement, "__rmul__", FieldElement.__mul__)
+    for pts, scale in cases:
+        point_splittings(ctx, (), pts, scale)
+    assert muls == []
 
 
 def test_clebsch_table_rows(ctx23):

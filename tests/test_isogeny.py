@@ -1,16 +1,31 @@
 """The Richelot step: delta, generic codomain, degenerate splitting."""
 
+import random
+
 import pytest
 
+from richelot import poly
 from richelot.elliptic import EllipticCurveE2, j_invariant, two_isogeny
-from richelot.genus2 import (Genus2Curve, QuadraticSplitting, canonical_key,
-                             clebsch_invariants, splittings)
-from richelot.graph import neighbourhood
+from richelot.field import FieldElement, make_field
+from richelot.genus2 import (Genus2Curve, Genus2Error, QuadraticSplitting,
+                             canonical_key, clebsch_invariants, splittings)
+from richelot.graph import build_graph, neighbourhood
 from richelot.isogeny import (IrrationalSplitError, RichelotError, delta,
                               richelot_generic, split_degenerate)
 from richelot.poly import Poly
 
-from conftest import random_distinct_elements, random_element
+from conftest import (count_calls, random_distinct_elements, random_element,
+                      richelot_poly_oracle)
+
+
+@pytest.fixture(scope="module")
+def richelot_edges():
+    """p -> the splittings with delta != 0 that label an edge out of a
+    Jacobian vertex of the graph at p."""
+    return {p: [e.kernel_rep for e in build_graph(make_field(p)).edges
+                if isinstance(e.kernel_rep, QuadraticSplitting)
+                and not delta(e.kernel_rep).is_zero()]
+            for p in (23, 41)}
 
 
 def c_two_param(ctx, s, t):
@@ -159,3 +174,96 @@ def test_dual_splitting_round_trips_all_kernels(ctx23, rng):
         assert canonical_key(clebsch_invariants(back.curve)) == key
         checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("p", [23, 41])
+def test_richelot_generic_matches_poly_oracle(p, richelot_edges):
+    # every delta != 0 edge of the graph: same codomain, same dual
+    assert richelot_edges[p]
+    for spl in richelot_edges[p]:
+        got, want = richelot_generic(spl), richelot_poly_oracle(spl)
+        assert got.curve.f == want.curve.f
+        assert got.dual.key() == want.dual.key()
+        assert got.dual.scale == want.dual.scale
+
+
+def _pairs(g):
+    return tuple((c.a, c.b) for c in (g[0], g[1], g[2]))
+
+
+def _verdict(make):
+    try:
+        return make().f
+    except Genus2Error:
+        return None
+
+
+def test_closed_form_squarefree_matches_gcd():
+    # random block triples whose product may be squarefree or not: the
+    # closed form accepts exactly what Genus2Curve(product) accepts, and
+    # builds the same product
+    ctx, rng = make_field(23), random.Random(0x5F)
+    one = ctx.one
+
+    def linear():
+        return Poly(ctx, [random_element(ctx, rng), one])
+
+    def block(roots):
+        scale = ctx.element(rng.randrange(1, 23), rng.randrange(23))
+        return Poly.from_roots(ctx, roots, scale=scale)
+
+    seen = {True: 0, False: 0}
+    for trial in range(600):
+        kind = trial % 6
+        rs = [random_element(ctx, rng) for _ in range(6)]
+        if kind == 1:    # a root shared between two blocks
+            rs[2] = rs[rng.randrange(2)]
+        elif kind == 2:  # a repeated root inside one block
+            rs[1] = rs[0]
+        blocks = [block(rs[0:2]), block(rs[2:4]), block(rs[4:6])]
+        if kind == 3:    # one linear block
+            blocks[0] = linear()
+        elif kind == 4:  # two linear blocks: both vanish at infinity
+            blocks[0], blocks[1] = linear(), linear()
+        elif kind == 5:  # random coefficients, irreducible blocks too
+            blocks = [Poly(ctx, [random_element(ctx, rng) for _ in range(3)])
+                      for _ in range(3)]
+        scale = random_element(ctx, rng)
+        product = Poly(ctx, [scale]) * blocks[0] * blocks[1] * blocks[2]
+        want = _verdict(lambda: Genus2Curve(product))
+        got = _verdict(lambda: Genus2Curve.of_blocks(
+            ctx, [_pairs(g) for g in blocks], (scale.a, scale.b)))
+        assert got == want
+        seen[want is not None] += 1
+    assert seen[True] > 100 and seen[False] > 100
+
+
+def test_degenerate_richelot_codomain_raises(ctx23):
+    # blocks sharing the root 1 make G = (x - 1)^2 (u'v - v'u)
+    ctx = ctx23
+    blocks = [Poly.from_roots(ctx, list(map(ctx.from_int, pair)))
+              for pair in ((1, 2), (1, 3), (4, 5))]
+    spl = QuadraticSplitting.make(blocks, ctx.one)
+    assert not delta(spl).is_zero()
+    for step in (richelot_generic, richelot_poly_oracle):
+        with pytest.raises(RichelotError,
+                           match="degenerate Richelot codomain"):
+            step(spl)
+
+
+def test_richelot_generic_runs_on_ints(monkeypatch, richelot_edges):
+    # every delta != 0 edge at p = 41: no FieldElement product, inverse
+    # or square root, no Poly product and no gcd squarefree test
+    calls = []
+    for name in ("__mul__", "__rmul__", "inverse", "sqrt"):
+        real = getattr(FieldElement, name)
+        monkeypatch.setattr(FieldElement, name, lambda *args, real=real:
+                            calls.append(args) or real(*args))
+    for name in ("__mul__", "__rmul__"):
+        real = getattr(Poly, name)
+        monkeypatch.setattr(Poly, name, lambda *args, real=real:
+                            calls.append(args) or real(*args))
+    squarefree = count_calls(monkeypatch, "is_squarefree", module=poly)
+    for spl in richelot_edges[41]:
+        richelot_generic(spl)
+    assert calls == [] and squarefree == []
