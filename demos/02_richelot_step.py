@@ -3,7 +3,8 @@
 A quadratic splitting groups the six Weierstrass points into three
 pairs; the coefficient determinant delta decides whether the quotient
 is another Jacobian (Richelot's formulas) or an elliptic product
-(the U/V decomposition).
+(split at the two fixed points u, v of the blocks' pencil, with
+U = x - u and V = x - v).
 """
 
 from richelot import (make_field, Genus2Curve, Poly, splittings,

@@ -343,10 +343,8 @@ def dual_edge(g: Graph, e: OrbitEdge) -> OrbitEdge:
     if not tgt.edges:
         raise GraphError("target vertex not expanded")
     _, codomain, dual = e.hint
-    where = (f"edge {e.source.as_string()} -> {e.target.as_string()} "
-             f"by {e.kernel_rep}")
     if dual is None:
-        raise GraphError(f"no dual kernel recorded for {where}")
+        raise GraphError(f"no dual kernel recorded for {_where(e)}")
     if isinstance(codomain, Genus2Curve):
         kernel = _transport_pairing(tgt, dual)
     else:
@@ -354,8 +352,15 @@ def dual_edge(g: Graph, e: OrbitEdge) -> OrbitEdge:
     try:
         return tgt.kernel_to_edge[kernel]
     except KeyError:
-        raise GraphError(f"dual kernel not found at target of {where}") \
-            from None
+        raise GraphError(
+            f"dual kernel not found at target of {_where(e)}") from None
+
+
+def _where(e: OrbitEdge) -> str:
+    """e named for an error text; built only when one is raised, as the
+    repr of its kernel is costly."""
+    return (f"edge {e.source.as_string()} -> {e.target.as_string()} "
+            f"by {e.kernel_rep}")
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,17 @@ For a quadratic splitting {F1, F2, F3} of y^2 = f(x), the determinant
 delta of the coefficient matrix decides the shape of the quotient:
 delta != 0 gives another Jacobian via Richelot's formulas (with the
 dual kernel as the codomain splitting), delta = 0 splits the quotient
-into a product of two elliptic curves via a common decomposition
-F_i = alpha_i U^2 + beta_i V^2.
+into a product of two elliptic curves.  Then the blocks span a pencil
+with two square members (x - u)^2 and (x - v)^2, at the fixed points
+u, v where Richelot's minor of two blocks vanishes, and each block
+decomposes in closed form as F_i = alpha_i (x - u)^2 + beta_i (x - v)^2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .elliptic import EllipticCurveE2, curve_from_j
+from .elliptic import EllipticCurveE2, curve_from_j, j_invariant
 from .field import FieldElement
 from .genus2 import Genus2Curve, Genus2Error, QuadraticSplitting
 from .poly import Poly
@@ -77,12 +79,12 @@ def richelot_generic(s: QuadraticSplitting, d=None) -> JacobianCodomain:
 class DegenerateSplitData:
     """Witness of the decomposition F_i = alpha_i U^2 + beta_i V^2.
 
-    U and V are coefficient pairs (c0, c1) for c0 + c1*x; one of them
-    may be constant (c1 = 0) when a branch point of the quotient maps
-    to infinity.  All values live over GF(p^2), or over GF(p^4) in
-    the rare case of Galois-conjugate elliptic factors (`extended`),
-    in which case `blocks` holds lifted coefficient triples rather
-    than Poly objects.  Indexing follows the splitting's block order.
+    U = x - u and V = x - v for the pencil's fixed points u and v, as
+    coefficient pairs (c0, c1) for c0 + c1*x; V = (1, 0) when v is at
+    infinity.  `blocks` holds the blocks as coefficient triples
+    (c0, c1, c2) over K, the field of u and v: GF(p^2), or GF(p^4) when
+    u and v are Galois-conjugate (`extended`).  Indexing follows the
+    splitting's block order.
     """
 
     U: tuple
@@ -98,12 +100,9 @@ class DegenerateSplitData:
         v0, v1 = self.V
         usq = (u0 * u0, 2 * (u0 * u1), u1 * u1)
         vsq = (v0 * v0, 2 * (v0 * v1), v1 * v1)
-        for g, al, be in zip(self.blocks, self.alphas, self.betas):
-            gc = g if self.extended else (g[0], g[1], g[2])
-            for t in range(3):
-                if al * usq[t] + be * vsq[t] != gc[t]:
-                    return False
-        return True
+        return all(al * usq[t] + be * vsq[t] == g[t]
+                   for g, al, be in zip(self.blocks, self.alphas, self.betas)
+                   for t in range(3))
 
 
 @dataclass(frozen=True)
@@ -127,106 +126,60 @@ class IrrationalSplitError(RichelotError):
     model of the required j-invariant exists."""
 
 
-def _sqrt_of_square_quadratic(trip, K):
-    """U with U^2 proportional to the perfect-square quadratic trip.
-
-    Returns (u0, u1); (1, 0) when the quadratic is constant.
-    """
-    c0, c1, c2 = trip
-    if c2.is_zero():
-        if not c1.is_zero():
-            raise RichelotError("pencil member is linear, not a square")
-        return (K.one, K.zero)
-    half = K.from_int(2).inverse()
-    return (c1 * c2.inverse() * half, K.one)
-
-
-def _solve_alpha_beta(P, Q, F):
-    """Solve F = alpha*P + beta*Q for coefficient triples; exact."""
-    for r1 in range(3):
-        for r2 in range(r1 + 1, 3):
-            det = P[r1] * Q[r2] - P[r2] * Q[r1]
-            if det.is_zero():
-                continue
-            dinv = det.inverse()
-            al = (F[r1] * Q[r2] - F[r2] * Q[r1]) * dinv
-            be = (P[r1] * F[r2] - P[r2] * F[r1]) * dinv
-            for t in range(3):
-                if al * P[t] + be * Q[t] != F[t]:
-                    raise RichelotError("inconsistent U^2/V^2 decomposition")
-            return al, be
-    raise RichelotError("U^2 and V^2 are not independent")
-
-
 def split_degenerate(s: QuadraticSplitting, d=None) -> SplitCodomain:
     """Split a delta = 0 quotient into its elliptic product.
 
-    Pencil method: F1 + t*F2 is a perfect square exactly at the two
-    roots t1, t2 of its discriminant (a quadratic in t, with distinct
-    roots since f is squarefree); U^2 and V^2 span the pencil and each
-    F_i decomposes as alpha_i U^2 + beta_i V^2.  The factors are
-    E: y^2 = prod(alpha_i x + beta_i) and E2: y^2 = prod(beta_i x + alpha_i).
-    d is delta(s), when the caller has it.
+    The blocks span a pencil whose two square members are (x - u)^2 and
+    (x - v)^2, for the fixed points u, v: the roots of the pencil's
+    Jacobian F_0' F_1 - F_1' F_0 = g2 x^2 + 2h x + g0, Richelot's minor
+    of the first two blocks (v = infinity when g2 = 0).  A quarter of its
+    discriminant, h^2 - g2 g0, is the blocks' resultant, nonzero for
+    squarefree f; when it is a non-square in GF(p^2), u and v are
+    conjugate and the same lines run over GF(p^4) (`extended`).  Then
+    F_i = alpha_i (x - u)^2 + beta_i (x - v)^2 with alpha_i = F_i(v)/w,
+    beta_i = F_i(u)/w and w = (u - v)^2 (when v = infinity, F_i(v) is
+    the leading coefficient and w = 1).  The factors are
+    E: y^2 = prod(alpha_i x + beta_i), with roots -F_i(u)/F_i(v), and
+    E2: y^2 = prod(beta_i x + alpha_i).  d is delta(s), when the caller
+    has it.
     """
     if not (delta(s) if d is None else d).is_zero():
         raise RichelotError("delta != 0: quotient is a Jacobian")
-    ctx = s.ctx
-    blocks = list(s.blocks)
-    quad_idx = [i for i, g in enumerate(blocks) if g.degree() == 2]
-    if len(quad_idx) < 2:
-        raise RichelotError("need two quadratic blocks")
-    i1, i2 = quad_idx[0], quad_idx[1]
-    trip = [(g[0], g[1], g[2]) for g in blocks]
-    F1, F2 = trip[i1], trip[i2]
-    # discriminant of F1 + t*F2, a quadratic in t with leading
-    # coefficient disc(F2) != 0
-    d2 = F2[1] * F2[1] - 4 * (F2[2] * F2[0])
-    d1 = 2 * (F1[1] * F2[1]) - 4 * (F1[2] * F2[0] + F1[0] * F2[2])
-    d0 = F1[1] * F1[1] - 4 * (F1[2] * F1[0])
-    root = (d1 * d1 - 4 * (d2 * d0)).sqrt()
+    K = s.ctx
+    trip = [(g[0], g[1], g[2]) for g in s.blocks]
+    (c0, b0, a0), (c1, b1, a1) = trip[0], trip[1]
+    g2, h, g0 = a0 * b1 - a1 * b0, a0 * c1 - a1 * c0, b0 * c1 - b1 * c0
+    disc = h * h - g2 * g0
+    if disc.is_zero():
+        raise RichelotError("repeated fixed point; blocks share a root")
+    root = disc.sqrt()
     extended = root is None
     if extended:
-        ext = ctx.extension()
-        trip = [tuple(ext.embed(c) for c in t) for t in trip]
-        F1, F2 = trip[i1], trip[i2]
-        disc_t = ext.embed(d1 * d1 - 4 * (d2 * d0))
-        d2, d1 = ext.embed(d2), ext.embed(d1)
-        root = disc_t.sqrt()
-        K = ext
+        K = K.extension()
+        trip = [tuple(K.embed(c) for c in t) for t in trip]
+        g2, h, root = K.embed(g2), K.embed(h), K.embed(disc).sqrt()
+    if g2.is_zero():  # the minor g0 + 2h x has one root; v is at infinity
+        u = -(g0 / (2 * h))
+        V, w, Fv = (K.one, K.zero), K.one, [t[2] for t in trip]
     else:
-        K = ctx
-    half = K.from_int(2).inverse()
-    t1 = (-d1 + root) * half * d2.inverse()
-    t2 = (-d1 - root) * half * d2.inverse()
-    if t1 == t2:
-        raise RichelotError("repeated pencil root; blocks share a root")
-    S1 = tuple(F1[t] + t1 * F2[t] for t in range(3))
-    S2 = tuple(F1[t] + t2 * F2[t] for t in range(3))
-    U = _sqrt_of_square_quadratic(S1, K)
-    V = _sqrt_of_square_quadratic(S2, K)
-    u0, u1 = U
-    v0, v1 = V
-    usq = (u0 * u0, 2 * (u0 * u1), u1 * u1)
-    vsq = (v0 * v0, 2 * (v0 * v1), v1 * v1)
-    alphas, betas = [], []
-    for t in trip:
-        al, be = _solve_alpha_beta(usq, vsq, t)
-        if al.is_zero() or be.is_zero():
-            raise RichelotError(
-                "degenerate alpha/beta; input cannot be squarefree")
-        alphas.append(al)
-        betas.append(be)
-    e_roots = [-(be * al.inverse()) for al, be in zip(alphas, betas)]
-    e2_roots = [-(al * be.inverse()) for al, be in zip(alphas, betas)]
+        u, v = (root - h) / g2, -(root + h) / g2
+        V, w = (-v, K.one), (u - v) * (u - v)
+        Fv = [t[0] + v * (t[1] + v * t[2]) for t in trip]
+    Fu = [t[0] + u * (t[1] + u * t[2]) for t in trip]
+    if any(x.is_zero() for x in Fu + Fv):
+        raise RichelotError(
+            "degenerate alpha/beta; input cannot be squarefree")
+    winv = w.inverse()
     data = DegenerateSplitData(
-        U=U, V=V, alphas=tuple(alphas), betas=tuple(betas),
-        blocks=tuple(trip) if extended else tuple(blocks),
+        U=(-u, K.one), V=V, alphas=tuple(x * winv for x in Fv),
+        betas=tuple(x * winv for x in Fu), blocks=tuple(trip),
         extended=extended)
-    if not extended:
-        E = EllipticCurveE2(*e_roots)
-        E2 = EllipticCurveE2(*e2_roots)
+    e_roots = [-(a / b) for a, b in zip(Fu, Fv)]
+    e2_roots = [-(b / a) for a, b in zip(Fu, Fv)]
+    if extended:
+        E, E2 = _rational_models_from_ext(s.ctx, e_roots, e2_roots)
     else:
-        E, E2 = _rational_models_from_ext(ctx, e_roots, e2_roots)
+        E, E2 = EllipticCurveE2(*e_roots), EllipticCurveE2(*e2_roots)
     return SplitCodomain(E=E, E2=E2, split_data=data)
 
 
@@ -237,21 +190,12 @@ def _rational_models_from_ext(ctx, e_roots, e2_roots):
     GF(p^2)-rational; models are rebuilt from j (always possible for
     the supersingular j-invariants the graph meets).
     """
-    js = []
-    for roots in (e_roots, e2_roots):
-        lam = (roots[2] - roots[0]) / (roots[1] - roots[0])
-        one = roots[0].ctx.one
-        num = (lam * lam - lam + one) ** 3 * 256
-        den = (lam * lam) * ((lam - one) * (lam - one))
-        j = num / den
-        if not j.in_base_field():
-            raise IrrationalSplitError(
-                "factor j-invariant not rational over GF(p^2)")
-        js.append(j.u)
-    out = []
-    for j in js:
-        E = curve_from_j(ctx, j)
+    js = [j_invariant(EllipticCurveE2(*r)) for r in (e_roots, e2_roots)]
+    if not all(j.in_base_field() for j in js):
+        raise IrrationalSplitError(
+            "factor j-invariant not rational over GF(p^2)")
+    models = [curve_from_j(ctx, j.u) for j in js]
+    for j, E in zip(js, models):
         if E is None:
             raise IrrationalSplitError(f"no rational split model with j={j}")
-        out.append(E)
-    return out[0], out[1]
+    return models[0], models[1]

@@ -8,7 +8,10 @@ from richelot import genus2
 from richelot.field import make_field
 from richelot.genus2 import (Genus2Curve, MoebiusMap, QuadraticSplitting,
                              _to_zero_one_inf, moebius_through, point_key)
-from richelot.isogeny import JacobianCodomain, RichelotError
+from richelot.elliptic import EllipticCurveE2
+from richelot.isogeny import (DegenerateSplitData, JacobianCodomain,
+                              RichelotError, SplitCodomain,
+                              _rational_models_from_ext)
 
 
 @pytest.fixture(scope="session")
@@ -190,3 +193,68 @@ def richelot_poly_oracle(s):
         raise RichelotError(f"degenerate Richelot codomain: {exc}") from exc
     return JacobianCodomain(curve, QuadraticSplitting.make(
         [g.monic() for g in G], fprime.leading()))
+
+
+def _pencil_square_root(trip, K):
+    """U with U^2 proportional to the perfect-square quadratic trip;
+    (1, 0) when it is constant."""
+    c0, c1, c2 = trip
+    if c2.is_zero():
+        if not c1.is_zero():
+            raise RichelotError("pencil member is linear, not a square")
+        return (K.one, K.zero)
+    return (c1 * c2.inverse() * K.from_int(2).inverse(), K.one)
+
+
+def _pencil_coordinates(P, Q, F):
+    """(alpha, beta) with F = alpha*P + beta*Q, for coefficient triples."""
+    for r1 in range(3):
+        for r2 in range(r1 + 1, 3):
+            det = P[r1] * Q[r2] - P[r2] * Q[r1]
+            if det.is_zero():
+                continue
+            dinv = det.inverse()
+            al = (F[r1] * Q[r2] - F[r2] * Q[r1]) * dinv
+            be = (P[r1] * F[r2] - P[r2] * F[r1]) * dinv
+            if any(al * P[t] + be * Q[t] != F[t] for t in range(3)):
+                raise RichelotError("inconsistent U^2/V^2 decomposition")
+            return al, be
+    raise RichelotError("U^2 and V^2 are not independent")
+
+
+def split_pencil_oracle(s):
+    """A delta = 0 quotient split by the pencil method: F1 + t*F2 is a
+    perfect square U^2, V^2 at the two roots t of its discriminant (over
+    GF(p^4) when they are irrational), and each block is solved for its
+    coordinates F_i = alpha_i U^2 + beta_i V^2.  What
+    isogeny.split_degenerate computed before the closed form at the
+    pencil's fixed points, kept as its oracle."""
+    ctx = s.ctx
+    trip = [(g[0], g[1], g[2]) for g in s.blocks]
+    i1, i2 = [i for i, g in enumerate(s.blocks) if g.degree() == 2][:2]
+    F1, F2 = trip[i1], trip[i2]
+    d2 = F2[1] * F2[1] - 4 * (F2[2] * F2[0])
+    d1 = 2 * (F1[1] * F2[1]) - 4 * (F1[2] * F2[0] + F1[0] * F2[2])
+    d0 = F1[1] * F1[1] - 4 * (F1[2] * F1[0])
+    disc, K = d1 * d1 - 4 * (d2 * d0), ctx
+    extended = disc.sqrt() is None
+    if extended:
+        K = ctx.extension()
+        trip = [tuple(K.embed(c) for c in t) for t in trip]
+        F1, F2 = trip[i1], trip[i2]
+        d2, d1, disc = K.embed(d2), K.embed(d1), K.embed(disc)
+    root, den = disc.sqrt(), (K.from_int(2) * d2).inverse()
+    t1, t2 = (root - d1) * den, -(root + d1) * den
+    U, V = (_pencil_square_root(tuple(a + t * b for a, b in zip(F1, F2)), K)
+            for t in (t1, t2))
+    usq = (U[0] * U[0], 2 * (U[0] * U[1]), U[1] * U[1])
+    vsq = (V[0] * V[0], 2 * (V[0] * V[1]), V[1] * V[1])
+    alphas, betas = zip(*(_pencil_coordinates(usq, vsq, t) for t in trip))
+    e_roots = [-(be / al) for al, be in zip(alphas, betas)]
+    e2_roots = [-(al / be) for al, be in zip(alphas, betas)]
+    if extended:
+        E, E2 = _rational_models_from_ext(ctx, e_roots, e2_roots)
+    else:
+        E, E2 = EllipticCurveE2(*e_roots), EllipticCurveE2(*e2_roots)
+    return SplitCodomain(E, E2, DegenerateSplitData(
+        U, V, alphas, betas, tuple(trip), extended))

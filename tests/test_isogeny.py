@@ -8,24 +8,46 @@ from richelot import poly
 from richelot.elliptic import EllipticCurveE2, j_invariant, two_isogeny
 from richelot.field import FieldElement, make_field
 from richelot.genus2 import (Genus2Curve, Genus2Error, QuadraticSplitting,
-                             canonical_key, clebsch_invariants, splittings)
+                             canonical_key, clebsch_invariants,
+                             point_splittings, splittings)
 from richelot.graph import build_graph, neighbourhood
 from richelot.isogeny import (IrrationalSplitError, RichelotError, delta,
                               richelot_generic, split_degenerate)
 from richelot.poly import Poly
 
 from conftest import (count_calls, random_distinct_elements, random_element,
-                      richelot_poly_oracle)
+                      richelot_poly_oracle, split_pencil_oracle)
 
 
 @pytest.fixture(scope="module")
-def richelot_edges():
+def graphs():
+    return {p: build_graph(make_field(p)) for p in (23, 41)}
+
+
+@pytest.fixture(scope="module")
+def richelot_edges(graphs):
     """p -> the splittings with delta != 0 that label an edge out of a
     Jacobian vertex of the graph at p."""
-    return {p: [e.kernel_rep for e in build_graph(make_field(p)).edges
+    return {p: [e.kernel_rep for e in g.edges
                 if isinstance(e.kernel_rep, QuadraticSplitting)
                 and not delta(e.kernel_rep).is_zero()]
-            for p in (23, 41)}
+            for p, g in graphs.items()}
+
+
+@pytest.fixture(scope="module")
+def split_kernels(graphs):
+    """p -> every splitting with delta = 0 among the 15 kernels of each
+    Jacobian vertex of the graph at p."""
+    out = {}
+    for p, g in graphs.items():
+        out[p] = []
+        for v in g.vertices.values():
+            if isinstance(v.representative, Genus2Curve):
+                f = v.representative.f
+                out[p] += [spl for spl, _ in point_splittings(
+                    f.ctx, (), v.points[1], f.leading())
+                    if delta(spl).is_zero()]
+    return out
 
 
 def c_two_param(ctx, s, t):
@@ -145,6 +167,104 @@ def test_split_over_extension_with_irrational_factors(ctx23):
         split_degenerate(spl)
     with pytest.raises(IrrationalSplitError, match="factor j-invariant"):
         neighbourhood(Genus2Curve(spl.product()))
+
+
+def test_split_over_extension_without_rational_model(ctx11):
+    # conjugate fixed points whose factors have a GF(p^2)-rational j but
+    # no model with rational 2-torsion: the rebuild from j raises
+    ctx = ctx11
+    spl = QuadraticSplitting.make(
+        [Poly(ctx, [ctx.element(a, b), ctx.element(c, d), ctx.one])
+         for a, b, c, d in ((5, 7, 9, 9), (7, 1, 3, 9), (10, 9, 1, 1))],
+        ctx.one)
+    assert delta(spl).is_zero()
+    for split in (split_degenerate, split_pencil_oracle):
+        with pytest.raises(IrrationalSplitError,
+                           match="no rational split model"):
+            split(spl)
+
+
+def _split_outcome(split, spl):
+    """The unordered pair of the factors' root triples and the extended
+    flag, or the IrrationalSplitError text."""
+    try:
+        sp = split(spl)
+    except IrrationalSplitError as exc:
+        return str(exc)
+    return (frozenset(tuple(r.key() for r in E.roots())
+                      for E in (sp.E, sp.E2)), sp.split_data.extended)
+
+
+def _fixed_point_discriminant(spl):
+    """h^2 - g2 g0 for Richelot's minor g2 x^2 + 2h x + g0 of the first
+    two blocks; its roots are the pencil's fixed points."""
+    (c0, b0, a0), (c1, b1, a1) = [(g[0], g[1], g[2]) for g in spl.blocks[:2]]
+    h = a0 * c1 - a1 * c0
+    return h * h - (a0 * b1 - a1 * b0) * (b0 * c1 - b1 * c0)
+
+
+@pytest.mark.parametrize("p", [23, 41])
+def test_split_matches_pencil_oracle_on_graph(p, split_kernels):
+    # every delta = 0 kernel of every Jacobian vertex: same factors, up
+    # to the order of E and E2; the fixed points are always rational,
+    # so the extended branch never runs on a graph
+    assert split_kernels[p]
+    for spl in split_kernels[p]:
+        assert _fixed_point_discriminant(spl).sqrt() is not None
+        got = _split_outcome(split_degenerate, spl)
+        assert got == _split_outcome(split_pencil_oracle, spl)
+        assert got[1] is False
+        assert split_degenerate(spl).split_data.verify()
+
+
+def involution_splitting(ctx, rng, s, n, linear=False):
+    """Blocks (x - a)(x - sigma(a)) for random a, where sigma is the
+    involution fixing the roots of x^2 - s x + n, or x -> s - x (fixing
+    s/2 and infinity) when n is None.  With linear, one block is
+    x - sigma(infinity) = x - s/2 instead."""
+    def sigma(a):
+        if n is None:
+            return s - a
+        den = 2 * a - s
+        return None if den.is_zero() else (s * a - 2 * n) / den
+
+    pts = [s / 2] if linear else []
+    blocks = [Poly(ctx, [-(s / 2), ctx.one])] if linear else []
+    while len(blocks) < 3:
+        a = random_element(ctx, rng)
+        b = sigma(a)
+        if b is None or a == b or a in pts or b in pts:
+            continue
+        pts += [a, b]
+        blocks.append(Poly.from_roots(ctx, [a, b]))
+    return QuadraticSplitting.make(blocks, ctx.one)
+
+
+@pytest.mark.parametrize("p", [23, 101])
+def test_split_matches_pencil_oracle_on_involutions(p):
+    # splittings built from an involution have delta = 0; cover fixed
+    # points at infinity, a linear block, and conjugate fixed points,
+    # where both methods raise or both set extended
+    ctx, rng = make_field(p), random.Random(p)
+    seen = {"inf": 0, "linear": 0, "rational": 0, "conjugate": 0}
+    while min(seen.values()) < 40:
+        s, n = random_element(ctx, rng), random_element(ctx, rng)
+        d = s * s - 4 * n
+        if d.is_zero():
+            continue
+        kind = rng.choice(["inf", "linear", "rational"])
+        if kind == "inf":
+            n = None
+        conjugate = n is not None and d.sqrt() is None
+        spl = involution_splitting(ctx, rng, s, n, kind == "linear")
+        assert delta(spl).is_zero()
+        assert (_fixed_point_discriminant(spl).sqrt() is None) == conjugate
+        got = _split_outcome(split_degenerate, spl)
+        assert got == _split_outcome(split_pencil_oracle, spl)
+        if not isinstance(got, str):
+            assert got[1] == conjugate
+            assert split_degenerate(spl).split_data.verify()
+        seen["conjugate" if conjugate else kind] += 1
 
 
 def test_split_data_identity_quintic(ctx23, rng):
