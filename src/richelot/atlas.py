@@ -24,7 +24,7 @@ import os
 import random
 from dataclasses import dataclass
 
-from .elliptic import EllipticCurveE2, j_invariant, two_isogeny
+from .elliptic import EllipticCurveE2, curve_from_j, j_invariant, two_isogeny
 from .field import FieldCtx
 from .genus2 import (INF, Genus2Curve, QuadraticSplitting, RAType,
                      clebsch_invariants, matching_pairing,
@@ -192,15 +192,6 @@ def _sample_curve_E(ctx, rng, exclude=()):
     raise AtlasError("could not sample a generic elliptic curve")
 
 
-def _e0(ctx) -> EllipticCurveE2:
-    z3 = ctx.nth_root_of_unity(3)
-    return EllipticCurveE2(ctx.one, z3, z3 * z3)
-
-
-def _e1728(ctx) -> EllipticCurveE2:
-    return EllipticCurveE2(ctx.one, ctx.from_int(-1), ctx.zero)
-
-
 def s_t_type_iv(ctx: FieldCtx, v):
     """The Type-IV reparametrization s(v), t(v) through zeta_3."""
     z3 = ctx.nth_root_of_unity(3)
@@ -277,16 +268,17 @@ def normal_form(case: str, ctx: FieldCtx, params=None, rng=None):
         return ProductSurface(E, E)
     if case == RAType.PI0:
         return ProductSurface(_sample_curve_E(ctx, rng, exclude=(0, 1728)),
-                              _e0(ctx))
+                              curve_from_j(ctx, ctx.zero))
     if case == RAType.PI1728:
         return ProductSurface(_sample_curve_E(ctx, rng, exclude=(0, 1728)),
-                              _e1728(ctx))
+                              curve_from_j(ctx, ctx.from_int(1728)))
+    e0, e1728 = (curve_from_j(ctx, ctx.from_int(j)) for j in (0, 1728))
     if case == RAType.PI01728:
-        return ProductSurface(_e0(ctx), _e1728(ctx))
+        return ProductSurface(e0, e1728)
     if case == RAType.SIGMA0:
-        return ProductSurface(_e0(ctx), _e0(ctx))
+        return ProductSurface(e0, e0)
     if case == RAType.SIGMA1728:
-        return ProductSurface(_e1728(ctx), _e1728(ctx))
+        return ProductSurface(e1728, e1728)
     raise AtlasError(f"unknown case {case!r}")
 
 
@@ -414,12 +406,6 @@ class AtlasReport:
         if self.detail:
             msg += f"\n  {self.detail}"
         return msg
-
-    def as_json_dict(self) -> dict:
-        return {"case": self.case, "p": self.p, "ok": self.ok,
-                "expected": [list(e) for e in self.expected],
-                "observed": [list(o) for o in self.observed],
-                "detail": self.detail}
 
 
 def _target_type(e) -> str:

@@ -27,14 +27,16 @@ from .poly import Poly
 DEFAULT_MAX_PRIME = 300
 
 
-def _add_common(sub):
+def _add_common(sub, capped=False):
     sub.add_argument("-p", type=int, required=True, help="prime > 5")
-    sub.add_argument("--max-prime", type=int, default=DEFAULT_MAX_PRIME,
-                     help="guard rail for the exhaustive subroutines "
-                          f"(default {DEFAULT_MAX_PRIME})")
+    if capped:  # the commands that build the whole graph
+        sub.add_argument("--max-prime", type=int, default=DEFAULT_MAX_PRIME,
+                         help="guard rail on the graph's size "
+                              f"(default {DEFAULT_MAX_PRIME})")
 
 
-def _field_for(args):
+def _graph_for(args):
+    """The whole graph at p, once p passes the --max-prime cap."""
     if args.p > args.max_prime:
         raise FieldError(
             f"p = {args.p} exceeds the cap {args.max_prime}; "
@@ -42,12 +44,11 @@ def _field_for(args):
     if args.p > DEFAULT_MAX_PRIME:
         print(f"warning: p = {args.p} is beyond the desk-scale default; "
               "expect long runtimes", file=sys.stderr)
-    return make_field(args.p)
+    return build_graph(make_field(args.p))
 
 
 def _cmd_census(args) -> int:
-    ctx = _field_for(args)
-    g = build_graph(ctx)
+    g = _graph_for(args)
     report = compare(g, expected_counts(args.p))
     if args.json:
         print(json.dumps(report.as_json_dict(), indent=2, sort_keys=True))
@@ -57,8 +58,7 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    ctx = _field_for(args)
-    g = build_graph(ctx)
+    g = _graph_for(args)
     text = export(g, args.format)
     if args.output:
         with open(args.output, "w") as fh:
@@ -69,15 +69,14 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    ctx = _field_for(args)
-    g = build_graph(ctx)
+    g = _graph_for(args)
     report = validate(g)
     print(report.summary())
     return 0 if report.ok else 1
 
 
 def _cmd_verify_atlas(args) -> int:
-    ctx = _field_for(args)
+    ctx = make_field(args.p)
     cases = [args.case] if args.case else list(ALL_CASES)
     ok = True
     for case in cases:
@@ -110,7 +109,7 @@ def _parse_field_elems(ctx, text, option):
 
 
 def _cmd_neighbourhood(args) -> int:
-    ctx = _field_for(args)
+    ctx = make_field(args.p)
     given = [x for x in (args.sextic, args.product, args.atlas)
              if x is not None]
     if len(given) != 1:
@@ -161,12 +160,12 @@ def make_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("census",
                        help="enumerate the superspecial graph and compare "
                             "per-type vertex counts with the formulas")
-    _add_common(c)
+    _add_common(c, capped=True)
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=_cmd_census)
 
     c = sub.add_parser("graph", help="export the superspecial graph")
-    _add_common(c)
+    _add_common(c, capped=True)
     c.add_argument("--format", choices=("dot", "json"), required=True)
     c.add_argument("-o", "--output", default=None)
     c.set_defaults(func=_cmd_graph)
@@ -195,7 +194,7 @@ def make_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("validate",
                        help="15-regularity, ratio principle, duals, "
                             "classifier agreement")
-    _add_common(c)
+    _add_common(c, capped=True)
     c.set_defaults(func=_cmd_validate)
     return ap
 

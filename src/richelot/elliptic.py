@@ -179,10 +179,9 @@ def find_supersingular_seed(ctx: FieldCtx) -> EllipticCurveE2:
     """
     p = ctx.p
     if p % 4 == 3:
-        return EllipticCurveE2(ctx.one, ctx.from_int(-1), ctx.zero)
+        return curve_from_j(ctx, ctx.from_int(1728))
     if p % 3 == 2:
-        z3 = ctx.nth_root_of_unity(3)
-        return EllipticCurveE2(ctx.one, z3, z3 * z3)
+        return curve_from_j(ctx, ctx.zero)
     for jint in range(p):
         E = curve_from_j(ctx, ctx.from_int(jint))
         if E is not None and is_supersingular(E):

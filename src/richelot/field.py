@@ -261,10 +261,6 @@ class FieldElement:
 
     # -- field-theoretic helpers ----------------------------------------
 
-    def frobenius(self) -> "FieldElement":
-        """x -> x^p, the nontrivial automorphism of GF(p^2)/GF(p)."""
-        return FieldElement(self.ctx, self.a, -self.b % self.ctx.p)
-
     def is_square(self) -> bool:
         if self.is_zero():
             return True

@@ -61,15 +61,13 @@ class RAType:
     PRODUCT = (PI, PI0, PI1728, PI01728, SIGMA, SIGMA0, SIGMA1728)
 
 
-JACOBIAN_ORDER_TO_TYPE = {1: RAType.A, 2: RAType.I, 4: RAType.III,
-                          5: RAType.II, 6: RAType.IV, 12: RAType.V,
-                          24: RAType.VI}
-
 RA_ORDER = {RAType.A: 1, RAType.I: 2, RAType.II: 5, RAType.III: 4,
             RAType.IV: 6, RAType.V: 12, RAType.VI: 24,
             RAType.PI: 2, RAType.SIGMA: 4, RAType.PI0: 6,
             RAType.PI1728: 4, RAType.PI01728: 12, RAType.SIGMA0: 36,
             RAType.SIGMA1728: 16}
+
+JACOBIAN_ORDER_TO_TYPE = {RA_ORDER[t]: t for t in RAType.JACOBIAN}
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +310,6 @@ class MoebiusMap:
             return INF
         return (self.a * pt + self.b) / den
 
-    def compose(self, other: "MoebiusMap") -> "MoebiusMap":
-        """self after other."""
-        return MoebiusMap.make(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d)
-
 
 def _to_zero_one_inf(K, p1, p2, p3):
     """Matrix of the Moebius map sending (p1, p2, p3) to (0, 1, inf)."""
@@ -503,29 +493,18 @@ def transform_curve(curve: Genus2Curve, a, b, c, d) -> Genus2Curve:
     ctx = curve.ctx
     if (a * d - b * c).is_zero():
         raise Genus2Error("singular substitution")
-    cs = [curve.f[k] for k in range(7)]
-    # f(x, z) = sum cs[k] x^k z^(6-k); substitute x -> a x + b z,
-    # z -> c x + d z.
-    out = [ctx.zero] * 7
+    # f(x, z) = sum f_k x^k z^(6-k); substitute x -> a x + b z,
+    # z -> c x + d z, and set z = 1.
+    num, den = Poly(ctx, [b, a]), Poly(ctx, [d, c])
+    nums, dens = [Poly.one(ctx)], [Poly.one(ctx)]
+    for _ in range(6):
+        nums.append(nums[-1] * num)
+        dens.append(dens[-1] * den)
+    out = Poly.zero(ctx)
     for k in range(7):
-        if cs[k].is_zero():
-            continue
-        # (a x + b z)^k (c x + d z)^(6-k)
-        poly1 = _binom_power(ctx, a, b, k)
-        poly2 = _binom_power(ctx, c, d, 6 - k)
-        conv = [ctx.zero] * 7
-        for i1, c1 in enumerate(poly1):
-            for i2, c2 in enumerate(poly2):
-                conv[i1 + i2] = conv[i1 + i2] + c1 * c2
-        for t in range(7):
-            out[t] = out[t] + cs[k] * conv[t]
-    return Genus2Curve(Poly(ctx, out))
-
-
-def _binom_power(ctx, u, v, k):
-    """Coefficients of (u x + v z)^k in x-degree order."""
-    return [ctx.from_int(comb(k, t)) * (u ** t) * (v ** (k - t))
-            for t in range(k + 1)]
+        if not curve.f[k].is_zero():
+            out = out + nums[k] * dens[6 - k] * curve.f[k]
+    return Genus2Curve(out)
 
 
 # ---------------------------------------------------------------------------

@@ -208,27 +208,22 @@ def ra_order_product(t: str) -> int:
 
 @dataclass(frozen=True)
 class TorsionActionGenerator:
-    """A generator of the RA-action on the 15 kernels.
-
-    Without swap: (a, b) -> (perm1[a], perm2[b]).  With swap (factors
-    isomorphic via a matching psi), (a, b) -> (psi^-1[b], psi[a]).
+    """A generator of the RA-action on the 15 kernels, or an
+    isomorphism between two products: (a, b) -> (perm1[a], perm2[b]),
+    then the two factors exchanged if swap is set.  The factor swap of
+    E x E' through a matching psi: E -> E' is perm1 = psi,
+    perm2 = psi^-1 with swap, so (a, b) -> (psi^-1[b], psi[a]).
     """
 
     perm1: tuple = (1, 2, 3)
     perm2: tuple = (1, 2, 3)
-    swap: tuple = ()
+    swap: bool = False
 
     def apply(self, element):
         a, b = element
-        if self.swap:
-            psi = self.swap
-            inv = {psi[t]: t + 1 for t in range(3)}
-            na = inv[b] if b else 0
-            nb = psi[a - 1] if a else 0
-            return (na, nb)
-        na = self.perm1[a - 1] if a else 0
-        nb = self.perm2[b - 1] if b else 0
-        return (na, nb)
+        a = self.perm1[a - 1] if a else 0
+        b = self.perm2[b - 1] if b else 0
+        return (b, a) if self.swap else (a, b)
 
     def apply_kernel(self, k: ProductKernel) -> ProductKernel:
         elems = frozenset(self.apply(e) for e in k.elements())
@@ -252,7 +247,9 @@ def torsion_action_generators(S: ProductSurface) -> list:
             gens.append(TorsionActionGenerator(perm2=p2))
     cross = isomorphisms_with_torsion(S.E1, S.E2)
     if cross:
-        gens.append(TorsionActionGenerator(swap=cross[0]))
+        psi = cross[0]
+        inv = tuple(psi.index(t) + 1 for t in (1, 2, 3))
+        gens.append(TorsionActionGenerator(psi, inv, swap=True))
     return gens
 
 

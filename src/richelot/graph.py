@@ -326,8 +326,8 @@ def _transport_kernel(src: ProductSurface, dst: ProductSurface,
     c1 = isomorphisms_with_torsion(src.E1, dst.E2)
     c2 = isomorphisms_with_torsion(src.E2, dst.E1)
     if c1 and c2:
-        k = TorsionActionGenerator(perm1=c1[0], perm2=c2[0]).apply_kernel(k)
-        return TorsionActionGenerator(swap=(1, 2, 3)).apply_kernel(k)
+        return TorsionActionGenerator(perm1=c1[0], perm2=c2[0],
+                                      swap=True).apply_kernel(k)
     raise GraphError("codomain factors do not match target product")
 
 

@@ -1,6 +1,7 @@
 import random
 import sys
 from itertools import permutations
+from math import comb
 
 import pytest
 
@@ -9,6 +10,7 @@ from richelot.field import make_field
 from richelot.genus2 import (Genus2Curve, MoebiusMap, QuadraticSplitting,
                              _to_zero_one_inf, moebius_through, point_key)
 from richelot.elliptic import EllipticCurveE2
+from richelot.poly import Poly
 from richelot.isogeny import (DegenerateSplitData, JacobianCodomain,
                               RichelotError, SplitCodomain,
                               _rational_models_from_ext)
@@ -193,6 +195,46 @@ def richelot_poly_oracle(s):
         raise RichelotError(f"degenerate Richelot codomain: {exc}") from exc
     return JacobianCodomain(curve, QuadraticSplitting.make(
         [g.monic() for g in G], fprime.leading()))
+
+
+def transform_curve_oracle(curve, a, b, c, d):
+    """Model change by x -> (ax + b)/(cx + d): each (a x + b z)^k
+    (c x + d z)^(6-k) binomially expanded and convolved by hand.  What
+    genus2.transform_curve computed before it multiplied Poly powers,
+    kept as its oracle."""
+    ctx = curve.ctx
+    if (a * d - b * c).is_zero():
+        raise genus2.Genus2Error("singular substitution")
+
+    def binom_power(u, v, k):
+        return [ctx.from_int(comb(k, t)) * (u ** t) * (v ** (k - t))
+                for t in range(k + 1)]
+
+    out = [ctx.zero] * 7
+    for k in range(7):
+        ck = curve.f[k]
+        if ck.is_zero():
+            continue
+        conv = [ctx.zero] * 7
+        for i1, c1 in enumerate(binom_power(a, b, k)):
+            for i2, c2 in enumerate(binom_power(c, d, 6 - k)):
+                conv[i1 + i2] = conv[i1 + i2] + c1 * c2
+        for t in range(7):
+            out[t] = out[t] + ck * conv[t]
+    return Genus2Curve(Poly(ctx, out))
+
+
+def torsion_apply_oracle(perm1, perm2, swap, element):
+    """(a, b) -> (perm1[a], perm2[b]); or, when swap is a matching psi
+    of the factors, (psi^-1[b], psi[a]).  The three-branch
+    gluing.TorsionActionGenerator.apply before one formula with a swap
+    flag replaced it, kept as its oracle."""
+    a, b = element
+    if swap:
+        psi = swap
+        inv = {psi[t]: t + 1 for t in range(3)}
+        return (inv[b] if b else 0, psi[a - 1] if a else 0)
+    return (perm1[a - 1] if a else 0, perm2[b - 1] if b else 0)
 
 
 def _pencil_square_root(trip, K):

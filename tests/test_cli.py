@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from richelot import poly
 from richelot.cli import run
 
@@ -103,6 +105,18 @@ def test_neighbourhood_atlas_case(capsys):
 def test_max_prime_cap(capsys):
     assert run(["census", "-p", "307"]) == 2
     assert "cap" in capsys.readouterr().err
+
+
+def test_cap_only_on_graph_commands(capsys):
+    # verify-atlas and neighbourhood build no graph: any prime, no warning
+    assert run(["verify-atlas", "-p", "1009"]) == 0
+    out, err = capsys.readouterr()
+    assert "FAIL" not in out and err == ""
+    with pytest.raises(SystemExit) as exc:
+        run(["neighbourhood", "-p", "29", "--atlas", "V",
+             "--max-prime", "2000"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-prime" in capsys.readouterr().err
 
 
 def test_byte_identical_runs(capsys):

@@ -13,13 +13,16 @@ from richelot.genus2 import (Genus2Curve, QuadraticSplitting, RAType,
                              matching_pairing, point_key,
                              splitting_root_pairs, weierstrass_points)
 from richelot.gluing import (GluedJacobian, ProductKernel, ProductSurface,
-                             kernel_orbits, quotient_diagonal)
-from richelot.graph import (GraphError, OrbitEdge, build_graph, dual_edge,
-                            export, neighbourhood, validate, VertexKey)
+                             kernel_orbits, quotient_diagonal,
+                             torsion_action_generators)
+from richelot.graph import (GraphError, OrbitEdge, _transport_kernel,
+                            build_graph, dual_edge, export, neighbourhood,
+                            validate, VertexKey)
 from richelot.poly import Poly
 
 from conftest import (clear_genus2_caches, count_calls,
-                      moebius_search_oracle)
+                      moebius_search_oracle, random_element,
+                      torsion_apply_oracle)
 
 
 def e_1728(ctx):
@@ -282,6 +285,77 @@ def test_edges_carry_their_orbit_kernels(p):
         assert len(v.kernel_to_edge) == 15
         assert all(v.kernel_to_edge[k] is e
                    for e in v.edges for k in e.kernels)
+
+
+@pytest.fixture(scope="module", params=[11, 23, 41, 59])
+def product_graph(request):
+    return build_graph(make_field(request.param))
+
+
+ID = (1, 2, 3)
+NONZERO_2_TORSION = [(a, b) for a in range(4) for b in range(4) if a or b]
+
+
+def random_model(E, rng):
+    """E with its roots moved by a random affine map and shuffled."""
+    u, t = random_element(E.ctx, rng), random_element(E.ctx, rng)
+    while u.is_zero():
+        u = random_element(E.ctx, rng)
+    roots = [u * r + t for r in E.roots()]
+    rng.shuffle(roots)
+    return EllipticCurveE2(*roots)
+
+
+def test_torsion_action_matches_oracle(product_graph, rng):
+    # every generator at every product vertex and at a random model of
+    # it, on every element of E[2] x E'[2], against the three-branch
+    # action of the old generators: the factors' automorphisms, then a
+    # swap through psi; the random models give psi other than identity
+    surfaces = [v.representative for v in product_graph.vertices.values()
+                if isinstance(v.representative, ProductSurface)]
+    surfaces += [ProductSurface(random_model(S.E1, rng),
+                                random_model(S.E2, rng)) for S in surfaces]
+    swaps = []
+    for S in surfaces:
+        old = [(p1, ID, ()) for p1 in isomorphisms_with_torsion(S.E1, S.E1)
+               if p1 != ID]
+        old += [(ID, p2, ()) for p2 in isomorphisms_with_torsion(S.E2, S.E2)
+                if p2 != ID]
+        cross = isomorphisms_with_torsion(S.E1, S.E2)
+        old += [(ID, ID, cross[0])] if cross else []
+        gens = torsion_action_generators(S)
+        assert len(gens) == len(old)
+        for g, (perm1, perm2, psi) in zip(gens, old):
+            swaps += [psi] if psi else []
+            for x in NONZERO_2_TORSION:
+                assert g.apply(x) == torsion_apply_oracle(perm1, perm2, psi, x)
+    assert any(psi != ID for psi in swaps)
+
+
+def test_transport_kernel_matches_two_step_oracle(product_graph):
+    # every product-codomain edge: the dual kernel moved onto the
+    # target's representative, the crossed case as the factor
+    # isomorphisms followed by a swap through the identity matching
+    crossed = 0
+    for e in product_graph.edges:
+        _, src, dual = e.hint
+        if not isinstance(src, ProductSurface):
+            continue
+        dst = product_graph.vertex(e.target).representative
+        s1 = isomorphisms_with_torsion(src.E1, dst.E1)
+        s2 = isomorphisms_with_torsion(src.E2, dst.E2)
+        if s1 and s2:
+            steps = [(s1[0], s2[0], ())]
+        else:
+            c1 = isomorphisms_with_torsion(src.E1, dst.E2)
+            c2 = isomorphisms_with_torsion(src.E2, dst.E1)
+            steps = [(c1[0], c2[0], ()), (ID, ID, ID)]
+            crossed += 1
+        elements = dual.elements()
+        for step in steps:
+            elements = {torsion_apply_oracle(*step, x) for x in elements}
+        assert _transport_kernel(src, dst, dual).elements() == elements
+    assert crossed
 
 
 def sextic_x6_plus_1(ctx):
