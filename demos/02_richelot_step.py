@@ -19,10 +19,17 @@ C = Genus2Curve(Poly.from_roots(
 print("curve: y^2 = (x^2 - 1)(x^2 - 9)(x^2 - 25) over GF(23^2)")
 print("type:", ra_type_from_clebsch(clebsch_invariants(C)))
 
+
+def block_text(g):
+    """A block, kept as its (c0, c1, c2) int pairs, as a polynomial."""
+    return str(Poly(ctx, [ctx.element(*c) for c in g]))
+
+
 spls = splittings(C)
 print(f"{len(spls)} quadratic splittings; delta values:")
 for spl in spls:
-    print("  delta =", delta(spl), " blocks:", [str(b) for b in spl.blocks])
+    print("  delta =", delta(spl), " blocks:",
+          [block_text(b) for b in spl.blocks])
 
 key = canonical_key(clebsch_invariants(C))
 for spl in spls:

@@ -83,7 +83,7 @@ def _root_pairs(ctx, s, t):
 def normal_form_splitting(ctx: FieldCtx, st) -> QuadraticSplitting:
     """K_1 of the Jacobian normal form with normal_form's second value
     st: of curve_two_param(ctx, *st), or of x^5 - 1 for st = None.  Its
-    product is the normal form's sextic."""
+    curve() is the normal form."""
     pairs = type_ii_kernels(ctx)[0] if st is None else _root_pairs(ctx, *st)[0]
     return matching_splitting(ctx, (), pairs, ctx.one)
 

@@ -3,7 +3,8 @@
 A curve is y^2 = f(x) with f squarefree of degree 5 or 6 over
 GF(p^2).  This module provides
 
-* enumeration of the rational quadratic splittings (the (2,2)-kernels),
+* the rational quadratic splittings (the (2,2)-kernels), each block a
+  (c0, c1, c2) triple of (a, b) int pairs from matching to transport,
 * Clebsch invariants (A : B : C : D) in P(2, 4, 6, 10), computed by
   transvectants of the binary sextic as integer term tables on (a, b)
   int pairs, one reduction mod p per output coefficient, and the
@@ -95,16 +96,8 @@ class Genus2Curve:
         nonzero discriminant and each two a nonzero resultant
         (c2 e0 - e2 c0)^2 - (c2 e1 - e2 c1)(c1 e0 - e1 c0); that also
         vanishes on two linear blocks, as both vanish at infinity."""
-        p, nr, m = ctx.p, ctx.nonresidue, ctx.pminor
-        f = [scale]
-        for g in blocks:
-            re, im = [0] * (len(f) + 2), [0] * (len(f) + 2)
-            for i, (a, b) in enumerate(f):
-                for j, (c, d) in enumerate(g):
-                    re[i + j] += a * c + nr * b * d
-                    im[i + j] += a * d + b * c
-            f = [(x % p, y % p) for x, y in zip(re, im)]
-        f = Poly(ctx, [FieldElement(ctx, *c) for c in f])
+        m = ctx.pminor
+        f = block_product(ctx, blocks, scale)
         if f.degree() not in (5, 6):
             raise Genus2Error(f"degree must be 5 or 6, got {f.degree()}")
         forms = [m(c1, c1, (4 * c2[0], 4 * c2[1]), c0)
@@ -126,12 +119,33 @@ class Genus2Curve:
         return f"Genus2Curve({self.f})"
 
 
+def block_product(ctx: FieldCtx, blocks, scale) -> Poly:
+    """scale * g1*g2*g3, multiplied on (a, b) int pairs, low first."""
+    p, nr = ctx.p, ctx.nonresidue
+    f = [scale]
+    for g in blocks:
+        re, im = [0] * (len(f) + 2), [0] * (len(f) + 2)
+        for i, (a, b) in enumerate(f):
+            for j, (c, d) in enumerate(g):
+                re[i + j] += a * c + nr * b * d
+                im[i + j] += a * d + b * c
+        f = [(x % p, y % p) for x, y in zip(re, im)]
+    return Poly(ctx, [FieldElement(ctx, *c) for c in f])
+
+
+def monic_block(ctx: FieldCtx, g) -> tuple:
+    """The block g over its leading coefficient, c1 when c2 = (0, 0)."""
+    inv = ctx.pinv(g[2] if g[2] != (0, 0) else g[1])
+    return tuple(ctx.pmul(c, inv) for c in g)
+
+
 @dataclass(frozen=True)
 class QuadraticSplitting:
     """Three monic blocks g1*g2*g3 with scale * g1*g2*g3 = f.
 
-    Blocks are sorted by (degree, coefficients), so equal splittings
-    compare equal; at most one block is linear (degree-5 curves).
+    A block is its coefficients (c0, c1, c2), low first, as (a, b) int
+    pairs; c2 = (0, 0) in a degree-5 curve's linear block.  Blocks sort
+    by degree, then by coefficients from the low end: blocks is the key.
     """
 
     blocks: tuple
@@ -139,24 +153,16 @@ class QuadraticSplitting:
 
     @classmethod
     def make(cls, blocks, scale) -> "QuadraticSplitting":
-        """The splitting of the given monic blocks, sorted."""
-        return cls(tuple(sorted(blocks, key=Poly.key)), scale)
+        """The splitting of the monic blocks, sorted by (c2, c0, c1)."""
+        return cls(tuple(sorted(blocks, key=lambda g: (g[2], g))), scale)
 
     @property
     def ctx(self) -> FieldCtx:
         return self.scale.ctx
 
-    def key(self):
-        return tuple(b.key() for b in self.blocks)
-
-    def product(self) -> Poly:
-        out = Poly(self.ctx, [self.scale])
-        for b in self.blocks:
-            out = out * b
-        return out
-
-    def __repr__(self):
-        return f"Splitting({list(self.blocks)}; scale={self.scale})"
+    def curve(self) -> Genus2Curve:
+        """y^2 = scale * g1*g2*g3, checked in closed form (of_blocks)."""
+        return Genus2Curve.of_blocks(self.ctx, self.blocks, self.scale.key())
 
 
 def _matchings(items):
@@ -177,13 +183,14 @@ INF = "inf"  # the point at infinity on the x-line
 def matching_splitting(ctx, forced, matching, scale) -> QuadraticSplitting:
     """The forced monic blocks plus x^2 - (r + s)x + rs, made on (a, b)
     int pairs, per pair (r, s) of the matching (x - r when s is INF)."""
-    blocks = list(forced)
+    p, blocks = ctx.p, list(forced)
     for r, s in matching:
         if r is INF or s is INF:
-            blocks.append(Poly(ctx, [-(s if r is INF else r), ctx.one]))
+            t = s if r is INF else r
+            blocks.append(((-t.a % p, -t.b % p), (1, 0), (0, 0)))
         else:
-            rs = FieldElement(ctx, *ctx.pmul((r.a, r.b), (s.a, s.b)))
-            blocks.append(Poly(ctx, [rs, -(r + s), ctx.one]))
+            blocks.append((ctx.pmul((r.a, r.b), (s.a, s.b)),
+                           ((-r.a - s.a) % p, (-r.b - s.b) % p), (1, 0)))
     return QuadraticSplitting.make(blocks, scale)
 
 
@@ -196,11 +203,11 @@ def matching_pairing(matching) -> frozenset:
 def point_splittings(ctx, forced, free, scale) -> list:
     """(splitting, pairing) for each perfect matching of the free points
     (GF(p^2) elements and INF) around the forced irreducible blocks,
-    sorted by splitting key.  The pairing is the matching's label, as
+    sorted by blocks.  The pairing is the matching's label, as
     splitting_pairing gives it when nothing is forced."""
     out = [(matching_splitting(ctx, forced, m, scale), matching_pairing(m))
            for m in _matchings(list(free))]
-    out.sort(key=lambda sp: sp[0].key())
+    out.sort(key=lambda sp: sp[0].blocks)
     return out
 
 
@@ -216,7 +223,8 @@ def splittings(curve: Genus2Curve) -> list:
     f = curve.f
     linears, quads = factor_quadratic_pieces(f)
     free = [-g[0] for g in linears] + ([INF] if f.degree() == 5 else [])
-    return [s for s, _ in point_splittings(f.ctx, quads, free, f.leading())]
+    forced = [tuple((g[k].a, g[k].b) for k in range(3)) for g in quads]
+    return [s for s, _ in point_splittings(f.ctx, forced, free, f.leading())]
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +238,15 @@ def point_key(pt):
     return (1, ) + pt.key()
 
 
-def _block_roots(g: Poly, K):
-    """The two points of a monic block of degree <= 2 over K (GF(p^2)
-    or GF(p^4)), INF partnering a linear block's root; None when the
-    block is irreducible over K."""
-    embed = K.embed if isinstance(K, ExtCtx) else (lambda x: x)
-    if g.degree() == 1:
-        return embed(-g[0]), INF
-    b, c = embed(g[1]), embed(g[0])
+def _block_roots(g, K):
+    """The two points of a monic block (c0, c1, c2) of int pairs over K
+    (GF(p^2) or GF(p^4)), INF partnering a linear block's root; None
+    when the block is irreducible over K."""
+    ctx = K.base if isinstance(K, ExtCtx) else K
+    embed = (lambda x: x) if K is ctx else K.embed
+    c, b = (embed(FieldElement(ctx, *x)) for x in g[:2])
+    if g[2] == (0, 0):
+        return -c, INF
     s = (b * b - 4 * c).sqrt()
     if s is None:
         return None
@@ -246,7 +255,7 @@ def _block_roots(g: Poly, K):
 
 
 def splitting_root_pairs(spl: QuadraticSplitting):
-    """The Weierstrass points of y^2 = spl.product() as the three pairs
+    """The Weierstrass points of y^2 = spl.curve() as the three pairs
     covered by spl's blocks, one square root each; returns (field,
     pairs).  The field is GF(p^2) when every block splits there, else
     GF(p^4).
@@ -260,7 +269,7 @@ def splitting_root_pairs(spl: QuadraticSplitting):
 
 
 def splitting_points(spl: QuadraticSplitting):
-    """The six Weierstrass points of y^2 = spl.product(), sorted;
+    """The six Weierstrass points of y^2 = spl.curve(), sorted;
     returns (field, points) with the field of splitting_root_pairs."""
     K, pairs = splitting_root_pairs(spl)
     return K, sorted((pt for pair in pairs for pt in pair), key=point_key)

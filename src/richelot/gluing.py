@@ -17,8 +17,7 @@ from .elliptic import (EllipticCurveE2, isomorphisms_with_torsion,
                        j_invariant, two_isogeny)
 from .field import FieldElement
 from .genus2 import Genus2Curve, Genus2Error, QuadraticSplitting, RAType, \
-    RA_ORDER, orbit_partition
-from .poly import Poly
+    RA_ORDER, block_product, monic_block, orbit_partition
 
 
 class GluingError(ValueError):
@@ -166,16 +165,15 @@ def quotient_diagonal(S: ProductSurface, k: ProductKernel):
     for i, j, k2 in cyc:
         c2 = A * ((s[j] - s[i]) * (s[i] - s[k2]))
         c0 = B * ((sp[j] - sp[i]) * (sp[i] - sp[k2]))
-        blocks.append(Poly(ctx, [c0, ctx.zero, c2]))
-    f = -(blocks[0] * blocks[1] * blocks[2])
+        blocks.append(((c0.a, c0.b), (0, 0), (c2.a, c2.b)))
+    f = block_product(ctx, blocks, (ctx.p - 1, 0))
     try:
         curve = Genus2Curve(f)
     except Genus2Error as exc:
         raise DegenerateGluingError(f"glued curve invalid: {exc}", k) \
             from exc
-    return GluedJacobian(curve=curve,
-                         dual=QuadraticSplitting.make(
-                             [b.monic() for b in blocks], f.leading()))
+    return GluedJacobian(curve, QuadraticSplitting.make(
+        [monic_block(ctx, b) for b in blocks], f.leading()))
 
 
 def ra_type_product_vertex(j1: FieldElement, j2: FieldElement) -> str:

@@ -160,8 +160,8 @@ def neighbourhood(rep) -> list:
     """Orbit edges out of a vertex representative.
 
     rep is a Genus2Curve, a ProductSurface, or a QuadraticSplitting
-    standing for the Jacobian of y^2 = rep.product(), whose Weierstrass
-    points are read off its blocks; only a bare curve is factored.
+    standing for the Jacobian of its curve(), whose Weierstrass points
+    are read off its blocks; only a bare curve is factored.
     For Jacobians: the reduced automorphisms permute the 15 rational
     splittings; one Richelot or splitting step per orbit.  For
     products: the torsion action groups the 15 product/diagonal
@@ -169,7 +169,7 @@ def neighbourhood(rep) -> list:
     """
     dual = None
     if isinstance(rep, QuadraticSplitting):
-        rep, dual = Genus2Curve(rep.product()), rep
+        rep, dual = rep.curve(), rep
     return _expand(_make_vertex(VertexKey.of(rep), rep, dual))
 
 

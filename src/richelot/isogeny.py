@@ -16,17 +16,12 @@ from dataclasses import dataclass
 
 from .elliptic import EllipticCurveE2, curve_from_j, j_invariant
 from .field import FieldElement
-from .genus2 import Genus2Curve, Genus2Error, QuadraticSplitting
-from .poly import Poly
+from .genus2 import Genus2Curve, Genus2Error, QuadraticSplitting, \
+    monic_block
 
 
 class RichelotError(ValueError):
     """Invalid isogeny-step input (wrong delta branch, bad splitting)."""
-
-
-def _rows(s: QuadraticSplitting) -> list:
-    """The blocks c + b x + a x^2 of s as (c, b, a), in (a, b) int pairs."""
-    return [tuple((g[k].a, g[k].b) for k in range(3)) for g in s.blocks]
 
 
 def delta(s: QuadraticSplitting) -> FieldElement:
@@ -35,7 +30,7 @@ def delta(s: QuadraticSplitting) -> FieldElement:
 
     Zero exactly when the quotient splits as an elliptic product.
     """
-    ctx, F = s.ctx, _rows(s)
+    ctx, F = s.ctx, s.blocks
     t = [ctx.pmul(F[i][2], ctx.pminor(F[k][1], F[j][0], F[j][1], F[k][0]))
          for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]
     return FieldElement(ctx, *(sum(x) % ctx.p for x in zip(*t)))
@@ -59,7 +54,7 @@ def richelot_generic(s: QuadraticSplitting, d=None) -> JacobianCodomain:
     d = delta(s) if d is None else d
     if d.is_zero():
         raise RichelotError("delta = 0: quotient is an elliptic product")
-    ctx, F = s.ctx, _rows(s)
+    ctx, F = s.ctx, s.blocks
     m, mul, dinv = ctx.pminor, ctx.pmul, ctx.pinv((d.a, d.b))
     G = [(m(bj, ck, bk, cj), mul((2, 0), m(aj, ck, ak, cj)),
           m(aj, bk, ak, bj)) for (cj, bj, aj), (ck, bk, ak)
@@ -68,11 +63,8 @@ def richelot_generic(s: QuadraticSplitting, d=None) -> JacobianCodomain:
         curve = Genus2Curve.of_blocks(ctx, G, mul(dinv, mul(dinv, dinv)))
     except Genus2Error as exc:
         raise RichelotError(f"degenerate Richelot codomain: {exc}") from exc
-    invs = [ctx.pinv(g[2] if g[2] != (0, 0) else g[1]) for g in G]
-    blocks = [Poly(ctx, [FieldElement(ctx, *mul(c, inv)) for c in g])
-              for g, inv in zip(G, invs)]
     return JacobianCodomain(curve, QuadraticSplitting.make(
-        blocks, curve.f.leading()))
+        [monic_block(ctx, g) for g in G], curve.f.leading()))
 
 
 @dataclass(frozen=True)
@@ -146,7 +138,7 @@ def split_degenerate(s: QuadraticSplitting, d=None) -> SplitCodomain:
     if not (delta(s) if d is None else d).is_zero():
         raise RichelotError("delta != 0: quotient is a Jacobian")
     K = s.ctx
-    trip = [(g[0], g[1], g[2]) for g in s.blocks]
+    trip = [tuple(FieldElement(K, *c) for c in g) for g in s.blocks]
     (c0, b0, a0), (c1, b1, a1) = trip[0], trip[1]
     g2, h, g0 = a0 * b1 - a1 * b0, a0 * c1 - a1 * c0, b0 * c1 - b1 * c0
     disc = h * h - g2 * g0

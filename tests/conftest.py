@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from richelot import genus2
-from richelot.field import make_field
+from richelot.field import FieldElement, make_field
 from richelot.genus2 import (Genus2Curve, MoebiusMap, QuadraticSplitting,
                              _to_zero_one_inf, moebius_through, point_key)
 from richelot.elliptic import EllipticCurveE2
@@ -34,6 +34,34 @@ def ctx23():
 @pytest.fixture()
 def rng():
     return random.Random(0xDECAF)
+
+
+def block_triple(g):
+    """A Poly block of degree <= 2 as the (c0, c1, c2) triple of (a, b)
+    int pairs, low first, that QuadraticSplitting keeps."""
+    return tuple((g[k].a, g[k].b) for k in range(3))
+
+
+def block_poly(ctx, t):
+    """The Poly of a block triple (block_triple's inverse)."""
+    return Poly(ctx, [FieldElement(ctx, *c) for c in t])
+
+
+def splitting_of(blocks, scale):
+    """QuadraticSplitting.make of Poly blocks, through block_triple."""
+    return QuadraticSplitting.make([block_triple(g) for g in blocks], scale)
+
+
+def poly_key_oracle(t):
+    """Poly.key of a block triple: the number of coefficients, then the
+    coefficient pairs low to high, trailing zeros dropped.  The order
+    QuadraticSplitting.make gave blocks, and point_splittings gave
+    splittings block by block, while blocks were Polys, kept as their
+    oracle."""
+    coeffs = list(t)
+    while coeffs and coeffs[-1] == (0, 0):
+        coeffs.pop()
+    return (len(coeffs), tuple(coeffs))
 
 
 def random_element(ctx, rng):
@@ -179,13 +207,14 @@ def richelot_poly_oracle(s):
     G_i = (F_j' F_k - F_k' F_j)/delta by Poly arithmetic, and the gcd
     squarefree test of Genus2Curve(f).  What isogeny.richelot_generic
     computed before it ran on int pairs, kept as its oracle."""
-    r = [(g[0], g[1], g[2]) for g in s.blocks]
+    F = [block_poly(s.ctx, t) for t in s.blocks]
+    r = [(g[0], g[1], g[2]) for g in F]
     d = (r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
          - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
          + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
     if d.is_zero():
         raise RichelotError("delta = 0: quotient is an elliptic product")
-    F, dinv = s.blocks, d.inverse()
+    dinv = d.inverse()
     G = [(F[j].derivative() * F[k] - F[k].derivative() * F[j]) * dinv
          for j, k in ((1, 2), (2, 0), (0, 1))]
     fprime = G[0] * G[1] * G[2]
@@ -193,7 +222,7 @@ def richelot_poly_oracle(s):
         curve = Genus2Curve(fprime)
     except genus2.Genus2Error as exc:
         raise RichelotError(f"degenerate Richelot codomain: {exc}") from exc
-    return JacobianCodomain(curve, QuadraticSplitting.make(
+    return JacobianCodomain(curve, splitting_of(
         [g.monic() for g in G], fprime.leading()))
 
 
@@ -272,8 +301,9 @@ def split_pencil_oracle(s):
     isogeny.split_degenerate computed before the closed form at the
     pencil's fixed points, kept as its oracle."""
     ctx = s.ctx
-    trip = [(g[0], g[1], g[2]) for g in s.blocks]
-    i1, i2 = [i for i, g in enumerate(s.blocks) if g.degree() == 2][:2]
+    blocks = [block_poly(ctx, t) for t in s.blocks]
+    trip = [(g[0], g[1], g[2]) for g in blocks]
+    i1, i2 = [i for i, g in enumerate(blocks) if g.degree() == 2][:2]
     F1, F2 = trip[i1], trip[i2]
     d2 = F2[1] * F2[1] - 4 * (F2[2] * F2[0])
     d1 = 2 * (F1[1] * F2[1]) - 4 * (F1[2] * F2[0] + F1[0] * F2[2])

@@ -23,10 +23,10 @@ def test_indexed_splittings_bijection(ctx23):
     s, t = ctx23.from_int(3), ctx23.from_int(5)
     indexed = [matching_splitting(ctx23, (), pairs, ctx23.one)
                for pairs in _root_pairs(ctx23, s, t)]
-    assert len({sp.key() for sp in indexed}) == 15
+    assert len({sp.blocks for sp in indexed}) == 15
     C = curve_two_param(ctx23, s, t)
-    assert {sp.key() for sp in splittings(C)} \
-        == {sp.key() for sp in indexed}
+    assert {sp.blocks for sp in splittings(C)} \
+        == {sp.blocks for sp in indexed}
 
 
 def test_normal_form_cases(ctx23):
@@ -52,11 +52,11 @@ def test_type_ii_kernels_are_orbit_representatives():
     ctx = make_field(19)
     ks = [matching_splitting(ctx, (), m, ctx.one)
           for m in type_ii_kernels(ctx)]
-    assert len({k.key() for k in ks}) == 3
+    assert len({k.blocks for k in ks}) == 3
     C = Genus2Curve(Poly.from_ints(ctx, [-1, 0, 0, 0, 0, 1]))
-    all_keys = {sp.key() for sp in splittings(C)}
+    all_keys = {sp.blocks for sp in splittings(C)}
     for k in ks:
-        assert k.key() in all_keys
+        assert k.blocks in all_keys
 
 
 def test_verify_case_type_v_exceptional_columns():
@@ -163,10 +163,10 @@ def test_atlas_factors_no_normal_form(monkeypatch, ctx23):
 
 def test_normal_form_splitting_is_the_normal_form():
     # K_1, the splitting neighbourhood is given, multiplies back to the
-    # normal form's sextic
+    # normal form's sextic, and is one of the curve's splittings
     ctx = make_field(29)
     for case in ("I", "III", "IV", "V", "VI", "II"):
         C, st = normal_form(case, ctx)
         spl = normal_form_splitting(ctx, st)
-        assert spl.product() == C.f
-        assert spl.key() in {sp.key() for sp in splittings(C)}
+        assert spl.curve() == C
+        assert spl in splittings(C)

@@ -20,9 +20,10 @@ from richelot.poly import (Poly, factor_quadratic_pieces, is_squarefree,
                            roots as poly_roots)
 
 from clebsch_fixtures import FIXTURES
-from conftest import (moebius_frames_oracle, moebius_search_oracle,
+from conftest import (block_poly, block_triple, moebius_frames_oracle,
+                      moebius_search_oracle, poly_key_oracle,
                       random_distinct_elements, random_element,
-                      transform_curve_oracle)
+                      splitting_of, transform_curve_oracle)
 
 
 def frob(x):
@@ -48,7 +49,8 @@ def test_splittings_counts(ctx23, rng):
     spls = splittings(Genus2Curve(Poly.from_ints(ctx19, [-1, 0, 0, 0, 0, 1])))
     assert len(spls) == 15
     for s in spls:
-        assert sorted(b.degree() for b in s.blocks) == [1, 2, 2]
+        assert [block_poly(ctx19, b).degree() for b in s.blocks] \
+            == [1, 2, 2]
     # at p = 23 the quintic's quartic factor only breaks into two
     # irreducible quadratics: a single rational kernel (reported, not
     # fatal)
@@ -60,7 +62,7 @@ def test_splittings_product_reproduces_f(ctx23, rng):
     for _ in range(10):
         C = random_split_curve(ctx23, rng)
         for s in splittings(C):
-            assert s.product() == C.f
+            assert s.curve().f == C.f
 
 
 def test_splitting_keeps_irreducible_blocks(ctx11, rng):
@@ -72,7 +74,7 @@ def test_splitting_keeps_irreducible_blocks(ctx11, rng):
     spls = splittings(C)
     assert len(spls) == 3  # 3 pairings of the 4 rational roots
     for s in spls:
-        assert irred.monic() in s.blocks
+        assert block_triple(irred.monic()) in s.blocks
 
 
 def test_clebsch_type_ii_and_vi_anchors():
@@ -597,6 +599,7 @@ def test_point_splittings_match_factoring_oracle_on_graph(p):
 def test_point_splittings_run_on_ints(monkeypatch):
     # at every Jacobian vertex at p = 41 each block is Poly.from_roots of
     # its pair of points, and building them makes no FieldElement product
+    # and no Poly
     ctx = make_field(41)
     g = build_graph(ctx)
     cases = [(v.points[1], v.representative.f.leading())
@@ -608,15 +611,49 @@ def test_point_splittings_run_on_ints(monkeypatch):
                      for pair in pairing]
             blocks = [Poly(ctx, [-s, ctx.one]) if r is INF
                       else Poly.from_roots(ctx, [r, s]) for r, s in pairs]
-            assert spl == QuadraticSplitting.make(blocks, scale)
-    muls = []
-    real_mul = FieldElement.__mul__
+            assert spl == splitting_of(blocks, scale)
+    muls, polys = [], []
+    real_mul, real_init = FieldElement.__mul__, Poly.__init__
     monkeypatch.setattr(FieldElement, "__mul__",
                         lambda *args: muls.append(args) or real_mul(*args))
     monkeypatch.setattr(FieldElement, "__rmul__", FieldElement.__mul__)
+    monkeypatch.setattr(Poly, "__init__", lambda self, *args:
+                        polys.append(args) or real_init(self, *args))
     for pts, scale in cases:
         point_splittings(ctx, (), pts, scale)
-    assert muls == []
+    assert muls == [] and polys == []
+
+
+def test_make_sorts_blocks_by_poly_key_order(rng):
+    # random monic blocks, with and without a linear block: make orders
+    # them as Poly.key ordered Poly blocks
+    for p in (11, 23, 101):
+        ctx = make_field(p)
+        for trial in range(200):
+            blocks = [(random_element(ctx, rng).key(),
+                       random_element(ctx, rng).key(), (1, 0))
+                      for _ in range(3)]
+            if trial % 2:
+                blocks[0] = (random_element(ctx, rng).key(), (1, 0),
+                             (0, 0))
+            for t in blocks:
+                assert poly_key_oracle(t) == block_poly(ctx, t).key()
+            got = QuadraticSplitting.make(blocks, ctx.one).blocks
+            assert list(got) == sorted(blocks, key=poly_key_oracle)
+
+
+@pytest.mark.parametrize("p", [23, 41])
+def test_point_splittings_keep_poly_key_order(p):
+    # at every Jacobian vertex the 15 splittings come in the order of
+    # their blocks' Poly.keys, so orbit representatives are unchanged
+    g = build_graph(make_field(p))
+    for v in g.vertices.values():
+        if v.key.kind == "jacobian":
+            f = v.representative.f
+            spls = [s for s, _ in point_splittings(
+                f.ctx, (), v.points[1], f.leading())]
+            assert spls == sorted(spls, key=lambda s: tuple(
+                poly_key_oracle(b) for b in s.blocks))
 
 
 def test_clebsch_table_rows(ctx23):

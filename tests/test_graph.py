@@ -1,5 +1,6 @@
 """Graph enumeration: neighbourhoods, duals, BFS, validation, export."""
 
+import hashlib
 import json
 from itertools import permutations
 
@@ -9,8 +10,7 @@ from richelot import genus2
 from richelot.elliptic import (EllipticCurveE2, isomorphisms_with_torsion,
                                two_isogeny)
 from richelot.field import make_field
-from richelot.genus2 import (Genus2Curve, QuadraticSplitting, RAType,
-                             matching_pairing, point_key,
+from richelot.genus2 import (Genus2Curve, RAType, matching_pairing, point_key,
                              splitting_root_pairs, weierstrass_points)
 from richelot.gluing import (GluedJacobian, ProductKernel, ProductSurface,
                              kernel_orbits, quotient_diagonal,
@@ -21,7 +21,7 @@ from richelot.graph import (GraphError, OrbitEdge, _transport_kernel,
 from richelot.poly import Poly
 
 from conftest import (clear_genus2_caches, count_calls,
-                      moebius_search_oracle, random_element,
+                      moebius_search_oracle, random_element, splitting_of,
                       torsion_apply_oracle)
 
 
@@ -62,7 +62,7 @@ def test_neighbourhood_type_ii_three_fives():
 
 @pytest.mark.parametrize("p", [23, 41])
 def test_neighbourhood_of_a_splitting_matches_its_curve(p):
-    # a splitting stands for y^2 = spl.product() with its points read off
+    # a splitting stands for its curve() with its points read off
     # the blocks; the edges equal those of the factored curve
     g = build_graph(make_field(p))
     for v in g.vertices.values():
@@ -70,7 +70,7 @@ def test_neighbourhood_of_a_splitting_matches_its_curve(p):
             continue
         curve_edges = neighbourhood(v.representative)
         for spl in [e.kernel_rep for e in v.edges][:3]:
-            assert Genus2Curve(spl.product()) == v.representative
+            assert spl.curve() == v.representative
             spl_edges = neighbourhood(spl)
             assert len(spl_edges) == len(curve_edges)
             for a, b in zip(spl_edges, curve_edges):
@@ -83,9 +83,9 @@ def test_neighbourhood_of_a_splitting_with_an_irreducible_block(ctx23):
     blocks = [Poly(ctx, [-ctx.nonsquare(), ctx.zero, ctx.one])] + [
         Poly.from_roots(ctx, list(map(ctx.from_int, pair)))
         for pair in ((1, 2), (3, 4))]
-    spl = QuadraticSplitting.make(blocks, ctx.one)
+    spl = splitting_of(blocks, ctx.one)
     with pytest.raises(GraphError) as from_curve:
-        neighbourhood(Genus2Curve(spl.product()))
+        neighbourhood(spl.curve())
     with pytest.raises(GraphError) as from_splitting:
         neighbourhood(spl)
     assert "only 3 rational kernels" in str(from_curve.value)
@@ -250,12 +250,11 @@ def test_dual_transport_from_codomain_with_irrational_points():
     _, pts = v.points
     m = ctx.nonsquare()
     halves = [x for x in pts if point_key(x) < point_key(-x)]
-    spl = QuadraticSplitting.make(
+    spl = splitting_of(
         [Poly(ctx, [-(m * x * x), ctx.zero, ctx.one]) for x in halves],
         ctx.one)
-    assert spl.product() == Poly(ctx, [m * m * m] + [ctx.zero] * 5
-                                 + [ctx.one])
-    codomain = Genus2Curve(spl.product())
+    codomain = spl.curve()
+    assert codomain.f == Poly(ctx, [m * m * m] + [ctx.zero] * 5 + [ctx.one])
     assert VertexKey.of(codomain) == v.key
     e = OrbitEdge(source=v.key, target=v.key, weight=1, kernel_rep=None,
                   is_loop=True, hint=("jac", codomain, spl))
@@ -472,6 +471,28 @@ def test_out_weight_fifteen_every_vertex():
         g = build_graph(make_field(p))
         for v in g.vertices.values():
             assert sum(e.weight for e in v.edges) == 15
+
+
+# sha256 of export(build_graph(make_field(p)), fmt), pinned so that a
+# change of vertex keys, types, edges or their order shows
+GOLDEN_EXPORTS = {
+    (23, "json"):
+        "39f1a1ec659246153243831b77204168bee15f2bd10c53fa4a0721ba16a86ebd",
+    (23, "dot"):
+        "772d3d5febb4b81455ee9a1c9452b34770d293ca65900759f7301ee14852d00c",
+    (41, "json"):
+        "ae94d58045afd053efa201a3b6e24614d39de008a4a8b789459229453a03461c",
+    (41, "dot"):
+        "deb7070ca8161c4a69d826bc1f86db0998d45543b19db30eec2753b9d13f6762",
+}
+
+
+@pytest.mark.parametrize("p", [23, 41])
+def test_export_matches_golden_digests(p):
+    g = build_graph(make_field(p))
+    for fmt in ("json", "dot"):
+        digest = hashlib.sha256(export(g, fmt).encode()).hexdigest()
+        assert digest == GOLDEN_EXPORTS[p, fmt], fmt
 
 
 def test_export_empty_graph_skeleton():

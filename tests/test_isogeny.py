@@ -15,8 +15,9 @@ from richelot.isogeny import (IrrationalSplitError, RichelotError, delta,
                               richelot_generic, split_degenerate)
 from richelot.poly import Poly
 
-from conftest import (count_calls, random_distinct_elements, random_element,
-                      richelot_poly_oracle, split_pencil_oracle)
+from conftest import (block_triple, count_calls, random_distinct_elements,
+                      random_element, richelot_poly_oracle, splitting_of,
+                      split_pencil_oracle)
 
 
 @pytest.fixture(scope="module")
@@ -56,14 +57,14 @@ def c_two_param(ctx, s, t):
 
 
 def k1_splitting(ctx, s, t):
-    return QuadraticSplitting.make(
+    return splitting_of(
         [Poly.from_roots(ctx, [ctx.one, -ctx.one]),
          Poly.from_roots(ctx, [s, -s]),
          Poly.from_roots(ctx, [t, -t])], ctx.one)
 
 
 def k2_splitting(ctx, s, t):
-    return QuadraticSplitting.make(
+    return splitting_of(
         [Poly.from_roots(ctx, [ctx.one, -ctx.one]),
          Poly.from_roots(ctx, [-s, -t]),
          Poly.from_roots(ctx, [s, t])], ctx.one)
@@ -85,7 +86,7 @@ def test_delta_examples(ctx23, rng):
         expect = -2 * (s + t) * (ctx.one + s * t)
         assert d == expect or d == -expect
     # repeated rows
-    g = Poly.from_ints(ctx, [1, 1, 1])
+    g = block_triple(Poly.from_ints(ctx, [1, 1, 1]))
     assert delta(QuadraticSplitting(blocks=(g, g, g), scale=ctx.one)) \
         .is_zero()
 
@@ -134,7 +135,7 @@ def test_split_kernels_of_type_iii(ctx23):
     res1 = split_degenerate(k1_splitting(ctx, s, t))
     E = EllipticCurveE2(ctx.one, u * u, (u * u).inverse())
     assert j_invariant(res1.E) == j_invariant(res1.E2) == j_invariant(E)
-    k3 = QuadraticSplitting.make(
+    k3 = splitting_of(
         [Poly.from_roots(ctx, [ctx.one, -ctx.one]),
          Poly.from_roots(ctx, [-s, t]),
          Poly.from_roots(ctx, [s, -t])], ctx.one)
@@ -159,21 +160,21 @@ def test_split_over_extension_with_irrational_factors(ctx23):
     # the factors rebuilt there have no GF(p^2)-rational j-invariant
     ctx = ctx23
     m = ctx.nonsquare()
-    spl = QuadraticSplitting.make(
+    spl = splitting_of(
         [Poly(ctx, [m, -(a + m / a), ctx.one])
          for a in map(ctx.from_int, (2, 3, 5))], ctx.one)
     assert delta(spl).is_zero()
     with pytest.raises(IrrationalSplitError, match="factor j-invariant"):
         split_degenerate(spl)
     with pytest.raises(IrrationalSplitError, match="factor j-invariant"):
-        neighbourhood(Genus2Curve(spl.product()))
+        neighbourhood(spl.curve())
 
 
 def test_split_over_extension_without_rational_model(ctx11):
     # conjugate fixed points whose factors have a GF(p^2)-rational j but
     # no model with rational 2-torsion: the rebuild from j raises
     ctx = ctx11
-    spl = QuadraticSplitting.make(
+    spl = splitting_of(
         [Poly(ctx, [ctx.element(a, b), ctx.element(c, d), ctx.one])
          for a, b, c, d in ((5, 7, 9, 9), (7, 1, 3, 9), (10, 9, 1, 1))],
         ctx.one)
@@ -198,7 +199,8 @@ def _split_outcome(split, spl):
 def _fixed_point_discriminant(spl):
     """h^2 - g2 g0 for Richelot's minor g2 x^2 + 2h x + g0 of the first
     two blocks; its roots are the pencil's fixed points."""
-    (c0, b0, a0), (c1, b1, a1) = [(g[0], g[1], g[2]) for g in spl.blocks[:2]]
+    (c0, b0, a0), (c1, b1, a1) = [tuple(FieldElement(spl.ctx, *c) for c in g)
+                                  for g in spl.blocks[:2]]
     h = a0 * c1 - a1 * c0
     return h * h - (a0 * b1 - a1 * b0) * (b0 * c1 - b1 * c0)
 
@@ -237,7 +239,7 @@ def involution_splitting(ctx, rng, s, n, linear=False):
             continue
         pts += [a, b]
         blocks.append(Poly.from_roots(ctx, [a, b]))
-    return QuadraticSplitting.make(blocks, ctx.one)
+    return splitting_of(blocks, ctx.one)
 
 
 @pytest.mark.parametrize("p", [23, 101])
@@ -303,12 +305,8 @@ def test_richelot_generic_matches_poly_oracle(p, richelot_edges):
     for spl in richelot_edges[p]:
         got, want = richelot_generic(spl), richelot_poly_oracle(spl)
         assert got.curve.f == want.curve.f
-        assert got.dual.key() == want.dual.key()
+        assert got.dual.blocks == want.dual.blocks
         assert got.dual.scale == want.dual.scale
-
-
-def _pairs(g):
-    return tuple((c.a, c.b) for c in (g[0], g[1], g[2]))
 
 
 def _verdict(make):
@@ -352,7 +350,7 @@ def test_closed_form_squarefree_matches_gcd():
         product = Poly(ctx, [scale]) * blocks[0] * blocks[1] * blocks[2]
         want = _verdict(lambda: Genus2Curve(product))
         got = _verdict(lambda: Genus2Curve.of_blocks(
-            ctx, [_pairs(g) for g in blocks], (scale.a, scale.b)))
+            ctx, [block_triple(g) for g in blocks], (scale.a, scale.b)))
         assert got == want
         seen[want is not None] += 1
     assert seen[True] > 100 and seen[False] > 100
@@ -363,7 +361,7 @@ def test_degenerate_richelot_codomain_raises(ctx23):
     ctx = ctx23
     blocks = [Poly.from_roots(ctx, list(map(ctx.from_int, pair)))
               for pair in ((1, 2), (1, 3), (4, 5))]
-    spl = QuadraticSplitting.make(blocks, ctx.one)
+    spl = splitting_of(blocks, ctx.one)
     assert not delta(spl).is_zero()
     for step in (richelot_generic, richelot_poly_oracle):
         with pytest.raises(RichelotError,
@@ -373,8 +371,9 @@ def test_degenerate_richelot_codomain_raises(ctx23):
 
 def test_richelot_generic_runs_on_ints(monkeypatch, richelot_edges):
     # every delta != 0 edge at p = 41: no FieldElement product, inverse
-    # or square root, no Poly product and no gcd squarefree test
-    calls = []
+    # or square root, no Poly product and no gcd squarefree test; one
+    # Poly is built per step, the codomain's f in of_blocks
+    calls, polys = [], []
     for name in ("__mul__", "__rmul__", "inverse", "sqrt"):
         real = getattr(FieldElement, name)
         monkeypatch.setattr(FieldElement, name, lambda *args, real=real:
@@ -383,7 +382,11 @@ def test_richelot_generic_runs_on_ints(monkeypatch, richelot_edges):
         real = getattr(Poly, name)
         monkeypatch.setattr(Poly, name, lambda *args, real=real:
                             calls.append(args) or real(*args))
+    real_init = Poly.__init__
+    monkeypatch.setattr(Poly, "__init__", lambda self, *args:
+                        polys.append(args) or real_init(self, *args))
     squarefree = count_calls(monkeypatch, "is_squarefree", module=poly)
     for spl in richelot_edges[41]:
         richelot_generic(spl)
     assert calls == [] and squarefree == []
+    assert len(polys) == len(richelot_edges[41])
