@@ -135,16 +135,21 @@ def isomorphisms_with_torsion(E: EllipticCurveE2, E2: EllipticCurveE2):
     x -> alpha*x + beta maps (r1, r2, r3) to the pi-relabelled roots
     of E2.  The scaling alpha may be a non-square: the y-coordinate
     scaling then lives in GF(p^4), i.e. the isomorphism is geometric
-    (twists are identified, matching vertex semantics).
+    (twists are identified, matching vertex semantics).  Runs on (a, b)
+    int pairs: the map exists iff alpha = (u - v)/(r1 - r2), read off
+    r1 -> u and r2 -> v, also takes r3 to w, i.e. iff the minor
+    (u - v)(r3 - r1) - (w - u)(r1 - r2) vanishes; no inverse is taken.
     """
+    ctx = E.ctx
+    (a1, b1), (a2, b2), (a3, b3) = ((x.a, x.b) for x in E.roots())
+    d12, d31 = (a1 - a2, b1 - b2), (a3 - a1, b3 - b1)
+    t = [(x.a, x.b) for x in E2.roots()]
     out = []
-    r = E.roots()
-    t = E2.roots()
     for perm in ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1),
                  (3, 1, 2), (3, 2, 1)):
-        alpha = (t[perm[0] - 1] - t[perm[1] - 1]) / (r[0] - r[1])
-        beta = t[perm[0] - 1] - alpha * r[0]
-        if alpha * r[2] + beta == t[perm[2] - 1]:
+        u, v, w = (t[i - 1] for i in perm)
+        if ctx.pminor((u[0] - v[0], u[1] - v[1]), d31,
+                      (w[0] - u[0], w[1] - u[1]), d12) == (0, 0):
             out.append(perm)
     return out
 

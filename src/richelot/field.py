@@ -123,6 +123,24 @@ class FieldCtx:
         inv = pow(a * a - self.nonresidue * b * b, -1, self.p)
         return a * inv % self.p, -b * inv % self.p
 
+    def psqrt(self, x):
+        """The lexicographically smaller square root of x, or None if x
+        is a non-square.  Norm method: a + b*i is a square iff its norm
+        N = a^2 - n*b^2 is one in GF(p); then y = c + b/(2c) i, c^2 being
+        whichever of (a +- sqrt(N))/2 is a nonzero square in GF(p) (their
+        product is n*b^2/4), or, if neither is (b = 0), y = sqrt(a/n) i.
+        The roots in GF(p) are _sqrt_mod's: Tonelli-Shanks when
+        p = 1 (mod 4), one power otherwise."""
+        (a, b), p, n = x, self.p, self.nonresidue
+        s = _sqrt_mod(a * a - n * b * b, p, n)
+        if s is None:
+            return None
+        c = _sqrt_mod((a + s) * (p + 1) // 2, p, n) \
+            or _sqrt_mod((a - s) * (p + 1) // 2, p, n)
+        y = (c, b * pow(2 * c, -1, p) % p) if c \
+            else (0, _sqrt_mod(a * pow(n, -1, p), p, n))
+        return min(y, (-y[0] % p, -y[1] % p))
+
     def nth_root_of_unity(self, n: int):
         """Lexicographically smallest primitive n-th root of unity, or None.
 
@@ -267,23 +285,10 @@ class FieldElement:
         return self ** ((self.ctx.order - 1) // 2) == self.ctx.one
 
     def sqrt(self):
-        """Deterministic square root in GF(p^2), or None if non-square.
-
-        Of the two roots +-y, returns the lexicographically smaller
-        (a, b) pair.  Norm method: a + b*i is a square iff its norm
-        N = a^2 - n*b^2 is one in GF(p); then y = c + b/(2c) i, c^2 being
-        whichever of (a +- sqrt(N))/2 is a nonzero square in GF(p) (their
-        product is n*b^2/4), or, if neither is (b = 0), y = sqrt(a/n) i.
-        """
-        p, n, a, b = self.ctx.p, self.ctx.nonresidue, self.a, self.b
-        s = _sqrt_mod(a * a - n * b * b, p, n)
-        if s is None:
-            return None
-        c = _sqrt_mod((a + s) * (p + 1) // 2, p, n) \
-            or _sqrt_mod((a - s) * (p + 1) // 2, p, n)
-        y = (c, b * pow(2 * c, -1, p) % p) if c \
-            else (0, _sqrt_mod(a * pow(n, -1, p), p, n))
-        return FieldElement(self.ctx, *min(y, (-y[0] % p, -y[1] % p)))
+        """Deterministic square root in GF(p^2), or None if non-square:
+        the pair FieldCtx.psqrt returns, as a FieldElement."""
+        y = self.ctx.psqrt((self.a, self.b))
+        return None if y is None else FieldElement(self.ctx, *y)
 
 
 class ExtCtx:

@@ -241,8 +241,16 @@ def point_key(pt):
 def _block_roots(g, K):
     """The two points of a monic block (c0, c1, c2) of int pairs over K
     (GF(p^2) or GF(p^4)), INF partnering a linear block's root; None
-    when the block is irreducible over K."""
+    when the block is irreducible over K.  Over GF(p^2) a quadratic
+    block runs on int pairs: (-c1 +- psqrt(c1^2 - 4 c0)) (p + 1)/2, and
+    only the two roots become FieldElements."""
     ctx = K.base if isinstance(K, ExtCtx) else K
+    if K is ctx and g[2] != (0, 0):
+        (c, b), p, h = g[:2], ctx.p, (ctx.p + 1) // 2
+        s = ctx.psqrt(ctx.pminor(b, b, (4, 0), c))
+        return None if s is None else tuple(
+            FieldElement(ctx, (u - b[0]) * h % p, (v - b[1]) * h % p)
+            for u, v in (s, (-s[0], -s[1])))
     embed = (lambda x: x) if K is ctx else K.embed
     c, b = (embed(FieldElement(ctx, *x)) for x in g[:2])
     if g[2] == (0, 0):

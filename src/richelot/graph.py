@@ -317,15 +317,16 @@ def _transport_pairing(target: Vertex, spl):
 def _transport_kernel(src: ProductSurface, dst: ProductSurface,
                       k: ProductKernel) -> ProductKernel:
     """Image of k under an isomorphism src -> dst that keeps the
-    factor order (straight) or swaps it (crossed)."""
+    factor order (straight) or swaps it (crossed).  Each order searches
+    its second factor only when its first factor matched."""
     s1 = isomorphisms_with_torsion(src.E1, dst.E1)
-    s2 = isomorphisms_with_torsion(src.E2, dst.E2)
-    if s1 and s2:
+    s2 = s1 and isomorphisms_with_torsion(src.E2, dst.E2)
+    if s2:
         return TorsionActionGenerator(perm1=s1[0],
                                       perm2=s2[0]).apply_kernel(k)
     c1 = isomorphisms_with_torsion(src.E1, dst.E2)
-    c2 = isomorphisms_with_torsion(src.E2, dst.E1)
-    if c1 and c2:
+    c2 = c1 and isomorphisms_with_torsion(src.E2, dst.E1)
+    if c2:
         return TorsionActionGenerator(perm1=c1[0], perm2=c2[0],
                                       swap=True).apply_kernel(k)
     raise GraphError("codomain factors do not match target product")

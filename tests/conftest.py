@@ -6,9 +6,10 @@ from math import comb
 import pytest
 
 from richelot import genus2
-from richelot.field import FieldElement, make_field
-from richelot.genus2 import (Genus2Curve, MoebiusMap, QuadraticSplitting,
-                             _to_zero_one_inf, moebius_through, point_key)
+from richelot.field import ExtCtx, FieldElement, make_field
+from richelot.genus2 import (INF, Genus2Curve, MoebiusMap,
+                             QuadraticSplitting, _to_zero_one_inf,
+                             moebius_through, point_key)
 from richelot.elliptic import EllipticCurveE2
 from richelot.poly import Poly
 from richelot.isogeny import (DegenerateSplitData, JacobianCodomain,
@@ -264,6 +265,42 @@ def torsion_apply_oracle(perm1, perm2, swap, element):
         inv = {psi[t]: t + 1 for t in range(3)}
         return (inv[b] if b else 0, psi[a - 1] if a else 0)
     return (perm1[a - 1] if a else 0, perm2[b - 1] if b else 0)
+
+
+def block_roots_oracle(g, K):
+    """The two points of a monic block (c0, c1, c2) of int pairs over K
+    (GF(p^2) or GF(p^4)), INF partnering a linear block's root; None
+    when the block is irreducible over K.  FieldElement arithmetic
+    throughout: what genus2._block_roots computed over GF(p^2) before
+    it ran on int pairs, kept as its oracle."""
+    ctx = K.base if isinstance(K, ExtCtx) else K
+    embed = (lambda x: x) if K is ctx else K.embed
+    c, b = (embed(FieldElement(ctx, *x)) for x in g[:2])
+    if g[2] == (0, 0):
+        return -c, INF
+    s = (b * b - 4 * c).sqrt()
+    if s is None:
+        return None
+    half = K.from_int(2).inverse()
+    return (s - b) * half, (-b - s) * half
+
+
+def isomorphisms_oracle(E, E2):
+    """The 2-torsion matchings (pi(1), pi(2), pi(3)) of the affine maps
+    x -> alpha*x + beta taking the roots of E onto the pi-relabelled
+    roots of E2, solved by one FieldElement division per permutation:
+    elliptic.isomorphisms_with_torsion before it ran on int pairs, kept
+    as its oracle."""
+    out = []
+    r = E.roots()
+    t = E2.roots()
+    for perm in ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1),
+                 (3, 1, 2), (3, 2, 1)):
+        alpha = (t[perm[0] - 1] - t[perm[1] - 1]) / (r[0] - r[1])
+        beta = t[perm[0] - 1] - alpha * r[0]
+        if alpha * r[2] + beta == t[perm[2] - 1]:
+            out.append(perm)
+    return out
 
 
 def _pencil_square_root(trip, K):

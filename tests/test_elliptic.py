@@ -1,5 +1,7 @@
 """Elliptic curves with labelled 2-torsion: j, Velu, supersingularity."""
 
+import random
+
 import pytest
 
 from richelot.elliptic import (EllipticCurveE2, curve_from_j,
@@ -7,9 +9,11 @@ from richelot.elliptic import (EllipticCurveE2, curve_from_j,
                                isomorphisms_with_torsion, j_invariant,
                                two_isogeny)
 from richelot.field import make_field
+from richelot.gluing import ProductSurface
+from richelot.graph import build_graph
 
-from conftest import (point_count_supersingular, random_distinct_elements,
-                      random_element, square_set)
+from conftest import (isomorphisms_oracle, point_count_supersingular,
+                      random_distinct_elements, random_element, square_set)
 
 
 def e_1728(ctx):
@@ -165,6 +169,61 @@ def test_isomorphisms_oracle_affine_solve(ctx23, rng):
             if alpha * E.r3 + beta == t[2] and not alpha.is_zero():
                 expected.add(perm)
         assert set(isomorphisms_with_torsion(E, E2)) == expected
+
+
+@pytest.mark.parametrize("p", [41, 59])
+def test_isomorphisms_match_oracle_on_graph_factors(p):
+    # every ordered pair of factor curves met at the product vertices
+    # and product codomains: equal lists, in the same order
+    g = build_graph(make_field(p))
+    surfaces = [v.representative for v in g.vertices.values()]
+    surfaces += [e.hint[1] for e in g.edges]
+    curves = list(dict.fromkeys(
+        E for S in surfaces if isinstance(S, ProductSurface)
+        for E in (S.E1, S.E2)))
+    ctx = curves[0].ctx
+    # j = 0 is supersingular at both primes, j = 1728 only at p = 59
+    js = {j_invariant(E) for E in curves}
+    assert ctx.zero in js and (ctx.from_int(1728) in js) == (p % 4 == 3)
+    matched = 0
+    for E in curves:
+        for E2 in curves:
+            got = isomorphisms_with_torsion(E, E2)
+            assert got == isomorphisms_oracle(E, E2), (E, E2)
+            matched += bool(got)
+    assert 0 < matched < len(curves) ** 2
+
+
+def random_model(E, rng):
+    """E under a random x -> u*x + t, its roots in a random order."""
+    ctx = E.ctx
+    u, t = random_element(ctx, rng), random_element(ctx, rng)
+    while u.is_zero():
+        u = random_element(ctx, rng)
+    roots = [u * r + t for r in E.roots()]
+    rng.shuffle(roots)
+    return EllipticCurveE2(*roots)
+
+
+@pytest.mark.parametrize("p", [23, 41, 101])
+def test_isomorphisms_match_oracle_random_models(p):
+    # a random curve (j = 0 and 1728 among them) against rescaled,
+    # translated and relabelled models of itself, which always match,
+    # and against unrelated random curves, which match only when their
+    # j-invariants agree
+    ctx, rng = make_field(p), random.Random(p)
+    curves = [e_0(ctx), e_1728(ctx)] + [
+        EllipticCurveE2(*random_distinct_elements(ctx, rng, 3))
+        for _ in range(200)]
+    for E in curves:
+        pairs = [(E, random_model(E, rng)) for _ in range(3)]
+        assert all(isomorphisms_with_torsion(*pr) for pr in pairs)
+        other = EllipticCurveE2(*random_distinct_elements(ctx, rng, 3))
+        pairs += [(E, other), (other, E)]
+        for E1, E2 in pairs:
+            got = isomorphisms_with_torsion(E1, E2)
+            assert got == isomorphisms_oracle(E1, E2), (E1, E2)
+            assert bool(got) == (j_invariant(E1) == j_invariant(E2))
 
 
 def test_find_supersingular_seed():

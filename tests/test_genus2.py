@@ -1,26 +1,30 @@
 """Genus-2 curves: splittings, Clebsch invariants, classifiers, keys."""
 
+import random
 from math import comb, factorial, perm
 
 import pytest
 
-from richelot.field import FieldElement, make_field
+from richelot.field import ExtCtx, FieldElement, legendre, make_field
 from richelot.genus2 import (INF, ClebschPoint, Genus2Curve, Genus2Error,
-                             MoebiusMap, _to_zero_one_inf, canonical_key,
+                             MoebiusMap, _block_roots, _to_zero_one_inf,
+                             canonical_key,
                              clebsch_invariants, derived_invariants,
                              frame_permutations, moebius_frames,
                              moebius_orbits_on_splittings, moebius_through,
                              orbit_partition, point_key, point_splittings,
                              QuadraticSplitting, ra_type_from_automorphisms,
                              ra_type_from_clebsch, reduced_automorphisms,
-                             splitting_pairing, splitting_points, splittings,
+                             splitting_pairing, splitting_points,
+                             splitting_root_pairs, splittings,
                              transform_curve, weierstrass_points, RAType)
 from richelot.graph import build_graph
 from richelot.poly import (Poly, factor_quadratic_pieces, is_squarefree,
                            roots as poly_roots)
 
 from clebsch_fixtures import FIXTURES
-from conftest import (block_poly, block_triple, moebius_frames_oracle,
+from conftest import (block_poly, block_roots_oracle, block_triple,
+                      moebius_frames_oracle,
                       moebius_search_oracle, poly_key_oracle,
                       random_distinct_elements, random_element,
                       splitting_of, transform_curve_oracle)
@@ -562,6 +566,77 @@ def test_splitting_points_match_factoring_oracle_on_graph(p):
             rep = v.representative
             assert weierstrass_points(rep) == weierstrass_points_oracle(rep)
             assert v.points == weierstrass_points_oracle(rep)
+
+
+@pytest.mark.parametrize("p", [23, 41])
+def test_block_roots_match_oracle_on_recorded_duals(p):
+    # every block of the dual splitting recorded on every Jacobian
+    # codomain: the int-pair roots equal the FieldElement ones
+    g = build_graph(make_field(p))
+    duals = [e.hint[2] for e in g.edges if isinstance(e.hint[1], Genus2Curve)]
+    assert duals
+    for spl in duals:
+        for blk in spl.blocks:
+            assert _block_roots(blk, spl.ctx) \
+                == block_roots_oracle(blk, spl.ctx), blk
+
+
+def random_monic_blocks(ctx, rng, n):
+    """n random monic blocks (c0, c1, c2), in six kinds by turns:
+    linear; c1 = 0; discriminant a non-square of GF(p) (its roots take
+    the sqrt(a/n) i branch of psqrt); discriminant any element of GF(p),
+    zero included; irreducible over GF(p^2); and no constraint.  Yields
+    (kind, block)."""
+    p, ns = ctx.p, ctx.nonsquare()
+    nonresidues = [k for k in range(1, p) if legendre(k, p) == -1]
+    quarter = ctx.from_int(4).inverse()
+    for i in range(n):
+        kind = i % 6
+        c, b = random_element(ctx, rng), random_element(ctx, rng)
+        if kind == 0:
+            yield kind, (c.key(), (1, 0), (0, 0))
+            continue
+        if kind == 1:
+            b = ctx.zero
+        elif kind in (2, 3, 4):
+            y = random_element(ctx, rng)
+            while y.is_zero():
+                y = random_element(ctx, rng)
+            d = {2: ctx.from_int(rng.choice(nonresidues)),
+                 3: ctx.from_int(rng.randrange(p)),
+                 4: ns * y * y}[kind]
+            c = (b * b - d) * quarter
+        yield kind, (c.key(), b.key(), (1, 0))
+
+
+@pytest.mark.parametrize("p", [41, 43, 101, 103])
+def test_block_roots_match_oracle_random(p):
+    # p = 41 and 101 are 1 (mod 4), so the GF(p) roots run Tonelli-
+    # Shanks; 43 and 103 are 3 (mod 4).  Irreducible blocks give None,
+    # and a splitting with one moves its points to GF(p^4)
+    ctx = make_field(p)
+    rng = random.Random(p)
+    ext = ctx.extension()
+    kinds = {}
+    for kind, blk in random_monic_blocks(ctx, rng, 2400):
+        got = _block_roots(blk, ctx)
+        assert got == block_roots_oracle(blk, ctx), blk
+        kinds.setdefault(kind, []).append(got)
+        if kind == 2:  # the root of the discriminant is in GF(p) i
+            s = ctx.psqrt(ctx.pminor(blk[1], blk[1], (4, 0), blk[0]))
+            assert s[0] == 0 and s[1] != 0
+        if kind == 4:
+            assert got is None
+            spl = QuadraticSplitting.make(
+                [blk, next(random_monic_blocks(ctx, rng, 1))[1]], ctx.one)
+            K, pairs = splitting_root_pairs(spl)
+            assert isinstance(K, ExtCtx)
+            assert pairs == [block_roots_oracle(g, ext) for g in spl.blocks]
+    assert sorted(kinds) == list(range(6))
+    assert all(len(v) == 400 for v in kinds.values())
+    # every element of GF(p) is a square in GF(p^2)
+    assert None not in kinds[0] + kinds[2] + kinds[3]
+    assert all(None in kinds[k] and {None} != set(kinds[k]) for k in (1, 5))
 
 
 def splittings_with_pairings_oracle(curve):

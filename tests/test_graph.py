@@ -6,10 +6,10 @@ from itertools import permutations
 
 import pytest
 
-from richelot import genus2
+from richelot import genus2, graph
 from richelot.elliptic import (EllipticCurveE2, isomorphisms_with_torsion,
                                two_isogeny)
-from richelot.field import make_field
+from richelot.field import FieldElement, make_field
 from richelot.genus2 import (Genus2Curve, RAType, matching_pairing, point_key,
                              splitting_root_pairs, weierstrass_points)
 from richelot.gluing import (GluedJacobian, ProductKernel, ProductSurface,
@@ -20,7 +20,7 @@ from richelot.graph import (GraphError, OrbitEdge, _transport_kernel,
                             validate, VertexKey)
 from richelot.poly import Poly
 
-from conftest import (clear_genus2_caches, count_calls,
+from conftest import (clear_genus2_caches, count_calls, isomorphisms_oracle,
                       moebius_search_oracle, random_element, splitting_of,
                       torsion_apply_oracle)
 
@@ -355,6 +355,54 @@ def test_transport_kernel_matches_two_step_oracle(product_graph):
             elements = {torsion_apply_oracle(*step, x) for x in elements}
         assert _transport_kernel(src, dst, dual).elements() == elements
     assert crossed
+
+
+def test_validate_runs_on_ints(monkeypatch):
+    # validate at p = 41 moves every dual on int pairs: no FieldElement
+    # product, inverse or square root.  Product duals search a factor
+    # pair's second factor only after its first factor matched
+    g = build_graph(make_field(41))
+    calls, log = [], []
+    for name in ("__mul__", "__rmul__", "inverse", "sqrt"):
+        real = getattr(FieldElement, name)
+        monkeypatch.setattr(FieldElement, name, lambda *args, real=real:
+                            calls.append(args) or real(*args))
+    real_iso, real_transport = (graph.isomorphisms_with_torsion,
+                                graph._transport_kernel)
+
+    def iso(E, E2):
+        log[-1][1].append((E, E2))
+        return real_iso(E, E2)
+
+    def transport(src, dst, k):
+        log.append(((src, dst), []))
+        return real_transport(src, dst, k)
+
+    monkeypatch.setattr(graph, "isomorphisms_with_torsion", iso)
+    monkeypatch.setattr(graph, "_transport_kernel", transport)
+    assert validate(g).ok
+    assert calls == []
+    # a crossed first factor fails only between non-isomorphic products
+    S, D = (v.representative for v in g.vertices.values()
+            if v.key.data in (((0, 0), (0, 0)), ((3, 0), (3, 0))))
+    with pytest.raises(GraphError, match="do not match"):
+        graph._transport_kernel(S, D, ProductKernel.product(1, 1))
+    monkeypatch.undo()
+    skipped = [0, 0]
+    for (src, dst), searched in log:
+        want = []
+        for order, (first, second) in enumerate((
+                ((src.E1, dst.E1), (src.E2, dst.E2)),
+                ((src.E1, dst.E2), (src.E2, dst.E1)))):
+            want.append(first)
+            if not isomorphisms_oracle(*first):
+                skipped[order] += 1
+                continue
+            want.append(second)
+            if isomorphisms_oracle(*second):
+                break
+        assert searched == want, (src, dst)
+    assert len(log) > 1 and 0 not in skipped
 
 
 def sextic_x6_plus_1(ctx):
