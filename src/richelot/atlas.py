@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from .elliptic import EllipticCurveE2, curve_from_j, j_invariant, two_isogeny
 from .field import FieldCtx
 from .genus2 import (INF, Genus2Curve, QuadraticSplitting, RAType,
-                     clebsch_invariants, matching_pairing,
-                     matching_splitting, orbit_partition,
+                     clebsch_invariants, matching_splitting,
+                     orbit_partition, pairing_index,
                      ra_type_from_clebsch)
 from .gluing import ProductSurface
 from .graph import VertexKey, neighbourhood, ra_type_of
@@ -95,12 +95,12 @@ def index_relabellings(ctx: FieldCtx, s, t) -> list:
     same curve; each choice permutes the kernel indices.  Returns the
     (up to) eight permutations as dicts on 1..15.
     """
-    base = {matching_pairing(m): i + 1
+    base = {pairing_index(m): i + 1
             for i, m in enumerate(_root_pairs(ctx, s, t))}
     perms = []
     for (a, b) in ((s, t), (-s, t), (s, -t), (-s, -t),
                    (t, s), (-t, s), (t, -s), (-t, -s)):
-        perm = {i + 1: base[matching_pairing(m)]
+        perm = {i + 1: base[pairing_index(m)]
                 for i, m in enumerate(_root_pairs(ctx, a, b))}
         if perm not in perms:
             perms.append(perm)
@@ -109,8 +109,9 @@ def index_relabellings(ctx: FieldCtx, s, t) -> list:
 
 def orbit_partition_on_indices(ctx: FieldCtx, s, t) -> list:
     """RA-orbit partition of the kernels of curve_two_param(ctx, s, t),
-    in K-indices, sorted: the kernels of its neighbourhood's edges."""
-    k_of = {matching_pairing(m): i + 1
+    in K-indices, sorted: its neighbourhood's edge labels, translated
+    from K_i's root pairs by genus2.pairing_index."""
+    k_of = {pairing_index(m): i + 1
             for i, m in enumerate(_root_pairs(ctx, s, t))}
     edges = neighbourhood(normal_form_splitting(ctx, (s, t)))
     if len(k_of) != 15 or set(k_of) != {k for e in edges for k in e.kernels}:
@@ -535,7 +536,7 @@ def _verify_type_ii(ctx: FieldCtx) -> AtlasReport:
                            [e.weight for e in edges],
                            detail="orbits are not three fives")
     edge_of = {k: e for e in edges for k in e.kernels}
-    types = [_target_type(edge_of[matching_pairing(m)])
+    types = [_target_type(edge_of[pairing_index(m)])
              for m in type_ii_kernels(ctx)]
     ok = (types[2] == expected[2]
           and sorted(types[:2]) == sorted(expected[:2]))

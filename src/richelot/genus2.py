@@ -194,19 +194,43 @@ def matching_splitting(ctx, forced, matching, scale) -> QuadraticSplitting:
     return QuadraticSplitting.make(blocks, scale)
 
 
-def matching_pairing(matching) -> frozenset:
-    """The kernel label of a matching of Weierstrass points: its pairs
-    as sets of point keys (the pairing of the splitting it makes)."""
-    return frozenset(frozenset(map(point_key, pair)) for pair in matching)
+# The 15 perfect matchings of range(6), each its increasing pairs in
+# increasing order.  A Jacobian kernel is labelled by the index here of
+# its matching of the vertex's sorted Weierstrass points.
+MATCHINGS = tuple(tuple(m) for m in _matchings(list(range(6))))
+_MATCHING_INDEX = {m: n for n, m in enumerate(MATCHINGS)}
+
+
+def matching_index(pairs) -> int:
+    """The index in MATCHINGS of a perfect matching of range(6), given
+    as its three pairs in any order."""
+    return _MATCHING_INDEX[tuple(sorted(
+        (a, b) if a < b else (b, a) for a, b in pairs))]
+
+
+@lru_cache(maxsize=720)  # one entry per permutation of range(6)
+def matching_action(perm: tuple) -> tuple:
+    """The permutation of MATCHINGS indices induced by the index map
+    perm of range(6), a tuple."""
+    return tuple(matching_index((perm[a], perm[b]) for a, b in m)
+                 for m in MATCHINGS)
+
+
+def pairing_index(pairs) -> int:
+    """The kernel label of three pairs of six distinct points: their
+    matching's MATCHINGS index over the points sorted by point_key."""
+    keys = sorted(point_key(x) for pair in pairs for x in pair)
+    return matching_index([keys.index(point_key(x)) for x in pair]
+                          for pair in pairs)
 
 
 def point_splittings(ctx, forced, free, scale) -> list:
-    """(splitting, pairing) for each perfect matching of the free points
+    """(splitting, index) for each perfect matching of the free points
     (GF(p^2) elements and INF) around the forced irreducible blocks,
-    sorted by blocks.  The pairing is the matching's label, as
-    splitting_pairing gives it when nothing is forced."""
-    out = [(matching_splitting(ctx, forced, m, scale), matching_pairing(m))
-           for m in _matchings(list(free))]
+    sorted by blocks.  The index is the matching's in _matchings order:
+    with six free points, its MATCHINGS index, the kernel label."""
+    out = [(matching_splitting(ctx, forced, m, scale), n)
+           for n, m in enumerate(_matchings(list(free)))]
     out.sort(key=lambda sp: sp[0].blocks)
     return out
 
@@ -352,53 +376,73 @@ def moebius_through(K, src, dst):
                            ic * ta + id_ * tc, ic * tb + id_ * td)
 
 
-def _frame_maker(K, pts, pairs):
+def _frame_maker(K, pts, triples):
     """frame(i, j, k) -> (signature, frame) on six points over K.
 
     The map sending (x_i, x_j, x_k) to (0, 1, inf) sends x_l to the
-    cross-ratio (x_l - x_i)(x_j - x_k) / ((x_l - x_k)(x_j - x_i)), a
-    factor holding INF read as 1.  The signature is the other three
-    images' keys, sorted and concatenated; the frame is (i, j, k) and
-    the other indices in that order.  x_a - x_b and its inverse are made
-    once per given pair (a, b), as (a, b) int pairs over GF(p^2) and as
-    ExtElements over GF(p^4), where GF(p^2) points are embedded.
+    cross-ratio q(l, i, k) q(j, k, i), q(a, i, k) = (x_a - x_i)/(x_a -
+    x_k) with a factor holding INF read as 1.  q is tabulated for the
+    given triples (a, i, k), one inverse per pair {a, k}: as (a, b) int
+    pairs over GF(p^2), as ExtElements over GF(p^4).  The signature is
+    the other three images' keys, sorted and concatenated; the frame is
+    (i, j, k) and the other indices in that order.
     """
     if isinstance(K, ExtCtx):
         xs = [x if x is INF or isinstance(x, ExtElement) else K.embed(x)
               for x in pts]
-        one, mul = K.one, ExtElement.__mul__
-        difference, keyed = (lambda x, y: (x - y, (x - y).inverse()),
-                             lambda x, y: (x * y).key())
+        one, mul, inverse = K.one, ExtElement.__mul__, ExtElement.inverse
+        sub, neg = ExtElement.__sub__, ExtElement.__neg__
+
+        def frame(i, j, k):
+            c = q[36 * j + 6 * k + i]
+            (s, x), (t, y), (u, z) = sorted(
+                [((q[36 * l + 6 * i + k] * c).key(), l)
+                 for l in _REST[i, j, k]])
+            return s + t + u, (i, j, k, x, y, z)
     else:
-        xs, one = [x if x is INF else (x.a, x.b) for x in pts], (1, 0)
-        mul = keyed = K.pmul  # a reduced pair is its own key
+        p, nr, xs = K.p, K.nonresidue, [x if x is INF else (x.a, x.b)
+                                        for x in pts]
+        one, mul, inverse = (1, 0), K.pmul, K.pinv
+        sub, neg = (lambda x, y: ((x[0] - y[0]) % p, (x[1] - y[1]) % p),
+                    lambda x: (-x[0] % p, -x[1] % p))
 
-        def difference(x, y):
-            d = (x[0] - y[0]) % K.p, (x[1] - y[1]) % K.p
-            return d, K.pinv(d)
-    diff, dinv = {}, {}
-    for a, b in pairs:
-        diff[a, b], dinv[a, b] = ((one, one) if INF in (xs[a], xs[b])
-                                  else difference(xs[a], xs[b]))
-
-    def frame(i, j, k):
-        c = mul(diff[j, k], dinv[j, i])
-        (s, x), (t, y), (u, z) = sorted(
-            [(keyed(mul(diff[l, i], dinv[l, k]), c), l)
-             for l in range(6) if l != i and l != j and l != k])
-        return s + t + u, (i, j, k, x, y, z)
+        def frame(i, j, k):  # a reduced pair is its own key
+            ca, cb = q[36 * j + 6 * k + i]
+            images = []
+            for l in _REST[i, j, k]:
+                a, b = q[36 * l + 6 * i + k]
+                images.append(((a * ca + nr * b * cb) % p,
+                               (a * cb + b * ca) % p, l))
+            images.sort()
+            (s, t, x), (u, v, y), (w, z, r) = images
+            return (s, t, u, v, w, z), (i, j, k, x, y, r)
+    dinv, q = {}, [None] * 216
+    for a, i, k in triples:
+        if (a, k) not in dinv:
+            if xs[a] is INF or xs[k] is INF:
+                dinv[a, k] = dinv[k, a] = one
+            else:
+                d = dinv[a, k] = inverse(sub(xs[a], xs[k]))
+                dinv[k, a] = neg(d)
+        q[36 * a + 6 * i + k] = (dinv[a, k] if xs[a] is INF or xs[i] is INF
+                                 else mul(sub(xs[a], xs[i]), dinv[a, k]))
     return frame
+
+
+_TRIPLES = tuple(permutations(range(6), 3))
+# the indices outside each ordered triple, increasing
+_REST = {t: tuple(l for l in range(6) if l not in t) for t in _TRIPLES}
 
 
 def moebius_frames(K, pts) -> dict:
     """The frames of the six points pts over K, one per ordered triple,
-    listed by signature (_frame_maker).  Two frames of two point sets
-    share it exactly when a Moebius map sends one set onto the other,
-    and each point of the first frame to the point at the same place in
-    the second."""
-    frame = _frame_maker(K, pts, permutations(range(6), 2))
+    listed by signature (_frame_maker: 15 inverses over GF(p^2)).  Two
+    frames of two point sets share it exactly when a Moebius map sends
+    one set onto the other, and each point of the first frame to the
+    point at the same place in the second."""
+    frame = _frame_maker(K, pts, _TRIPLES)
     frames = {}
-    for triple in permutations(range(6), 3):
+    for triple in _TRIPLES:
         signature, fr = frame(*triple)
         frames.setdefault(signature, []).append(fr)
     return frames
@@ -408,10 +452,10 @@ def frame_permutations(K, src_pts, dst_frames) -> list:
     """The Moebius maps sending the set src_pts onto the point set of
     dst_frames = moebius_frames(K, dst_pts), as index maps: m[i] is the
     index in dst_pts of the image of src_pts[i].  One map per frame
-    sharing the signature of src_pts's base frame (0, 1, 2)."""
-    base_pairs = [(1, 2), (1, 0)] + [(l, a) for l in range(3, 6)
-                                     for a in (0, 2)]
-    signature, base = _frame_maker(K, src_pts, base_pairs)(0, 1, 2)
+    sharing the signature of src_pts's base frame (0, 1, 2), whose
+    q(1, 2, 0) and q(l, 0, 2) take four inverses."""
+    signature, base = _frame_maker(
+        K, src_pts, ((1, 2, 0), (3, 0, 2), (4, 0, 2), (5, 0, 2)))(0, 1, 2)
     at = sorted(range(6), key=base.__getitem__)
     return [[fr[t] for t in at] for fr in dst_frames.get(signature, ())]
 
@@ -444,7 +488,7 @@ def splitting_pairing(curve: Genus2Curve, spl: QuadraticSplitting, K=None):
     pairs = [_block_roots(g, K) for g in spl.blocks]
     if None in pairs:  # irreducible block, only over GF(p^4)
         raise Genus2Error("pairing requires the extension field")
-    return matching_pairing(pairs)
+    return frozenset(frozenset(map(point_key, pair)) for pair in pairs)
 
 
 def orbit_partition(points, gens) -> list:
@@ -473,31 +517,15 @@ def orbit_partition(points, gens) -> list:
     return sorted(orbits)
 
 
-def moebius_orbits_on_splittings(pts, pairings, perms):
-    """Orbits of kernels, given as pairings of the Weierstrass points
-    pts, under Moebius maps given as index maps of pts
-    (frame_permutations).
-
-    Returns the orbits as sorted tuples of indices into pairings, in
-    sorted order.  Each map acts on the pairings as the induced index
-    permutation.  Raises if a map sends a pairing outside the given
-    list (an irrational image; cannot happen when all 15 are rational).
-    """
-    keys = [point_key(p) for p in pts]
-    index_of = {pr: i for i, pr in enumerate(pairings)}
-    actions = []
-    for m in perms:
-        image = dict(zip(keys, (keys[i] for i in m)))
-        action = []
-        for pairing in pairings:
-            img = frozenset(frozenset(image[k] for k in pair)
-                            for pair in pairing)
-            if img not in index_of:
-                raise Genus2Error(
-                    "automorphism image of a splitting is irrational")
-            action.append(index_of[img])
-        actions.append(action)
-    return orbit_partition(range(len(pairings)), actions)
+def moebius_orbits_on_splittings(labels, perms):
+    """Orbits of the kernels labels, all 15 MATCHINGS indices, under
+    Moebius maps given as index maps of the points (frame_permutations),
+    acting through matching_action.  Returns the orbits as sorted tuples
+    of positions in labels, in sorted order."""
+    at = {n: i for i, n in enumerate(labels)}
+    actions = [[at[action[n]] for n in labels]
+               for action in map(matching_action, map(tuple, perms))]
+    return orbit_partition(range(len(labels)), actions)
 
 
 def transform_curve(curve: Genus2Curve, a, b, c, d) -> Genus2Curve:

@@ -97,6 +97,12 @@ def product_kernels() -> list:
 
 
 _KERNEL_BY_ELEMENTS = {k.elements(): k for k in product_kernels()}
+_KERNEL_INDEX = {k.key(): i for i, k in enumerate(product_kernels())}
+
+
+def kernel_index(k: ProductKernel) -> int:
+    """The label of k: its index in product_kernels()."""
+    return _KERNEL_INDEX[k.key()]
 
 
 @dataclass(frozen=True)
@@ -258,7 +264,6 @@ def kernel_orbits(S: ProductSurface):
     orbits as sorted tuples of indices into kernels, in sorted order.
     """
     kernels = product_kernels()
-    index = {k.key(): i for i, k in enumerate(kernels)}
-    perms = [[index[g.apply_kernel(k).key()] for k in kernels]
+    perms = [[kernel_index(g.apply_kernel(k)) for k in kernels]
              for g in torsion_action_generators(S)]
     return orbit_partition(range(len(kernels)), perms), kernels

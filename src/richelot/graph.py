@@ -24,13 +24,13 @@ from .elliptic import (EllipticCurveE2, isomorphisms_with_torsion,
 from .field import ExtCtx, FieldCtx
 from .genus2 import (Genus2Curve, JACOBIAN_ORDER_TO_TYPE, RA_ORDER,
                      QuadraticSplitting, canonical_key, clebsch_invariants,
-                     frame_permutations, matching_pairing, moebius_frames,
+                     frame_permutations, matching_index, moebius_frames,
                      moebius_orbits_on_splittings, point_splittings,
                      ra_type_from_clebsch, splitting_points,
                      splitting_root_pairs, splittings, weierstrass_points)
 from .gluing import (ProductKernel, ProductQuotient, ProductSurface,
-                     TorsionActionGenerator, kernel_orbits, quotient_diagonal,
-                     quotient_product, ra_order_product,
+                     TorsionActionGenerator, kernel_index, kernel_orbits,
+                     quotient_diagonal, quotient_product, ra_order_product,
                      ra_type_product_vertex)
 from .isogeny import delta, richelot_generic, split_degenerate
 
@@ -83,10 +83,10 @@ class OrbitEdge:
     computed (Genus2Curve | ProductSurface) and the dual kernel on it
     (QuadraticSplitting | ProductKernel, or None when it is unknown).
     kind ("jac", "glue", "split", "prod", "induced") names the step
-    that built the edge; it is informational only.  kernels labels every
-    kernel of the orbit, kernel_rep's among them: by its Weierstrass
-    pairing (genus2.matching_pairing) on a Jacobian, by
-    ProductKernel.key() on a product.
+    that built the edge; it is informational only.  kernels labels the
+    orbit's kernels, kernel_rep's first, by small ints: a Jacobian's by
+    the genus2.MATCHINGS index of their matching of its sorted points,
+    a product's by their index in gluing.product_kernels().
     """
 
     source: VertexKey
@@ -105,8 +105,8 @@ class OrbitEdge:
 class Vertex:
     """A graph vertex; Jacobians also hold their Weierstrass points.
 
-    edges are the orbit edges out of the vertex; kernel_to_edge maps
-    each of their kernel labels (OrbitEdge.kernels) to its edge, for
+    edges are the orbit edges out of the vertex; kernel_to_edge is the
+    15-tuple of their edges by kernel label (OrbitEdge.kernels), for
     dual_edge to look duals up in.  build_graph fills in both when it
     expands the vertex.
     """
@@ -115,12 +115,13 @@ class Vertex:
     representative: object  # Genus2Curve | ProductSurface
     ra_type: str
     ra_order: int
-    # Jacobians: (field, sorted points) and the points' moebius_frames,
-    # off which frame_permutations reads the RA maps and transports in
+    # Jacobians: (field, sorted points), their moebius_frames, and the
+    # RA maps as index maps of the points, read off the frames once
     points: tuple = field(default=None, repr=False)
     frames: dict = field(default=None, repr=False)
+    ra_maps: list = field(default=None, repr=False)
     edges: list = field(default_factory=list)
-    kernel_to_edge: dict = field(default_factory=dict)
+    kernel_to_edge: tuple = ()
 
 
 @dataclass
@@ -151,9 +152,10 @@ def _make_vertex(key: VertexKey, rep, dual=None) -> Vertex:
                       ra_order=ra_order_product(ra_type))
     K, pts = splitting_points(dual) if dual else weierstrass_points(rep)
     frames = moebius_frames(K, pts)
+    maps = frame_permutations(K, pts, frames)
     return Vertex(key=key, representative=rep, ra_type=ra_type,
-                  ra_order=len(frame_permutations(K, pts, frames)),
-                  points=(K, pts), frames=frames)
+                  ra_order=len(maps), points=(K, pts), frames=frames,
+                  ra_maps=maps)
 
 
 def neighbourhood(rep) -> list:
@@ -202,10 +204,9 @@ def _expand_jacobian(v: Vertex):
             f"only {len(splittings(v.representative))} rational kernels; "
             "vertex is not superspecial-complete")
     f = v.representative.f
-    spls, pairings = zip(*point_splittings(f.ctx, (), pts, f.leading()))
-    orbits = moebius_orbits_on_splittings(
-        pts, pairings, frame_permutations(K, pts, v.frames))
-    return _orbit_edges(v.key, orbits, spls, pairings, _jacobian_step)
+    spls, labels = zip(*point_splittings(f.ctx, (), pts, f.leading()))
+    orbits = moebius_orbits_on_splittings(labels, v.ra_maps)
+    return _orbit_edges(v.key, orbits, spls, labels, _jacobian_step)
 
 
 def _jacobian_step(spl):
@@ -240,8 +241,7 @@ def _expand_product(v: Vertex):
             return src, ("induced", S, k)
         return VertexKey.jacobian(res.curve), ("glue", res.curve, res.dual)
 
-    return _orbit_edges(src, orbits, kernels,
-                        [k.key() for k in kernels], step)
+    return _orbit_edges(src, orbits, kernels, range(len(kernels)), step)
 
 
 def build_graph(ctx: FieldCtx, seed=None) -> Graph:
@@ -269,7 +269,8 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
         qpos += 1
         v = g.vertices[cur]
         v.edges = _expand(v)
-        v.kernel_to_edge = {k: e for e in v.edges for k in e.kernels}
+        edge_of = {k: e for e in v.edges for k in e.kernels}
+        v.kernel_to_edge = tuple(edge_of[k] for k in range(15))
         g.edges.extend(v.edges)
         fresh = []
         for e in v.edges:
@@ -288,17 +289,15 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
 # Dual edges
 
 
-def _transport_pairing(target: Vertex, spl):
-    """Move a splitting of an edge's codomain to a pairing on the
-    representative of the Jacobian vertex target.
+def _transport_pairing(target: Vertex, spl) -> int:
+    """The kernel label on the Jacobian vertex target of a splitting of
+    an edge's codomain, isomorphic to target's representative.
 
-    Requires the codomain to be isomorphic to the representative; any
-    Moebius map carrying the codomain's Weierstrass set onto the
-    representative's will do, since maps differing by an automorphism
-    move the image within one orbit.  The codomain's points are the
-    roots of spl's blocks, so the codomain is never factored, and the
-    first index map frame_permutations reads off the target's frames
-    moves them.
+    Any Moebius map carrying the codomain's Weierstrass set onto the
+    representative's will do: two differ by an automorphism, which keeps
+    the image in its orbit.  The codomain's points are the roots of
+    spl's blocks, listed pair by pair, and the first index map that
+    frame_permutations reads off the target's frames moves the pairs.
     """
     K1, pairs = splitting_root_pairs(spl)
     K, pts2 = target.points
@@ -309,9 +308,8 @@ def _transport_pairing(target: Vertex, spl):
     maps = frame_permutations(K, [p for pair in pairs for p in pair], frames)
     if not maps:
         raise GraphError("no Moebius map between isomorphic models")
-    # the codomain's points were listed pair by pair
-    moved = iter(pts2[i] for i in maps[0])
-    return matching_pairing(zip(moved, moved))
+    m = maps[0]
+    return matching_index(zip(m[0::2], m[1::2]))
 
 
 def _transport_kernel(src: ProductSurface, dst: ProductSurface,
@@ -345,23 +343,15 @@ def dual_edge(g: Graph, e: OrbitEdge) -> OrbitEdge:
         raise GraphError("target vertex not expanded")
     _, codomain, dual = e.hint
     if dual is None:
-        raise GraphError(f"no dual kernel recorded for {_where(e)}")
+        raise GraphError("no dual kernel recorded for edge "
+                         f"{e.source.as_string()} -> {e.target.as_string()}"
+                         f" by {e.kernel_rep}")
     if isinstance(codomain, Genus2Curve):
         kernel = _transport_pairing(tgt, dual)
     else:
-        kernel = _transport_kernel(codomain, tgt.representative, dual).key()
-    try:
-        return tgt.kernel_to_edge[kernel]
-    except KeyError:
-        raise GraphError(
-            f"dual kernel not found at target of {_where(e)}") from None
-
-
-def _where(e: OrbitEdge) -> str:
-    """e named for an error text; built only when one is raised, as the
-    repr of its kernel is costly."""
-    return (f"edge {e.source.as_string()} -> {e.target.as_string()} "
-            f"by {e.kernel_rep}")
+        kernel = kernel_index(
+            _transport_kernel(codomain, tgt.representative, dual))
+    return tgt.kernel_to_edge[kernel]
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ import pytest
 
 from richelot import genus2
 from richelot.field import ExtCtx, FieldElement, make_field
-from richelot.genus2 import (INF, Genus2Curve, MoebiusMap,
+from richelot.genus2 import (INF, MATCHINGS, Genus2Curve, MoebiusMap,
                              QuadraticSplitting, _to_zero_one_inf,
-                             moebius_through, point_key)
+                             matching_splitting, moebius_through,
+                             orbit_partition, point_key)
 from richelot.elliptic import EllipticCurveE2
 from richelot.poly import Poly
 from richelot.isogeny import (DegenerateSplitData, JacobianCodomain,
@@ -121,6 +122,42 @@ def moebius_frames_oracle(K, pts):
                         ())
         frames.setdefault(signature, []).append(triple)
     return frames
+
+
+def matching_pairing(matching) -> frozenset:
+    """A matching of Weierstrass points as its pairs of point keys: the
+    kernel label genus2.matching_pairing made before labels were
+    MATCHINGS indices, kept as the label oracle."""
+    return frozenset(frozenset(map(point_key, pair)) for pair in matching)
+
+
+def label_pairing(pts, n):
+    """The kernel label n (an index in MATCHINGS) at a vertex with the
+    sorted points pts, translated to its matching_pairing."""
+    return matching_pairing([(pts[a], pts[b]) for a, b in MATCHINGS[n]])
+
+
+def jacobian_orbits_oracle(ctx, pts, scale, maps):
+    """(kernel_rep, pairings) per RA orbit of the 15 kernels at a
+    Jacobian vertex with the sorted points pts, by moving point keys
+    under the index maps maps: genus2.point_splittings and
+    genus2.moebius_orbits_on_splittings as they ran on matching_pairing
+    labels, kept as the oracle of the index labels.  Orbits and their
+    pairings come in the order of the splittings' blocks."""
+    out = [(matching_splitting(ctx, (), m, scale), matching_pairing(m))
+           for m in genus2._matchings(list(pts))]
+    out.sort(key=lambda sp: sp[0].blocks)
+    pairings = [pr for _, pr in out]
+    keys = [point_key(p) for p in pts]
+    index_of = {pr: i for i, pr in enumerate(pairings)}
+    actions = []
+    for m in maps:
+        image = dict(zip(keys, (keys[i] for i in m)))
+        actions.append([index_of[frozenset(frozenset(image[k] for k in pair)
+                                           for pair in pairing)]
+                        for pairing in pairings])
+    return [(out[orbit[0]][0], tuple(pairings[i] for i in orbit))
+            for orbit in orbit_partition(range(len(pairings)), actions)]
 
 
 def count_calls(monkeypatch, name, module=genus2):

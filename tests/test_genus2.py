@@ -1,16 +1,18 @@
 """Genus-2 curves: splittings, Clebsch invariants, classifiers, keys."""
 
 import random
+from itertools import permutations
 from math import comb, factorial, perm
 
 import pytest
 
 from richelot.field import ExtCtx, FieldElement, legendre, make_field
-from richelot.genus2 import (INF, ClebschPoint, Genus2Curve, Genus2Error,
-                             MoebiusMap, _block_roots, _to_zero_one_inf,
-                             canonical_key,
+from richelot.genus2 import (INF, MATCHINGS, ClebschPoint, Genus2Curve,
+                             Genus2Error, MoebiusMap, _block_roots,
+                             _to_zero_one_inf, canonical_key,
                              clebsch_invariants, derived_invariants,
-                             frame_permutations, moebius_frames,
+                             frame_permutations, matching_action,
+                             matching_index, moebius_frames,
                              moebius_orbits_on_splittings, moebius_through,
                              orbit_partition, point_key, point_splittings,
                              QuadraticSplitting, ra_type_from_automorphisms,
@@ -24,7 +26,7 @@ from richelot.poly import (Poly, factor_quadratic_pieces, is_squarefree,
 
 from clebsch_fixtures import FIXTURES
 from conftest import (block_poly, block_roots_oracle, block_triple,
-                      moebius_frames_oracle,
+                      label_pairing, moebius_frames_oracle,
                       moebius_search_oracle, poly_key_oracle,
                       random_distinct_elements, random_element,
                       splitting_of, transform_curve_oracle)
@@ -444,17 +446,25 @@ def test_moebius_frames_match_oracle_irrational_points(ctx23, rng):
 
 def test_moebius_frames_run_on_plain_integers(monkeypatch, rng):
     # over GF(p^2) the frames and their matching make no FieldElement
-    # multiplication and build no FieldElement
+    # multiplication and build no FieldElement; a table of six finite
+    # points takes one inverse per unordered pair, and a base frame the
+    # four of its q(1, 2, 0) and q(l, 0, 2)
     ctx = make_field(101)
     pts = random_distinct_elements(ctx, rng, 6)
-    muls, built = [], []
+    muls, built, inverses = [], [], []
     real_mul, real_init = FieldElement.__mul__, FieldElement.__init__
+    real_pinv = type(ctx).pinv
     monkeypatch.setattr(FieldElement, "__mul__",
                         lambda *args: muls.append(args) or real_mul(*args))
     monkeypatch.setattr(FieldElement, "__rmul__", FieldElement.__mul__)
     monkeypatch.setattr(FieldElement, "__init__",
                         lambda *args: built.append(args) or real_init(*args))
-    perms = frame_permutations(ctx, pts, moebius_frames(ctx, pts))
+    monkeypatch.setattr(type(ctx), "pinv", lambda *args:
+                        inverses.append(args) or real_pinv(*args))
+    frames = moebius_frames(ctx, pts)
+    assert len(inverses) == 15
+    perms = frame_permutations(ctx, pts, frames)
+    assert len(inverses) == 15 + 4
     assert list(range(6)) in perms
     assert len(muls) == 0
     assert len(built) == 0
@@ -478,7 +488,8 @@ def test_frame_permutations_match_search_oracle_on_graph(p):
         maps = moebius_search_oracle(K, pts, pts)
         assert sorted(frame_permutations(K, pts, v.frames)) \
             == sorted(induced_permutation(m, pts) for m in maps)
-        pairings = list(v.kernel_to_edge)
+        # the index labels, translated to pairings through MATCHINGS
+        pairings = [label_pairing(pts, n) for n in range(15)]
         index_of = {pr: i for i, pr in enumerate(pairings)}
         at_key = {point_key(q): q for q in pts}
         actions = [[index_of[frozenset(
@@ -487,9 +498,32 @@ def test_frame_permutations_match_search_oracle_on_graph(p):
         want = {frozenset(pairings[i] for i in orbit)
                 for orbit in orbit_partition(range(15), actions)}
         got = {}
-        for pairing, e in v.kernel_to_edge.items():
-            got.setdefault(id(e), set()).add(pairing)
+        for n, e in enumerate(v.kernel_to_edge):
+            got.setdefault(id(e), set()).add(pairings[n])
         assert {frozenset(o) for o in got.values()} == want
+
+
+def test_matching_action_matches_brute_force_and_composes():
+    # MATCHINGS are the 15 perfect matchings of range(6); each of the
+    # 720 permutations acts on them as moving their pairs as sets, and
+    # the action of a composite is the composite of the actions
+    as_sets = [frozenset(map(frozenset, m)) for m in MATCHINGS]
+    assert len(set(as_sets)) == 15
+    assert all(sorted(a for pair in m for a in pair) == list(range(6))
+               for m in MATCHINGS)
+    assert [matching_index(reversed(m)) for m in MATCHINGS] \
+        == list(range(15))
+    perms = list(permutations(range(6)))
+    for g in perms:
+        assert matching_action(g) == tuple(
+            as_sets.index(frozenset(frozenset(g[a] for a in pair)
+                                    for pair in m)) for m in as_sets)
+    rng = random.Random(6)
+    for g in perms:
+        for h in rng.sample(perms, 8):
+            gh = tuple(g[h[i]] for i in range(6))
+            assert matching_action(gh) == tuple(
+                matching_action(g)[n] for n in matching_action(h))
 
 
 def weierstrass_points_oracle(curve):
@@ -653,7 +687,8 @@ def test_point_splittings_match_factoring_oracle_random(ctx23, rng):
         C = random_split_curve(ctx23, rng, degree)
         K, pts = weierstrass_points(C)
         assert K is ctx23
-        assert point_splittings(ctx23, (), pts, C.f.leading()) \
+        assert [(spl, label_pairing(pts, n)) for spl, n in
+                point_splittings(ctx23, (), pts, C.f.leading())] \
             == splittings_with_pairings_oracle(C), C
 
 
@@ -663,12 +698,14 @@ def test_point_splittings_match_factoring_oracle_on_graph(p):
     g = build_graph(make_field(p))
     for v in g.vertices.values():
         if v.key.kind == "jacobian":
-            rep = v.representative
-            built = point_splittings(rep.ctx, (), v.points[1],
-                                     rep.f.leading())
+            rep, pts = v.representative, v.points[1]
+            built = [(spl, label_pairing(pts, n)) for spl, n in
+                     point_splittings(rep.ctx, (), pts, rep.f.leading())]
             want = splittings_with_pairings_oracle(rep)
             assert built == want, v.key.as_string()
-            assert set(v.kernel_to_edge) == {pr for _, pr in want}
+            assert len(v.kernel_to_edge) == 15
+            assert {label_pairing(pts, k) for e in v.edges
+                    for k in e.kernels} == {pr for _, pr in want}
 
 
 def test_point_splittings_run_on_ints(monkeypatch):
@@ -680,10 +717,8 @@ def test_point_splittings_run_on_ints(monkeypatch):
     cases = [(v.points[1], v.representative.f.leading())
              for v in g.vertices.values() if v.key.kind == "jacobian"]
     for pts, scale in cases:
-        at = {point_key(x): x for x in pts}
-        for spl, pairing in point_splittings(ctx, (), pts, scale):
-            pairs = [sorted(map(at.get, pair), key=point_key)
-                     for pair in pairing]
+        for spl, n in point_splittings(ctx, (), pts, scale):
+            pairs = [(pts[a], pts[b]) for a, b in MATCHINGS[n]]
             blocks = [Poly(ctx, [-s, ctx.one]) if r is INF
                       else Poly.from_roots(ctx, [r, s]) for r, s in pairs]
             assert spl == splitting_of(blocks, scale)
@@ -884,10 +919,10 @@ def test_orbit_sizes_sum_to_fifteen(ctx23, rng):
     for _ in range(5):
         C = random_split_curve(ctx23, rng)
         K, pts = weierstrass_points(C)
-        pairings = [pr for _, pr in
-                    point_splittings(ctx23, (), pts, C.f.leading())]
+        labels = [n for _, n in
+                  point_splittings(ctx23, (), pts, C.f.leading())]
         orbits = moebius_orbits_on_splittings(
-            pts, pairings, frame_permutations(K, pts, moebius_frames(K, pts)))
+            labels, frame_permutations(K, pts, moebius_frames(K, pts)))
         assert sum(len(o) for o in orbits) == 15
 
 

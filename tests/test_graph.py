@@ -10,17 +10,19 @@ from richelot import genus2, graph
 from richelot.elliptic import (EllipticCurveE2, isomorphisms_with_torsion,
                                two_isogeny)
 from richelot.field import FieldElement, make_field
-from richelot.genus2 import (Genus2Curve, RAType, matching_pairing, point_key,
-                             splitting_root_pairs, weierstrass_points)
+from richelot.genus2 import (Genus2Curve, RAType, frame_permutations,
+                             point_key, splitting_root_pairs,
+                             weierstrass_points)
 from richelot.gluing import (GluedJacobian, ProductKernel, ProductSurface,
-                             kernel_orbits, quotient_diagonal,
-                             torsion_action_generators)
+                             kernel_orbits, product_kernels,
+                             quotient_diagonal, torsion_action_generators)
 from richelot.graph import (GraphError, OrbitEdge, _transport_kernel,
                             build_graph, dual_edge, export, neighbourhood,
                             validate, VertexKey)
 from richelot.poly import Poly
 
 from conftest import (clear_genus2_caches, count_calls, isomorphisms_oracle,
+                      jacobian_orbits_oracle, label_pairing, matching_pairing,
                       moebius_search_oracle, random_element, splitting_of,
                       torsion_apply_oracle)
 
@@ -161,6 +163,20 @@ def transport_pairing_oracle(dst_curve, spl):
                      for pair in pairs)
 
 
+def edge_of_pairing(v, pairing):
+    """The edge of the Jacobian vertex v holding the kernel whose label
+    translates to pairing (label_pairing)."""
+    for n, e in enumerate(v.kernel_to_edge):
+        if label_pairing(v.points[1], n) == pairing:
+            return e
+    raise KeyError(pairing)
+
+
+def edge_of_product_kernel(v, k):
+    """The edge of the product vertex v holding the kernel k."""
+    return v.kernel_to_edge[product_kernels().index(k)]
+
+
 def dual_edge_oracle(g, e):
     """Dual edge by search: the gluing-based dual_edge that
     graph.dual_edge replaced, kept as the reference it is checked
@@ -176,7 +192,7 @@ def dual_edge_oracle(g, e):
     if kind in ("jac", "glue"):
         pairing = transport_pairing_oracle(tgt.representative, e.hint[2])
         try:
-            return tgt.kernel_to_edge[pairing]
+            return edge_of_pairing(tgt, pairing)
         except KeyError:
             raise GraphError("dual splitting not found at target") from None
 
@@ -194,18 +210,19 @@ def dual_edge_oracle(g, e):
         straight2 = isomorphisms_with_torsion(cod.E2, S_rep.E2)
         if straight1 and straight2:
             kk = ProductKernel.product(straight1[0][0], straight2[0][0])
-            return tgt.kernel_to_edge[kk.key()]
+            return edge_of_product_kernel(tgt, kk)
         cross1 = isomorphisms_with_torsion(cod.E1, S_rep.E2)
         cross2 = isomorphisms_with_torsion(cod.E2, S_rep.E1)
         if cross1 and cross2:
             kk = ProductKernel.product(cross2[0][0], cross1[0][0])
-            return tgt.kernel_to_edge[kk.key()]
+            return edge_of_product_kernel(tgt, kk)
         raise GraphError("codomain factors do not match target product")
 
     if kind == "split":
         S_rep = tgt.representative
         src_curve = src.representative
-        src_edge_pairings = {pr for pr, ee in src.kernel_to_edge.items()
+        src_edge_pairings = {label_pairing(src.points[1], n)
+                             for n, ee in enumerate(src.kernel_to_edge)
                              if ee is e}
         candidates = []
         for perm in sorted(permutations((1, 2, 3))):
@@ -217,7 +234,7 @@ def dual_edge_oracle(g, e):
                 continue
             pairing = transport_pairing_oracle(src_curve, res.dual)
             if pairing in src_edge_pairings:
-                candidates.append(tgt.kernel_to_edge[kk.key()])
+                candidates.append(edge_of_product_kernel(tgt, kk))
         if not candidates:
             raise GraphError("no gluing at target reproduces the source")
         first = candidates[0]
@@ -259,7 +276,7 @@ def test_dual_transport_from_codomain_with_irrational_points():
     e = OrbitEdge(source=v.key, target=v.key, weight=1, kernel_rep=None,
                   is_loop=True, hint=("jac", codomain, spl))
     minus = frozenset(frozenset((point_key(x), point_key(-x))) for x in pts)
-    assert dual_edge(g, e) is v.kernel_to_edge[minus]
+    assert dual_edge(g, e) is edge_of_pairing(v, minus)
 
 
 @pytest.mark.parametrize("p", [23, 41])
@@ -267,23 +284,64 @@ def test_edges_carry_their_orbit_kernels(p):
     # the kernel labels on a vertex's edges are its 15 kernels, each on
     # one edge, kernel_rep's among its own; kernel_to_edge is read off
     # them
+    # them; labels are small ints, named here as the kernel's key on a
+    # product and as its point-key pairing on a Jacobian
     g = build_graph(make_field(p))
     for v in g.vertices.values():
         labels = [k for e in v.edges for k in e.kernels]
         if v.key.kind == "product":
-            want = {k.key() for k in kernel_orbits(v.representative)[1]}
+            kernels = kernel_orbits(v.representative)[1]
+            want = {k.key() for k in kernels}
             reps = [e.kernel_rep.key() for e in v.edges]
+
+            def name(k):
+                return kernels[k].key()
         else:
-            want = {matching_pairing(m) for m in genus2._matchings(
-                v.points[1])}
+            pts = v.points[1]
+            want = {matching_pairing(m) for m in genus2._matchings(pts)}
             reps = [matching_pairing(splitting_root_pairs(e.kernel_rep)[1])
                     for e in v.edges]
-        assert len(labels) == 15 and set(labels) == want
-        assert all(e.weight == len(e.kernels) and r in e.kernels
+
+            def name(k):
+                return label_pairing(pts, k)
+        assert sorted(labels) == list(range(15))
+        assert len(labels) == 15 and set(map(name, labels)) == want
+        assert all(e.weight == len(e.kernels)
+                   and r in map(name, e.kernels)
                    for e, r in zip(v.edges, reps))
         assert len(v.kernel_to_edge) == 15
         assert all(v.kernel_to_edge[k] is e
                    for e in v.edges for k in e.kernels)
+
+
+def assert_jacobian_edges_match_label_oracle(g):
+    # the edges out of each Jacobian vertex, labelled by MATCHINGS
+    # index, are those of the point-key orbit code: the same kernel_reps
+    # and weights in the same order, each label the oracle's pairing
+    # when translated, and the target each kernel_rep steps to
+    jacobians = [v for v in g.vertices.values() if v.key.kind == "jacobian"]
+    assert jacobians
+    for v in jacobians:
+        K, pts = v.points
+        want = jacobian_orbits_oracle(
+            K, pts, v.representative.f.leading(),
+            frame_permutations(K, pts, v.frames))
+        assert [(e.kernel_rep, e.weight) for e in v.edges] \
+            == [(rep, len(pairings)) for rep, pairings in want]
+        for e, (rep, pairings) in zip(v.edges, want):
+            assert tuple(label_pairing(pts, k) for k in e.kernels) \
+                == pairings
+            assert e.target == graph._jacobian_step(rep)[0]
+
+
+@pytest.mark.parametrize("p", [23, 41])
+def test_jacobian_edges_match_label_oracle(p):
+    assert_jacobian_edges_match_label_oracle(build_graph(make_field(p)))
+
+
+@pytest.mark.slow
+def test_jacobian_edges_match_label_oracle_p101():
+    assert_jacobian_edges_match_label_oracle(build_graph(make_field(101)))
 
 
 @pytest.fixture(scope="module", params=[11, 23, 41, 59])
@@ -466,6 +524,18 @@ def test_each_jacobian_vertex_builds_frames_once(monkeypatch):
     assert len(calls) == len(jacobians)
 
 
+def test_each_jacobian_vertex_reads_its_ra_maps_once(monkeypatch):
+    # _make_vertex reads the RA maps off the frames once; its RA order
+    # and the expansion's orbits share them, so a build makes one
+    # frame_permutations call per Jacobian vertex
+    calls = count_calls(monkeypatch, "frame_permutations")
+    g = build_graph(make_field(41))
+    jacobians = [v for v in g.vertices.values() if v.key.kind == "jacobian"]
+    assert len(jacobians) == 40
+    assert len(calls) == len(jacobians)
+    assert all(v.ra_order == len(v.ra_maps) for v in jacobians)
+
+
 def test_build_graph_stops_past_census_count(monkeypatch):
     # with Jacobian keys that never merge the closure would not end;
     # the census count bounds it
@@ -532,10 +602,14 @@ GOLDEN_EXPORTS = {
         "ae94d58045afd053efa201a3b6e24614d39de008a4a8b789459229453a03461c",
     (41, "dot"):
         "deb7070ca8161c4a69d826bc1f86db0998d45543b19db30eec2753b9d13f6762",
+    (53, "json"):
+        "e74516241c894b2a90282aec94c0cc9d256dc6396ed59cc27114207bd870b828",
+    (53, "dot"):
+        "6645d3e27a505ebb47d0a3b386a49a5e08b02c86dd962a79b11f0474c7d8fbdb",
 }
 
 
-@pytest.mark.parametrize("p", [23, 41])
+@pytest.mark.parametrize("p", [23, 41, 53])
 def test_export_matches_golden_digests(p):
     g = build_graph(make_field(p))
     for fmt in ("json", "dot"):
