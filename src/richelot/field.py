@@ -70,6 +70,7 @@ class FieldCtx:
         self.one = FieldElement(self, 1, 0)
         self.i = FieldElement(self, 0, 1)
         self._ext = None
+        self._generator = None
 
     def __repr__(self):
         return f"GF({self.p}^2; i^2={self.nonresidue})"
@@ -144,24 +145,26 @@ class FieldCtx:
     def nth_root_of_unity(self, n: int):
         """Lexicographically smallest primitive n-th root of unity, or None.
 
-        A primitive root exists iff n divides p^2 - 1.  Then each x != 0
-        gives an n-th root of unity r = x^((p^2 - 1)/n); the first x in
-        lex order whose r is primitive gives every primitive root as r^k
-        with k coprime to n, and the least of those is returned.
+        A primitive root exists iff n divides p^2 - 1.  Then the powers
+        r^k, k coprime to n, of r = g^((p^2 - 1)/n) are all of them; g is
+        the field's generator, found once: the first a + b*i in lex order
+        with a, b != 0 (GF(p)^* and i*GF(p)^* have orders dividing 2(p -
+        1)) whose (p^2 - 1)/l-th power is not 1 for any prime l | p^2 - 1.
         """
         if n <= 0:
             raise FieldError(f"n must be positive, got {n}")
-        if (self.order - 1) % n != 0:
+        m = self.order - 1
+        if m % n != 0:
             return None
-        for x in self.elements():
-            if x.is_zero():
-                continue
-            powers = [x ** ((self.order - 1) // n)]
-            while len(powers) < n:
-                powers.append(powers[-1] * powers[0])
-            if powers.index(self.one) == n - 1:  # r has order n
-                return min(z for k, z in enumerate(powers, 1)
-                           if gcd(k, n) == 1)
+        if self._generator is None:
+            primes = [d for d in range(2, self.p + 2)
+                      if m % d == 0 and is_prime(d)]
+            self._generator = next(
+                x for x in self.elements()
+                if x.a and x.b
+                and all(x ** (m // l) != self.one for l in primes))
+        r = self._generator ** (m // n)
+        return min(r ** k for k in range(1, n + 1) if gcd(k, n) == 1)
 
 
 def make_field(p: int) -> FieldCtx:

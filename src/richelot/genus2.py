@@ -25,7 +25,8 @@ from itertools import combinations, permutations
 from math import comb, perm
 
 from .field import ExtCtx, ExtElement, FieldCtx, FieldElement
-from .poly import Poly, factor_quadratic_pieces, is_squarefree
+from .poly import (Poly, add_pairs, factor_quadratic_pieces, is_squarefree,
+                   mul_pairs)
 
 
 class Genus2Error(ValueError):
@@ -121,16 +122,10 @@ class Genus2Curve:
 
 def block_product(ctx: FieldCtx, blocks, scale) -> Poly:
     """scale * g1*g2*g3, multiplied on (a, b) int pairs, low first."""
-    p, nr = ctx.p, ctx.nonresidue
     f = [scale]
     for g in blocks:
-        re, im = [0] * (len(f) + 2), [0] * (len(f) + 2)
-        for i, (a, b) in enumerate(f):
-            for j, (c, d) in enumerate(g):
-                re[i + j] += a * c + nr * b * d
-                im[i + j] += a * d + b * c
-        f = [(x % p, y % p) for x, y in zip(re, im)]
-    return Poly(ctx, [FieldElement(ctx, *c) for c in f])
+        f = mul_pairs(ctx, f, g)
+    return Poly.from_pairs(ctx, f)
 
 
 def monic_block(ctx: FieldCtx, g) -> tuple:
@@ -180,24 +175,28 @@ def _matchings(items):
 INF = "inf"  # the point at infinity on the x-line
 
 
+def _pair_block(ctx, r, s) -> tuple:
+    """x^2 - (r + s)x + rs on (a, b) int pairs, x - r when s is INF."""
+    if r is INF or s is INF:
+        t = s if r is INF else r
+        return (-t.a % ctx.p, -t.b % ctx.p), (1, 0), (0, 0)
+    return (ctx.pmul((r.a, r.b), (s.a, s.b)),
+            ((-r.a - s.a) % ctx.p, (-r.b - s.b) % ctx.p), (1, 0))
+
+
 def matching_splitting(ctx, forced, matching, scale) -> QuadraticSplitting:
-    """The forced monic blocks plus x^2 - (r + s)x + rs, made on (a, b)
-    int pairs, per pair (r, s) of the matching (x - r when s is INF)."""
-    p, blocks = ctx.p, list(forced)
-    for r, s in matching:
-        if r is INF or s is INF:
-            t = s if r is INF else r
-            blocks.append(((-t.a % p, -t.b % p), (1, 0), (0, 0)))
-        else:
-            blocks.append((ctx.pmul((r.a, r.b), (s.a, s.b)),
-                           ((-r.a - s.a) % p, (-r.b - s.b) % p), (1, 0)))
-    return QuadraticSplitting.make(blocks, scale)
+    """The forced monic blocks plus the block of each pair (r, s) of the
+    matching: x^2 - (r + s)x + rs, or x - r when s is INF."""
+    return QuadraticSplitting.make(
+        list(forced) + [_pair_block(ctx, r, s) for r, s in matching], scale)
 
 
-# The 15 perfect matchings of range(6), each its increasing pairs in
-# increasing order.  A Jacobian kernel is labelled by the index here of
-# its matching of the vertex's sorted Weierstrass points.
-MATCHINGS = tuple(tuple(m) for m in _matchings(list(range(6))))
+# The perfect matchings of range(n), each its increasing pairs in order.
+# A Jacobian kernel is labelled by the index in MATCHINGS, n = 6, of its
+# matching of the vertex's sorted Weierstrass points.
+_INDEX_MATCHINGS = {n: tuple(tuple(m) for m in _matchings(list(range(n))))
+                    for n in (0, 2, 4, 6)}
+MATCHINGS = _INDEX_MATCHINGS[6]
 _MATCHING_INDEX = {m: n for n, m in enumerate(MATCHINGS)}
 
 
@@ -226,11 +225,14 @@ def pairing_index(pairs) -> int:
 
 def point_splittings(ctx, forced, free, scale) -> list:
     """(splitting, index) for each perfect matching of the free points
-    (GF(p^2) elements and INF) around the forced irreducible blocks,
-    sorted by blocks.  The index is the matching's in _matchings order:
-    with six free points, its MATCHINGS index, the kernel label."""
-    out = [(matching_splitting(ctx, forced, m, scale), n)
-           for n, m in enumerate(_matchings(list(free)))]
+    (GF(p^2) elements and INF) around the forced irreducible blocks, one
+    block made per pair, sorted by blocks.  The index is the matching's
+    in _matchings order: with six free points, the kernel label."""
+    block = {(i, j): _pair_block(ctx, free[i], free[j])
+             for i, j in combinations(range(len(free)), 2)}
+    out = [(QuadraticSplitting.make(
+        list(forced) + [block[pr] for pr in m], scale), n)
+        for n, m in enumerate(_INDEX_MATCHINGS[len(free)])]
     out.sort(key=lambda sp: sp[0].blocks)
     return out
 
@@ -310,11 +312,16 @@ def splitting_points(spl: QuadraticSplitting):
 @lru_cache(maxsize=None)
 def weierstrass_points(curve: Genus2Curve):
     """The six Weierstrass points of the curve, sorted, as (field,
-    points): over GF(p^2) when f splits (always at superspecial
-    vertices), else over GF(p^4).  Read off the first of splittings(),
-    so the curve is factored; graph vertices reached by an edge read
-    theirs off its recorded dual splitting instead."""
-    return splitting_points(splittings(curve)[0])
+    points): the roots of f's linear factors (and INF if f is a quintic)
+    when f splits, always at superspecial vertices; else over GF(p^4),
+    off the first of splittings().  Graph vertices reached by an edge
+    read theirs off its recorded dual splitting instead."""
+    f = curve.f
+    linears, quads = factor_quadratic_pieces(f)
+    if quads:
+        return splitting_points(splittings(curve)[0])
+    return f.ctx, sorted([-g[0] for g in linears]
+                         + [INF] * (f.degree() == 5), key=point_key)
 
 
 @dataclass(frozen=True)
@@ -539,17 +546,14 @@ def transform_curve(curve: Genus2Curve, a, b, c, d) -> Genus2Curve:
     if (a * d - b * c).is_zero():
         raise Genus2Error("singular substitution")
     # f(x, z) = sum f_k x^k z^(6-k); substitute x -> a x + b z,
-    # z -> c x + d z, and set z = 1.
-    num, den = Poly(ctx, [b, a]), Poly(ctx, [d, c])
-    nums, dens = [Poly.one(ctx)], [Poly.one(ctx)]
-    for _ in range(6):
-        nums.append(nums[-1] * num)
-        dens.append(dens[-1] * den)
-    out = Poly.zero(ctx)
+    # z -> c x + d z, and set z = 1, on int pairs.
+    num, den, out = [b.key(), a.key()], [d.key(), c.key()], []
     for k in range(7):
-        if not curve.f[k].is_zero():
-            out = out + nums[k] * dens[6 - k] * curve.f[k]
-    return Genus2Curve(out)
+        t = [curve.f[k].key()]
+        for g in [num] * k + [den] * (6 - k):
+            t = mul_pairs(ctx, t, g)
+        out = add_pairs(ctx, out, t)
+    return Genus2Curve(Poly.from_pairs(ctx, out))
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,17 @@
 """Univariate polynomial arithmetic over GF(p^2).
 
 Polynomials are immutable coefficient tuples, lowest degree first,
-with no trailing zeros (the zero polynomial is the empty tuple).
-The factoring routines only go as far as the genus-2 machinery
-needs: roots in GF(p^2), and factorization into irreducible pieces
-of degree at most 2.  Inputs whose irreducible factors have higher
-degree are rejected.
+with no trailing zeros (the zero polynomial is the empty tuple).  Poly
+wraps the *_pairs kernels, which run on lists of (a, b) int pairs (as
+FieldCtx.pmul), reduced mod p once per output coefficient.  Factoring,
+by Cantor-Zassenhaus on int pairs, finds roots in GF(p^2) and pieces of
+degree at most 2, and rejects inputs with higher-degree factors.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import zip_longest
 
 from .field import FieldCtx, FieldElement
 
@@ -44,16 +45,16 @@ class Poly:
         return cls(ctx, [ctx.one])
 
     @classmethod
-    def x(cls, ctx: FieldCtx) -> "Poly":
-        return cls(ctx, [ctx.zero, ctx.one])
+    def from_pairs(cls, ctx: FieldCtx, pairs) -> "Poly":
+        return cls(ctx, [FieldElement(ctx, a, b) for a, b in pairs])
 
     @classmethod
     def from_roots(cls, ctx: FieldCtx, roots, scale=None) -> "Poly":
         """scale * prod (x - r) over the given roots."""
-        f = cls(ctx, [scale if scale is not None else ctx.one])
+        f = [scale.key() if scale is not None else (1, 0)]
         for r in roots:
-            f = f * cls(ctx, [-r, ctx.one])
-        return f
+            f = mul_pairs(ctx, f, [(-r.a % ctx.p, -r.b % ctx.p), (1, 0)])
+        return cls.from_pairs(ctx, f)
 
     # -- basic protocol ------------------------------------------------
 
@@ -74,6 +75,10 @@ class Poly:
         """Sort key: (degree, coefficient pairs low to high)."""
         return (len(self.coeffs), tuple(c.key() for c in self.coeffs))
 
+    def pairs(self) -> list:
+        """The coefficients as (a, b) int pairs, low first."""
+        return [(c.a, c.b) for c in self.coeffs]
+
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -91,50 +96,34 @@ class Poly:
             raise PolyError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    # -- arithmetic ----------------------------------------------------
+    # -- arithmetic, by the int-pair kernels ---------------------------
+
+    def _of(self, pairs) -> "Poly":
+        return Poly.from_pairs(self.ctx, pairs)
 
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.ctx, [self[k] + other[k] for k in range(n)])
+        return self._of(add_pairs(self.ctx, self.pairs(), other.pairs()))
 
     def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.ctx, [self[k] - other[k] for k in range(n)])
+        return self._of(add_pairs(self.ctx, self.pairs(), other.pairs(), -1))
 
     def __neg__(self):
-        return Poly(self.ctx, [-c for c in self.coeffs])
+        return self._of(add_pairs(self.ctx, [], self.pairs(), -1))
 
     def __mul__(self, other):
-        if isinstance(other, FieldElement):
-            return Poly(self.ctx, [c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(self.ctx)
-        out = [self.ctx.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.ctx, out)
+        g = [other.key()] if isinstance(other, FieldElement) \
+            else other.pairs()
+        return self._of(mul_pairs(self.ctx, self.pairs(), g))
 
     __rmul__ = __mul__
 
     def __divmod__(self, other):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly.zero(self.ctx), self
-        quo = [self.ctx.zero] * (dq + 1)
-        inv_lead = other.leading().inverse()
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree()] * inv_lead
-            quo[k] = c
-            if not c.is_zero():
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] = rem[k + j] - c * b
-        return Poly(self.ctx, quo), Poly(self.ctx, rem)
+        ctx, inv = self.ctx, self.ctx.pinv(other.leading().key())
+        quo, rem = divmod_pairs(ctx, self.pairs(), monic_pairs(
+            ctx, other.pairs()))
+        return self._of([ctx.pmul(c, inv) for c in quo]), self._of(rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -143,88 +132,156 @@ class Poly:
         return divmod(self, other)[1]
 
     def derivative(self) -> "Poly":
-        return Poly(self.ctx, [self.coeffs[k] * k
-                               for k in range(1, len(self.coeffs))])
+        return self._of(derivative_pairs(self.ctx, self.pairs()))
 
     def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        return self * self.leading().inverse()
+        return self._of(monic_pairs(self.ctx, self.pairs()))
 
     def gcd(self, other) -> "Poly":
         """Monic greatest common divisor."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        return self._of(gcd_pairs(self.ctx, self.pairs(), other.pairs()))
 
     def powmod(self, e: int, modulus: "Poly") -> "Poly":
         """self^e mod modulus, by square and multiply."""
-        result = Poly.one(self.ctx)
-        base = self % modulus
-        while e:
-            if e & 1:
-                result = (result * base) % modulus
-            base = (base * base) % modulus
-            e >>= 1
-        return result
+        if modulus.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        return self._of(powmod_pairs(self.ctx, self.pairs(), e,
+                                     monic_pairs(self.ctx, modulus.pairs())))
+
+
+# -- int-pair kernels: outputs reduced and trimmed, inputs need not be
+
+
+def _reduced(p, re, im) -> list:
+    """The pairs (re[k], im[k]) mod p, trailing zeros dropped."""
+    out = [(a % p, b % p) for a, b in zip(re, im)]
+    while out and out[-1] == (0, 0):
+        out.pop()
+    return out
+
+
+def add_pairs(ctx, f, g, sign=1) -> list:
+    """f + sign*g, sign = +-1."""
+    z = list(zip_longest(f, g, fillvalue=(0, 0)))
+    return _reduced(ctx.p, [a + sign * c for (a, _), (c, _) in z],
+                    [b + sign * d for (_, b), (_, d) in z])
+
+
+def mul_pairs(ctx, f, g, h=None) -> list:
+    """f*g, or f*g mod a monic h; each output coefficient reduced once."""
+    nr, n = ctx.nonresidue, len(f) + len(g) - 1
+    re, im = [0] * n, [0] * n
+    for i, (a, b) in enumerate(f):
+        for j, (c, d) in enumerate(g):
+            re[i + j] += a * c + nr * b * d
+            im[i + j] += a * d + b * c
+    if h is None:
+        return _reduced(ctx.p, re, im)
+    return divmod_pairs(ctx, list(zip(re, im)), h)[1]
+
+
+def divmod_pairs(ctx, f, h):
+    """(quotient, remainder) of f, coefficients possibly unreduced, by a
+    monic h: each leading coefficient is reduced once, as it is read."""
+    p, nr, dh = ctx.p, ctx.nonresidue, len(h) - 1
+    re, im, quo = [a for a, _ in f], [b for _, b in f], []
+    for k in range(len(f) - 1, dh - 1, -1):
+        a, b = re[k] % p, im[k] % p
+        quo.append((a, b))
+        for j in range(dh):
+            c, d = h[j]
+            re[k - dh + j] -= a * c + nr * b * d
+            im[k - dh + j] -= a * d + b * c
+    return quo[::-1], _reduced(p, re[:dh], im[:dh])
+
+
+def monic_pairs(ctx, f) -> list:
+    """f (trimmed) over its leading coefficient; [] stays []."""
+    inv = ctx.pinv(f[-1]) if f else None
+    return [ctx.pmul(c, inv) for c in f]
+
+
+def derivative_pairs(ctx, f) -> list:
+    return _reduced(ctx.p, [k * a for k, (a, _) in enumerate(f)][1:],
+                    [k * b for k, (_, b) in enumerate(f)][1:])
+
+
+def gcd_pairs(ctx, f, g) -> list:
+    """Monic gcd of f and g (trimmed), by Euclid on monic divisors."""
+    f = monic_pairs(ctx, f)
+    while g:
+        g = monic_pairs(ctx, g)
+        f, g = g, divmod_pairs(ctx, f, g)[1]
+    return f
+
+
+def powmod_pairs(ctx, f, e, h) -> list:
+    """f^e mod a monic h, by left-to-right square and multiply."""
+    out, base = [(1, 0)], divmod_pairs(ctx, f, h)[1]
+    for bit in bin(e)[2:]:
+        out = mul_pairs(ctx, out, out, h)
+        if bit == "1":
+            out = mul_pairs(ctx, out, base, h)
+    return out
+
+
+# -- squarefree test, roots and factoring ---------------------------------
+
+_X = [(0, 0), (1, 0)]
 
 
 def is_squarefree(f: Poly) -> bool:
     """True iff gcd(f, f') is constant (f must be nonzero)."""
     if f.is_zero():
         raise PolyError("squarefree test of zero polynomial")
-    if f.degree() == 0:
-        return True
-    g = f.gcd(f.derivative())
-    return g.degree() == 0
+    g = f.pairs()
+    return len(gcd_pairs(f.ctx, g, derivative_pairs(f.ctx, g))) == 1
 
 
-def _distinct_roots(f: Poly, rng: random.Random):
-    """Distinct roots in GF(p^2) of a nonconstant polynomial."""
-    ctx = f.ctx
-    q = ctx.order
-    xq = Poly.x(ctx).powmod(q, f)
-    g = f.gcd(xq - Poly.x(ctx))
-    roots = []
-    stack = [g]
+def _linear_part(ctx, h):
+    """x^q mod a monic h, and the product gcd(h, x^q - x) of h's
+    distinct linear factors."""
+    xq = powmod_pairs(ctx, _X, ctx.order, h)
+    return xq, gcd_pairs(ctx, h, add_pairs(ctx, xq, _X, -1))
+
+
+def _split(ctx, h, d, rng) -> list:
+    """The monic irreducible factors, sorted, of a monic squarefree h
+    whose irreducible factors all have degree d: Cantor-Zassenhaus
+    equal-degree splitting by gcd(h, u^((q^d - 1)/2) - 1) for random
+    monic u of degree 2d - 1."""
+    p, e, out, stack = ctx.p, (ctx.order ** d - 1) // 2, [], [h]
     while stack:
         h = stack.pop()
-        if h.degree() <= 0:
+        if len(h) <= d + 1:
+            out += [h] * (len(h) == d + 1)
             continue
-        if h.degree() == 1:
-            roots.append(-h[0] / h[1])
-            continue
-        # Cantor-Zassenhaus split of a product of distinct linear factors
         while True:
-            c = ctx.element(rng.randrange(ctx.p), rng.randrange(ctx.p))
-            u = Poly(ctx, [c, ctx.one])
-            w = u.powmod((q - 1) // 2, h) - Poly.one(ctx)
-            d = h.gcd(w)
-            if 0 < d.degree() < h.degree():
-                stack.append(d)
-                stack.append(h // d)
+            u = [(rng.randrange(p), rng.randrange(p))
+                 for _ in range(2 * d - 1)] + [(1, 0)]
+            g = gcd_pairs(ctx, h, add_pairs(
+                ctx, powmod_pairs(ctx, u, e, h), [(1, 0)], -1))
+            if 1 < len(g) < len(h):
+                stack += [g, divmod_pairs(ctx, h, g)[0]]
                 break
-    return roots
+    return sorted(out)
 
 
 def roots(f: Poly) -> list:
     """All roots of f in GF(p^2), with multiplicity, sorted."""
     if f.is_zero():
         raise PolyError("roots of zero polynomial")
+    ctx, p = f.ctx, f.ctx.p
     rng = random.Random(0x52494348 ^ f.degree())
-    out = []
-    for r in _distinct_roots(f, rng):
-        lin = Poly(f.ctx, [-r, f.ctx.one])
-        g = f
+    h, out = monic_pairs(ctx, f.pairs()), []
+    for (a, b), _ in _split(ctx, _linear_part(ctx, h)[1], 1, rng):
         while True:
-            q, rem = divmod(g, lin)
-            if not rem.is_zero():
+            quo, rem = divmod_pairs(ctx, h, [(a, b), (1, 0)])
+            if rem:
                 break
-            out.append(r)
-            g = q
-    out.sort()
-    return out
+            out.append(FieldElement(ctx, -a % p, -b % p))
+            h = quo
+    return sorted(out)
 
 
 def factor_quadratic_pieces(f: Poly):
@@ -233,7 +290,7 @@ def factor_quadratic_pieces(f: Poly):
     Returns (linears, quadratics), each sorted canonically; the product
     of all factors times f's leading coefficient reproduces f.  Raises
     PolyError if f is not squarefree or has an irreducible factor of
-    degree greater than 2.
+    degree greater than 2.  Only the factors become Polys.
     """
     ctx = f.ctx
     if f.is_zero() or f.degree() < 1:
@@ -241,45 +298,20 @@ def factor_quadratic_pieces(f: Poly):
     if not is_squarefree(f):
         raise PolyError("polynomial is not squarefree")
     rng = random.Random(0x46414354 ^ f.degree())
-    q = ctx.order
-
-    lin_roots = _distinct_roots(f, rng)
-    linears = sorted((Poly(ctx, [-r, ctx.one]) for r in lin_roots),
-                     key=Poly.key)
-    cof = f.monic()
-    for lin in linears:
-        cof = cof // lin
-
-    quads = []
-    if cof.degree() > 0:
-        # every remaining factor must be an irreducible quadratic
-        if cof.degree() % 2 != 0:
-            raise PolyError("irreducible factor of degree > 2")
-        xq2 = Poly.x(ctx).powmod(q * q, cof)
-        if not (xq2 - Poly.x(ctx)) % cof == Poly.zero(ctx):
-            raise PolyError("irreducible factor of degree > 2")
-        stack = [cof]
-        while stack:
-            h = stack.pop()
-            if h.degree() == 2:
-                quads.append(h.monic())
-                continue
-            # equal-degree splitting for degree-2 factors
-            while True:
-                u = Poly(ctx, [ctx.element(rng.randrange(ctx.p),
-                                           rng.randrange(ctx.p))
-                               for _ in range(3)] + [ctx.one])
-                w = u.powmod((q * q - 1) // 2, h) - Poly.one(ctx)
-                d = h.gcd(w)
-                if 0 < d.degree() < h.degree():
-                    stack.append(d)
-                    stack.append(h // d)
-                    break
-    quads.sort(key=Poly.key)
-
-    check = Poly(ctx, [f.leading()])
+    h = monic_pairs(ctx, f.pairs())
+    xq, lin = _linear_part(ctx, h)
+    linears = _split(ctx, lin, 1, rng)
+    cof = divmod_pairs(ctx, h, lin)[0]
+    # every factor of cof must be an irreducible quadratic: cof must
+    # divide x^(q^2) - x, and x^(q^2) = (x^q)^q mod cof
+    if len(cof) % 2 == 0 or len(cof) > 1 and add_pairs(
+            ctx, powmod_pairs(ctx, xq, ctx.order, cof), _X, -1):
+        raise PolyError("irreducible factor of degree > 2")
+    quads = _split(ctx, cof, 2, rng)
+    check = [f.leading().key()]
     for g in linears + quads:
-        check = check * g
-    if check != f:
+        check = mul_pairs(ctx, check, g)
+    if check != f.pairs():
         raise PolyError("factorization failed to reproduce input")
-    return linears, quads
+    return ([Poly.from_pairs(ctx, g) for g in linears],
+            [Poly.from_pairs(ctx, g) for g in quads])

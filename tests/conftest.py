@@ -1,7 +1,7 @@
 import random
 import sys
 from itertools import permutations
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -12,7 +12,7 @@ from richelot.genus2 import (INF, MATCHINGS, Genus2Curve, MoebiusMap,
                              matching_splitting, moebius_through,
                              orbit_partition, point_key)
 from richelot.elliptic import EllipticCurveE2
-from richelot.poly import Poly
+from richelot.poly import Poly, PolyError
 from richelot.isogeny import (DegenerateSplitData, JacobianCodomain,
                               RichelotError, SplitCodomain,
                               _rational_models_from_ext)
@@ -404,3 +404,185 @@ def split_pencil_oracle(s):
         E, E2 = EllipticCurveE2(*e_roots), EllipticCurveE2(*e2_roots)
     return SplitCodomain(E, E2, DegenerateSplitData(
         U, V, alphas, betas, tuple(trip), extended))
+
+
+# ---------------------------------------------------------------------------
+# FieldElement polynomial oracles: Poly's arithmetic and poly's factoring
+# as they ran on FieldElement coefficients before the int-pair kernels,
+# kept as the references those kernels are checked against.  Each builds
+# Polys by the constructor only, so no Poly operator runs inside them.
+
+
+def poly_sub_oracle(f, g):
+    n = max(len(f.coeffs), len(g.coeffs))
+    return Poly(f.ctx, [f[k] - g[k] for k in range(n)])
+
+
+def poly_mul_oracle(f, g):
+    """f*g, g a Poly or a FieldElement scalar."""
+    ctx = f.ctx
+    if isinstance(g, FieldElement):
+        return Poly(ctx, [c * g for c in f.coeffs])
+    if f.is_zero() or g.is_zero():
+        return Poly(ctx, [])
+    out = [ctx.zero] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, a in enumerate(f.coeffs):
+        if a.is_zero():
+            continue
+        for j, b in enumerate(g.coeffs):
+            out[i + j] = out[i + j] + a * b
+    return Poly(ctx, out)
+
+
+def poly_divmod_oracle(f, g):
+    ctx = f.ctx
+    if g.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(f.coeffs)
+    dq = len(rem) - len(g.coeffs)
+    if dq < 0:
+        return Poly(ctx, []), f
+    quo = [ctx.zero] * (dq + 1)
+    inv_lead = g.leading().inverse()
+    for k in range(dq, -1, -1):
+        c = rem[k + g.degree()] * inv_lead
+        quo[k] = c
+        if not c.is_zero():
+            for j, b in enumerate(g.coeffs):
+                rem[k + j] = rem[k + j] - c * b
+    return Poly(ctx, quo), Poly(ctx, rem)
+
+
+def poly_monic_oracle(f):
+    return f if f.is_zero() else poly_mul_oracle(f, f.leading().inverse())
+
+
+def poly_gcd_oracle(f, g):
+    """Monic greatest common divisor."""
+    while not g.is_zero():
+        f, g = g, poly_divmod_oracle(f, g)[1]
+    return poly_monic_oracle(f)
+
+
+def poly_powmod_oracle(f, e, m):
+    """f^e mod m, by right-to-left square and multiply."""
+    result = Poly(f.ctx, [f.ctx.one])
+    base = poly_divmod_oracle(f, m)[1]
+    while e:
+        if e & 1:
+            result = poly_divmod_oracle(poly_mul_oracle(result, base), m)[1]
+        base = poly_divmod_oracle(poly_mul_oracle(base, base), m)[1]
+        e >>= 1
+    return result
+
+
+def is_squarefree_oracle(f):
+    if f.is_zero():
+        raise PolyError("squarefree test of zero polynomial")
+    if f.degree() == 0:
+        return True
+    deriv = Poly(f.ctx, [f.coeffs[k] * k for k in range(1, len(f.coeffs))])
+    return poly_gcd_oracle(f, deriv).degree() == 0
+
+
+def _cz_split_oracle(h, e, ncoeffs, rng):
+    """A proper factor gcd(h, u^e - 1) of h, u random monic with ncoeffs
+    random coefficients below its leading one."""
+    ctx = h.ctx
+    one = Poly(ctx, [ctx.one])
+    while True:
+        u = Poly(ctx, [ctx.element(rng.randrange(ctx.p), rng.randrange(ctx.p))
+                       for _ in range(ncoeffs)] + [ctx.one])
+        d = poly_gcd_oracle(h, poly_sub_oracle(poly_powmod_oracle(u, e, h),
+                                               one))
+        if 0 < d.degree() < h.degree():
+            return d
+
+
+def _distinct_roots_oracle(f, rng):
+    ctx = f.ctx
+    x = Poly(ctx, [ctx.zero, ctx.one])
+    g = poly_gcd_oracle(f, poly_sub_oracle(
+        poly_powmod_oracle(x, ctx.order, f), x))
+    roots, stack = [], [g]
+    while stack:
+        h = stack.pop()
+        if h.degree() == 1:
+            roots.append(-h[0] / h[1])
+        elif h.degree() > 1:
+            d = _cz_split_oracle(h, (ctx.order - 1) // 2, 1, rng)
+            stack += [d, poly_divmod_oracle(h, d)[0]]
+    return roots
+
+
+def roots_oracle(f):
+    """All roots of f in GF(p^2), with multiplicity, sorted."""
+    if f.is_zero():
+        raise PolyError("roots of zero polynomial")
+    rng = random.Random(0x52494348 ^ f.degree())
+    out = []
+    for r in _distinct_roots_oracle(f, rng):
+        lin = Poly(f.ctx, [-r, f.ctx.one])
+        g = f
+        while True:
+            q, rem = poly_divmod_oracle(g, lin)
+            if not rem.is_zero():
+                break
+            out.append(r)
+            g = q
+    return sorted(out)
+
+
+def factor_oracle(f):
+    """poly.factor_quadratic_pieces on FieldElement polynomials: the same
+    (linears, quadratics) or the same PolyError."""
+    ctx = f.ctx
+    if f.is_zero() or f.degree() < 1:
+        raise PolyError("need a nonconstant polynomial")
+    if not is_squarefree_oracle(f):
+        raise PolyError("polynomial is not squarefree")
+    rng = random.Random(0x46414354 ^ f.degree())
+    q = ctx.order
+    linears = sorted((Poly(ctx, [-r, ctx.one])
+                      for r in _distinct_roots_oracle(f, rng)), key=Poly.key)
+    cof = poly_monic_oracle(f)
+    for lin in linears:
+        cof = poly_divmod_oracle(cof, lin)[0]
+    quads = []
+    if cof.degree() > 0:
+        x = Poly(ctx, [ctx.zero, ctx.one])
+        xq2 = poly_powmod_oracle(x, q * q, cof)
+        if cof.degree() % 2 != 0 or not poly_divmod_oracle(
+                poly_sub_oracle(xq2, x), cof)[1].is_zero():
+            raise PolyError("irreducible factor of degree > 2")
+        stack = [cof]
+        while stack:
+            h = stack.pop()
+            if h.degree() == 2:
+                quads.append(poly_monic_oracle(h))
+            else:
+                d = _cz_split_oracle(h, (q * q - 1) // 2, 3, rng)
+                stack += [d, poly_divmod_oracle(h, d)[0]]
+    quads.sort(key=Poly.key)
+    check = Poly(ctx, [f.leading()])
+    for g in linears + quads:
+        check = poly_mul_oracle(check, g)
+    if check != f:
+        raise PolyError("factorization failed to reproduce input")
+    return linears, quads
+
+
+def nth_root_old_scan_oracle(ctx, n):
+    """FieldCtx.nth_root_of_unity as it was before the field's generator
+    was cached: the lex scan over GF(p^2)^* for the first x whose
+    x^((p^2 - 1)/n) is primitive, then the least primitive power."""
+    if (ctx.order - 1) % n != 0:
+        return None
+    for x in ctx.elements():
+        if x.is_zero():
+            continue
+        powers = [x ** ((ctx.order - 1) // n)]
+        while len(powers) < n:
+            powers.append(powers[-1] * powers[0])
+        if powers.index(ctx.one) == n - 1:
+            return min(z for k, z in enumerate(powers, 1) if gcd(k, n) == 1)

@@ -6,7 +6,7 @@ import pytest
 
 from richelot.field import FieldElement, FieldError, legendre, make_field
 
-from conftest import random_element, tonelli_oracle
+from conftest import nth_root_old_scan_oracle, random_element, tonelli_oracle
 
 
 def frob(x):
@@ -181,3 +181,28 @@ def test_extension_field(ctx11):
         j = ext.element(ext.base.zero, ext.base.one)
         assert not j.is_square()
         assert j * j == ext.embed(ext.m)
+
+
+@pytest.mark.parametrize("p", [7, 11, 13, 23, 41, 101, 109])
+def test_nth_root_of_unity_matches_old_scan(p):
+    # the cached generator gives the old lex scan's root for every n,
+    # None included
+    ctx = make_field(p)
+    for n in range(1, 25):
+        assert ctx.nth_root_of_unity(n) == nth_root_old_scan_oracle(ctx, n)
+
+
+def test_nth_root_of_unity_finds_the_generator_once(monkeypatch):
+    # one generator search per field, then one power per call
+    ctx = make_field(101)
+    seen = []
+    real = type(ctx).elements
+    monkeypatch.setattr(type(ctx), "elements",
+                        lambda self: seen.append(self) or real(self))
+    for n in (3, 6, 12, 5, 3, 4):
+        ctx.nth_root_of_unity(n)
+    assert seen == [ctx]
+    g = ctx._generator
+    assert g.a and g.b
+    assert next(d for d in range(1, ctx.order) if (ctx.order - 1) % d == 0
+                and g ** d == ctx.one) == ctx.order - 1

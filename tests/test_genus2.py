@@ -6,13 +6,15 @@ from math import comb, factorial, perm
 
 import pytest
 
+from richelot import genus2
 from richelot.field import ExtCtx, FieldElement, legendre, make_field
 from richelot.genus2 import (INF, MATCHINGS, ClebschPoint, Genus2Curve,
                              Genus2Error, MoebiusMap, _block_roots,
                              _to_zero_one_inf, canonical_key,
                              clebsch_invariants, derived_invariants,
                              frame_permutations, matching_action,
-                             matching_index, moebius_frames,
+                             matching_index, matching_splitting,
+                             moebius_frames,
                              moebius_orbits_on_splittings, moebius_through,
                              orbit_partition, point_key, point_splittings,
                              QuadraticSplitting, ra_type_from_automorphisms,
@@ -732,6 +734,58 @@ def test_point_splittings_run_on_ints(monkeypatch):
     for pts, scale in cases:
         point_splittings(ctx, (), pts, scale)
     assert muls == [] and polys == []
+
+
+def test_point_splittings_build_each_pair_block_once(monkeypatch):
+    # one FieldCtx.pmul per pair of finite points, 15 for six of them and
+    # 10 with INF among them, and no _matchings recursion per call; the
+    # splittings and labels are matching_splitting's per MATCHINGS entry
+    ctx = make_field(23)
+    reps = [(v.representative, v.points[1][-1])
+            for v in build_graph(ctx).vertices.values()
+            if v.key.kind == "jacobian"]
+    quintics = [transform_curve(rep, r, ctx.one, ctx.one, ctx.zero)
+                for rep, r in reps]
+    cases = [(weierstrass_points(C)[1], C.f.leading())
+             for C in [rep for rep, _ in reps] + quintics]
+    assert sum(pts[0] is INF for pts, _ in cases) == len(quintics)
+    for pts, scale in cases:
+        want = sorted(((matching_splitting(ctx, (), [
+            (pts[a], pts[b]) for a, b in m], scale), n)
+            for n, m in enumerate(MATCHINGS)), key=lambda sp: sp[0].blocks)
+        muls, recursions = [], []
+        real_pmul, real_matchings = type(ctx).pmul, genus2._matchings
+        monkeypatch.setattr(type(ctx), "pmul", lambda *args:
+                            muls.append(args) or real_pmul(*args))
+        monkeypatch.setattr(genus2, "_matchings", lambda *args:
+                            recursions.append(args) or real_matchings(*args))
+        got = point_splittings(ctx, (), pts, scale)
+        monkeypatch.undo()
+        assert got == want
+        assert len(muls) == (10 if pts[0] is INF else 15)
+        assert recursions == []
+
+
+@pytest.mark.parametrize("p", [23, 41])
+def test_weierstrass_points_match_splitting_path(p):
+    # the factor roots (and INF) give exactly the points the first
+    # splitting's blocks gave, on lookup-style models and quintics
+    ctx, rng = make_field(p), random.Random(p)
+    curves = []
+    for v in build_graph(ctx).vertices.values():
+        if v.key.kind == "jacobian":
+            rep, r = v.representative, v.points[1][-1]
+            a, b = random_element(ctx, rng), random_element(ctx, rng)
+            curves += [rep, transform_curve(rep, r, ctx.one, ctx.one,
+                                            ctx.zero),
+                       transform_curve(rep, a, b, b + ctx.one, a)]
+    curves = [C for C in curves if C.f.degree() in (5, 6)]
+    assert any(C.f.degree() == 5 for C in curves)
+    for C in curves:
+        K, pts = weierstrass_points(C)
+        assert (K, pts) == splitting_points(splittings(C)[0])
+        assert K == ctx and len(pts) == 6
+        assert [x for x in pts if x is INF] == [INF] * (C.f.degree() == 5)
 
 
 def test_make_sorts_blocks_by_poly_key_order(rng):
