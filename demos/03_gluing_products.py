@@ -51,5 +51,5 @@ for k in kernels:
 
 # a square E x E has a richer kernel orbit structure
 sq = ProductSurface(S.E1, S.E1)
-orbits, _ = kernel_orbits(sq)
+orbits = kernel_orbits(sq)
 print("orbit sizes on E x E:", sorted(len(o) for o in orbits))

@@ -114,6 +114,8 @@ def _cmd_neighbourhood(args) -> int:
              if x is not None]
     if len(given) != 1:
         raise AtlasError("choose exactly one of --sextic/--product/--atlas")
+    if args.params is not None and args.atlas is None:
+        raise AtlasError("--params needs --atlas")
     if args.sextic is not None:
         coeffs = _parse_field_elems(ctx, args.sextic, "--sextic")
         rep = query = Genus2Curve(Poly(ctx, coeffs))

@@ -237,20 +237,26 @@ def point_splittings(ctx, forced, free, scale) -> list:
     return out
 
 
+def _forced_free(f):
+    """One Cantor-Zassenhaus factoring of the sextic f, as (forced,
+    free): its irreducible quadratic factors as monic blocks, and its
+    rational roots (and infinity, for degree-5 models)."""
+    linears, quads = factor_quadratic_pieces(f)
+    free = [-g[0] for g in linears] + ([INF] if f.degree() == 5 else [])
+    return [tuple((g[k].a, g[k].b) for k in range(3)) for g in quads], free
+
+
 @lru_cache(maxsize=None)
 def splittings(curve: Genus2Curve) -> list:
     """All rational quadratic splittings of the curve, sorted.
 
     Every partition of the six Weierstrass points into three
-    Galois-stable pairs: Cantor-Zassenhaus factoring, then
-    point_splittings with the rational roots (and infinity, for
-    degree-5 models) free.  15 splittings exactly when all are rational.
+    Galois-stable pairs: point_splittings around the forced blocks of
+    _forced_free.  15 splittings exactly when all are rational.
     """
     f = curve.f
-    linears, quads = factor_quadratic_pieces(f)
-    free = [-g[0] for g in linears] + ([INF] if f.degree() == 5 else [])
-    forced = [tuple((g[k].a, g[k].b) for k in range(3)) for g in quads]
-    return [s for s, _ in point_splittings(f.ctx, forced, free, f.leading())]
+    return [s for s, _ in point_splittings(f.ctx, *_forced_free(f),
+                                           f.leading())]
 
 
 # ---------------------------------------------------------------------------
@@ -314,14 +320,15 @@ def weierstrass_points(curve: Genus2Curve):
     """The six Weierstrass points of the curve, sorted, as (field,
     points): the roots of f's linear factors (and INF if f is a quintic)
     when f splits, always at superspecial vertices; else over GF(p^4),
-    off the first of splittings().  Graph vertices reached by an edge
-    read theirs off its recorded dual splitting instead."""
+    off the first of splittings(), from the same factoring.  Graph
+    vertices reached by an edge read theirs off its recorded dual
+    splitting instead."""
     f = curve.f
-    linears, quads = factor_quadratic_pieces(f)
-    if quads:
-        return splitting_points(splittings(curve)[0])
-    return f.ctx, sorted([-g[0] for g in linears]
-                         + [INF] * (f.degree() == 5), key=point_key)
+    forced, free = _forced_free(f)
+    if forced:
+        return splitting_points(
+            point_splittings(f.ctx, forced, free, f.leading())[0][0])
+    return f.ctx, sorted(free, key=point_key)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 
 from .elliptic import (EllipticCurveE2, isomorphisms_with_torsion,
@@ -77,9 +78,6 @@ class ProductKernel:
             return frozenset([(self.i, 0), (0, self.j), (self.i, self.j)])
         return frozenset((a, self.perm[a - 1]) for a in (1, 2, 3))
 
-    def key(self):
-        return (self.kind, self.i, self.j, self.perm)
-
     def __repr__(self):
         if self.kind == "product":
             return f"K({self.i},{self.j})"
@@ -96,13 +94,12 @@ def product_kernels() -> list:
     return out
 
 
-_KERNEL_BY_ELEMENTS = {k.elements(): k for k in product_kernels()}
-_KERNEL_INDEX = {k.key(): i for i, k in enumerate(product_kernels())}
+_KERNEL_INDEX = {k.elements(): i for i, k in enumerate(product_kernels())}
 
 
 def kernel_index(k: ProductKernel) -> int:
     """The label of k: its index in product_kernels()."""
-    return _KERNEL_INDEX[k.key()]
+    return _KERNEL_INDEX[k.elements()]
 
 
 @dataclass(frozen=True)
@@ -210,60 +207,37 @@ def ra_order_product(t: str) -> int:
     return RA_ORDER[t]
 
 
-@dataclass(frozen=True)
-class TorsionActionGenerator:
-    """A generator of the RA-action on the 15 kernels, or an
-    isomorphism between two products: (a, b) -> (perm1[a], perm2[b]),
-    then the two factors exchanged if swap is set.  The factor swap of
-    E x E' through a matching psi: E -> E' is perm1 = psi,
-    perm2 = psi^-1 with swap, so (a, b) -> (psi^-1[b], psi[a]).
-    """
-
-    perm1: tuple = (1, 2, 3)
-    perm2: tuple = (1, 2, 3)
-    swap: bool = False
-
-    def apply(self, element):
-        a, b = element
-        a = self.perm1[a - 1] if a else 0
-        b = self.perm2[b - 1] if b else 0
-        return (b, a) if self.swap else (a, b)
-
-    def apply_kernel(self, k: ProductKernel) -> ProductKernel:
-        elems = frozenset(self.apply(e) for e in k.elements())
-        return _KERNEL_BY_ELEMENTS[elems]
+@lru_cache(maxsize=72)  # 6 * 6 permutation pairs, swapped or not
+def kernel_action(perm1: tuple, perm2: tuple, swap: bool) -> tuple:
+    """The permutation of kernel labels (product_kernels() indices)
+    induced by (a, b) -> (perm1[a], perm2[b]) on the 2-torsion index
+    pairs (0 = identity), the two factors then exchanged if swap is
+    set."""
+    def image(a, b):
+        a, b = perm1[a - 1] if a else 0, perm2[b - 1] if b else 0
+        return (b, a) if swap else (a, b)
+    return tuple(_KERNEL_INDEX[frozenset(image(*x) for x in elems)]
+                 for elems in _KERNEL_INDEX)
 
 
-def torsion_action_generators(S: ProductSurface) -> list:
-    """Generators of the reduced-automorphism action on the kernels.
-
-    Factor automorphisms act through their 2-torsion permutations
-    ([-1] acts trivially and never appears); when the factors are
-    isomorphic one swap generator is added, relabelled through a
-    fixed isomorphism.
-    """
-    gens = []
-    for p1 in isomorphisms_with_torsion(S.E1, S.E1):
-        if p1 != (1, 2, 3):
-            gens.append(TorsionActionGenerator(perm1=p1))
-    for p2 in isomorphisms_with_torsion(S.E2, S.E2):
-        if p2 != (1, 2, 3):
-            gens.append(TorsionActionGenerator(perm2=p2))
-    cross = isomorphisms_with_torsion(S.E1, S.E2)
-    if cross:
-        psi = cross[0]
-        inv = tuple(psi.index(t) + 1 for t in (1, 2, 3))
-        gens.append(TorsionActionGenerator(psi, inv, swap=True))
-    return gens
+def kernel_maps(S: ProductSurface, D: ProductSurface):
+    """The isomorphisms S -> D as kernel_action label maps, those that
+    keep the factor order first.  Each order searches its second
+    factor only after its first factor matched, so a caller that needs
+    one map stops the search at the first.  A crossed map sends S.E1
+    to D.E2 by perm1 and S.E2 to D.E1 by perm2."""
+    for swap, (F1, F2) in ((False, (D.E1, D.E2)), (True, (D.E2, D.E1))):
+        firsts = isomorphisms_with_torsion(S.E1, F1)
+        seconds = firsts and isomorphisms_with_torsion(S.E2, F2)
+        for p1 in firsts:
+            for p2 in seconds:
+                yield kernel_action(p1, p2, swap)
 
 
 def kernel_orbits(S: ProductSurface):
-    """Orbits of the 15 kernels under the RA-action.
-
-    Returns (orbits, kernels): kernels = product_kernels(), and the
-    orbits as sorted tuples of indices into kernels, in sorted order.
-    """
-    kernels = product_kernels()
-    perms = [[kernel_index(g.apply_kernel(k)) for k in kernels]
-             for g in torsion_action_generators(S)]
-    return orbit_partition(range(len(kernels)), perms), kernels
+    """Orbits of the 15 kernel labels under the RA-action: every
+    automorphism of S, the factor swaps included, as a label map.
+    Factor automorphisms act through their 2-torsion permutations
+    ([-1] acts trivially).  Returns the orbits as sorted tuples of
+    labels, in sorted order."""
+    return orbit_partition(range(15), list(kernel_maps(S, S)))

@@ -19,8 +19,7 @@ import json
 from dataclasses import dataclass, field
 
 from .census import expected_counts
-from .elliptic import (EllipticCurveE2, isomorphisms_with_torsion,
-                       j_invariant, find_supersingular_seed)
+from .elliptic import EllipticCurveE2, j_invariant, find_supersingular_seed
 from .field import ExtCtx, FieldCtx
 from .genus2 import (Genus2Curve, JACOBIAN_ORDER_TO_TYPE, RA_ORDER,
                      QuadraticSplitting, canonical_key, clebsch_invariants,
@@ -29,9 +28,9 @@ from .genus2 import (Genus2Curve, JACOBIAN_ORDER_TO_TYPE, RA_ORDER,
                      ra_type_from_clebsch, splitting_points,
                      splitting_root_pairs, splittings, weierstrass_points)
 from .gluing import (ProductKernel, ProductQuotient, ProductSurface,
-                     TorsionActionGenerator, kernel_index, kernel_orbits,
-                     quotient_diagonal, quotient_product, ra_order_product,
-                     ra_type_product_vertex)
+                     kernel_index, kernel_maps, kernel_orbits,
+                     product_kernels, quotient_diagonal, quotient_product,
+                     ra_order_product, ra_type_product_vertex)
 from .isogeny import delta, richelot_generic, split_degenerate
 
 
@@ -81,7 +80,8 @@ class OrbitEdge:
 
     hint is (kind, codomain, dual): the quotient by kernel_rep as
     computed (Genus2Curve | ProductSurface) and the dual kernel on it
-    (QuadraticSplitting | ProductKernel, or None when it is unknown).
+    (a QuadraticSplitting, a product kernel's label, or None when it is
+    unknown).
     kind ("jac", "glue", "split", "prod", "induced") names the step
     that built the edge; it is informational only.  kernels labels the
     orbit's kernels, kernel_rep's first, by small ints: a Jacobian's by
@@ -219,13 +219,12 @@ def _jacobian_step(spl):
     # the i <-> i matching generates the dual kernel, except on factors
     # rebuilt from j, where the matching is lost
     dual = None if sp.split_data.extended \
-        else ProductKernel.diagonal((1, 2, 3))
+        else kernel_index(ProductKernel.diagonal((1, 2, 3)))
     return VertexKey.of_surface(S), ("split", S, dual)
 
 
 def _expand_product(v: Vertex):
     S, src = v.representative, v.key
-    orbits, kernels = kernel_orbits(S)
 
     def step(k):
         if k.kind == "product":
@@ -233,15 +232,17 @@ def _expand_product(v: Vertex):
             # both Velu codomains carry the dual point as their first
             # root, so the dual kernel is K(1,1)
             return (VertexKey.of_surface(q.surface),
-                    ("prod", q.surface, ProductKernel.product(1, 1)))
+                    ("prod", q.surface,
+                     kernel_index(ProductKernel.product(1, 1))))
         res = quotient_diagonal(S, k)
         if isinstance(res, ProductQuotient):
             # isomorphism-induced: the quotient is S again, and its
             # identification maps the kernel onto itself (self-dual)
-            return src, ("induced", S, k)
+            return src, ("induced", S, kernel_index(k))
         return VertexKey.jacobian(res.curve), ("glue", res.curve, res.dual)
 
-    return _orbit_edges(src, orbits, kernels, range(len(kernels)), step)
+    return _orbit_edges(src, kernel_orbits(S), product_kernels(), range(15),
+                        step)
 
 
 def build_graph(ctx: FieldCtx, seed=None) -> Graph:
@@ -312,31 +313,14 @@ def _transport_pairing(target: Vertex, spl) -> int:
     return matching_index(zip(m[0::2], m[1::2]))
 
 
-def _transport_kernel(src: ProductSurface, dst: ProductSurface,
-                      k: ProductKernel) -> ProductKernel:
-    """Image of k under an isomorphism src -> dst that keeps the
-    factor order (straight) or swaps it (crossed).  Each order searches
-    its second factor only when its first factor matched."""
-    s1 = isomorphisms_with_torsion(src.E1, dst.E1)
-    s2 = s1 and isomorphisms_with_torsion(src.E2, dst.E2)
-    if s2:
-        return TorsionActionGenerator(perm1=s1[0],
-                                      perm2=s2[0]).apply_kernel(k)
-    c1 = isomorphisms_with_torsion(src.E1, dst.E2)
-    c2 = c1 and isomorphisms_with_torsion(src.E2, dst.E1)
-    if c2:
-        return TorsionActionGenerator(perm1=c1[0], perm2=c2[0],
-                                      swap=True).apply_kernel(k)
-    raise GraphError("codomain factors do not match target product")
-
-
 def dual_edge(g: Graph, e: OrbitEdge) -> OrbitEdge:
     """The orbit edge at e.target containing the dual kernel of e.
 
     The dual kernel recorded on e's codomain is moved onto the target's
-    representative by an isomorphism and looked up there.  Any
-    isomorphism will do: two differ by an automorphism of the target,
-    which keeps the kernel inside its orbit.
+    representative by an isomorphism and looked up there: a Jacobian's
+    by _transport_pairing, a product's label by the first kernel_maps
+    label map.  Any isomorphism will do: two differ by an automorphism
+    of the target, which keeps the kernel inside its orbit.
     """
     tgt = g.vertex(e.target)
     if not tgt.edges:
@@ -349,8 +333,10 @@ def dual_edge(g: Graph, e: OrbitEdge) -> OrbitEdge:
     if isinstance(codomain, Genus2Curve):
         kernel = _transport_pairing(tgt, dual)
     else:
-        kernel = kernel_index(
-            _transport_kernel(codomain, tgt.representative, dual))
+        kmap = next(kernel_maps(codomain, tgt.representative), None)
+        if kmap is None:
+            raise GraphError("codomain factors do not match target product")
+        kernel = kmap[dual]
     return tgt.kernel_to_edge[kernel]
 
 

@@ -12,6 +12,7 @@ from richelot.genus2 import (INF, MATCHINGS, Genus2Curve, MoebiusMap,
                              matching_splitting, moebius_through,
                              orbit_partition, point_key)
 from richelot.elliptic import EllipticCurveE2
+from richelot.gluing import product_kernels
 from richelot.poly import Poly, PolyError
 from richelot.isogeny import (DegenerateSplitData, JacobianCodomain,
                               RichelotError, SplitCodomain,
@@ -302,6 +303,21 @@ def torsion_apply_oracle(perm1, perm2, swap, element):
         inv = {psi[t]: t + 1 for t in range(3)}
         return (inv[b] if b else 0, psi[a - 1] if a else 0)
     return (perm1[a - 1] if a else 0, perm2[b - 1] if b else 0)
+
+
+def kernel_map_oracle(*steps):
+    """The kernel label map of torsion_apply_oracle's element maps, one
+    (perm1, perm2, swap) triple per step, applied in order: label n
+    goes to the kernel holding the images of the elements of
+    product_kernels()[n]."""
+    kernels = [k.elements() for k in product_kernels()]
+    out = []
+    for elements in kernels:
+        for step in steps:
+            elements = frozenset(torsion_apply_oracle(*step, x)
+                                 for x in elements)
+        out.append(kernels.index(elements))
+    return tuple(out)
 
 
 def block_roots_oracle(g, K):

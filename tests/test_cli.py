@@ -97,6 +97,17 @@ def test_neighbourhood_product_needs_two_j_invariants(capsys):
             == f"error: --product: expected two j-invariants, got {n}\n"
 
 
+def test_neighbourhood_params_need_atlas(capsys):
+    # --params sets an atlas normal form's parameters; with --sextic or
+    # --product it would be ignored, so it is refused
+    for option in ("--sextic=1,0,0,0,0,0,1", "--product=0,1728"):
+        assert run(["neighbourhood", "-p", "23", option,
+                    "--params", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --params needs --atlas\n"
+
+
 def test_neighbourhood_atlas_case(capsys):
     assert run(["neighbourhood", "-p", "23", "--atlas", "V"]) == 0
     assert "vertex type V" in capsys.readouterr().out

@@ -28,7 +28,7 @@ from richelot.poly import (Poly, factor_quadratic_pieces, is_squarefree,
 
 from clebsch_fixtures import FIXTURES
 from conftest import (block_poly, block_roots_oracle, block_triple,
-                      label_pairing, moebius_frames_oracle,
+                      clear_genus2_caches, count_calls, label_pairing, moebius_frames_oracle,
                       moebius_search_oracle, poly_key_oracle,
                       random_distinct_elements, random_element,
                       splitting_of, transform_curve_oracle)
@@ -786,6 +786,21 @@ def test_weierstrass_points_match_splitting_path(p):
         assert (K, pts) == splitting_points(splittings(C)[0])
         assert K == ctx and len(pts) == 6
         assert [x for x in pts if x is INF] == [INF] * (C.f.degree() == 5)
+
+
+def test_weierstrass_points_factor_once_with_quadratic_factor(monkeypatch):
+    # x^6 + x + 1 at p = 19 has an irreducible quadratic factor, so its
+    # points lie over GF(p^4) and come off its first splitting; that
+    # splitting is read off the same factoring, not a second one
+    ctx = make_field(19)
+    C = Genus2Curve(Poly.from_ints(ctx, [1, 1, 0, 0, 0, 0, 1]))
+    clear_genus2_caches()
+    calls = count_calls(monkeypatch, "factor_quadratic_pieces")
+    K, pts = weierstrass_points(C)
+    assert len(calls) == 1
+    assert isinstance(K, ExtCtx) and len(pts) == 6
+    assert factor_quadratic_pieces(C.f)[1]
+    assert (K, pts) == splitting_points(splittings(C)[0])
 
 
 def test_make_sorts_blocks_by_poly_key_order(rng):

@@ -4,15 +4,18 @@ import pytest
 
 from richelot.elliptic import EllipticCurveE2, j_invariant
 from richelot.genus2 import RAType, ra_type_from_clebsch, clebsch_invariants
+from itertools import permutations
+
 from richelot.gluing import (GluedJacobian, GluingError, ProductKernel,
-                             ProductQuotient, ProductSurface, kernel_orbits,
-                             product_kernels, quotient_diagonal,
-                             quotient_product, ra_order_product,
-                             ra_type_product_vertex,
-                             torsion_action_generators)
+                             ProductQuotient, ProductSurface, kernel_action,
+                             kernel_maps, kernel_orbits, product_kernels,
+                             quotient_diagonal, quotient_product,
+                             ra_order_product, ra_type_product_vertex)
 from richelot.isogeny import delta, split_degenerate
 
-from conftest import random_distinct_elements
+from conftest import kernel_map_oracle, random_distinct_elements
+
+ID = (1, 2, 3)
 
 
 def e_1728(ctx):
@@ -141,22 +144,48 @@ def test_ra_order_product():
 
 
 def test_torsion_action_generators(ctx23, rng):
-    # generic product: sigma fixes every kernel, so no generators
+    # generic product: sigma fixes every kernel, so only the identity
     while True:
         S = random_product(ctx23, rng)
         j1, j2 = j_invariant(S.E1), j_invariant(S.E2)
         special = {ctx23.zero.key(), ctx23.from_int(1728).key()}
         if j1 != j2 and j1.key() not in special and j2.key() not in special:
             break
-    assert torsion_action_generators(S) == []
-    # E x E_0: a generator cycling the second factor's points
+    assert list(kernel_maps(S, S)) == [tuple(range(15))]
+    # E x E_0: a map cycling the second factor's points
     E = S.E1
-    gens = torsion_action_generators(ProductSurface(E, e_0(ctx23)))
-    assert any(sorted(g.perm2) == [1, 2, 3] and g.perm2 != (1, 2, 3)
-               and not g.swap for g in gens)
-    # E x E_1728: a generator transposing P'_1, P'_2
-    gens = torsion_action_generators(ProductSurface(E, e_1728(ctx23)))
-    assert any(g.perm2 == (2, 1, 3) and not g.swap for g in gens)
+    S = ProductSurface(E, e_0(ctx23))
+    maps = list(kernel_maps(S, S))
+    assert any(kernel_action(ID, c, False) in maps
+               for c in ((2, 3, 1), (3, 1, 2)))
+    # E x E_1728: a map transposing P'_1, P'_2
+    S = ProductSurface(E, e_1728(ctx23))
+    assert kernel_action(ID, (2, 1, 3), False) in list(kernel_maps(S, S))
+
+
+def test_kernel_action_matches_element_images_and_composes():
+    # all 72 inputs against the images of each kernel's elements (a
+    # swap as the factor maps, then the exchange through the identity
+    # matching); then (q, t) after (p, s) is one action: (q1 p1, q2 p2)
+    # unswapped, (q2 p1, q1 p2) swapped, swap = s xor t
+    inputs = [(p1, p2, swap) for p1 in permutations(ID)
+              for p2 in permutations(ID) for swap in (False, True)]
+    assert len(inputs) == 72
+    for p1, p2, swap in inputs:
+        steps = [(p1, p2, ())] + ([(ID, ID, ID)] if swap else [])
+        assert kernel_action(p1, p2, swap) == kernel_map_oracle(*steps)
+
+    def compose(q, p):
+        return tuple(q[p[i] - 1] for i in range(3))
+
+    for p1, p2, s in inputs:
+        first = kernel_action(p1, p2, s)
+        for q1, q2, t in inputs:
+            r1, r2 = (q2, q1) if s else (q1, q2)
+            both = kernel_action(compose(r1, p1), compose(r2, p2), s != t)
+            second = kernel_action(q1, q2, t)
+            assert both == tuple(second[n] for n in first)
+    assert kernel_action.cache_info().currsize <= 72
 
 
 def test_kernel_orbit_sizes(ctx23, rng):
@@ -171,12 +200,12 @@ def test_kernel_orbit_sizes(ctx23, rng):
         special = {ctx23.zero.key(), ctx23.from_int(1728).key()}
         if j1 != j2 and j1.key() not in special and j2.key() not in special:
             break
-    orbits, _ = kernel_orbits(S)
+    orbits = kernel_orbits(S)
     assert sorted(len(o) for o in orbits) == [1] * 15
     # every vertex's orbit sizes sum to 15
     for S2 in (ProductSurface(S.E1, S.E1), ProductSurface(e_0(ctx23),
                                                           e_0(ctx23)),
                ProductSurface(e_1728(ctx23), e_1728(ctx23)),
                ProductSurface(e_0(ctx23), e_1728(ctx23))):
-        orbits, _ = kernel_orbits(S2)
+        orbits = kernel_orbits(S2)
         assert sum(len(o) for o in orbits) == 15

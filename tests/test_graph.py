@@ -6,7 +6,7 @@ from itertools import permutations
 
 import pytest
 
-from richelot import genus2, graph
+from richelot import genus2, gluing, graph
 from richelot.elliptic import (EllipticCurveE2, isomorphisms_with_torsion,
                                two_isogeny)
 from richelot.field import FieldElement, make_field
@@ -14,17 +14,16 @@ from richelot.genus2 import (Genus2Curve, RAType, frame_permutations,
                              point_key, splitting_root_pairs,
                              weierstrass_points)
 from richelot.gluing import (GluedJacobian, ProductKernel, ProductSurface,
-                             kernel_orbits, product_kernels,
-                             quotient_diagonal, torsion_action_generators)
-from richelot.graph import (GraphError, OrbitEdge, _transport_kernel,
-                            build_graph, dual_edge, export, neighbourhood,
-                            validate, VertexKey)
+                             kernel_maps, product_kernels,
+                             quotient_diagonal)
+from richelot.graph import (GraphError, OrbitEdge, build_graph, dual_edge,
+                            export, neighbourhood, validate, VertexKey)
 from richelot.poly import Poly
 
 from conftest import (clear_genus2_caches, count_calls, isomorphisms_oracle,
-                      jacobian_orbits_oracle, label_pairing, matching_pairing,
-                      moebius_search_oracle, random_element, splitting_of,
-                      torsion_apply_oracle)
+                      jacobian_orbits_oracle, kernel_map_oracle,
+                      label_pairing, matching_pairing,
+                      moebius_search_oracle, random_element, splitting_of)
 
 
 def e_1728(ctx):
@@ -283,19 +282,18 @@ def test_dual_transport_from_codomain_with_irrational_points():
 def test_edges_carry_their_orbit_kernels(p):
     # the kernel labels on a vertex's edges are its 15 kernels, each on
     # one edge, kernel_rep's among its own; kernel_to_edge is read off
-    # them
-    # them; labels are small ints, named here as the kernel's key on a
-    # product and as its point-key pairing on a Jacobian
+    # them; labels are small ints, named here as the kernel's elements
+    # on a product and as its point-key pairing on a Jacobian
     g = build_graph(make_field(p))
     for v in g.vertices.values():
         labels = [k for e in v.edges for k in e.kernels]
         if v.key.kind == "product":
-            kernels = kernel_orbits(v.representative)[1]
-            want = {k.key() for k in kernels}
-            reps = [e.kernel_rep.key() for e in v.edges]
+            kernels = product_kernels()
+            want = {k.elements() for k in kernels}
+            reps = [e.kernel_rep.elements() for e in v.edges]
 
             def name(k):
-                return kernels[k].key()
+                return kernels[k].elements()
         else:
             pts = v.points[1]
             want = {matching_pairing(m) for m in genus2._matchings(pts)}
@@ -350,7 +348,6 @@ def product_graph(request):
 
 
 ID = (1, 2, 3)
-NONZERO_2_TORSION = [(a, b) for a in range(4) for b in range(4) if a or b]
 
 
 def random_model(E, rng):
@@ -364,28 +361,28 @@ def random_model(E, rng):
 
 
 def test_torsion_action_matches_oracle(product_graph, rng):
-    # every generator at every product vertex and at a random model of
-    # it, on every element of E[2] x E'[2], against the three-branch
-    # action of the old generators: the factors' automorphisms, then a
-    # swap through psi; the random models give psi other than identity
+    # every automorphism of every product vertex and of a random model
+    # of it, as a kernel label map, against the three-branch action on
+    # the kernels' elements: the factors' automorphisms first, then a
+    # swap through psi after them; the random models give psi other
+    # than identity
     surfaces = [v.representative for v in product_graph.vertices.values()
                 if isinstance(v.representative, ProductSurface)]
     surfaces += [ProductSurface(random_model(S.E1, rng),
                                 random_model(S.E2, rng)) for S in surfaces]
     swaps = []
     for S in surfaces:
-        old = [(p1, ID, ()) for p1 in isomorphisms_with_torsion(S.E1, S.E1)
-               if p1 != ID]
-        old += [(ID, p2, ()) for p2 in isomorphisms_with_torsion(S.E2, S.E2)
-                if p2 != ID]
+        old = [((p1, p2, ()),)
+               for p1 in isomorphisms_with_torsion(S.E1, S.E1)
+               for p2 in isomorphisms_with_torsion(S.E2, S.E2)]
         cross = isomorphisms_with_torsion(S.E1, S.E2)
-        old += [(ID, ID, cross[0])] if cross else []
-        gens = torsion_action_generators(S)
-        assert len(gens) == len(old)
-        for g, (perm1, perm2, psi) in zip(gens, old):
-            swaps += [psi] if psi else []
-            for x in NONZERO_2_TORSION:
-                assert g.apply(x) == torsion_apply_oracle(perm1, perm2, psi, x)
+        swaps += cross[:1]
+        straight = [kernel_map_oracle(*steps) for steps in old]
+        crossed = [kernel_map_oracle(*steps, (ID, ID, cross[0]))
+                   for steps in old] if cross else []
+        maps = list(kernel_maps(S, S))
+        assert maps[:len(straight)] == straight
+        assert sorted(maps[len(straight):]) == sorted(crossed)
     assert any(psi != ID for psi in swaps)
 
 
@@ -408,10 +405,39 @@ def test_transport_kernel_matches_two_step_oracle(product_graph):
             c2 = isomorphisms_with_torsion(src.E2, dst.E1)
             steps = [(c1[0], c2[0], ()), (ID, ID, ID)]
             crossed += 1
-        elements = dual.elements()
-        for step in steps:
-            elements = {torsion_apply_oracle(*step, x) for x in elements}
-        assert _transport_kernel(src, dst, dual).elements() == elements
+        assert next(kernel_maps(src, dst))[dual] \
+            == kernel_map_oracle(*steps)[dual]
+    assert crossed
+
+
+@pytest.mark.parametrize("p", [23, 41])
+def test_kernel_maps_match_two_step_oracle(p, rng):
+    # every ordered pair of product vertices, and of random models of
+    # them with the factors kept or exchanged: the isomorphisms as
+    # label maps, straight ones first, each as the factor isomorphisms
+    # and (crossed) a swap through the identity matching after them;
+    # a pair of non-isomorphic products yields none
+    g = build_graph(make_field(p))
+    surfaces = [(v.key, v.representative) for v in g.vertices.values()
+                if v.key.kind == "product"]
+    surfaces += [(key, ProductSurface(random_model(F1, rng),
+                                      random_model(F2, rng)))
+                 for key, S in surfaces
+                 for F1, F2 in ((S.E1, S.E2), (S.E2, S.E1))]
+    crossed = 0
+    for key, S in surfaces:
+        for key2, D in surfaces:
+            want = []
+            for swap, (F1, F2) in ((False, (D.E1, D.E2)),
+                                   (True, (D.E2, D.E1))):
+                exchange = [(ID, ID, ID)] if swap else []
+                part = [kernel_map_oracle((p1, p2, ()), *exchange)
+                        for p1 in isomorphisms_oracle(S.E1, F1)
+                        for p2 in isomorphisms_oracle(S.E2, F2)]
+                crossed += bool(swap and part)
+                want += part
+            assert list(kernel_maps(S, D)) == want
+            assert bool(want) == (key == key2)
     assert crossed
 
 
@@ -425,26 +451,27 @@ def test_validate_runs_on_ints(monkeypatch):
         real = getattr(FieldElement, name)
         monkeypatch.setattr(FieldElement, name, lambda *args, real=real:
                             calls.append(args) or real(*args))
-    real_iso, real_transport = (graph.isomorphisms_with_torsion,
-                                graph._transport_kernel)
+    real_iso, real_maps = gluing.isomorphisms_with_torsion, graph.kernel_maps
 
     def iso(E, E2):
         log[-1][1].append((E, E2))
         return real_iso(E, E2)
 
-    def transport(src, dst, k):
+    def maps(src, dst):
         log.append(((src, dst), []))
-        return real_transport(src, dst, k)
+        return real_maps(src, dst)
 
-    monkeypatch.setattr(graph, "isomorphisms_with_torsion", iso)
-    monkeypatch.setattr(graph, "_transport_kernel", transport)
+    monkeypatch.setattr(gluing, "isomorphisms_with_torsion", iso)
+    monkeypatch.setattr(graph, "kernel_maps", maps)
     assert validate(g).ok
     assert calls == []
     # a crossed first factor fails only between non-isomorphic products
-    S, D = (v.representative for v in g.vertices.values()
+    S, D = (v for v in g.vertices.values()
             if v.key.data in (((0, 0), (0, 0)), ((3, 0), (3, 0))))
+    e = OrbitEdge(source=S.key, target=D.key, weight=1, kernel_rep=None,
+                  is_loop=False, hint=("prod", S.representative, 0))
     with pytest.raises(GraphError, match="do not match"):
-        graph._transport_kernel(S, D, ProductKernel.product(1, 1))
+        dual_edge(g, e)
     monkeypatch.undo()
     skipped = [0, 0]
     for (src, dst), searched in log:
