@@ -10,7 +10,7 @@ GF(p^2).  This module provides
   int pairs, one reduction mod p per output coefficient, and the
   derived invariants that drive Bolza's classification,
 * the reduced automorphism group and Moebius maps between six-point
-  sets, as index permutations between frames of equal signature: each
+  sets in one form, index maps between frames of equal signature: each
   ordered triple of Weierstrass points, sent to (0, 1, inf), followed
   by the other three in the order of their images, the cross-ratios,
   computed on (a, b) int pairs (ExtElements over GF(p^4)),
@@ -260,7 +260,7 @@ def splittings(curve: Genus2Curve) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Weierstrass points and Moebius maps over GF(p^4)
+# Weierstrass points, and Moebius maps between them as index maps
 
 
 def point_key(pt):
@@ -329,65 +329,6 @@ def weierstrass_points(curve: Genus2Curve):
         return splitting_points(
             point_splittings(f.ctx, forced, free, f.leading())[0][0])
     return f.ctx, sorted(free, key=point_key)
-
-
-@dataclass(frozen=True)
-class MoebiusMap:
-    """x -> (ax + b)/(cx + d), scaled so the first nonzero entry of
-    (a, b, c, d) is 1.  Entries live in GF(p^2) or GF(p^4), whichever
-    field the Weierstrass points needed."""
-
-    a: object
-    b: object
-    c: object
-    d: object
-
-    @classmethod
-    def make(cls, a, b, c, d) -> "MoebiusMap":
-        if (a * d - b * c).is_zero():
-            raise Genus2Error("singular Moebius matrix")
-        for lead in (a, b, c, d):
-            if not lead.is_zero():
-                inv = lead.inverse()
-                return cls(a * inv, b * inv, c * inv, d * inv)
-        raise Genus2Error("zero Moebius matrix")
-
-    def key(self):
-        return (self.a.key(), self.b.key(), self.c.key(), self.d.key())
-
-    def apply(self, pt):
-        if pt is INF:
-            if self.c.is_zero():
-                return INF
-            return self.a / self.c
-        den = self.c * pt + self.d
-        if den.is_zero():
-            return INF
-        return (self.a * pt + self.b) / den
-
-
-def _to_zero_one_inf(K, p1, p2, p3):
-    """Matrix of the Moebius map sending (p1, p2, p3) to (0, 1, inf)."""
-    one, zero = K.one, K.zero
-    if p1 is INF:
-        return (zero, p2 - p3, one, -p3)
-    if p2 is INF:
-        return (one, -p1, one, -p3)
-    if p3 is INF:
-        return (one, -p1, zero, p2 - p1)
-    return ((p2 - p3), -(p1 * (p2 - p3)), (p2 - p1), -(p3 * (p2 - p1)))
-
-
-def moebius_through(K, src, dst):
-    """The unique Moebius map with src[i] -> dst[i] (triples, distinct)."""
-    t = _to_zero_one_inf(K, *src)
-    s = _to_zero_one_inf(K, *dst)
-    sa, sb, sc, sd = s
-    # inverse of s (adjugate), then compose with t
-    ia, ib, ic, id_ = sd, -sb, -sc, sa
-    ta, tb, tc, td = t
-    return MoebiusMap.make(ia * ta + ib * tc, ia * tb + ib * td,
-                           ic * ta + id_ * tc, ic * tb + id_ * td)
 
 
 def _frame_maker(K, pts, triples):
@@ -462,35 +403,26 @@ def moebius_frames(K, pts) -> dict:
     return frames
 
 
-def frame_permutations(K, src_pts, dst_frames) -> list:
+def moebius_stabilizing(K, src_pts, dst_frames) -> list:
     """The Moebius maps sending the set src_pts onto the point set of
-    dst_frames = moebius_frames(K, dst_pts), as index maps: m[i] is the
-    index in dst_pts of the image of src_pts[i].  One map per frame
-    sharing the signature of src_pts's base frame (0, 1, 2), whose
-    q(1, 2, 0) and q(l, 0, 2) take four inverses."""
+    dst_frames = moebius_frames(K, dst_pts), in the package's one form
+    of such a map, an index map: m[i] is the index in dst_pts of the
+    image of src_pts[i].  One map per frame sharing the signature of
+    src_pts's base frame (0, 1, 2), whose q(1, 2, 0) and q(l, 0, 2)
+    take four inverses."""
     signature, base = _frame_maker(
         K, src_pts, ((1, 2, 0), (3, 0, 2), (4, 0, 2), (5, 0, 2)))(0, 1, 2)
     at = sorted(range(6), key=base.__getitem__)
     return [[fr[t] for t in at] for fr in dst_frames.get(signature, ())]
 
 
-def moebius_stabilizing(K, src_pts, dst_pts, dst_frames):
-    """Moebius maps sending the set src_pts onto the set dst_pts: one
-    map through src_pts[:3] per frame_permutations index map."""
-    return [moebius_through(K, src_pts[:3], [dst_pts[i] for i in m[:3]])
-            for m in frame_permutations(K, src_pts, dst_frames)]
-
-
 @lru_cache(maxsize=None)
 def reduced_automorphisms(curve: Genus2Curve) -> list:
-    """All Moebius transformations permuting the Weierstrass points.
-
-    This is the reduced automorphism group RA(Jac(C)) acting on the
-    x-line: one map through the first three points per frame of the
-    same signature (moebius_stabilizing).
-    """
+    """RA(Jac(C)), the Moebius maps permuting the Weierstrass points, as
+    index maps of weierstrass_points(curve)[1] (moebius_stabilizing on
+    the curve's own frames)."""
     K, pts = weierstrass_points(curve)
-    return moebius_stabilizing(K, pts, pts, moebius_frames(K, pts))
+    return moebius_stabilizing(K, pts, moebius_frames(K, pts))
 
 
 def splitting_pairing(curve: Genus2Curve, spl: QuadraticSplitting, K=None):
@@ -533,7 +465,7 @@ def orbit_partition(points, gens) -> list:
 
 def moebius_orbits_on_splittings(labels, perms):
     """Orbits of the kernels labels, all 15 MATCHINGS indices, under
-    Moebius maps given as index maps of the points (frame_permutations),
+    Moebius maps given as index maps of the points (moebius_stabilizing),
     acting through matching_action.  Returns the orbits as sorted tuples
     of positions in labels, in sorted order."""
     at = {n: i for i, n in enumerate(labels)}
@@ -711,7 +643,7 @@ def ra_type_from_clebsch(cp: ClebschPoint) -> str:
 
 
 def ra_type_from_automorphisms(curve: Genus2Curve) -> str:
-    """RA-type from the Moebius group order (1/2/4/5/6/12/24)."""
+    """RA-type from the order (1/2/4/5/6/12/24) of reduced_automorphisms."""
     order = len(reduced_automorphisms(curve))
     if order not in JACOBIAN_ORDER_TO_TYPE:
         raise ClassificationError(

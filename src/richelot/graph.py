@@ -21,12 +21,13 @@ from dataclasses import dataclass, field
 from .census import expected_counts
 from .elliptic import EllipticCurveE2, j_invariant, find_supersingular_seed
 from .field import ExtCtx, FieldCtx
-from .genus2 import (Genus2Curve, JACOBIAN_ORDER_TO_TYPE, RA_ORDER,
-                     QuadraticSplitting, canonical_key, clebsch_invariants,
-                     frame_permutations, matching_index, moebius_frames,
-                     moebius_orbits_on_splittings, point_splittings,
-                     ra_type_from_clebsch, splitting_points,
-                     splitting_root_pairs, splittings, weierstrass_points)
+from .genus2 import (INF, Genus2Curve, JACOBIAN_ORDER_TO_TYPE, RA_ORDER,
+                     _INDEX_MATCHINGS, QuadraticSplitting, canonical_key,
+                     clebsch_invariants, matching_index, moebius_frames,
+                     moebius_orbits_on_splittings, moebius_stabilizing,
+                     point_splittings, ra_type_from_clebsch,
+                     splitting_points, splitting_root_pairs,
+                     weierstrass_points)
 from .gluing import (ProductKernel, ProductQuotient, ProductSurface,
                      kernel_index, kernel_maps, kernel_orbits,
                      product_kernels, quotient_diagonal, quotient_product,
@@ -105,18 +106,19 @@ class OrbitEdge:
 class Vertex:
     """A graph vertex; Jacobians also hold their Weierstrass points.
 
-    edges are the orbit edges out of the vertex; kernel_to_edge is the
-    15-tuple of their edges by kernel label (OrbitEdge.kernels), for
-    dual_edge to look duals up in.  build_graph fills in both when it
-    expands the vertex.
+    A Jacobian's points are (field, sorted points), frames their
+    moebius_frames, and ra_maps its RA maps as index maps of the points,
+    read off the frames once: reduced_automorphisms of the
+    representative.  edges are the orbit edges out of the vertex;
+    kernel_to_edge is the 15-tuple of their edges by kernel label
+    (OrbitEdge.kernels), for dual_edge to look duals up in.  build_graph
+    fills in both when it expands the vertex.
     """
 
     key: VertexKey
     representative: object  # Genus2Curve | ProductSurface
     ra_type: str
     ra_order: int
-    # Jacobians: (field, sorted points), their moebius_frames, and the
-    # RA maps as index maps of the points, read off the frames once
     points: tuple = field(default=None, repr=False)
     frames: dict = field(default=None, repr=False)
     ra_maps: list = field(default=None, repr=False)
@@ -152,7 +154,7 @@ def _make_vertex(key: VertexKey, rep, dual=None) -> Vertex:
                       ra_order=ra_order_product(ra_type))
     K, pts = splitting_points(dual) if dual else weierstrass_points(rep)
     frames = moebius_frames(K, pts)
-    maps = frame_permutations(K, pts, frames)
+    maps = moebius_stabilizing(K, pts, frames)
     return Vertex(key=key, representative=rep, ra_type=ra_type,
                   ra_order=len(maps), points=(K, pts), frames=frames,
                   ra_maps=maps)
@@ -199,9 +201,10 @@ def _orbit_edges(src: VertexKey, orbits, kernels, labels, step):
 
 def _expand_jacobian(v: Vertex):
     K, pts = v.points
-    if isinstance(K, ExtCtx):
+    if isinstance(K, ExtCtx):  # rational kernels match GF(p^2) points
+        r = sum(x is INF or x.in_base_field() for x in pts)
         raise GraphError(
-            f"only {len(splittings(v.representative))} rational kernels; "
+            f"only {len(_INDEX_MATCHINGS[r])} rational kernels; "
             "vertex is not superspecial-complete")
     f = v.representative.f
     spls, labels = zip(*point_splittings(f.ctx, (), pts, f.leading()))
@@ -298,7 +301,7 @@ def _transport_pairing(target: Vertex, spl) -> int:
     representative's will do: two differ by an automorphism, which keeps
     the image in its orbit.  The codomain's points are the roots of
     spl's blocks, listed pair by pair, and the first index map that
-    frame_permutations reads off the target's frames moves the pairs.
+    moebius_stabilizing reads off the target's frames moves the pairs.
     """
     K1, pairs = splitting_root_pairs(spl)
     K, pts2 = target.points
@@ -306,7 +309,7 @@ def _transport_pairing(target: Vertex, spl) -> int:
     if isinstance(K1, ExtCtx) and not isinstance(K, ExtCtx):
         # mixed rationality: the target's table over the extension
         K, frames = K1, moebius_frames(K1, pts2)
-    maps = frame_permutations(K, [p for pair in pairs for p in pair], frames)
+    maps = moebius_stabilizing(K, sum(pairs, ()), frames)
     if not maps:
         raise GraphError("no Moebius map between isomorphic models")
     m = maps[0]

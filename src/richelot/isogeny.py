@@ -134,6 +134,13 @@ def split_degenerate(s: QuadraticSplitting, d=None) -> SplitCodomain:
     E: y^2 = prod(alpha_i x + beta_i), with roots -F_i(u)/F_i(v), and
     E2: y^2 = prod(beta_i x + alpha_i).  d is delta(s), when the caller
     has it.
+
+    On the graph of a seed with full rational 2-torsion, as the default
+    E x E, u and v are rational: E has trace +-2p, so Frobenius is +-p,
+    and GF(p^2)-isogenies carry that to every vertex.  +-p fixes every
+    abelian subvariety, so it cannot swap two factors, as conjugate u, v
+    would; it fixes J[2], so (S_6 = Sp_4(F_2)) it fixes every Weierstrass
+    point.  `extended` serves user sextics and seeds.
     """
     if not (delta(s) if d is None else d).is_zero():
         raise RichelotError("delta != 0: quotient is a Jacobian")

@@ -1,5 +1,6 @@
 import random
 import sys
+from dataclasses import dataclass
 from itertools import permutations
 from math import comb, gcd
 
@@ -7,9 +8,8 @@ import pytest
 
 from richelot import genus2
 from richelot.field import ExtCtx, FieldElement, make_field
-from richelot.genus2 import (INF, MATCHINGS, Genus2Curve, MoebiusMap,
-                             QuadraticSplitting, _to_zero_one_inf,
-                             matching_splitting, moebius_through,
+from richelot.genus2 import (INF, MATCHINGS, Genus2Curve, Genus2Error,
+                             QuadraticSplitting, matching_splitting,
                              orbit_partition, point_key)
 from richelot.elliptic import EllipticCurveE2
 from richelot.gluing import product_kernels
@@ -80,6 +80,82 @@ def random_distinct_elements(ctx, rng, n):
     return out
 
 
+@dataclass(frozen=True)
+class MoebiusMap:
+    """x -> (ax + b)/(cx + d), scaled so the first nonzero entry of
+    (a, b, c, d) is 1.  Entries live in GF(p^2) or GF(p^4), whichever
+    field the Weierstrass points needed.  The form of a Moebius map
+    genus2 kept before index maps became its only one, kept for the
+    oracles and for the tests that apply maps to points."""
+
+    a: object
+    b: object
+    c: object
+    d: object
+
+    @classmethod
+    def make(cls, a, b, c, d) -> "MoebiusMap":
+        if (a * d - b * c).is_zero():
+            raise Genus2Error("singular Moebius matrix")
+        for lead in (a, b, c, d):
+            if not lead.is_zero():
+                inv = lead.inverse()
+                return cls(a * inv, b * inv, c * inv, d * inv)
+        raise Genus2Error("zero Moebius matrix")
+
+    def key(self):
+        return (self.a.key(), self.b.key(), self.c.key(), self.d.key())
+
+    def apply(self, pt):
+        if pt is INF:
+            if self.c.is_zero():
+                return INF
+            return self.a / self.c
+        den = self.c * pt + self.d
+        if den.is_zero():
+            return INF
+        return (self.a * pt + self.b) / den
+
+
+def to_zero_one_inf(K, p1, p2, p3):
+    """Matrix of the Moebius map sending (p1, p2, p3) to (0, 1, inf)."""
+    one, zero = K.one, K.zero
+    if p1 is INF:
+        return (zero, p2 - p3, one, -p3)
+    if p2 is INF:
+        return (one, -p1, one, -p3)
+    if p3 is INF:
+        return (one, -p1, zero, p2 - p1)
+    return ((p2 - p3), -(p1 * (p2 - p3)), (p2 - p1), -(p3 * (p2 - p1)))
+
+
+def moebius_through(K, src, dst):
+    """The unique Moebius map with src[i] -> dst[i] (triples, distinct)."""
+    t = to_zero_one_inf(K, *src)
+    s = to_zero_one_inf(K, *dst)
+    sa, sb, sc, sd = s
+    # inverse of s (adjugate), then compose with t
+    ia, ib, ic, id_ = sd, -sb, -sc, sa
+    ta, tb, tc, td = t
+    return MoebiusMap.make(ia * ta + ib * tc, ia * tb + ib * td,
+                           ic * ta + id_ * tc, ic * tb + id_ * td)
+
+
+def index_map_moebius(K, src_pts, dst_pts, m):
+    """The Moebius map an index map m of genus2.moebius_stabilizing
+    stands for: the map through src_pts[:3] onto dst_pts[m[0]],
+    dst_pts[m[1]] and dst_pts[m[2]], as moebius_stabilizing built it
+    while it returned MoebiusMaps."""
+    return moebius_through(K, src_pts[:3], [dst_pts[i] for i in m[:3]])
+
+
+def induced_index_map(m, src_pts, dst_pts):
+    """The index map of the MoebiusMap m from src_pts into dst_pts:
+    entry i is the index in dst_pts of m's image of src_pts[i]."""
+    index = {point_key(q): i for i, q in enumerate(dst_pts)}
+    return [index[point_key(m.apply(q))] for q in src_pts]
+
+
 def moebius_search_oracle(K, src_pts, dst_pts, first_only=False):
     """Moebius maps sending the set src_pts onto the set dst_pts, by
     search: the triple loop that genus2.moebius_stabilizing replaced,
@@ -117,7 +193,7 @@ def moebius_frames_oracle(K, pts):
     """
     frames = {}
     for triple in permutations(range(len(pts)), 3):
-        frame = MoebiusMap(*_to_zero_one_inf(K, *(pts[i] for i in triple)))
+        frame = MoebiusMap(*to_zero_one_inf(K, *(pts[i] for i in triple)))
         signature = sum(sorted(frame.apply(pts[i]).key()
                                for i in range(len(pts)) if i not in triple),
                         ())

@@ -37,7 +37,7 @@ from richelot.isogeny import delta, richelot_generic, split_degenerate
 from richelot.poly import Poly, is_squarefree
 
 from clebsch_fixtures import FIXTURES
-from conftest import label_pairing
+from conftest import index_map_moebius, label_pairing
 
 CENSUS_PRIMES = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 RANDOM_PRIMES = (11, 23, 31)
@@ -250,7 +250,8 @@ def _pairing_orbit(C, spl):
     orbit.
     """
     K, pts = weierstrass_points(C)
-    maps = reduced_automorphisms(C)
+    maps = [index_map_moebius(K, pts, pts, m)
+            for m in reduced_automorphisms(C)]
     pt_of_key = {point_key(p): p for p in pts}
     base = splitting_pairing(C, spl, K)
     orbit = {base}

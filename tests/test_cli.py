@@ -56,12 +56,16 @@ def test_neighbourhood_sextic(capsys):
     assert out.count("weight  5") == 3
 
 
-def test_neighbourhood_sextic_with_irrational_points(capsys):
+def test_neighbourhood_sextic_with_irrational_points(capsys, monkeypatch):
     # x^6 + x + 1 has one root over GF(19^2): its frames are made over
-    # GF(19^4) before the expansion stops
+    # GF(19^4) before the expansion stops, and the error counts the
+    # kernels off the points of the one factoring
+    clear_genus2_caches()
+    calls = count_calls(monkeypatch, "factor_quadratic_pieces")
     assert run(["neighbourhood", "-p", "19",
                 "--sextic=1,1,0,0,0,0,1"]) == 2
     assert "only 1 rational kernels" in capsys.readouterr().err
+    assert len(calls) == 1
 
 
 def test_neighbourhood_sextic_with_irrational_split_factors(capsys):

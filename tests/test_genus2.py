@@ -9,15 +9,14 @@ import pytest
 from richelot import genus2
 from richelot.field import ExtCtx, FieldElement, legendre, make_field
 from richelot.genus2 import (INF, MATCHINGS, ClebschPoint, Genus2Curve,
-                             Genus2Error, MoebiusMap, _block_roots,
-                             _to_zero_one_inf, canonical_key,
+                             Genus2Error, _block_roots, canonical_key,
                              clebsch_invariants, derived_invariants,
-                             frame_permutations, matching_action,
-                             matching_index, matching_splitting,
-                             moebius_frames,
-                             moebius_orbits_on_splittings, moebius_through,
-                             orbit_partition, point_key, point_splittings,
-                             QuadraticSplitting, ra_type_from_automorphisms,
+                             matching_action, matching_index,
+                             matching_splitting, moebius_frames,
+                             moebius_orbits_on_splittings,
+                             moebius_stabilizing, orbit_partition, point_key,
+                             point_splittings, QuadraticSplitting,
+                             ra_type_from_automorphisms,
                              ra_type_from_clebsch, reduced_automorphisms,
                              splitting_pairing, splitting_points,
                              splitting_root_pairs, splittings,
@@ -27,11 +26,14 @@ from richelot.poly import (Poly, factor_quadratic_pieces, is_squarefree,
                            roots as poly_roots)
 
 from clebsch_fixtures import FIXTURES
-from conftest import (block_poly, block_roots_oracle, block_triple,
-                      clear_genus2_caches, count_calls, label_pairing, moebius_frames_oracle,
-                      moebius_search_oracle, poly_key_oracle,
+from conftest import (MoebiusMap, block_poly, block_roots_oracle,
+                      block_triple, clear_genus2_caches, count_calls,
+                      index_map_moebius, induced_index_map, label_pairing,
+                      moebius_frames_oracle, moebius_search_oracle,
+                      moebius_through, poly_key_oracle,
                       random_distinct_elements, random_element,
-                      splitting_of, transform_curve_oracle)
+                      splitting_of, to_zero_one_inf,
+                      transform_curve_oracle)
 
 
 def frob(x):
@@ -302,6 +304,9 @@ def test_reduced_automorphism_orders(ctx23, rng):
 
 
 def test_reduced_automorphisms_group_closure(ctx23):
+    # the index maps are distinct and closed under composition and
+    # inverses, the identity among them; each is the point permutation
+    # of a Moebius map, and those maps are closed under composition
     def compose(m1, m2):
         """m1 after m2."""
         return MoebiusMap.make(m1.a * m2.a + m1.b * m2.c,
@@ -311,7 +316,17 @@ def test_reduced_automorphisms_group_closure(ctx23):
 
     u = ctx23.element(3, 1)
     C = c_two_param(ctx23, u, u.inverse())
-    maps = reduced_automorphisms(C)
+    K, pts = weierstrass_points(C)
+    perms = reduced_automorphisms(C)
+    group = {tuple(m) for m in perms}
+    assert len(group) == len(perms) == 4
+    assert tuple(range(6)) in group
+    for m1 in perms:
+        assert tuple(sorted(range(6), key=m1.__getitem__)) in group
+        for m2 in perms:
+            assert tuple(m1[i] for i in m2) in group
+    maps = [index_map_moebius(K, pts, pts, m) for m in perms]
+    assert [induced_index_map(m, pts, pts) for m in maps] == perms
     keys = {m.key() for m in maps}
     for m1 in maps:
         for m2 in maps:
@@ -358,9 +373,15 @@ def test_classifier_agreement_with_irrational_points(ctx23, rng):
 
 
 def assert_ra_matches_search_oracle(C):
+    # the index maps are those the searched maps induce on the sorted
+    # points, and each stands for one searched map
     K, pts = weierstrass_points(C)
-    got = sorted((m.key() for m in reduced_automorphisms(C)))
-    assert got == [m.key() for m in moebius_search_oracle(K, pts, pts)], C
+    perms = reduced_automorphisms(C)
+    maps = moebius_search_oracle(K, pts, pts)
+    assert sorted(perms) \
+        == sorted(induced_index_map(m, pts, pts) for m in maps), C
+    assert sorted(index_map_moebius(K, pts, pts, m).key() for m in perms) \
+        == [m.key() for m in maps], C
 
 
 def test_reduced_automorphisms_match_search_oracle_random(ctx23, rng):
@@ -387,8 +408,9 @@ def test_reduced_automorphisms_match_search_oracle_on_graph(p):
     for v in g.vertices.values():
         if v.key.kind == "jacobian":
             assert_ra_matches_search_oracle(v.representative)
-            assert len(reduced_automorphisms(v.representative)) \
-                == v.ra_order
+            assert sorted(reduced_automorphisms(v.representative)) \
+                == sorted(v.ra_maps)
+            assert len(v.ra_maps) == v.ra_order
             orders.add(v.ra_order)
     assert len(orders) > 1
 
@@ -403,7 +425,7 @@ def assert_frames_match_oracle(K, pts):
         == list(oracle.values())
     for signature, frs in frames.items():
         for fr in frs:
-            to_frame = MoebiusMap(*_to_zero_one_inf(
+            to_frame = MoebiusMap(*to_zero_one_inf(
                 K, *(pts[i] for i in fr[:3])))
             assert sum((to_frame.apply(pts[i]).key() for i in fr[3:]),
                        ()) == signature
@@ -465,20 +487,15 @@ def test_moebius_frames_run_on_plain_integers(monkeypatch, rng):
                         inverses.append(args) or real_pinv(*args))
     frames = moebius_frames(ctx, pts)
     assert len(inverses) == 15
-    perms = frame_permutations(ctx, pts, frames)
+    perms = moebius_stabilizing(ctx, pts, frames)
     assert len(inverses) == 15 + 4
     assert list(range(6)) in perms
     assert len(muls) == 0
     assert len(built) == 0
 
 
-def induced_permutation(m, pts):
-    index = {point_key(q): i for i, q in enumerate(pts)}
-    return [index[point_key(m.apply(q))] for q in pts]
-
-
 @pytest.mark.parametrize("p", [23, 41])
-def test_frame_permutations_match_search_oracle_on_graph(p):
+def test_moebius_stabilizing_match_search_oracle_on_graph(p):
     # the index maps read off the frames are the point permutations of
     # the searched maps, and the kernel orbits the graph built are the
     # orbits of those maps
@@ -488,8 +505,8 @@ def test_frame_permutations_match_search_oracle_on_graph(p):
             continue
         K, pts = v.points
         maps = moebius_search_oracle(K, pts, pts)
-        assert sorted(frame_permutations(K, pts, v.frames)) \
-            == sorted(induced_permutation(m, pts) for m in maps)
+        assert sorted(moebius_stabilizing(K, pts, v.frames)) \
+            == sorted(induced_index_map(m, pts, pts) for m in maps)
         # the index labels, translated to pairings through MATCHINGS
         pairings = [label_pairing(pts, n) for n in range(15)]
         index_of = {pr: i for i, pr in enumerate(pairings)}
@@ -987,11 +1004,11 @@ def test_transform_curve_matches_oracle(p, rng):
 def test_orbit_sizes_sum_to_fifteen(ctx23, rng):
     for _ in range(5):
         C = random_split_curve(ctx23, rng)
-        K, pts = weierstrass_points(C)
+        _, pts = weierstrass_points(C)
         labels = [n for _, n in
                   point_splittings(ctx23, (), pts, C.f.leading())]
         orbits = moebius_orbits_on_splittings(
-            labels, frame_permutations(K, pts, moebius_frames(K, pts)))
+            labels, reduced_automorphisms(C))
         assert sum(len(o) for o in orbits) == 15
 
 

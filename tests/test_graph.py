@@ -9,9 +9,9 @@ import pytest
 from richelot import genus2, gluing, graph
 from richelot.elliptic import (EllipticCurveE2, isomorphisms_with_torsion,
                                two_isogeny)
-from richelot.field import FieldElement, make_field
-from richelot.genus2 import (Genus2Curve, RAType, frame_permutations,
-                             point_key, splitting_root_pairs,
+from richelot.field import FieldCtx, FieldElement, make_field
+from richelot.genus2 import (Genus2Curve, RAType, moebius_stabilizing,
+                             point_key, splitting_root_pairs, splittings,
                              weierstrass_points)
 from richelot.gluing import (GluedJacobian, ProductKernel, ProductSurface,
                              kernel_maps, product_kernels,
@@ -79,18 +79,28 @@ def test_neighbourhood_of_a_splitting_matches_its_curve(p):
                     == (b.target, b.weight, b.kernels, b.kernel_rep)
 
 
-def test_neighbourhood_of_a_splitting_with_an_irreducible_block(ctx23):
+def test_neighbourhood_of_a_splitting_with_an_irreducible_block(
+        ctx23, monkeypatch):
+    # the error counts the matchings of the points in GF(p^2): the bare
+    # curve is factored once, by weierstrass_points, the splitting not
+    # at all, and the count is that of splittings()
     ctx = ctx23
     blocks = [Poly(ctx, [-ctx.nonsquare(), ctx.zero, ctx.one])] + [
         Poly.from_roots(ctx, list(map(ctx.from_int, pair)))
         for pair in ((1, 2), (3, 4))]
     spl = splitting_of(blocks, ctx.one)
+    clear_genus2_caches()
+    calls = count_calls(monkeypatch, "factor_quadratic_pieces")
     with pytest.raises(GraphError) as from_curve:
         neighbourhood(spl.curve())
+    assert len(calls) == 1
+    clear_genus2_caches()
     with pytest.raises(GraphError) as from_splitting:
         neighbourhood(spl)
+    assert len(calls) == 1
     assert "only 3 rational kernels" in str(from_curve.value)
     assert str(from_splitting.value) == str(from_curve.value)
+    assert len(splittings(spl.curve())) == 3
 
 
 def test_build_graph_anchor_vertex_sets():
@@ -323,7 +333,7 @@ def assert_jacobian_edges_match_label_oracle(g):
         K, pts = v.points
         want = jacobian_orbits_oracle(
             K, pts, v.representative.f.leading(),
-            frame_permutations(K, pts, v.frames))
+            moebius_stabilizing(K, pts, v.frames))
         assert [(e.kernel_rep, e.weight) for e in v.edges] \
             == [(rep, len(pairings)) for rep, pairings in want]
         for e, (rep, pairings) in zip(v.edges, want):
@@ -554,13 +564,27 @@ def test_each_jacobian_vertex_builds_frames_once(monkeypatch):
 def test_each_jacobian_vertex_reads_its_ra_maps_once(monkeypatch):
     # _make_vertex reads the RA maps off the frames once; its RA order
     # and the expansion's orbits share them, so a build makes one
-    # frame_permutations call per Jacobian vertex
-    calls = count_calls(monkeypatch, "frame_permutations")
+    # moebius_stabilizing call per Jacobian vertex
+    calls = count_calls(monkeypatch, "moebius_stabilizing")
     g = build_graph(make_field(41))
     jacobians = [v for v in g.vertices.values() if v.key.kind == "jacobian"]
     assert len(jacobians) == 40
     assert len(calls) == len(jacobians)
     assert all(v.ra_order == len(v.ra_maps) for v in jacobians)
+
+
+@pytest.mark.parametrize("p", [23, 41])
+def test_graph_path_stays_in_gf_p2(monkeypatch, p):
+    # Frobenius is +-p on the whole graph, so every delta = 0 split has
+    # rational fixed points and every Jacobian vertex rational
+    # Weierstrass points (split_degenerate): neither build_graph nor
+    # validate asks for GF(p^4)
+    calls, real = [], FieldCtx.extension
+    monkeypatch.setattr(FieldCtx, "extension",
+                        lambda self: calls.append(self) or real(self))
+    g = build_graph(make_field(p))
+    assert validate(g).ok
+    assert calls == []
 
 
 def test_build_graph_stops_past_census_count(monkeypatch):
