@@ -7,11 +7,13 @@ every "canonical choice" made downstream (square roots, roots of
 unity, vertex keys) is reproducible across runs and machines.
 
 GF(p^4) is built the same way on top of GF(p^2), using the
-lexicographically smallest non-square of GF(p^2).  It is only needed
-where Weierstrass points of a genus-2 curve are irrational over
-GF(p^2) (Moebius frames, roots of irreducible blocks).  Square roots
-in both fields use the norm method (Adj and Rodriguez-Henriquez, IEEE
-TC 2014), down to the builtin pow in GF(p).
+lexicographically smallest non-square of GF(p^2).  No module of the
+package calls it: a curve with a point outside GF(p^2) raises
+genus2.IrrationalPointsError instead.  It stays only because the
+benchmark tracer binds ExtElement's methods by name; it goes once the
+tracer skips absent bindings.  Square roots in both fields use the norm
+method (Adj and Rodriguez-Henriquez, IEEE TC 2014), down to the builtin
+pow in GF(p).
 """
 
 from __future__ import annotations

@@ -13,8 +13,11 @@ GF(p^2).  This module provides
   sets in one form, index maps between frames of equal signature: each
   ordered triple of Weierstrass points, sent to (0, 1, inf), followed
   by the other three in the order of their images, the cross-ratios,
-  computed on (a, b) int pairs (ExtElements over GF(p^4)),
+  computed on (a, b) int pairs,
 * the two independent RA-type classifiers and the canonical vertex key.
+
+Every point these read lies in GF(p^2), as at every superspecial vertex;
+a curve with a Weierstrass point outside it raises IrrationalPointsError.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, perm
 
-from .field import ExtCtx, ExtElement, FieldCtx, FieldElement
+from .field import FieldCtx, FieldElement
 from .poly import (Poly, add_pairs, factor_quadratic_pieces, is_squarefree,
                    mul_pairs)
 
@@ -35,6 +38,24 @@ class Genus2Error(ValueError):
 
 class ClassificationError(Genus2Error):
     """A curve the RA-type rules cannot classify; indicates a bug."""
+
+
+class IrrationalPointsError(Genus2Error):
+    """A Weierstrass point of y^2 = f(x), or a fixed point of a delta = 0
+    kernel on it (isogeny.split_degenerate), lies outside GF(p^2), so
+    the curve is no superspecial vertex.  Carries p, the sextic f and,
+    for Weierstrass points, the count of rational kernels (None for
+    fixed points); the message ends with the command that reproduces
+    it."""
+
+    def __init__(self, f: Poly, kernels=None):
+        self.p, self.sextic, self.kernels = f.ctx.p, f, kernels
+        what = ("conjugate fixed points: a delta = 0 quotient splits "
+                "into conjugate elliptic curves" if kernels is None else
+                f"only {kernels} rational kernels; Weierstrass points "
+                "outside GF(p^2)")
+        super().__init__(f"{what}\nrichelot neighbourhood -p {self.p} "
+                         f"--sextic={','.join(map(repr, f.coeffs))}")
 
 
 # ---------------------------------------------------------------------------
@@ -270,115 +291,90 @@ def point_key(pt):
     return (1, ) + pt.key()
 
 
-def _block_roots(g, K):
-    """The two points of a monic block (c0, c1, c2) of int pairs over K
-    (GF(p^2) or GF(p^4)), INF partnering a linear block's root; None
-    when the block is irreducible over K.  Over GF(p^2) a quadratic
-    block runs on int pairs: (-c1 +- psqrt(c1^2 - 4 c0)) (p + 1)/2, and
-    only the two roots become FieldElements."""
-    ctx = K.base if isinstance(K, ExtCtx) else K
-    if K is ctx and g[2] != (0, 0):
-        (c, b), p, h = g[:2], ctx.p, (ctx.p + 1) // 2
-        s = ctx.psqrt(ctx.pminor(b, b, (4, 0), c))
-        return None if s is None else tuple(
-            FieldElement(ctx, (u - b[0]) * h % p, (v - b[1]) * h % p)
-            for u, v in (s, (-s[0], -s[1])))
-    embed = (lambda x: x) if K is ctx else K.embed
-    c, b = (embed(FieldElement(ctx, *x)) for x in g[:2])
+def _block_roots(g, ctx):
+    """The two points of a monic block (c0, c1, c2) of int pairs, INF
+    partnering a linear block's root; None when the block is irreducible
+    over GF(p^2).  A quadratic block runs on int pairs: (-c1 +- psqrt(c1^2
+    - 4 c0)) (p + 1)/2, and only the two roots become FieldElements."""
+    (c, b), p, h = g[:2], ctx.p, (ctx.p + 1) // 2
     if g[2] == (0, 0):
-        return -c, INF
-    s = (b * b - 4 * c).sqrt()
-    if s is None:
-        return None
-    half = K.from_int(2).inverse()
-    return (s - b) * half, (-b - s) * half
+        return FieldElement(ctx, -c[0] % p, -c[1] % p), INF
+    s = ctx.psqrt(ctx.pminor(b, b, (4, 0), c))
+    return None if s is None else tuple(
+        FieldElement(ctx, (u - b[0]) * h % p, (v - b[1]) * h % p)
+        for u, v in (s, (-s[0], -s[1])))
 
 
-def splitting_root_pairs(spl: QuadraticSplitting):
+def splitting_root_pairs(spl: QuadraticSplitting) -> list:
     """The Weierstrass points of y^2 = spl.curve() as the three pairs
-    covered by spl's blocks, one square root each; returns (field,
-    pairs).  The field is GF(p^2) when every block splits there, else
-    GF(p^4).
-    """
-    K = spl.ctx
-    roots = [_block_roots(g, K) for g in spl.blocks]
+    covered by spl's blocks, one square root each.  Raises
+    IrrationalPointsError when a block is irreducible: the rational
+    kernels are then the matchings of the other blocks' points."""
+    roots = [_block_roots(g, spl.ctx) for g in spl.blocks]
     if None in roots:
-        K = K.extension()
-        roots = [_block_roots(g, K) for g in spl.blocks]
-    return K, roots
+        rational = 2 * (len(roots) - roots.count(None))
+        raise IrrationalPointsError(
+            block_product(spl.ctx, spl.blocks, spl.scale.key()),
+            len(_INDEX_MATCHINGS[rational]))
+    return roots
 
 
-def splitting_points(spl: QuadraticSplitting):
-    """The six Weierstrass points of y^2 = spl.curve(), sorted;
-    returns (field, points) with the field of splitting_root_pairs."""
-    K, pairs = splitting_root_pairs(spl)
-    return K, sorted((pt for pair in pairs for pt in pair), key=point_key)
+def splitting_points(spl: QuadraticSplitting) -> list:
+    """The six Weierstrass points of y^2 = spl.curve(), sorted, read off
+    splitting_root_pairs."""
+    return sorted((pt for pair in splitting_root_pairs(spl) for pt in pair),
+                  key=point_key)
 
 
 @lru_cache(maxsize=None)
-def weierstrass_points(curve: Genus2Curve):
-    """The six Weierstrass points of the curve, sorted, as (field,
-    points): the roots of f's linear factors (and INF if f is a quintic)
-    when f splits, always at superspecial vertices; else over GF(p^4),
-    off the first of splittings(), from the same factoring.  Graph
-    vertices reached by an edge read theirs off its recorded dual
-    splitting instead."""
+def weierstrass_points(curve: Genus2Curve) -> list:
+    """The six Weierstrass points of the curve, sorted: the roots of f's
+    linear factors (and INF if f is a quintic), from one factoring.
+    Raises IrrationalPointsError when f has an irreducible quadratic
+    factor; superspecial vertices have none.  Graph vertices reached by
+    an edge read theirs off its recorded dual splitting instead."""
     f = curve.f
     forced, free = _forced_free(f)
     if forced:
-        return splitting_points(
-            point_splittings(f.ctx, forced, free, f.leading())[0][0])
-    return f.ctx, sorted(free, key=point_key)
+        raise IrrationalPointsError(f, len(_INDEX_MATCHINGS[len(free)]))
+    return sorted(free, key=point_key)
 
 
-def _frame_maker(K, pts, triples):
-    """frame(i, j, k) -> (signature, frame) on six points over K.
+def _frame_maker(ctx, pts, triples):
+    """frame(i, j, k) -> (signature, frame) on six points.
 
     The map sending (x_i, x_j, x_k) to (0, 1, inf) sends x_l to the
     cross-ratio q(l, i, k) q(j, k, i), q(a, i, k) = (x_a - x_i)/(x_a -
     x_k) with a factor holding INF read as 1.  q is tabulated for the
-    given triples (a, i, k), one inverse per pair {a, k}: as (a, b) int
-    pairs over GF(p^2), as ExtElements over GF(p^4).  The signature is
-    the other three images' keys, sorted and concatenated; the frame is
-    (i, j, k) and the other indices in that order.
+    given triples (a, i, k) as (a, b) int pairs, one inverse per pair
+    {a, k}.  The signature is the other three images' keys, sorted and
+    concatenated; the frame is (i, j, k) and the other indices in that
+    order.
     """
-    if isinstance(K, ExtCtx):
-        xs = [x if x is INF or isinstance(x, ExtElement) else K.embed(x)
-              for x in pts]
-        one, mul, inverse = K.one, ExtElement.__mul__, ExtElement.inverse
-        sub, neg = ExtElement.__sub__, ExtElement.__neg__
+    p, nr, mul, inverse = ctx.p, ctx.nonresidue, ctx.pmul, ctx.pinv
+    xs = [x if x is INF else (x.a, x.b) for x in pts]
 
-        def frame(i, j, k):
-            c = q[36 * j + 6 * k + i]
-            (s, x), (t, y), (u, z) = sorted(
-                [((q[36 * l + 6 * i + k] * c).key(), l)
-                 for l in _REST[i, j, k]])
-            return s + t + u, (i, j, k, x, y, z)
-    else:
-        p, nr, xs = K.p, K.nonresidue, [x if x is INF else (x.a, x.b)
-                                        for x in pts]
-        one, mul, inverse = (1, 0), K.pmul, K.pinv
-        sub, neg = (lambda x, y: ((x[0] - y[0]) % p, (x[1] - y[1]) % p),
-                    lambda x: (-x[0] % p, -x[1] % p))
+    def sub(x, y):
+        return (x[0] - y[0]) % p, (x[1] - y[1]) % p
 
-        def frame(i, j, k):  # a reduced pair is its own key
-            ca, cb = q[36 * j + 6 * k + i]
-            images = []
-            for l in _REST[i, j, k]:
-                a, b = q[36 * l + 6 * i + k]
-                images.append(((a * ca + nr * b * cb) % p,
-                               (a * cb + b * ca) % p, l))
-            images.sort()
-            (s, t, x), (u, v, y), (w, z, r) = images
-            return (s, t, u, v, w, z), (i, j, k, x, y, r)
+    def frame(i, j, k):  # a reduced pair is its own key
+        ca, cb = q[36 * j + 6 * k + i]
+        images = []
+        for l in _REST[i, j, k]:
+            a, b = q[36 * l + 6 * i + k]
+            images.append(((a * ca + nr * b * cb) % p,
+                           (a * cb + b * ca) % p, l))
+        images.sort()
+        (s, t, x), (u, v, y), (w, z, r) = images
+        return (s, t, u, v, w, z), (i, j, k, x, y, r)
     dinv, q = {}, [None] * 216
     for a, i, k in triples:
         if (a, k) not in dinv:
             if xs[a] is INF or xs[k] is INF:
-                dinv[a, k] = dinv[k, a] = one
+                dinv[a, k] = dinv[k, a] = (1, 0)
             else:
                 d = dinv[a, k] = inverse(sub(xs[a], xs[k]))
-                dinv[k, a] = neg(d)
+                dinv[k, a] = (-d[0] % p, -d[1] % p)
         q[36 * a + 6 * i + k] = (dinv[a, k] if xs[a] is INF or xs[i] is INF
                                  else mul(sub(xs[a], xs[i]), dinv[a, k]))
     return frame
@@ -389,13 +385,13 @@ _TRIPLES = tuple(permutations(range(6), 3))
 _REST = {t: tuple(l for l in range(6) if l not in t) for t in _TRIPLES}
 
 
-def moebius_frames(K, pts) -> dict:
-    """The frames of the six points pts over K, one per ordered triple,
-    listed by signature (_frame_maker: 15 inverses over GF(p^2)).  Two
-    frames of two point sets share it exactly when a Moebius map sends
-    one set onto the other, and each point of the first frame to the
-    point at the same place in the second."""
-    frame = _frame_maker(K, pts, _TRIPLES)
+def moebius_frames(ctx, pts) -> dict:
+    """The frames of the six points pts, one per ordered triple, listed
+    by signature (_frame_maker: 15 inverses).  Two frames of two point
+    sets share it exactly when a Moebius map sends one set onto the
+    other, and each point of the first frame to the point at the same
+    place in the second."""
+    frame = _frame_maker(ctx, pts, _TRIPLES)
     frames = {}
     for triple in _TRIPLES:
         signature, fr = frame(*triple)
@@ -403,15 +399,15 @@ def moebius_frames(K, pts) -> dict:
     return frames
 
 
-def moebius_stabilizing(K, src_pts, dst_frames) -> list:
+def moebius_stabilizing(ctx, src_pts, dst_frames) -> list:
     """The Moebius maps sending the set src_pts onto the point set of
-    dst_frames = moebius_frames(K, dst_pts), in the package's one form
+    dst_frames = moebius_frames(ctx, dst_pts), in the package's one form
     of such a map, an index map: m[i] is the index in dst_pts of the
     image of src_pts[i].  One map per frame sharing the signature of
     src_pts's base frame (0, 1, 2), whose q(1, 2, 0) and q(l, 0, 2)
     take four inverses."""
     signature, base = _frame_maker(
-        K, src_pts, ((1, 2, 0), (3, 0, 2), (4, 0, 2), (5, 0, 2)))(0, 1, 2)
+        ctx, src_pts, ((1, 2, 0), (3, 0, 2), (4, 0, 2), (5, 0, 2)))(0, 1, 2)
     at = sorted(range(6), key=base.__getitem__)
     return [[fr[t] for t in at] for fr in dst_frames.get(signature, ())]
 
@@ -419,22 +415,18 @@ def moebius_stabilizing(K, src_pts, dst_frames) -> list:
 @lru_cache(maxsize=None)
 def reduced_automorphisms(curve: Genus2Curve) -> list:
     """RA(Jac(C)), the Moebius maps permuting the Weierstrass points, as
-    index maps of weierstrass_points(curve)[1] (moebius_stabilizing on
-    the curve's own frames)."""
-    K, pts = weierstrass_points(curve)
-    return moebius_stabilizing(K, pts, moebius_frames(K, pts))
+    index maps of weierstrass_points(curve) (moebius_stabilizing on the
+    curve's own frames)."""
+    pts = weierstrass_points(curve)
+    return moebius_stabilizing(curve.ctx, pts,
+                               moebius_frames(curve.ctx, pts))
 
 
-def splitting_pairing(curve: Genus2Curve, spl: QuadraticSplitting, K=None):
-    """The splitting as a partition of Weierstrass point keys, one
-    square root per block.  K must be the field of the points the
-    pairing is used with, by default weierstrass_points(curve)[0]."""
-    if K is None:
-        K = weierstrass_points(curve)[0]
-    pairs = [_block_roots(g, K) for g in spl.blocks]
-    if None in pairs:  # irreducible block, only over GF(p^4)
-        raise Genus2Error("pairing requires the extension field")
-    return frozenset(frozenset(map(point_key, pair)) for pair in pairs)
+def splitting_pairing(spl: QuadraticSplitting):
+    """The splitting as a partition of its Weierstrass point keys, one
+    square root per block (splitting_root_pairs)."""
+    return frozenset(frozenset(map(point_key, pair))
+                     for pair in splitting_root_pairs(spl))
 
 
 def orbit_partition(points, gens) -> list:

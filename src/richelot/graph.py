@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 
 from .census import expected_counts
 from .elliptic import EllipticCurveE2, j_invariant, find_supersingular_seed
-from .field import ExtCtx, FieldCtx
-from .genus2 import (INF, Genus2Curve, JACOBIAN_ORDER_TO_TYPE, RA_ORDER,
-                     _INDEX_MATCHINGS, QuadraticSplitting, canonical_key,
-                     clebsch_invariants, matching_index, moebius_frames,
+from .field import FieldCtx
+from .genus2 import (Genus2Curve, JACOBIAN_ORDER_TO_TYPE, RA_ORDER,
+                     QuadraticSplitting, canonical_key, clebsch_invariants,
+                     matching_index, moebius_frames,
                      moebius_orbits_on_splittings, moebius_stabilizing,
                      point_splittings, ra_type_from_clebsch,
                      splitting_points, splitting_root_pairs,
@@ -81,8 +81,7 @@ class OrbitEdge:
 
     hint is (kind, codomain, dual): the quotient by kernel_rep as
     computed (Genus2Curve | ProductSurface) and the dual kernel on it
-    (a QuadraticSplitting, a product kernel's label, or None when it is
-    unknown).
+    (a QuadraticSplitting or a product kernel's label).
     kind ("jac", "glue", "split", "prod", "induced") names the step
     that built the edge; it is informational only.  kernels labels the
     orbit's kernels, kernel_rep's first, by small ints: a Jacobian's by
@@ -106,7 +105,7 @@ class OrbitEdge:
 class Vertex:
     """A graph vertex; Jacobians also hold their Weierstrass points.
 
-    A Jacobian's points are (field, sorted points), frames their
+    A Jacobian's points are its sorted Weierstrass points, frames their
     moebius_frames, and ra_maps its RA maps as index maps of the points,
     read off the frames once: reduced_automorphisms of the
     representative.  edges are the orbit edges out of the vertex;
@@ -152,11 +151,11 @@ def _make_vertex(key: VertexKey, rep, dual=None) -> Vertex:
     if key.kind != "jacobian":
         return Vertex(key=key, representative=rep, ra_type=ra_type,
                       ra_order=ra_order_product(ra_type))
-    K, pts = splitting_points(dual) if dual else weierstrass_points(rep)
-    frames = moebius_frames(K, pts)
-    maps = moebius_stabilizing(K, pts, frames)
+    pts = splitting_points(dual) if dual else weierstrass_points(rep)
+    frames = moebius_frames(rep.ctx, pts)
+    maps = moebius_stabilizing(rep.ctx, pts, frames)
     return Vertex(key=key, representative=rep, ra_type=ra_type,
-                  ra_order=len(maps), points=(K, pts), frames=frames,
+                  ra_order=len(maps), points=pts, frames=frames,
                   ra_maps=maps)
 
 
@@ -200,14 +199,8 @@ def _orbit_edges(src: VertexKey, orbits, kernels, labels, step):
 
 
 def _expand_jacobian(v: Vertex):
-    K, pts = v.points
-    if isinstance(K, ExtCtx):  # rational kernels match GF(p^2) points
-        r = sum(x is INF or x.in_base_field() for x in pts)
-        raise GraphError(
-            f"only {len(_INDEX_MATCHINGS[r])} rational kernels; "
-            "vertex is not superspecial-complete")
     f = v.representative.f
-    spls, labels = zip(*point_splittings(f.ctx, (), pts, f.leading()))
+    spls, labels = zip(*point_splittings(f.ctx, (), v.points, f.leading()))
     orbits = moebius_orbits_on_splittings(labels, v.ra_maps)
     return _orbit_edges(v.key, orbits, spls, labels, _jacobian_step)
 
@@ -219,11 +212,9 @@ def _jacobian_step(spl):
         return VertexKey.jacobian(cod.curve), ("jac", cod.curve, cod.dual)
     sp = split_degenerate(spl, d)
     S = ProductSurface(sp.E, sp.E2)
-    # the i <-> i matching generates the dual kernel, except on factors
-    # rebuilt from j, where the matching is lost
-    dual = None if sp.split_data.extended \
-        else kernel_index(ProductKernel.diagonal((1, 2, 3)))
-    return VertexKey.of_surface(S), ("split", S, dual)
+    # the i <-> i matching generates the dual kernel
+    return VertexKey.of_surface(S), (
+        "split", S, kernel_index(ProductKernel.diagonal((1, 2, 3))))
 
 
 def _expand_product(v: Vertex):
@@ -303,13 +294,8 @@ def _transport_pairing(target: Vertex, spl) -> int:
     spl's blocks, listed pair by pair, and the first index map that
     moebius_stabilizing reads off the target's frames moves the pairs.
     """
-    K1, pairs = splitting_root_pairs(spl)
-    K, pts2 = target.points
-    frames = target.frames
-    if isinstance(K1, ExtCtx) and not isinstance(K, ExtCtx):
-        # mixed rationality: the target's table over the extension
-        K, frames = K1, moebius_frames(K1, pts2)
-    maps = moebius_stabilizing(K, sum(pairs, ()), frames)
+    pairs = splitting_root_pairs(spl)
+    maps = moebius_stabilizing(spl.ctx, sum(pairs, ()), target.frames)
     if not maps:
         raise GraphError("no Moebius map between isomorphic models")
     m = maps[0]
@@ -323,16 +309,13 @@ def dual_edge(g: Graph, e: OrbitEdge) -> OrbitEdge:
     representative by an isomorphism and looked up there: a Jacobian's
     by _transport_pairing, a product's label by the first kernel_maps
     label map.  Any isomorphism will do: two differ by an automorphism
-    of the target, which keeps the kernel inside its orbit.
+    of the target, which keeps the kernel inside its orbit.  Every step
+    records its dual, as every step stays in GF(p^2).
     """
     tgt = g.vertex(e.target)
     if not tgt.edges:
         raise GraphError("target vertex not expanded")
     _, codomain, dual = e.hint
-    if dual is None:
-        raise GraphError("no dual kernel recorded for edge "
-                         f"{e.source.as_string()} -> {e.target.as_string()}"
-                         f" by {e.kernel_rep}")
     if isinstance(codomain, Genus2Curve):
         kernel = _transport_pairing(tgt, dual)
     else:

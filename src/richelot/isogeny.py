@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .elliptic import EllipticCurveE2, curve_from_j, j_invariant
+from .elliptic import EllipticCurveE2
 from .field import FieldElement
-from .genus2 import Genus2Curve, Genus2Error, QuadraticSplitting, \
-    monic_block
+from .genus2 import Genus2Curve, Genus2Error, IrrationalPointsError, \
+    QuadraticSplitting, block_product, monic_block
 
 
 class RichelotError(ValueError):
@@ -74,9 +74,8 @@ class DegenerateSplitData:
     U = x - u and V = x - v for the pencil's fixed points u and v, as
     coefficient pairs (c0, c1) for c0 + c1*x; V = (1, 0) when v is at
     infinity.  `blocks` holds the blocks as coefficient triples
-    (c0, c1, c2) over K, the field of u and v: GF(p^2), or GF(p^4) when
-    u and v are Galois-conjugate (`extended`).  Indexing follows the
-    splitting's block order.
+    (c0, c1, c2) of FieldElements.  Indexing follows the splitting's
+    block order.
     """
 
     U: tuple
@@ -84,7 +83,6 @@ class DegenerateSplitData:
     alphas: tuple
     betas: tuple
     blocks: tuple
-    extended: bool
 
     def verify(self) -> bool:
         """Check F_i = alpha_i U^2 + beta_i V^2 coefficientwise."""
@@ -104,18 +102,11 @@ class SplitCodomain:
     The root triples of E and E2 are ordered by the splitting's block
     index: E.root(i) and E2.root(i) are the images of block i, and the
     matching i <-> i is the anti-isometry generating the dual kernel.
-    (When split_data.extended is set the stored curves are rational
-    models rebuilt from the j-invariants instead.)
     """
 
     E: EllipticCurveE2
     E2: EllipticCurveE2
     split_data: DegenerateSplitData
-
-
-class IrrationalSplitError(RichelotError):
-    """Elliptic factors are Galois-conjugate and no rational split
-    model of the required j-invariant exists."""
 
 
 def split_degenerate(s: QuadraticSplitting, d=None) -> SplitCodomain:
@@ -127,7 +118,8 @@ def split_degenerate(s: QuadraticSplitting, d=None) -> SplitCodomain:
     of the first two blocks (v = infinity when g2 = 0).  A quarter of its
     discriminant, h^2 - g2 g0, is the blocks' resultant, nonzero for
     squarefree f; when it is a non-square in GF(p^2), u and v are
-    conjugate and the same lines run over GF(p^4) (`extended`).  Then
+    conjugate, the factors are conjugate too, and the split raises
+    IrrationalPointsError with the sextic of s.  Else
     F_i = alpha_i (x - u)^2 + beta_i (x - v)^2 with alpha_i = F_i(v)/w,
     beta_i = F_i(u)/w and w = (u - v)^2 (when v = infinity, F_i(v) is
     the leading coefficient and w = 1).  The factors are
@@ -140,7 +132,7 @@ def split_degenerate(s: QuadraticSplitting, d=None) -> SplitCodomain:
     and GF(p^2)-isogenies carry that to every vertex.  +-p fixes every
     abelian subvariety, so it cannot swap two factors, as conjugate u, v
     would; it fixes J[2], so (S_6 = Sp_4(F_2)) it fixes every Weierstrass
-    point.  `extended` serves user sextics and seeds.
+    point.  So only user sextics and seeds can raise.
     """
     if not (delta(s) if d is None else d).is_zero():
         raise RichelotError("delta != 0: quotient is a Jacobian")
@@ -152,11 +144,9 @@ def split_degenerate(s: QuadraticSplitting, d=None) -> SplitCodomain:
     if disc.is_zero():
         raise RichelotError("repeated fixed point; blocks share a root")
     root = disc.sqrt()
-    extended = root is None
-    if extended:
-        K = K.extension()
-        trip = [tuple(K.embed(c) for c in t) for t in trip]
-        g2, h, root = K.embed(g2), K.embed(h), K.embed(disc).sqrt()
+    if root is None:
+        raise IrrationalPointsError(
+            block_product(K, s.blocks, s.scale.key()))
     if g2.is_zero():  # the minor g0 + 2h x has one root; v is at infinity
         u = -(g0 / (2 * h))
         V, w, Fv = (K.one, K.zero), K.one, [t[2] for t in trip]
@@ -171,30 +161,8 @@ def split_degenerate(s: QuadraticSplitting, d=None) -> SplitCodomain:
     winv = w.inverse()
     data = DegenerateSplitData(
         U=(-u, K.one), V=V, alphas=tuple(x * winv for x in Fv),
-        betas=tuple(x * winv for x in Fu), blocks=tuple(trip),
-        extended=extended)
-    e_roots = [-(a / b) for a, b in zip(Fu, Fv)]
-    e2_roots = [-(b / a) for a, b in zip(Fu, Fv)]
-    if extended:
-        E, E2 = _rational_models_from_ext(s.ctx, e_roots, e2_roots)
-    else:
-        E, E2 = EllipticCurveE2(*e_roots), EllipticCurveE2(*e2_roots)
+        betas=tuple(x * winv for x in Fu), blocks=tuple(trip))
+    E = EllipticCurveE2(*(-(a / b) for a, b in zip(Fu, Fv)))
+    E2 = EllipticCurveE2(*(-(b / a) for a, b in zip(Fu, Fv)))
     return SplitCodomain(E=E, E2=E2, split_data=data)
 
-
-def _rational_models_from_ext(ctx, e_roots, e2_roots):
-    """Rational split-torsion models for Galois-conjugate factors.
-
-    The factor curves live over GF(p^4) but their j-invariants must be
-    GF(p^2)-rational; models are rebuilt from j (always possible for
-    the supersingular j-invariants the graph meets).
-    """
-    js = [j_invariant(EllipticCurveE2(*r)) for r in (e_roots, e2_roots)]
-    if not all(j.in_base_field() for j in js):
-        raise IrrationalSplitError(
-            "factor j-invariant not rational over GF(p^2)")
-    models = [curve_from_j(ctx, j.u) for j in js]
-    for j, E in zip(js, models):
-        if E is None:
-            raise IrrationalSplitError(f"no rational split model with j={j}")
-    return models[0], models[1]

@@ -7,16 +7,15 @@ from math import comb, gcd
 import pytest
 
 from richelot import genus2
-from richelot.field import ExtCtx, FieldElement, make_field
+from richelot.field import FieldElement, make_field
 from richelot.genus2 import (INF, MATCHINGS, Genus2Curve, Genus2Error,
-                             QuadraticSplitting, matching_splitting,
-                             orbit_partition, point_key)
+                             IrrationalPointsError, QuadraticSplitting,
+                             matching_splitting, orbit_partition, point_key)
 from richelot.elliptic import EllipticCurveE2
 from richelot.gluing import product_kernels
-from richelot.poly import Poly, PolyError
+from richelot.poly import Poly, PolyError, is_squarefree, roots
 from richelot.isogeny import (DegenerateSplitData, JacobianCodomain,
-                              RichelotError, SplitCodomain,
-                              _rational_models_from_ext)
+                              RichelotError, SplitCodomain)
 
 
 @pytest.fixture(scope="session")
@@ -78,6 +77,20 @@ def random_distinct_elements(ctx, rng, n):
         if all(x != y for y in out):
             out.append(x)
     return out
+
+
+def random_curve_with_irrational_points(ctx, rng):
+    """Four distinct rational roots times an irreducible quadratic: two
+    Weierstrass points lie in GF(p^4) only."""
+    while True:
+        irred = Poly(ctx, [random_element(ctx, rng),
+                           random_element(ctx, rng), ctx.one])
+        if roots(irred):
+            continue
+        rs = random_distinct_elements(ctx, rng, 4)
+        f = Poly.from_roots(ctx, rs) * irred
+        if is_squarefree(f):
+            return Genus2Curve(f)
 
 
 @dataclass(frozen=True)
@@ -396,21 +409,19 @@ def kernel_map_oracle(*steps):
     return tuple(out)
 
 
-def block_roots_oracle(g, K):
-    """The two points of a monic block (c0, c1, c2) of int pairs over K
-    (GF(p^2) or GF(p^4)), INF partnering a linear block's root; None
-    when the block is irreducible over K.  FieldElement arithmetic
-    throughout: what genus2._block_roots computed over GF(p^2) before
-    it ran on int pairs, kept as its oracle."""
-    ctx = K.base if isinstance(K, ExtCtx) else K
-    embed = (lambda x: x) if K is ctx else K.embed
-    c, b = (embed(FieldElement(ctx, *x)) for x in g[:2])
+def block_roots_oracle(g, ctx):
+    """The two points of a monic block (c0, c1, c2) of int pairs, INF
+    partnering a linear block's root; None when the block is irreducible
+    over GF(p^2).  FieldElement arithmetic throughout: what
+    genus2._block_roots computed before it ran on int pairs, kept as its
+    oracle."""
+    c, b = (FieldElement(ctx, *x) for x in g[:2])
     if g[2] == (0, 0):
         return -c, INF
     s = (b * b - 4 * c).sqrt()
     if s is None:
         return None
-    half = K.from_int(2).inverse()
+    half = ctx.from_int(2).inverse()
     return (s - b) * half, (-b - s) * half
 
 
@@ -461,9 +472,10 @@ def _pencil_coordinates(P, Q, F):
 
 def split_pencil_oracle(s):
     """A delta = 0 quotient split by the pencil method: F1 + t*F2 is a
-    perfect square U^2, V^2 at the two roots t of its discriminant (over
-    GF(p^4) when they are irrational), and each block is solved for its
-    coordinates F_i = alpha_i U^2 + beta_i V^2.  What
+    perfect square U^2, V^2 at the two roots t of its discriminant, and
+    each block is solved for its coordinates F_i = alpha_i U^2 + beta_i
+    V^2.  When the roots t are irrational, so are U and V, and it raises
+    IrrationalPointsError on the product of the blocks.  What
     isogeny.split_degenerate computed before the closed form at the
     pencil's fixed points, kept as its oracle."""
     ctx = s.ctx
@@ -475,12 +487,9 @@ def split_pencil_oracle(s):
     d1 = 2 * (F1[1] * F2[1]) - 4 * (F1[2] * F2[0] + F1[0] * F2[2])
     d0 = F1[1] * F1[1] - 4 * (F1[2] * F1[0])
     disc, K = d1 * d1 - 4 * (d2 * d0), ctx
-    extended = disc.sqrt() is None
-    if extended:
-        K = ctx.extension()
-        trip = [tuple(K.embed(c) for c in t) for t in trip]
-        F1, F2 = trip[i1], trip[i2]
-        d2, d1, disc = K.embed(d2), K.embed(d1), K.embed(disc)
+    if disc.sqrt() is None:
+        raise IrrationalPointsError(
+            blocks[0] * blocks[1] * blocks[2] * s.scale)
     root, den = disc.sqrt(), (K.from_int(2) * d2).inverse()
     t1, t2 = (root - d1) * den, -(root + d1) * den
     U, V = (_pencil_square_root(tuple(a + t * b for a, b in zip(F1, F2)), K)
@@ -490,12 +499,8 @@ def split_pencil_oracle(s):
     alphas, betas = zip(*(_pencil_coordinates(usq, vsq, t) for t in trip))
     e_roots = [-(be / al) for al, be in zip(alphas, betas)]
     e2_roots = [-(al / be) for al, be in zip(alphas, betas)]
-    if extended:
-        E, E2 = _rational_models_from_ext(ctx, e_roots, e2_roots)
-    else:
-        E, E2 = EllipticCurveE2(*e_roots), EllipticCurveE2(*e2_roots)
-    return SplitCodomain(E, E2, DegenerateSplitData(
-        U, V, alphas, betas, tuple(trip), extended))
+    return SplitCodomain(EllipticCurveE2(*e_roots), EllipticCurveE2(
+        *e2_roots), DegenerateSplitData(U, V, alphas, betas, tuple(trip)))
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,9 @@ from richelot.atlas import verify_case, verify_permutation_fixtures
 from richelot.census import compare, expected_counts
 from richelot.elliptic import EllipticCurveE2
 from richelot.field import make_field
-from richelot.genus2 import (Genus2Curve, JACOBIAN_ORDER_TO_TYPE, RAType,
-                             RA_ORDER, canonical_key, clebsch_invariants,
+from richelot.genus2 import (Genus2Curve, IrrationalPointsError,
+                             JACOBIAN_ORDER_TO_TYPE, RAType, RA_ORDER,
+                             canonical_key, clebsch_invariants,
                              point_key, ra_type_from_automorphisms,
                              ra_type_from_clebsch, reduced_automorphisms,
                              splittings, splitting_pairing, transform_curve,
@@ -34,7 +35,7 @@ from richelot.gluing import (GluedJacobian, ProductKernel, ProductSurface,
 from richelot.graph import (VertexKey, build_graph, dual_edge,
                             _make_vertex, _transport_pairing, validate)
 from richelot.isogeny import delta, richelot_generic, split_degenerate
-from richelot.poly import Poly, is_squarefree
+from richelot.poly import Poly, factor_quadratic_pieces, is_squarefree
 
 from clebsch_fixtures import FIXTURES
 from conftest import index_map_moebius, label_pairing
@@ -177,19 +178,27 @@ def test_criterion_4_classifier_agreement(graphs):
             assert JACOBIAN_ORDER_TO_TYPE[v.ra_order] == v.ra_type
             assert RA_ORDER[v.ra_type] == v.ra_order
             jac_vertices += 1
-    sampled = 0
+    sampled = irrational = 0
     for p in RANDOM_PRIMES:
         ctx = make_field(p)
         rng = random.Random(0xACCE97 + p)
         for _ in range(200):
             C = _random_curve(ctx, rng)
+            if factor_quadratic_pieces(C.f)[1]:
+                # points outside GF(p^2): no superspecial vertex
+                with pytest.raises(IrrationalPointsError):
+                    reduced_automorphisms(C)
+                irrational += 1
+                continue
             t_clebsch = ra_type_from_clebsch(clebsch_invariants(C))
             t_moebius = ra_type_from_automorphisms(C)
             assert t_clebsch == t_moebius, f"p={p} f={C.f}"
             assert RA_ORDER[t_moebius] == len(reduced_automorphisms(C))
             sampled += 1
+    assert irrational and sampled
     _say(f"[PASS] criterion 4: classifiers agree at {jac_vertices} graph "
-         f"vertices and {sampled} random curves")
+         f"vertices and {sampled} random curves; {irrational} curves "
+         "with irrational points raise")
 
 
 ATLAS_PLAN = [
@@ -249,11 +258,11 @@ def _pairing_orbit(C, spl):
     transport with an automorphism of the target, i.e. up to this
     orbit.
     """
-    K, pts = weierstrass_points(C)
+    K, pts = C.ctx, weierstrass_points(C)
     maps = [index_map_moebius(K, pts, pts, m)
             for m in reduced_automorphisms(C)]
     pt_of_key = {point_key(p): p for p in pts}
-    base = splitting_pairing(C, spl, K)
+    base = splitting_pairing(spl)
     orbit = {base}
     frontier = [base]
     while frontier:
@@ -300,6 +309,11 @@ def test_criterion_7_round_trips():
                 continue
             C = res.curve
             key = VertexKey.jacobian(C)
+            if factor_quadratic_pieces(C.f)[1]:
+                # points outside GF(p^2): no vertex to transport onto
+                with pytest.raises(IrrationalPointsError):
+                    _make_vertex(key, C)
+                continue
             sp = split_degenerate(res.dual)
             S2 = ProductSurface(sp.E, sp.E2)
             # the i <-> i matching of the split factors is the dual
@@ -309,7 +323,7 @@ def test_criterion_7_round_trips():
             assert VertexKey.jacobian(reglue.curve) == key
             v = _make_vertex(key, C)
             label = _transport_pairing(v, reglue.dual)
-            assert label_pairing(v.points[1], label) \
+            assert label_pairing(v.points, label) \
                 in _pairing_orbit(C, res.dual)
             done += 1
             instances += 1

@@ -57,9 +57,9 @@ def test_neighbourhood_sextic(capsys):
 
 
 def test_neighbourhood_sextic_with_irrational_points(capsys, monkeypatch):
-    # x^6 + x + 1 has one root over GF(19^2): its frames are made over
-    # GF(19^4) before the expansion stops, and the error counts the
-    # kernels off the points of the one factoring
+    # x^6 + x + 1 has two roots over GF(19^2) and two irreducible
+    # quadratic factors: its one factoring raises the typed error, which
+    # counts the kernels off the two roots
     clear_genus2_caches()
     calls = count_calls(monkeypatch, "factor_quadratic_pieces")
     assert run(["neighbourhood", "-p", "19",
@@ -70,11 +70,27 @@ def test_neighbourhood_sextic_with_irrational_points(capsys, monkeypatch):
 
 def test_neighbourhood_sextic_with_irrational_split_factors(capsys):
     # the blocks (x - a)(x - (1+i)/a), a = 2, 3, 5, form a delta = 0
-    # kernel whose elliptic factors have j-invariants outside GF(23^2)
+    # kernel whose fixed points, and so elliptic factors, are conjugate
     assert run(["neighbourhood", "-p", "23",
                 "--sextic=16+8i,17+7i,14+16i,1+17i,5+11i,2+12i,1"]) == 2
-    assert "factor j-invariant not rational over GF(p^2)" \
-        in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        "error: conjugate fixed points: a delta = 0 quotient splits")
+
+
+@pytest.mark.parametrize("sextic", [
+    "1,1,0,0,0,0,1", "16+8i,17+7i,14+16i,1+17i,5+11i,2+12i,1"])
+def test_irrational_points_error_reproduces_itself(capsys, sextic):
+    # the typed error's last line is a neighbourhood command on the
+    # sextic it names, which exits 2 with the same message; the two CI
+    # inputs, a curve with irrational points at p = 19 and a delta = 0
+    # kernel with conjugate fixed points at p = 23
+    p = "19" if sextic.startswith("1,") else "23"
+    assert run(["neighbourhood", "-p", p, f"--sextic={sextic}"]) == 2
+    err = capsys.readouterr().err
+    command = err.splitlines()[-1]
+    assert command == f"richelot neighbourhood -p {p} --sextic={sextic}"
+    assert run(command.split()[1:]) == 2
+    assert capsys.readouterr().err == err
 
 
 def test_neighbourhood_product(capsys):

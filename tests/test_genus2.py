@@ -7,9 +7,10 @@ from math import comb, factorial, perm
 import pytest
 
 from richelot import genus2
-from richelot.field import ExtCtx, FieldElement, legendre, make_field
+from richelot.field import FieldElement, legendre, make_field
 from richelot.genus2 import (INF, MATCHINGS, ClebschPoint, Genus2Curve,
-                             Genus2Error, _block_roots, canonical_key,
+                             Genus2Error, IrrationalPointsError,
+                             _INDEX_MATCHINGS, _block_roots, canonical_key,
                              clebsch_invariants, derived_invariants,
                              matching_action, matching_index,
                              matching_splitting, moebius_frames,
@@ -31,6 +32,7 @@ from conftest import (MoebiusMap, block_poly, block_roots_oracle,
                       index_map_moebius, induced_index_map, label_pairing,
                       moebius_frames_oracle, moebius_search_oracle,
                       moebius_through, poly_key_oracle,
+                      random_curve_with_irrational_points,
                       random_distinct_elements, random_element,
                       splitting_of, to_zero_one_inf,
                       transform_curve_oracle)
@@ -316,7 +318,7 @@ def test_reduced_automorphisms_group_closure(ctx23):
 
     u = ctx23.element(3, 1)
     C = c_two_param(ctx23, u, u.inverse())
-    K, pts = weierstrass_points(C)
+    K, pts = ctx23, weierstrass_points(C)
     perms = reduced_automorphisms(C)
     group = {tuple(m) for m in perms}
     assert len(group) == len(perms) == 4
@@ -349,33 +351,24 @@ def test_type_from_order_table(ctx23, rng):
         assert t1 == t2
 
 
-def random_curve_with_irrational_points(ctx, rng):
-    """Four distinct rational roots times an irreducible quadratic: two
-    Weierstrass points lie in GF(p^4) only."""
-    while True:
-        irred = Poly(ctx, [random_element(ctx, rng),
-                           random_element(ctx, rng), ctx.one])
-        if poly_roots(irred):
-            continue
-        rs = random_distinct_elements(ctx, rng, 4)
-        f = Poly.from_roots(ctx, rs) * irred
-        if is_squarefree(f):
-            return Genus2Curve(f)
-
-
 def test_classifier_agreement_with_irrational_points(ctx23, rng):
-    # curves with irreducible quadratic factors push the Moebius
-    # search into GF(p^4)
+    # a curve with an irreducible quadratic factor is no superspecial
+    # vertex: Clebsch still classifies it, and the Moebius classifier
+    # raises the typed error at its points, which counts the 3
+    # matchings of its four rational points
     for _ in range(8):
         C = random_curve_with_irrational_points(ctx23, rng)
-        assert ra_type_from_automorphisms(C) \
-            == ra_type_from_clebsch(clebsch_invariants(C))
+        assert ra_type_from_clebsch(clebsch_invariants(C)) in RAType.JACOBIAN
+        with pytest.raises(IrrationalPointsError) as exc:
+            ra_type_from_automorphisms(C)
+        assert (exc.value.p, exc.value.sextic, exc.value.kernels) \
+            == (23, C.f, 3)
 
 
 def assert_ra_matches_search_oracle(C):
     # the index maps are those the searched maps induce on the sorted
     # points, and each stands for one searched map
-    K, pts = weierstrass_points(C)
+    K, pts = C.ctx, weierstrass_points(C)
     perms = reduced_automorphisms(C)
     maps = moebius_search_oracle(K, pts, pts)
     assert sorted(perms) \
@@ -385,12 +378,15 @@ def assert_ra_matches_search_oracle(C):
 
 
 def test_reduced_automorphisms_match_search_oracle_random(ctx23, rng):
-    # sextics, quintics (INF is a Weierstrass point), curves with points
-    # in GF(p^4) only, and the special curves of the orders test
+    # sextics, quintics (INF is a Weierstrass point) and the special
+    # curves of the orders test; curves with points in GF(p^4) only
+    # raise the typed error
     curves = [random_split_curve(ctx23, rng) for _ in range(6)]
     curves += [random_split_curve(ctx23, rng, degree=5) for _ in range(6)]
-    curves += [random_curve_with_irrational_points(ctx23, rng)
-               for _ in range(6)]
+    for _ in range(6):
+        with pytest.raises(IrrationalPointsError, match="^only 3 rational"):
+            reduced_automorphisms(random_curve_with_irrational_points(
+                ctx23, rng))
     z6 = ctx23.nth_root_of_unity(6)
     u = ctx23.element(3, 1)
     curves += [c_two_param(ctx23, z6, z6.inverse()),
@@ -436,18 +432,13 @@ def assert_frames_match_oracle(K, pts):
                 == [point_key(pts[i]) for i in fr[3:]]
 
 
-def lift_points(K, pts):
-    ext = K.extension()
-    return ext, [p if p is INF else ext.embed(p) for p in pts]
-
-
 @pytest.mark.parametrize("p", [23, 41])
 def test_moebius_frames_match_oracle_on_graph(p):
-    g = build_graph(make_field(p))
+    ctx = make_field(p)
+    g = build_graph(ctx)
     for v in g.vertices.values():
         if v.key.kind == "jacobian":
-            assert_frames_match_oracle(*v.points)
-            assert_frames_match_oracle(*lift_points(*v.points))
+            assert_frames_match_oracle(ctx, v.points)
 
 
 @pytest.mark.parametrize("p", [23, 101, 1009])
@@ -462,10 +453,17 @@ def test_moebius_frames_match_oracle_random(p, rng):
 
 
 def test_moebius_frames_match_oracle_irrational_points(ctx23, rng):
-    # two Weierstrass points in GF(p^4) only
+    # two Weierstrass points in GF(p^4) only: no frames, as the points
+    # raise the typed error, whose last line is the command that
+    # reproduces it
     for _ in range(4):
         C = random_curve_with_irrational_points(ctx23, rng)
-        assert_frames_match_oracle(*weierstrass_points(C))
+        with pytest.raises(IrrationalPointsError) as exc:
+            weierstrass_points(C)
+        coeffs = ",".join(map(repr, C.f.coeffs))
+        assert str(exc.value).splitlines() == [
+            "only 3 rational kernels; Weierstrass points outside GF(p^2)",
+            f"richelot neighbourhood -p 23 --sextic={coeffs}"]
 
 
 def test_moebius_frames_run_on_plain_integers(monkeypatch, rng):
@@ -503,7 +501,7 @@ def test_moebius_stabilizing_match_search_oracle_on_graph(p):
     for v in g.vertices.values():
         if v.key.kind != "jacobian":
             continue
-        K, pts = v.points
+        K, pts = v.representative.ctx, v.points
         maps = moebius_search_oracle(K, pts, pts)
         assert sorted(moebius_stabilizing(K, pts, v.frames)) \
             == sorted(induced_index_map(m, pts, pts) for m in maps)
@@ -587,7 +585,9 @@ def random_irreducible_quadratic(ctx, rng):
 def test_splitting_points_match_factoring_oracle(ctx23, rng, n_roots,
                                                  n_irred):
     # odd n_roots gives degree-5 models (INF is a Weierstrass point);
-    # any irreducible block moves the points to GF(p^4)
+    # any irreducible block moves the points to GF(p^4), where the
+    # curve and each splitting raise one typed error, with the count of
+    # matchings of the oracle's rational points
     checked = 0
     while checked < 4:
         f = Poly.from_roots(ctx23, random_distinct_elements(
@@ -597,11 +597,21 @@ def test_splitting_points_match_factoring_oracle(ctx23, rng, n_roots,
         if not is_squarefree(f):
             continue
         C = Genus2Curve(f)
-        want = weierstrass_points_oracle(C)
-        assert (want[0] is ctx23) == (n_irred == 0)
-        assert weierstrass_points(C) == want
+        K, want = weierstrass_points_oracle(C)
+        assert (K is ctx23) == (n_irred == 0)
+        if n_irred == 0:
+            assert weierstrass_points(C) == want
+            assert all(splitting_points(s) == want for s in splittings(C))
+            checked += 1
+            continue
+        r = sum(x is INF or x.in_base_field() for x in want)
+        with pytest.raises(IrrationalPointsError) as exc:
+            weierstrass_points(C)
+        assert exc.value.kernels == len(_INDEX_MATCHINGS[r])
         for s in splittings(C):
-            assert splitting_points(s) == want
+            with pytest.raises(IrrationalPointsError) as from_s:
+                splitting_points(s)
+            assert str(from_s.value) == str(exc.value)
         checked += 1
 
 
@@ -612,13 +622,14 @@ def test_splitting_points_match_factoring_oracle_on_graph(p):
     codomains = [e for e in g.edges if isinstance(e.hint[1], Genus2Curve)]
     assert codomains
     for e in codomains:
-        assert splitting_points(e.hint[2]) \
+        assert (e.hint[1].ctx, splitting_points(e.hint[2])) \
             == weierstrass_points_oracle(e.hint[1]), e.sort_key()
     for v in g.vertices.values():
         if v.key.kind == "jacobian":
             rep = v.representative
-            assert weierstrass_points(rep) == weierstrass_points_oracle(rep)
-            assert v.points == weierstrass_points_oracle(rep)
+            want = weierstrass_points_oracle(rep)
+            assert (rep.ctx, weierstrass_points(rep)) == want
+            assert (rep.ctx, v.points) == want
 
 
 @pytest.mark.parametrize("p", [23, 41])
@@ -666,10 +677,10 @@ def random_monic_blocks(ctx, rng, n):
 def test_block_roots_match_oracle_random(p):
     # p = 41 and 101 are 1 (mod 4), so the GF(p) roots run Tonelli-
     # Shanks; 43 and 103 are 3 (mod 4).  Irreducible blocks give None,
-    # and a splitting with one moves its points to GF(p^4)
+    # and a splitting with one, beside a linear block, raises the typed
+    # error, with the one matching of the linear block's two points
     ctx = make_field(p)
     rng = random.Random(p)
-    ext = ctx.extension()
     kinds = {}
     for kind, blk in random_monic_blocks(ctx, rng, 2400):
         got = _block_roots(blk, ctx)
@@ -682,9 +693,9 @@ def test_block_roots_match_oracle_random(p):
             assert got is None
             spl = QuadraticSplitting.make(
                 [blk, next(random_monic_blocks(ctx, rng, 1))[1]], ctx.one)
-            K, pairs = splitting_root_pairs(spl)
-            assert isinstance(K, ExtCtx)
-            assert pairs == [block_roots_oracle(g, ext) for g in spl.blocks]
+            with pytest.raises(IrrationalPointsError) as exc:
+                splitting_root_pairs(spl)
+            assert exc.value.kernels == 1
     assert sorted(kinds) == list(range(6))
     assert all(len(v) == 400 for v in kinds.values())
     # every element of GF(p) is a square in GF(p^2)
@@ -696,7 +707,7 @@ def splittings_with_pairings_oracle(curve):
     """(splitting, pairing) by factoring and one square root per block:
     the path point_splittings replaced at graph vertices, kept as the
     reference it is checked against."""
-    return [(s, splitting_pairing(curve, s)) for s in splittings(curve)]
+    return [(s, splitting_pairing(s)) for s in splittings(curve)]
 
 
 def test_point_splittings_match_factoring_oracle_random(ctx23, rng):
@@ -704,8 +715,7 @@ def test_point_splittings_match_factoring_oracle_random(ctx23, rng):
     # rational
     for degree in (6, 6, 6, 6, 5, 5, 5, 5):
         C = random_split_curve(ctx23, rng, degree)
-        K, pts = weierstrass_points(C)
-        assert K is ctx23
+        pts = weierstrass_points(C)
         assert [(spl, label_pairing(pts, n)) for spl, n in
                 point_splittings(ctx23, (), pts, C.f.leading())] \
             == splittings_with_pairings_oracle(C), C
@@ -717,7 +727,7 @@ def test_point_splittings_match_factoring_oracle_on_graph(p):
     g = build_graph(make_field(p))
     for v in g.vertices.values():
         if v.key.kind == "jacobian":
-            rep, pts = v.representative, v.points[1]
+            rep, pts = v.representative, v.points
             built = [(spl, label_pairing(pts, n)) for spl, n in
                      point_splittings(rep.ctx, (), pts, rep.f.leading())]
             want = splittings_with_pairings_oracle(rep)
@@ -733,7 +743,7 @@ def test_point_splittings_run_on_ints(monkeypatch):
     # and no Poly
     ctx = make_field(41)
     g = build_graph(ctx)
-    cases = [(v.points[1], v.representative.f.leading())
+    cases = [(v.points, v.representative.f.leading())
              for v in g.vertices.values() if v.key.kind == "jacobian"]
     for pts, scale in cases:
         for spl, n in point_splittings(ctx, (), pts, scale):
@@ -758,12 +768,12 @@ def test_point_splittings_build_each_pair_block_once(monkeypatch):
     # 10 with INF among them, and no _matchings recursion per call; the
     # splittings and labels are matching_splitting's per MATCHINGS entry
     ctx = make_field(23)
-    reps = [(v.representative, v.points[1][-1])
+    reps = [(v.representative, v.points[-1])
             for v in build_graph(ctx).vertices.values()
             if v.key.kind == "jacobian"]
     quintics = [transform_curve(rep, r, ctx.one, ctx.one, ctx.zero)
                 for rep, r in reps]
-    cases = [(weierstrass_points(C)[1], C.f.leading())
+    cases = [(weierstrass_points(C), C.f.leading())
              for C in [rep for rep, _ in reps] + quintics]
     assert sum(pts[0] is INF for pts, _ in cases) == len(quintics)
     for pts, scale in cases:
@@ -791,7 +801,7 @@ def test_weierstrass_points_match_splitting_path(p):
     curves = []
     for v in build_graph(ctx).vertices.values():
         if v.key.kind == "jacobian":
-            rep, r = v.representative, v.points[1][-1]
+            rep, r = v.representative, v.points[-1]
             a, b = random_element(ctx, rng), random_element(ctx, rng)
             curves += [rep, transform_curve(rep, r, ctx.one, ctx.one,
                                             ctx.zero),
@@ -799,25 +809,29 @@ def test_weierstrass_points_match_splitting_path(p):
     curves = [C for C in curves if C.f.degree() in (5, 6)]
     assert any(C.f.degree() == 5 for C in curves)
     for C in curves:
-        K, pts = weierstrass_points(C)
-        assert (K, pts) == splitting_points(splittings(C)[0])
-        assert K == ctx and len(pts) == 6
+        pts = weierstrass_points(C)
+        assert pts == splitting_points(splittings(C)[0])
+        assert len(pts) == 6
         assert [x for x in pts if x is INF] == [INF] * (C.f.degree() == 5)
 
 
 def test_weierstrass_points_factor_once_with_quadratic_factor(monkeypatch):
-    # x^6 + x + 1 at p = 19 has an irreducible quadratic factor, so its
-    # points lie over GF(p^4) and come off its first splitting; that
-    # splitting is read off the same factoring, not a second one
+    # x^6 + x + 1 at p = 19 has two roots and two irreducible quadratic
+    # factors, so four points lie over GF(p^4) only: one factoring
+    # raises the typed error, with the one matching of the two roots,
+    # and its one rational splitting raises the same
     ctx = make_field(19)
     C = Genus2Curve(Poly.from_ints(ctx, [1, 1, 0, 0, 0, 0, 1]))
     clear_genus2_caches()
     calls = count_calls(monkeypatch, "factor_quadratic_pieces")
-    K, pts = weierstrass_points(C)
+    with pytest.raises(IrrationalPointsError) as exc:
+        weierstrass_points(C)
     assert len(calls) == 1
-    assert isinstance(K, ExtCtx) and len(pts) == 6
-    assert factor_quadratic_pieces(C.f)[1]
-    assert (K, pts) == splitting_points(splittings(C)[0])
+    assert exc.value.kernels == 1
+    assert len(factor_quadratic_pieces(C.f)[1]) == 2
+    with pytest.raises(IrrationalPointsError) as from_splitting:
+        splitting_points(splittings(C)[0])
+    assert str(from_splitting.value) == str(exc.value)
 
 
 def test_make_sorts_blocks_by_poly_key_order(rng):
@@ -847,7 +861,7 @@ def test_point_splittings_keep_poly_key_order(p):
         if v.key.kind == "jacobian":
             f = v.representative.f
             spls = [s for s, _ in point_splittings(
-                f.ctx, (), v.points[1], f.leading())]
+                f.ctx, (), v.points, f.leading())]
             assert spls == sorted(spls, key=lambda s: tuple(
                 poly_key_oracle(b) for b in s.blocks))
 
@@ -1004,7 +1018,7 @@ def test_transform_curve_matches_oracle(p, rng):
 def test_orbit_sizes_sum_to_fifteen(ctx23, rng):
     for _ in range(5):
         C = random_split_curve(ctx23, rng)
-        _, pts = weierstrass_points(C)
+        pts = weierstrass_points(C)
         labels = [n for _, n in
                   point_splittings(ctx23, (), pts, C.f.leading())]
         orbits = moebius_orbits_on_splittings(

@@ -2,17 +2,20 @@
 
 import hashlib
 import json
+import random
 from itertools import permutations
 
 import pytest
 
 from richelot import genus2, gluing, graph
+from richelot.cli import run
 from richelot.elliptic import (EllipticCurveE2, isomorphisms_with_torsion,
                                two_isogeny)
 from richelot.field import FieldCtx, FieldElement, make_field
-from richelot.genus2 import (Genus2Curve, RAType, moebius_stabilizing,
-                             point_key, splitting_root_pairs, splittings,
-                             weierstrass_points)
+from richelot.genus2 import (Genus2Curve, IrrationalPointsError, RAType,
+                             moebius_stabilizing, point_key,
+                             reduced_automorphisms, splitting_root_pairs,
+                             splittings, weierstrass_points)
 from richelot.gluing import (GluedJacobian, ProductKernel, ProductSurface,
                              kernel_maps, product_kernels,
                              quotient_diagonal)
@@ -23,7 +26,9 @@ from richelot.poly import Poly
 from conftest import (clear_genus2_caches, count_calls, isomorphisms_oracle,
                       jacobian_orbits_oracle, kernel_map_oracle,
                       label_pairing, matching_pairing,
-                      moebius_search_oracle, random_element, splitting_of)
+                      moebius_search_oracle,
+                      random_curve_with_irrational_points, random_element,
+                      splitting_of)
 
 
 def e_1728(ctx):
@@ -81,9 +86,9 @@ def test_neighbourhood_of_a_splitting_matches_its_curve(p):
 
 def test_neighbourhood_of_a_splitting_with_an_irreducible_block(
         ctx23, monkeypatch):
-    # the error counts the matchings of the points in GF(p^2): the bare
-    # curve is factored once, by weierstrass_points, the splitting not
-    # at all, and the count is that of splittings()
+    # the typed error counts the matchings of the points in GF(p^2):
+    # the bare curve is factored once, by weierstrass_points, the
+    # splitting not at all, and the count is that of splittings()
     ctx = ctx23
     blocks = [Poly(ctx, [-ctx.nonsquare(), ctx.zero, ctx.one])] + [
         Poly.from_roots(ctx, list(map(ctx.from_int, pair)))
@@ -91,16 +96,44 @@ def test_neighbourhood_of_a_splitting_with_an_irreducible_block(
     spl = splitting_of(blocks, ctx.one)
     clear_genus2_caches()
     calls = count_calls(monkeypatch, "factor_quadratic_pieces")
-    with pytest.raises(GraphError) as from_curve:
+    with pytest.raises(IrrationalPointsError) as from_curve:
         neighbourhood(spl.curve())
     assert len(calls) == 1
     clear_genus2_caches()
-    with pytest.raises(GraphError) as from_splitting:
+    with pytest.raises(IrrationalPointsError) as from_splitting:
         neighbourhood(spl)
     assert len(calls) == 1
     assert "only 3 rational kernels" in str(from_curve.value)
     assert str(from_splitting.value) == str(from_curve.value)
     assert len(splittings(spl.curve())) == 3
+
+
+@pytest.mark.parametrize("p", [23, 41, 101])
+def test_irrational_points_raise_one_typed_error(p, capsys):
+    # four rational roots times an irreducible quadratic: the points,
+    # the RA search and the neighbourhoods of the curve and of each of
+    # its 3 splittings raise one error, which counts the 3 matchings of
+    # the rational roots, as the expansion's error did when the points
+    # were read over GF(p^4); its last line reproduces it
+    ctx, rng = make_field(p), random.Random(p)
+    for _ in range(3):
+        C = random_curve_with_irrational_points(ctx, rng)
+        clear_genus2_caches()
+        calls = [(weierstrass_points, C), (reduced_automorphisms, C),
+                 (neighbourhood, C)]
+        calls += [(neighbourhood, s) for s in splittings(C)]
+        errors = set()
+        for call, arg in calls:
+            with pytest.raises(IrrationalPointsError) as exc:
+                call(arg)
+            assert (exc.value.p, exc.value.sextic, exc.value.kernels) \
+                == (p, C.f, 3)
+            errors.add(str(exc.value))
+        assert len(calls) == 6 and len(errors) == 1
+        what, command = str(exc.value).splitlines()
+        assert what.startswith("only 3 rational kernels;")
+        assert run(command.split()[1:]) == 2
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
 
 
 def test_build_graph_anchor_vertex_sets():
@@ -158,14 +191,11 @@ def test_dual_edge_involution_and_ratio(ctx11):
 
 def transport_pairing_oracle(dst_curve, spl):
     """A splitting of a curve isomorphic to dst_curve, moved onto
-    dst_curve as a pairing by the first map moebius_search_oracle finds.
-    Both point sets must lie over the same field, as they do on every
-    graph edge."""
-    K1, pairs = splitting_root_pairs(spl)
-    K2, pts2 = weierstrass_points(dst_curve)
-    assert type(K1) is type(K2)
+    dst_curve as a pairing by the first map moebius_search_oracle finds."""
+    pairs = splitting_root_pairs(spl)
+    pts2 = weierstrass_points(dst_curve)
     pts1 = sorted((p for pair in pairs for p in pair), key=point_key)
-    m = moebius_search_oracle(K1, pts1, pts2, first_only=True)
+    m = moebius_search_oracle(dst_curve.ctx, pts1, pts2, first_only=True)
     if m is None:
         raise GraphError("no Moebius map between isomorphic models")
     return frozenset(frozenset(point_key(m.apply(p)) for p in pair)
@@ -176,7 +206,7 @@ def edge_of_pairing(v, pairing):
     """The edge of the Jacobian vertex v holding the kernel whose label
     translates to pairing (label_pairing)."""
     for n, e in enumerate(v.kernel_to_edge):
-        if label_pairing(v.points[1], n) == pairing:
+        if label_pairing(v.points, n) == pairing:
             return e
     raise KeyError(pairing)
 
@@ -230,7 +260,7 @@ def dual_edge_oracle(g, e):
     if kind == "split":
         S_rep = tgt.representative
         src_curve = src.representative
-        src_edge_pairings = {label_pairing(src.points[1], n)
+        src_edge_pairings = {label_pairing(src.points, n)
                              for n, ee in enumerate(src.kernel_to_edge)
                              if ee is e}
         candidates = []
@@ -267,13 +297,14 @@ def test_dual_edge_matches_search_oracle(p):
 
 def test_dual_transport_from_codomain_with_irrational_points():
     # x -> j x, j^2 = m the nonsquare of GF(p^2), sends the points of
-    # y^2 = x^6 + 1 to those of y^2 = x^6 + m^3, all outside GF(p^2);
-    # the latter's blocks x^2 - m r^2 move back to the pairing {r, -r}
+    # y^2 = x^6 + 1 to those of y^2 = x^6 + m^3, all outside GF(p^2):
+    # transporting the latter's blocks x^2 - m r^2 raises the typed
+    # error on the codomain, with its one (empty) matching
     ctx = make_field(23)
     C = sextic_x6_plus_1(ctx)
     g = build_graph(ctx, seed=C)
     v = g.vertex(VertexKey.of(C))
-    _, pts = v.points
+    pts = v.points
     m = ctx.nonsquare()
     halves = [x for x in pts if point_key(x) < point_key(-x)]
     spl = splitting_of(
@@ -284,8 +315,10 @@ def test_dual_transport_from_codomain_with_irrational_points():
     assert VertexKey.of(codomain) == v.key
     e = OrbitEdge(source=v.key, target=v.key, weight=1, kernel_rep=None,
                   is_loop=True, hint=("jac", codomain, spl))
-    minus = frozenset(frozenset((point_key(x), point_key(-x))) for x in pts)
-    assert dual_edge(g, e) is edge_of_pairing(v, minus)
+    with pytest.raises(IrrationalPointsError,
+                       match="^only 1 rational kernels") as exc:
+        dual_edge(g, e)
+    assert exc.value.sextic == codomain.f
 
 
 @pytest.mark.parametrize("p", [23, 41])
@@ -305,9 +338,9 @@ def test_edges_carry_their_orbit_kernels(p):
             def name(k):
                 return kernels[k].elements()
         else:
-            pts = v.points[1]
+            pts = v.points
             want = {matching_pairing(m) for m in genus2._matchings(pts)}
-            reps = [matching_pairing(splitting_root_pairs(e.kernel_rep)[1])
+            reps = [matching_pairing(splitting_root_pairs(e.kernel_rep))
                     for e in v.edges]
 
             def name(k):
@@ -330,7 +363,7 @@ def assert_jacobian_edges_match_label_oracle(g):
     jacobians = [v for v in g.vertices.values() if v.key.kind == "jacobian"]
     assert jacobians
     for v in jacobians:
-        K, pts = v.points
+        K, pts = v.representative.ctx, v.points
         want = jacobian_orbits_oracle(
             K, pts, v.representative.f.leading(),
             moebius_stabilizing(K, pts, v.frames))
@@ -598,13 +631,19 @@ def test_build_graph_stops_past_census_count(monkeypatch):
         build_graph(make_field(23))
 
 
-def test_dual_edge_names_edge_without_recorded_dual(ctx11):
-    g = build_graph(ctx11)
-    e = next(e for e in g.edges if e.hint[0] == "split")
-    e.hint = e.hint[:2] + (None,)
-    with pytest.raises(GraphError, match=e.source.as_string()):
-        dual_edge(g, e)
-    assert not validate(g).ok
+def test_every_edge_records_its_dual(ctx11):
+    # every step stays in GF(p^2), so every edge records the dual kernel
+    # on its codomain and dual_edge has no edge without one; a split
+    # edge's is the label of the diagonal kernel of the i <-> i matching
+    diagonal = gluing.kernel_index(ProductKernel.diagonal((1, 2, 3)))
+    for g in (build_graph(ctx11), build_graph(make_field(23))):
+        kinds = set()
+        for e in g.edges:
+            kind, _, dual = e.hint
+            kinds.add(kind)
+            assert dual is not None, e.sort_key()
+            assert kind != "split" or dual == diagonal
+        assert "split" in kinds
 
 
 def test_export_json_round_trip(ctx11):

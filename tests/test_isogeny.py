@@ -7,12 +7,13 @@ import pytest
 from richelot import poly
 from richelot.elliptic import EllipticCurveE2, j_invariant, two_isogeny
 from richelot.field import FieldElement, make_field
-from richelot.genus2 import (Genus2Curve, Genus2Error, QuadraticSplitting,
-                             canonical_key, clebsch_invariants,
-                             point_splittings, splittings)
+from richelot.genus2 import (Genus2Curve, Genus2Error, IrrationalPointsError,
+                             QuadraticSplitting, canonical_key,
+                             clebsch_invariants, point_splittings,
+                             splittings)
 from richelot.graph import build_graph, neighbourhood
-from richelot.isogeny import (IrrationalSplitError, RichelotError, delta,
-                              richelot_generic, split_degenerate)
+from richelot.isogeny import (RichelotError, delta, richelot_generic,
+                              split_degenerate)
 from richelot.poly import Poly
 
 from conftest import (block_triple, count_calls, random_distinct_elements,
@@ -46,7 +47,7 @@ def split_kernels(graphs):
             if isinstance(v.representative, Genus2Curve):
                 f = v.representative.f
                 out[p] += [spl for spl, _ in point_splittings(
-                    f.ctx, (), v.points[1], f.leading())
+                    f.ctx, (), v.points, f.leading())
                     if delta(spl).is_zero()]
     return out
 
@@ -156,23 +157,29 @@ def test_split_k1_of_type_v_lands_on_j_zero(ctx23):
 
 def test_split_over_extension_with_irrational_factors(ctx23):
     # blocks (x - a)(x - m/a) share the root product m, a nonsquare, so
-    # delta = 0 and the pencil's square-making roots lie in GF(p^4) only;
-    # the factors rebuilt there have no GF(p^2)-rational j-invariant
+    # delta = 0 and the pencil's fixed points lie in GF(p^4) only: the
+    # split raises the typed error on the curve's sextic, and so does
+    # the neighbourhood of the curve, whose points are rational
     ctx = ctx23
     m = ctx.nonsquare()
     spl = splitting_of(
         [Poly(ctx, [m, -(a + m / a), ctx.one])
          for a in map(ctx.from_int, (2, 3, 5))], ctx.one)
     assert delta(spl).is_zero()
-    with pytest.raises(IrrationalSplitError, match="factor j-invariant"):
+    with pytest.raises(IrrationalPointsError,
+                       match="^conjugate fixed points") as exc:
         split_degenerate(spl)
-    with pytest.raises(IrrationalSplitError, match="factor j-invariant"):
+    assert (exc.value.p, exc.value.sextic, exc.value.kernels) \
+        == (23, spl.curve().f, None)
+    with pytest.raises(IrrationalPointsError) as from_curve:
         neighbourhood(spl.curve())
+    assert str(from_curve.value) == str(exc.value)
 
 
 def test_split_over_extension_without_rational_model(ctx11):
     # conjugate fixed points whose factors have a GF(p^2)-rational j but
-    # no model with rational 2-torsion: the rebuild from j raises
+    # no model with rational 2-torsion: the split and its pencil oracle
+    # both raise the typed error before any factor is built
     ctx = ctx11
     spl = splitting_of(
         [Poly(ctx, [ctx.element(a, b), ctx.element(c, d), ctx.one])
@@ -180,20 +187,20 @@ def test_split_over_extension_without_rational_model(ctx11):
         ctx.one)
     assert delta(spl).is_zero()
     for split in (split_degenerate, split_pencil_oracle):
-        with pytest.raises(IrrationalSplitError,
-                           match="no rational split model"):
+        with pytest.raises(IrrationalPointsError,
+                           match="^conjugate fixed points"):
             split(spl)
 
 
 def _split_outcome(split, spl):
-    """The unordered pair of the factors' root triples and the extended
-    flag, or the IrrationalSplitError text."""
+    """The unordered pair of the factors' root triples, or the
+    IrrationalPointsError text."""
     try:
         sp = split(spl)
-    except IrrationalSplitError as exc:
+    except IrrationalPointsError as exc:
         return str(exc)
-    return (frozenset(tuple(r.key() for r in E.roots())
-                      for E in (sp.E, sp.E2)), sp.split_data.extended)
+    return frozenset(tuple(r.key() for r in E.roots())
+                     for E in (sp.E, sp.E2))
 
 
 def _fixed_point_discriminant(spl):
@@ -209,13 +216,13 @@ def _fixed_point_discriminant(spl):
 def test_split_matches_pencil_oracle_on_graph(p, split_kernels):
     # every delta = 0 kernel of every Jacobian vertex: same factors, up
     # to the order of E and E2; the fixed points are always rational,
-    # so the extended branch never runs on a graph
+    # so no split on a graph raises
     assert split_kernels[p]
     for spl in split_kernels[p]:
         assert _fixed_point_discriminant(spl).sqrt() is not None
         got = _split_outcome(split_degenerate, spl)
         assert got == _split_outcome(split_pencil_oracle, spl)
-        assert got[1] is False
+        assert not isinstance(got, str)
         assert split_degenerate(spl).split_data.verify()
 
 
@@ -246,7 +253,7 @@ def involution_splitting(ctx, rng, s, n, linear=False):
 def test_split_matches_pencil_oracle_on_involutions(p):
     # splittings built from an involution have delta = 0; cover fixed
     # points at infinity, a linear block, and conjugate fixed points,
-    # where both methods raise or both set extended
+    # where both methods raise the same typed error
     ctx, rng = make_field(p), random.Random(p)
     seen = {"inf": 0, "linear": 0, "rational": 0, "conjugate": 0}
     while min(seen.values()) < 40:
@@ -263,8 +270,8 @@ def test_split_matches_pencil_oracle_on_involutions(p):
         assert (_fixed_point_discriminant(spl).sqrt() is None) == conjugate
         got = _split_outcome(split_degenerate, spl)
         assert got == _split_outcome(split_pencil_oracle, spl)
-        if not isinstance(got, str):
-            assert got[1] == conjugate
+        assert isinstance(got, str) == conjugate
+        if not conjugate:
             assert split_degenerate(spl).split_data.verify()
         seen["conjugate" if conjugate else kind] += 1
 
