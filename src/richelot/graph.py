@@ -9,7 +9,10 @@ tables.  Each edge records the quotient it computed and the dual
 kernel on that quotient.  build_graph runs a breadth-first closure from
 a supersingular product seed; validate checks 15-regularity, the ratio
 principle, dual involutivity (transporting each recorded dual kernel
-onto the target's representative), and classifier agreement.
+onto the target's representative), classifier agreement, the mass
+formula and the Frobenius mirror: sigma(a + b*i) = a - b*i maps the
+graph onto itself, as steps have GF(p) coefficients and keys are
+Galois-stable, so _expand derives each edge whose sigma-image it knows.
 """
 
 from __future__ import annotations
@@ -17,13 +20,15 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import partial
 
 from .census import expected_counts
 from .elliptic import EllipticCurveE2, j_invariant, find_supersingular_seed
-from .field import FieldCtx
-from .genus2 import (Genus2Curve, JACOBIAN_ORDER_TO_TYPE, RA_ORDER,
+from .field import FieldCtx, FieldElement
+from .genus2 import (INF, Genus2Curve, JACOBIAN_ORDER_TO_TYPE, RA_ORDER,
                      QuadraticSplitting, canonical_key, clebsch_invariants,
-                     matching_index, moebius_frames,
+                     matching_action, matching_index, moebius_frames,
                      moebius_orbits_on_splittings, moebius_stabilizing,
                      point_splittings, ra_type_from_clebsch,
                      splitting_points, splitting_root_pairs,
@@ -66,6 +71,12 @@ class VertexKey:
             return cls.of_surface(rep)
         raise GraphError(f"unsupported representative {rep!r}")
 
+    def conjugate(self, p: int) -> "VertexKey":
+        """The key of the class's Frobenius image; a pair is re-sorted."""
+        data = tuple((a, -b % p) for a, b in self.data)
+        return VertexKey(self.kind, data if self.kind == "jacobian"
+                         else tuple(sorted(data)))
+
     def as_string(self) -> str:
         tag = "jac" if self.kind == "jacobian" else "prod"
         coords = ";".join(f"{a}.{b}" for a, b in self.data)
@@ -81,7 +92,9 @@ class OrbitEdge:
 
     hint is (kind, codomain, dual): the quotient by kernel_rep as
     computed (Genus2Curve | ProductSurface) and the dual kernel on it
-    (a QuadraticSplitting or a product kernel's label).
+    (a QuadraticSplitting or a product kernel's label).  An edge derived
+    from its Frobenius partner e has hint sigma(e.hint), the quotient by
+    another kernel of its orbit, whose dual lies in the same orbit.
     kind ("jac", "glue", "split", "prod", "induced") names the step
     that built the edge; it is informational only.  kernels labels the
     orbit's kernels, kernel_rep's first, by small ints: a Jacobian's by
@@ -166,9 +179,9 @@ def neighbourhood(rep) -> list:
     standing for the Jacobian of its curve(), whose Weierstrass points
     are read off its blocks; only a bare curve is factored.
     For Jacobians: the reduced automorphisms permute the 15 rational
-    splittings; one Richelot or splitting step per orbit.  For
-    products: the torsion action groups the 15 product/diagonal
-    kernels; one Velu or gluing step per orbit.
+    splittings; for products: the torsion action groups the 15
+    product/diagonal kernels.  One edge per orbit (_expand); when sigma
+    fixes the vertex, half its sigma-paired orbits are derived.
     """
     dual = None
     if isinstance(rep, QuadraticSplitting):
@@ -176,33 +189,94 @@ def neighbourhood(rep) -> list:
     return _expand(_make_vertex(VertexKey.of(rep), rep, dual))
 
 
-def _expand(v: Vertex):
-    """The orbit edges out of v."""
+def _expand(v: Vertex, vertices=None) -> list:
+    """The orbit edges out of v, one per RA orbit of its 15 kernels.
+
+    An orbit holding the Frobenius images (_frobenius_labels) of the
+    kernels of a known edge e takes target sigma(e.target) and hint
+    sigma(e.hint); every other orbit steps on its first kernel.  Known
+    edges are those of sigma(v), if expanded (in vertices), or, if sigma
+    fixes v, v's earlier orbits.  Raises GraphError if an orbit maps
+    from two edges, or if sigma moves a self-paired orbit's target.
+    """
     if v.key.kind == "jacobian":
-        return _expand_jacobian(v)
-    return _expand_product(v)
-
-
-def _orbit_edges(src: VertexKey, orbits, kernels, labels, step):
-    """One edge per orbit, built by step(kernel) -> (target, hint) on
-    the orbit's first kernel; it carries labels[i] for each kernels[i]
-    in the orbit."""
+        f = v.representative.f
+        reps, labels = zip(*point_splittings(f.ctx, (), v.points, f.leading()))
+        orbits = moebius_orbits_on_splittings(labels, v.ra_maps)
+        step = _jacobian_step
+    else:
+        reps, labels = product_kernels(), range(15)
+        orbits = kernel_orbits(v.representative)
+        step = partial(_product_step, v)
+    p = v.representative.ctx.p
+    u = (vertices or {v.key: v}).get(v.key.conjugate(p))
+    act = u and (u is v or u.edges) and _frobenius_labels(u, v)
+    # at a sigma-fixed vertex u is v, whose edges are not yet made
+    known = {act[k]: e for e in u.edges for k in e.kernels} if act else {}
     edges = []
     for orbit in orbits:
-        k = kernels[orbit[0]]
-        tgt, hint = step(k)
+        ks = tuple(labels[i] for i in orbit)
+        e = known.get(ks[0])
+        if any(known.get(k) is not e for k in ks):
+            raise GraphError(f"orbit {ks} at {v.key.as_string()} maps "
+                             "from two Frobenius partner edges")
+        tgt, hint = step(reps[orbit[0]]) if e is None else (
+            e.target.conjugate(p), _conjugate_hint(e.hint))
         edges.append(OrbitEdge(
-            source=src, target=tgt, weight=len(orbit), kernel_rep=k,
-            is_loop=(src == tgt), hint=hint,
-            kernels=tuple(labels[i] for i in orbit)))
+            source=v.key, target=tgt, weight=len(orbit),
+            kernel_rep=reps[orbit[0]], is_loop=(v.key == tgt),
+            hint=hint, kernels=ks))
+        if u is v and e is None:
+            if act[ks[0]] in ks and tgt.conjugate(p) != tgt:
+                raise GraphError(f"sigma moves {tgt.as_string()}, the "
+                                 f"target of self-paired orbit {ks}")
+            known.update((act[k], edges[-1]) for k in ks)
     return edges
 
 
-def _expand_jacobian(v: Vertex):
-    f = v.representative.f
-    spls, labels = zip(*point_splittings(f.ctx, (), v.points, f.leading()))
-    orbits = moebius_orbits_on_splittings(labels, v.ra_maps)
-    return _orbit_edges(v.key, orbits, spls, labels, _jacobian_step)
+def _conjugate(x):
+    """sigma of a point (INF is fixed), a splitting or a product."""
+    if isinstance(x, QuadraticSplitting):
+        p = x.ctx.p
+        return QuadraticSplitting.make(
+            [tuple((a, -b % p) for a, b in g) for g in x.blocks],
+            _conjugate(x.scale))
+    if isinstance(x, ProductSurface):
+        return ProductSurface(*(EllipticCurveE2(*map(_conjugate, E.roots()))
+                                for E in (x.E1, x.E2)))
+    return x if x is INF else FieldElement(x.ctx, x.a, -x.b % x.ctx.p)
+
+
+def _conjugate_hint(hint):
+    """sigma of a hint; a codomain curve is checked by of_blocks."""
+    kind, codomain, dual = hint
+    if isinstance(codomain, Genus2Curve):
+        return kind, (d := _conjugate(dual)).curve(), d
+    return kind, _conjugate(codomain), dual
+
+
+def _frobenius_labels(u: Vertex, v: Vertex) -> tuple:
+    """act: act[l] is the label at v of sigma(kernel l of u), for u of
+    class sigma(v), by the first isomorphism from sigma(u) onto v."""
+    if u.points is None:
+        return _first_map(_conjugate(u.representative), v)
+    return matching_action(tuple(_first_map(
+        [_conjugate(x) for x in u.points], v)))
+
+
+def _first_map(src, v: Vertex):
+    """The first isomorphism onto v's representative: from the points
+    src of a model, as an index map (moebius_stabilizing on v's frames),
+    or from the product src, as a kernel_maps label map."""
+    if v.points is None:
+        m = next(kernel_maps(src, v.representative), None)
+    else:
+        m = next(iter(moebius_stabilizing(v.representative.ctx, src,
+                                          v.frames)), None)
+    if m is None:
+        raise GraphError(f"no isomorphism onto {v.key.as_string()}: the "
+                         "models do not match")
+    return m
 
 
 def _jacobian_step(spl):
@@ -217,26 +291,20 @@ def _jacobian_step(spl):
         "split", S, kernel_index(ProductKernel.diagonal((1, 2, 3))))
 
 
-def _expand_product(v: Vertex):
-    S, src = v.representative, v.key
-
-    def step(k):
-        if k.kind == "product":
-            q = quotient_product(S, k)
-            # both Velu codomains carry the dual point as their first
-            # root, so the dual kernel is K(1,1)
-            return (VertexKey.of_surface(q.surface),
-                    ("prod", q.surface,
-                     kernel_index(ProductKernel.product(1, 1))))
-        res = quotient_diagonal(S, k)
-        if isinstance(res, ProductQuotient):
-            # isomorphism-induced: the quotient is S again, and its
-            # identification maps the kernel onto itself (self-dual)
-            return src, ("induced", S, kernel_index(k))
-        return VertexKey.jacobian(res.curve), ("glue", res.curve, res.dual)
-
-    return _orbit_edges(src, kernel_orbits(S), product_kernels(), range(15),
-                        step)
+def _product_step(v: Vertex, k):
+    S = v.representative
+    if k.kind == "product":
+        q = quotient_product(S, k)
+        # both Velu codomains carry the dual point as their first root,
+        # so the dual kernel is K(1,1)
+        dual = kernel_index(ProductKernel.product(1, 1))
+        return VertexKey.of_surface(q.surface), ("prod", q.surface, dual)
+    res = quotient_diagonal(S, k)
+    if isinstance(res, ProductQuotient):
+        # isomorphism-induced: the quotient is S again, and its
+        # identification maps the kernel onto itself (self-dual)
+        return v.key, ("induced", S, kernel_index(k))
+    return VertexKey.jacobian(res.curve), ("glue", res.curve, res.dual)
 
 
 def build_graph(ctx: FieldCtx, seed=None) -> Graph:
@@ -263,7 +331,7 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
         cur = queue[qpos]
         qpos += 1
         v = g.vertices[cur]
-        v.edges = _expand(v)
+        v.edges = _expand(v, g.vertices)
         edge_of = {k: e for e in v.edges for k in e.kernels}
         v.kernel_to_edge = tuple(edge_of[k] for k in range(15))
         g.edges.extend(v.edges)
@@ -286,19 +354,10 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
 
 def _transport_pairing(target: Vertex, spl) -> int:
     """The kernel label on the Jacobian vertex target of a splitting of
-    an edge's codomain, isomorphic to target's representative.
-
-    Any Moebius map carrying the codomain's Weierstrass set onto the
-    representative's will do: two differ by an automorphism, which keeps
-    the image in its orbit.  The codomain's points are the roots of
-    spl's blocks, listed pair by pair, and the first index map that
-    moebius_stabilizing reads off the target's frames moves the pairs.
-    """
-    pairs = splitting_root_pairs(spl)
-    maps = moebius_stabilizing(spl.ctx, sum(pairs, ()), target.frames)
-    if not maps:
-        raise GraphError("no Moebius map between isomorphic models")
-    m = maps[0]
+    an edge's codomain, moved by _first_map from the roots of spl's
+    blocks, listed pair by pair.  Any Moebius map will do: two differ by
+    an automorphism, which keeps the image in its orbit."""
+    m = _first_map(sum(splitting_root_pairs(spl), ()), target)
     return matching_index(zip(m[0::2], m[1::2]))
 
 
@@ -317,13 +376,8 @@ def dual_edge(g: Graph, e: OrbitEdge) -> OrbitEdge:
         raise GraphError("target vertex not expanded")
     _, codomain, dual = e.hint
     if isinstance(codomain, Genus2Curve):
-        kernel = _transport_pairing(tgt, dual)
-    else:
-        kmap = next(kernel_maps(codomain, tgt.representative), None)
-        if kmap is None:
-            raise GraphError("codomain factors do not match target product")
-        kernel = kmap[dual]
-    return tgt.kernel_to_edge[kernel]
+        return tgt.kernel_to_edge[_transport_pairing(tgt, dual)]
+    return tgt.kernel_to_edge[_first_map(codomain, tgt)[dual]]
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +402,8 @@ class ValidationReport:
 
 def validate(g: Graph) -> ValidationReport:
     """Structural validators: regularity, ratio principle, duals,
-    classifier agreement.  Failures are report entries, not raises."""
+    classifier agreement, the Frobenius mirror (dictionary lookups only)
+    and the mass formula.  Failures are report entries, not raises."""
     checks = []
 
     bad = []
@@ -403,6 +458,21 @@ def validate(g: Graph) -> ValidationReport:
                    "Clebsch and Moebius classifiers agree at every "
                    "Jacobian vertex" if not cls_bad
                    else f"violations: {cls_bad[:3]}"))
+
+    # plain tuples of key data (4 pairs at a Jacobian, 2 at a product)
+    conj = {key.data: key.conjugate(g.p).data for key in g.vertices}
+    out = {key.data: sorted((e.weight, e.target.data) for e in v.edges)
+           for key, v in g.vertices.items()}
+    first = next((key.as_string() for key in g.vertices
+                  if out.get(conj[key.data]) != sorted(
+                      (w, conj.get(t, ())) for w, t in out[key.data])), None)
+    checks.append(("Frobenius mirror", first is None, "sigma maps each "
+                   "vertex's (weight, target)s onto its conjugate's"
+                   if first is None else f"first violation at {first}"))
+    mass = sum(Fraction(1, 2 * v.ra_order) for v in g.vertices.values())
+    want = Fraction((g.p - 1) * (g.p * g.p + 1), 5760)
+    checks.append(("mass formula", mass == want, f"sum of 1/(2 #RA) is "
+                   f"{mass}, (p - 1)(p^2 + 1)/5760 is {want}"))
     return ValidationReport(checks)
 
 

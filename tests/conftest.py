@@ -1,12 +1,13 @@
 import random
 import sys
 from dataclasses import dataclass
+from functools import partial
 from itertools import permutations
 from math import comb, gcd
 
 import pytest
 
-from richelot import genus2
+from richelot import genus2, gluing, graph
 from richelot.field import FieldElement, make_field
 from richelot.genus2 import (INF, MATCHINGS, Genus2Curve, Genus2Error,
                              IrrationalPointsError, QuadraticSplitting,
@@ -248,6 +249,32 @@ def jacobian_orbits_oracle(ctx, pts, scale, maps):
                         for pairing in pairings])
     return [(out[orbit[0]][0], tuple(pairings[i] for i in orbit))
             for orbit in orbit_partition(range(len(pairings)), actions)]
+
+
+def stepped_edges_oracle(v):
+    """The orbit edges out of the vertex v by one isogeny step per RA
+    orbit, on its first kernel: the expansion build_graph ran before it
+    derived each edge whose Frobenius partner it knew, kept as the
+    oracle of the derived targets and hints."""
+    if v.key.kind == "jacobian":
+        f = v.representative.f
+        reps, labels = zip(*genus2.point_splittings(f.ctx, (), v.points,
+                                                    f.leading()))
+        orbits = genus2.moebius_orbits_on_splittings(labels, v.ra_maps)
+        step = graph._jacobian_step
+    else:
+        reps, labels = product_kernels(), range(15)
+        orbits = gluing.kernel_orbits(v.representative)
+        step = partial(graph._product_step, v)
+    edges = []
+    for orbit in orbits:
+        k = reps[orbit[0]]
+        tgt, hint = step(k)
+        edges.append(graph.OrbitEdge(
+            source=v.key, target=tgt, weight=len(orbit), kernel_rep=k,
+            is_loop=(v.key == tgt), hint=hint,
+            kernels=tuple(labels[i] for i in orbit)))
+    return edges
 
 
 def count_calls(monkeypatch, name, module=genus2):

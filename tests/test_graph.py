@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -28,7 +29,7 @@ from conftest import (clear_genus2_caches, count_calls, isomorphisms_oracle,
                       label_pairing, matching_pairing,
                       moebius_search_oracle,
                       random_curve_with_irrational_points, random_element,
-                      splitting_of)
+                      splitting_of, stepped_edges_oracle)
 
 
 def e_1728(ctx):
@@ -596,14 +597,133 @@ def test_each_jacobian_vertex_builds_frames_once(monkeypatch):
 
 def test_each_jacobian_vertex_reads_its_ra_maps_once(monkeypatch):
     # _make_vertex reads the RA maps off the frames once; its RA order
-    # and the expansion's orbits share them, so a build makes one
-    # moebius_stabilizing call per Jacobian vertex
+    # and the expansion's orbits share them.  The expansion reads one
+    # more map, its Frobenius labels, at each sigma-fixed Jacobian and
+    # at the second-expanded vertex of each sigma-swapped pair
     calls = count_calls(monkeypatch, "moebius_stabilizing")
     g = build_graph(make_field(41))
     jacobians = [v for v in g.vertices.values() if v.key.kind == "jacobian"]
-    assert len(jacobians) == 40
-    assert len(calls) == len(jacobians)
+    fixed = sum(v.key.conjugate(41) == v.key for v in jacobians)
+    assert (len(jacobians), fixed) == (40, 22)
+    assert len(calls) == len(jacobians) + fixed + (40 - fixed) // 2 == 71
     assert all(v.ra_order == len(v.ra_maps) for v in jacobians)
+
+
+def assert_edges_match_stepping_oracle(g):
+    # every vertex's edges are those of one step per orbit: the same
+    # target, weight, kernels and kernel_rep; and dual_edge with the
+    # stepped hint in place of the build's names the same edge, so a
+    # conjugated dual is checked apart from the conjugated key
+    for v in g.vertices.values():
+        want = stepped_edges_oracle(v)
+        assert [(e.target, e.weight, e.kernels, e.kernel_rep)
+                for e in v.edges] == [(o.target, o.weight, o.kernels,
+                                       o.kernel_rep) for o in want]
+        for e, o in zip(v.edges, want):
+            assert dual_edge(g, replace(e, hint=o.hint)) \
+                is dual_edge(g, e), e.sort_key()
+
+
+@pytest.mark.parametrize("p", [23, 41])
+def test_edges_match_stepping_oracle(p):
+    assert_edges_match_stepping_oracle(build_graph(make_field(p)))
+
+
+@pytest.mark.slow
+def test_edges_match_stepping_oracle_p101():
+    assert_edges_match_stepping_oracle(build_graph(make_field(101)))
+
+
+def test_build_steps_only_orbits_without_a_known_partner(monkeypatch):
+    # 198 of the 526 orbit edges at p = 41 are derived from their
+    # Frobenius partner: 100 at the 9 vertices whose conjugate was
+    # expanded first, and one orbit of each of the 98 sigma-swapped
+    # pairs at sigma-fixed vertices (68 Jacobian, 30 product)
+    jac = count_calls(monkeypatch, "_jacobian_step", graph)
+    prod = count_calls(monkeypatch, "_product_step", graph)
+    g = build_graph(make_field(41))
+    assert len(g.edges) == 526
+    assert (len(jac), len(prod)) == (262, 66)
+    assert validate(g).ok
+
+
+def test_frobenius_derivation_raises_on_inconsistent_partners(monkeypatch):
+    # y^2 = x^6 + 1 is sigma-fixed, its Frobenius labels the identity
+    # and every orbit self-paired.  Labels moved between two orbits make
+    # the second orbit map from two edges; a stepped target that sigma
+    # moves breaks a self-paired orbit
+    ctx = make_field(23)
+    C = sextic_x6_plus_1(ctx)
+    edges = neighbourhood(C)
+    assert [e.kernels for e in edges][:3] == [(0, 7, 12), (2,), (1, 10, 5)]
+    real, v = graph._frobenius_labels, graph._make_vertex(VertexKey.of(C), C)
+    assert real(v, v) == tuple(range(15))
+    swap = {0: 1, 1: 0}
+    monkeypatch.setattr(graph, "_frobenius_labels", lambda u, v: tuple(
+        swap.get(k, k) for k in real(u, v)))
+    with pytest.raises(GraphError, match=r"orbit \(1, 10, 5\) at jac:.* "
+                       "maps from two Frobenius partner edges"):
+        neighbourhood(C)
+    monkeypatch.undo()
+    moved = VertexKey("jacobian", ((1, 1), (0, 0), (0, 0), (0, 0)))
+    step = graph._jacobian_step
+    monkeypatch.setattr(graph, "_jacobian_step",
+                        lambda spl: (moved, step(spl)[1]))
+    with pytest.raises(GraphError, match=r"sigma moves jac:1\.1;.*, the "
+                       r"target of self-paired orbit \(0, 7, 12\)"):
+        neighbourhood(C)
+
+
+def test_frobenius_labels_raise_without_an_isomorphism(monkeypatch):
+    # sigma fixes the key of y^2 = x^6 + 1; a Moebius search that finds
+    # no map from its conjugate points raises, naming the vertex
+    ctx = make_field(23)
+    C = sextic_x6_plus_1(ctx)
+    calls, real = [], graph.moebius_stabilizing
+
+    def search(*args):  # the RA maps, then the Frobenius map
+        calls.append(args)
+        return real(*args) if len(calls) == 1 else []
+    monkeypatch.setattr(graph, "moebius_stabilizing", search)
+    with pytest.raises(GraphError, match="no isomorphism onto "
+                       f"{VertexKey.of(C).as_string()}: the models do not"):
+        neighbourhood(C)
+    assert len(calls) == 2
+
+
+def test_validate_frobenius_mirror_catches_a_wrong_conjugate(monkeypatch):
+    # a conjugation that keeps the i-part of one Jacobian key coordinate
+    # fails the mirror check alone, which names the first vertex, in
+    # discovery order, whose edges or key it moves
+    g = build_graph(make_field(41))
+    real = VertexKey.conjugate
+
+    def wrong(key, p):
+        out = real(key, p)
+        if key.kind != "jacobian":
+            return out
+        return VertexKey(key.kind, out.data[:1] + key.data[1:2]
+                         + out.data[2:])
+    monkeypatch.setattr(VertexKey, "conjugate", wrong)
+    first = next(key for key, v in g.vertices.items()
+                 if any(wrong(k, 41) != real(k, 41)
+                        for k in [key] + [e.target for e in v.edges]))
+    failed = [(name, detail) for name, ok, detail in validate(g).checks
+              if not ok]
+    assert failed == [("Frobenius mirror",
+                       f"first violation at {first.as_string()}")]
+
+
+def test_validate_mass_formula_catches_a_wrong_ra_order():
+    g = build_graph(make_field(41))
+    assert validate(g).ok
+    v = next(v for v in g.vertices.values() if v.key.kind == "product")
+    v.ra_order *= 2
+    failed = {name: detail for name, ok, detail in validate(g).checks
+              if not ok}
+    assert "mass formula" in failed
+    assert failed["mass formula"].endswith(
+        ", (p - 1)(p^2 + 1)/5760 is 841/72")
 
 
 @pytest.mark.parametrize("p", [23, 41])
