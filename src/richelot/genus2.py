@@ -129,9 +129,21 @@ class Genus2Curve:
             forms.append(m(r, r, m(c2, e1, e2, c1), m(c1, e0, e1, c0)))
         if (0, 0) in forms:
             raise Genus2Error("defining polynomial must be squarefree")
+        return cls._checked(f)
+
+    @classmethod
+    def _checked(cls, f: Poly) -> "Genus2Curve":
+        """The curve of f, shown squarefree of degree 5 or 6."""
         curve = object.__new__(cls)
         object.__setattr__(curve, "f", f)
         return curve
+
+    def conjugate(self) -> "Genus2Curve":
+        """The Frobenius image a + b*i -> a - b*i, coefficientwise: it is
+        squarefree as self is, the Frobenius being a field automorphism."""
+        p = self.ctx.p
+        return self._checked(Poly.from_pairs(
+            self.ctx, [(c.a, -c.b % p) for c in self.f.coeffs]))
 
     @property
     def ctx(self) -> FieldCtx:
@@ -291,26 +303,28 @@ def point_key(pt):
     return (1, ) + pt.key()
 
 
-def _block_roots(g, ctx):
+def _block_roots(g, ctx, point=FieldElement):
     """The two points of a monic block (c0, c1, c2) of int pairs, INF
     partnering a linear block's root; None when the block is irreducible
     over GF(p^2).  A quadratic block runs on int pairs: (-c1 +- psqrt(c1^2
-    - 4 c0)) (p + 1)/2, and only the two roots become FieldElements."""
+    - 4 c0)) (p + 1)/2, and only the two roots are made, by point(ctx, a,
+    b): FieldElements, or (a, b) pairs for Moebius frames to read."""
     (c, b), p, h = g[:2], ctx.p, (ctx.p + 1) // 2
     if g[2] == (0, 0):
-        return FieldElement(ctx, -c[0] % p, -c[1] % p), INF
+        return point(ctx, -c[0] % p, -c[1] % p), INF
     s = ctx.psqrt(ctx.pminor(b, b, (4, 0), c))
     return None if s is None else tuple(
-        FieldElement(ctx, (u - b[0]) * h % p, (v - b[1]) * h % p)
+        point(ctx, (u - b[0]) * h % p, (v - b[1]) * h % p)
         for u, v in (s, (-s[0], -s[1])))
 
 
-def splitting_root_pairs(spl: QuadraticSplitting) -> list:
+def splitting_root_pairs(spl: QuadraticSplitting, point=FieldElement) -> list:
     """The Weierstrass points of y^2 = spl.curve() as the three pairs
-    covered by spl's blocks, one square root each.  Raises
-    IrrationalPointsError when a block is irreducible: the rational
-    kernels are then the matchings of the other blocks' points."""
-    roots = [_block_roots(g, spl.ctx) for g in spl.blocks]
+    covered by spl's blocks, one square root each, made by point (as in
+    _block_roots).  Raises IrrationalPointsError when a block is
+    irreducible: the rational kernels are then the matchings of the
+    other blocks' points."""
+    roots = [_block_roots(g, spl.ctx, point) for g in spl.blocks]
     if None in roots:
         rational = 2 * (len(roots) - roots.count(None))
         raise IrrationalPointsError(
@@ -347,12 +361,12 @@ def _frame_maker(ctx, pts, triples):
     cross-ratio q(l, i, k) q(j, k, i), q(a, i, k) = (x_a - x_i)/(x_a -
     x_k) with a factor holding INF read as 1.  q is tabulated for the
     given triples (a, i, k) as (a, b) int pairs, one inverse per pair
-    {a, k}.  The signature is the other three images' keys, sorted and
-    concatenated; the frame is (i, j, k) and the other indices in that
-    order.
+    {a, k}; the points are FieldElements or such pairs (and INF).  The
+    signature is the other three images' keys, sorted and concatenated;
+    the frame is (i, j, k) and the other indices in that order.
     """
     p, nr, mul, inverse = ctx.p, ctx.nonresidue, ctx.pmul, ctx.pinv
-    xs = [x if x is INF else (x.a, x.b) for x in pts]
+    xs = [x if x is INF or type(x) is tuple else x.key() for x in pts]
 
     def sub(x, y):
         return (x[0] - y[0]) % p, (x[1] - y[1]) % p
@@ -399,17 +413,18 @@ def moebius_frames(ctx, pts) -> dict:
     return frames
 
 
-def moebius_stabilizing(ctx, src_pts, dst_frames) -> list:
+def moebius_stabilizing(ctx, src_pts, dst_frames):
     """The Moebius maps sending the set src_pts onto the point set of
     dst_frames = moebius_frames(ctx, dst_pts), in the package's one form
     of such a map, an index map: m[i] is the index in dst_pts of the
     image of src_pts[i].  One map per frame sharing the signature of
     src_pts's base frame (0, 1, 2), whose q(1, 2, 0) and q(l, 0, 2)
-    take four inverses."""
+    take four inverses; the signature is read at once, and the maps are
+    yielded lazily, so that a caller wanting one builds one."""
     signature, base = _frame_maker(
         ctx, src_pts, ((1, 2, 0), (3, 0, 2), (4, 0, 2), (5, 0, 2)))(0, 1, 2)
     at = sorted(range(6), key=base.__getitem__)
-    return [[fr[t] for t in at] for fr in dst_frames.get(signature, ())]
+    return ([fr[t] for t in at] for fr in dst_frames.get(signature, ()))
 
 
 @lru_cache(maxsize=None)
@@ -418,8 +433,8 @@ def reduced_automorphisms(curve: Genus2Curve) -> list:
     index maps of weierstrass_points(curve) (moebius_stabilizing on the
     curve's own frames)."""
     pts = weierstrass_points(curve)
-    return moebius_stabilizing(curve.ctx, pts,
-                               moebius_frames(curve.ctx, pts))
+    return list(moebius_stabilizing(curve.ctx, pts,
+                                    moebius_frames(curve.ctx, pts)))
 
 
 def splitting_pairing(spl: QuadraticSplitting):

@@ -13,6 +13,9 @@ onto the target's representative), classifier agreement, the mass
 formula and the Frobenius mirror: sigma(a + b*i) = a - b*i maps the
 graph onto itself, as steps have GF(p) coefficients and keys are
 Galois-stable, so _expand derives each edge whose sigma-image it knows.
+Each isogeny A -> B has a dual B -> A, so build_graph also derives the
+orbit at B that holds the dual of an edge from an expanded A: every
+edge is stepped at most once.
 """
 
 from __future__ import annotations
@@ -96,10 +99,13 @@ class OrbitEdge:
     from its Frobenius partner e has hint sigma(e.hint), the quotient by
     another kernel of its orbit, whose dual lies in the same orbit.
     kind ("jac", "glue", "split", "prod", "induced") names the step
-    that built the edge; it is informational only.  kernels labels the
-    orbit's kernels, kernel_rep's first, by small ints: a Jacobian's by
-    the genus2.MATCHINGS index of their matching of its sorted points,
-    a product's by their index in gluing.product_kernels().
+    that built the edge, and "dual" an edge derived from the edge e it
+    is dual to: its hint is e's source's representative, a model of the
+    quotient, and e's kernel_rep (or, at a product, its label) on it.
+    kind is informational only.  kernels labels the orbit's kernels,
+    kernel_rep's first, by small ints: a Jacobian's by the
+    genus2.MATCHINGS index of their matching of its sorted points, a
+    product's by their index in gluing.product_kernels().
     """
 
     source: VertexKey
@@ -166,7 +172,7 @@ def _make_vertex(key: VertexKey, rep, dual=None) -> Vertex:
                       ra_order=ra_order_product(ra_type))
     pts = splitting_points(dual) if dual else weierstrass_points(rep)
     frames = moebius_frames(rep.ctx, pts)
-    maps = moebius_stabilizing(rep.ctx, pts, frames)
+    maps = list(moebius_stabilizing(rep.ctx, pts, frames))
     return Vertex(key=key, representative=rep, ra_type=ra_type,
                   ra_order=len(maps), points=pts, frames=frames,
                   ra_maps=maps)
@@ -189,15 +195,19 @@ def neighbourhood(rep) -> list:
     return _expand(_make_vertex(VertexKey.of(rep), rep, dual))
 
 
-def _expand(v: Vertex, vertices=None) -> list:
+def _expand(v: Vertex, vertices=None, incoming=()) -> list:
     """The orbit edges out of v, one per RA orbit of its 15 kernels.
 
-    An orbit holding the Frobenius images (_frobenius_labels) of the
-    kernels of a known edge e takes target sigma(e.target) and hint
-    sigma(e.hint); every other orbit steps on its first kernel.  Known
-    edges are those of sigma(v), if expanded (in vertices), or, if sigma
-    fixes v, v's earlier orbits.  Raises GraphError if an orbit maps
-    from two edges, or if sigma moves a self-paired orbit's target.
+    An orbit holding the dual (_dual_label) of an edge e in incoming,
+    which runs into v from the expanded vertex s, takes target s and
+    hint ("dual", s's representative, e's kernel on it).  Else an orbit
+    holding the Frobenius images (_frobenius_labels) of the kernels of a
+    known edge e takes target sigma(e.target) and hint sigma(e.hint);
+    every other orbit steps on its first kernel.  Known edges are those
+    of sigma(v), if expanded (in vertices), when no dual is read, or, if
+    sigma fixes v, v's earlier orbits.  Raises GraphError if an orbit
+    holds two duals, maps from two edges, or names a target other than
+    its partner's image, or if sigma moves a self-paired orbit's target.
     """
     if v.key.kind == "jacobian":
         f = v.representative.f
@@ -213,6 +223,7 @@ def _expand(v: Vertex, vertices=None) -> list:
     act = u and (u is v or u.edges) and _frobenius_labels(u, v)
     # at a sigma-fixed vertex u is v, whose edges are not yet made
     known = {act[k]: e for e in u.edges for k in e.kernels} if act else {}
+    duals = [] if known else [(_dual_label(v, d.hint), d) for d in incoming]
     edges = []
     for orbit in orbits:
         ks = tuple(labels[i] for i in orbit)
@@ -220,8 +231,21 @@ def _expand(v: Vertex, vertices=None) -> list:
         if any(known.get(k) is not e for k in ks):
             raise GraphError(f"orbit {ks} at {v.key.as_string()} maps "
                              "from two Frobenius partner edges")
-        tgt, hint = step(reps[orbit[0]]) if e is None else (
-            e.target.conjugate(p), _conjugate_hint(e.hint))
+        held = [d for k, d in duals if k in ks]
+        if len(held) > 1:
+            raise GraphError(f"orbit {ks} at {v.key.as_string()} holds "
+                             f"the duals of {len(held)} edges")
+        if held:
+            d, s = held[0], vertices[held[0].source]
+            tgt, hint = s.key, ("dual", s.representative,
+                                d.kernel_rep if s.points else d.kernels[0])
+            if e is not None and e.target.conjugate(p) != tgt:
+                raise GraphError(f"orbit {ks} at {v.key.as_string()} is "
+                                 f"dual to an edge from {tgt.as_string()}"
+                                 ", not its Frobenius partner's image")
+        else:
+            tgt, hint = step(reps[orbit[0]]) if e is None else (
+                e.target.conjugate(p), _conjugate_hint(e.hint))
         edges.append(OrbitEdge(
             source=v.key, target=tgt, weight=len(orbit),
             kernel_rep=reps[orbit[0]], is_loop=(v.key == tgt),
@@ -248,10 +272,10 @@ def _conjugate(x):
 
 
 def _conjugate_hint(hint):
-    """sigma of a hint; a codomain curve is checked by of_blocks."""
+    """sigma of a hint; a codomain curve's coefficients are conjugated."""
     kind, codomain, dual = hint
     if isinstance(codomain, Genus2Curve):
-        return kind, (d := _conjugate(dual)).curve(), d
+        return kind, codomain.conjugate(), _conjugate(dual)
     return kind, _conjugate(codomain), dual
 
 
@@ -313,8 +337,10 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
     The default seed is E x E for the deterministic supersingular
     curve of find_supersingular_seed; any superspecial vertex
     representative may be passed instead (the closure is the same:
-    the superspecial graph is connected).  Raises GraphError once it
-    holds more vertices than the census counts.
+    the superspecial graph is connected).  A vertex's expansion derives
+    the dual orbit of each edge into it from an expanded vertex
+    (_expand), so no derived orbit discovers a vertex.  Raises
+    GraphError once it holds more vertices than the census counts.
     """
     if seed is None:
         E = find_supersingular_seed(ctx)
@@ -327,11 +353,12 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
     g.vertices[key] = _make_vertex(key, seed)
     queue = [key]
     qpos = 0
+    incoming = {}  # key -> the edges into it from expanded vertices
     while qpos < len(queue):
         cur = queue[qpos]
         qpos += 1
         v = g.vertices[cur]
-        v.edges = _expand(v, g.vertices)
+        v.edges = _expand(v, g.vertices, incoming.pop(cur, ()))
         edge_of = {k: e for e in v.edges for k in e.kernels}
         v.kernel_to_edge = tuple(edge_of[k] for k in range(15))
         g.edges.extend(v.edges)
@@ -341,6 +368,8 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
                 g.vertices[e.target] = _make_vertex(e.target, e.hint[1],
                                                     e.hint[2])
                 fresh.append(e.target)
+            if not (e.is_loop or g.vertices[e.target].edges):
+                incoming.setdefault(e.target, []).append(e)
         if len(g.vertices) > bound:
             raise GraphError(f"{len(g.vertices)} vertices found at p = "
                              f"{ctx.p}, but the census counts {bound}")
@@ -354,30 +383,35 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
 
 def _transport_pairing(target: Vertex, spl) -> int:
     """The kernel label on the Jacobian vertex target of a splitting of
-    an edge's codomain, moved by _first_map from the roots of spl's
-    blocks, listed pair by pair.  Any Moebius map will do: two differ by
+    an edge's codomain, moved by _first_map from the int-pair roots of
+    spl's blocks, listed pair by pair.  Any Moebius map will do: two differ by
     an automorphism, which keeps the image in its orbit."""
-    m = _first_map(sum(splitting_root_pairs(spl), ()), target)
+    roots = splitting_root_pairs(spl, lambda ctx, a, b: (a, b))
+    m = _first_map(sum(roots, ()), target)
     return matching_index(zip(m[0::2], m[1::2]))
 
 
-def dual_edge(g: Graph, e: OrbitEdge) -> OrbitEdge:
-    """The orbit edge at e.target containing the dual kernel of e.
+def _dual_label(tgt: Vertex, hint) -> int:
+    """The label at the vertex tgt of the dual kernel in hint, of an
+    edge into tgt.  The dual kernel recorded on the edge's codomain is
+    moved onto tgt's representative by an isomorphism: a Jacobian's by
+    _transport_pairing, a product's label by the first kernel_maps label
+    map.  Any isomorphism will do: two differ by an automorphism of tgt,
+    which keeps the kernel inside its orbit.  Every step records its
+    dual, as every step stays in GF(p^2)."""
+    _, codomain, dual = hint
+    if isinstance(codomain, Genus2Curve):
+        return _transport_pairing(tgt, dual)
+    return _first_map(codomain, tgt)[dual]
 
-    The dual kernel recorded on e's codomain is moved onto the target's
-    representative by an isomorphism and looked up there: a Jacobian's
-    by _transport_pairing, a product's label by the first kernel_maps
-    label map.  Any isomorphism will do: two differ by an automorphism
-    of the target, which keeps the kernel inside its orbit.  Every step
-    records its dual, as every step stays in GF(p^2).
-    """
+
+def dual_edge(g: Graph, e: OrbitEdge) -> OrbitEdge:
+    """The orbit edge at e.target containing the dual kernel of e: the
+    edge of its _dual_label."""
     tgt = g.vertex(e.target)
     if not tgt.edges:
         raise GraphError("target vertex not expanded")
-    _, codomain, dual = e.hint
-    if isinstance(codomain, Genus2Curve):
-        return tgt.kernel_to_edge[_transport_pairing(tgt, dual)]
-    return tgt.kernel_to_edge[_first_map(codomain, tgt)[dual]]
+    return tgt.kernel_to_edge[_dual_label(tgt, e.hint)]
 
 
 # ---------------------------------------------------------------------------

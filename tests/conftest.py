@@ -254,8 +254,8 @@ def jacobian_orbits_oracle(ctx, pts, scale, maps):
 def stepped_edges_oracle(v):
     """The orbit edges out of the vertex v by one isogeny step per RA
     orbit, on its first kernel: the expansion build_graph ran before it
-    derived each edge whose Frobenius partner it knew, kept as the
-    oracle of the derived targets and hints."""
+    derived each edge whose Frobenius partner or dual it knew, kept as
+    the oracle of the derived targets and hints."""
     if v.key.kind == "jacobian":
         f = v.representative.f
         reps, labels = zip(*genus2.point_splittings(f.ctx, (), v.points,

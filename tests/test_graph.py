@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 from dataclasses import replace
 from itertools import permutations
 
@@ -222,15 +223,21 @@ def dual_edge_oracle(g, e):
     graph.dual_edge replaced, kept as the reference it is checked
     against.  The split branch re-glues every diagonal kernel at the
     target and keeps those that reproduce the source curve with a
-    dual splitting in e's orbit."""
+    dual splitting in e's orbit.  A dual-derived edge ran no step, so
+    its kernel_rep is stepped here, and the record it was derived from
+    is not read."""
     tgt = g.vertex(e.target)
     src = g.vertex(e.source)
     if not tgt.edges:
         raise GraphError("target vertex not expanded")
-    kind = e.hint[0]
+    hint = e.hint
+    if hint[0] == "dual":
+        hint = (graph._jacobian_step(e.kernel_rep) if src.points
+                else graph._product_step(src, e.kernel_rep))[1]
+    kind = hint[0]
 
     if kind in ("jac", "glue"):
-        pairing = transport_pairing_oracle(tgt.representative, e.hint[2])
+        pairing = transport_pairing_oracle(tgt.representative, hint[2])
         try:
             return edge_of_pairing(tgt, pairing)
         except KeyError:
@@ -242,7 +249,7 @@ def dual_edge_oracle(g, e):
         return e
 
     if kind == "prod":
-        cod = e.hint[1]
+        cod = hint[1]
         S_rep = tgt.representative
         # dual kernel on the computed codomain is K(1,1): both Velu
         # codomains carry the dual point as their first root
@@ -293,7 +300,7 @@ def test_dual_edge_matches_search_oracle(p):
         assert dual_edge(g, e) is dual_edge_oracle(g, e), e.sort_key()
         kinds.add(e.hint[0])
     if p == 41:
-        assert kinds == {"jac", "glue", "prod", "split", "induced"}
+        assert kinds == {"jac", "glue", "prod", "split", "induced", "dual"}
 
 
 def test_dual_transport_from_codomain_with_irrational_points():
@@ -599,13 +606,18 @@ def test_each_jacobian_vertex_reads_its_ra_maps_once(monkeypatch):
     # _make_vertex reads the RA maps off the frames once; its RA order
     # and the expansion's orbits share them.  The expansion reads one
     # more map, its Frobenius labels, at each sigma-fixed Jacobian and
-    # at the second-expanded vertex of each sigma-swapped pair
+    # at the second-expanded vertex of each sigma-swapped pair, and one
+    # per dual it transports from a Jacobian codomain: one per edge
+    # derived from a record, whose hint holds its target's own model
     calls = count_calls(monkeypatch, "moebius_stabilizing")
     g = build_graph(make_field(41))
     jacobians = [v for v in g.vertices.values() if v.key.kind == "jacobian"]
     fixed = sum(v.key.conjugate(41) == v.key for v in jacobians)
-    assert (len(jacobians), fixed) == (40, 22)
-    assert len(calls) == len(jacobians) + fixed + (40 - fixed) // 2 == 71
+    duals = sum(e.hint[0] == "dual" and e.source.kind == "jacobian"
+                and e.hint[1] is g.vertex(e.target).representative
+                for e in g.edges)
+    assert (len(jacobians), fixed, duals) == (40, 22, 151)
+    assert len(calls) == len(jacobians) + fixed + (40 - fixed) // 2 + duals
     assert all(v.ra_order == len(v.ra_maps) for v in jacobians)
 
 
@@ -635,16 +647,76 @@ def test_edges_match_stepping_oracle_p101():
 
 
 def test_build_steps_only_orbits_without_a_known_partner(monkeypatch):
-    # 198 of the 526 orbit edges at p = 41 are derived from their
-    # Frobenius partner: 100 at the 9 vertices whose conjugate was
-    # expanded first, and one orbit of each of the 98 sigma-swapped
-    # pairs at sigma-fixed vertices (68 Jacobian, 30 product)
+    # of the 526 orbit edges at p = 41, 198 hold the dual of an edge
+    # into their source from a vertex expanded before it, and take that
+    # vertex as their target; 143 more are derived from their Frobenius
+    # partner, at the 9 vertices whose conjugate was expanded first or
+    # as the second orbit of a sigma-swapped pair at a sigma-fixed
+    # vertex.  The other 185 run a step (262 and 66 with no records)
     jac = count_calls(monkeypatch, "_jacobian_step", graph)
     prod = count_calls(monkeypatch, "_product_step", graph)
     g = build_graph(make_field(41))
     assert len(g.edges) == 526
-    assert (len(jac), len(prod)) == (262, 66)
+    assert (len(jac), len(prod)) == (150, 35)
+    assert sum(e.hint[0] == "dual" and e.hint[1]
+               is g.vertex(e.target).representative for e in g.edges) == 198
     assert validate(g).ok
+
+
+@pytest.mark.parametrize("p", [23, 41])
+def test_jacobian_hints_hold_their_duals_curve(p):
+    # a derived codomain is its partner's conjugated coefficientwise,
+    # a dual-derived one is the target's own model: either way the
+    # recorded dual splitting multiplies out to the codomain's sextic
+    hints = [e.hint for e in build_graph(make_field(p)).edges
+             if isinstance(e.hint[1], Genus2Curve)]
+    assert {h[0] for h in hints} == {"jac", "glue", "dual"}
+    for hint in hints:
+        assert hint[2].curve().f == hint[1].f, hint
+
+
+def test_validate_catches_a_record_moved_to_another_orbit(monkeypatch):
+    # the first dual read in the build, moved to the next kernel label
+    # (another orbit there), gives an orbit the wrong target and weight
+    real, calls = graph._dual_label, []
+
+    def moved(tgt, hint):
+        calls.append(tgt.key)
+        return (real(tgt, hint) + (len(calls) == 1)) % 15
+    monkeypatch.setattr(graph, "_dual_label", moved)
+    g = build_graph(make_field(41))
+    monkeypatch.undo()
+    failed = {name for name, ok, _ in validate(g).checks if not ok}
+    assert failed == {"ratio principle", "dual involution"}
+
+
+def test_build_raises_on_two_records_in_one_orbit(monkeypatch):
+    # every dual read as label 0: the first vertex reached from two
+    # expanded vertices holds both in one orbit
+    monkeypatch.setattr(graph, "_dual_label", lambda tgt, hint: 0)
+    with pytest.raises(GraphError, match=r"orbit \(0,\) at prod:3\.0;3\.0 "
+                       "holds the duals of 2 edges"):
+        build_graph(make_field(41))
+
+
+def test_expand_raises_on_a_record_against_its_frobenius_partner():
+    # at a sigma-fixed vertex with a sigma-swapped pair of orbits, an
+    # edge into it whose dual lies in the second orbit must come from
+    # the conjugate of the first orbit's target; a record that names
+    # that target itself raises
+    g = build_graph(make_field(41))
+    w, first, second = next(
+        (w, e, o) for w in g.vertices.values() if w.key.kind == "product"
+        and w.key.conjugate(41) == w.key for e in w.edges for o in w.edges
+        if o.target == e.target.conjugate(41) != e.target
+        and w.edges.index(e) < w.edges.index(o))
+    record = replace(dual_edge(g, second), source=first.target)
+    assert graph._dual_label(w, record.hint) in second.kernels
+    v = graph._make_vertex(w.key, w.representative)
+    at = re.escape(f"orbit {second.kernels} at {w.key.as_string()}")
+    with pytest.raises(GraphError, match=f"{at} is dual to an edge from "
+                       f"{first.target.as_string()}, not its Frobenius"):
+        graph._expand(v, {**g.vertices, w.key: v}, [record])
 
 
 def test_frobenius_derivation_raises_on_inconsistent_partners(monkeypatch):
