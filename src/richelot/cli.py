@@ -118,6 +118,9 @@ def _cmd_neighbourhood(args) -> int:
         raise AtlasError("--params needs --atlas")
     if args.sextic is not None:
         coeffs = _parse_field_elems(ctx, args.sextic, "--sextic")
+        if len(coeffs) not in (6, 7):
+            raise ValueError("--sextic: expected 6 or 7 coefficients, "
+                             f"got {len(coeffs)}")
         rep = query = Genus2Curve(Poly(ctx, coeffs))
     elif args.product is not None:
         js = _parse_field_elems(ctx, args.product, "--product")
@@ -195,7 +198,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("validate",
                        help="15-regularity, ratio principle, duals, "
-                            "classifier agreement")
+                            "classifier agreement, Frobenius mirror, "
+                            "mass formula")
     _add_common(c, capped=True)
     c.set_defaults(func=_cmd_validate)
     return ap

@@ -3,19 +3,19 @@
 Vertices are isomorphism classes of principally polarized abelian
 surfaces: Jacobians keyed by their canonical Clebsch tuple, elliptic
 products keyed by the unordered pair of j-invariants.  Edges are
-reduced-automorphism orbits of kernels, weighted by orbit size;
-orbits with equal endpoints are kept separate, as in the source
-tables.  Each edge records the quotient it computed and the dual
-kernel on that quotient.  build_graph runs a breadth-first closure from
-a supersingular product seed; validate checks 15-regularity, the ratio
-principle, dual involutivity (transporting each recorded dual kernel
-onto the target's representative), classifier agreement, the mass
-formula and the Frobenius mirror: sigma(a + b*i) = a - b*i maps the
-graph onto itself, as steps have GF(p) coefficients and keys are
-Galois-stable, so _expand derives each edge whose sigma-image it knows.
-Each isogeny A -> B has a dual B -> A, so build_graph also derives the
-orbit at B that holds the dual of an edge from an expanded A: every
-edge is stepped at most once.
+reduced-automorphism orbits of kernels, weighted by orbit size; orbits
+with equal endpoints are kept separate, as in the source tables.  Each
+edge records the quotient it computed and the dual kernel on that
+quotient.  build_graph runs a breadth-first closure from a supersingular
+product seed; validate checks 15-regularity, the ratio principle, dual
+involutivity (each recorded dual kernel read on the target's
+representative, moved by an isomorphism if recorded on another model),
+classifier agreement, the mass formula and the Frobenius mirror:
+sigma(a + b*i) = a - b*i maps the graph onto itself, as steps have GF(p)
+coefficients and keys are Galois-stable, so _expand derives each edge
+whose sigma-image it knows.  Each isogeny A -> B has a dual B -> A, so
+build_graph also derives the orbit at B that holds the dual of an edge
+from an expanded A: every edge is stepped at most once.
 """
 
 from __future__ import annotations
@@ -100,8 +100,8 @@ class OrbitEdge:
     another kernel of its orbit, whose dual lies in the same orbit.
     kind ("jac", "glue", "split", "prod", "induced") names the step
     that built the edge, and "dual" an edge derived from the edge e it
-    is dual to: its hint is e's source's representative, a model of the
-    quotient, and e's kernel_rep (or, at a product, its label) on it.
+    is dual to: its hint is e's source's representative, the target's
+    own model of the quotient, and e's first kernel label there.
     kind is informational only.  kernels labels the orbit's kernels,
     kernel_rep's first, by small ints: a Jacobian's by the
     genus2.MATCHINGS index of their matching of its sorted points, a
@@ -200,7 +200,7 @@ def _expand(v: Vertex, vertices=None, incoming=()) -> list:
 
     An orbit holding the dual (_dual_label) of an edge e in incoming,
     which runs into v from the expanded vertex s, takes target s and
-    hint ("dual", s's representative, e's kernel on it).  Else an orbit
+    hint ("dual", s's representative, e's first label).  Else an orbit
     holding the Frobenius images (_frobenius_labels) of the kernels of a
     known edge e takes target sigma(e.target) and hint sigma(e.hint);
     every other orbit steps on its first kernel.  Known edges are those
@@ -218,8 +218,8 @@ def _expand(v: Vertex, vertices=None, incoming=()) -> list:
         reps, labels = product_kernels(), range(15)
         orbits = kernel_orbits(v.representative)
         step = partial(_product_step, v)
-    p = v.representative.ctx.p
-    u = (vertices or {v.key: v}).get(v.key.conjugate(p))
+    p, vertices = v.representative.ctx.p, vertices or {v.key: v}
+    u = vertices.get(v.key.conjugate(p))
     act = u and (u is v or u.edges) and _frobenius_labels(u, v)
     # at a sigma-fixed vertex u is v, whose edges are not yet made
     known = {act[k]: e for e in u.edges for k in e.kernels} if act else {}
@@ -237,15 +237,14 @@ def _expand(v: Vertex, vertices=None, incoming=()) -> list:
                              f"the duals of {len(held)} edges")
         if held:
             d, s = held[0], vertices[held[0].source]
-            tgt, hint = s.key, ("dual", s.representative,
-                                d.kernel_rep if s.points else d.kernels[0])
+            tgt, hint = s.key, ("dual", s.representative, d.kernels[0])
             if e is not None and e.target.conjugate(p) != tgt:
                 raise GraphError(f"orbit {ks} at {v.key.as_string()} is "
                                  f"dual to an edge from {tgt.as_string()}"
                                  ", not its Frobenius partner's image")
         else:
             tgt, hint = step(reps[orbit[0]]) if e is None else (
-                e.target.conjugate(p), _conjugate_hint(e.hint))
+                e.target.conjugate(p), _conjugate_hint(e, vertices))
         edges.append(OrbitEdge(
             source=v.key, target=tgt, weight=len(orbit),
             kernel_rep=reps[orbit[0]], is_loop=(v.key == tgt),
@@ -271,12 +270,17 @@ def _conjugate(x):
     return x if x is INF else FieldElement(x.ctx, x.a, -x.b % x.ctx.p)
 
 
-def _conjugate_hint(hint):
-    """sigma of a hint; a codomain curve's coefficients are conjugated."""
-    kind, codomain, dual = hint
-    if isinstance(codomain, Genus2Curve):
-        return kind, codomain.conjugate(), _conjugate(dual)
-    return kind, _conjugate(codomain), dual
+def _conjugate_hint(e: OrbitEdge, vertices):
+    """sigma of e's hint; a codomain curve's coefficients are conjugated.
+    A Jacobian dual held as a label of e's target, which is expanded, is
+    first read as the kernel_rep of its edge there, a splitting: sigma
+    does not keep the order of the points that labels index."""
+    kind, codomain, dual = e.hint
+    if isinstance(codomain, ProductSurface):
+        return kind, _conjugate(codomain), dual
+    if isinstance(dual, int):
+        dual = vertices[e.target].kernel_to_edge[dual].kernel_rep
+    return kind, codomain.conjugate(), _conjugate(dual)
 
 
 def _frobenius_labels(u: Vertex, v: Vertex) -> tuple:
@@ -393,13 +397,22 @@ def _transport_pairing(target: Vertex, spl) -> int:
 
 def _dual_label(tgt: Vertex, hint) -> int:
     """The label at the vertex tgt of the dual kernel in hint, of an
-    edge into tgt.  The dual kernel recorded on the edge's codomain is
-    moved onto tgt's representative by an isomorphism: a Jacobian's by
-    _transport_pairing, a product's label by the first kernel_maps label
-    map.  Any isomorphism will do: two differ by an automorphism of tgt,
-    which keeps the kernel inside its orbit.  Every step records its
-    dual, as every step stays in GF(p^2)."""
+    edge into tgt.  A dual recorded on tgt's representative itself (by
+    a dual-derived edge, an induced loop or the edge tgt was built from)
+    is read by the identity: a label as it is, a splitting by its root
+    pairs' places in tgt.points.  Any other is moved onto tgt's
+    representative by an isomorphism: a Jacobian's by _transport_pairing,
+    a product's label by the first kernel_maps label map.  Any
+    isomorphism will do: two differ by an automorphism of tgt, which
+    keeps the kernel inside its orbit.  Every step records its dual, as
+    steps stay in GF(p^2)."""
     _, codomain, dual = hint
+    if codomain is tgt.representative:
+        if isinstance(dual, int):
+            return dual
+        at = {x: i for i, x in enumerate(tgt.points)}
+        return matching_index([at[x] for x in pair]
+                              for pair in splitting_root_pairs(dual))
     if isinstance(codomain, Genus2Curve):
         return _transport_pairing(tgt, dual)
     return _first_map(codomain, tgt)[dual]
@@ -407,7 +420,8 @@ def _dual_label(tgt: Vertex, hint) -> int:
 
 def dual_edge(g: Graph, e: OrbitEdge) -> OrbitEdge:
     """The orbit edge at e.target containing the dual kernel of e: the
-    edge of its _dual_label."""
+    edge of its _dual_label, found with no isomorphism when e's hint
+    holds the target's own model."""
     tgt = g.vertex(e.target)
     if not tgt.edges:
         raise GraphError("target vertex not expanded")

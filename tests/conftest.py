@@ -277,6 +277,17 @@ def stepped_edges_oracle(v):
     return edges
 
 
+def recorded_dual_splitting(g, e):
+    """The dual splitting recorded on the Jacobian codomain of e's hint.
+    A dual-derived edge's hint holds the target's own model, and its
+    dual as a label there: that label's edge at the target has it as
+    its first kernel, so its kernel_rep is the splitting itself."""
+    dual = e.hint[2]
+    if isinstance(dual, int):
+        return g.vertex(e.target).kernel_to_edge[dual].kernel_rep
+    return dual
+
+
 def count_calls(monkeypatch, name, module=genus2):
     """Record each call of module.<name> in a list, through every
     richelot module that binds the function."""

@@ -117,6 +117,19 @@ def test_neighbourhood_product_needs_two_j_invariants(capsys):
             == f"error: --product: expected two j-invariants, got {n}\n"
 
 
+def test_neighbourhood_sextic_needs_six_or_seven_coefficients(capsys):
+    # nine values are not x^6 + 1 with two trailing zeros dropped, and
+    # five are no genus-2 model; seven ending in 0 are still a quintic
+    for value, n in (("1,0,0,0,0,0,1,0,0", 9), ("1,0,0,0,1", 5)):
+        assert run(["neighbourhood", "-p", "23", f"--sextic={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err \
+            == f"error: --sextic: expected 6 or 7 coefficients, got {n}\n"
+    assert run(["neighbourhood", "-p", "19", "--sextic=-1,0,0,0,0,1,0"]) == 0
+    assert "out-weight 15" in capsys.readouterr().out
+
+
 def test_neighbourhood_params_need_atlas(capsys):
     # --params sets an atlas normal form's parameters; with --sextic or
     # --product it would be ignored, so it is refused

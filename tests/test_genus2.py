@@ -34,7 +34,7 @@ from conftest import (MoebiusMap, block_poly, block_roots_oracle,
                       moebius_through, poly_key_oracle,
                       random_curve_with_irrational_points,
                       random_distinct_elements, random_element,
-                      splitting_of, to_zero_one_inf,
+                      recorded_dual_splitting, splitting_of, to_zero_one_inf,
                       transform_curve_oracle)
 
 
@@ -622,7 +622,8 @@ def test_splitting_points_match_factoring_oracle_on_graph(p):
     codomains = [e for e in g.edges if isinstance(e.hint[1], Genus2Curve)]
     assert codomains
     for e in codomains:
-        assert (e.hint[1].ctx, splitting_points(e.hint[2])) \
+        spl = recorded_dual_splitting(g, e)
+        assert (e.hint[1].ctx, splitting_points(spl)) \
             == weierstrass_points_oracle(e.hint[1]), e.sort_key()
     for v in g.vertices.values():
         if v.key.kind == "jacobian":
@@ -637,7 +638,8 @@ def test_block_roots_match_oracle_on_recorded_duals(p):
     # every block of the dual splitting recorded on every Jacobian
     # codomain: the int-pair roots equal the FieldElement ones
     g = build_graph(make_field(p))
-    duals = [e.hint[2] for e in g.edges if isinstance(e.hint[1], Genus2Curve)]
+    duals = [recorded_dual_splitting(g, e) for e in g.edges
+             if isinstance(e.hint[1], Genus2Curve)]
     assert duals
     for spl in duals:
         for blk in spl.blocks:

@@ -9,7 +9,7 @@ from itertools import permutations
 
 import pytest
 
-from richelot import genus2, gluing, graph
+from richelot import elliptic, genus2, gluing, graph
 from richelot.cli import run
 from richelot.elliptic import (EllipticCurveE2, isomorphisms_with_torsion,
                                two_isogeny)
@@ -30,7 +30,8 @@ from conftest import (clear_genus2_caches, count_calls, isomorphisms_oracle,
                       label_pairing, matching_pairing,
                       moebius_search_oracle,
                       random_curve_with_irrational_points, random_element,
-                      splitting_of, stepped_edges_oracle)
+                      recorded_dual_splitting, splitting_of,
+                      stepped_edges_oracle)
 
 
 def e_1728(ctx):
@@ -607,17 +608,26 @@ def test_each_jacobian_vertex_reads_its_ra_maps_once(monkeypatch):
     # and the expansion's orbits share them.  The expansion reads one
     # more map, its Frobenius labels, at each sigma-fixed Jacobian and
     # at the second-expanded vertex of each sigma-swapped pair, and one
-    # per dual it transports from a Jacobian codomain: one per edge
-    # derived from a record, whose hint holds its target's own model
+    # per dual it transports from a Jacobian codomain: of the 151 edges
+    # derived from a record, whose hint holds its target's own model,
+    # the 120 whose record holds another model of their source than its
+    # representative.  The other 31 records are of the edges that first
+    # reached their source, built from the very model they hold, and
+    # are read with no map (222 maps before, one per derived edge)
     calls = count_calls(monkeypatch, "moebius_stabilizing")
     g = build_graph(make_field(41))
     jacobians = [v for v in g.vertices.values() if v.key.kind == "jacobian"]
     fixed = sum(v.key.conjugate(41) == v.key for v in jacobians)
-    duals = sum(e.hint[0] == "dual" and e.source.kind == "jacobian"
-                and e.hint[1] is g.vertex(e.target).representative
-                for e in g.edges)
-    assert (len(jacobians), fixed, duals) == (40, 22, 151)
-    assert len(calls) == len(jacobians) + fixed + (40 - fixed) // 2 + duals
+    derived = [e for e in g.edges if e.hint[0] == "dual"
+               and e.source.kind == "jacobian"
+               and e.hint[1] is g.vertex(e.target).representative]
+    records = [g.vertex(e.target).kernel_to_edge[e.hint[2]] for e in derived]
+    assert all(d.target == e.source for d, e in zip(records, derived))
+    moved = sum(d.hint[1] is not g.vertex(e.source).representative
+                for d, e in zip(records, derived))
+    assert (len(jacobians), fixed, len(derived), moved) == (40, 22, 151, 120)
+    assert len(calls) == len(jacobians) + fixed + (40 - fixed) // 2 + moved
+    assert len(calls) == 191
     assert all(v.ra_order == len(v.ra_maps) for v in jacobians)
 
 
@@ -666,13 +676,15 @@ def test_build_steps_only_orbits_without_a_known_partner(monkeypatch):
 @pytest.mark.parametrize("p", [23, 41])
 def test_jacobian_hints_hold_their_duals_curve(p):
     # a derived codomain is its partner's conjugated coefficientwise,
-    # a dual-derived one is the target's own model: either way the
-    # recorded dual splitting multiplies out to the codomain's sextic
-    hints = [e.hint for e in build_graph(make_field(p)).edges
-             if isinstance(e.hint[1], Genus2Curve)]
-    assert {h[0] for h in hints} == {"jac", "glue", "dual"}
-    for hint in hints:
-        assert hint[2].curve().f == hint[1].f, hint
+    # a dual-derived one is the target's own model, with its dual as a
+    # label there: either way the recorded dual splitting multiplies out
+    # to the codomain's sextic
+    g = build_graph(make_field(p))
+    edges = [e for e in g.edges if isinstance(e.hint[1], Genus2Curve)]
+    assert {e.hint[0] for e in edges} == {"jac", "glue", "dual"}
+    for e in edges:
+        assert recorded_dual_splitting(g, e).curve().f == e.hint[1].f, \
+            e.hint
 
 
 def test_validate_catches_a_record_moved_to_another_orbit(monkeypatch):
@@ -688,6 +700,70 @@ def test_validate_catches_a_record_moved_to_another_orbit(monkeypatch):
     monkeypatch.undo()
     failed = {name for name, ok, _ in validate(g).checks if not ok}
     assert failed == {"ratio principle", "dual involution"}
+
+
+def moved_dual_fails_validate(g, e, dual):
+    """The checks validate fails once e's hint holds dual, the label or
+    kernel_rep of another orbit at its target than its own dual's."""
+    assert e.hint[1] is g.vertex(e.target).representative
+    e.hint = e.hint[:2] + (dual,)
+    return {name for name, ok, _ in validate(g).checks if not ok}
+
+
+def other_weight_edge(g, e):
+    """The first edge at e's target whose weight differs from that of
+    e's dual edge, so that the ratio principle sees the move; None if
+    every orbit there has that weight."""
+    w = dual_edge(g, e).weight
+    return next((o for o in g.vertex(e.target).edges if o.weight != w),
+                None)
+
+
+def test_validate_catches_a_dual_label_moved_to_another_orbit():
+    # a dual-derived Jacobian edge records its dual as a label on its
+    # target's own model, which validate reads with no isomorphism
+    g = build_graph(make_field(41))
+    e, o = next((e, o) for e in g.edges if e.hint[0] == "dual"
+                and e.hint[1] is g.vertex(e.target).representative
+                and e.target.kind == "jacobian"
+                for o in [other_weight_edge(g, e)] if o)
+    assert moved_dual_fails_validate(g, e, o.kernels[0]) \
+        == {"ratio principle", "dual involution"}
+
+
+def test_validate_catches_a_first_reaching_dual_moved_to_another_orbit():
+    # the edge that first reached a Jacobian vertex built it from its
+    # hint, whose dual splitting validate labels by the positions of
+    # its roots in the vertex's points, with no Moebius map
+    g = build_graph(make_field(41))
+    e, o = next((e, o) for e in g.edges if e.hint[0] == "jac"
+                and e.hint[1] is g.vertex(e.target).representative
+                for o in [other_weight_edge(g, e)] if o)
+    assert moved_dual_fails_validate(g, e, o.kernel_rep) \
+        == {"ratio principle", "dual involution"}
+
+
+def test_validate_maps_only_duals_recorded_on_another_model(monkeypatch):
+    # at p = 41, 251 of the 526 hints hold their target's own model: the
+    # 198 dual-derived ones, the 49 of the edges that first reached their
+    # target and the 4 of induced loops.  validate reads their duals with
+    # no isomorphism, and moves every other dual by one Moebius map onto
+    # a Jacobian target, or by one kernel_maps search onto a product,
+    # whose factor isomorphisms it counts (430 maps and 210 factor
+    # searches before)
+    g = build_graph(make_field(41))
+    moebius = count_calls(monkeypatch, "moebius_stabilizing")
+    factors = count_calls(monkeypatch, "isomorphisms_with_torsion", elliptic)
+    searches = count_calls(monkeypatch, "kernel_maps", gluing)
+    assert validate(g).ok
+    other = [e for e in g.edges
+             if e.hint[1] is not g.vertex(e.target).representative]
+    assert (len(g.edges), len(other)) == (526, 275)
+    onto_products = [(e.hint[1], g.vertex(e.target).representative)
+                     for e in other if e.target.kind == "product"]
+    assert len(moebius) == len(other) - len(onto_products) == 227
+    assert searches == onto_products
+    assert len(factors) == 114
 
 
 def test_build_raises_on_two_records_in_one_orbit(monkeypatch):
