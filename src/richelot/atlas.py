@@ -224,8 +224,15 @@ def normal_form(case: str, ctx: FieldCtx, params=None, rng=None):
 
     Jacobian cases return (Genus2Curve, (s, t)); product cases a
     ProductSurface.  Sampled parameters are redrawn until the vertex
-    classifies as exactly the intended type.
+    classifies as exactly the intended type.  Case I takes two params,
+    III and IV one, every other case none.
     """
+    if case not in ALL_CASES:
+        raise AtlasError(f"unknown case {case!r}")
+    k = {"I": 2, "III": 1, "IV": 1}.get(case, 0)
+    if params is not None and len(params) != k:
+        raise AtlasError(f"case {case} takes {k} parameters, "
+                         f"got {len(params)}")
     rng = rng or random.Random(0)
     if case in ("I", "III", "IV"):
         for _ in range(400):
@@ -278,9 +285,7 @@ def normal_form(case: str, ctx: FieldCtx, params=None, rng=None):
         return ProductSurface(e0, e1728)
     if case == RAType.SIGMA0:
         return ProductSurface(e0, e0)
-    if case == RAType.SIGMA1728:
-        return ProductSurface(e1728, e1728)
-    raise AtlasError(f"unknown case {case!r}")
+    return ProductSurface(e1728, e1728)  # RAType.SIGMA1728
 
 
 # ---------------------------------------------------------------------------

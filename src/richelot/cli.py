@@ -185,7 +185,8 @@ def make_parser() -> argparse.ArgumentParser:
     c.add_argument("--atlas", default=None,
                    help=f"one of {', '.join(ALL_CASES)}")
     c.add_argument("--params", default=None,
-                   help="normal-form parameters (with --atlas)")
+                   help="normal-form parameters (with --atlas): two "
+                        "for case I, one for III and IV, none otherwise")
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=_cmd_neighbourhood)
 

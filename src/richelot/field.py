@@ -12,8 +12,8 @@ package calls it: a curve with a point outside GF(p^2) raises
 genus2.IrrationalPointsError instead.  It stays only because the
 benchmark tracer binds ExtElement's methods by name; it goes once the
 tracer skips absent bindings.  Square roots in both fields use the norm
-method (Adj and Rodriguez-Henriquez, IEEE TC 2014), down to the builtin
-pow in GF(p).
+method (Adj and Rodriguez-Henriquez, IEEE TC 2014), down to roots in
+GF(p), each found once per field by _sqrt_mod and then read from a memo.
 """
 
 from __future__ import annotations
@@ -60,8 +60,10 @@ def legendre(a: int, p: int) -> int:
 class FieldCtx:
     """The field GF(p^2) for a fixed prime p > 5.
 
-    Immutable after construction; safe to share between threads.  Use
-    :func:`make_field` rather than calling the constructor directly.
+    The field itself is immutable.  Its GF(p) root memo, like its cached
+    generator and extension, fills on use; its values are deterministic,
+    so threads that fill it at once agree.  Use :func:`make_field`
+    rather than calling the constructor directly.
     """
 
     def __init__(self, p: int, nonresidue: int):
@@ -73,6 +75,7 @@ class FieldCtx:
         self.i = FieldElement(self, 0, 1)
         self._ext = None
         self._generator = None
+        self._roots = {}
 
     def __repr__(self):
         return f"GF({self.p}^2; i^2={self.nonresidue})"
@@ -132,17 +135,24 @@ class FieldCtx:
         N = a^2 - n*b^2 is one in GF(p); then y = c + b/(2c) i, c^2 being
         whichever of (a +- sqrt(N))/2 is a nonzero square in GF(p) (their
         product is n*b^2/4), or, if neither is (b = 0), y = sqrt(a/n) i.
-        The roots in GF(p) are _sqrt_mod's: Tonelli-Shanks when
-        p = 1 (mod 4), one power otherwise."""
+        The roots in GF(p) are _sqrt_mod's (Tonelli-Shanks when
+        p = 1 (mod 4), one power otherwise), read through _root_mod."""
         (a, b), p, n = x, self.p, self.nonresidue
-        s = _sqrt_mod(a * a - n * b * b, p, n)
+        s = self._root_mod(a * a - n * b * b)
         if s is None:
             return None
-        c = _sqrt_mod((a + s) * (p + 1) // 2, p, n) \
-            or _sqrt_mod((a - s) * (p + 1) // 2, p, n)
+        c = self._root_mod((a + s) * (p + 1) // 2) \
+            or self._root_mod((a - s) * (p + 1) // 2)
         y = (c, b * pow(2 * c, -1, p) % p) if c \
-            else (0, _sqrt_mod(a * pow(n, -1, p), p, n))
+            else (0, self._root_mod(a * pow(n, -1, p)))
         return min(y, (-y[0] % p, -y[1] % p))
+
+    def _root_mod(self, t):
+        """_sqrt_mod(t, p, n), computed once per t mod p and memoized."""
+        t %= self.p
+        if t not in self._roots:
+            self._roots[t] = _sqrt_mod(t, self.p, self.nonresidue)
+        return self._roots[t]
 
     def nth_root_of_unity(self, n: int):
         """Lexicographically smallest primitive n-th root of unity, or None.

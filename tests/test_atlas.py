@@ -48,6 +48,24 @@ def test_normal_form_rejects_degenerate_params(ctx23):
         normal_form("III", ctx23, params=(ctx23.one,))
 
 
+def test_normal_form_checks_param_count(ctx23):
+    # case I takes (s, t), III and IV one value, every other case none
+    three, five = ctx23.from_int(3), ctx23.from_int(5)
+    for case, params, k in (("I", (three,), 2), ("I", (), 2),
+                            ("III", (three, five), 1),
+                            ("IV", (three, five), 1),
+                            ("V", (three, five, three), 0),
+                            (RAType.SIGMA0, (three,), 0)):
+        with pytest.raises(AtlasError) as exc:
+            normal_form(case, ctx23, params=params)
+        assert str(exc.value) \
+            == f"case {case} takes {k} parameters, got {len(params)}"
+    assert normal_form("I", ctx23, params=(three, five))[1] == (three, five)
+    assert normal_form("III", ctx23, params=(three,))[1] \
+        == (three, three.inverse())
+    assert normal_form("V", ctx23, params=())[1] == normal_form("V", ctx23)[1]
+
+
 def test_type_ii_kernels_are_orbit_representatives():
     ctx = make_field(19)
     ks = [matching_splitting(ctx, (), m, ctx.one)

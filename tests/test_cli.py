@@ -141,6 +141,23 @@ def test_neighbourhood_params_need_atlas(capsys):
         assert captured.err == "error: --params needs --atlas\n"
 
 
+def test_neighbourhood_params_arity(capsys):
+    # a wrong number of --params values is refused, not silently cut to
+    # what the case reads or left to a raw unpacking error
+    for case, value, k, n in (("III", "3,5", 1, 2), ("IV", "3,4", 1, 2),
+                              ("V", "1,2,3", 0, 3), ("I", "3", 2, 1)):
+        assert run(["neighbourhood", "-p", "23", "--atlas", case,
+                    "--params", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err \
+            == f"error: case {case} takes {k} parameters, got {n}\n"
+    for case, value in (("I", "3,5"), ("III", "3"), ("IV", "3")):
+        assert run(["neighbourhood", "-p", "23", "--atlas", case,
+                    "--params", value]) == 0
+        assert "out-weight 15" in capsys.readouterr().out
+
+
 def test_neighbourhood_atlas_case(capsys):
     assert run(["neighbourhood", "-p", "23", "--atlas", "V"]) == 0
     assert "vertex type V" in capsys.readouterr().out

@@ -4,7 +4,10 @@ import random
 
 import pytest
 
-from richelot.field import FieldElement, FieldError, legendre, make_field
+from richelot import field
+from richelot.field import (FieldElement, FieldError, _sqrt_mod, legendre,
+                            make_field)
+from richelot.graph import build_graph, validate
 
 from conftest import nth_root_old_scan_oracle, random_element, tonelli_oracle
 
@@ -70,11 +73,37 @@ def test_sqrt_contract_matches_euler(ctx11):
                                257])
 def test_sqrt_matches_tonelli_oracle_everywhere(p):
     # every element, non-squares included; 2^8 divides 257 - 1, so p = 257
-    # runs the Tonelli-Shanks branch of the GF(p) root deep
+    # runs the Tonelli-Shanks branch of the GF(p) root deep; the second
+    # pass reads every GF(p) root from the field's now warm memo
     ctx = make_field(p)
     ns = ctx.nonsquare()
-    for x in ctx.elements():
-        assert x.sqrt() == tonelli_oracle(x, ns)
+    for _ in range(2):
+        for x in ctx.elements():
+            assert x.sqrt() == tonelli_oracle(x, ns)
+
+
+@pytest.mark.parametrize("p", [41, 43, 257])
+def test_sqrt_mod_every_residue(p):
+    # the memo hides _sqrt_mod's own path after a root's first use, so it
+    # is checked directly: a root exactly for t with (t/p) != -1
+    n = make_field(p).nonresidue
+    for t in range(p):
+        r = _sqrt_mod(t, p, n)
+        assert (r is None) == (legendre(t, p) == -1)
+        assert r is None or r * r % p == t
+
+
+def test_validate_takes_each_gf_p_root_once(monkeypatch):
+    # each t in GF(p) is computed at most once per field, however often
+    # psqrt asks for it (3,617 times in a p = 41 build and validate)
+    calls = []
+    monkeypatch.setattr(field, "_sqrt_mod",
+                        lambda *a: calls.append(a) or _sqrt_mod(*a))
+    ctx = make_field(41)
+    assert validate(build_graph(ctx)).ok
+    assert 0 < len(calls) <= 41
+    assert len({t for t, _, _ in calls}) == len(calls)
+    assert len(ctx._roots) <= 41
 
 
 @pytest.mark.parametrize("p", [151, 409])
