@@ -333,13 +333,6 @@ def splitting_root_pairs(spl: QuadraticSplitting, point=FieldElement) -> list:
     return roots
 
 
-def splitting_points(spl: QuadraticSplitting) -> list:
-    """The six Weierstrass points of y^2 = spl.curve(), sorted, read off
-    splitting_root_pairs."""
-    return sorted((pt for pair in splitting_root_pairs(spl) for pt in pair),
-                  key=point_key)
-
-
 @lru_cache(maxsize=None)
 def weierstrass_points(curve: Genus2Curve) -> list:
     """The six Weierstrass points of the curve, sorted: the roots of f's

@@ -29,13 +29,13 @@ from functools import partial
 from .census import expected_counts
 from .elliptic import EllipticCurveE2, j_invariant, find_supersingular_seed
 from .field import FieldCtx, FieldElement
-from .genus2 import (INF, Genus2Curve, JACOBIAN_ORDER_TO_TYPE, RA_ORDER,
-                     QuadraticSplitting, canonical_key, clebsch_invariants,
-                     matching_action, matching_index, moebius_frames,
+from .genus2 import (INF, Genus2Curve, JACOBIAN_ORDER_TO_TYPE, MATCHINGS,
+                     RA_ORDER, QuadraticSplitting, canonical_key,
+                     clebsch_invariants, matching_action, matching_index,
+                     matching_splitting, moebius_frames,
                      moebius_orbits_on_splittings, moebius_stabilizing,
-                     point_splittings, ra_type_from_clebsch,
-                     splitting_points, splitting_root_pairs,
-                     weierstrass_points)
+                     point_key, point_splittings, ra_type_from_clebsch,
+                     splitting_root_pairs, weierstrass_points)
 from .gluing import (ProductKernel, ProductQuotient, ProductSurface,
                      kernel_index, kernel_maps, kernel_orbits,
                      product_kernels, quotient_diagonal, quotient_product,
@@ -85,26 +85,28 @@ class VertexKey:
         coords = ";".join(f"{a}.{b}" for a, b in self.data)
         return f"{tag}:{coords}"
 
-    def short_hash(self) -> str:
-        return hashlib.sha256(self.as_string().encode()).hexdigest()[:8]
+    def sha256(self) -> str:
+        return hashlib.sha256(self.as_string().encode()).hexdigest()
 
 
 @dataclass
 class OrbitEdge:
     """One reduced-automorphism orbit of kernels out of a vertex.
 
-    hint is (kind, codomain, dual): the quotient by kernel_rep as
-    computed (Genus2Curve | ProductSurface) and the dual kernel on it
-    (a QuadraticSplitting or a product kernel's label).  An edge derived
-    from its Frobenius partner e has hint sigma(e.hint), the quotient by
-    another kernel of its orbit, whose dual lies in the same orbit.
-    kind ("jac", "glue", "split", "prod", "induced") names the step
-    that built the edge, and "dual" an edge derived from the edge e it
-    is dual to: its hint is e's source's representative, the target's
-    own model of the quotient, and e's first kernel label there.
-    kind is informational only.  kernels labels the orbit's kernels,
-    kernel_rep's first, by small ints: a Jacobian's by the
-    genus2.MATCHINGS index of their matching of its sorted points, a
+    hint is (kind, codomain, dual): the quotient by kernel_rep as computed
+    (Genus2Curve | ProductSurface) and the dual kernel on it: a kernel
+    label, or a QuadraticSplitting on a codomain curve other than the
+    target's representative (its own model).  An edge derived from its
+    Frobenius partner e has hint sigma(e.hint), the quotient by another
+    kernel of its orbit, whose dual lies in the same orbit.  kind ("jac",
+    "glue", "split", "prod", "induced") names the step that built the
+    edge, and "dual" an edge derived from the edge e it is dual to: its
+    hint is e's source's representative, the target's own model of the
+    quotient, and e's first kernel label there.  The edge that first
+    reached a Jacobian vertex built it on its codomain, where build_graph
+    labels its dual.  kind is informational only.  kernels labels the
+    orbit's kernels, kernel_rep's first, by small ints: a Jacobian's by
+    the genus2.MATCHINGS index of their matching of its sorted points, a
     product's by their index in gluing.product_kernels().
     """
 
@@ -162,20 +164,29 @@ def ra_type_of(rep) -> str:
     return ra_type_product_vertex(j_invariant(rep.E1), j_invariant(rep.E2))
 
 
-def _make_vertex(key: VertexKey, rep, dual=None) -> Vertex:
-    """The vertex record of rep.  A Jacobian's points are the block roots
-    of dual: the splitting on the edge that reached it, or the one given
-    to neighbourhood.  Only seeds and bare curves are factored."""
+def _make_vertex(key: VertexKey, rep, pts=None) -> Vertex:
+    """The vertex record of rep.  A Jacobian's points are pts, if given:
+    the sorted block roots (_points_and_label) of the splitting on the
+    edge that reached it, or of the one given to neighbourhood.  Only
+    seeds and bare curves are factored."""
     ra_type = ra_type_of(rep)
     if key.kind != "jacobian":
         return Vertex(key=key, representative=rep, ra_type=ra_type,
                       ra_order=ra_order_product(ra_type))
-    pts = splitting_points(dual) if dual else weierstrass_points(rep)
+    pts = pts or weierstrass_points(rep)
     frames = moebius_frames(rep.ctx, pts)
     maps = list(moebius_stabilizing(rep.ctx, pts, frames))
     return Vertex(key=key, representative=rep, ra_type=ra_type,
                   ra_order=len(maps), points=pts, frames=frames,
                   ra_maps=maps)
+
+
+def _points_and_label(spl) -> tuple:
+    """The sorted Weierstrass points of y^2 = spl.curve() and the kernel
+    label of spl over them, from one splitting_root_pairs."""
+    pairs = splitting_root_pairs(spl)
+    pts = sorted(sum(pairs, ()), key=point_key)
+    return pts, matching_index([pts.index(x) for x in pr] for pr in pairs)
 
 
 def neighbourhood(rep) -> list:
@@ -189,10 +200,10 @@ def neighbourhood(rep) -> list:
     product/diagonal kernels.  One edge per orbit (_expand); when sigma
     fixes the vertex, half its sigma-paired orbits are derived.
     """
-    dual = None
+    pts = None
     if isinstance(rep, QuadraticSplitting):
-        rep, dual = rep.curve(), rep
-    return _expand(_make_vertex(VertexKey.of(rep), rep, dual))
+        rep, pts = rep.curve(), _points_and_label(rep)[0]
+    return _expand(_make_vertex(VertexKey.of(rep), rep, pts))
 
 
 def _expand(v: Vertex, vertices=None, incoming=()) -> list:
@@ -272,14 +283,17 @@ def _conjugate(x):
 
 def _conjugate_hint(e: OrbitEdge, vertices):
     """sigma of e's hint; a codomain curve's coefficients are conjugated.
-    A Jacobian dual held as a label of e's target, which is expanded, is
-    first read as the kernel_rep of its edge there, a splitting: sigma
-    does not keep the order of the points that labels index."""
+    A Jacobian dual held as a label of e's target, expanded or not, is
+    first made a splitting (matching_splitting) from the target's points:
+    sigma does not keep the order of the points that labels index."""
     kind, codomain, dual = e.hint
     if isinstance(codomain, ProductSurface):
         return kind, _conjugate(codomain), dual
     if isinstance(dual, int):
-        dual = vertices[e.target].kernel_to_edge[dual].kernel_rep
+        pts = vertices[e.target].points
+        dual = matching_splitting(codomain.ctx, (), [
+            (pts[i], pts[j]) for i, j in MATCHINGS[dual]],
+            codomain.f.leading())
     return kind, codomain.conjugate(), _conjugate(dual)
 
 
@@ -355,12 +369,9 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
     g = Graph(p=ctx.p, vertices={}, edges=[])
     bound = expected_counts(ctx.p).total()
     g.vertices[key] = _make_vertex(key, seed)
-    queue = [key]
-    qpos = 0
+    queue = [key]  # the loop below reads what it appends
     incoming = {}  # key -> the edges into it from expanded vertices
-    while qpos < len(queue):
-        cur = queue[qpos]
-        qpos += 1
+    for cur in queue:
         v = g.vertices[cur]
         v.edges = _expand(v, g.vertices, incoming.pop(cur, ()))
         edge_of = {k: e for e in v.edges for k in e.kernels}
@@ -369,8 +380,13 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
         fresh = []
         for e in v.edges:
             if e.target not in g.vertices:
-                g.vertices[e.target] = _make_vertex(e.target, e.hint[1],
-                                                    e.hint[2])
+                # a Jacobian keeps the label of the splitting it is built
+                # from, on its own model rep
+                kind, rep, dual = e.hint
+                pts, dual = (_points_and_label(dual) if e.target.kind ==
+                             "jacobian" else (None, dual))
+                e.hint = kind, rep, dual
+                g.vertices[e.target] = _make_vertex(e.target, rep, pts)
                 fresh.append(e.target)
             if not (e.is_loop or g.vertices[e.target].edges):
                 incoming.setdefault(e.target, []).append(e)
@@ -385,43 +401,31 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
 # Dual edges
 
 
-def _transport_pairing(target: Vertex, spl) -> int:
-    """The kernel label on the Jacobian vertex target of a splitting of
-    an edge's codomain, moved by _first_map from the int-pair roots of
-    spl's blocks, listed pair by pair.  Any Moebius map will do: two differ by
-    an automorphism, which keeps the image in its orbit."""
-    roots = splitting_root_pairs(spl, lambda ctx, a, b: (a, b))
-    m = _first_map(sum(roots, ()), target)
-    return matching_index(zip(m[0::2], m[1::2]))
-
-
 def _dual_label(tgt: Vertex, hint) -> int:
     """The label at the vertex tgt of the dual kernel in hint, of an
     edge into tgt.  A dual recorded on tgt's representative itself (by
     a dual-derived edge, an induced loop or the edge tgt was built from)
-    is read by the identity: a label as it is, a splitting by its root
-    pairs' places in tgt.points.  Any other is moved onto tgt's
-    representative by an isomorphism: a Jacobian's by _transport_pairing,
+    is a label there, read as it is.  Any other is moved onto tgt's
+    representative by an isomorphism: a Jacobian's splitting by the
+    _first_map of the int-pair roots of its blocks, listed pair by pair,
     a product's label by the first kernel_maps label map.  Any
     isomorphism will do: two differ by an automorphism of tgt, which
     keeps the kernel inside its orbit.  Every step records its dual, as
     steps stay in GF(p^2)."""
     _, codomain, dual = hint
     if codomain is tgt.representative:
-        if isinstance(dual, int):
-            return dual
-        at = {x: i for i, x in enumerate(tgt.points)}
-        return matching_index([at[x] for x in pair]
-                              for pair in splitting_root_pairs(dual))
+        return dual
     if isinstance(codomain, Genus2Curve):
-        return _transport_pairing(tgt, dual)
+        m = _first_map(sum(splitting_root_pairs(
+            dual, lambda ctx, a, b: (a, b)), ()), tgt)
+        return matching_index(zip(m[0::2], m[1::2]))
     return _first_map(codomain, tgt)[dual]
 
 
 def dual_edge(g: Graph, e: OrbitEdge) -> OrbitEdge:
     """The orbit edge at e.target containing the dual kernel of e: the
-    edge of its _dual_label, found with no isomorphism when e's hint
-    holds the target's own model."""
+    edge of its _dual_label, a kernel label read with no isomorphism
+    when e's hint holds the target's own model."""
     tgt = g.vertex(e.target)
     if not tgt.edges:
         raise GraphError("target vertex not expanded")
@@ -563,15 +567,17 @@ def _export_json(g: Graph) -> str:
 
 
 def _export_dot(g: Graph) -> str:
+    """Node names are v and the shortest sha256 prefix of at least 8
+    digits that tells every two vertices of g apart."""
     lines = [f'digraph richelot_{g.p} {{']
-    names = {}
+    digests, n = {key: key.sha256() for key in g.vertices}, 8
+    while len({d[:n] for d in digests.values()}) < len(digests):
+        n += 1
     for key in sorted(g.vertices):
-        v = g.vertices[key]
-        name = f'v{key.short_hash()}'
-        names[key] = name
-        lines.append(f'  {name} [label="{v.ra_type}/{key.short_hash()}"];')
+        lines.append(f'  v{digests[key][:n]} [label="'
+                     f'{g.vertices[key].ra_type}/{digests[key][:n]}"];')
     for e in sorted(g.edges, key=OrbitEdge.sort_key):
-        lines.append(f'  {names[e.source]} -> {names[e.target]} '
-                     f'[label="{e.weight}"];')
+        lines.append(f'  v{digests[e.source][:n]} -> '
+                     f'v{digests[e.target][:n]} [label="{e.weight}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

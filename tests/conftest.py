@@ -279,13 +279,24 @@ def stepped_edges_oracle(v):
 
 def recorded_dual_splitting(g, e):
     """The dual splitting recorded on the Jacobian codomain of e's hint.
-    A dual-derived edge's hint holds the target's own model, and its
-    dual as a label there: that label's edge at the target has it as
-    its first kernel, so its kernel_rep is the splitting itself."""
+    A dual recorded on the target's own model is a label there, made a
+    splitting again from the target's points: the block x^2 - (r + s)x
+    + rs, or x - r when s is INF, of each pair (r, s) of its matching."""
     dual = e.hint[2]
-    if isinstance(dual, int):
-        return g.vertex(e.target).kernel_to_edge[dual].kernel_rep
-    return dual
+    if not isinstance(dual, int):
+        return dual
+    w = g.vertex(e.target)
+    ctx, pts = w.representative.ctx, w.points
+    return splitting_of([Poly.from_roots(ctx, [x for x in (pts[a], pts[b])
+                                               if x is not INF])
+                         for a, b in MATCHINGS[dual]],
+                        w.representative.f.leading())
+
+
+def splitting_points(spl):
+    """The sorted Weierstrass points of y^2 = spl.curve() that a graph
+    vertex built from spl holds (graph._points_and_label)."""
+    return graph._points_and_label(spl)[0]
 
 
 def count_calls(monkeypatch, name, module=genus2):

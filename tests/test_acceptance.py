@@ -33,7 +33,7 @@ from richelot.genus2 import (Genus2Curve, IrrationalPointsError,
 from richelot.gluing import (GluedJacobian, ProductKernel, ProductSurface,
                              quotient_diagonal)
 from richelot.graph import (VertexKey, build_graph, dual_edge,
-                            _make_vertex, _transport_pairing, validate)
+                            _dual_label, _make_vertex, validate)
 from richelot.isogeny import delta, richelot_generic, split_degenerate
 from richelot.poly import Poly, factor_quadratic_pieces, is_squarefree
 
@@ -322,7 +322,7 @@ def test_criterion_7_round_trips():
             assert isinstance(reglue, GluedJacobian)
             assert VertexKey.jacobian(reglue.curve) == key
             v = _make_vertex(key, C)
-            label = _transport_pairing(v, reglue.dual)
+            label = _dual_label(v, ("glue", reglue.curve, reglue.dual))
             assert label_pairing(v.points, label) \
                 in _pairing_orbit(C, res.dual)
             done += 1

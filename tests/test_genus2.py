@@ -19,8 +19,8 @@ from richelot.genus2 import (INF, MATCHINGS, ClebschPoint, Genus2Curve,
                              point_splittings, QuadraticSplitting,
                              ra_type_from_automorphisms,
                              ra_type_from_clebsch, reduced_automorphisms,
-                             splitting_pairing, splitting_points,
-                             splitting_root_pairs, splittings,
+                             splitting_pairing, splitting_root_pairs,
+                             splittings,
                              transform_curve, weierstrass_points, RAType)
 from richelot.graph import build_graph
 from richelot.poly import (Poly, factor_quadratic_pieces, is_squarefree,
@@ -34,7 +34,8 @@ from conftest import (MoebiusMap, block_poly, block_roots_oracle,
                       moebius_through, poly_key_oracle,
                       random_curve_with_irrational_points,
                       random_distinct_elements, random_element,
-                      recorded_dual_splitting, splitting_of, to_zero_one_inf,
+                      recorded_dual_splitting, splitting_of,
+                      splitting_points, to_zero_one_inf,
                       transform_curve_oracle)
 
 

@@ -224,15 +224,16 @@ def dual_edge_oracle(g, e):
     graph.dual_edge replaced, kept as the reference it is checked
     against.  The split branch re-glues every diagonal kernel at the
     target and keeps those that reproduce the source curve with a
-    dual splitting in e's orbit.  A dual-derived edge ran no step, so
-    its kernel_rep is stepped here, and the record it was derived from
-    is not read."""
+    dual splitting in e's orbit.  A hint holding a label on a Jacobian
+    target, or derived from a dual, ran no step there or holds no
+    splitting, so e's kernel_rep is stepped here: no recorded label is
+    read."""
     tgt = g.vertex(e.target)
     src = g.vertex(e.source)
     if not tgt.edges:
         raise GraphError("target vertex not expanded")
     hint = e.hint
-    if hint[0] == "dual":
+    if hint[0] == "dual" or tgt.points and isinstance(hint[2], int):
         hint = (graph._jacobian_step(e.kernel_rep) if src.points
                 else graph._product_step(src, e.kernel_rep))[1]
     kind = hint[0]
@@ -733,13 +734,13 @@ def test_validate_catches_a_dual_label_moved_to_another_orbit():
 
 def test_validate_catches_a_first_reaching_dual_moved_to_another_orbit():
     # the edge that first reached a Jacobian vertex built it from its
-    # hint, whose dual splitting validate labels by the positions of
-    # its roots in the vertex's points, with no Moebius map
+    # hint, whose dual the build labelled on the vertex's points, and
+    # validate reads that label with no Moebius map
     g = build_graph(make_field(41))
     e, o = next((e, o) for e in g.edges if e.hint[0] == "jac"
                 and e.hint[1] is g.vertex(e.target).representative
                 for o in [other_weight_edge(g, e)] if o)
-    assert moved_dual_fails_validate(g, e, o.kernel_rep) \
+    assert moved_dual_fails_validate(g, e, o.kernels[0]) \
         == {"ratio principle", "dual involution"}
 
 
@@ -764,6 +765,58 @@ def test_validate_maps_only_duals_recorded_on_another_model(monkeypatch):
     assert len(moebius) == len(other) - len(onto_products) == 227
     assert searches == onto_products
     assert len(factors) == 114
+
+
+@pytest.mark.parametrize("p", [23, 41])
+def test_duals_on_the_targets_own_model_are_labels(p):
+    # a dual recorded on its target's own model is a kernel label there,
+    # at both vertex kinds: the build labels the dual splitting of the
+    # edge that first reached a Jacobian vertex when it builds the vertex
+    g = build_graph(make_field(p))
+    own = [e for e in g.edges
+           if e.hint[1] is g.vertex(e.target).representative]
+    assert {e.hint[0] for e in own if e.target.kind == "jacobian"} \
+        >= {"jac", "glue", "dual"}
+    assert all(type(e.hint[2]) is int for e in own)
+
+
+def test_validate_finds_roots_only_of_duals_on_another_model(monkeypatch):
+    # validate finds the three block roots of the dual splitting of
+    # each of the 227 Jacobian hints on another model than the target's
+    # representative, and of no other (801 before, when it labelled the
+    # 40 first-reaching splittings again)
+    g = build_graph(make_field(41))
+    roots = count_calls(monkeypatch, "_block_roots")
+    assert validate(g).ok
+    other = [e for e in g.edges if e.target.kind == "jacobian"
+             and e.hint[1] is not g.vertex(e.target).representative]
+    assert len(roots) == 3 * len(other) == 681
+
+
+def test_conjugate_hint_of_a_reaching_edge_before_its_target_expands(
+        monkeypatch):
+    # sigma of the hint of a stepped edge that first reached a Jacobian
+    # vertex, whose dual the build relabelled there, is sigma of the
+    # step's own dual splitting, read before the vertex is expanded
+    steps = {}
+    for name in ("_jacobian_step", "_product_step"):
+        def step(*args, real=getattr(graph, name)):
+            out = real(*args)
+            steps[id(out[1][1])] = out[1][2]
+            return out
+        monkeypatch.setattr(graph, name, step)
+    g = build_graph(make_field(41))
+    monkeypatch.undo()
+    reaching = [e for e in g.edges if e.hint[0] in ("jac", "glue")
+                and e.hint[1] is g.vertex(e.target).representative
+                and id(e.hint[1]) in steps]
+    for e in reaching:
+        bare = replace(g.vertex(e.target), edges=[], kernel_to_edge=())
+        kind, codomain, _ = e.hint
+        assert graph._conjugate_hint(e, {e.target: bare}) == (
+            kind, codomain.conjugate(),
+            graph._conjugate(steps[id(codomain)])), e.sort_key()
+    assert len(reaching) == 33  # the other 7 are sigma-derived
 
 
 def test_build_raises_on_two_records_in_one_orbit(monkeypatch):
@@ -982,6 +1035,27 @@ def test_export_empty_graph_skeleton():
     assert doc == {"p": 11, "vertices": [], "edges": []}
     dot = export(g, "dot")
     assert dot.startswith("digraph") and dot.rstrip().endswith("}")
+
+
+def test_export_dot_tells_keys_with_equal_short_hashes_apart():
+    # the two keys share their first 8 sha256 digits: their DOT names
+    # grow to the shortest prefix that tells them apart, so the graph
+    # keeps its two nodes and neither edge becomes a loop
+    from richelot.graph import Graph, Vertex
+    a = VertexKey("product", ((0, 0), (3, 325)))
+    b = VertexKey("product", ((0, 0), (67, 962)))
+    n = next(i for i, (x, y) in enumerate(zip(a.sha256(), b.sha256()))
+             if x != y) + 1
+    assert a.sha256()[:8] == b.sha256()[:8] == "7bc01e97" and n > 8
+    g = Graph(p=1009, vertices={k: Vertex(k, None, "Pi", 2) for k in (a, b)},
+              edges=[OrbitEdge(a, b, 15, None, False),
+                     OrbitEdge(b, a, 15, None, False)])
+    va, vb = f"v{a.sha256()[:n]}", f"v{b.sha256()[:n]}"
+    assert export(g, "dot").splitlines()[1:] == [
+        f'  {va} [label="Pi/{a.sha256()[:n]}"];',
+        f'  {vb} [label="Pi/{b.sha256()[:n]}"];',
+        f'  {va} -> {vb} [label="15"];', f'  {vb} -> {va} [label="15"];',
+        "}"]
 
 
 def test_vertex_keys_unordered_product():
