@@ -3,8 +3,8 @@
 A quadratic splitting groups the six Weierstrass points into three
 pairs; the coefficient determinant delta decides whether the quotient
 is another Jacobian (Richelot's formulas) or an elliptic product
-(split at the two fixed points u, v of the blocks' pencil, with
-U = x - u and V = x - v).
+(split at the two fixed points u, v of the blocks' pencil, where the
+factors' 2-torsion is read off the blocks' values at u and v).
 """
 
 from richelot import (make_field, Genus2Curve, Poly, splittings,
@@ -35,11 +35,12 @@ key = canonical_key(clebsch_invariants(C))
 for spl in spls:
     if delta(spl).is_zero():
         # the quotient splits: two elliptic curves
-        res = split_degenerate(spl)
+        E, E2 = split_degenerate(spl)
         print("split kernel  ->  E x E' with j-invariants",
-              j_invariant(res.E), j_invariant(res.E2))
-        print("  decomposition check F_i = a_i U^2 + b_i V^2:",
-              res.split_data.verify())
+              j_invariant(E), j_invariant(E2))
+        # E.root(i) and E2.root(i) are the images of block i
+        print("  2-torsion of E and E' by block:",
+              list(zip(E.roots(), E2.roots())))
     else:
         cod = richelot_generic(spl)
         back = richelot_generic(cod.dual)

@@ -301,7 +301,10 @@ EDGE_TABLES = {
                    (2, RAType.I), (4, RAType.A)]},
     "IV": {None: [(3, RAType.PI), (3, RAType.I), (3, RAType.I),
                   (3, RAType.I), (1, RAType.IV), (1, RAType.IV),
-                  (1, RAType.IV)]},
+                  (1, RAType.IV)],
+           # each of the 24 Type-IV parameters at p = 7 sends one
+           # weight-1 orbit to Type V or back to the vertex: no row
+           7: None},
     "V": {
         None: [(1, RAType.SIGMA0), (3, LOOP), (3, RAType.SIGMA),
                (2, RAType.IV), (6, RAType.I)],
@@ -327,15 +330,28 @@ EDGE_TABLES = {
     },
     # Type-II is verified per-kernel; see TYPE_II_TABLE.
     RAType.PI: {None: [(1, RAType.PI)] * 9 + [(1, RAType.I)] * 6},
+    # at p = 7 the sampled factor E of the Sigma, Pi0 and Pi1728 rows
+    # always has j = 2 = 54000, a 2-neighbour of j = 0: it is the one j
+    # outside {0, 1728} whose curves and their 2-isogenous curves all
+    # have rational 2-torsion; columns derived by enumeration
     RAType.SIGMA: {None: [(1, RAType.SIGMA)] * 3 + [(2, RAType.PI)] * 3
                    + [(1, LOOP)] + [(1, RAType.III)] * 3
-                   + [(2, RAType.I)]},
+                   + [(2, RAType.I)],
+                   7: [(1, RAType.SIGMA)] * 2 + [(1, RAType.SIGMA0)]
+                   + [(2, RAType.PI), (2, RAType.PI0), (2, RAType.PI0)]
+                   + [(1, LOOP), (1, RAType.III), (1, RAType.III)]
+                   + [(1, RAType.V), (2, RAType.I)]},
     # at p = 11 the quotient j-invariants collide with the special
     # values (54000 = 1728 and 287496 = 0 mod 11), shifting the
     # product-orbit targets; columns derived by enumeration
     RAType.PI0: {None: [(3, RAType.PI)] * 3 + [(3, RAType.I)] * 2,
+                 7: [(3, RAType.PI)] * 2 + [(3, LOOP)]
+                 + [(3, RAType.I)] * 2,
                  11: [(3, RAType.PI1728)] * 3 + [(3, RAType.I)] * 2},
     RAType.PI1728: {None: [(1, RAType.PI1728)] * 3 + [(2, RAType.PI)] * 3
+                    + [(2, RAType.I)] * 3,
+                    7: [(1, RAType.PI1728)] * 2 + [(1, RAType.PI01728)]
+                    + [(2, RAType.PI1728)] * 2 + [(2, RAType.PI01728)]
                     + [(2, RAType.I)] * 3,
                     11: [(1, RAType.PI1728)] * 3 + [(2, RAType.PI0)] * 3
                     + [(2, RAType.I)] * 3},
@@ -426,7 +442,10 @@ def _edge_labels(edges) -> list:
 
 def _expected_for(case: str, p: int) -> list:
     table = EDGE_TABLES[case]
-    return sorted(table.get(p, table[None]))
+    row = table.get(p, table[None])
+    if row is None:
+        raise AtlasError(f"no generic Type-{case} vertex at p = {p}")
+    return sorted(row)
 
 
 def _seeded_rng(case: str, p: int, attempt: int) -> random.Random:
@@ -512,12 +531,11 @@ def _check_iii_isogenous_factors(ctx, u, edges) -> str:
     one = ctx.one
     u2 = u * u
     E = EllipticCurveE2(one, u2, u2.inverse())
-    phi = two_isogeny(E, 1)  # kernel <(1, 0)>
     coeff = 2 * (u2 * u2 - 6 * u2 + one) / ((u2 + one) * (u2 + one))
     stated = Poly(ctx, [one, coeff, one]) * Poly(ctx, [-one, one])
     stated = stated * ctx.from_int(-2)
     j_stated = j_of_cubic(ctx, stated[3], stated[2], stated[1], stated[0])
-    if j_invariant(phi.codomain) != j_stated:
+    if j_invariant(two_isogeny(E, 1)) != j_stated:  # E/<(1, 0)>
         return "FAIL: Velu quotient does not match the closed form"
     seen = {j_invariant(F).key() for e in edges
             if e.weight == 1 and _target_type(e) == RAType.SIGMA

@@ -56,22 +56,6 @@ class EllipticCurveE2:
         return f"E({self.r1}, {self.r2}, {self.r3})"
 
 
-@dataclass(frozen=True)
-class TwoIsogeny:
-    """A 2-isogeny E -> E/<P_k> with codomain 2-torsion tracked.
-
-    torsion_image maps each surviving domain index (the two indices
-    other than kernel_index) to the codomain index of its image; both
-    surviving points map to the same codomain point, which generates
-    the kernel of the dual isogeny.
-    """
-
-    domain: EllipticCurveE2
-    kernel_index: int
-    codomain: EllipticCurveE2
-    torsion_image: dict
-
-
 def j_invariant(E: EllipticCurveE2) -> FieldElement:
     """The j-invariant, via the cross-ratio of the three roots."""
     lam = (E.r3 - E.r1) / (E.r2 - E.r1)
@@ -81,20 +65,20 @@ def j_invariant(E: EllipticCurveE2) -> FieldElement:
     return num / den
 
 
-def two_isogeny(E: EllipticCurveE2, i: int) -> TwoIsogeny:
-    """Quotient by <P_i>, by Velu's formulas on the translated model.
+def two_isogeny(E: EllipticCurveE2, i: int) -> EllipticCurveE2:
+    """The codomain E/<P_i>, by Velu's formulas on the translated model.
 
     Translating P_i to the origin gives y^2 = x(x^2 + Ax + B); the
-    quotient is y^2 = x(x^2 - 2Ax + (A^2 - 4B)), and both surviving
-    2-torsion points map onto the codomain point above the origin.
+    quotient is y^2 = x(x^2 - 2Ax + (A^2 - 4B)).  Both surviving
+    2-torsion points map onto the codomain's first root, the point
+    above the origin, so P_1 of the codomain generates the kernel of
+    the dual isogeny.
     """
     if i not in (1, 2, 3):
         raise EllipticError(f"kernel index must be 1..3, got {i}")
     ctx = E.ctx
     rk = E.root(i)
-    survivors = [k for k in (1, 2, 3) if k != i]
-    a = E.root(survivors[0]) - rk
-    b = E.root(survivors[1]) - rk
+    a, b = (E.root(k) - rk for k in (1, 2, 3) if k != i)
     A = -(a + b)
     B = a * b
     s = B.sqrt()
@@ -109,9 +93,7 @@ def two_isogeny(E: EllipticCurveE2, i: int) -> TwoIsogeny:
     r_new = [rk, rk + u, rk + v]
     if r_new[2] < r_new[1]:
         r_new[1], r_new[2] = r_new[2], r_new[1]
-    cod = EllipticCurveE2(*r_new)
-    return TwoIsogeny(domain=E, kernel_index=i, codomain=cod,
-                      torsion_image={survivors[0]: 1, survivors[1]: 1})
+    return EllipticCurveE2(*r_new)
 
 
 def is_supersingular(E: EllipticCurveE2) -> bool:

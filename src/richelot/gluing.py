@@ -19,6 +19,7 @@ from .elliptic import (EllipticCurveE2, isomorphisms_with_torsion,
 from .field import FieldElement
 from .genus2 import Genus2Curve, Genus2Error, QuadraticSplitting, RAType, \
     RA_ORDER, block_product, monic_block, orbit_partition
+from .isogeny import JacobianCodomain
 
 
 class GluingError(ValueError):
@@ -102,47 +103,30 @@ def kernel_index(k: ProductKernel) -> int:
     return _KERNEL_INDEX[k.elements()]
 
 
-@dataclass(frozen=True)
-class ProductQuotient:
-    """Quotient isomorphic to a product (for an isomorphism-induced
-    diagonal kernel, the original surface again)."""
-
-    surface: ProductSurface
-
-
-@dataclass(frozen=True)
-class GluedJacobian:
-    """Quotient glued to a Jacobian; `dual` is the splitting of the
-    dual kernel."""
-
-    curve: Genus2Curve
-    dual: QuadraticSplitting
-
-
-def quotient_product(S: ProductSurface, k: ProductKernel) -> ProductQuotient:
-    """Quotient by a product kernel: psi_i x psi_j via Velu's formulas."""
+def quotient_product(S: ProductSurface, k: ProductKernel) -> ProductSurface:
+    """The codomain of psi_i x psi_j, the quotient by a product kernel,
+    via Velu's formulas.  Both factors carry the dual-kernel point as
+    their first root (two_isogeny), so the dual kernel is K(1,1)."""
     if k.kind != "product":
         raise GluingError("need a product kernel")
-    psi1 = two_isogeny(S.E1, k.i)
-    psi2 = two_isogeny(S.E2, k.j)
-    return ProductQuotient(surface=ProductSurface(psi1.codomain,
-                                                  psi2.codomain))
+    return ProductSurface(two_isogeny(S.E1, k.i), two_isogeny(S.E2, k.j))
 
 
 def quotient_diagonal(S: ProductSurface, k: ProductKernel):
     """Quotient by an anti-isometry kernel K_pi.
 
     If the matching P_i -> P'_pi(i) is induced by an isomorphism of
-    the factors, the quotient is E1 x E2 again (a ProductQuotient);
-    otherwise the Howe--Leprevost--Poonen construction produces the
-    genus-2 curve y^2 = -F1 F2 F3 whose Jacobian is the quotient,
-    with dual kernel the splitting {F1, F2, F3}.
+    the factors, the quotient is E1 x E2 again, and S itself is
+    returned; otherwise the Howe--Leprevost--Poonen construction
+    produces the genus-2 curve y^2 = -F1 F2 F3 whose Jacobian is the
+    quotient, returned as a JacobianCodomain whose dual is the
+    splitting {F1, F2, F3} of the dual kernel.
     """
     if k.kind != "diagonal":
         raise GluingError("need a diagonal kernel")
     pi = k.perm
     if pi in isomorphisms_with_torsion(S.E1, S.E2):
-        return ProductQuotient(surface=S)
+        return S
     ctx = S.ctx
     s = S.E1.roots()
     sp = tuple(S.E2.root(pi[t]) for t in range(3))
@@ -175,7 +159,7 @@ def quotient_diagonal(S: ProductSurface, k: ProductKernel):
     except Genus2Error as exc:
         raise DegenerateGluingError(f"glued curve invalid: {exc}", k) \
             from exc
-    return GluedJacobian(curve, QuadraticSplitting.make(
+    return JacobianCodomain(curve, QuadraticSplitting.make(
         [monic_block(ctx, b) for b in blocks], f.leading()))
 
 

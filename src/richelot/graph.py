@@ -36,9 +36,9 @@ from .genus2 import (INF, Genus2Curve, JACOBIAN_ORDER_TO_TYPE, MATCHINGS,
                      moebius_orbits_on_splittings, moebius_stabilizing,
                      point_key, point_splittings, ra_type_from_clebsch,
                      splitting_root_pairs, weierstrass_points)
-from .gluing import (ProductKernel, ProductQuotient, ProductSurface,
-                     kernel_index, kernel_maps, kernel_orbits,
-                     product_kernels, quotient_diagonal, quotient_product,
+from .gluing import (ProductKernel, ProductSurface, kernel_index,
+                     kernel_maps, kernel_orbits, product_kernels,
+                     quotient_diagonal, quotient_product,
                      ra_order_product, ra_type_product_vertex)
 from .isogeny import delta, richelot_generic, split_degenerate
 
@@ -326,8 +326,7 @@ def _jacobian_step(spl):
     if not d.is_zero():
         cod = richelot_generic(spl, d)
         return VertexKey.jacobian(cod.curve), ("jac", cod.curve, cod.dual)
-    sp = split_degenerate(spl, d)
-    S = ProductSurface(sp.E, sp.E2)
+    S = ProductSurface(*split_degenerate(spl, d))
     # the i <-> i matching generates the dual kernel
     return VertexKey.of_surface(S), (
         "split", S, kernel_index(ProductKernel.diagonal((1, 2, 3))))
@@ -340,9 +339,9 @@ def _product_step(v: Vertex, k):
         # both Velu codomains carry the dual point as their first root,
         # so the dual kernel is K(1,1)
         dual = kernel_index(ProductKernel.product(1, 1))
-        return VertexKey.of_surface(q.surface), ("prod", q.surface, dual)
+        return VertexKey.of_surface(q), ("prod", q, dual)
     res = quotient_diagonal(S, k)
-    if isinstance(res, ProductQuotient):
+    if res is S:
         # isomorphism-induced: the quotient is S again, and its
         # identification maps the kernel onto itself (self-dual)
         return v.key, ("induced", S, kernel_index(k))

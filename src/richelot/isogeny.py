@@ -6,8 +6,8 @@ delta != 0 gives another Jacobian via Richelot's formulas (with the
 dual kernel as the codomain splitting), delta = 0 splits the quotient
 into a product of two elliptic curves.  Then the blocks span a pencil
 with two square members (x - u)^2 and (x - v)^2, at the fixed points
-u, v where Richelot's minor of two blocks vanishes, and each block
-decomposes in closed form as F_i = alpha_i (x - u)^2 + beta_i (x - v)^2.
+u, v where Richelot's minor of two blocks vanishes, and the factors'
+roots are read off the blocks' values at u and v.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ def delta(s: QuadraticSplitting) -> FieldElement:
 
 @dataclass(frozen=True)
 class JacobianCodomain:
-    """Result of a generic Richelot step: the new curve and the
-    splitting corresponding to the dual kernel."""
+    """A quotient that is a Jacobian, from Richelot's formulas or the
+    HLP gluing: the new curve and the splitting of the dual kernel."""
 
     curve: Genus2Curve
     dual: QuadraticSplitting
@@ -67,50 +67,8 @@ def richelot_generic(s: QuadraticSplitting, d=None) -> JacobianCodomain:
         [monic_block(ctx, g) for g in G], curve.f.leading()))
 
 
-@dataclass(frozen=True)
-class DegenerateSplitData:
-    """Witness of the decomposition F_i = alpha_i U^2 + beta_i V^2.
-
-    U = x - u and V = x - v for the pencil's fixed points u and v, as
-    coefficient pairs (c0, c1) for c0 + c1*x; V = (1, 0) when v is at
-    infinity.  `blocks` holds the blocks as coefficient triples
-    (c0, c1, c2) of FieldElements.  Indexing follows the splitting's
-    block order.
-    """
-
-    U: tuple
-    V: tuple
-    alphas: tuple
-    betas: tuple
-    blocks: tuple
-
-    def verify(self) -> bool:
-        """Check F_i = alpha_i U^2 + beta_i V^2 coefficientwise."""
-        u0, u1 = self.U
-        v0, v1 = self.V
-        usq = (u0 * u0, 2 * (u0 * u1), u1 * u1)
-        vsq = (v0 * v0, 2 * (v0 * v1), v1 * v1)
-        return all(al * usq[t] + be * vsq[t] == g[t]
-                   for g, al, be in zip(self.blocks, self.alphas, self.betas)
-                   for t in range(3))
-
-
-@dataclass(frozen=True)
-class SplitCodomain:
-    """Result of a degenerate (delta = 0) step: an elliptic product.
-
-    The root triples of E and E2 are ordered by the splitting's block
-    index: E.root(i) and E2.root(i) are the images of block i, and the
-    matching i <-> i is the anti-isometry generating the dual kernel.
-    """
-
-    E: EllipticCurveE2
-    E2: EllipticCurveE2
-    split_data: DegenerateSplitData
-
-
-def split_degenerate(s: QuadraticSplitting, d=None) -> SplitCodomain:
-    """Split a delta = 0 quotient into its elliptic product.
+def split_degenerate(s: QuadraticSplitting, d=None) -> tuple:
+    """Split a delta = 0 quotient into its elliptic product (E, E2).
 
     The blocks span a pencil whose two square members are (x - u)^2 and
     (x - v)^2, for the fixed points u, v: the roots of the pencil's
@@ -124,8 +82,10 @@ def split_degenerate(s: QuadraticSplitting, d=None) -> SplitCodomain:
     beta_i = F_i(u)/w and w = (u - v)^2 (when v = infinity, F_i(v) is
     the leading coefficient and w = 1).  The factors are
     E: y^2 = prod(alpha_i x + beta_i), with roots -F_i(u)/F_i(v), and
-    E2: y^2 = prod(beta_i x + alpha_i).  d is delta(s), when the caller
-    has it.
+    E2: y^2 = prod(beta_i x + alpha_i); w cancels from both.  E.root(i)
+    and E2.root(i) are the images of block i, so the matching i <-> i
+    is the anti-isometry that generates the dual kernel.  d is delta(s),
+    when the caller has it.
 
     On the graph of a seed with full rational 2-torsion, as the default
     E x E, u and v are rational: E has trace +-2p, so Frobenius is +-p,
@@ -149,20 +109,13 @@ def split_degenerate(s: QuadraticSplitting, d=None) -> SplitCodomain:
             block_product(K, s.blocks, s.scale.key()))
     if g2.is_zero():  # the minor g0 + 2h x has one root; v is at infinity
         u = -(g0 / (2 * h))
-        V, w, Fv = (K.one, K.zero), K.one, [t[2] for t in trip]
+        Fv = [t[2] for t in trip]
     else:
         u, v = (root - h) / g2, -(root + h) / g2
-        V, w = (-v, K.one), (u - v) * (u - v)
         Fv = [t[0] + v * (t[1] + v * t[2]) for t in trip]
     Fu = [t[0] + u * (t[1] + u * t[2]) for t in trip]
     if any(x.is_zero() for x in Fu + Fv):
         raise RichelotError(
             "degenerate alpha/beta; input cannot be squarefree")
-    winv = w.inverse()
-    data = DegenerateSplitData(
-        U=(-u, K.one), V=V, alphas=tuple(x * winv for x in Fv),
-        betas=tuple(x * winv for x in Fu), blocks=tuple(trip))
-    E = EllipticCurveE2(*(-(a / b) for a, b in zip(Fu, Fv)))
-    E2 = EllipticCurveE2(*(-(b / a) for a, b in zip(Fu, Fv)))
-    return SplitCodomain(E=E, E2=E2, split_data=data)
-
+    return (EllipticCurveE2(*(-(a / b) for a, b in zip(Fu, Fv))),
+            EllipticCurveE2(*(-(b / a) for a, b in zip(Fu, Fv))))

@@ -7,7 +7,7 @@ from math import comb, gcd
 
 import pytest
 
-from richelot import genus2, gluing, graph
+from richelot import genus2, gluing, graph, isogeny
 from richelot.field import FieldElement, make_field
 from richelot.genus2 import (INF, MATCHINGS, Genus2Curve, Genus2Error,
                              IrrationalPointsError, QuadraticSplitting,
@@ -15,8 +15,7 @@ from richelot.genus2 import (INF, MATCHINGS, Genus2Curve, Genus2Error,
 from richelot.elliptic import EllipticCurveE2
 from richelot.gluing import product_kernels
 from richelot.poly import Poly, PolyError, is_squarefree, roots
-from richelot.isogeny import (DegenerateSplitData, JacobianCodomain,
-                              RichelotError, SplitCodomain)
+from richelot.isogeny import JacobianCodomain, RichelotError
 
 
 @pytest.fixture(scope="session")
@@ -519,12 +518,42 @@ def _pencil_coordinates(P, Q, F):
     raise RichelotError("U^2 and V^2 are not independent")
 
 
+@dataclass(frozen=True)
+class DegenerateSplitData:
+    """Witness of the decomposition F_i = alpha_i U^2 + beta_i V^2.
+
+    U and V are coefficient pairs (c0, c1) for c0 + c1*x, with (1, 0)
+    for a fixed point at infinity.  `blocks` holds the blocks as
+    coefficient triples (c0, c1, c2) of FieldElements.  Indexing
+    follows the splitting's block order.
+    """
+
+    U: tuple
+    V: tuple
+    alphas: tuple
+    betas: tuple
+    blocks: tuple
+
+    def verify(self) -> bool:
+        """Check F_i = alpha_i U^2 + beta_i V^2 coefficientwise."""
+        u0, u1 = self.U
+        v0, v1 = self.V
+        usq = (u0 * u0, 2 * (u0 * u1), u1 * u1)
+        vsq = (v0 * v0, 2 * (v0 * v1), v1 * v1)
+        return all(al * usq[t] + be * vsq[t] == g[t]
+                   for g, al, be in zip(self.blocks, self.alphas, self.betas)
+                   for t in range(3))
+
+
 def split_pencil_oracle(s):
     """A delta = 0 quotient split by the pencil method: F1 + t*F2 is a
     perfect square U^2, V^2 at the two roots t of its discriminant, and
     each block is solved for its coordinates F_i = alpha_i U^2 + beta_i
     V^2.  When the roots t are irrational, so are U and V, and it raises
-    IrrationalPointsError on the product of the blocks.  What
+    IrrationalPointsError on the product of the blocks.  Returns
+    (E, E2, witness): E: y^2 = prod(alpha_i x + beta_i) and
+    E2: y^2 = prod(beta_i x + alpha_i), with roots in block order, and
+    the DegenerateSplitData of the decomposition.  What
     isogeny.split_degenerate computed before the closed form at the
     pencil's fixed points, kept as its oracle."""
     ctx = s.ctx
@@ -548,8 +577,28 @@ def split_pencil_oracle(s):
     alphas, betas = zip(*(_pencil_coordinates(usq, vsq, t) for t in trip))
     e_roots = [-(be / al) for al, be in zip(alphas, betas)]
     e2_roots = [-(al / be) for al, be in zip(alphas, betas)]
-    return SplitCodomain(EllipticCurveE2(*e_roots), EllipticCurveE2(
-        *e2_roots), DegenerateSplitData(U, V, alphas, betas, tuple(trip)))
+    return (EllipticCurveE2(*e_roots), EllipticCurveE2(*e2_roots),
+            DegenerateSplitData(U, V, alphas, betas, tuple(trip)))
+
+
+def split_outcome(split, spl):
+    """The unordered pair of the factors' root triples, each in block
+    order, that split (split_degenerate or split_pencil_oracle) gives
+    on spl, or the IrrationalPointsError text."""
+    try:
+        E, E2 = split(spl)[:2]
+    except IrrationalPointsError as exc:
+        return str(exc)
+    return frozenset(tuple(r.key() for r in F.roots()) for F in (E, E2))
+
+
+def check_split_against_oracle(spl):
+    """split_degenerate's (E, E2) on a rational delta = 0 splitting is
+    the pencil oracle's pair, and the oracle's witness verifies."""
+    got = split_outcome(isogeny.split_degenerate, spl)
+    assert not isinstance(got, str), got
+    assert got == split_outcome(split_pencil_oracle, spl)
+    assert split_pencil_oracle(spl)[2].verify()
 
 
 # ---------------------------------------------------------------------------

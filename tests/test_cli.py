@@ -47,6 +47,19 @@ def test_verify_atlas_case(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_verify_atlas_skips_type_iv_at_7(capsys):
+    # no Type-IV parameter at p = 7 is generic, so case IV is skipped
+    # like II and Pi there, and every other case passes
+    assert run(["verify-atlas", "-p", "7"]) == 0
+    out = capsys.readouterr().out
+    assert "[SKIP] case IV at p=7: no generic Type-IV vertex at p = 7" \
+        in out
+    assert [line.split()[2] for line in out.splitlines()
+            if line.startswith("[SKIP]")] == ["IV", "II", "Pi"]
+    assert "FAIL" not in out
+    assert out.count("[PASS]") == 10
+
+
 def test_neighbourhood_sextic(capsys):
     # x^5 - 1 over GF(19^2): three orbits of five
     assert run(["neighbourhood", "-p", "19",

@@ -6,12 +6,12 @@ from richelot.elliptic import EllipticCurveE2, j_invariant
 from richelot.genus2 import RAType, ra_type_from_clebsch, clebsch_invariants
 from itertools import permutations
 
-from richelot.gluing import (GluedJacobian, GluingError, ProductKernel,
-                             ProductQuotient, ProductSurface, kernel_action,
-                             kernel_maps, kernel_orbits, product_kernels,
-                             quotient_diagonal, quotient_product,
-                             ra_order_product, ra_type_product_vertex)
-from richelot.isogeny import delta, split_degenerate
+from richelot.gluing import (GluingError, ProductKernel, ProductSurface,
+                             kernel_action, kernel_maps, kernel_orbits,
+                             product_kernels, quotient_diagonal,
+                             quotient_product, ra_order_product,
+                             ra_type_product_vertex)
+from richelot.isogeny import JacobianCodomain, delta, split_degenerate
 
 from conftest import kernel_map_oracle, random_distinct_elements
 
@@ -47,7 +47,7 @@ def test_quotient_product_e1728_fixed_kernel(ctx11):
     # j = 1728
     S = ProductSurface(e_1728(ctx11), e_0(ctx11))
     q = quotient_product(S, ProductKernel.product(3, 1))
-    assert j_invariant(q.surface.E1) == ctx11.from_int(1728)
+    assert j_invariant(q.E1) == ctx11.from_int(1728)
 
 
 def test_quotient_product_e0_square(ctx11):
@@ -56,8 +56,7 @@ def test_quotient_product_e0_square(ctx11):
     for i in (1, 2, 3):
         for j in (1, 2, 3):
             q = quotient_product(S, ProductKernel.product(i, j))
-            js.add((j_invariant(q.surface.E1).key(),
-                    j_invariant(q.surface.E2).key()))
+            js.add((j_invariant(q.E1).key(), j_invariant(q.E2).key()))
     assert len(js) == 1  # zeta cycles the kernels; all quotients agree
 
 
@@ -70,8 +69,8 @@ def test_quotient_then_dual_returns_j_pair(ctx23, rng):
         except Exception:
             continue
         # dual kernel is the pair of dual-kernel points, both index 1
-        back1 = two_isogeny(q.surface.E1, 1).codomain
-        back2 = two_isogeny(q.surface.E2, 1).codomain
+        back1 = two_isogeny(q.E1, 1)
+        back2 = two_isogeny(q.E2, 1)
         assert sorted([j_invariant(back1), j_invariant(back2)]) \
             == sorted([j_invariant(S.E1), j_invariant(S.E2)])
 
@@ -81,9 +80,7 @@ def test_induced_diagonal_is_product(ctx23, rng):
     rs = random_distinct_elements(ctx23, rng, 3)
     E = EllipticCurveE2(*rs)
     S = ProductSurface(E, E)
-    res = quotient_diagonal(S, ProductKernel.diagonal((1, 2, 3)))
-    assert isinstance(res, ProductQuotient)
-    assert res.surface is S
+    assert quotient_diagonal(S, ProductKernel.diagonal((1, 2, 3))) is S
 
 
 def test_gluing_generic_is_type_i(ctx23, rng):
@@ -94,7 +91,7 @@ def test_gluing_generic_is_type_i(ctx23, rng):
             continue
         for perm in ((1, 2, 3), (2, 3, 1), (1, 3, 2)):
             res = quotient_diagonal(S, ProductKernel.diagonal(perm))
-            assert isinstance(res, GluedJacobian)
+            assert isinstance(res, JacobianCodomain)
             assert ra_type_from_clebsch(
                 clebsch_invariants(res.curve)) == RAType.I
             assert delta(res.dual).is_zero()
@@ -105,7 +102,7 @@ def test_gluing_e0_e1728_at_11_is_type_iv(ctx11):
     S = ProductSurface(e_0(ctx11), e_1728(ctx11))
     for perm in ((1, 2, 3), (3, 1, 2)):
         res = quotient_diagonal(S, ProductKernel.diagonal(perm))
-        assert isinstance(res, GluedJacobian)
+        assert isinstance(res, JacobianCodomain)
         assert ra_type_from_clebsch(
             clebsch_invariants(res.curve)) == RAType.IV
 
@@ -114,10 +111,10 @@ def test_glue_split_round_trip(ctx23, rng):
     for _ in range(8):
         S = random_product(ctx23, rng)
         res = quotient_diagonal(S, ProductKernel.diagonal((2, 3, 1)))
-        if not isinstance(res, GluedJacobian):
+        if not isinstance(res, JacobianCodomain):
             continue
-        sp = split_degenerate(res.dual)
-        assert sorted([j_invariant(sp.E), j_invariant(sp.E2)]) \
+        E, E2 = split_degenerate(res.dual)
+        assert sorted([j_invariant(E), j_invariant(E2)]) \
             == list(S.j_pair())
 
 

@@ -18,11 +18,11 @@ from richelot.genus2 import (Genus2Curve, IrrationalPointsError, RAType,
                              moebius_stabilizing, point_key,
                              reduced_automorphisms, splitting_root_pairs,
                              splittings, weierstrass_points)
-from richelot.gluing import (GluedJacobian, ProductKernel, ProductSurface,
-                             kernel_maps, product_kernels,
-                             quotient_diagonal)
+from richelot.gluing import (ProductKernel, ProductSurface, kernel_maps,
+                             product_kernels, quotient_diagonal)
 from richelot.graph import (GraphError, OrbitEdge, build_graph, dual_edge,
                             export, neighbourhood, validate, VertexKey)
+from richelot.isogeny import JacobianCodomain
 from richelot.poly import Poly
 
 from conftest import (clear_genus2_caches, count_calls, isomorphisms_oracle,
@@ -160,7 +160,7 @@ def test_bfs_seed_independence_p13():
     # an alternative supersingular seed: the 2-isogenous curve
     from richelot.elliptic import find_supersingular_seed
     E = find_supersingular_seed(ctx)
-    E2 = two_isogeny(E, 2).codomain
+    E2 = two_isogeny(E, 2)
     g2 = build_graph(ctx, seed=ProductSurface(E2, E))
     assert export(g1, "json") == export(g2, "json")
 
@@ -277,7 +277,7 @@ def dual_edge_oracle(g, e):
         for perm in sorted(permutations((1, 2, 3))):
             kk = ProductKernel.diagonal(perm)
             res = quotient_diagonal(S_rep, kk)
-            if not isinstance(res, GluedJacobian):
+            if not isinstance(res, JacobianCodomain):
                 continue
             if VertexKey.jacobian(res.curve) != e.source:
                 continue
