@@ -4,13 +4,12 @@ Vertices are isomorphism classes of principally polarized abelian
 surfaces: Jacobians keyed by their canonical Clebsch tuple, elliptic
 products keyed by the unordered pair of j-invariants.  Edges are
 reduced-automorphism orbits of kernels, weighted by orbit size; orbits
-with equal endpoints are kept separate, as in the source tables.  Each
-edge records the quotient it computed and the dual kernel on that
-quotient.  build_graph runs a breadth-first closure from a supersingular
-product seed; validate checks 15-regularity, the ratio principle, dual
-involutivity (each recorded dual kernel read on the target's
-representative, moved by an isomorphism if recorded on another model),
-classifier agreement, the mass formula and the Frobenius mirror:
+with equal endpoints are kept separate, as in the source tables.
+build_graph runs a breadth-first closure from a supersingular product
+seed, and records each edge's dual kernel as a label on the target's
+representative, moved there once; validate checks 15-regularity, the
+ratio principle and dual involutivity on those labels, classifier
+agreement, the mass formula and the Frobenius mirror:
 sigma(a + b*i) = a - b*i maps the graph onto itself, as steps have GF(p)
 coefficients and keys are Galois-stable, so _expand derives each edge
 whose sigma-image it knows.  Each isogeny A -> B has a dual B -> A, so
@@ -93,21 +92,19 @@ class VertexKey:
 class OrbitEdge:
     """One reduced-automorphism orbit of kernels out of a vertex.
 
-    hint is (kind, codomain, dual): the quotient by kernel_rep as computed
-    (Genus2Curve | ProductSurface) and the dual kernel on it: a kernel
-    label, or a QuadraticSplitting on a codomain curve other than the
-    target's representative (its own model).  An edge derived from its
-    Frobenius partner e has hint sigma(e.hint), the quotient by another
-    kernel of its orbit, whose dual lies in the same orbit.  kind ("jac",
-    "glue", "split", "prod", "induced") names the step that built the
-    edge, and "dual" an edge derived from the edge e it is dual to: its
-    hint is e's source's representative, the target's own model of the
-    quotient, and e's first kernel label there.  The edge that first
-    reached a Jacobian vertex built it on its codomain, where build_graph
-    labels its dual.  kind is informational only.  kernels labels the
-    orbit's kernels, kernel_rep's first, by small ints: a Jacobian's by
-    the genus2.MATCHINGS index of their matching of its sorted points, a
-    product's by their index in gluing.product_kernels().
+    hint is (kind, codomain, dual): in a built graph, the target's
+    representative and the dual kernel's label there.  As _expand makes
+    it, the quotient by kernel_rep as computed and the dual on it: a
+    label, or a QuadraticSplitting on a curve a step computed.  An edge
+    derived from its Frobenius partner e has hint sigma(e.hint), the
+    quotient by another kernel of its orbit, whose dual lies in the same
+    orbit.  kind ("jac", "glue", "split", "prod", "induced") names the
+    step that built the edge, and "dual" an edge derived from the edge e
+    it is dual to: its hint is e's source's representative and e's
+    first kernel label there.  kind is informational only.  kernels
+    labels the orbit's kernels, kernel_rep's first, by small ints: a
+    Jacobian's by the genus2.MATCHINGS index of their matching of its
+    sorted points, a product's by their index in gluing.product_kernels().
     """
 
     source: VertexKey
@@ -129,10 +126,11 @@ class Vertex:
     A Jacobian's points are its sorted Weierstrass points, frames their
     moebius_frames, and ra_maps its RA maps as index maps of the points,
     read off the frames once: reduced_automorphisms of the
-    representative.  edges are the orbit edges out of the vertex;
-    kernel_to_edge is the 15-tuple of their edges by kernel label
-    (OrbitEdge.kernels), for dual_edge to look duals up in.  build_graph
-    fills in both when it expands the vertex.
+    representative; only the build reads the frames, for the RA maps,
+    the Frobenius labels and the duals moved onto the vertex.  edges are
+    the orbit edges out of the vertex; kernel_to_edge is the 15-tuple of
+    their edges by kernel label (OrbitEdge.kernels), for dual_edge to
+    look duals up in.  build_graph fills in both when it expands it.
     """
 
     key: VertexKey
@@ -157,8 +155,7 @@ class Graph:
 
 
 def ra_type_of(rep) -> str:
-    """RA type of a vertex representative (Genus2Curve or
-    ProductSurface)."""
+    """RA type of a vertex representative (curve or product)."""
     if isinstance(rep, Genus2Curve):
         return ra_type_from_clebsch(clebsch_invariants(rep))
     return ra_type_product_vertex(j_invariant(rep.E1), j_invariant(rep.E2))
@@ -209,16 +206,17 @@ def neighbourhood(rep) -> list:
 def _expand(v: Vertex, vertices=None, incoming=()) -> list:
     """The orbit edges out of v, one per RA orbit of its 15 kernels.
 
-    An orbit holding the dual (_dual_label) of an edge e in incoming,
-    which runs into v from the expanded vertex s, takes target s and
-    hint ("dual", s's representative, e's first label).  Else an orbit
-    holding the Frobenius images (_frobenius_labels) of the kernels of a
-    known edge e takes target sigma(e.target) and hint sigma(e.hint);
-    every other orbit steps on its first kernel.  Known edges are those
-    of sigma(v), if expanded (in vertices), when no dual is read, or, if
-    sigma fixes v, v's earlier orbits.  Raises GraphError if an orbit
-    holds two duals, maps from two edges, or names a target other than
-    its partner's image, or if sigma moves a self-paired orbit's target.
+    An orbit holding the dual of an edge e in incoming, which runs into
+    v from the expanded vertex s, read as the label e.hint[2], takes
+    target s and hint ("dual", s's representative, e's first label).
+    Else an orbit holding the Frobenius images (_frobenius_labels) of
+    the kernels of a known edge e takes target sigma(e.target) and hint
+    sigma(e.hint); every other orbit steps on its first kernel.  Known
+    edges are those of sigma(v), if expanded (in vertices), when no dual
+    is read, or, if sigma fixes v, v's earlier orbits.  Raises
+    GraphError if an orbit holds two duals, maps from two edges, or
+    names a target other than its partner's image, or if sigma moves a
+    self-paired orbit's target.
     """
     if v.key.kind == "jacobian":
         f = v.representative.f
@@ -234,7 +232,7 @@ def _expand(v: Vertex, vertices=None, incoming=()) -> list:
     act = u and (u is v or u.edges) and _frobenius_labels(u, v)
     # at a sigma-fixed vertex u is v, whose edges are not yet made
     known = {act[k]: e for e in u.edges for k in e.kernels} if act else {}
-    duals = [] if known else [(_dual_label(v, d.hint), d) for d in incoming]
+    duals = () if known else incoming
     edges = []
     for orbit in orbits:
         ks = tuple(labels[i] for i in orbit)
@@ -242,7 +240,7 @@ def _expand(v: Vertex, vertices=None, incoming=()) -> list:
         if any(known.get(k) is not e for k in ks):
             raise GraphError(f"orbit {ks} at {v.key.as_string()} maps "
                              "from two Frobenius partner edges")
-        held = [d for k, d in duals if k in ks]
+        held = [d for d in duals if d.hint[2] in ks]
         if len(held) > 1:
             raise GraphError(f"orbit {ks} at {v.key.as_string()} holds "
                              f"the duals of {len(held)} edges")
@@ -356,8 +354,11 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
     representative may be passed instead (the closure is the same:
     the superspecial graph is connected).  A vertex's expansion derives
     the dual orbit of each edge into it from an expanded vertex
-    (_expand), so no derived orbit discovers a vertex.  Raises
-    GraphError once it holds more vertices than the census counts.
+    (_expand), so no derived orbit discovers a vertex.  Each dual is
+    moved onto its target's representative once, as its edge is
+    recorded.  Raises GraphError, naming the edge, if a codomain is not
+    a model of its target, and once it holds more vertices than the
+    census counts.
     """
     if seed is None:
         E = find_supersingular_seed(ctx)
@@ -378,16 +379,24 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
         g.edges.extend(v.edges)
         fresh = []
         for e in v.edges:
-            if e.target not in g.vertices:
+            kind, rep, dual = e.hint
+            tgt = g.vertices.get(e.target)
+            if tgt is None:
                 # a Jacobian keeps the label of the splitting it is built
                 # from, on its own model rep
-                kind, rep, dual = e.hint
                 pts, dual = (_points_and_label(dual) if e.target.kind ==
                              "jacobian" else (None, dual))
-                e.hint = kind, rep, dual
-                g.vertices[e.target] = _make_vertex(e.target, rep, pts)
+                tgt = g.vertices[e.target] = _make_vertex(e.target, rep, pts)
                 fresh.append(e.target)
-            if not (e.is_loop or g.vertices[e.target].edges):
+            elif rep is not tgt.representative:
+                try:
+                    dual = _dual_label(tgt, e.hint)
+                except GraphError as exc:
+                    raise GraphError(f"edge {e.source.as_string()} -> "
+                                     f"{e.target.as_string()} of kernel "
+                                     f"{e.kernel_rep}: {exc}") from None
+            e.hint = kind, tgt.representative, dual
+            if not (e.is_loop or tgt.edges):
                 incoming.setdefault(e.target, []).append(e)
         if len(g.vertices) > bound:
             raise GraphError(f"{len(g.vertices)} vertices found at p = "
@@ -402,18 +411,14 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
 
 def _dual_label(tgt: Vertex, hint) -> int:
     """The label at the vertex tgt of the dual kernel in hint, of an
-    edge into tgt.  A dual recorded on tgt's representative itself (by
-    a dual-derived edge, an induced loop or the edge tgt was built from)
-    is a label there, read as it is.  Any other is moved onto tgt's
-    representative by an isomorphism: a Jacobian's splitting by the
-    _first_map of the int-pair roots of its blocks, listed pair by pair,
-    a product's label by the first kernel_maps label map.  Any
-    isomorphism will do: two differ by an automorphism of tgt, which
-    keeps the kernel inside its orbit.  Every step records its dual, as
-    steps stay in GF(p^2)."""
+    edge into tgt whose codomain is another model than tgt's
+    representative, moved onto it by an isomorphism: a Jacobian's
+    splitting by the _first_map of the int-pair roots of its blocks,
+    listed pair by pair, a product's label by the first kernel_maps
+    label map.  Any isomorphism will do: two differ by an automorphism
+    of tgt, which keeps the kernel inside its orbit.  Every step records
+    its dual, as steps stay in GF(p^2)."""
     _, codomain, dual = hint
-    if codomain is tgt.representative:
-        return dual
     if isinstance(codomain, Genus2Curve):
         m = _first_map(sum(splitting_root_pairs(
             dual, lambda ctx, a, b: (a, b)), ()), tgt)
@@ -423,12 +428,11 @@ def _dual_label(tgt: Vertex, hint) -> int:
 
 def dual_edge(g: Graph, e: OrbitEdge) -> OrbitEdge:
     """The orbit edge at e.target containing the dual kernel of e: the
-    edge of its _dual_label, a kernel label read with no isomorphism
-    when e's hint holds the target's own model."""
+    edge of the label build_graph recorded in e's hint."""
     tgt = g.vertex(e.target)
     if not tgt.edges:
         raise GraphError("target vertex not expanded")
-    return tgt.kernel_to_edge[_dual_label(tgt, e.hint)]
+    return tgt.kernel_to_edge[e.hint[2]]
 
 
 # ---------------------------------------------------------------------------
@@ -452,25 +456,21 @@ class ValidationReport:
 
 
 def validate(g: Graph) -> ValidationReport:
-    """Structural validators: regularity, ratio principle, duals,
-    classifier agreement, the Frobenius mirror (dictionary lookups only)
-    and the mass formula.  Failures are report entries, not raises."""
+    """Structural validators: regularity, ratio principle, duals (the
+    recorded labels, with no isomorphism), classifier agreement, the
+    Frobenius mirror (dictionary lookups only) and the mass formula.
+    Failures are report entries, not raises."""
     checks = []
 
-    bad = []
-    for key, v in g.vertices.items():
-        wsum = sum(e.weight for e in v.edges)
-        if wsum != 15:
-            bad.append((key.as_string(), wsum))
+    wsums = {key: sum(e.weight for e in v.edges)
+             for key, v in g.vertices.items()}
+    bad = [(key.as_string(), w) for key, w in wsums.items() if w != 15]
     checks.append(("15-regularity",
                    not bad,
                    f"{len(g.vertices)} vertices all have out-weight 15"
                    if not bad else f"violations: {bad}"))
 
-    ratio_bad = []
-    involution_bad = []
-    dual_err = []
-    duals = {}
+    ratio_bad, involution_bad, dual_err, duals = [], [], [], {}
     for e in g.edges:
         try:
             duals[id(e)] = dual_edge(g, e)

@@ -254,7 +254,9 @@ def stepped_edges_oracle(v):
     """The orbit edges out of the vertex v by one isogeny step per RA
     orbit, on its first kernel: the expansion build_graph ran before it
     derived each edge whose Frobenius partner or dual it knew, kept as
-    the oracle of the derived targets and hints."""
+    the oracle of the derived targets and of every recorded dual.  The
+    hints are the steps' own: the codomain as computed and the dual on
+    it."""
     if v.key.kind == "jacobian":
         f = v.representative.f
         reps, labels = zip(*genus2.point_splittings(f.ctx, (), v.points,
@@ -277,19 +279,36 @@ def stepped_edges_oracle(v):
 
 
 def recorded_dual_splitting(g, e):
-    """The dual splitting recorded on the Jacobian codomain of e's hint.
-    A dual recorded on the target's own model is a label there, made a
-    splitting again from the target's points: the block x^2 - (r + s)x
-    + rs, or x - r when s is INF, of each pair (r, s) of its matching."""
-    dual = e.hint[2]
-    if not isinstance(dual, int):
-        return dual
+    """The dual splitting recorded as a label in e's hint, on its
+    Jacobian target's representative, made a splitting again from the
+    target's points: the block x^2 - (r + s)x + rs, or x - r when s is
+    INF, of each pair (r, s) of its matching."""
     w = g.vertex(e.target)
     ctx, pts = w.representative.ctx, w.points
     return splitting_of([Poly.from_roots(ctx, [x for x in (pts[a], pts[b])
                                                if x is not INF])
-                         for a, b in MATCHINGS[dual]],
+                         for a, b in MATCHINGS[e.hint[2]]],
                         w.representative.f.leading())
+
+
+def stepped_hint(g, e):
+    """The hint of one step on e's kernel_rep, as _expand makes it: the
+    quotient as computed and the dual on it.  No recorded hint is
+    read."""
+    src = g.vertex(e.source)
+    return (graph._jacobian_step(e.kernel_rep) if src.points
+            else graph._product_step(src, e.kernel_rep))[1]
+
+
+def reaching_edges(g):
+    """The edge that first reached each vertex but the first: build_graph
+    built the vertex from that edge's codomain.  Edges are in the order
+    build_graph recorded them."""
+    first = {}
+    for e in g.edges:
+        first.setdefault(e.target, e)
+    first.pop(next(iter(g.vertices)), None)
+    return list(first.values())
 
 
 def splitting_points(spl):

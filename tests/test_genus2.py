@@ -35,7 +35,7 @@ from conftest import (MoebiusMap, block_poly, block_roots_oracle,
                       random_curve_with_irrational_points,
                       random_distinct_elements, random_element,
                       recorded_dual_splitting, splitting_of,
-                      splitting_points, to_zero_one_inf,
+                      splitting_points, stepped_hint, to_zero_one_inf,
                       transform_curve_oracle)
 
 
@@ -618,11 +618,15 @@ def test_splitting_points_match_factoring_oracle(ctx23, rng, n_roots,
 
 @pytest.mark.parametrize("p", [23, 41])
 def test_splitting_points_match_factoring_oracle_on_graph(p):
-    # the dual recorded on every Jacobian codomain, and every vertex
+    # the dual splitting of every step onto a Jacobian codomain, the
+    # label recorded on every Jacobian target, and every vertex
     g = build_graph(make_field(p))
-    codomains = [e for e in g.edges if isinstance(e.hint[1], Genus2Curve)]
+    codomains = [e for e in g.edges if e.target.kind == "jacobian"]
     assert codomains
     for e in codomains:
+        _, curve, spl = stepped_hint(g, e)
+        assert (curve.ctx, splitting_points(spl)) \
+            == weierstrass_points_oracle(curve), e.sort_key()
         spl = recorded_dual_splitting(g, e)
         assert (e.hint[1].ctx, splitting_points(spl)) \
             == weierstrass_points_oracle(e.hint[1]), e.sort_key()
@@ -636,11 +640,11 @@ def test_splitting_points_match_factoring_oracle_on_graph(p):
 
 @pytest.mark.parametrize("p", [23, 41])
 def test_block_roots_match_oracle_on_recorded_duals(p):
-    # every block of the dual splitting recorded on every Jacobian
+    # every block of the dual splitting of every step onto a Jacobian
     # codomain: the int-pair roots equal the FieldElement ones
     g = build_graph(make_field(p))
-    duals = [recorded_dual_splitting(g, e) for e in g.edges
-             if isinstance(e.hint[1], Genus2Curve)]
+    duals = [stepped_hint(g, e)[2] for e in g.edges
+             if e.target.kind == "jacobian"]
     assert duals
     for spl in duals:
         for blk in spl.blocks:

@@ -10,6 +10,7 @@ from itertools import permutations
 import pytest
 
 from richelot import elliptic, genus2, gluing, graph
+from richelot.atlas import EDGE_TABLES
 from richelot.cli import run
 from richelot.elliptic import (EllipticCurveE2, isomorphisms_with_torsion,
                                two_isogeny)
@@ -30,8 +31,8 @@ from conftest import (clear_genus2_caches, count_calls, isomorphisms_oracle,
                       label_pairing, matching_pairing,
                       moebius_search_oracle,
                       random_curve_with_irrational_points, random_element,
-                      recorded_dual_splitting, splitting_of,
-                      stepped_edges_oracle)
+                      reaching_edges, recorded_dual_splitting,
+                      splitting_of, stepped_edges_oracle, stepped_hint)
 
 
 def e_1728(ctx):
@@ -224,18 +225,13 @@ def dual_edge_oracle(g, e):
     graph.dual_edge replaced, kept as the reference it is checked
     against.  The split branch re-glues every diagonal kernel at the
     target and keeps those that reproduce the source curve with a
-    dual splitting in e's orbit.  A hint holding a label on a Jacobian
-    target, or derived from a dual, ran no step there or holds no
-    splitting, so e's kernel_rep is stepped here: no recorded label is
-    read."""
+    dual splitting in e's orbit.  e's kernel_rep is stepped here
+    (stepped_hint), so no recorded hint is read."""
     tgt = g.vertex(e.target)
     src = g.vertex(e.source)
     if not tgt.edges:
         raise GraphError("target vertex not expanded")
-    hint = e.hint
-    if hint[0] == "dual" or tgt.points and isinstance(hint[2], int):
-        hint = (graph._jacobian_step(e.kernel_rep) if src.points
-                else graph._product_step(src, e.kernel_rep))[1]
+    hint = stepped_hint(g, e)
     kind = hint[0]
 
     if kind in ("jac", "glue"):
@@ -323,11 +319,9 @@ def test_dual_transport_from_codomain_with_irrational_points():
     codomain = spl.curve()
     assert codomain.f == Poly(ctx, [m * m * m] + [ctx.zero] * 5 + [ctx.one])
     assert VertexKey.of(codomain) == v.key
-    e = OrbitEdge(source=v.key, target=v.key, weight=1, kernel_rep=None,
-                  is_loop=True, hint=("jac", codomain, spl))
     with pytest.raises(IrrationalPointsError,
                        match="^only 1 rational kernels") as exc:
-        dual_edge(g, e)
+        graph._dual_label(v, ("jac", codomain, spl))
     assert exc.value.sextic == codomain.f
 
 
@@ -440,15 +434,17 @@ def test_torsion_action_matches_oracle(product_graph, rng):
 
 
 def test_transport_kernel_matches_two_step_oracle(product_graph):
-    # every product-codomain edge: the dual kernel moved onto the
-    # target's representative, the crossed case as the factor
+    # every edge onto a product: the dual kernel of its step moved onto
+    # the target's representative, the crossed case as the factor
     # isomorphisms followed by a swap through the identity matching
     crossed = 0
     for e in product_graph.edges:
-        _, src, dual = e.hint
-        if not isinstance(src, ProductSurface):
+        if e.target.kind != "product":
             continue
-        dst = product_graph.vertex(e.target).representative
+        hint = stepped_hint(product_graph, e)
+        _, src, dual = hint
+        tgt = product_graph.vertex(e.target)
+        dst = tgt.representative
         s1 = isomorphisms_with_torsion(src.E1, dst.E1)
         s2 = isomorphisms_with_torsion(src.E2, dst.E2)
         if s1 and s2:
@@ -458,7 +454,7 @@ def test_transport_kernel_matches_two_step_oracle(product_graph):
             c2 = isomorphisms_with_torsion(src.E2, dst.E1)
             steps = [(c1[0], c2[0], ()), (ID, ID, ID)]
             crossed += 1
-        assert next(kernel_maps(src, dst))[dual] \
+        assert graph._dual_label(tgt, hint) \
             == kernel_map_oracle(*steps)[dual]
     assert crossed
 
@@ -495,10 +491,13 @@ def test_kernel_maps_match_two_step_oracle(p, rng):
 
 
 def test_validate_runs_on_ints(monkeypatch):
-    # validate at p = 41 moves every dual on int pairs: no FieldElement
-    # product, inverse or square root.  Product duals search a factor
-    # pair's second factor only after its first factor matched
+    # validate at p = 41 reads every dual as a recorded label: no
+    # FieldElement product, inverse or square root, and no factor
+    # search.  Moving each step's dual onto its target, as the build
+    # does, runs on int pairs too; product duals search a factor pair's
+    # second factor only after its first factor matched
     g = build_graph(make_field(41))
+    hints = [(g.vertex(e.target), stepped_hint(g, e)) for e in g.edges]
     calls, log = [], []
     for name in ("__mul__", "__rmul__", "inverse", "sqrt"):
         real = getattr(FieldElement, name)
@@ -517,14 +516,15 @@ def test_validate_runs_on_ints(monkeypatch):
     monkeypatch.setattr(gluing, "isomorphisms_with_torsion", iso)
     monkeypatch.setattr(graph, "kernel_maps", maps)
     assert validate(g).ok
+    assert (calls, log) == ([], [])
+    for tgt, hint in hints:
+        graph._dual_label(tgt, hint)
     assert calls == []
     # a crossed first factor fails only between non-isomorphic products
     S, D = (v for v in g.vertices.values()
             if v.key.data in (((0, 0), (0, 0)), ((3, 0), (3, 0))))
-    e = OrbitEdge(source=S.key, target=D.key, weight=1, kernel_rep=None,
-                  is_loop=False, hint=("prod", S.representative, 0))
     with pytest.raises(GraphError, match="do not match"):
-        dual_edge(g, e)
+        graph._dual_label(D, ("prod", S.representative, 0))
     monkeypatch.undo()
     skipped = [0, 0]
     for (src, dst), searched in log:
@@ -604,47 +604,66 @@ def test_each_jacobian_vertex_builds_frames_once(monkeypatch):
     assert len(calls) == len(jacobians)
 
 
+def raw_hints(monkeypatch):
+    """The hint of each edge as _expand made it, by the edge's id, before
+    build_graph moved its dual onto the target."""
+    raw, real = {}, graph._expand
+
+    def expand(*args):
+        edges = real(*args)
+        raw.update((id(e), e.hint) for e in edges)
+        return edges
+    monkeypatch.setattr(graph, "_expand", expand)
+    return raw
+
+
+def other_model_edges(g, raw):
+    """The edges whose codomain, as _expand made it, is another model
+    than their target's representative: those whose dual build_graph
+    moves by an isomorphism."""
+    return [e for e in g.edges
+            if raw[id(e)][1] is not g.vertex(e.target).representative]
+
+
 def test_each_jacobian_vertex_reads_its_ra_maps_once(monkeypatch):
     # _make_vertex reads the RA maps off the frames once; its RA order
     # and the expansion's orbits share them.  The expansion reads one
     # more map, its Frobenius labels, at each sigma-fixed Jacobian and
-    # at the second-expanded vertex of each sigma-swapped pair, and one
-    # per dual it transports from a Jacobian codomain: of the 151 edges
-    # derived from a record, whose hint holds its target's own model,
-    # the 120 whose record holds another model of their source than its
-    # representative.  The other 31 records are of the edges that first
-    # reached their source, built from the very model they hold, and
-    # are read with no map (222 maps before, one per derived edge)
+    # at the second-expanded vertex of each sigma-swapped pair.  The
+    # build reads one more per dual it moves onto a Jacobian target:
+    # the 227 edges into one whose codomain is another model.  The
+    # others, derived from a dual or the 40 that built their target,
+    # are read with no map (191 maps in the build and 227 in validate
+    # before)
+    raw = raw_hints(monkeypatch)
     calls = count_calls(monkeypatch, "moebius_stabilizing")
     g = build_graph(make_field(41))
     jacobians = [v for v in g.vertices.values() if v.key.kind == "jacobian"]
     fixed = sum(v.key.conjugate(41) == v.key for v in jacobians)
-    derived = [e for e in g.edges if e.hint[0] == "dual"
-               and e.source.kind == "jacobian"
-               and e.hint[1] is g.vertex(e.target).representative]
-    records = [g.vertex(e.target).kernel_to_edge[e.hint[2]] for e in derived]
-    assert all(d.target == e.source for d, e in zip(records, derived))
-    moved = sum(d.hint[1] is not g.vertex(e.source).representative
-                for d, e in zip(records, derived))
-    assert (len(jacobians), fixed, len(derived), moved) == (40, 22, 151, 120)
-    assert len(calls) == len(jacobians) + fixed + (40 - fixed) // 2 + moved
-    assert len(calls) == 191
+    moved = [e for e in other_model_edges(g, raw)
+             if e.target.kind == "jacobian"]
+    assert (len(jacobians), fixed, len(moved)) == (40, 22, 227)
+    assert len(calls) \
+        == len(jacobians) + fixed + (40 - fixed) // 2 + len(moved) == 298
     assert all(v.ra_order == len(v.ra_maps) for v in jacobians)
+    assert validate(g).ok
+    assert len(calls) == 298
 
 
 def assert_edges_match_stepping_oracle(g):
     # every vertex's edges are those of one step per orbit: the same
-    # target, weight, kernels and kernel_rep; and dual_edge with the
-    # stepped hint in place of the build's names the same edge, so a
-    # conjugated dual is checked apart from the conjugated key
+    # target, weight, kernels and kernel_rep; and the stepped dual,
+    # moved onto the target, is in the orbit of the recorded label, so
+    # a derived dual is checked apart from the derived key
     for v in g.vertices.values():
         want = stepped_edges_oracle(v)
         assert [(e.target, e.weight, e.kernels, e.kernel_rep)
                 for e in v.edges] == [(o.target, o.weight, o.kernels,
                                        o.kernel_rep) for o in want]
         for e, o in zip(v.edges, want):
-            assert dual_edge(g, replace(e, hint=o.hint)) \
-                is dual_edge(g, e), e.sort_key()
+            tgt = g.vertex(e.target)
+            assert dual_edge(g, e) is tgt.kernel_to_edge[
+                graph._dual_label(tgt, o.hint)], e.sort_key()
 
 
 @pytest.mark.parametrize("p", [23, 41])
@@ -657,6 +676,36 @@ def test_edges_match_stepping_oracle_p101():
     assert_edges_match_stepping_oracle(build_graph(make_field(101)))
 
 
+def atlas_weights(ra_type):
+    """The sorted orbit weights of the generic atlas row of ra_type
+    (atlas.EDGE_TABLES), with fifteen 1s for Type A and three 5s for
+    Type II, which the table leaves out."""
+    return {RAType.A: [1] * 15, RAType.II: [5] * 3}.get(ra_type) or sorted(
+        w for w, _ in EDGE_TABLES[ra_type][None])
+
+
+def assert_orbit_weights_match_atlas(g):
+    # an oracle that reads no dual and no hint: every vertex's sorted
+    # orbit weights are those of its RA type's generic atlas row
+    for v in g.vertices.values():
+        assert sorted(e.weight for e in v.edges) \
+            == atlas_weights(v.ra_type), v.key.as_string()
+    return {v.ra_type for v in g.vertices.values()}
+
+
+@pytest.mark.parametrize("p, types", [(23, 11), (29, 11), (41, 9)])
+def test_orbit_weights_match_atlas(p, types):
+    # p = 29 has Type A and Type II vertices
+    assert len(assert_orbit_weights_match_atlas(
+        build_graph(make_field(p)))) == types
+
+
+@pytest.mark.slow
+def test_orbit_weights_match_atlas_p101():
+    assert len(assert_orbit_weights_match_atlas(
+        build_graph(make_field(101)))) == 10
+
+
 def test_build_steps_only_orbits_without_a_known_partner(monkeypatch):
     # of the 526 orbit edges at p = 41, 198 hold the dual of an edge
     # into their source from a vertex expanded before it, and take that
@@ -664,13 +713,14 @@ def test_build_steps_only_orbits_without_a_known_partner(monkeypatch):
     # partner, at the 9 vertices whose conjugate was expanded first or
     # as the second orbit of a sigma-swapped pair at a sigma-fixed
     # vertex.  The other 185 run a step (262 and 66 with no records)
+    raw = raw_hints(monkeypatch)
     jac = count_calls(monkeypatch, "_jacobian_step", graph)
     prod = count_calls(monkeypatch, "_product_step", graph)
     g = build_graph(make_field(41))
     assert len(g.edges) == 526
     assert (len(jac), len(prod)) == (150, 35)
-    assert sum(e.hint[0] == "dual" and e.hint[1]
-               is g.vertex(e.target).representative for e in g.edges) == 198
+    assert sum(h[0] == "dual" and h[1] is g.vertex(e.target).representative
+               for e in g.edges for h in [raw[id(e)]]) == 198
     assert validate(g).ok
 
 
@@ -689,13 +739,23 @@ def test_jacobian_hints_hold_their_duals_curve(p):
 
 
 def test_validate_catches_a_record_moved_to_another_orbit(monkeypatch):
-    # the first dual read in the build, moved to the next kernel label
-    # (another orbit there), gives an orbit the wrong target and weight
-    real, calls = graph._dual_label, []
+    # the first dual the build moves onto a target with orbits of two
+    # weights, moved on to the first label of an orbit there of another
+    # weight than its own dual's, gives an orbit the wrong target or the
+    # edge the wrong dual, and the ratio principle sees it
+    real, moves = graph._dual_label, count_calls(monkeypatch,
+                                                 "_dual_label", graph)
+    build_graph(make_field(41))
+    monkeypatch.undo()
+    n, label = next((n, o.kernels[0]) for n, (tgt, hint) in enumerate(moves)
+                    for w in [tgt.kernel_to_edge[real(tgt, hint)].weight]
+                    for o in tgt.edges if o.weight != w)
+
+    calls = []
 
     def moved(tgt, hint):
-        calls.append(tgt.key)
-        return (real(tgt, hint) + (len(calls) == 1)) % 15
+        calls.append(hint)
+        return label if len(calls) == n + 1 else real(tgt, hint)
     monkeypatch.setattr(graph, "_dual_label", moved)
     g = build_graph(make_field(41))
     monkeypatch.undo()
@@ -745,26 +805,39 @@ def test_validate_catches_a_first_reaching_dual_moved_to_another_orbit():
 
 
 def test_validate_maps_only_duals_recorded_on_another_model(monkeypatch):
-    # at p = 41, 251 of the 526 hints hold their target's own model: the
-    # 198 dual-derived ones, the 49 of the edges that first reached their
-    # target and the 4 of induced loops.  validate reads their duals with
-    # no isomorphism, and moves every other dual by one Moebius map onto
-    # a Jacobian target, or by one kernel_maps search onto a product,
-    # whose factor isomorphisms it counts (430 maps and 210 factor
-    # searches before)
+    # at p = 41, 251 of the 526 edges have their target's own model as
+    # codomain: the 198 dual-derived ones, the 49 that first reached
+    # their target and the 4 induced loops.  The build keeps their
+    # duals, and moves each of the other 275 onto its target once, by
+    # _dual_label: by one Moebius map onto a Jacobian, or by one
+    # kernel_maps search onto a product, whose factor isomorphisms it
+    # counts.  Every built hint is then (kind, the target's
+    # representative, a label), and validate maps none (it made 227
+    # maps, 48 searches and 114 factor searches before)
+    raw = raw_hints(monkeypatch)
+    moved = count_calls(monkeypatch, "_dual_label", graph)
     g = build_graph(make_field(41))
+    other = other_model_edges(g, raw)
+    assert (len(g.edges), len(other)) == (526, 275)
+    assert len(moved) == len(other)
+    assert all(tgt is g.vertex(e.target) and hint is raw[id(e)]
+               for (tgt, hint), e in zip(moved, other))
+    assert all(e.hint[0] == raw[id(e)][0] and type(e.hint[2]) is int
+               and e.hint[1] is g.vertex(e.target).representative
+               for e in g.edges)
+    monkeypatch.undo()
     moebius = count_calls(monkeypatch, "moebius_stabilizing")
     factors = count_calls(monkeypatch, "isomorphisms_with_torsion", elliptic)
     searches = count_calls(monkeypatch, "kernel_maps", gluing)
     assert validate(g).ok
-    other = [e for e in g.edges
-             if e.hint[1] is not g.vertex(e.target).representative]
-    assert (len(g.edges), len(other)) == (526, 275)
-    onto_products = [(e.hint[1], g.vertex(e.target).representative)
+    assert (moebius, factors, searches) == ([], [], [])
+    onto_products = [(raw[id(e)][1], g.vertex(e.target).representative)
                      for e in other if e.target.kind == "product"]
+    for e in other:
+        graph._dual_label(g.vertex(e.target), raw[id(e)])
     assert len(moebius) == len(other) - len(onto_products) == 227
     assert searches == onto_products
-    assert len(factors) == 114
+    assert len(factors) == 110
 
 
 @pytest.mark.parametrize("p", [23, 41])
@@ -781,16 +854,21 @@ def test_duals_on_the_targets_own_model_are_labels(p):
 
 
 def test_validate_finds_roots_only_of_duals_on_another_model(monkeypatch):
-    # validate finds the three block roots of the dual splitting of
-    # each of the 227 Jacobian hints on another model than the target's
-    # representative, and of no other (801 before, when it labelled the
-    # 40 first-reaching splittings again)
-    g = build_graph(make_field(41))
+    # the build finds the three block roots of the dual splitting of
+    # each of the 227 edges into a Jacobian whose codomain is another
+    # model than the target's representative, and of each of the 40
+    # that built their target, and of no other; validate finds none
+    # (681 before, when it moved the 227 again)
+    raw = raw_hints(monkeypatch)
     roots = count_calls(monkeypatch, "_block_roots")
+    g = build_graph(make_field(41))
+    other = [e for e in other_model_edges(g, raw)
+             if e.target.kind == "jacobian"]
+    built = [e for e in reaching_edges(g) if e.target.kind == "jacobian"]
+    assert len(roots) == 3 * (len(other) + len(built)) == 3 * (227 + 40)
+    del roots[:]
     assert validate(g).ok
-    other = [e for e in g.edges if e.target.kind == "jacobian"
-             and e.hint[1] is not g.vertex(e.target).representative]
-    assert len(roots) == 3 * len(other) == 681
+    assert roots == []
 
 
 def test_conjugate_hint_of_a_reaching_edge_before_its_target_expands(
@@ -807,9 +885,10 @@ def test_conjugate_hint_of_a_reaching_edge_before_its_target_expands(
         monkeypatch.setattr(graph, name, step)
     g = build_graph(make_field(41))
     monkeypatch.undo()
-    reaching = [e for e in g.edges if e.hint[0] in ("jac", "glue")
-                and e.hint[1] is g.vertex(e.target).representative
+    reaching = [e for e in reaching_edges(g) if e.hint[0] in ("jac", "glue")
                 and id(e.hint[1]) in steps]
+    assert all(e.hint[1] is g.vertex(e.target).representative
+               for e in reaching)
     for e in reaching:
         bare = replace(g.vertex(e.target), edges=[], kernel_to_edge=())
         kind, codomain, _ = e.hint
@@ -943,27 +1022,57 @@ def test_graph_path_stays_in_gf_p2(monkeypatch, p):
 
 def test_build_graph_stops_past_census_count(monkeypatch):
     # with Jacobian keys that never merge the closure would not end;
-    # the census count bounds it
-    fresh = iter(range(10 ** 6))
+    # the census count bounds it.  A fresh key is sigma-fixed (b = 0)
+    # just when the curve's own key is, and no fresh key is the
+    # conjugate of another (b = 1, never 22), so an edge derived from
+    # its Frobenius partner lands on a model of its target
+    fresh, real = iter(range(10 ** 6)), VertexKey.jacobian
     monkeypatch.setattr(VertexKey, "jacobian", classmethod(
-        lambda cls, curve: cls("jacobian", ((next(fresh), 0),))))
+        lambda cls, curve: cls("jacobian", ((next(fresh), int(
+            real(curve).conjugate(23) != real(curve))),))))
     with pytest.raises(GraphError, match=r"^\d+ vertices found at p = 23, "
                        r"but the census counts 16$"):
         build_graph(make_field(23))
 
 
+def test_build_names_an_edge_onto_a_non_isomorphic_model(monkeypatch):
+    # two sigma-fixed classes at p = 23 merged under the key of the one
+    # built first: the first step onto the other, its codomain no model
+    # of the vertex with that key, raises from build_graph, naming the
+    # edge by its source, its target and its kernel
+    first = VertexKey("jacobian", ((1, 0), (8, 0), (0, 0), (22, 0)))
+    other = VertexKey("jacobian", ((1, 0), (18, 0), (11, 0), (14, 0)))
+    g = build_graph(make_field(23))
+    assert {first, other} <= set(g.vertices)
+    assert list(g.vertices).index(first) < list(g.vertices).index(other)
+    e = next(e for e in g.edges if e.target == other)
+    real = VertexKey.jacobian
+    monkeypatch.setattr(VertexKey, "jacobian", classmethod(
+        lambda cls, curve: first if real(curve) == other else real(curve)))
+    with pytest.raises(GraphError) as exc:
+        build_graph(make_field(23))
+    at = first.as_string()
+    assert str(exc.value) == (
+        f"edge {e.source.as_string()} -> {at} of kernel {e.kernel_rep}: "
+        f"no isomorphism onto {at}: the models do not match")
+
+
 def test_every_edge_records_its_dual(ctx11):
     # every step stays in GF(p^2), so every edge records the dual kernel
-    # on its codomain and dual_edge has no edge without one; a split
-    # edge's is the label of the diagonal kernel of the i <-> i matching
+    # as a label on its target's representative and dual_edge has no
+    # edge without one; a split step's dual is the label of the diagonal
+    # kernel of the i <-> i matching on its own codomain
     diagonal = gluing.kernel_index(ProductKernel.diagonal((1, 2, 3)))
     for g in (build_graph(ctx11), build_graph(make_field(23))):
         kinds = set()
         for e in g.edges:
-            kind, _, dual = e.hint
+            kind, rep, dual = e.hint
             kinds.add(kind)
-            assert dual is not None, e.sort_key()
-            assert kind != "split" or dual == diagonal
+            assert rep is g.vertex(e.target).representative, e.sort_key()
+            assert type(dual) is int, e.sort_key()
+            if kind == "split":
+                step = stepped_hint(g, e)
+                assert step[0] == "split" and step[2] == diagonal
         assert "split" in kinds
 
 
