@@ -12,9 +12,11 @@ ratio principle and dual involutivity on those labels, classifier
 agreement, the mass formula and the Frobenius mirror:
 sigma(a + b*i) = a - b*i maps the graph onto itself, as steps have GF(p)
 coefficients and keys are Galois-stable, so _expand derives each edge
-whose sigma-image it knows.  Each isogeny A -> B has a dual B -> A, so
-build_graph also derives the orbit at B that holds the dual of an edge
-from an expanded A: every edge is stepped at most once.
+whose sigma-image it knows, and the later vertex of a sigma-swapped pair
+is built as the earlier's conjugate, whose kernel labels sigma keeps.
+Each isogeny A -> B has a dual B -> A, so build_graph also derives the
+orbit at B that holds the dual of an edge from an expanded A: every edge
+is stepped at most once.
 """
 
 from __future__ import annotations
@@ -28,10 +30,9 @@ from functools import partial
 from .census import expected_counts
 from .elliptic import EllipticCurveE2, j_invariant, find_supersingular_seed
 from .field import FieldCtx, FieldElement
-from .genus2 import (INF, Genus2Curve, JACOBIAN_ORDER_TO_TYPE, MATCHINGS,
-                     RA_ORDER, QuadraticSplitting, canonical_key,
-                     clebsch_invariants, matching_action, matching_index,
-                     matching_splitting, moebius_frames,
+from .genus2 import (INF, Genus2Curve, JACOBIAN_ORDER_TO_TYPE, RA_ORDER,
+                     QuadraticSplitting, canonical_key, clebsch_invariants,
+                     matching_action, matching_index, moebius_frames,
                      moebius_orbits_on_splittings, moebius_stabilizing,
                      point_key, point_splittings, ra_type_from_clebsch,
                      splitting_root_pairs, weierstrass_points)
@@ -96,15 +97,15 @@ class OrbitEdge:
     representative and the dual kernel's label there.  As _expand makes
     it, the quotient by kernel_rep as computed and the dual on it: a
     label, or a QuadraticSplitting on a curve a step computed.  An edge
-    derived from its Frobenius partner e has hint sigma(e.hint), the
-    quotient by another kernel of its orbit, whose dual lies in the same
-    orbit.  kind ("jac", "glue", "split", "prod", "induced") names the
-    step that built the edge, and "dual" an edge derived from the edge e
-    it is dual to: its hint is e's source's representative and e's
-    first kernel label there.  kind is informational only.  kernels
+    derived from its Frobenius partner e has hint (e's kind, sigma of
+    e's codomain, e), and build_graph reads its dual off e's label.
+    kind ("jac", "glue", "split", "prod", "induced") names the step that
+    built the edge, and "dual" an edge derived from the edge e it is
+    dual to: its hint is e's source's representative and e's first
+    kernel label there.  kind is informational only.  kernels
     labels the orbit's kernels, kernel_rep's first, by small ints: a
     Jacobian's by the genus2.MATCHINGS index of their matching of its
-    sorted points, a product's by their index in gluing.product_kernels().
+    points, a product's by their index in gluing.product_kernels().
     """
 
     source: VertexKey
@@ -123,7 +124,8 @@ class OrbitEdge:
 class Vertex:
     """A graph vertex; Jacobians also hold their Weierstrass points.
 
-    A Jacobian's points are its sorted Weierstrass points, frames their
+    A Jacobian's points are its sorted Weierstrass points (a mirror's
+    are its partner's conjugated, in their order), frames their
     moebius_frames, and ra_maps its RA maps as index maps of the points,
     read off the frames once: reduced_automorphisms of the
     representative; only the build reads the frames, for the RA maps,
@@ -164,8 +166,8 @@ def ra_type_of(rep) -> str:
 def _make_vertex(key: VertexKey, rep, pts=None) -> Vertex:
     """The vertex record of rep.  A Jacobian's points are pts, if given:
     the sorted block roots (_points_and_label) of the splitting on the
-    edge that reached it, or of the one given to neighbourhood.  Only
-    seeds and bare curves are factored."""
+    edge that reached it, or of the one given to neighbourhood, or a
+    mirror's partner's.  Only seeds and bare curves are factored."""
     ra_type = ra_type_of(rep)
     if key.kind != "jacobian":
         return Vertex(key=key, representative=rep, ra_type=ra_type,
@@ -195,7 +197,8 @@ def neighbourhood(rep) -> list:
     For Jacobians: the reduced automorphisms permute the 15 rational
     splittings; for products: the torsion action groups the 15
     product/diagonal kernels.  One edge per orbit (_expand); when sigma
-    fixes the vertex, half its sigma-paired orbits are derived.
+    fixes the vertex, half its sigma-paired orbits are derived, their
+    hints (kind, sigma of the partner's codomain, the partner edge).
     """
     pts = None
     if isinstance(rep, QuadraticSplitting):
@@ -209,11 +212,12 @@ def _expand(v: Vertex, vertices=None, incoming=()) -> list:
     An orbit holding the dual of an edge e in incoming, which runs into
     v from the expanded vertex s, read as the label e.hint[2], takes
     target s and hint ("dual", s's representative, e's first label).
-    Else an orbit holding the Frobenius images (_frobenius_labels) of
-    the kernels of a known edge e takes target sigma(e.target) and hint
-    sigma(e.hint); every other orbit steps on its first kernel.  Known
-    edges are those of sigma(v), if expanded (in vertices), when no dual
-    is read, or, if sigma fixes v, v's earlier orbits.  Raises
+    Else an orbit holding the Frobenius images of the kernels of a
+    known edge e takes target sigma(e.target) and hint (e's kind, sigma
+    of e's codomain, e); every other orbit steps on its first kernel.
+    Known edges are those of sigma(v), if expanded (in vertices), when
+    no dual is read, whose labels are v's, or, if sigma fixes v, v's
+    earlier orbits, relabelled by _frobenius_labels(v).  Raises
     GraphError if an orbit holds two duals, maps from two edges, or
     names a target other than its partner's image, or if sigma moves a
     self-paired orbit's target.
@@ -229,8 +233,8 @@ def _expand(v: Vertex, vertices=None, incoming=()) -> list:
         step = partial(_product_step, v)
     p, vertices = v.representative.ctx.p, vertices or {v.key: v}
     u = vertices.get(v.key.conjugate(p))
-    act = u and (u is v or u.edges) and _frobenius_labels(u, v)
     # at a sigma-fixed vertex u is v, whose edges are not yet made
+    act = _frobenius_labels(v) if u is v else u and u.edges and range(15)
     known = {act[k]: e for e in u.edges for k in e.kernels} if act else {}
     duals = () if known else incoming
     edges = []
@@ -253,7 +257,7 @@ def _expand(v: Vertex, vertices=None, incoming=()) -> list:
                                  ", not its Frobenius partner's image")
         else:
             tgt, hint = step(reps[orbit[0]]) if e is None else (
-                e.target.conjugate(p), _conjugate_hint(e, vertices))
+                e.target.conjugate(p), (e.hint[0], _conjugate(e.hint[1]), e))
         edges.append(OrbitEdge(
             source=v.key, target=tgt, weight=len(orbit),
             kernel_rep=reps[orbit[0]], is_loop=(v.key == tgt),
@@ -267,41 +271,22 @@ def _expand(v: Vertex, vertices=None, incoming=()) -> list:
 
 
 def _conjugate(x):
-    """sigma of a point (INF is fixed), a splitting or a product."""
-    if isinstance(x, QuadraticSplitting):
-        p = x.ctx.p
-        return QuadraticSplitting.make(
-            [tuple((a, -b % p) for a, b in g) for g in x.blocks],
-            _conjugate(x.scale))
+    """sigma of a point (INF is fixed), a curve or a product."""
+    if isinstance(x, Genus2Curve):
+        return x.conjugate()
     if isinstance(x, ProductSurface):
         return ProductSurface(*(EllipticCurveE2(*map(_conjugate, E.roots()))
                                 for E in (x.E1, x.E2)))
     return x if x is INF else FieldElement(x.ctx, x.a, -x.b % x.ctx.p)
 
 
-def _conjugate_hint(e: OrbitEdge, vertices):
-    """sigma of e's hint; a codomain curve's coefficients are conjugated.
-    A Jacobian dual held as a label of e's target, expanded or not, is
-    first made a splitting (matching_splitting) from the target's points:
-    sigma does not keep the order of the points that labels index."""
-    kind, codomain, dual = e.hint
-    if isinstance(codomain, ProductSurface):
-        return kind, _conjugate(codomain), dual
-    if isinstance(dual, int):
-        pts = vertices[e.target].points
-        dual = matching_splitting(codomain.ctx, (), [
-            (pts[i], pts[j]) for i, j in MATCHINGS[dual]],
-            codomain.f.leading())
-    return kind, codomain.conjugate(), _conjugate(dual)
-
-
-def _frobenius_labels(u: Vertex, v: Vertex) -> tuple:
-    """act: act[l] is the label at v of sigma(kernel l of u), for u of
-    class sigma(v), by the first isomorphism from sigma(u) onto v."""
-    if u.points is None:
-        return _first_map(_conjugate(u.representative), v)
+def _frobenius_labels(v: Vertex) -> tuple:
+    """act: act[l] is the label at the sigma-fixed vertex v of sigma of
+    its kernel l, by the first isomorphism from sigma(v) onto v."""
+    if v.points is None:
+        return _first_map(_conjugate(v.representative), v)
     return matching_action(tuple(_first_map(
-        [_conjugate(x) for x in u.points], v)))
+        [_conjugate(x) for x in v.points], v)))
 
 
 def _first_map(src, v: Vertex):
@@ -354,11 +339,15 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
     representative may be passed instead (the closure is the same:
     the superspecial graph is connected).  A vertex's expansion derives
     the dual orbit of each edge into it from an expanded vertex
-    (_expand), so no derived orbit discovers a vertex.  Each dual is
-    moved onto its target's representative once, as its edge is
-    recorded.  Raises GraphError, naming the edge, if a codomain is not
-    a model of its target, and once it holds more vertices than the
-    census counts.
+    (_expand), so no derived orbit discovers a vertex.  A vertex whose
+    conjugate w is built is built as sigma(w), its points w's conjugated
+    in their order, so sigma keeps labels.  Each dual is labelled on its
+    target once, as its edge is recorded: a Frobenius-derived one is its
+    partner's label (_frobenius_labels maps it if sigma fixes the
+    target), a stepped one on another model is moved by _dual_label.
+    Raises GraphError, naming the edge, if a dual finds no label (as on
+    a codomain that is no model of its target), and once it holds more
+    vertices than the census counts.
     """
     if seed is None:
         E = find_supersingular_seed(ctx)
@@ -381,20 +370,29 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
         for e in v.edges:
             kind, rep, dual = e.hint
             tgt = g.vertices.get(e.target)
-            if tgt is None:
+            w = g.vertices.get(e.target.conjugate(ctx.p))
+            if tgt is None and w is None:
                 # a Jacobian keeps the label of the splitting it is built
                 # from, on its own model rep
                 pts, dual = (_points_and_label(dual) if e.target.kind ==
                              "jacobian" else (None, dual))
                 tgt = g.vertices[e.target] = _make_vertex(e.target, rep, pts)
                 fresh.append(e.target)
-            elif rep is not tgt.representative:
-                try:
+            elif tgt is None:  # sigma(w) has the labels of w
+                tgt = g.vertices[e.target] = _make_vertex(
+                    e.target, _conjugate(w.representative),
+                    w.points and [_conjugate(x) for x in w.points])
+                fresh.append(e.target)
+            try:
+                if isinstance(dual, OrbitEdge):  # the Frobenius partner
+                    dual = dual.hint[2] if tgt is not w else (
+                        _frobenius_labels(tgt)[dual.hint[2]])
+                elif rep is not tgt.representative:
                     dual = _dual_label(tgt, e.hint)
-                except GraphError as exc:
-                    raise GraphError(f"edge {e.source.as_string()} -> "
-                                     f"{e.target.as_string()} of kernel "
-                                     f"{e.kernel_rep}: {exc}") from None
+            except GraphError as exc:
+                raise GraphError(f"edge {e.source.as_string()} -> "
+                                 f"{e.target.as_string()} of kernel "
+                                 f"{e.kernel_rep}: {exc}") from None
             e.hint = kind, tgt.representative, dual
             if not (e.is_loop or tgt.edges):
                 incoming.setdefault(e.target, []).append(e)
@@ -410,8 +408,8 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
 
 
 def _dual_label(tgt: Vertex, hint) -> int:
-    """The label at the vertex tgt of the dual kernel in hint, of an
-    edge into tgt whose codomain is another model than tgt's
+    """The label at the vertex tgt of the dual kernel in the hint of a
+    stepped edge into tgt whose codomain is another model than tgt's
     representative, moved onto it by an isomorphism: a Jacobian's
     splitting by the _first_map of the int-pair roots of its blocks,
     listed pair by pair, a product's label by the first kernel_maps

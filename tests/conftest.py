@@ -223,13 +223,14 @@ def matching_pairing(matching) -> frozenset:
 
 def label_pairing(pts, n):
     """The kernel label n (an index in MATCHINGS) at a vertex with the
-    sorted points pts, translated to its matching_pairing."""
+    points pts (sorted, or a mirror's in its partner's order),
+    translated to its matching_pairing."""
     return matching_pairing([(pts[a], pts[b]) for a, b in MATCHINGS[n]])
 
 
 def jacobian_orbits_oracle(ctx, pts, scale, maps):
     """(kernel_rep, pairings) per RA orbit of the 15 kernels at a
-    Jacobian vertex with the sorted points pts, by moving point keys
+    Jacobian vertex with the points pts, by moving point keys
     under the index maps maps: genus2.point_splittings and
     genus2.moebius_orbits_on_splittings as they ran on matching_pairing
     labels, kept as the oracle of the index labels.  Orbits and their
@@ -302,8 +303,9 @@ def stepped_hint(g, e):
 
 def reaching_edges(g):
     """The edge that first reached each vertex but the first: build_graph
-    built the vertex from that edge's codomain.  Edges are in the order
-    build_graph recorded them."""
+    built the vertex from that edge's codomain, or, if the vertex's
+    conjugate was built before it, as that conjugate's mirror.  Edges
+    are in the order build_graph recorded them."""
     first = {}
     for e in g.edges:
         first.setdefault(e.target, e)

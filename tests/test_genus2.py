@@ -400,13 +400,23 @@ def test_reduced_automorphisms_match_search_oracle_random(ctx23, rng):
 
 @pytest.mark.parametrize("p", [23, 41])
 def test_reduced_automorphisms_match_search_oracle_on_graph(p):
+    # a mirror vertex holds its points in its partner's order, so its
+    # RA maps are translated onto the sorted points before the compare
     g = build_graph(make_field(p))
     orders = set()
     for v in g.vertices.values():
         if v.key.kind == "jacobian":
             assert_ra_matches_search_oracle(v.representative)
+            keys = sorted(map(point_key, v.points))
+            at = [keys.index(point_key(x)) for x in v.points]
+            translated = []
+            for m in v.ra_maps:
+                t = [None] * 6
+                for i, j in enumerate(m):
+                    t[at[i]] = at[j]
+                translated.append(t)
             assert sorted(reduced_automorphisms(v.representative)) \
-                == sorted(v.ra_maps)
+                == sorted(translated)
             assert len(v.ra_maps) == v.ra_order
             orders.add(v.ra_order)
     assert len(orders) > 1
@@ -635,7 +645,8 @@ def test_splitting_points_match_factoring_oracle_on_graph(p):
             rep = v.representative
             want = weierstrass_points_oracle(rep)
             assert (rep.ctx, weierstrass_points(rep)) == want
-            assert (rep.ctx, v.points) == want
+            # a mirror's points follow its partner's order
+            assert (rep.ctx, sorted(v.points, key=point_key)) == want
 
 
 @pytest.mark.parametrize("p", [23, 41])

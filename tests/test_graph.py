@@ -617,37 +617,49 @@ def raw_hints(monkeypatch):
     return raw
 
 
+def frobenius_derived(g, raw):
+    """The edges _expand derived from their Frobenius partner, whose
+    hint, as it made it, holds the partner edge."""
+    return [e for e in g.edges if isinstance(raw[id(e)][2], OrbitEdge)]
+
+
 def other_model_edges(g, raw):
-    """The edges whose codomain, as _expand made it, is another model
-    than their target's representative: those whose dual build_graph
-    moves by an isomorphism."""
-    return [e for e in g.edges
-            if raw[id(e)][1] is not g.vertex(e.target).representative]
+    """The stepped edges whose codomain, as _expand made it, is another
+    model than their target's representative: those whose dual
+    build_graph moves by an isomorphism."""
+    return [e for e in g.edges if not isinstance(raw[id(e)][2], OrbitEdge)
+            and raw[id(e)][1] is not g.vertex(e.target).representative]
 
 
 def test_each_jacobian_vertex_reads_its_ra_maps_once(monkeypatch):
     # _make_vertex reads the RA maps off the frames once; its RA order
     # and the expansion's orbits share them.  The expansion reads one
-    # more map, its Frobenius labels, at each sigma-fixed Jacobian and
-    # at the second-expanded vertex of each sigma-swapped pair.  The
-    # build reads one more per dual it moves onto a Jacobian target:
-    # the 227 edges into one whose codomain is another model.  The
-    # others, derived from a dual or the 40 that built their target,
-    # are read with no map (191 maps in the build and 227 in validate
-    # before)
+    # more map, its Frobenius labels, at each sigma-fixed Jacobian; the
+    # two vertices of a sigma-swapped pair share their labels and read
+    # none.  The build reads one more per Frobenius-derived dual into a
+    # sigma-fixed Jacobian, its Frobenius labels, and one per stepped
+    # dual it moves onto a Jacobian target whose codomain is another
+    # model.  The others, derived from a dual or a mirror partner, or
+    # the 31 that built their target, are read with no map (298 maps
+    # before: 9 more at the second-expanded vertex of each sigma-swapped
+    # pair, none in the build's Frobenius labels, and 227 moves)
     raw = raw_hints(monkeypatch)
     calls = count_calls(monkeypatch, "moebius_stabilizing")
     g = build_graph(make_field(41))
     jacobians = [v for v in g.vertices.values() if v.key.kind == "jacobian"]
     fixed = sum(v.key.conjugate(41) == v.key for v in jacobians)
+    mapped = [e for e in frobenius_derived(g, raw)
+              if e.target.kind == "jacobian"
+              and e.target.conjugate(41) == e.target]
     moved = [e for e in other_model_edges(g, raw)
              if e.target.kind == "jacobian"]
-    assert (len(jacobians), fixed, len(moved)) == (40, 22, 227)
+    assert (len(jacobians), fixed, len(mapped), len(moved)) \
+        == (40, 22, 58, 113)
     assert len(calls) \
-        == len(jacobians) + fixed + (40 - fixed) // 2 + len(moved) == 298
+        == len(jacobians) + fixed + len(mapped) + len(moved) == 233
     assert all(v.ra_order == len(v.ra_maps) for v in jacobians)
     assert validate(g).ok
-    assert len(calls) == 298
+    assert len(calls) == 233
 
 
 def assert_edges_match_stepping_oracle(g):
@@ -805,20 +817,24 @@ def test_validate_catches_a_first_reaching_dual_moved_to_another_orbit():
 
 
 def test_validate_maps_only_duals_recorded_on_another_model(monkeypatch):
-    # at p = 41, 251 of the 526 edges have their target's own model as
-    # codomain: the 198 dual-derived ones, the 49 that first reached
-    # their target and the 4 induced loops.  The build keeps their
-    # duals, and moves each of the other 275 onto its target once, by
-    # _dual_label: by one Moebius map onto a Jacobian, or by one
-    # kernel_maps search onto a product, whose factor isomorphisms it
-    # counts.  Every built hint is then (kind, the target's
-    # representative, a label), and validate maps none (it made 227
-    # maps, 48 searches and 114 factor searches before)
+    # at p = 41, 242 of the 526 edges have their target's own model as
+    # codomain: the 198 dual-derived ones, the 40 that first reached
+    # their target and built it, and the 4 induced loops.  The build
+    # keeps their duals, reads each of the 143 Frobenius-derived ones
+    # off its partner, and moves each of the other 141 onto its target
+    # once, by _dual_label: by one Moebius map onto a Jacobian, or by
+    # one kernel_maps search onto a product, whose factor isomorphisms
+    # it counts (275 moves, 227 maps and 110 factor searches before,
+    # when Frobenius-derived duals were moved too).  Every built hint
+    # is then (kind, the target's representative, a label), and
+    # validate maps none (it made 227 maps, 48 searches and 114 factor
+    # searches before)
     raw = raw_hints(monkeypatch)
     moved = count_calls(monkeypatch, "_dual_label", graph)
     g = build_graph(make_field(41))
     other = other_model_edges(g, raw)
-    assert (len(g.edges), len(other)) == (526, 275)
+    assert (len(g.edges), len(frobenius_derived(g, raw)), len(other)) \
+        == (526, 143, 141)
     assert len(moved) == len(other)
     assert all(tgt is g.vertex(e.target) and hint is raw[id(e)]
                for (tgt, hint), e in zip(moved, other))
@@ -835,9 +851,9 @@ def test_validate_maps_only_duals_recorded_on_another_model(monkeypatch):
                      for e in other if e.target.kind == "product"]
     for e in other:
         graph._dual_label(g.vertex(e.target), raw[id(e)])
-    assert len(moebius) == len(other) - len(onto_products) == 227
+    assert len(moebius) == len(other) - len(onto_products) == 113
     assert searches == onto_products
-    assert len(factors) == 110
+    assert len(factors) == 67
 
 
 @pytest.mark.parametrize("p", [23, 41])
@@ -855,47 +871,143 @@ def test_duals_on_the_targets_own_model_are_labels(p):
 
 def test_validate_finds_roots_only_of_duals_on_another_model(monkeypatch):
     # the build finds the three block roots of the dual splitting of
-    # each of the 227 edges into a Jacobian whose codomain is another
-    # model than the target's representative, and of each of the 40
-    # that built their target, and of no other; validate finds none
-    # (681 before, when it moved the 227 again)
+    # each of the 113 stepped edges into a Jacobian whose codomain is
+    # another model than the target's representative, and of each of
+    # the 31 that built their target from their codomain, and of no
+    # other: the 9 mirrors are built from their partners' points.
+    # validate finds none (681 before, when it moved the 227 duals
+    # the build moved then again; 801 in the build before, when it
+    # moved each Frobenius-derived dual)
     raw = raw_hints(monkeypatch)
     roots = count_calls(monkeypatch, "_block_roots")
     g = build_graph(make_field(41))
     other = [e for e in other_model_edges(g, raw)
              if e.target.kind == "jacobian"]
-    built = [e for e in reaching_edges(g) if e.target.kind == "jacobian"]
-    assert len(roots) == 3 * (len(other) + len(built)) == 3 * (227 + 40)
+    built = [e for e in reaching_edges(g) if e.target.kind == "jacobian"
+             and raw[id(e)][1] is g.vertex(e.target).representative]
+    assert len(roots) == 3 * (len(other) + len(built)) == 3 * (113 + 31)
     del roots[:]
     assert validate(g).ok
     assert roots == []
 
 
-def test_conjugate_hint_of_a_reaching_edge_before_its_target_expands(
-        monkeypatch):
-    # sigma of the hint of a stepped edge that first reached a Jacobian
-    # vertex, whose dual the build relabelled there, is sigma of the
-    # step's own dual splitting, read before the vertex is expanded
-    steps = {}
+@pytest.mark.parametrize("p", [23, 41])
+def test_mirror_vertices_keep_their_partners_labels(p):
+    # the later vertex of each sigma-swapped pair is built as the
+    # earlier's conjugate, its points the earlier's conjugated in their
+    # order, so that sigma sends kernel l of one to kernel l of the
+    # other: each edge of the later-expanded vertex has the kernels, in
+    # an order of its own, and the dual label of its partner, the edge
+    # holding its first kernel (at a sigma-fixed target, the label's
+    # image under the target's Frobenius labels)
+    g = build_graph(make_field(p))
+    built = list(g.vertices)
+    expanded = list(dict.fromkeys(e.source for e in g.edges))
+    pairs = [(g.vertex(key.conjugate(p)), m) for key, m in g.vertices.items()
+             if built.index(key.conjugate(p)) < built.index(key)]
+    assert len(pairs) == {23: 1, 41: 9}[p]
+
+    def conj(x):
+        return x if x is genus2.INF else (x.a, -x.b % p)
+    for w, m in pairs:
+        assert [(c.a, c.b) for c in m.representative.f.coeffs] \
+            == [conj(c) for c in w.representative.f.coeffs]
+        assert [x if x is genus2.INF else (x.a, x.b) for x in m.points] \
+            == list(map(conj, w.points)), m.key.as_string()
+    for w, m in pairs:
+        first, later = sorted((w, m), key=lambda v: expanded.index(v.key))
+        for o in later.edges:
+            e = first.kernel_to_edge[o.kernels[0]]
+            act = range(15) if o.target != e.target else \
+                graph._frobenius_labels(g.vertex(e.target))
+            assert (o.target, sorted(o.kernels), o.hint[2]) == (
+                e.target.conjugate(p), sorted(e.kernels), act[e.hint[2]])
+
+
+def test_build_moves_only_stepped_duals(monkeypatch):
+    # _dual_label receives only hints that steps made: the 141 stepped
+    # edges at p = 41 whose codomain is another model of their target.
+    # The 143 Frobenius-derived duals are read off their partners (275
+    # moves before, when each derived dual was moved again)
+    stepped = set()
     for name in ("_jacobian_step", "_product_step"):
         def step(*args, real=getattr(graph, name)):
             out = real(*args)
-            steps[id(out[1][1])] = out[1][2]
+            stepped.add(id(out[1]))
             return out
         monkeypatch.setattr(graph, name, step)
+    raw = raw_hints(monkeypatch)
+    moved = count_calls(monkeypatch, "_dual_label", graph)
+    g = build_graph(make_field(41))
+    assert len(frobenius_derived(g, raw)) == 143
+    assert all(id(hint) in stepped for _, hint in moved)
+    assert len(moved) == len(other_model_edges(g, raw)) == 141
+
+
+def test_frobenius_derived_edge_onto_a_target_its_partner_built(
+        monkeypatch):
+    # at a sigma-fixed vertex a derived orbit's partner, an earlier
+    # orbit there, may first reach its target T in the same expansion.
+    # The build labels the partner's dual on T before it reads it for
+    # the derived edge: into sigma(T), then built as T's mirror, as the
+    # same label, or, if sigma fixes T, into T, through T's Frobenius
+    # labels.  Either way it is the dual of one step on the edge's
+    # kernel_rep, moved onto the target
+    raw = raw_hints(monkeypatch)
     g = build_graph(make_field(41))
     monkeypatch.undo()
-    reaching = [e for e in reaching_edges(g) if e.hint[0] in ("jac", "glue")
-                and id(e.hint[1]) in steps]
-    assert all(e.hint[1] is g.vertex(e.target).representative
-               for e in reaching)
-    for e in reaching:
-        bare = replace(g.vertex(e.target), edges=[], kernel_to_edge=())
-        kind, codomain, _ = e.hint
-        assert graph._conjugate_hint(e, {e.target: bare}) == (
-            kind, codomain.conjugate(),
-            graph._conjugate(steps[id(codomain)])), e.sort_key()
-    assert len(reaching) == 33  # the other 7 are sigma-derived
+    built, reaching = list(g.vertices), set(map(id, reaching_edges(g)))
+    cases = [(e, raw[id(e)][2]) for e in frobenius_derived(g, raw)
+             if e.source.conjugate(41) == e.source
+             and id(raw[id(e)][2]) in reaching]
+    mirrored = fixed = 0
+    for e, partner in cases:
+        tgt = g.vertex(e.target)
+        assert partner.source == e.source
+        assert dual_edge(g, e) is tgt.kernel_to_edge[
+            graph._dual_label(tgt, stepped_hint(g, e))], e.sort_key()
+        if e.target == partner.target:
+            fixed += 1
+            assert e.hint[2] \
+                == graph._frobenius_labels(tgt)[partner.hint[2]]
+        else:
+            mirrored += 1
+            assert built.index(e.target) > built.index(partner.target)
+            assert e.hint[2] == partner.hint[2]
+    assert (mirrored, fixed) == (6, 10)
+
+
+def test_build_names_an_edge_whose_frobenius_labels_fail(monkeypatch):
+    # the build maps a Frobenius-derived dual into a sigma-fixed Jacobian
+    # through the target's Frobenius labels; a Moebius search that finds
+    # no map there raises from build_graph, naming the edge by its
+    # source, its target and its kernel, as a failed move does
+    raw = raw_hints(monkeypatch)
+    g = build_graph(make_field(41))
+    monkeypatch.undo()
+    e = next(e for e in frobenius_derived(g, raw)
+             if e.target.kind == "jacobian"
+             and e.target.conjugate(41) == e.target)
+    expand, labels, inside = graph._expand, graph._frobenius_labels, []
+
+    def in_expand(*args):
+        inside.append(args)
+        try:
+            return expand(*args)
+        finally:
+            inside.pop()
+
+    def build_labels(v):  # no frames to map onto, in the build only
+        return labels(v if inside or v.points is None
+                      else replace(v, frames={}))
+    monkeypatch.setattr(graph, "_expand", in_expand)
+    monkeypatch.setattr(graph, "_frobenius_labels", build_labels)
+    with pytest.raises(GraphError) as exc:
+        build_graph(make_field(41))
+    at = e.target.as_string()
+    assert str(exc.value) == (
+        f"edge {e.source.as_string()} -> {at} of kernel {e.kernel_rep}: "
+        f"no isomorphism onto {at}: the models do not match")
 
 
 def test_build_raises_on_two_records_in_one_orbit(monkeypatch):
@@ -937,10 +1049,10 @@ def test_frobenius_derivation_raises_on_inconsistent_partners(monkeypatch):
     edges = neighbourhood(C)
     assert [e.kernels for e in edges][:3] == [(0, 7, 12), (2,), (1, 10, 5)]
     real, v = graph._frobenius_labels, graph._make_vertex(VertexKey.of(C), C)
-    assert real(v, v) == tuple(range(15))
+    assert real(v) == tuple(range(15))
     swap = {0: 1, 1: 0}
-    monkeypatch.setattr(graph, "_frobenius_labels", lambda u, v: tuple(
-        swap.get(k, k) for k in real(u, v)))
+    monkeypatch.setattr(graph, "_frobenius_labels", lambda v: tuple(
+        swap.get(k, k) for k in real(v)))
     with pytest.raises(GraphError, match=r"orbit \(1, 10, 5\) at jac:.* "
                        "maps from two Frobenius partner edges"):
         neighbourhood(C)
@@ -1024,8 +1136,8 @@ def test_build_graph_stops_past_census_count(monkeypatch):
     # with Jacobian keys that never merge the closure would not end;
     # the census count bounds it.  A fresh key is sigma-fixed (b = 0)
     # just when the curve's own key is, and no fresh key is the
-    # conjugate of another (b = 1, never 22), so an edge derived from
-    # its Frobenius partner lands on a model of its target
+    # conjugate of another (b = 1, never 22): an edge derived from its
+    # Frobenius partner lands on the mirror of the partner's target
     fresh, real = iter(range(10 ** 6)), VertexKey.jacobian
     monkeypatch.setattr(VertexKey, "jacobian", classmethod(
         lambda cls, curve: cls("jacobian", ((next(fresh), int(
