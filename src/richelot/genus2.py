@@ -226,7 +226,7 @@ def matching_splitting(ctx, forced, matching, scale) -> QuadraticSplitting:
 
 # The perfect matchings of range(n), each its increasing pairs in order.
 # A Jacobian kernel is labelled by the index in MATCHINGS, n = 6, of its
-# matching of the vertex's sorted Weierstrass points.
+# matching of the vertex's Weierstrass points, in graph.Vertex.points order.
 _INDEX_MATCHINGS = {n: tuple(tuple(m) for m in _matchings(list(range(n))))
                     for n in (0, 2, 4, 6)}
 MATCHINGS = _INDEX_MATCHINGS[6]
@@ -303,28 +303,28 @@ def point_key(pt):
     return (1, ) + pt.key()
 
 
-def _block_roots(g, ctx, point=FieldElement):
+def _block_roots(g, ctx):
     """The two points of a monic block (c0, c1, c2) of int pairs, INF
     partnering a linear block's root; None when the block is irreducible
     over GF(p^2).  A quadratic block runs on int pairs: (-c1 +- psqrt(c1^2
-    - 4 c0)) (p + 1)/2, and only the two roots are made, by point(ctx, a,
-    b): FieldElements, or (a, b) pairs for Moebius frames to read."""
+    - 4 c0)) (p + 1)/2, and only the two roots are made FieldElements."""
     (c, b), p, h = g[:2], ctx.p, (ctx.p + 1) // 2
     if g[2] == (0, 0):
-        return point(ctx, -c[0] % p, -c[1] % p), INF
+        return FieldElement(ctx, -c[0] % p, -c[1] % p), INF
     s = ctx.psqrt(ctx.pminor(b, b, (4, 0), c))
     return None if s is None else tuple(
-        point(ctx, (u - b[0]) * h % p, (v - b[1]) * h % p)
+        FieldElement(ctx, (u - b[0]) * h % p, (v - b[1]) * h % p)
         for u, v in (s, (-s[0], -s[1])))
 
 
-def splitting_root_pairs(spl: QuadraticSplitting, point=FieldElement) -> list:
+def splitting_root_pairs(spl: QuadraticSplitting) -> list:
     """The Weierstrass points of y^2 = spl.curve() as the three pairs
-    covered by spl's blocks, one square root each, made by point (as in
-    _block_roots).  Raises IrrationalPointsError when a block is
+    covered by spl's blocks, in block order, one square root each
+    (_block_roots).  Listed pair by pair, spl is their kernel 0
+    (MATCHINGS[0]).  Raises IrrationalPointsError when a block is
     irreducible: the rational kernels are then the matchings of the
     other blocks' points."""
-    roots = [_block_roots(g, spl.ctx, point) for g in spl.blocks]
+    roots = [_block_roots(g, spl.ctx) for g in spl.blocks]
     if None in roots:
         rational = 2 * (len(roots) - roots.count(None))
         raise IrrationalPointsError(
@@ -354,12 +354,12 @@ def _frame_maker(ctx, pts, triples):
     cross-ratio q(l, i, k) q(j, k, i), q(a, i, k) = (x_a - x_i)/(x_a -
     x_k) with a factor holding INF read as 1.  q is tabulated for the
     given triples (a, i, k) as (a, b) int pairs, one inverse per pair
-    {a, k}; the points are FieldElements or such pairs (and INF).  The
+    {a, k}, from the keys of the points (FieldElements and INF).  The
     signature is the other three images' keys, sorted and concatenated;
     the frame is (i, j, k) and the other indices in that order.
     """
     p, nr, mul, inverse = ctx.p, ctx.nonresidue, ctx.pmul, ctx.pinv
-    xs = [x if x is INF or type(x) is tuple else x.key() for x in pts]
+    xs = [x if x is INF else x.key() for x in pts]
 
     def sub(x, y):
         return (x[0] - y[0]) % p, (x[1] - y[1]) % p

@@ -12,8 +12,9 @@ ratio principle and dual involutivity on those labels, classifier
 agreement, the mass formula and the Frobenius mirror:
 sigma(a + b*i) = a - b*i maps the graph onto itself, as steps have GF(p)
 coefficients and keys are Galois-stable, so _expand derives each edge
-whose sigma-image it knows, and the later vertex of a sigma-swapped pair
-is built as the earlier's conjugate, whose kernel labels sigma keeps.
+whose sigma-image it knows, its labels moved by each vertex's sigma,
+made once: the identity but at a sigma-fixed vertex, as the later vertex
+of a sigma-swapped pair is built as the earlier's conjugate.
 Each isogeny A -> B has a dual B -> A, so build_graph also derives the
 orbit at B that holds the dual of an edge from an expanded A: every edge
 is stepped at most once.
@@ -124,15 +125,17 @@ class OrbitEdge:
 class Vertex:
     """A graph vertex; Jacobians also hold their Weierstrass points.
 
-    A Jacobian's points are its sorted Weierstrass points (a mirror's
-    are its partner's conjugated, in their order), frames their
-    moebius_frames, and ra_maps its RA maps as index maps of the points,
-    read off the frames once: reduced_automorphisms of the
-    representative; only the build reads the frames, for the RA maps,
-    the Frobenius labels and the duals moved onto the vertex.  edges are
-    the orbit edges out of the vertex; kernel_to_edge is the 15-tuple of
-    their edges by kernel label (OrbitEdge.kernels), for dual_edge to
-    look duals up in.  build_graph fills in both when it expands it.
+    A Jacobian's points are its Weierstrass points: the roots of the
+    step dual that reached it, pair by pair, so that dual is kernel 0
+    (a mirror's are its partner's conjugated, in their order; a seed's
+    are sorted), frames their moebius_frames, and ra_maps its RA maps
+    as index maps of the points, read off the frames once; only the
+    build reads the frames.  sigma[l] is the label of the Frobenius
+    image of kernel l: the identity, but at a sigma-fixed vertex.
+    edges are the orbit edges out of the vertex; kernel_to_edge is the
+    15-tuple of their edges by kernel label (OrbitEdge.kernels), for
+    dual_edge to look duals up in.  build_graph fills in both when it
+    expands it.
     """
 
     key: VertexKey
@@ -142,6 +145,7 @@ class Vertex:
     points: tuple = field(default=None, repr=False)
     frames: dict = field(default=None, repr=False)
     ra_maps: list = field(default=None, repr=False)
+    sigma: tuple = field(default=tuple(range(15)), repr=False)
     edges: list = field(default_factory=list)
     kernel_to_edge: tuple = ()
 
@@ -165,27 +169,27 @@ def ra_type_of(rep) -> str:
 
 def _make_vertex(key: VertexKey, rep, pts=None) -> Vertex:
     """The vertex record of rep.  A Jacobian's points are pts, if given:
-    the sorted block roots (_points_and_label) of the splitting on the
-    edge that reached it, or of the one given to neighbourhood, or a
-    mirror's partner's.  Only seeds and bare curves are factored."""
+    the roots of the dual splitting on the edge that reached it, pair
+    by pair, those of the splitting given to neighbourhood, sorted, or
+    a mirror's partner's, conjugated.  Only seeds and bare curves are
+    factored.  If sigma fixes key, sigma is read off the first
+    isomorphism from sigma(rep) onto rep, or GraphError raised."""
     ra_type = ra_type_of(rep)
     if key.kind != "jacobian":
-        return Vertex(key=key, representative=rep, ra_type=ra_type,
-                      ra_order=ra_order_product(ra_type))
-    pts = pts or weierstrass_points(rep)
-    frames = moebius_frames(rep.ctx, pts)
-    maps = list(moebius_stabilizing(rep.ctx, pts, frames))
-    return Vertex(key=key, representative=rep, ra_type=ra_type,
-                  ra_order=len(maps), points=pts, frames=frames,
-                  ra_maps=maps)
-
-
-def _points_and_label(spl) -> tuple:
-    """The sorted Weierstrass points of y^2 = spl.curve() and the kernel
-    label of spl over them, from one splitting_root_pairs."""
-    pairs = splitting_root_pairs(spl)
-    pts = sorted(sum(pairs, ()), key=point_key)
-    return pts, matching_index([pts.index(x) for x in pr] for pr in pairs)
+        v = Vertex(key=key, representative=rep, ra_type=ra_type,
+                   ra_order=ra_order_product(ra_type))
+    else:
+        pts = pts or weierstrass_points(rep)
+        frames = moebius_frames(rep.ctx, pts)
+        maps = list(moebius_stabilizing(rep.ctx, pts, frames))
+        v = Vertex(key=key, representative=rep, ra_type=ra_type,
+                   ra_order=len(maps), points=pts, frames=frames,
+                   ra_maps=maps)
+    if key.conjugate(rep.ctx.p) == key:
+        v.sigma = (_first_map(_conjugate(rep), v) if pts is None
+                   else matching_action(tuple(_first_map(
+                       [_conjugate(x) for x in pts], v))))
+    return v
 
 
 def neighbourhood(rep) -> list:
@@ -193,7 +197,7 @@ def neighbourhood(rep) -> list:
 
     rep is a Genus2Curve, a ProductSurface, or a QuadraticSplitting
     standing for the Jacobian of its curve(), whose Weierstrass points
-    are read off its blocks; only a bare curve is factored.
+    are read off its blocks, sorted; only a bare curve is factored.
     For Jacobians: the reduced automorphisms permute the 15 rational
     splittings; for products: the torsion action groups the 15
     product/diagonal kernels.  One edge per orbit (_expand); when sigma
@@ -202,7 +206,8 @@ def neighbourhood(rep) -> list:
     """
     pts = None
     if isinstance(rep, QuadraticSplitting):
-        rep, pts = rep.curve(), _points_and_label(rep)[0]
+        pts = sorted(sum(splitting_root_pairs(rep), ()), key=point_key)
+        rep = rep.curve()
     return _expand(_make_vertex(VertexKey.of(rep), rep, pts))
 
 
@@ -216,8 +221,8 @@ def _expand(v: Vertex, vertices=None, incoming=()) -> list:
     known edge e takes target sigma(e.target) and hint (e's kind, sigma
     of e's codomain, e); every other orbit steps on its first kernel.
     Known edges are those of sigma(v), if expanded (in vertices), when
-    no dual is read, whose labels are v's, or, if sigma fixes v, v's
-    earlier orbits, relabelled by _frobenius_labels(v).  Raises
+    no dual is read, or, if sigma fixes v, v's earlier orbits; either
+    way their labels are moved by v.sigma.  Raises
     GraphError if an orbit holds two duals, maps from two edges, or
     names a target other than its partner's image, or if sigma moves a
     self-paired orbit's target.
@@ -234,7 +239,7 @@ def _expand(v: Vertex, vertices=None, incoming=()) -> list:
     p, vertices = v.representative.ctx.p, vertices or {v.key: v}
     u = vertices.get(v.key.conjugate(p))
     # at a sigma-fixed vertex u is v, whose edges are not yet made
-    act = _frobenius_labels(v) if u is v else u and u.edges and range(15)
+    act = (u is v or u and u.edges) and v.sigma
     known = {act[k]: e for e in u.edges for k in e.kernels} if act else {}
     duals = () if known else incoming
     edges = []
@@ -280,19 +285,12 @@ def _conjugate(x):
     return x if x is INF else FieldElement(x.ctx, x.a, -x.b % x.ctx.p)
 
 
-def _frobenius_labels(v: Vertex) -> tuple:
-    """act: act[l] is the label at the sigma-fixed vertex v of sigma of
-    its kernel l, by the first isomorphism from sigma(v) onto v."""
-    if v.points is None:
-        return _first_map(_conjugate(v.representative), v)
-    return matching_action(tuple(_first_map(
-        [_conjugate(x) for x in v.points], v)))
-
-
 def _first_map(src, v: Vertex):
     """The first isomorphism onto v's representative: from the points
     src of a model, as an index map (moebius_stabilizing on v's frames),
-    or from the product src, as a kernel_maps label map."""
+    or from the product src, as a kernel_maps label map.  Any one will
+    do to move a kernel: two differ by an automorphism of v, which keeps
+    the kernel inside its orbit."""
     if v.points is None:
         m = next(kernel_maps(src, v.representative), None)
     else:
@@ -342,18 +340,19 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
     (_expand), so no derived orbit discovers a vertex.  A vertex whose
     conjugate w is built is built as sigma(w), its points w's conjugated
     in their order, so sigma keeps labels.  Each dual is labelled on its
-    target once, as its edge is recorded: a Frobenius-derived one is its
-    partner's label (_frobenius_labels maps it if sigma fixes the
-    target), a stepped one on another model is moved by _dual_label.
-    Raises GraphError, naming the edge, if a dual finds no label (as on
-    a codomain that is no model of its target), and once it holds more
-    vertices than the census counts.
+    target once, as its edge is recorded.  A step's dual is kernel 0
+    over its roots, pair by pair, so a Jacobian built from the step
+    takes those roots as its points; onto another model the first
+    _first_map m moves it (a product's label l to m[l]).  A
+    Frobenius-derived dual is its partner's label, moved by the
+    target's sigma.  Raises GraphError, naming the edge, if a dual or a
+    new vertex's Frobenius map finds no isomorphism (as on a codomain
+    that is no model of its target), and once it holds more vertices
+    than the census counts.
     """
     if seed is None:
         E = find_supersingular_seed(ctx)
         seed = ProductSurface(E, E)
-    if isinstance(seed, EllipticCurveE2):
-        seed = ProductSurface(seed, seed)
     key = VertexKey.of(seed)
     g = Graph(p=ctx.p, vertices={}, edges=[])
     bound = expected_counts(ctx.p).total()
@@ -371,24 +370,23 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
             kind, rep, dual = e.hint
             tgt = g.vertices.get(e.target)
             w = g.vertices.get(e.target.conjugate(ctx.p))
-            if tgt is None and w is None:
-                # a Jacobian keeps the label of the splitting it is built
-                # from, on its own model rep
-                pts, dual = (_points_and_label(dual) if e.target.kind ==
-                             "jacobian" else (None, dual))
-                tgt = g.vertices[e.target] = _make_vertex(e.target, rep, pts)
-                fresh.append(e.target)
-            elif tgt is None:  # sigma(w) has the labels of w
-                tgt = g.vertices[e.target] = _make_vertex(
-                    e.target, _conjugate(w.representative),
-                    w.points and [_conjugate(x) for x in w.points])
-                fresh.append(e.target)
+            pts = None
             try:
+                if isinstance(dual, QuadraticSplitting):  # kernel 0 of pts
+                    pts = list(sum(splitting_root_pairs(dual), ()))
+                    dual = 0
+                if tgt is None:  # sigma(w), if built, keeps w's labels
+                    tgt = g.vertices[e.target] = _make_vertex(
+                        e.target, rep, pts) if w is None else _make_vertex(
+                        e.target, _conjugate(w.representative),
+                        w.points and list(map(_conjugate, w.points)))
+                    fresh.append(e.target)
                 if isinstance(dual, OrbitEdge):  # the Frobenius partner
-                    dual = dual.hint[2] if tgt is not w else (
-                        _frobenius_labels(tgt)[dual.hint[2]])
-                elif rep is not tgt.representative:
-                    dual = _dual_label(tgt, e.hint)
+                    dual = tgt.sigma[dual.hint[2]]
+                elif rep is not tgt.representative:  # another model
+                    m = _first_map(pts or rep, tgt)
+                    dual = m[dual] if pts is None else matching_index(
+                        zip(m[0::2], m[1::2]))
             except GraphError as exc:
                 raise GraphError(f"edge {e.source.as_string()} -> "
                                  f"{e.target.as_string()} of kernel "
@@ -405,23 +403,6 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
 
 # ---------------------------------------------------------------------------
 # Dual edges
-
-
-def _dual_label(tgt: Vertex, hint) -> int:
-    """The label at the vertex tgt of the dual kernel in the hint of a
-    stepped edge into tgt whose codomain is another model than tgt's
-    representative, moved onto it by an isomorphism: a Jacobian's
-    splitting by the _first_map of the int-pair roots of its blocks,
-    listed pair by pair, a product's label by the first kernel_maps
-    label map.  Any isomorphism will do: two differ by an automorphism
-    of tgt, which keeps the kernel inside its orbit.  Every step records
-    its dual, as steps stay in GF(p^2)."""
-    _, codomain, dual = hint
-    if isinstance(codomain, Genus2Curve):
-        m = _first_map(sum(splitting_root_pairs(
-            dual, lambda ctx, a, b: (a, b)), ()), tgt)
-        return matching_index(zip(m[0::2], m[1::2]))
-    return _first_map(codomain, tgt)[dual]
 
 
 def dual_edge(g: Graph, e: OrbitEdge) -> OrbitEdge:

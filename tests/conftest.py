@@ -11,7 +11,9 @@ from richelot import genus2, gluing, graph, isogeny
 from richelot.field import FieldElement, make_field
 from richelot.genus2 import (INF, MATCHINGS, Genus2Curve, Genus2Error,
                              IrrationalPointsError, QuadraticSplitting,
-                             matching_splitting, orbit_partition, point_key)
+                             matching_index, matching_splitting,
+                             orbit_partition, point_key,
+                             splitting_root_pairs)
 from richelot.elliptic import EllipticCurveE2
 from richelot.gluing import product_kernels
 from richelot.poly import Poly, PolyError, is_squarefree, roots
@@ -314,9 +316,49 @@ def reaching_edges(g):
 
 
 def splitting_points(spl):
-    """The sorted Weierstrass points of y^2 = spl.curve() that a graph
-    vertex built from spl holds (graph._points_and_label)."""
-    return graph._points_and_label(spl)[0]
+    """The Weierstrass points of y^2 = spl.curve(), read off spl's
+    blocks, sorted by point_key."""
+    return sorted(sum(splitting_root_pairs(spl), ()), key=point_key)
+
+
+def dual_label(tgt, hint):
+    """The label at the vertex tgt of the dual kernel in hint, the hint
+    of one step onto a model of tgt, moved onto tgt's representative by
+    the first isomorphism (graph._first_map), as build_graph moves it:
+    a Jacobian's dual splitting is kernel 0 of its roots, listed pair by
+    pair, and a product's label l goes to m[l]."""
+    _, codomain, dual = hint
+    if isinstance(codomain, Genus2Curve):
+        m = graph._first_map(list(sum(splitting_root_pairs(dual), ())), tgt)
+        return matching_index(zip(m[0::2], m[1::2]))
+    return graph._first_map(codomain, tgt)[dual]
+
+
+def patch_moves(monkeypatch, move=None):
+    """Record each isomorphism build_graph reads to move a stepped dual
+    onto another model of its target, as (src, target vertex, map): the
+    graph._first_map calls made outside graph._make_vertex, whose one
+    such call is the Frobenius map of a sigma-fixed vertex.  move(src,
+    tgt, m), if given, returns the map the build reads instead of m."""
+    calls, inside = [], []
+    make, first_map = graph._make_vertex, graph._first_map
+
+    def in_make(*args):
+        inside.append(args)
+        try:
+            return make(*args)
+        finally:
+            inside.pop()
+
+    def mapped(src, tgt):
+        m = first_map(src, tgt)
+        if inside:
+            return m
+        calls.append((src, tgt, m))
+        return move(src, tgt, m) if move else m
+    monkeypatch.setattr(graph, "_make_vertex", in_make)
+    monkeypatch.setattr(graph, "_first_map", mapped)
+    return calls
 
 
 def count_calls(monkeypatch, name, module=genus2):

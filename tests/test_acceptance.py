@@ -32,14 +32,14 @@ from richelot.genus2 import (Genus2Curve, IrrationalPointsError,
                              weierstrass_points)
 from richelot.gluing import ProductKernel, ProductSurface, quotient_diagonal
 from richelot.graph import (VertexKey, build_graph, dual_edge,
-                            _dual_label, _make_vertex, validate)
+                            _make_vertex, validate)
 from richelot.isogeny import (JacobianCodomain, delta, richelot_generic,
                               split_degenerate)
 from richelot.poly import Poly, factor_quadratic_pieces, is_squarefree
 
 from clebsch_fixtures import FIXTURES
-from conftest import (check_split_against_oracle, index_map_moebius,
-                      label_pairing)
+from conftest import (check_split_against_oracle, dual_label,
+                      index_map_moebius, label_pairing)
 
 CENSUS_PRIMES = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 RANDOM_PRIMES = (11, 23, 31)
@@ -322,7 +322,7 @@ def test_criterion_7_round_trips():
             assert isinstance(reglue, JacobianCodomain)
             assert VertexKey.jacobian(reglue.curve) == key
             v = _make_vertex(key, C)
-            label = _dual_label(v, ("glue", reglue.curve, reglue.dual))
+            label = dual_label(v, ("glue", reglue.curve, reglue.dual))
             assert label_pairing(v.points, label) \
                 in _pairing_orbit(C, res.dual)
             done += 1

@@ -26,10 +26,10 @@ from richelot.graph import (GraphError, OrbitEdge, build_graph, dual_edge,
 from richelot.isogeny import JacobianCodomain
 from richelot.poly import Poly
 
-from conftest import (clear_genus2_caches, count_calls, isomorphisms_oracle,
-                      jacobian_orbits_oracle, kernel_map_oracle,
-                      label_pairing, matching_pairing,
-                      moebius_search_oracle,
+from conftest import (clear_genus2_caches, count_calls, dual_label,
+                      isomorphisms_oracle, jacobian_orbits_oracle,
+                      kernel_map_oracle, label_pairing, matching_pairing,
+                      moebius_search_oracle, patch_moves,
                       random_curve_with_irrational_points, random_element,
                       reaching_edges, recorded_dual_splitting,
                       splitting_of, stepped_edges_oracle, stepped_hint)
@@ -321,7 +321,7 @@ def test_dual_transport_from_codomain_with_irrational_points():
     assert VertexKey.of(codomain) == v.key
     with pytest.raises(IrrationalPointsError,
                        match="^only 1 rational kernels") as exc:
-        graph._dual_label(v, ("jac", codomain, spl))
+        dual_label(v, ("jac", codomain, spl))
     assert exc.value.sextic == codomain.f
 
 
@@ -454,8 +454,7 @@ def test_transport_kernel_matches_two_step_oracle(product_graph):
             c2 = isomorphisms_with_torsion(src.E2, dst.E1)
             steps = [(c1[0], c2[0], ()), (ID, ID, ID)]
             crossed += 1
-        assert graph._dual_label(tgt, hint) \
-            == kernel_map_oracle(*steps)[dual]
+        assert dual_label(tgt, hint) == kernel_map_oracle(*steps)[dual]
     assert crossed
 
 
@@ -518,13 +517,13 @@ def test_validate_runs_on_ints(monkeypatch):
     assert validate(g).ok
     assert (calls, log) == ([], [])
     for tgt, hint in hints:
-        graph._dual_label(tgt, hint)
+        dual_label(tgt, hint)
     assert calls == []
     # a crossed first factor fails only between non-isomorphic products
     S, D = (v for v in g.vertices.values()
             if v.key.data in (((0, 0), (0, 0)), ((3, 0), (3, 0))))
     with pytest.raises(GraphError, match="do not match"):
-        graph._dual_label(D, ("prod", S.representative, 0))
+        dual_label(D, ("prod", S.representative, 0))
     monkeypatch.undo()
     skipped = [0, 0]
     for (src, dst), searched in log:
@@ -584,6 +583,11 @@ def test_jacobian_seeded_build_factors_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_build_graph_refuses_an_elliptic_curve_seed(ctx11):
+    with pytest.raises(GraphError, match="^unsupported representative"):
+        build_graph(ctx11, seed=e_1728(ctx11))
+
+
 def test_jacobian_seed_matches_product_seed():
     ctx = make_field(23)
     g = build_graph(ctx, seed=sextic_x6_plus_1(ctx))
@@ -633,33 +637,27 @@ def other_model_edges(g, raw):
 
 def test_each_jacobian_vertex_reads_its_ra_maps_once(monkeypatch):
     # _make_vertex reads the RA maps off the frames once; its RA order
-    # and the expansion's orbits share them.  The expansion reads one
-    # more map, its Frobenius labels, at each sigma-fixed Jacobian; the
-    # two vertices of a sigma-swapped pair share their labels and read
-    # none.  The build reads one more per Frobenius-derived dual into a
-    # sigma-fixed Jacobian, its Frobenius labels, and one per stepped
-    # dual it moves onto a Jacobian target whose codomain is another
-    # model.  The others, derived from a dual or a mirror partner, or
-    # the 31 that built their target, are read with no map (298 maps
-    # before: 9 more at the second-expanded vertex of each sigma-swapped
-    # pair, none in the build's Frobenius labels, and 227 moves)
+    # and the expansion's orbits share them.  It reads one more map, its
+    # Frobenius map (Vertex.sigma), at each sigma-fixed Jacobian; the two
+    # vertices of a sigma-swapped pair share their labels and read none.
+    # The build reads one more per stepped dual it moves onto a Jacobian
+    # target whose codomain is another model.  The others, derived from
+    # a dual or a Frobenius partner, or the 31 that built their target,
+    # are read with no map (233 maps before: 58 more, for the Frobenius
+    # labels of each Frobenius-derived dual into a sigma-fixed Jacobian;
+    # 298 before that)
     raw = raw_hints(monkeypatch)
     calls = count_calls(monkeypatch, "moebius_stabilizing")
     g = build_graph(make_field(41))
     jacobians = [v for v in g.vertices.values() if v.key.kind == "jacobian"]
     fixed = sum(v.key.conjugate(41) == v.key for v in jacobians)
-    mapped = [e for e in frobenius_derived(g, raw)
-              if e.target.kind == "jacobian"
-              and e.target.conjugate(41) == e.target]
     moved = [e for e in other_model_edges(g, raw)
              if e.target.kind == "jacobian"]
-    assert (len(jacobians), fixed, len(mapped), len(moved)) \
-        == (40, 22, 58, 113)
-    assert len(calls) \
-        == len(jacobians) + fixed + len(mapped) + len(moved) == 233
+    assert (len(jacobians), fixed, len(moved)) == (40, 22, 113)
+    assert len(calls) == len(jacobians) + fixed + len(moved) == 175
     assert all(v.ra_order == len(v.ra_maps) for v in jacobians)
     assert validate(g).ok
-    assert len(calls) == 233
+    assert len(calls) == 175
 
 
 def assert_edges_match_stepping_oracle(g):
@@ -675,7 +673,7 @@ def assert_edges_match_stepping_oracle(g):
         for e, o in zip(v.edges, want):
             tgt = g.vertex(e.target)
             assert dual_edge(g, e) is tgt.kernel_to_edge[
-                graph._dual_label(tgt, o.hint)], e.sort_key()
+                dual_label(tgt, o.hint)], e.sort_key()
 
 
 @pytest.mark.parametrize("p", [23, 41])
@@ -751,24 +749,25 @@ def test_jacobian_hints_hold_their_duals_curve(p):
 
 
 def test_validate_catches_a_record_moved_to_another_orbit(monkeypatch):
-    # the first dual the build moves onto a target with orbits of two
-    # weights, moved on to the first label of an orbit there of another
-    # weight than its own dual's, gives an orbit the wrong target or the
-    # edge the wrong dual, and the ratio principle sees it
-    real, moves = graph._dual_label, count_calls(monkeypatch,
-                                                 "_dual_label", graph)
+    # the first dual the build moves onto a Jacobian target with orbits
+    # of two weights, moved on to the first label of an orbit there of
+    # another weight than its own dual's (by a map sending kernel 0 to
+    # that label), gives an orbit the wrong target or the edge the wrong
+    # dual, and the ratio principle sees it
+    moves = patch_moves(monkeypatch)
     build_graph(make_field(41))
     monkeypatch.undo()
-    n, label = next((n, o.kernels[0]) for n, (tgt, hint) in enumerate(moves)
-                    for w in [tgt.kernel_to_edge[real(tgt, hint)].weight]
-                    for o in tgt.edges if o.weight != w)
-
+    n, label = next(
+        (n, o.kernels[0]) for n, (_, tgt, m) in enumerate(moves) if tgt.points
+        for w in [tgt.kernel_to_edge[genus2.matching_index(
+            zip(m[0::2], m[1::2]))].weight]
+        for o in tgt.edges if o.weight != w)
     calls = []
 
-    def moved(tgt, hint):
-        calls.append(hint)
-        return label if len(calls) == n + 1 else real(tgt, hint)
-    monkeypatch.setattr(graph, "_dual_label", moved)
+    def move(src, tgt, m):
+        calls.append(m)
+        return sum(genus2.MATCHINGS[label], ()) if len(calls) == n + 1 else m
+    patch_moves(monkeypatch, move)
     g = build_graph(make_field(41))
     monkeypatch.undo()
     failed = {name for name, ok, _ in validate(g).checks if not ok}
@@ -822,22 +821,22 @@ def test_validate_maps_only_duals_recorded_on_another_model(monkeypatch):
     # their target and built it, and the 4 induced loops.  The build
     # keeps their duals, reads each of the 143 Frobenius-derived ones
     # off its partner, and moves each of the other 141 onto its target
-    # once, by _dual_label: by one Moebius map onto a Jacobian, or by
-    # one kernel_maps search onto a product, whose factor isomorphisms
-    # it counts (275 moves, 227 maps and 110 factor searches before,
-    # when Frobenius-derived duals were moved too).  Every built hint
-    # is then (kind, the target's representative, a label), and
-    # validate maps none (it made 227 maps, 48 searches and 114 factor
-    # searches before)
+    # once, by its first isomorphism from the step's codomain: one
+    # Moebius map from the dual's roots onto a Jacobian, or one
+    # kernel_maps search onto a product, whose factor isomorphisms it
+    # counts (275 moves, 227 maps and 110 factor searches before, when
+    # Frobenius-derived duals were moved too).  Every built hint is then
+    # (kind, the target's representative, a label), and validate maps
+    # none (it made 227 maps, 48 searches and 114 factor searches
+    # before)
     raw = raw_hints(monkeypatch)
-    moved = count_calls(monkeypatch, "_dual_label", graph)
+    moved = patch_moves(monkeypatch)
     g = build_graph(make_field(41))
     other = other_model_edges(g, raw)
     assert (len(g.edges), len(frobenius_derived(g, raw)), len(other)) \
         == (526, 143, 141)
-    assert len(moved) == len(other)
-    assert all(tgt is g.vertex(e.target) and hint is raw[id(e)]
-               for (tgt, hint), e in zip(moved, other))
+    assert all(tgt is g.vertex(e.target)
+               for (_, tgt, _), e in zip(moved, other))
     assert all(e.hint[0] == raw[id(e)][0] and type(e.hint[2]) is int
                and e.hint[1] is g.vertex(e.target).representative
                for e in g.edges)
@@ -850,7 +849,7 @@ def test_validate_maps_only_duals_recorded_on_another_model(monkeypatch):
     onto_products = [(raw[id(e)][1], g.vertex(e.target).representative)
                      for e in other if e.target.kind == "product"]
     for e in other:
-        graph._dual_label(g.vertex(e.target), raw[id(e)])
+        dual_label(g.vertex(e.target), raw[id(e)])
     assert len(moebius) == len(other) - len(onto_products) == 113
     assert searches == onto_products
     assert len(factors) == 67
@@ -899,7 +898,7 @@ def test_mirror_vertices_keep_their_partners_labels(p):
     # other: each edge of the later-expanded vertex has the kernels, in
     # an order of its own, and the dual label of its partner, the edge
     # holding its first kernel (at a sigma-fixed target, the label's
-    # image under the target's Frobenius labels)
+    # image under the target's sigma)
     g = build_graph(make_field(p))
     built = list(g.vertices)
     expanded = list(dict.fromkeys(e.source for e in g.edges))
@@ -918,17 +917,59 @@ def test_mirror_vertices_keep_their_partners_labels(p):
         first, later = sorted((w, m), key=lambda v: expanded.index(v.key))
         for o in later.edges:
             e = first.kernel_to_edge[o.kernels[0]]
-            act = range(15) if o.target != e.target else \
-                graph._frobenius_labels(g.vertex(e.target))
+            act = g.vertex(e.target).sigma
             assert (o.target, sorted(o.kernels), o.hint[2]) == (
                 e.target.conjugate(p), sorted(e.kernels), act[e.hint[2]])
 
 
+@pytest.mark.parametrize("p, fixed", [(23, 14), (29, 18), (41, 32)])
+def test_vertex_sigma_labels_each_kernels_frobenius_image(p, fixed):
+    # at a sigma-fixed vertex sigma[l] labels the image of kernel l: its
+    # edge has the weight of l's edge and the conjugate of its target,
+    # and sigma twice keeps l's orbit.  Every other vertex is built
+    # before its conjugate or as its mirror, so sigma is the identity
+    g = build_graph(make_field(p))
+    seen = 0
+    for v in g.vertices.values():
+        if v.key.conjugate(p) != v.key:
+            assert v.sigma == tuple(range(15)), v.key.as_string()
+            continue
+        seen += 1
+        assert sorted(v.sigma) == list(range(15))
+        for k in range(15):
+            e, o = v.kernel_to_edge[k], v.kernel_to_edge[v.sigma[k]]
+            assert (o.weight, o.target) == (e.weight, e.target.conjugate(p))
+            assert v.kernel_to_edge[v.sigma[v.sigma[k]]] is e
+    assert seen == fixed
+
+
+@pytest.mark.parametrize("p, n", [(23, 9), (41, 31)])
+def test_a_vertex_built_from_a_step_holds_its_dual_as_kernel_0(
+        monkeypatch, p, n):
+    # a Jacobian vertex built from the codomain of the stepped edge that
+    # first reached it takes the roots of the step's dual splitting,
+    # pair by pair, as its points, so the edge's built hint names
+    # kernel 0 there, with no sort and no map
+    raw = raw_hints(monkeypatch)
+    g = build_graph(make_field(p))
+    built = [e for e in reaching_edges(g)
+             if isinstance(raw[id(e)][2], genus2.QuadraticSplitting)
+             and raw[id(e)][1] is g.vertex(e.target).representative]
+    assert len(built) == n
+    for e in built:
+        v, (kind, _, dual) = g.vertex(e.target), raw[id(e)]
+        assert e.hint[0] == kind and e.hint[1] is v.representative
+        assert e.hint[2] == 0, e.sort_key()
+        assert v.points == list(sum(splitting_root_pairs(dual), ()))
+
+
 def test_build_moves_only_stepped_duals(monkeypatch):
-    # _dual_label receives only hints that steps made: the 141 stepped
-    # edges at p = 41 whose codomain is another model of their target.
-    # The 143 Frobenius-derived duals are read off their partners (275
-    # moves before, when each derived dual was moved again)
+    # the build moves only duals that steps made: the 141 stepped edges
+    # at p = 41 whose codomain is another model of their target, each
+    # from the step's product codomain or the roots of its dual
+    # splitting, pair by pair.  The 143 Frobenius-derived duals are read
+    # off their partners (275 moves before, when each derived dual was
+    # moved again)
     stepped = set()
     for name in ("_jacobian_step", "_product_step"):
         def step(*args, real=getattr(graph, name)):
@@ -937,11 +978,16 @@ def test_build_moves_only_stepped_duals(monkeypatch):
             return out
         monkeypatch.setattr(graph, name, step)
     raw = raw_hints(monkeypatch)
-    moved = count_calls(monkeypatch, "_dual_label", graph)
+    moved = patch_moves(monkeypatch)
     g = build_graph(make_field(41))
+    other = other_model_edges(g, raw)
     assert len(frobenius_derived(g, raw)) == 143
-    assert all(id(hint) in stepped for _, hint in moved)
-    assert len(moved) == len(other_model_edges(g, raw)) == 141
+    assert len(moved) == len(other) == 141
+    for (src, tgt, _), e in zip(moved, other):
+        _, codomain, dual = hint = raw[id(e)]
+        assert id(hint) in stepped and tgt is g.vertex(e.target)
+        assert src is codomain if tgt.points is None \
+            else src == list(sum(splitting_root_pairs(dual), ()))
 
 
 def test_frobenius_derived_edge_onto_a_target_its_partner_built(
@@ -965,11 +1011,10 @@ def test_frobenius_derived_edge_onto_a_target_its_partner_built(
         tgt = g.vertex(e.target)
         assert partner.source == e.source
         assert dual_edge(g, e) is tgt.kernel_to_edge[
-            graph._dual_label(tgt, stepped_hint(g, e))], e.sort_key()
+            dual_label(tgt, stepped_hint(g, e))], e.sort_key()
         if e.target == partner.target:
             fixed += 1
-            assert e.hint[2] \
-                == graph._frobenius_labels(tgt)[partner.hint[2]]
+            assert e.hint[2] == tgt.sigma[partner.hint[2]]
         else:
             mirrored += 1
             assert built.index(e.target) > built.index(partner.target)
@@ -978,30 +1023,27 @@ def test_frobenius_derived_edge_onto_a_target_its_partner_built(
 
 
 def test_build_names_an_edge_whose_frobenius_labels_fail(monkeypatch):
-    # the build maps a Frobenius-derived dual into a sigma-fixed Jacobian
-    # through the target's Frobenius labels; a Moebius search that finds
-    # no map there raises from build_graph, naming the edge by its
+    # the build makes the Frobenius map of a sigma-fixed Jacobian as it
+    # builds the vertex; a Moebius search that finds no map there raises
+    # from build_graph, naming the edge that reached the vertex by its
     # source, its target and its kernel, as a failed move does
-    raw = raw_hints(monkeypatch)
     g = build_graph(make_field(41))
-    monkeypatch.undo()
-    e = next(e for e in frobenius_derived(g, raw)
-             if e.target.kind == "jacobian"
+    e = next(e for e in reaching_edges(g) if e.target.kind == "jacobian"
              and e.target.conjugate(41) == e.target)
-    expand, labels, inside = graph._expand, graph._frobenius_labels, []
+    make, first_map, inside = graph._make_vertex, graph._first_map, []
 
-    def in_expand(*args):
+    def in_make(*args):
         inside.append(args)
         try:
-            return expand(*args)
+            return make(*args)
         finally:
             inside.pop()
 
-    def build_labels(v):  # no frames to map onto, in the build only
-        return labels(v if inside or v.points is None
-                      else replace(v, frames={}))
-    monkeypatch.setattr(graph, "_expand", in_expand)
-    monkeypatch.setattr(graph, "_frobenius_labels", build_labels)
+    def no_map(src, v):  # no frames to map onto, in _make_vertex only
+        return first_map(src, replace(v, frames={})
+                         if inside and v.points else v)
+    monkeypatch.setattr(graph, "_make_vertex", in_make)
+    monkeypatch.setattr(graph, "_first_map", no_map)
     with pytest.raises(GraphError) as exc:
         build_graph(make_field(41))
     at = e.target.as_string()
@@ -1011,9 +1053,11 @@ def test_build_names_an_edge_whose_frobenius_labels_fail(monkeypatch):
 
 
 def test_build_raises_on_two_records_in_one_orbit(monkeypatch):
-    # every dual read as label 0: the first vertex reached from two
-    # expanded vertices holds both in one orbit
-    monkeypatch.setattr(graph, "_dual_label", lambda tgt, hint: 0)
+    # every dual moved to label 0, by the identity index map onto a
+    # Jacobian and a constant label map onto a product: the first vertex
+    # reached from two expanded vertices holds both in one orbit
+    patch_moves(monkeypatch, lambda src, tgt, m: tuple(
+        range(6) if tgt.points else [0] * 15))
     with pytest.raises(GraphError, match=r"orbit \(0,\) at prod:3\.0;3\.0 "
                        "holds the duals of 2 edges"):
         build_graph(make_field(41))
@@ -1031,7 +1075,7 @@ def test_expand_raises_on_a_record_against_its_frobenius_partner():
         if o.target == e.target.conjugate(41) != e.target
         and w.edges.index(e) < w.edges.index(o))
     record = replace(dual_edge(g, second), source=first.target)
-    assert graph._dual_label(w, record.hint) in second.kernels
+    assert dual_label(w, record.hint) in second.kernels
     v = graph._make_vertex(w.key, w.representative)
     at = re.escape(f"orbit {second.kernels} at {w.key.as_string()}")
     with pytest.raises(GraphError, match=f"{at} is dual to an edge from "
@@ -1048,11 +1092,10 @@ def test_frobenius_derivation_raises_on_inconsistent_partners(monkeypatch):
     C = sextic_x6_plus_1(ctx)
     edges = neighbourhood(C)
     assert [e.kernels for e in edges][:3] == [(0, 7, 12), (2,), (1, 10, 5)]
-    real, v = graph._frobenius_labels, graph._make_vertex(VertexKey.of(C), C)
-    assert real(v) == tuple(range(15))
-    swap = {0: 1, 1: 0}
-    monkeypatch.setattr(graph, "_frobenius_labels", lambda v: tuple(
-        swap.get(k, k) for k in real(v)))
+    real = graph._make_vertex
+    assert real(VertexKey.of(C), C).sigma == tuple(range(15))
+    monkeypatch.setattr(graph, "_make_vertex", lambda *args: replace(
+        real(*args), sigma=(1, 0) + tuple(range(2, 15))))
     with pytest.raises(GraphError, match=r"orbit \(1, 10, 5\) at jac:.* "
                        "maps from two Frobenius partner edges"):
         neighbourhood(C)
