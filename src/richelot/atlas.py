@@ -19,10 +19,14 @@ kernel actions are labelled).
 
 from __future__ import annotations
 
-import hashlib
 import os
 import random
 from dataclasses import dataclass
+
+try:  # the lean builtin, as random does: hashlib would load OpenSSL
+    from _sha256 import sha256
+except ImportError:  # Python 3.12 and later
+    from hashlib import sha256
 
 from .elliptic import EllipticCurveE2, curve_from_j, j_invariant, two_isogeny
 from .field import FieldCtx
@@ -450,7 +454,7 @@ def _expected_for(case: str, p: int) -> list:
 
 def _seeded_rng(case: str, p: int, attempt: int) -> random.Random:
     seed_env = os.environ.get("RICHELOT_SEED", "0")
-    digest = hashlib.sha256(f"{seed_env}|{case}|{p}|{attempt}".encode())
+    digest = sha256(f"{seed_env}|{case}|{p}|{attempt}".encode())
     return random.Random(int.from_bytes(digest.digest()[:8], "big"))
 
 

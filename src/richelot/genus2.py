@@ -12,8 +12,8 @@ GF(p^2).  This module provides
 * the reduced automorphism group and Moebius maps between six-point
   sets in one form, index maps between frames of equal signature: each
   ordered triple of Weierstrass points, sent to (0, 1, inf), followed
-  by the other three in the order of their images, the cross-ratios,
-  computed on (a, b) int pairs,
+  by the other three in the order of their images, the cross-ratios
+  on (a, b) int pairs, looked up in an index filed by one image each,
 * the two independent RA-type classifiers and the canonical vertex key.
 
 Every point these read lies in GF(p^2), as at every superspecial vertex;
@@ -347,33 +347,16 @@ def weierstrass_points(curve: Genus2Curve) -> list:
     return sorted(free, key=point_key)
 
 
-def _frame_maker(ctx, pts, triples):
-    """frame(i, j, k) -> (signature, frame) on six points.
-
-    The map sending (x_i, x_j, x_k) to (0, 1, inf) sends x_l to the
-    cross-ratio q(l, i, k) q(j, k, i), q(a, i, k) = (x_a - x_i)/(x_a -
-    x_k) with a factor holding INF read as 1.  q is tabulated for the
-    given triples (a, i, k) as (a, b) int pairs, one inverse per pair
-    {a, k}, from the keys of the points (FieldElements and INF).  The
-    signature is the other three images' keys, sorted and concatenated;
-    the frame is (i, j, k) and the other indices in that order.
-    """
-    p, nr, mul, inverse = ctx.p, ctx.nonresidue, ctx.pmul, ctx.pinv
+def _q_table(ctx, pts, triples) -> list:
+    """q(a, i, k) = (x_a - x_i)/(x_a - x_k) at 36a + 6i + k, for the
+    given triples (a, i, k) of indices into six points, as (a, b) int
+    pairs, a factor holding INF read as 1: one inverse per pair {a, k},
+    from the keys of the points (FieldElements and INF)."""
+    p, mul, inverse = ctx.p, ctx.pmul, ctx.pinv
     xs = [x if x is INF else x.key() for x in pts]
 
     def sub(x, y):
         return (x[0] - y[0]) % p, (x[1] - y[1]) % p
-
-    def frame(i, j, k):  # a reduced pair is its own key
-        ca, cb = q[36 * j + 6 * k + i]
-        images = []
-        for l in _REST[i, j, k]:
-            a, b = q[36 * l + 6 * i + k]
-            images.append(((a * ca + nr * b * cb) % p,
-                           (a * cb + b * ca) % p, l))
-        images.sort()
-        (s, t, x), (u, v, y), (w, z, r) = images
-        return (s, t, u, v, w, z), (i, j, k, x, y, r)
     dinv, q = {}, [None] * 216
     for a, i, k in triples:
         if (a, k) not in dinv:
@@ -384,7 +367,14 @@ def _frame_maker(ctx, pts, triples):
                 dinv[k, a] = (-d[0] % p, -d[1] % p)
         q[36 * a + 6 * i + k] = (dinv[a, k] if xs[a] is INF or xs[i] is INF
                                  else mul(sub(xs[a], xs[i]), dinv[a, k]))
-    return frame
+    return q
+
+
+def _image(ctx, q, t, l):
+    """The image of x_l under the map sending (x_i, x_j, x_k), t = (i,
+    j, k), to (0, 1, inf): q(l, i, k) q(j, k, i), a reduced pair."""
+    i, j, k = t
+    return ctx.pmul(q[36 * l + 6 * i + k], q[36 * j + 6 * k + i])
 
 
 _TRIPLES = tuple(permutations(range(6), 3))
@@ -392,18 +382,46 @@ _TRIPLES = tuple(permutations(range(6), 3))
 _REST = {t: tuple(l for l in range(6) if l not in t) for t in _TRIPLES}
 
 
-def moebius_frames(ctx, pts) -> dict:
-    """The frames of the six points pts, one per ordered triple, listed
-    by signature (_frame_maker: 15 inverses).  Two frames of two point
-    sets share it exactly when a Moebius map sends one set onto the
-    other, and each point of the first frame to the point at the same
-    place in the second."""
-    frame = _frame_maker(ctx, pts, _TRIPLES)
-    frames = {}
-    for triple in _TRIPLES:
-        signature, fr = frame(*triple)
-        frames.setdefault(signature, []).append(fr)
-    return frames
+class MoebiusIndex:
+    """The frames of six points pts by signature, as moebius_frames(ctx,
+    pts) builds them.  An ordered triple's frame is the triple, then the
+    other indices in the order of their images (_image), whose keys,
+    sorted and concatenated, are its signature.  Two point sets' frames
+    share a signature exactly when a Moebius map sends each point of one
+    to the point at the same place in the other.  It keeps the q table
+    (15 inverses), each triple filed by its first other point's image."""
+
+    __slots__ = ("ctx", "q", "filed")
+
+    def __init__(self, ctx, pts):
+        self.ctx, self.q, self.filed = ctx, _q_table(ctx, pts, _TRIPLES), {}
+        for t in _TRIPLES:
+            key = _image(ctx, self.q, t, _REST[t][0])
+            self.filed[key] = self.filed.get(key, ()) + (t,)
+
+    def get(self, signature, default=None) -> list:
+        """The frames of signature in _TRIPLES order, or default if none:
+        the triples filed under its images whose other images it holds."""
+        mul, q = self.ctx.pmul, self.q
+        rank = {signature[n:n + 2]: n // 2 for n in (0, 2, 4)}
+        frames = []
+        for w, n in rank.items():
+            for t in self.filed.get(w, ()):
+                (i, j, k), (first, *others) = t, _REST[t]
+                tail, c = [None] * 3, q[36 * j + 6 * k + i]  # as in _image
+                tail[n] = first
+                for l in others:
+                    at = rank.get(mul(q[36 * l + 6 * i + k], c))
+                    if at is None:
+                        break
+                    tail[at] = l
+                else:
+                    frames.append(t + tuple(tail))
+        frames.sort()  # by triple: each frame opens with its own
+        return frames or default
+
+
+moebius_frames = MoebiusIndex
 
 
 def moebius_stabilizing(ctx, src_pts, dst_frames):
@@ -414,8 +432,10 @@ def moebius_stabilizing(ctx, src_pts, dst_frames):
     src_pts's base frame (0, 1, 2), whose q(1, 2, 0) and q(l, 0, 2)
     take four inverses; the signature is read at once, and the maps are
     yielded lazily, so that a caller wanting one builds one."""
-    signature, base = _frame_maker(
-        ctx, src_pts, ((1, 2, 0), (3, 0, 2), (4, 0, 2), (5, 0, 2)))(0, 1, 2)
+    q = _q_table(ctx, src_pts, ((1, 2, 0), (3, 0, 2), (4, 0, 2), (5, 0, 2)))
+    images = sorted(_image(ctx, q, (0, 1, 2), l) + (l,) for l in (3, 4, 5))
+    signature = sum((image[:2] for image in images), ())
+    base = [0, 1, 2] + [l for *_, l in images]  # the base frame
     at = sorted(range(6), key=base.__getitem__)
     return ([fr[t] for t in at] for fr in dst_frames.get(signature, ()))
 

@@ -22,7 +22,6 @@ is stepped at most once.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -87,6 +86,7 @@ class VertexKey:
         return f"{tag}:{coords}"
 
     def sha256(self) -> str:
+        import hashlib  # here, so that only a DOT export loads it
         return hashlib.sha256(self.as_string().encode()).hexdigest()
 
 
@@ -127,15 +127,16 @@ class Vertex:
 
     A Jacobian's points are its Weierstrass points: the roots of the
     step dual that reached it, pair by pair, so that dual is kernel 0
-    (a mirror's are its partner's conjugated, in their order; a seed's
-    are sorted), frames their moebius_frames, and ra_maps its RA maps
-    as index maps of the points, read off the frames once; only the
-    build reads the frames.  sigma[l] is the label of the Frobenius
-    image of kernel l: the identity, but at a sigma-fixed vertex.
-    edges are the orbit edges out of the vertex; kernel_to_edge is the
-    15-tuple of their edges by kernel label (OrbitEdge.kernels), for
-    dual_edge to look duals up in.  build_graph fills in both when it
-    expands it.
+    (a seed's are sorted), frames their moebius_frames index, and
+    ra_maps its RA maps as index maps of the points, read off the
+    frames once; only the build reads the frames.  A Jacobian mirror
+    has the points of its partner conjugated, in their order, and its
+    RA maps, but no frames: moves onto it read the partner's.  sigma[l]
+    is the label of the Frobenius image of kernel l: the identity, but
+    at a sigma-fixed vertex.  edges are the orbit edges out of the
+    vertex; kernel_to_edge is the 15-tuple of their edges by kernel
+    label (OrbitEdge.kernels), for dual_edge to look duals up in.
+    build_graph fills in both when it expands it.
     """
 
     key: VertexKey
@@ -143,9 +144,10 @@ class Vertex:
     ra_type: str
     ra_order: int
     points: tuple = field(default=None, repr=False)
-    frames: dict = field(default=None, repr=False)
+    frames: object = field(default=None, repr=False)  # MoebiusIndex
     ra_maps: list = field(default=None, repr=False)
     sigma: tuple = field(default=tuple(range(15)), repr=False)
+    partner: Vertex = field(default=None, repr=False, compare=False)
     edges: list = field(default_factory=list)
     kernel_to_edge: tuple = ()
 
@@ -167,13 +169,20 @@ def ra_type_of(rep) -> str:
     return ra_type_product_vertex(j_invariant(rep.E1), j_invariant(rep.E2))
 
 
-def _make_vertex(key: VertexKey, rep, pts=None) -> Vertex:
+def _make_vertex(key: VertexKey, rep, pts=None, partner=None) -> Vertex:
     """The vertex record of rep.  A Jacobian's points are pts, if given:
     the roots of the dual splitting on the edge that reached it, pair
-    by pair, those of the splitting given to neighbourhood, sorted, or
-    a mirror's partner's, conjugated.  Only seeds and bare curves are
-    factored.  If sigma fixes key, sigma is read off the first
-    isomorphism from sigma(rep) onto rep, or GraphError raised."""
+    by pair, or those of the splitting given to neighbourhood, sorted.
+    Only seeds and bare curves are factored.  A Jacobian builds its
+    frames once and reads its RA maps off them; a mirror of a Jacobian
+    partner takes its points, conjugated in order, RA type and maps.
+    If sigma fixes key, sigma is read off the first isomorphism from
+    sigma(rep) onto rep, or GraphError raised."""
+    if partner and partner.points:
+        return Vertex(key=key, representative=rep, ra_type=partner.ra_type,
+                      ra_order=partner.ra_order, ra_maps=partner.ra_maps,
+                      points=list(map(_conjugate, partner.points)),
+                      partner=partner)
     ra_type = ra_type_of(rep)
     if key.kind != "jacobian":
         v = Vertex(key=key, representative=rep, ra_type=ra_type,
@@ -290,12 +299,15 @@ def _first_map(src, v: Vertex):
     src of a model, as an index map (moebius_stabilizing on v's frames),
     or from the product src, as a kernel_maps label map.  Any one will
     do to move a kernel: two differ by an automorphism of v, which keeps
-    the kernel inside its orbit."""
+    the kernel inside its orbit.  Onto a Jacobian mirror it is the map
+    of sigma(src) onto the partner, as sigma keeps labels."""
     if v.points is None:
         m = next(kernel_maps(src, v.representative), None)
     else:
-        m = next(iter(moebius_stabilizing(v.representative.ctx, src,
-                                          v.frames)), None)
+        w = v.partner or v
+        pts = src if w is v else [_conjugate(x) for x in src]
+        m = next(iter(moebius_stabilizing(v.representative.ctx, pts,
+                                          w.frames)), None)
     if m is None:
         raise GraphError(f"no isomorphism onto {v.key.as_string()}: the "
                          "models do not match")
@@ -339,17 +351,17 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
     the dual orbit of each edge into it from an expanded vertex
     (_expand), so no derived orbit discovers a vertex.  A vertex whose
     conjugate w is built is built as sigma(w), its points w's conjugated
-    in their order, so sigma keeps labels.  Each dual is labelled on its
-    target once, as its edge is recorded.  A step's dual is kernel 0
-    over its roots, pair by pair, so a Jacobian built from the step
+    in their order, so sigma keeps labels; a Jacobian one shares w's RA
+    maps, and moves onto it read w's frames.  Each dual is labelled on
+    its target once, as its edge is recorded.  A step's dual is kernel
+    0 over its roots, pair by pair, so a Jacobian built from the step
     takes those roots as its points; onto another model the first
-    _first_map m moves it (a product's label l to m[l]).  A
-    Frobenius-derived dual is its partner's label, moved by the
+    _first_map m moves it (a product's label l to m[l]).  A dual
+    derived from a Frobenius partner is its label, moved by the
     target's sigma.  Raises GraphError, naming the edge, if a dual or a
     new vertex's Frobenius map finds no isomorphism (as on a codomain
-    that is no model of its target), and once it holds more vertices
-    than the census counts.
-    """
+    that is no model of its target), or once the graph holds more
+    vertices than the census counts."""
     if seed is None:
         E = find_supersingular_seed(ctx)
         seed = ProductSurface(E, E)
@@ -378,8 +390,7 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
                 if tgt is None:  # sigma(w), if built, keeps w's labels
                     tgt = g.vertices[e.target] = _make_vertex(
                         e.target, rep, pts) if w is None else _make_vertex(
-                        e.target, _conjugate(w.representative),
-                        w.points and list(map(_conjugate, w.points)))
+                        e.target, _conjugate(w.representative), partner=w)
                     fresh.append(e.target)
                 if isinstance(dual, OrbitEdge):  # the Frobenius partner
                     dual = tgt.sigma[dual.hint[2]]

@@ -216,6 +216,23 @@ def moebius_frames_oracle(K, pts):
     return frames
 
 
+def own_frames(v):
+    """The frames of the Jacobian vertex v's points: its own index, or,
+    at a mirror, which keeps none, one built from its points."""
+    return v.frames if v.partner is None \
+        else genus2.moebius_frames(v.representative.ctx, v.points)
+
+
+def mirror_pairs(g):
+    """(partner, mirror) for each Jacobian vertex of the built graph g
+    whose conjugate was built before it: build_graph built it as that
+    conjugate's mirror."""
+    built = {key: n for n, key in enumerate(g.vertices)}
+    return [(g.vertex(key.conjugate(g.p)), v) for key, v in g.vertices.items()
+            if key.kind == "jacobian"
+            and built[key.conjugate(g.p)] < built[key]]
+
+
 def matching_pairing(matching) -> frozenset:
     """A matching of Weierstrass points as its pairs of point keys: the
     kernel label genus2.matching_pairing made before labels were
@@ -343,10 +360,10 @@ def patch_moves(monkeypatch, move=None):
     calls, inside = [], []
     make, first_map = graph._make_vertex, graph._first_map
 
-    def in_make(*args):
+    def in_make(*args, **kwargs):
         inside.append(args)
         try:
-            return make(*args)
+            return make(*args, **kwargs)
         finally:
             inside.pop()
 

@@ -31,7 +31,7 @@ from conftest import (MoebiusMap, block_poly, block_roots_oracle,
                       block_triple, clear_genus2_caches, count_calls,
                       index_map_moebius, induced_index_map, label_pairing,
                       moebius_frames_oracle, moebius_search_oracle,
-                      moebius_through, poly_key_oracle,
+                      moebius_through, own_frames, poly_key_oracle,
                       random_curve_with_irrational_points,
                       random_distinct_elements, random_element,
                       recorded_dual_splitting, splitting_of,
@@ -423,14 +423,16 @@ def test_reduced_automorphisms_match_search_oracle_on_graph(p):
 
 
 def assert_frames_match_oracle(K, pts):
-    """Same signatures in the same order, the same triples within each,
-    and each frame's tail in the order of its images' keys."""
+    """For every signature of the oracle, the index yields exactly its
+    triples, in its order, each frame's tail in the order of its images'
+    keys; a signature that is not the oracle's, one coordinate changed,
+    yields none."""
     frames = moebius_frames(K, pts)
     oracle = moebius_frames_oracle(K, pts)
-    assert list(frames) == list(oracle)
-    assert [[fr[:3] for fr in frs] for frs in frames.values()] \
-        == list(oracle.values())
-    for signature, frs in frames.items():
+    absent = 0
+    for signature, triples in oracle.items():
+        frs = frames.get(signature, ())
+        assert [fr[:3] for fr in frs] == triples
         for fr in frs:
             to_frame = MoebiusMap(*to_zero_one_inf(
                 K, *(pts[i] for i in fr[:3])))
@@ -441,6 +443,15 @@ def assert_frames_match_oracle(K, pts):
                                 [pts[i] for i in fr[:3]])
             assert [point_key(m.apply(pts[i])) for i in frs[0][3:]] \
                 == [point_key(pts[i]) for i in fr[3:]]
+        for n in range(6):
+            changed = list(signature)
+            changed[n] = (changed[n] + 1) % K.p
+            changed = sum(sorted(zip(changed[0::2], changed[1::2])), ())
+            if changed not in oracle:
+                absent += 1
+                assert frames.get(changed) is None
+                assert frames.get(changed, ()) == ()
+    assert absent
 
 
 @pytest.mark.parametrize("p", [23, 41])
@@ -514,7 +525,7 @@ def test_moebius_stabilizing_match_search_oracle_on_graph(p):
             continue
         K, pts = v.representative.ctx, v.points
         maps = moebius_search_oracle(K, pts, pts)
-        assert sorted(moebius_stabilizing(K, pts, v.frames)) \
+        assert sorted(moebius_stabilizing(K, pts, own_frames(v))) \
             == sorted(induced_index_map(m, pts, pts) for m in maps)
         # the index labels, translated to pairings through MATCHINGS
         pairings = [label_pairing(pts, n) for n in range(15)]

@@ -16,7 +16,7 @@ from richelot.elliptic import (EllipticCurveE2, isomorphisms_with_torsion,
                                two_isogeny)
 from richelot.field import FieldCtx, FieldElement, make_field
 from richelot.genus2 import (Genus2Curve, IrrationalPointsError, RAType,
-                             moebius_stabilizing, point_key,
+                             moebius_frames, moebius_stabilizing, point_key,
                              reduced_automorphisms, splitting_root_pairs,
                              splittings, weierstrass_points)
 from richelot.gluing import (ProductKernel, ProductSurface, kernel_maps,
@@ -29,7 +29,8 @@ from richelot.poly import Poly
 from conftest import (clear_genus2_caches, count_calls, dual_label,
                       isomorphisms_oracle, jacobian_orbits_oracle,
                       kernel_map_oracle, label_pairing, matching_pairing,
-                      moebius_search_oracle, patch_moves,
+                      mirror_pairs, moebius_search_oracle, own_frames,
+                      patch_moves,
                       random_curve_with_irrational_points, random_element,
                       reaching_edges, recorded_dual_splitting,
                       splitting_of, stepped_edges_oracle, stepped_hint)
@@ -370,7 +371,7 @@ def assert_jacobian_edges_match_label_oracle(g):
         K, pts = v.representative.ctx, v.points
         want = jacobian_orbits_oracle(
             K, pts, v.representative.f.leading(),
-            moebius_stabilizing(K, pts, v.frames))
+            moebius_stabilizing(K, pts, own_frames(v)))
         assert [(e.kernel_rep, e.weight) for e in v.edges] \
             == [(rep, len(pairings)) for rep, pairings in want]
         for e, (rep, pairings) in zip(v.edges, want):
@@ -597,15 +598,23 @@ def test_jacobian_seed_matches_product_seed():
 
 
 def test_each_jacobian_vertex_builds_frames_once(monkeypatch):
-    # one Moebius frame table per Jacobian vertex, shared by its RA
-    # order, its orbits and every dual transported to it; none for the
-    # mixed-rationality transport, which no p = 23 edge needs
+    # one Moebius frame index per Jacobian sigma-class, shared by its RA
+    # order, its orbits and every dual moved onto the vertex or onto its
+    # mirror, which builds none (10 and 40 indexes before, one per
+    # Jacobian vertex); none for the mixed-rationality transport, which
+    # no p = 23 edge needs
     calls = count_calls(monkeypatch, "moebius_frames")
-    genus2.reduced_automorphisms.cache_clear()
-    g = build_graph(make_field(23))
-    assert validate(g).ok
-    jacobians = [v for v in g.vertices.values() if v.key.kind == "jacobian"]
-    assert len(calls) == len(jacobians)
+    for p, want in (23, 9), (41, 31):
+        del calls[:]
+        genus2.reduced_automorphisms.cache_clear()
+        g = build_graph(make_field(p))
+        assert validate(g).ok
+        jacobians = [v for v in g.vertices.values()
+                     if v.key.kind == "jacobian"]
+        mirrors = {m.key for _, m in mirror_pairs(g)}
+        assert len(calls) == len(jacobians) - len(mirrors) == want
+        assert all((v.frames is None) == (v.key in mirrors)
+                   for v in jacobians)
 
 
 def raw_hints(monkeypatch):
@@ -637,27 +646,33 @@ def other_model_edges(g, raw):
 
 def test_each_jacobian_vertex_reads_its_ra_maps_once(monkeypatch):
     # _make_vertex reads the RA maps off the frames once; its RA order
-    # and the expansion's orbits share them.  It reads one more map, its
-    # Frobenius map (Vertex.sigma), at each sigma-fixed Jacobian; the two
-    # vertices of a sigma-swapped pair share their labels and read none.
-    # The build reads one more per stepped dual it moves onto a Jacobian
-    # target whose codomain is another model.  The others, derived from
-    # a dual or a Frobenius partner, or the 31 that built their target,
-    # are read with no map (233 maps before: 58 more, for the Frobenius
-    # labels of each Frobenius-derived dual into a sigma-fixed Jacobian;
-    # 298 before that)
+    # and the expansion's orbits share them, and so does its mirror,
+    # which reads none.  It reads one more map, its Frobenius map
+    # (Vertex.sigma), at each sigma-fixed Jacobian; the two vertices of
+    # a sigma-swapped pair share their labels and read none.  The build
+    # reads one more per stepped dual it moves onto a Jacobian target
+    # whose codomain is another model.  The others, derived from a dual
+    # or a Frobenius partner, or the 31 that built their target, are
+    # read with no map (175 maps before, when the 9 mirrors read their
+    # own RA maps; 233 before that: 58 more, for the Frobenius labels of
+    # each Frobenius-derived dual into a sigma-fixed Jacobian; 298
+    # before that)
     raw = raw_hints(monkeypatch)
     calls = count_calls(monkeypatch, "moebius_stabilizing")
     g = build_graph(make_field(41))
     jacobians = [v for v in g.vertices.values() if v.key.kind == "jacobian"]
+    mirrors = mirror_pairs(g)
     fixed = sum(v.key.conjugate(41) == v.key for v in jacobians)
     moved = [e for e in other_model_edges(g, raw)
              if e.target.kind == "jacobian"]
-    assert (len(jacobians), fixed, len(moved)) == (40, 22, 113)
-    assert len(calls) == len(jacobians) + fixed + len(moved) == 175
+    assert (len(jacobians), len(mirrors), fixed, len(moved)) \
+        == (40, 9, 22, 113)
+    assert len(calls) \
+        == len(jacobians) - len(mirrors) + fixed + len(moved) == 166
     assert all(v.ra_order == len(v.ra_maps) for v in jacobians)
+    assert all(m.ra_maps is w.ra_maps for w, m in mirrors)
     assert validate(g).ok
-    assert len(calls) == 175
+    assert len(calls) == 166
 
 
 def assert_edges_match_stepping_oracle(g):
@@ -922,6 +937,32 @@ def test_mirror_vertices_keep_their_partners_labels(p):
                 e.target.conjugate(p), sorted(e.kernels), act[e.hint[2]])
 
 
+@pytest.mark.parametrize("p, mirrors, moves",
+                         [(41, 9, 20), (101, 173, 485)])
+def test_mirrors_share_their_partners_maps_and_frames(
+        monkeypatch, p, mirrors, moves):
+    # a Jacobian mirror keeps no frames: it shares its partner's RA maps,
+    # which are the maps read off an index of its own points, and each
+    # move onto it, made on its partner's index from the conjugated
+    # source, is the first map onto that index
+    moved = patch_moves(monkeypatch)
+    g = build_graph(make_field(p))
+    pairs = mirror_pairs(g)
+    onto = [(src, v, m) for src, v, m in moved if v.partner is not None]
+    assert (len(pairs), len(onto)) == (mirrors, moves)
+    for w, v in pairs:
+        K = v.representative.ctx
+        own = moebius_frames(K, v.points)
+        assert v.partner is w and v.frames is None
+        assert v.ra_maps == w.ra_maps
+        assert sorted(v.ra_maps) \
+            == sorted(moebius_stabilizing(K, v.points, own))
+    for src, v, m in onto:
+        K = v.representative.ctx
+        own = moebius_frames(K, v.points)
+        assert m == next(iter(moebius_stabilizing(K, src, own)))
+
+
 @pytest.mark.parametrize("p, fixed", [(23, 14), (29, 18), (41, 32)])
 def test_vertex_sigma_labels_each_kernels_frobenius_image(p, fixed):
     # at a sigma-fixed vertex sigma[l] labels the image of kernel l: its
@@ -1032,10 +1073,10 @@ def test_build_names_an_edge_whose_frobenius_labels_fail(monkeypatch):
              and e.target.conjugate(41) == e.target)
     make, first_map, inside = graph._make_vertex, graph._first_map, []
 
-    def in_make(*args):
+    def in_make(*args, **kwargs):
         inside.append(args)
         try:
-            return make(*args)
+            return make(*args, **kwargs)
         finally:
             inside.pop()
 
