@@ -211,7 +211,7 @@ def run(argv=None) -> int:
     try:
         args = ap.parse_args(argv)
         return args.func(args)
-    except (FieldError, CensusError, AtlasError, ValueError) as exc:
+    except (FieldError, CensusError, AtlasError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

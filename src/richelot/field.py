@@ -60,10 +60,11 @@ def legendre(a: int, p: int) -> int:
 class FieldCtx:
     """The field GF(p^2) for a fixed prime p > 5.
 
-    The field itself is immutable.  Its GF(p) root memo, like its cached
-    generator and extension, fills on use; its values are deterministic,
-    so threads that fill it at once agree.  Use :func:`make_field`
-    rather than calling the constructor directly.
+    The field itself is immutable.  Its memos of roots in GF(p) and of
+    roots of unity, like its extension, fill on use (no generator of
+    GF(p^2)^* is cached); their values are deterministic, so threads
+    that fill them at once agree.  Use :func:`make_field` rather than
+    calling the constructor directly.
     """
 
     def __init__(self, p: int, nonresidue: int):
@@ -74,8 +75,8 @@ class FieldCtx:
         self.one = FieldElement(self, 1, 0)
         self.i = FieldElement(self, 0, 1)
         self._ext = None
-        self._generator = None
         self._roots = {}
+        self._unity = {}
 
     def __repr__(self):
         return f"GF({self.p}^2; i^2={self.nonresidue})"
@@ -158,25 +159,26 @@ class FieldCtx:
         """Lexicographically smallest primitive n-th root of unity, or None.
 
         A primitive root exists iff n divides p^2 - 1.  Then the powers
-        r^k, k coprime to n, of r = g^((p^2 - 1)/n) are all of them; g is
-        the field's generator, found once: the first a + b*i in lex order
-        with a, b != 0 (GF(p)^* and i*GF(p)^* have orders dividing 2(p -
-        1)) whose (p^2 - 1)/l-th power is not 1 for any prime l | p^2 - 1.
+        r^k, k coprime to n, of any primitive root r are all of them.  r
+        is x^((p^2 - 1)/n) for the first x = a + b*i in lex order with
+        a, b != 0 for which r^(n/l) != 1 at every prime l | n.  No
+        generator of GF(p^2)^* is cached: each n is searched once, with
+        no scan of the field, and memoized.
         """
         if n <= 0:
             raise FieldError(f"n must be positive, got {n}")
         m = self.order - 1
         if m % n != 0:
             return None
-        if self._generator is None:
-            primes = [d for d in range(2, self.p + 2)
-                      if m % d == 0 and is_prime(d)]
-            self._generator = next(
-                x for x in self.elements()
-                if x.a and x.b
-                and all(x ** (m // l) != self.one for l in primes))
-        r = self._generator ** (m // n)
-        return min(r ** k for k in range(1, n + 1) if gcd(k, n) == 1)
+        if n not in self._unity:
+            primes = [l for l in range(2, n + 1) if n % l == 0 and is_prime(l)]
+            xs = (FieldElement(self, a, b) for a in range(1, self.p)
+                  for b in range(1, self.p))
+            r = next(r for r in (x ** (m // n) for x in xs)
+                     if all(r ** (n // l) != self.one for l in primes))
+            self._unity[n] = min(r ** k for k in range(1, n + 1)
+                                 if gcd(k, n) == 1)
+        return self._unity[n]
 
 
 def make_field(p: int) -> FieldCtx:
@@ -224,9 +226,6 @@ class FieldElement:
     def __lt__(self, other):
         return (self.a, self.b) < (other.a, other.b)
 
-    def __le__(self, other):
-        return (self.a, self.b) <= (other.a, other.b)
-
     def key(self):
         return (self.a, self.b)
 
@@ -261,11 +260,7 @@ class FieldElement:
         return FieldElement(self.ctx, (a * c + n * b * d) % p,
                             (a * d + b * c) % p)
 
-    __radd__ = __add__
     __rmul__ = __mul__
-
-    def __rsub__(self, other):
-        return self.ctx.from_int(other) - self
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
@@ -276,9 +271,6 @@ class FieldElement:
         if isinstance(other, int):
             other = self.ctx.from_int(other)
         return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.ctx.from_int(other) * self.inverse()
 
     def __pow__(self, e: int):
         if e < 0:

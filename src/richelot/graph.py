@@ -174,14 +174,15 @@ def _make_vertex(key: VertexKey, rep, pts=None, partner=None) -> Vertex:
     the roots of the dual splitting on the edge that reached it, pair
     by pair, or those of the splitting given to neighbourhood, sorted.
     Only seeds and bare curves are factored.  A Jacobian builds its
-    frames once and reads its RA maps off them; a mirror of a Jacobian
-    partner takes its points, conjugated in order, RA type and maps.
-    If sigma fixes key, sigma is read off the first isomorphism from
-    sigma(rep) onto rep, or GraphError raised."""
-    if partner and partner.points:
+    frames once and reads its RA maps off them.  A mirror takes its
+    partner's RA type, order and maps, and a Jacobian partner's points,
+    conjugated in order.  If sigma fixes key, sigma is read off the
+    first isomorphism from sigma(rep) onto rep, or GraphError raised."""
+    if partner:
         return Vertex(key=key, representative=rep, ra_type=partner.ra_type,
                       ra_order=partner.ra_order, ra_maps=partner.ra_maps,
-                      points=list(map(_conjugate, partner.points)),
+                      points=partner.points and list(
+                          map(_conjugate, partner.points)),
                       partner=partner)
     ra_type = ra_type_of(rep)
     if key.kind != "jacobian":
@@ -350,18 +351,18 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
     the superspecial graph is connected).  A vertex's expansion derives
     the dual orbit of each edge into it from an expanded vertex
     (_expand), so no derived orbit discovers a vertex.  A vertex whose
-    conjugate w is built is built as sigma(w), its points w's conjugated
-    in their order, so sigma keeps labels; a Jacobian one shares w's RA
-    maps, and moves onto it read w's frames.  Each dual is labelled on
-    its target once, as its edge is recorded.  A step's dual is kernel
-    0 over its roots, pair by pair, so a Jacobian built from the step
-    takes those roots as its points; onto another model the first
-    _first_map m moves it (a product's label l to m[l]).  A dual
-    derived from a Frobenius partner is its label, moved by the
-    target's sigma.  Raises GraphError, naming the edge, if a dual or a
-    new vertex's Frobenius map finds no isomorphism (as on a codomain
-    that is no model of its target), or once the graph holds more
-    vertices than the census counts."""
+    conjugate w is built is built as sigma(w), with w's RA type, its
+    points w's conjugated in their order, so sigma keeps labels; a
+    Jacobian one shares w's RA maps, and moves onto it read w's frames.
+    Each dual is labelled on its target once, as its edge is recorded.
+    A step's dual is kernel 0 over its roots, pair by pair, so a
+    Jacobian built from the step takes those roots as its points; onto
+    another model the first _first_map m moves it (a product's label l
+    to m[l]).  A dual derived from a Frobenius partner is its label,
+    moved by the target's sigma.  Raises GraphError, naming the edge, if
+    a dual or a new vertex's Frobenius map finds no isomorphism (as on a
+    codomain that is no model of its target), or once the graph holds
+    more vertices than the census counts."""
     if seed is None:
         E = find_supersingular_seed(ctx)
         seed = ProductSurface(E, E)

@@ -37,14 +37,6 @@ class Poly:
         return cls(ctx, [ctx.from_int(c) for c in ints])
 
     @classmethod
-    def zero(cls, ctx: FieldCtx) -> "Poly":
-        return cls(ctx, [])
-
-    @classmethod
-    def one(cls, ctx: FieldCtx) -> "Poly":
-        return cls(ctx, [ctx.one])
-
-    @classmethod
     def from_pairs(cls, ctx: FieldCtx, pairs) -> "Poly":
         return cls(ctx, [FieldElement(ctx, a, b) for a, b in pairs])
 
@@ -101,41 +93,10 @@ class Poly:
     def _of(self, pairs) -> "Poly":
         return Poly.from_pairs(self.ctx, pairs)
 
-    def __add__(self, other):
-        return self._of(add_pairs(self.ctx, self.pairs(), other.pairs()))
-
-    def __sub__(self, other):
-        return self._of(add_pairs(self.ctx, self.pairs(), other.pairs(), -1))
-
-    def __neg__(self):
-        return self._of(add_pairs(self.ctx, [], self.pairs(), -1))
-
     def __mul__(self, other):
         g = [other.key()] if isinstance(other, FieldElement) \
             else other.pairs()
         return self._of(mul_pairs(self.ctx, self.pairs(), g))
-
-    __rmul__ = __mul__
-
-    def __divmod__(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        ctx, inv = self.ctx, self.ctx.pinv(other.leading().key())
-        quo, rem = divmod_pairs(ctx, self.pairs(), monic_pairs(
-            ctx, other.pairs()))
-        return self._of([ctx.pmul(c, inv) for c in quo]), self._of(rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def derivative(self) -> "Poly":
-        return self._of(derivative_pairs(self.ctx, self.pairs()))
-
-    def monic(self) -> "Poly":
-        return self._of(monic_pairs(self.ctx, self.pairs()))
 
     def gcd(self, other) -> "Poly":
         """Monic greatest common divisor."""

@@ -460,9 +460,10 @@ def tonelli_oracle(x, nonsquare):
 
 def richelot_poly_oracle(s):
     """Richelot's step on FieldElement polynomials: the cofactor delta,
-    G_i = (F_j' F_k - F_k' F_j)/delta by Poly arithmetic, and the gcd
-    squarefree test of Genus2Curve(f).  What isogeny.richelot_generic
-    computed before it ran on int pairs, kept as its oracle."""
+    G_i = (F_j' F_k - F_k' F_j)/delta by the poly_*_oracle functions
+    below, and the gcd squarefree test of Genus2Curve(f).  What
+    isogeny.richelot_generic computed before it ran on int pairs, kept
+    as its oracle."""
     F = [block_poly(s.ctx, t) for t in s.blocks]
     r = [(g[0], g[1], g[2]) for g in F]
     d = (r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
@@ -470,8 +471,10 @@ def richelot_poly_oracle(s):
          + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
     if d.is_zero():
         raise RichelotError("delta = 0: quotient is an elliptic product")
-    dinv = d.inverse()
-    G = [(F[j].derivative() * F[k] - F[k].derivative() * F[j]) * dinv
+    dF = [poly_derivative_oracle(g) for g in F]
+    G = [poly_mul_oracle(poly_sub_oracle(poly_mul_oracle(dF[j], F[k]),
+                                         poly_mul_oracle(dF[k], F[j])),
+                         d.inverse())
          for j, k in ((1, 2), (2, 0), (0, 1))]
     fprime = G[0] * G[1] * G[2]
     try:
@@ -479,7 +482,7 @@ def richelot_poly_oracle(s):
     except genus2.Genus2Error as exc:
         raise RichelotError(f"degenerate Richelot codomain: {exc}") from exc
     return JacobianCodomain(curve, splitting_of(
-        [g.monic() for g in G], fprime.leading()))
+        [poly_monic_oracle(g) for g in G], fprime.leading()))
 
 
 def transform_curve_oracle(curve, a, b, c, d):
@@ -728,6 +731,10 @@ def poly_divmod_oracle(f, g):
     return Poly(ctx, quo), Poly(ctx, rem)
 
 
+def poly_derivative_oracle(f):
+    return Poly(f.ctx, [f.coeffs[k] * k for k in range(1, len(f.coeffs))])
+
+
 def poly_monic_oracle(f):
     return f if f.is_zero() else poly_mul_oracle(f, f.leading().inverse())
 
@@ -756,8 +763,7 @@ def is_squarefree_oracle(f):
         raise PolyError("squarefree test of zero polynomial")
     if f.degree() == 0:
         return True
-    deriv = Poly(f.ctx, [f.coeffs[k] * k for k in range(1, len(f.coeffs))])
-    return poly_gcd_oracle(f, deriv).degree() == 0
+    return poly_gcd_oracle(f, poly_derivative_oracle(f)).degree() == 0
 
 
 def _cz_split_oracle(h, e, ncoeffs, rng):

@@ -37,6 +37,17 @@ def test_graph_json_and_file(tmp_path, capsys):
     assert out.read_text().startswith("digraph")
 
 
+def test_graph_unwritable_output_is_an_error(tmp_path, capsys):
+    # an -o path that cannot be opened is bad input, as a bad prime is:
+    # one error line on stderr, exit 2, and nothing on stdout
+    bad = tmp_path / "missing" / "g.json"
+    assert run(["graph", "-p", "7", "--format", "json",
+                "-o", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and str(bad) in err
+    assert err.count("\n") == 1 and not bad.exists()
+
+
 def test_validate_exit_code(capsys):
     assert run(["validate", "-p", "13"]) == 0
     assert "PASS" in capsys.readouterr().out

@@ -1,6 +1,7 @@
 """Field arithmetic in GF(p^2) and GF(p^4)."""
 
 import random
+from math import gcd
 
 import pytest
 
@@ -66,7 +67,7 @@ def test_sqrt_contract_matches_euler(ctx11):
         assert (y is not None) == is_sq
         if y is not None:
             assert y * y == x
-            assert y <= -y  # deterministic choice
+            assert y.key() <= (-y).key()  # deterministic choice
 
 
 @pytest.mark.parametrize("p", [7, 11, 13, 17, 23, 29, 41, 53, 97, 101,
@@ -214,24 +215,47 @@ def test_extension_field(ctx11):
 
 @pytest.mark.parametrize("p", [7, 11, 13, 23, 41, 101, 109])
 def test_nth_root_of_unity_matches_old_scan(p):
-    # the cached generator gives the old lex scan's root for every n,
-    # None included
+    # the per-n search gives the old lex scan's root for every n, None
+    # included
     ctx = make_field(p)
     for n in range(1, 25):
         assert ctx.nth_root_of_unity(n) == nth_root_old_scan_oracle(ctx, n)
 
 
-def test_nth_root_of_unity_finds_the_generator_once(monkeypatch):
-    # one generator search per field, then one power per call
+def test_nth_root_of_unity_searches_once_per_n(monkeypatch):
+    # one search per distinct n, none of them a scan of the field; a
+    # repeated n is read from the memo, with no power taken
     ctx = make_field(101)
-    seen = []
-    real = type(ctx).elements
-    monkeypatch.setattr(type(ctx), "elements",
-                        lambda self: seen.append(self) or real(self))
-    for n in (3, 6, 12, 5, 3, 4):
+    scans, powers = [], []
+    real_elements = type(ctx).elements
+    monkeypatch.setattr(type(ctx), "elements", lambda self:
+                        scans.append(self) or real_elements(self))
+    real_pow = FieldElement.__pow__
+    monkeypatch.setattr(FieldElement, "__pow__", lambda x, e:
+                        powers.append(e) or real_pow(x, e))
+    taken = []
+    for n in (3, 6, 12, 5, 3, 4, 12):
+        before = len(powers)
         ctx.nth_root_of_unity(n)
-    assert seen == [ctx]
-    g = ctx._generator
-    assert g.a and g.b
-    assert next(d for d in range(1, ctx.order) if (ctx.order - 1) % d == 0
-                and g ** d == ctx.one) == ctx.order - 1
+        taken.append(len(powers) - before)
+    assert scans == []
+    assert [k > 0 for k in taken] == [True] * 4 + [False, True, False]
+    assert sorted(ctx._unity) == [3, 4, 5, 6, 12]
+
+
+@pytest.mark.parametrize("p", [2 ** 61 - 1, 2 ** 127 - 1])
+def test_nth_root_of_unity_exact_order_at_large_primes(p):
+    # every n <= 48 that divides p^2 - 1 gets a root of order exactly n,
+    # the least of its primitive powers; every other n gets None
+    ctx = make_field(p)
+    found = 0
+    for n in range(1, 49):
+        z = ctx.nth_root_of_unity(n)
+        if (ctx.order - 1) % n:
+            assert z is None
+            continue
+        assert z ** n == ctx.one
+        assert all(z ** d != ctx.one for d in range(1, n) if n % d == 0)
+        assert z == min(z ** k for k in range(1, n + 1) if gcd(k, n) == 1)
+        found += 1
+    assert found >= 20

@@ -32,7 +32,7 @@ from conftest import (MoebiusMap, block_poly, block_roots_oracle,
                       index_map_moebius, induced_index_map, label_pairing,
                       moebius_frames_oracle, moebius_search_oracle,
                       moebius_through, own_frames, poly_key_oracle,
-                      random_curve_with_irrational_points,
+                      poly_monic_oracle, random_curve_with_irrational_points,
                       random_distinct_elements, random_element,
                       recorded_dual_splitting, splitting_of,
                       splitting_points, stepped_hint, to_zero_one_inf,
@@ -87,7 +87,7 @@ def test_splitting_keeps_irreducible_blocks(ctx11, rng):
     spls = splittings(C)
     assert len(spls) == 3  # 3 pairings of the 4 rational roots
     for s in spls:
-        assert block_triple(irred.monic()) in s.blocks
+        assert block_triple(poly_monic_oracle(irred)) in s.blocks
 
 
 def test_clebsch_type_ii_and_vi_anchors():

@@ -20,9 +20,11 @@ from richelot.genus2 import (Genus2Curve, IrrationalPointsError, RAType,
                              reduced_automorphisms, splitting_root_pairs,
                              splittings, weierstrass_points)
 from richelot.gluing import (ProductKernel, ProductSurface, kernel_maps,
-                             product_kernels, quotient_diagonal)
+                             product_kernels, quotient_diagonal,
+                             ra_order_product)
 from richelot.graph import (GraphError, OrbitEdge, build_graph, dual_edge,
-                            export, neighbourhood, validate, VertexKey)
+                            export, neighbourhood, ra_type_of, validate,
+                            VertexKey)
 from richelot.isogeny import JacobianCodomain
 from richelot.poly import Poly
 
@@ -937,6 +939,10 @@ def test_mirror_vertices_keep_their_partners_labels(p):
                 e.target.conjugate(p), sorted(e.kernels), act[e.hint[2]])
 
 
+# (product mirrors, moves onto them) by prime
+PRODUCT_MIRRORS = {41: (0, 0), 101: (8, 23)}
+
+
 @pytest.mark.parametrize("p, mirrors, moves",
                          [(41, 9, 20), (101, 173, 485)])
 def test_mirrors_share_their_partners_maps_and_frames(
@@ -944,12 +950,25 @@ def test_mirrors_share_their_partners_maps_and_frames(
     # a Jacobian mirror keeps no frames: it shares its partner's RA maps,
     # which are the maps read off an index of its own points, and each
     # move onto it, made on its partner's index from the conjugated
-    # source, is the first map onto that index
+    # source, is the first map onto that index.  A product mirror takes
+    # its partner's RA type and order, and classifying it afresh agrees
     moved = patch_moves(monkeypatch)
     g = build_graph(make_field(p))
     pairs = mirror_pairs(g)
-    onto = [(src, v, m) for src, v, m in moved if v.partner is not None]
+    onto = [(src, v, m) for src, v, m in moved
+            if v.partner is not None and v.points is not None]
+    products = [v for v in g.vertices.values()
+                if v.partner is not None and v.points is None]
+    onto_products = [v for _, v, _ in moved
+                     if v.partner is not None and v.points is None]
     assert (len(pairs), len(onto)) == (mirrors, moves)
+    assert (len(products), len(onto_products)) == PRODUCT_MIRRORS[p]
+    for v in products:
+        w = v.partner
+        assert v.key.kind == "product" and w.key == v.key.conjugate(p)
+        assert (v.ra_type, v.ra_order) == (w.ra_type, w.ra_order)
+        assert v.ra_type == ra_type_of(v.representative)
+        assert v.ra_order == ra_order_product(v.ra_type)
     for w, v in pairs:
         K = v.representative.ctx
         own = moebius_frames(K, v.points)

@@ -7,12 +7,14 @@ import pytest
 from richelot.field import FieldElement, make_field
 from richelot.genus2 import transform_curve
 from richelot.graph import build_graph
-from richelot.poly import (Poly, PolyError, factor_quadratic_pieces,
-                           is_squarefree, roots)
+from richelot.poly import (Poly, PolyError, add_pairs, derivative_pairs,
+                           divmod_pairs, factor_quadratic_pieces,
+                           is_squarefree, monic_pairs, mul_pairs, roots)
 
 from conftest import (factor_oracle, is_squarefree_oracle,
-                      poly_divmod_oracle, poly_gcd_oracle, poly_monic_oracle,
-                      poly_mul_oracle, poly_powmod_oracle, poly_sub_oracle,
+                      poly_derivative_oracle, poly_divmod_oracle,
+                      poly_gcd_oracle, poly_monic_oracle, poly_mul_oracle,
+                      poly_powmod_oracle, poly_sub_oracle,
                       random_distinct_elements, random_element, roots_oracle)
 
 
@@ -38,7 +40,7 @@ def roots_bruteforce(f: Poly) -> list:
             lin = Poly(f.ctx, [-x, f.ctx.one])
             g = f
             while True:
-                q, rem = divmod(g, lin)
+                q, rem = poly_divmod_oracle(g, lin)
                 if not rem.is_zero():
                     break
                 out.append(x)
@@ -102,7 +104,7 @@ def test_factor_quadratic_pieces_irreducible_blocks(ctx11, rng):
         if not is_squarefree(f):
             continue
         lin, quad = factor_quadratic_pieces(f)
-        assert irred.monic() in quad
+        assert poly_monic_oracle(irred) in quad
         check = Poly(ctx, [f.leading()])
         for g in lin + quad:
             check = check * g
@@ -132,11 +134,13 @@ def test_factor_rejects_cubic_factors(ctx13):
 
 
 def test_derivative_product_rule(ctx23, rng):
+    ctx = ctx23
     for _ in range(40):
-        f = Poly(ctx23, [random_element(ctx23, rng) for _ in range(4)])
-        g = Poly(ctx23, [random_element(ctx23, rng) for _ in range(4)])
-        lhs = (f * g).derivative()
-        rhs = f.derivative() * g + f * g.derivative()
+        f, g = ([(rng.randrange(ctx.p), rng.randrange(ctx.p))
+                 for _ in range(4)] for _ in range(2))
+        df, dg = derivative_pairs(ctx, f), derivative_pairs(ctx, g)
+        lhs = derivative_pairs(ctx, mul_pairs(ctx, f, g))
+        rhs = add_pairs(ctx, mul_pairs(ctx, df, g), mul_pairs(ctx, f, dg))
         assert lhs == rhs
 
 
@@ -281,7 +285,7 @@ def test_factoring_errors_match_oracle(ctx13):
                  if not roots_bruteforce(Poly.from_ints(ctx, [-g, 0, 0, 1])))
     bad = [square, cubic * Poly.from_ints(ctx, [-1, 1]),
            cubic * Poly(ctx, [-ctx.nonsquare(), ctx.zero, ctx.one]),
-           Poly.from_ints(ctx, [3]), Poly.zero(ctx)]
+           Poly.from_ints(ctx, [3]), Poly(ctx, [])]
     texts = []
     for f in bad:
         with pytest.raises(PolyError) as got:
@@ -296,8 +300,9 @@ def test_factoring_errors_match_oracle(ctx13):
 
 
 def test_poly_wrappers_match_oracle(rng):
-    # Poly's operators, gcd and powmod over the kernels, against the
-    # FieldElement bodies they replaced, non-monic divisors included
+    # Poly's product, gcd and powmod, and the add, derivative, monic and
+    # divmod kernels, against the FieldElement bodies they replaced,
+    # non-monic divisors included
     for p in (11, 23, 101):
         ctx = make_field(p)
         for _ in range(40):
@@ -305,16 +310,26 @@ def test_poly_wrappers_match_oracle(rng):
                                   for _ in range(rng.randrange(0, 8))])
                        for _ in range(3))
             c = random_element(ctx, rng)
+            fp, gp = f.pairs(), g.pairs()
             assert f * g == poly_mul_oracle(f, g)
             assert f * c == poly_mul_oracle(f, c)
-            assert f - g == poly_sub_oracle(f, g)
-            assert f + g == poly_sub_oracle(f, -g) == g + f
-            assert f.derivative() == Poly(ctx, [
-                f.coeffs[k] * k for k in range(1, len(f.coeffs))])
-            assert f.monic() == poly_monic_oracle(f)
+            assert Poly.from_pairs(ctx, add_pairs(ctx, fp, gp, -1)) \
+                == poly_sub_oracle(f, g)
+            plus = Poly.from_pairs(ctx, add_pairs(ctx, fp, gp))
+            assert plus == Poly.from_pairs(ctx, add_pairs(ctx, gp, fp))
+            assert plus == poly_sub_oracle(
+                f, poly_sub_oracle(Poly(ctx, []), g))
+            assert Poly.from_pairs(ctx, derivative_pairs(ctx, fp)) \
+                == poly_derivative_oracle(f)
+            assert Poly.from_pairs(ctx, monic_pairs(ctx, fp)) \
+                == poly_monic_oracle(f)
             assert f.gcd(g) == poly_gcd_oracle(f, g)
             if not g.is_zero():
-                assert divmod(f, g) == poly_divmod_oracle(f, g)
+                quo, rem = divmod_pairs(ctx, fp, monic_pairs(ctx, gp))
+                want = poly_divmod_oracle(f, g)
+                assert Poly.from_pairs(ctx, quo) \
+                    * g.leading().inverse() == want[0]
+                assert Poly.from_pairs(ctx, rem) == want[1]
             if not m.is_zero():
                 e = rng.randrange(0, 3 * ctx.order)
                 assert f.powmod(e, m) == poly_powmod_oracle(f, e, m)
