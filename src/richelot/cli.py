@@ -10,6 +10,7 @@ content.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -35,8 +36,8 @@ def _add_common(sub, capped=False):
                               f"(default {DEFAULT_MAX_PRIME})")
 
 
-def _graph_for(args):
-    """The whole graph at p, once p passes the --max-prime cap."""
+def _capped_field(args):
+    """GF(p^2), once p passes the graph commands' --max-prime cap."""
     if args.p > args.max_prime:
         raise FieldError(
             f"p = {args.p} exceeds the cap {args.max_prime}; "
@@ -44,11 +45,11 @@ def _graph_for(args):
     if args.p > DEFAULT_MAX_PRIME:
         print(f"warning: p = {args.p} is beyond the desk-scale default; "
               "expect long runtimes", file=sys.stderr)
-    return build_graph(make_field(args.p))
+    return make_field(args.p)
 
 
 def _cmd_census(args) -> int:
-    g = _graph_for(args)
+    g = build_graph(_capped_field(args))
     report = compare(g, expected_counts(args.p))
     if args.json:
         print(json.dumps(report.as_json_dict(), indent=2, sort_keys=True))
@@ -58,18 +59,16 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    g = _graph_for(args)
-    text = export(g, args.format)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+    ctx = _capped_field(args)
+    # -o opens before the build, as a shell > would
+    with open(args.output, "w") if args.output \
+            else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(export(build_graph(ctx), args.format))
     return 0
 
 
 def _cmd_validate(args) -> int:
-    g = _graph_for(args)
+    g = build_graph(_capped_field(args))
     report = validate(g)
     print(report.summary())
     return 0 if report.ok else 1

@@ -29,7 +29,7 @@ from math import comb, perm
 
 from .field import FieldCtx, FieldElement
 from .poly import (Poly, add_pairs, factor_quadratic_pieces, is_squarefree,
-                   mul_pairs)
+                   mul_pairs, quadratic_roots_pairs)
 
 
 class Genus2Error(ValueError):
@@ -306,15 +306,11 @@ def point_key(pt):
 def _block_roots(g, ctx):
     """The two points of a monic block (c0, c1, c2) of int pairs, INF
     partnering a linear block's root; None when the block is irreducible
-    over GF(p^2).  A quadratic block runs on int pairs: (-c1 +- psqrt(c1^2
-    - 4 c0)) (p + 1)/2, and only the two roots are made FieldElements."""
-    (c, b), p, h = g[:2], ctx.p, (ctx.p + 1) // 2
+    over GF(p^2).  Quadratic blocks run on quadratic_roots_pairs."""
     if g[2] == (0, 0):
-        return FieldElement(ctx, -c[0] % p, -c[1] % p), INF
-    s = ctx.psqrt(ctx.pminor(b, b, (4, 0), c))
-    return None if s is None else tuple(
-        FieldElement(ctx, (u - b[0]) * h % p, (v - b[1]) * h % p)
-        for u, v in (s, (-s[0], -s[1])))
+        return FieldElement(ctx, -g[0][0] % ctx.p, -g[0][1] % ctx.p), INF
+    r = quadratic_roots_pairs(ctx, g)
+    return None if r is None else tuple(FieldElement(ctx, *x) for x in r)
 
 
 def splitting_root_pairs(spl: QuadraticSplitting) -> list:

@@ -5,7 +5,9 @@ with no trailing zeros (the zero polynomial is the empty tuple).  Poly
 wraps the *_pairs kernels, which run on lists of (a, b) int pairs (as
 FieldCtx.pmul), reduced mod p once per output coefficient.  Factoring,
 by Cantor-Zassenhaus on int pairs, finds roots in GF(p^2) and pieces of
-degree at most 2, and rejects inputs with higher-degree factors.
+degree at most 2, and rejects inputs with higher-degree factors.  One
+power of x + c gives both x^q and the first split of the linear part,
+and the quadratic formula splits a pair of linear factors.
 """
 
 from __future__ import annotations
@@ -186,6 +188,14 @@ def powmod_pairs(ctx, f, e, h) -> list:
     return out
 
 
+def quadratic_roots_pairs(ctx, g):
+    """The roots of a monic quadratic (c0, c1, 1), psqrt's first, or None."""
+    (c, b), p, h = g[:2], ctx.p, (ctx.p + 1) // 2
+    s = ctx.psqrt(ctx.pminor(b, b, (4, 0), c))
+    return s and [((u - b[0]) * h % p, (v - b[1]) * h % p)
+                  for u, v in (s, (-s[0], -s[1]))]
+
+
 # -- squarefree test, roots and factoring ---------------------------------
 
 _X = [(0, 0), (1, 0)]
@@ -199,43 +209,49 @@ def is_squarefree(f: Poly) -> bool:
     return len(gcd_pairs(f.ctx, g, derivative_pairs(f.ctx, g))) == 1
 
 
-def _linear_part(ctx, h):
-    """x^q mod a monic h, and the product gcd(h, x^q - x) of h's
-    distinct linear factors."""
-    xq = powmod_pairs(ctx, _X, ctx.order, h)
-    return xq, gcd_pairs(ctx, h, add_pairs(ctx, xq, _X, -1))
+def _linear_part(ctx, h, rng):
+    """(x^q, lin, lin's factors) mod a monic h, lin = gcd(h, x^q - x), by
+    one power w = (x + c)^((q - 1)/2), c random: x^q = (x + c) w^2 - c,
+    as (x + c)^q = x^q + c, and gcd(lin, w - 1) is lin's first split."""
+    u = [(rng.randrange(ctx.p), rng.randrange(ctx.p)), (1, 0)]
+    w = powmod_pairs(ctx, u, (ctx.order - 1) // 2, h)
+    xq = add_pairs(ctx, mul_pairs(ctx, mul_pairs(ctx, w, w), u, h), u[:1], -1)
+    lin = gcd_pairs(ctx, h, add_pairs(ctx, xq, _X, -1))
+    g = gcd_pairs(ctx, lin, add_pairs(ctx, w, [(1, 0)], -1))
+    return xq, lin, _split(ctx, [g, divmod_pairs(ctx, lin, g)[0]], 1, rng)
 
 
-def _split(ctx, h, d, rng) -> list:
-    """The monic irreducible factors, sorted, of a monic squarefree h
-    whose irreducible factors all have degree d: Cantor-Zassenhaus
-    equal-degree splitting by gcd(h, u^((q^d - 1)/2) - 1) for random
-    monic u of degree 2d - 1."""
-    p, e, out, stack = ctx.p, (ctx.order ** d - 1) // 2, [], [h]
+def _split(ctx, stack, d, rng) -> list:
+    """The sorted monic irreducible factors, of degree d, of the monic
+    squarefree parts h on the stack: by Cantor-Zassenhaus, or, for d = 1
+    and h quadratic, by the quadratic formula (quadratic_roots_pairs)."""
+    p, e, out = ctx.p, (ctx.order ** d - 1) // 2, []
     while stack:
         h = stack.pop()
         if len(h) <= d + 1:
             out += [h] * (len(h) == d + 1)
-            continue
-        while True:
-            u = [(rng.randrange(p), rng.randrange(p))
-                 for _ in range(2 * d - 1)] + [(1, 0)]
-            g = gcd_pairs(ctx, h, add_pairs(
-                ctx, powmod_pairs(ctx, u, e, h), [(1, 0)], -1))
-            if 1 < len(g) < len(h):
-                stack += [g, divmod_pairs(ctx, h, g)[0]]
-                break
+        elif d == 1 and len(h) == 3:
+            out += [[(-a % p, -b % p), (1, 0)]
+                    for a, b in quadratic_roots_pairs(ctx, h)]
+        else:
+            g = h
+            while not 1 < len(g) < len(h):
+                u = [(rng.randrange(p), rng.randrange(p))
+                     for _ in range(2 * d - 1)] + [(1, 0)]
+                g = gcd_pairs(ctx, h, add_pairs(
+                    ctx, powmod_pairs(ctx, u, e, h), [(1, 0)], -1))
+            stack += [g, divmod_pairs(ctx, h, g)[0]]
     return sorted(out)
 
 
 def roots(f: Poly) -> list:
-    """All roots of f in GF(p^2), with multiplicity, sorted."""
+    """All roots of f in GF(p^2), with multiplicity, sorted (_linear_part)."""
     if f.is_zero():
         raise PolyError("roots of zero polynomial")
     ctx, p = f.ctx, f.ctx.p
     rng = random.Random(0x52494348 ^ f.degree())
     h, out = monic_pairs(ctx, f.pairs()), []
-    for (a, b), _ in _split(ctx, _linear_part(ctx, h)[1], 1, rng):
+    for (a, b), _ in _linear_part(ctx, h, rng)[2]:
         while True:
             quo, rem = divmod_pairs(ctx, h, [(a, b), (1, 0)])
             if rem:
@@ -251,7 +267,8 @@ def factor_quadratic_pieces(f: Poly):
     Returns (linears, quadratics), each sorted canonically; the product
     of all factors times f's leading coefficient reproduces f.  Raises
     PolyError if f is not squarefree or has an irreducible factor of
-    degree greater than 2.  Only the factors become Polys.
+    degree greater than 2.  x^q comes from _linear_part's one power mod
+    f, and tests the cofactor.  Only the factors become Polys.
     """
     ctx = f.ctx
     if f.is_zero() or f.degree() < 1:
@@ -260,15 +277,13 @@ def factor_quadratic_pieces(f: Poly):
         raise PolyError("polynomial is not squarefree")
     rng = random.Random(0x46414354 ^ f.degree())
     h = monic_pairs(ctx, f.pairs())
-    xq, lin = _linear_part(ctx, h)
-    linears = _split(ctx, lin, 1, rng)
+    xq, lin, linears = _linear_part(ctx, h, rng)
     cof = divmod_pairs(ctx, h, lin)[0]
-    # every factor of cof must be an irreducible quadratic: cof must
-    # divide x^(q^2) - x, and x^(q^2) = (x^q)^q mod cof
+    # cof's factors are quadratic iff cof divides x^(q^2) - x = (x^q)^q - x
     if len(cof) % 2 == 0 or len(cof) > 1 and add_pairs(
             ctx, powmod_pairs(ctx, xq, ctx.order, cof), _X, -1):
         raise PolyError("irreducible factor of degree > 2")
-    quads = _split(ctx, cof, 2, rng)
+    quads = _split(ctx, [cof], 2, rng)
     check = [f.leading().key()]
     for g in linears + quads:
         check = mul_pairs(ctx, check, g)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from richelot import poly
+from richelot import cli, poly
 from richelot.cli import run
 
 from conftest import clear_genus2_caches, count_calls
@@ -46,6 +46,27 @@ def test_graph_unwritable_output_is_an_error(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and str(bad) in err
     assert err.count("\n") == 1 and not bad.exists()
+
+
+def test_graph_opens_output_before_the_build(tmp_path, monkeypatch, capsys):
+    # -o opens after the --max-prime check and before the build, as a
+    # shell > would: an unwritable path fails at once, with no build, and
+    # a refused prime creates no file
+    calls = []
+
+    def build_graph(*args):
+        calls.append(args)
+        raise OSError("the graph was built")
+    monkeypatch.setattr(cli, "build_graph", build_graph)
+    bad = tmp_path / "missing" / "g.json"
+    assert run(["graph", "-p", "151", "--format", "json",
+                "-o", str(bad)]) == 2
+    assert calls == [] and str(bad) in capsys.readouterr().err
+    out = tmp_path / "g.json"
+    assert run(["graph", "-p", "11", "--max-prime", "7", "--format", "dot",
+                "-o", str(out)]) == 2
+    assert calls == [] and not out.exists()
+    assert "exceeds the cap" in capsys.readouterr().err
 
 
 def test_validate_exit_code(capsys):

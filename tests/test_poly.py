@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from richelot import poly
 from richelot.field import FieldElement, make_field
 from richelot.genus2 import transform_curve
 from richelot.graph import build_graph
@@ -11,7 +12,7 @@ from richelot.poly import (Poly, PolyError, add_pairs, derivative_pairs,
                            divmod_pairs, factor_quadratic_pieces,
                            is_squarefree, monic_pairs, mul_pairs, roots)
 
-from conftest import (factor_oracle, is_squarefree_oracle,
+from conftest import (count_calls, factor_oracle, is_squarefree_oracle,
                       poly_derivative_oracle, poly_divmod_oracle,
                       poly_gcd_oracle, poly_monic_oracle, poly_mul_oracle,
                       poly_powmod_oracle, poly_sub_oracle,
@@ -351,3 +352,60 @@ def test_factoring_runs_on_ints(monkeypatch):
     monkeypatch.undo()
     assert calls == []
     assert out == [factor_oracle(f) for f in inputs]
+
+
+def test_factoring_lookup_models_takes_no_separate_xq_power(monkeypatch):
+    # x^q is read off the first split's power, and linear pairs are split
+    # by the quadratic formula: over the 120 p = 41 lookup models, 365
+    # powers in all (997 with a separate x^q power and a power per pair),
+    # at most 6 for one model, and none of them x^q mod the whole model
+    ctx = make_field(41)
+    models = lookup_models(41, random.Random(41))
+    calls, most, out = count_calls(monkeypatch, "powmod_pairs", poly), 0, []
+    for f in models:
+        before = len(calls)
+        out.append(factor_quadratic_pieces(f))
+        whole = monic_pairs(ctx, f.pairs())
+        assert all(e != ctx.order or h != whole
+                   for _, _, e, h in calls[before:])
+        most = max(most, len(calls) - before)
+    monkeypatch.undo()
+    assert (len(models), len(calls), most) == (120, 365, 6)
+    assert out == [factor_oracle(f) for f in models]
+
+
+@pytest.mark.parametrize("p", [41, 43])
+@pytest.mark.parametrize("name, seed", [
+    ("factor_quadratic_pieces", 0x46414354), ("roots", 0x52494348)],
+    ids=["factor", "roots"])
+def test_shared_power_edge_cases_match_oracles(monkeypatch, p, name, seed):
+    # c is the first draw of factoring's (or roots') random.Random, for a
+    # sextic.  (a) -c is a root, so x + c shares a factor with the sextic
+    # and the shared power vanishes there.  (b) r + c is a nonzero square
+    # at every root r, so the shared power is 1 on all of them: the first
+    # split fails and a fresh power of the whole sextic is drawn.  p = 1
+    # and 3 (mod 4): the quadratic formula runs both psqrt paths.
+    ctx, rng = make_field(p), random.Random(p)
+    draw = random.Random(seed ^ 6)
+    c = ctx.element(draw.randrange(p), draw.randrange(p))
+    shared = [-c] + [x for x in random_distinct_elements(ctx, rng, 6)
+                     if x != -c][:5]
+    squares = []
+    while len(squares) < 6:
+        s = random_element(ctx, rng)
+        if not s.is_zero() and s * s - c not in squares:
+            squares.append(s * s - c)
+    formulas = count_calls(monkeypatch, "quadratic_roots_pairs", poly)
+    powers = count_calls(monkeypatch, "powmod_pairs", poly)
+    e = (ctx.order - 1) // 2
+    for rs in (shared, squares):
+        f = Poly.from_roots(ctx, rs, scale=ctx.from_int(3))
+        whole = monic_pairs(ctx, f.pairs())
+        del powers[:]
+        getattr(poly, name)(f)
+        assert powers[0][1:] == ([c.key(), (1, 0)], e, whole)
+        if rs is squares:
+            assert powers[1][2:] == (e, whole)
+        assert factor_quadratic_pieces(f) == factor_oracle(f)
+        assert roots(f) == roots_oracle(f) == sorted(rs)
+    assert formulas
