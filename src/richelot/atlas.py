@@ -54,13 +54,13 @@ ALL_CASES = JACOBIAN_CASES + PRODUCT_CASES
 
 
 def curve_two_param(ctx: FieldCtx, s, t) -> Genus2Curve:
-    """y^2 = (x^2 - 1)(x^2 - s^2)(x^2 - t^2), checked generic."""
+    """y^2 = (x^2 - 1)(x^2 - s^2)(x^2 - t^2), checked generic: of_blocks."""
     one = ctx.one
     bad = s * t * (s * s - one) * (t * t - one) * (s * s - t * t)
     if bad.is_zero():
         raise AtlasError("parameters violate st(s^2-1)(t^2-1)(s^2-t^2) != 0")
-    return Genus2Curve(Poly.from_roots(
-        ctx, [one, -one, s, -s, t, -t]))
+    return Genus2Curve.of_blocks(ctx, [((-c).key(), (0, 0), (1, 0))
+                                       for c in (one, s * s, t * t)], (1, 0))
 
 
 def _root_pairs(ctx, s, t):

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from math import gcd
 
+ROOTS_KEPT = 512  # the most GF(p) roots a field keeps, oldest out first
+
 
 class FieldError(ValueError):
     """Invalid field construction or operation."""
@@ -149,9 +151,11 @@ class FieldCtx:
         return min(y, (-y[0] % p, -y[1] % p))
 
     def _root_mod(self, t):
-        """_sqrt_mod(t, p, n), computed once per t mod p and memoized."""
+        """_sqrt_mod(t, p, n) per t mod p, memoized up to ROOTS_KEPT roots."""
         t %= self.p
         if t not in self._roots:
+            if len(self._roots) >= ROOTS_KEPT:
+                del self._roots[next(iter(self._roots))]
             self._roots[t] = _sqrt_mod(t, self.p, self.nonresidue)
         return self._roots[t]
 

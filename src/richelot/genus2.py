@@ -31,6 +31,12 @@ from .field import FieldCtx, FieldElement
 from .poly import (Poly, add_pairs, factor_quadratic_pieces, is_squarefree,
                    mul_pairs, quadratic_roots_pairs)
 
+# The most curves each memo below keeps, least recently used out first.
+SPLITTINGS_KEPT = 128
+WEIERSTRASS_KEPT = 128
+AUTOMORPHISMS_KEPT = 128
+CLEBSCH_KEPT = 128
+
 
 class Genus2Error(ValueError):
     """Invalid genus-2 curve or operation."""
@@ -230,22 +236,24 @@ def matching_splitting(ctx, forced, matching, scale) -> QuadraticSplitting:
 _INDEX_MATCHINGS = {n: tuple(tuple(m) for m in _matchings(list(range(n))))
                     for n in (0, 2, 4, 6)}
 MATCHINGS = _INDEX_MATCHINGS[6]
-_MATCHING_INDEX = {m: n for n, m in enumerate(MATCHINGS)}
+# pair (x, y) sets bits 6x + y and 6y + x: the sum keys a matching, unsorted
+_PAIR_BITS = [1 << n | 1 << 6 * (n % 6) + n // 6 for n in range(36)]
+_MATCHING_INDEX = {sum(_PAIR_BITS[6 * a + b] for a, b in m): n
+                   for n, m in enumerate(MATCHINGS)}
 
 
 def matching_index(pairs) -> int:
     """The index in MATCHINGS of a perfect matching of range(6), given
     as its three pairs in any order."""
-    return _MATCHING_INDEX[tuple(sorted(
-        (a, b) if a < b else (b, a) for a, b in pairs))]
+    return _MATCHING_INDEX[sum(_PAIR_BITS[6 * a + b] for a, b in pairs)]
 
 
 @lru_cache(maxsize=720)  # one entry per permutation of range(6)
 def matching_action(perm: tuple) -> tuple:
     """The permutation of MATCHINGS indices induced by the index map
     perm of range(6), a tuple."""
-    return tuple(matching_index((perm[a], perm[b]) for a, b in m)
-                 for m in MATCHINGS)
+    return tuple(_MATCHING_INDEX[sum(_PAIR_BITS[6 * perm[a] + perm[b]]
+                                     for a, b in m)] for m in MATCHINGS)
 
 
 def pairing_index(pairs) -> int:
@@ -279,7 +287,7 @@ def _forced_free(f):
     return [tuple((g[k].a, g[k].b) for k in range(3)) for g in quads], free
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SPLITTINGS_KEPT)
 def splittings(curve: Genus2Curve) -> list:
     """All rational quadratic splittings of the curve, sorted.
 
@@ -329,7 +337,7 @@ def splitting_root_pairs(spl: QuadraticSplitting) -> list:
     return roots
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=WEIERSTRASS_KEPT)
 def weierstrass_points(curve: Genus2Curve) -> list:
     """The six Weierstrass points of the curve, sorted: the roots of f's
     linear factors (and INF if f is a quintic), from one factoring.
@@ -436,7 +444,7 @@ def moebius_stabilizing(ctx, src_pts, dst_frames):
     return ([fr[t] for t in at] for fr in dst_frames.get(signature, ()))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=AUTOMORPHISMS_KEPT)
 def reduced_automorphisms(curve: Genus2Curve) -> list:
     """RA(Jac(C)), the Moebius maps permuting the Weierstrass points, as
     index maps of weierstrass_points(curve) (moebius_stabilizing on the
@@ -573,7 +581,7 @@ class ClebschPoint:
         return f"({self.A}:{self.B}:{self.C}:{self.D})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CLEBSCH_KEPT)
 def clebsch_invariants(curve: Genus2Curve) -> ClebschPoint:
     """Clebsch invariants of the defining sextic (degree-5 inputs are
     homogenized with a vanishing leading coefficient): nine

@@ -32,7 +32,7 @@ from .elliptic import EllipticCurveE2, j_invariant, find_supersingular_seed
 from .field import FieldCtx, FieldElement
 from .genus2 import (INF, Genus2Curve, JACOBIAN_ORDER_TO_TYPE, RA_ORDER,
                      QuadraticSplitting, canonical_key, clebsch_invariants,
-                     matching_action, matching_index, moebius_frames,
+                     matching_action, moebius_frames,
                      moebius_orbits_on_splittings, moebius_stabilizing,
                      point_key, point_splittings, ra_type_from_clebsch,
                      splitting_root_pairs, weierstrass_points)
@@ -129,9 +129,9 @@ class Vertex:
     step dual that reached it, pair by pair, so that dual is kernel 0
     (a seed's are sorted), frames their moebius_frames index, and
     ra_maps its RA maps as index maps of the points, read off the
-    frames once; only the build reads the frames.  A Jacobian mirror
-    has the points of its partner conjugated, in their order, and its
-    RA maps, but no frames: moves onto it read the partner's.  sigma[l]
+    frames once; only the build reads the frames.  A mirror has its
+    partner's RA maps and, at a Jacobian, its points conjugated in their
+    order, but no frames: moves onto it go through the partner.  sigma[l]
     is the label of the Frobenius image of kernel l: the identity, but
     at a sigma-fixed vertex.  edges are the orbit edges out of the
     vertex; kernel_to_edge is the 15-tuple of their edges by kernel
@@ -176,13 +176,12 @@ def _make_vertex(key: VertexKey, rep, pts=None, partner=None) -> Vertex:
     Only seeds and bare curves are factored.  A Jacobian builds its
     frames once and reads its RA maps off them.  A mirror takes its
     partner's RA type, order and maps, and a Jacobian partner's points,
-    conjugated in order.  If sigma fixes key, sigma is read off the
-    first isomorphism from sigma(rep) onto rep, or GraphError raised."""
+    conjugated in order.  If sigma fixes key, sigma is the _first_map
+    of sigma(pts or rep) onto rep, or GraphError raised."""
     if partner:
         return Vertex(key=key, representative=rep, ra_type=partner.ra_type,
                       ra_order=partner.ra_order, ra_maps=partner.ra_maps,
-                      points=partner.points and list(
-                          map(_conjugate, partner.points)),
+                      points=partner.points and _conjugate(partner.points),
                       partner=partner)
     ra_type = ra_type_of(rep)
     if key.kind != "jacobian":
@@ -196,9 +195,7 @@ def _make_vertex(key: VertexKey, rep, pts=None, partner=None) -> Vertex:
                    ra_order=len(maps), points=pts, frames=frames,
                    ra_maps=maps)
     if key.conjugate(rep.ctx.p) == key:
-        v.sigma = (_first_map(_conjugate(rep), v) if pts is None
-                   else matching_action(tuple(_first_map(
-                       [_conjugate(x) for x in pts], v))))
+        v.sigma = _first_map(_conjugate(pts or rep), v)
     return v
 
 
@@ -286,7 +283,9 @@ def _expand(v: Vertex, vertices=None, incoming=()) -> list:
 
 
 def _conjugate(x):
-    """sigma of a point (INF is fixed), a curve or a product."""
+    """sigma of a point (INF is fixed), point list, curve or product."""
+    if isinstance(x, list):
+        return list(map(_conjugate, x))
     if isinstance(x, Genus2Curve):
         return x.conjugate()
     if isinstance(x, ProductSurface):
@@ -296,19 +295,20 @@ def _conjugate(x):
 
 
 def _first_map(src, v: Vertex):
-    """The first isomorphism onto v's representative: from the points
-    src of a model, as an index map (moebius_stabilizing on v's frames),
-    or from the product src, as a kernel_maps label map.  Any one will
-    do to move a kernel: two differ by an automorphism of v, which keeps
-    the kernel inside its orbit.  Onto a Jacobian mirror it is the map
-    of sigma(src) onto the partner, as sigma keeps labels."""
+    """The first isomorphism onto v's representative as a label map m,
+    kernel l of src going to m[l]: from the points src of a model, the
+    matching_action of the first moebius_stabilizing map on v's frames,
+    or from the product src, the first kernel_maps map.  Any one will
+    do: two differ by an automorphism of v, which keeps each orbit.
+    Onto a mirror it is the map of sigma(src) onto the partner."""
+    w = v.partner or v
+    src = src if w is v else _conjugate(src)
     if v.points is None:
-        m = next(kernel_maps(src, v.representative), None)
+        m = next(kernel_maps(src, w.representative), None)
     else:
-        w = v.partner or v
-        pts = src if w is v else [_conjugate(x) for x in src]
-        m = next(iter(moebius_stabilizing(v.representative.ctx, pts,
+        m = next(iter(moebius_stabilizing(w.representative.ctx, src,
                                           w.frames)), None)
+        m = m and matching_action(tuple(m))
     if m is None:
         raise GraphError(f"no isomorphism onto {v.key.as_string()}: the "
                          "models do not match")
@@ -352,17 +352,17 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
     the dual orbit of each edge into it from an expanded vertex
     (_expand), so no derived orbit discovers a vertex.  A vertex whose
     conjugate w is built is built as sigma(w), with w's RA type, its
-    points w's conjugated in their order, so sigma keeps labels; a
-    Jacobian one shares w's RA maps, and moves onto it read w's frames.
-    Each dual is labelled on its target once, as its edge is recorded.
-    A step's dual is kernel 0 over its roots, pair by pair, so a
-    Jacobian built from the step takes those roots as its points; onto
-    another model the first _first_map m moves it (a product's label l
-    to m[l]).  A dual derived from a Frobenius partner is its label,
-    moved by the target's sigma.  Raises GraphError, naming the edge, if
-    a dual or a new vertex's Frobenius map finds no isomorphism (as on a
-    codomain that is no model of its target), or once the graph holds
-    more vertices than the census counts."""
+    points w's conjugated in their order, so sigma keeps labels; it
+    shares w's RA maps, and moves onto it go through w.  Each dual is
+    labelled on its target once, as its edge is recorded.  A step's
+    dual is kernel 0 over its roots, pair by pair, so a Jacobian built
+    from the step takes those roots as its points; onto another model
+    the label map m of _first_map from them, or from the product, moves
+    dual l to m[l].  A dual derived from a Frobenius partner is its
+    label, moved by the target's sigma.  Raises GraphError, naming the
+    edge, if a dual or a new vertex's Frobenius map finds no isomorphism
+    (as on a codomain that is no model of its target), or once the
+    graph holds more vertices than the census counts."""
     if seed is None:
         E = find_supersingular_seed(ctx)
         seed = ProductSurface(E, E)
@@ -382,13 +382,13 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
         for e in v.edges:
             kind, rep, dual = e.hint
             tgt = g.vertices.get(e.target)
-            w = g.vertices.get(e.target.conjugate(ctx.p))
             pts = None
             try:
                 if isinstance(dual, QuadraticSplitting):  # kernel 0 of pts
                     pts = list(sum(splitting_root_pairs(dual), ()))
                     dual = 0
                 if tgt is None:  # sigma(w), if built, keeps w's labels
+                    w = g.vertices.get(e.target.conjugate(ctx.p))
                     tgt = g.vertices[e.target] = _make_vertex(
                         e.target, rep, pts) if w is None else _make_vertex(
                         e.target, _conjugate(w.representative), partner=w)
@@ -396,9 +396,7 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
                 if isinstance(dual, OrbitEdge):  # the Frobenius partner
                     dual = tgt.sigma[dual.hint[2]]
                 elif rep is not tgt.representative:  # another model
-                    m = _first_map(pts or rep, tgt)
-                    dual = m[dual] if pts is None else matching_index(
-                        zip(m[0::2], m[1::2]))
+                    dual = _first_map(pts or rep, tgt)[dual]
             except GraphError as exc:
                 raise GraphError(f"edge {e.source.as_string()} -> "
                                  f"{e.target.as_string()} of kernel "
@@ -409,7 +407,7 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
         if len(g.vertices) > bound:
             raise GraphError(f"{len(g.vertices)} vertices found at p = "
                              f"{ctx.p}, but the census counts {bound}")
-        queue.extend(sorted(set(fresh)))
+        queue.extend(sorted(fresh))
     return g
 
 
@@ -439,11 +437,8 @@ class ValidationReport:
         return all(okay for _, okay, _ in self.checks)
 
     def summary(self) -> str:
-        lines = []
-        for name, okay, detail in self.checks:
-            status = "PASS" if okay else "FAIL"
-            lines.append(f"[{status}] {name}: {detail}")
-        return "\n".join(lines)
+        return "\n".join(f"[{'PASS' if okay else 'FAIL'}] {name}: {detail}"
+                         for name, okay, detail in self.checks)
 
 
 def validate(g: Graph) -> ValidationReport:
@@ -532,22 +527,15 @@ def export(g: Graph, fmt: str) -> str:
 
 
 def _sorted_vertex_rows(g: Graph):
-    rows = []
-    for key, v in g.vertices.items():
-        rows.append({"key": key.as_string(), "kind": key.kind,
-                     "ra_type": v.ra_type, "ra_order": v.ra_order})
-    rows.sort(key=lambda r: r["key"])
-    return rows
+    return sorted(({"key": key.as_string(), "kind": key.kind,
+                    "ra_type": v.ra_type, "ra_order": v.ra_order}
+                   for key, v in g.vertices.items()), key=lambda r: r["key"])
 
 
 def _sorted_edge_rows(g: Graph):
-    rows = []
-    for e in g.edges:
-        rows.append({"src": e.source.as_string(),
-                     "dst": e.target.as_string(),
-                     "weight": e.weight, "loop": e.is_loop})
-    rows.sort(key=lambda r: (r["src"], r["dst"], r["weight"]))
-    return rows
+    return sorted(({"src": e.source.as_string(), "dst": e.target.as_string(),
+                    "weight": e.weight, "loop": e.is_loop} for e in g.edges),
+                  key=lambda r: (r["src"], r["dst"], r["weight"]))
 
 
 def _export_json(g: Graph) -> str:

@@ -11,7 +11,7 @@ from richelot import genus2, gluing, graph, isogeny
 from richelot.field import FieldElement, make_field
 from richelot.genus2 import (INF, MATCHINGS, Genus2Curve, Genus2Error,
                              IrrationalPointsError, QuadraticSplitting,
-                             matching_index, matching_splitting,
+                             matching_splitting,
                              orbit_partition, point_key,
                              splitting_root_pairs)
 from richelot.elliptic import EllipticCurveE2
@@ -341,13 +341,12 @@ def splitting_points(spl):
 def dual_label(tgt, hint):
     """The label at the vertex tgt of the dual kernel in hint, the hint
     of one step onto a model of tgt, moved onto tgt's representative by
-    the first isomorphism (graph._first_map), as build_graph moves it:
-    a Jacobian's dual splitting is kernel 0 of its roots, listed pair by
-    pair, and a product's label l goes to m[l]."""
+    the first isomorphism's label map m (graph._first_map), as
+    build_graph moves it: a dual splitting is kernel 0 of its roots,
+    listed pair by pair, and label l goes to m[l]."""
     _, codomain, dual = hint
-    if isinstance(codomain, Genus2Curve):
-        m = graph._first_map(list(sum(splitting_root_pairs(dual), ())), tgt)
-        return matching_index(zip(m[0::2], m[1::2]))
+    if isinstance(dual, QuadraticSplitting):
+        codomain, dual = list(sum(splitting_root_pairs(dual), ())), 0
     return graph._first_map(codomain, tgt)[dual]
 
 

@@ -179,6 +179,39 @@ def test_atlas_factors_no_normal_form(monkeypatch, ctx23):
     assert calls == []
 
 
+def test_atlas_sweep_keeps_its_clebsch_hits_and_gcd_tests(monkeypatch):
+    # every case at p = 101 and 109, as the atlas benchmark sweeps them:
+    # the bounded clebsch_invariants memo hits 114 times on 112 curves,
+    # as it did unbounded.  The gcd squarefree test runs on the 36 glued
+    # curves and on the bare sextic x^6 + 1, once a prime, but not on
+    # the two-parameter normal forms, checked in closed form (of_blocks;
+    # 48 gcd tests before)
+    memo = clebsch_invariants
+    memo.cache_clear()
+    gcds = count_calls(monkeypatch, "is_squarefree")
+    for p in (101, 109):
+        for case in ALL_CASES:
+            rep = verify_case(case, make_field(p))
+            assert rep.ok, rep.summary()
+    assert memo.cache_info()[:2] == (114, 112)
+    assert len(gcds) == 36 + 2
+
+
+def test_curve_two_param_is_checked_in_closed_form(monkeypatch):
+    # of_blocks gives the curve of the six roots, with no gcd test, and
+    # parameters that make two roots meet still raise AtlasError
+    ctx = make_field(29)
+    s, t = ctx.from_int(3), ctx.from_int(5)
+    gcds = count_calls(monkeypatch, "is_squarefree")
+    C = curve_two_param(ctx, s, t)
+    assert gcds == []
+    one = ctx.one
+    assert C.f == Poly.from_roots(ctx, [one, -one, s, -s, t, -t])
+    for bad in ((s, s), (s, -s), (one, t), (ctx.zero, t)):
+        with pytest.raises(AtlasError, match="^parameters violate"):
+            curve_two_param(ctx, *bad)
+
+
 def test_normal_form_splitting_is_the_normal_form():
     # K_1, the splitting neighbourhood is given, multiplies back to the
     # normal form's sextic, and is one of the curve's splittings

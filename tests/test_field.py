@@ -116,6 +116,24 @@ def test_sqrt_matches_tonelli_oracle_random(p):
     assert None in [x.sqrt() for x in xs]
 
 
+def test_root_memo_keeps_at_most_roots_kept():
+    # at p = 2^127 - 1 nearly every root in GF(p) is a new one: 400
+    # square roots of random squares take over a thousand, and the memo
+    # keeps the last field.ROOTS_KEPT of them, each still right.  At
+    # p = 409, below the bound, it keeps every root it takes
+    ctx, rng = make_field(2 ** 127 - 1), random.Random(127)
+    for _ in range(400):
+        y = random_element(ctx, rng)
+        assert (y * y).sqrt() in (y, -y)
+    assert len(ctx._roots) == field.ROOTS_KEPT
+    assert all(s is None or s * s % ctx.p == t
+               for t, s in ctx._roots.items())
+    ctx = make_field(409)
+    for x in ctx.elements():
+        x.sqrt()
+    assert len(ctx._roots) == 409 < field.ROOTS_KEPT
+
+
 @pytest.mark.parametrize("p", [19, 23])
 def test_ext_sqrt_matches_tonelli_oracle_random(p):
     ext = make_field(p).extension()

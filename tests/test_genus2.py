@@ -7,7 +7,7 @@ from math import comb, factorial, perm
 import pytest
 
 from richelot import genus2
-from richelot.field import FieldElement, legendre, make_field
+from richelot.field import ROOTS_KEPT, FieldElement, legendre, make_field
 from richelot.genus2 import (INF, MATCHINGS, ClebschPoint, Genus2Curve,
                              Genus2Error, IrrationalPointsError,
                              _INDEX_MATCHINGS, _block_roots, canonical_key,
@@ -861,6 +861,33 @@ def test_weierstrass_points_factor_once_with_quadratic_factor(monkeypatch):
     with pytest.raises(IrrationalPointsError) as from_splitting:
         splitting_points(splittings(C)[0])
     assert str(from_splitting.value) == str(exc.value)
+
+
+@pytest.mark.slow
+def test_curve_memos_stay_within_their_bounds():
+    # 200 random split sextics at p = 2^127 - 1, each factored for its
+    # points and its splittings, keyed and searched for automorphisms:
+    # every curve memo fills to its bound and no further, and so does
+    # the field's memo of roots in GF(p) (it held 1,099 with no bound)
+    ctx, rng = make_field(2 ** 127 - 1), random.Random(127)
+    memos = {genus2.splittings: genus2.SPLITTINGS_KEPT,
+             genus2.weierstrass_points: genus2.WEIERSTRASS_KEPT,
+             genus2.reduced_automorphisms: genus2.AUTOMORPHISMS_KEPT,
+             genus2.clebsch_invariants: genus2.CLEBSCH_KEPT}
+    for memo in memos:
+        memo.cache_clear()
+    for _ in range(200):
+        pts = [ctx.element(rng.randrange(ctx.p), rng.randrange(ctx.p))
+               for _ in range(6)]
+        C = Genus2Curve(Poly.from_roots(ctx, pts))
+        assert weierstrass_points(C) == sorted(pts, key=point_key)
+        assert len(splittings(C)) == 15
+        assert reduced_automorphisms(C)[0] == list(range(6))
+        clebsch_invariants(C)
+    for memo, bound in memos.items():
+        assert memo.cache_info()[2:] == (bound, bound) < (200, 200)
+    assert len(ctx._roots) == ROOTS_KEPT
+    assert ctx.psqrt((4, 0)) in ((2, 0), (ctx.p - 2, 0))
 
 
 def test_make_sorts_blocks_by_poly_key_order(rng):

@@ -18,7 +18,7 @@ from richelot.field import FieldCtx, FieldElement, make_field
 from richelot.genus2 import (Genus2Curve, IrrationalPointsError, RAType,
                              moebius_frames, moebius_stabilizing, point_key,
                              reduced_automorphisms, splitting_root_pairs,
-                             splittings, weierstrass_points)
+                             splittings, transform_curve, weierstrass_points)
 from richelot.gluing import (ProductKernel, ProductSurface, kernel_maps,
                              product_kernels, quotient_diagonal,
                              ra_order_product)
@@ -565,6 +565,43 @@ def test_each_vertex_factored_once_and_validate_never(monkeypatch):
         == dict.fromkeys(names, 0)
 
 
+def test_clebsch_memo_keeps_its_hits_within_its_bound(monkeypatch):
+    # the clebsch_invariants memo keeps genus2.CLEBSCH_KEPT curves and
+    # still has every hit it had unbounded: 31 in a p = 41 build +
+    # validate, one per Jacobian built from a step's codomain, whose key
+    # the step had just read, and one per Jacobian query over 150
+    # lookups of random models of its vertices, while 1,323 curves pass
+    # through it.  weierstrass_points is never hit.  The build runs the
+    # gcd squarefree test only on its 11 glued curves
+    memo, points = genus2.clebsch_invariants, genus2.weierstrass_points
+    memo.cache_clear()
+    points.cache_clear()
+    gcds = count_calls(monkeypatch, "is_squarefree")
+    ctx, rng = make_field(41), random.Random(41)
+    g = build_graph(ctx)
+    assert validate(g).ok
+    assert (len(gcds), memo.cache_info()[:2]) == (11, (31, 144))
+    vertices, jacobians = list(g.vertices.values()), 0
+    for _ in range(150):
+        v = rng.choice(vertices)
+        rep = v.representative
+        if v.points:
+            jacobians += 1
+            a, b, c, d = (random_element(ctx, rng) for _ in range(4))
+            while (a * d - b * c).is_zero():
+                a = random_element(ctx, rng)
+            rep = transform_curve(rep, a, b, c, d)
+        else:
+            rep = ProductSurface(random_model(rep.E1, rng),
+                                 random_model(rep.E2, rng))
+        assert sorted((e.weight, e.target) for e in neighbourhood(rep)) \
+            == sorted((e.weight, e.target) for e in v.edges)
+    info = memo.cache_info()
+    assert (jacobians, info.hits, info.misses) == (119, 31 + 119, 1323)
+    assert info.currsize == info.maxsize == genus2.CLEBSCH_KEPT
+    assert points.cache_info().hits == 0
+
+
 def test_each_jacobian_vertex_pairs_once(monkeypatch):
     # each vertex's pairings come from the point matchings made once
     # with its frames: no square-root pairing in the build or validate
@@ -776,14 +813,14 @@ def test_validate_catches_a_record_moved_to_another_orbit(monkeypatch):
     monkeypatch.undo()
     n, label = next(
         (n, o.kernels[0]) for n, (_, tgt, m) in enumerate(moves) if tgt.points
-        for w in [tgt.kernel_to_edge[genus2.matching_index(
-            zip(m[0::2], m[1::2]))].weight]
+        for w in [tgt.kernel_to_edge[m[0]].weight]
         for o in tgt.edges if o.weight != w)
     calls = []
 
     def move(src, tgt, m):
         calls.append(m)
-        return sum(genus2.MATCHINGS[label], ()) if len(calls) == n + 1 else m
+        return genus2.matching_action(sum(genus2.MATCHINGS[label], ())) \
+            if len(calls) == n + 1 else m
     patch_moves(monkeypatch, move)
     g = build_graph(make_field(41))
     monkeypatch.undo()
@@ -940,26 +977,31 @@ def test_mirror_vertices_keep_their_partners_labels(p):
 
 
 # (product mirrors, moves onto them) by prime
-PRODUCT_MIRRORS = {41: (0, 0), 101: (8, 23)}
+PRODUCT_MIRRORS = {41: (0, 0), 43: (3, 10), 101: (8, 23)}
 
 
 @pytest.mark.parametrize("p, mirrors, moves",
-                         [(41, 9, 20), (101, 173, 485)])
+                         [(41, 9, 20), (43, 15, 59), (101, 173, 485)])
 def test_mirrors_share_their_partners_maps_and_frames(
         monkeypatch, p, mirrors, moves):
     # a Jacobian mirror keeps no frames: it shares its partner's RA maps,
     # which are the maps read off an index of its own points, and each
     # move onto it, made on its partner's index from the conjugated
-    # source, is the first map onto that index.  A product mirror takes
-    # its partner's RA type and order, and classifying it afresh agrees
+    # source, is the label map of the first map onto that index.  A
+    # product mirror takes its partner's RA type and order, and
+    # classifying it afresh agrees; each move onto it searches only its
+    # partner, from the conjugated source, and is the first kernel_maps
+    # map onto the mirror itself
     moved = patch_moves(monkeypatch)
+    searched = count_calls(monkeypatch, "kernel_maps", gluing)
     g = build_graph(make_field(p))
+    monkeypatch.undo()
     pairs = mirror_pairs(g)
     onto = [(src, v, m) for src, v, m in moved
             if v.partner is not None and v.points is not None]
     products = [v for v in g.vertices.values()
                 if v.partner is not None and v.points is None]
-    onto_products = [v for _, v, _ in moved
+    onto_products = [(src, v, m) for src, v, m in moved
                      if v.partner is not None and v.points is None]
     assert (len(pairs), len(onto)) == (mirrors, moves)
     assert (len(products), len(onto_products)) == PRODUCT_MIRRORS[p]
@@ -979,7 +1021,31 @@ def test_mirrors_share_their_partners_maps_and_frames(
     for src, v, m in onto:
         K = v.representative.ctx
         own = moebius_frames(K, v.points)
-        assert m == next(iter(moebius_stabilizing(K, src, own)))
+        assert m == genus2.matching_action(
+            tuple(next(iter(moebius_stabilizing(K, src, own)))))
+    for src, v, m in onto_products:
+        assert m == next(kernel_maps(src, v.representative))
+    mirrored = {id(v.representative) for v in products}
+    assert not [D for S, D in searched if S is not D and id(D) in mirrored]
+
+
+@pytest.mark.parametrize("p", [23, 41])
+def test_first_map_is_a_kernel_label_map_onto_either_kind(p):
+    # from a conjugated model of a sigma-fixed vertex of each kind,
+    # _first_map returns the 15 labels the moved kernels take there: a
+    # permutation of range(15), which is the vertex's sigma, and which
+    # sends each kernel's Frobenius image's orbit onto its own
+    g = build_graph(make_field(p))
+    for kind in ("jacobian", "product"):
+        v = next(v for v in g.vertices.values() if v.key.kind == kind
+                 and v.key.conjugate(p) == v.key and v.partner is None)
+        m = graph._first_map(graph._conjugate(v.points or v.representative),
+                             v)
+        assert len(m) == 15 and sorted(m) == list(range(15))
+        assert tuple(m) == tuple(v.sigma)
+        for e in v.edges:
+            assert {v.kernel_to_edge[m[k]].target for k in e.kernels} \
+                == {e.target.conjugate(p)}
 
 
 @pytest.mark.parametrize("p, fixed", [(23, 14), (29, 18), (41, 32)])
@@ -1113,11 +1179,10 @@ def test_build_names_an_edge_whose_frobenius_labels_fail(monkeypatch):
 
 
 def test_build_raises_on_two_records_in_one_orbit(monkeypatch):
-    # every dual moved to label 0, by the identity index map onto a
-    # Jacobian and a constant label map onto a product: the first vertex
-    # reached from two expanded vertices holds both in one orbit
-    patch_moves(monkeypatch, lambda src, tgt, m: tuple(
-        range(6) if tgt.points else [0] * 15))
+    # every dual moved to label 0, by a constant label map onto either
+    # kind of vertex: the first vertex reached from two expanded
+    # vertices holds both in one orbit
+    patch_moves(monkeypatch, lambda src, tgt, m: (0,) * 15)
     with pytest.raises(GraphError, match=r"orbit \(0,\) at prod:3\.0;3\.0 "
                        "holds the duals of 2 edges"):
         build_graph(make_field(41))
