@@ -434,14 +434,14 @@ class AtlasReport:
         return msg
 
 
-def _target_type(e) -> str:
-    """LOOP, or the RA type of the edge's codomain."""
-    return LOOP if e.is_loop else ra_type_of(e.hint[1])
+def _target_type(e, ctx) -> str:
+    """LOOP, or the RA type of the edge's target, read off its key."""
+    return LOOP if e.is_loop else ra_type_of(e.target, ctx)
 
 
-def _edge_labels(edges) -> list:
+def _edge_labels(edges, ctx) -> list:
     """Sorted multiset of (weight, type-or-loop) of a vertex's edges."""
-    return sorted((e.weight, _target_type(e)) for e in edges)
+    return sorted((e.weight, _target_type(e, ctx)) for e in edges)
 
 
 def _expected_for(case: str, p: int) -> list:
@@ -486,7 +486,7 @@ def verify_case(case: str, ctx: FieldCtx) -> AtlasReport:
             rep, params = rep
             query = normal_form_splitting(ctx, params)
         edges = neighbourhood(query)
-        observed = _edge_labels(edges)
+        observed = _edge_labels(edges, ctx)
         if observed == expected:
             detail = _extra_case_checks(case, ctx, rep, params, edges)
             ok = not detail.startswith("FAIL")
@@ -542,7 +542,7 @@ def _check_iii_isogenous_factors(ctx, u, edges) -> str:
     if j_invariant(two_isogeny(E, 1)) != j_stated:  # E/<(1, 0)>
         return "FAIL: Velu quotient does not match the closed form"
     seen = {j_invariant(F).key() for e in edges
-            if e.weight == 1 and _target_type(e) == RAType.SIGMA
+            if e.weight == 1 and _target_type(e, ctx) == RAType.SIGMA
             for F in (e.hint[1].E1, e.hint[1].E2)}
     if seen != {j_invariant(E).key(), j_stated.key()}:
         return "FAIL: the Sigma neighbours' factors are not E and E/<(1, 0)>"
@@ -563,7 +563,7 @@ def _verify_type_ii(ctx: FieldCtx) -> AtlasReport:
                            [e.weight for e in edges],
                            detail="orbits are not three fives")
     edge_of = {k: e for e in edges for k in e.kernels}
-    types = [_target_type(edge_of[pairing_index(m)])
+    types = [_target_type(edge_of[pairing_index(m)], ctx)
              for m in type_ii_kernels(ctx)]
     ok = (types[2] == expected[2]
           and sorted(types[:2]) == sorted(expected[:2]))

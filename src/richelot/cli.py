@@ -21,8 +21,8 @@ from .elliptic import curve_from_j
 from .field import FieldError, make_field
 from .genus2 import Genus2Curve
 from .gluing import ProductSurface
-from .graph import (build_graph, export, neighbourhood, ra_type_of,
-                    validate)
+from .graph import (VertexKey, build_graph, export, neighbourhood,
+                    ra_type_of, validate)
 from .poly import Poly
 
 DEFAULT_MAX_PRIME = 300
@@ -136,7 +136,7 @@ def _cmd_neighbourhood(args) -> int:
         rep = query = normal_form(args.atlas, ctx, params=params)
         if args.atlas in JACOBIAN_CASES:
             rep, query = rep[0], normal_form_splitting(ctx, rep[1])
-    own = ra_type_of(rep)
+    own = ra_type_of(VertexKey.of(rep), ctx)
     edges = neighbourhood(query)
     rows = []
     for e in edges:

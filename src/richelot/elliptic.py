@@ -57,43 +57,43 @@ class EllipticCurveE2:
 
 
 def j_invariant(E: EllipticCurveE2) -> FieldElement:
-    """The j-invariant, via the cross-ratio of the three roots."""
-    lam = (E.r3 - E.r1) / (E.r2 - E.r1)
-    one = E.ctx.one
-    num = (lam * lam - lam + one) ** 3 * 256
-    den = (lam * lam) * ((lam - one) * (lam - one))
-    return num / den
+    """The j-invariant 256(a^2 - ab + b^2)^3 / (ab(b - a))^2, a = r2 - r1
+    and b = r3 - r1: the cross-ratio form 256(l^2 - l + 1)^3 / (l^2 (l -
+    1)^2), l = b/a, cleared of a.  On (a, b) int pairs, one inverse."""
+    ctx, (x1, y1) = E.ctx, E.r1.key()
+    a, b = ((r.a - x1, r.b - y1) for r in (E.r2, E.r3))
+    c = ctx.pminor(a, (a[0] - b[0], a[1] - b[1]), b, (-b[0], -b[1]))
+    inv = ctx.pinv(ctx.pmul(ctx.pmul(a, b), (b[0] - a[0], b[1] - a[1])))
+    j = ctx.pmul(ctx.pmul(c, ctx.pmul(c, c)), ctx.pmul(inv, inv))
+    return FieldElement(ctx, 256 * j[0] % ctx.p, 256 * j[1] % ctx.p)
 
 
 def two_isogeny(E: EllipticCurveE2, i: int) -> EllipticCurveE2:
     """The codomain E/<P_i>, by Velu's formulas on the translated model.
 
     Translating P_i to the origin gives y^2 = x(x^2 + Ax + B); the
-    quotient is y^2 = x(x^2 - 2Ax + (A^2 - 4B)).  Both surviving
-    2-torsion points map onto the codomain's first root, the point
-    above the origin, so P_1 of the codomain generates the kernel of
-    the dual isogeny.
+    quotient is y^2 = x(x^2 - 2Ax + (A^2 - 4B)), whose other roots are
+    A +- 2s, s the square root of B (FieldCtx.psqrt), on (a, b) int
+    pairs.  Both surviving 2-torsion points map onto the codomain's
+    first root, the point above the origin, so P_1 of the codomain
+    generates the kernel of the dual isogeny.
     """
     if i not in (1, 2, 3):
         raise EllipticError(f"kernel index must be 1..3, got {i}")
-    ctx = E.ctx
-    rk = E.root(i)
-    a, b = (E.root(k) - rk for k in (1, 2, 3) if k != i)
-    A = -(a + b)
-    B = a * b
-    s = B.sqrt()
+    ctx, p, (x, y) = E.ctx, E.ctx.p, E.root(i).key()
+    a, b = ((r.a - x, r.b - y) for k, r in enumerate(E.roots(), 1)
+            if k != i)
+    s = ctx.psqrt(ctx.pmul(a, b))
     if s is None:
         raise NonSplitTorsionError(
             "codomain 2-torsion is irrational; curve is not in a "
             "supersingular context")
-    two = ctx.from_int(2)
-    u = A + two * s
-    v = A - two * s
-    # shift back so the dual-kernel point sits at x = rk
-    r_new = [rk, rk + u, rk + v]
-    if r_new[2] < r_new[1]:
-        r_new[1], r_new[2] = r_new[2], r_new[1]
-    return EllipticCurveE2(*r_new)
+    # shift A = -(a + b) back, so the dual-kernel point sits at x = rk
+    c = (x - a[0] - b[0], y - a[1] - b[1])
+    u = ((c[0] + 2 * s[0]) % p, (c[1] + 2 * s[1]) % p)
+    v = ((c[0] - 2 * s[0]) % p, (c[1] - 2 * s[1]) % p)
+    return EllipticCurveE2(*(FieldElement(ctx, *r)
+                             for r in ((x, y), min(u, v), max(u, v))))
 
 
 def is_supersingular(E: EllipticCurveE2) -> bool:

@@ -7,8 +7,8 @@ GF(p^2).  This module provides
   (c0, c1, c2) triple of (a, b) int pairs from matching to transport,
 * Clebsch invariants (A : B : C : D) in P(2, 4, 6, 10), computed by
   transvectants of the binary sextic as integer term tables on (a, b)
-  int pairs, one reduction mod p per output coefficient, and the
-  derived invariants that drive Bolza's classification,
+  int pairs, one reduction mod p per output coefficient, and Bolza's
+  classification on them,
 * the reduced automorphism group and Moebius maps between six-point
   sets in one form, index maps between frames of equal signature: each
   ordered triple of Weierstrass points, sent to (0, 1, inf), followed
@@ -602,64 +602,55 @@ def clebsch_invariants(curve: Genus2Curve) -> ClebschPoint:
     return ClebschPoint(*(FieldElement(ctx, *X[0]) for X in (A, B, C, D)))
 
 
-@dataclass(frozen=True)
-class DerivedInvariants:
-    """Bolza's derived invariants and the determinant 2R^2 = det(A_ij)."""
-
-    A11: FieldElement
-    A12: FieldElement
-    A22: FieldElement
-    A23: FieldElement
-    A31: FieldElement
-    A33: FieldElement
-    R_squared_times_2: FieldElement
-
-
-def derived_invariants(cp: ClebschPoint) -> DerivedInvariants:
-    ctx = cp.A.ctx
-    A, B, C, D = cp.A, cp.B, cp.C, cp.D
-    third = ctx.from_int(3).inverse()
-    half = ctx.from_int(2).inverse()
-    A11 = 2 * C + third * (A * B)
-    A12 = ctx.from_int(2) * third * (B * B + A * C)
-    A22 = D
-    A31 = D
-    A23 = half * (B * A12) + third * (C * A11)
-    A33 = half * (B * A22) + third * (C * A12)
-    det = (A11 * (A22 * A33 - A23 * A23)
-           - A12 * (A12 * A33 - A23 * A31)
-           + A31 * (A12 * A23 - A22 * A31))
-    return DerivedInvariants(A11, A12, A22, A23, A31, A33, det)
-
-
 def ra_type_from_clebsch(cp: ClebschPoint) -> str:
-    """Bolza's criteria, rows evaluated most-special-first.
+    """Bolza's criteria, rows evaluated most-special-first, on (a, b)
+    int pairs, with his derived invariants A11 = 2C + AB/3, A12 =
+    2(B^2 + AC)/3, A22 = A31 = D, A23 = B A12/2 + C A11/3 and A33 =
+    B A22/2 + C A12/3, and det(A_ij) = 2R^2.
 
+    Each row equates terms of one weight in (A, B, C, D) of weights
+    (1, 2, 3, 5), so a rescaled point (canonical_key) has cp's type.
     The Type-I row is implemented as A11*A22 != A12^2 (the printed
     inequality is weight-inhomogeneous); any curve falling through
     every row raises ClassificationError.
     """
     ctx = cp.A.ctx
-    A, B, C, D = cp.A, cp.B, cp.C, cp.D
-    dv = derived_invariants(cp)
-    zero = ctx.zero
-    if A == zero and B == zero and C == zero:
+    p, mul, m = ctx.p, ctx.pmul, ctx.pminor
+    A, B, C, D = (x.key() for x in cp.tuple())
+    third, half = pow(3, -1, p), pow(2, -1, p)
+
+    def lin(*terms):  # the sum of c * x over the (c, x) terms, reduced
+        re = im = 0
+        for c, (a, b) in terms:
+            re, im = re + c * a, im + c * b
+        return re % p, im % p
+    zero, AB, BB = (0, 0), mul(A, B), mul(B, B)
+    A11 = lin((2, C), (third, AB))
+    A12 = lin((2 * third, BB), (2 * third, mul(A, C)))
+    A23 = lin((half, mul(B, A12)), (third, mul(C, A11)))
+    A33 = lin((half, mul(B, D)), (third, mul(C, A12)))
+    det = lin((1, mul(A11, m(D, A33, A23, A23))),
+              (-1, mul(A12, m(A12, A33, A23, D))),
+              (1, mul(D, m(A12, A23, D, D))))
+    cubic = m((6 * C[0], 6 * C[1]), C, BB, B)  # 6C^2 - B^3
+    if A == B == C == zero:
         if D == zero:
             raise ClassificationError("all Clebsch invariants vanish")
         return RAType.II
-    if B == zero and C == zero and D == zero:
+    if B == C == D == zero:
         return RAType.VI
-    if 6 * B == A * A and D == zero and dv.A11 == zero and A != zero:
+    if lin((6, B), (-1, mul(A, A))) == zero and D == A11 == zero \
+            and A != zero:
         return RAType.V
-    if (6 * (C * C) == B * B * B and 3 * D == 2 * (B * dv.A11)
-            and 2 * (A * B) != 15 * C and D != zero):
+    if (cubic == zero and lin((3, D), (-2, mul(B, A11))) == zero
+            and lin((2, AB), (-15, C)) != zero and D != zero):
         return RAType.IV
-    if (B * dv.A11 - 2 * (A * dv.A12) == -6 * D
-            and C * dv.A11 + 2 * (B * dv.A12) == A * D
-            and 6 * (C * C) != B * B * B and D != zero):
+    if (lin((1, mul(B, A11)), (-2, mul(A, A12)), (6, D)) == zero
+            and m(C, A11, A, D) == lin((-2, mul(B, A12)))
+            and cubic != zero and D != zero):
         return RAType.III
-    if dv.R_squared_times_2 == zero:
-        if dv.A11 * dv.A22 != dv.A12 * dv.A12:
+    if det == zero:
+        if m(A11, D, A12, A12) != zero:
             return RAType.I
         raise ClassificationError(
             f"R = 0 but no special row matched: {cp}")
@@ -691,8 +682,10 @@ def canonical_key(cp: ClebschPoint):
     mu meets the first applicable condition: A' = 1; else C' = B';
     else D' = B'^2; else D' = C'^2.  Its image is therefore a complete
     invariant of the class.  Tuples with a single nonzero coordinate
-    normalize to unit tuples.
+    normalize to unit tuples.  mu = num/den takes one FieldElement
+    inverse; the rest runs on (a, b) int pairs.
     """
+    mul = cp.A.ctx.pmul
     coords = cp.tuple()
     nonzero = [k for k, c in enumerate(coords) if not c.is_zero()]
     if not nonzero:
@@ -704,15 +697,15 @@ def canonical_key(cp: ClebschPoint):
 
     A, B, C, D = coords
     if not A.is_zero():
-        mu = A.inverse()
+        num, den = (1, 0), A
     elif not B.is_zero() and not C.is_zero():
-        mu = B / C
+        num, den = B.key(), C
     elif not B.is_zero():  # C = 0, D != 0 (two nonzero coords)
-        mu = (B * B) / D
+        num, den = mul(B.key(), B.key()), D
     else:  # A = B = 0, C and D nonzero
-        mu = D / (C * C)
-    mu2 = mu * mu
-    mu3 = mu2 * mu
-    mu5 = mu3 * mu2
-    return ((mu * A).key(), (mu2 * B).key(), (mu3 * C).key(),
-            (mu5 * D).key())
+        num, den = D.key(), C * C
+    mu = mul(num, den.inverse().key())
+    mu2 = mul(mu, mu)
+    mu3 = mul(mu2, mu)
+    return (mul(mu, A.key()), mul(mu2, B.key()), mul(mu3, C.key()),
+            mul(mul(mu3, mu2), D.key()))

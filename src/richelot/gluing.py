@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from .elliptic import (EllipticCurveE2, isomorphisms_with_torsion,
-                       j_invariant, two_isogeny)
+                       two_isogeny)
 from .field import FieldElement
 from .genus2 import Genus2Curve, Genus2Error, QuadraticSplitting, RAType, \
     RA_ORDER, block_product, monic_block, orbit_partition
@@ -45,11 +45,6 @@ class ProductSurface:
     @property
     def ctx(self):
         return self.E1.ctx
-
-    def j_pair(self):
-        """Unordered pair of j-invariants, sorted for canonical use."""
-        j1, j2 = j_invariant(self.E1), j_invariant(self.E2)
-        return tuple(sorted([j1, j2]))
 
     def __repr__(self):
         return f"Product({self.E1}, {self.E2})"
@@ -120,39 +115,40 @@ def quotient_diagonal(S: ProductSurface, k: ProductKernel):
     returned; otherwise the Howe--Leprevost--Poonen construction
     produces the genus-2 curve y^2 = -F1 F2 F3 whose Jacobian is the
     quotient, returned as a JacobianCodomain whose dual is the
-    splitting {F1, F2, F3} of the dual kernel.
+    splitting {F1, F2, F3} of the dual kernel.  On (a, b) int pairs:
+    with d_t = s_j - s_i and d'_t = s'_j - s'_i over the cyclic (i, j),
+    HLP's A = a1 prod(d'_t^2)/a2 is D sum_t d_t^2 d'_(t-1) d'_(t-2)/a2,
+    D = prod(d'_t), and B likewise, so one inverse, of a2 b2, serves.
     """
     if k.kind != "diagonal":
         raise GluingError("need a diagonal kernel")
     pi = k.perm
     if pi in isomorphisms_with_torsion(S.E1, S.E2):
         return S
-    ctx = S.ctx
-    s = S.E1.roots()
-    sp = tuple(S.E2.root(pi[t]) for t in range(3))
+    ctx, mul, m = S.ctx, S.ctx.pmul, S.ctx.pminor
+
+    def total(terms):
+        return tuple(sum(x) % ctx.p for x in zip(*terms))
+    s = [x.key() for x in S.E1.roots()]
+    sp = [S.E2.root(t).key() for t in pi]
     cyc = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-    a2 = sum((s[i] * (sp[k2] - sp[j]) for i, j, k2 in cyc), ctx.zero)
-    b2 = sum((sp[i] * (s[k2] - s[j]) for i, j, k2 in cyc), ctx.zero)
-    if a2.is_zero() or b2.is_zero():
+    a2 = total(m(s[i], sp[k2], s[i], sp[j]) for i, j, k2 in cyc)
+    b2 = total(m(sp[i], s[k2], sp[i], s[j]) for i, j, k2 in cyc)
+    if a2 == (0, 0) or b2 == (0, 0):
         # provably only happens for isomorphism-induced matchings,
         # which were handled above; defensive
         raise DegenerateGluingError("HLP denominator vanished", k)
-    a1 = sum(((s[j] - s[i]) * (s[j] - s[i]) / (sp[j] - sp[i])
-              for i, j, _ in cyc), ctx.zero)
-    b1 = sum(((sp[j] - sp[i]) * (sp[j] - sp[i]) / (s[j] - s[i])
-              for i, j, _ in cyc), ctx.zero)
-    prod_sp = ctx.one
-    prod_s = ctx.one
-    for i, j, _ in cyc:
-        prod_sp = prod_sp * ((sp[i] - sp[j]) * (sp[i] - sp[j]))
-        prod_s = prod_s * ((s[i] - s[j]) * (s[i] - s[j]))
-    A = (a1 / a2) * prod_sp
-    B = (b1 / b2) * prod_s
-    blocks = []
-    for i, j, k2 in cyc:
-        c2 = A * ((s[j] - s[i]) * (s[i] - s[k2]))
-        c0 = B * ((sp[j] - sp[i]) * (sp[i] - sp[k2]))
-        blocks.append(((c0.a, c0.b), (0, 0), (c2.a, c2.b)))
+    ds, dsp = ([(u[j][0] - u[i][0], u[j][1] - u[i][1]) for i, j, _ in cyc]
+               for u in (s, sp))
+    inv = ctx.pinv(mul(a2, b2))
+
+    def coefficient(e, d, over):  # prod(d) sum_t e_t^2 d_(t-1) d_(t-2)
+        return mul(mul(mul(d[0], mul(d[1], d[2])), over), total(
+            mul(mul(e[t], e[t]), mul(d[t - 1], d[t - 2])) for t in range(3)))
+    A = coefficient(ds, dsp, mul(b2, inv))  # over a2
+    B = coefficient(dsp, ds, mul(a2, inv))  # over b2
+    blocks = [(mul(B, mul(dsp[t], dsp[t - 1])), (0, 0),
+               mul(A, mul(ds[t], ds[t - 1]))) for t in range(3)]
     f = block_product(ctx, blocks, (ctx.p - 1, 0))
     try:
         curve = Genus2Curve(f)

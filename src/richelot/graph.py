@@ -30,9 +30,9 @@ from functools import partial
 from .census import expected_counts
 from .elliptic import EllipticCurveE2, j_invariant, find_supersingular_seed
 from .field import FieldCtx, FieldElement
-from .genus2 import (INF, Genus2Curve, JACOBIAN_ORDER_TO_TYPE, RA_ORDER,
-                     QuadraticSplitting, canonical_key, clebsch_invariants,
-                     matching_action, moebius_frames,
+from .genus2 import (INF, ClebschPoint, Genus2Curve, JACOBIAN_ORDER_TO_TYPE,
+                     RA_ORDER, QuadraticSplitting, canonical_key,
+                     clebsch_invariants, matching_action, moebius_frames,
                      moebius_orbits_on_splittings, moebius_stabilizing,
                      point_key, point_splittings, ra_type_from_clebsch,
                      splitting_root_pairs, weierstrass_points)
@@ -162,28 +162,33 @@ class Graph:
         return self.vertices[key]
 
 
-def ra_type_of(rep) -> str:
-    """RA type of a vertex representative (curve or product)."""
-    if isinstance(rep, Genus2Curve):
-        return ra_type_from_clebsch(clebsch_invariants(rep))
-    return ra_type_product_vertex(j_invariant(rep.E1), j_invariant(rep.E2))
+def ra_type_of(key: VertexKey, ctx: FieldCtx) -> str:
+    """RA type of the class of key, over ctx: Bolza's rows on a
+    Jacobian's canonical Clebsch tuple, which has the type of every
+    model's Clebsch point (ra_type_from_clebsch), or a product's j-pair
+    (ra_type_product_vertex)."""
+    xs = [FieldElement(ctx, *x) for x in key.data]
+    if key.kind == "jacobian":
+        return ra_type_from_clebsch(ClebschPoint(*xs))
+    return ra_type_product_vertex(*xs)
 
 
 def _make_vertex(key: VertexKey, rep, pts=None, partner=None) -> Vertex:
     """The vertex record of rep.  A Jacobian's points are pts, if given:
     the roots of the dual splitting on the edge that reached it, pair
     by pair, or those of the splitting given to neighbourhood, sorted.
-    Only seeds and bare curves are factored.  A Jacobian builds its
-    frames once and reads its RA maps off them.  A mirror takes its
-    partner's RA type, order and maps, and a Jacobian partner's points,
-    conjugated in order.  If sigma fixes key, sigma is the _first_map
-    of sigma(pts or rep) onto rep, or GraphError raised."""
+    Only seeds and bare curves are factored.  The RA type is read off
+    key (ra_type_of).  A Jacobian builds its frames once and reads its
+    RA maps off them.  A mirror takes its partner's RA type, order and
+    maps, and a Jacobian partner's points, conjugated in order.  If
+    sigma fixes key, sigma is the _first_map of sigma(pts or rep) onto
+    rep, or GraphError raised."""
     if partner:
         return Vertex(key=key, representative=rep, ra_type=partner.ra_type,
                       ra_order=partner.ra_order, ra_maps=partner.ra_maps,
                       points=partner.points and _conjugate(partner.points),
                       partner=partner)
-    ra_type = ra_type_of(rep)
+    ra_type = ra_type_of(key, rep.ctx)
     if key.kind != "jacobian":
         v = Vertex(key=key, representative=rep, ra_type=ra_type,
                    ra_order=ra_order_product(ra_type))

@@ -85,7 +85,8 @@ def split_degenerate(s: QuadraticSplitting, d=None) -> tuple:
     E2: y^2 = prod(beta_i x + alpha_i); w cancels from both.  E.root(i)
     and E2.root(i) are the images of block i, so the matching i <-> i
     is the anti-isometry that generates the dual kernel.  d is delta(s),
-    when the caller has it.
+    when the caller has it.  On (a, b) int pairs, u and v projective, so
+    that the six root quotients take one inverse between them.
 
     On the graph of a seed with full rational 2-torsion, as the default
     E x E, u and v are rational: E has trace +-2p, so Frobenius is +-p,
@@ -96,26 +97,36 @@ def split_degenerate(s: QuadraticSplitting, d=None) -> tuple:
     """
     if not (delta(s) if d is None else d).is_zero():
         raise RichelotError("delta != 0: quotient is a Jacobian")
-    K = s.ctx
-    trip = [tuple(FieldElement(K, *c) for c in g) for g in s.blocks]
-    (c0, b0, a0), (c1, b1, a1) = trip[0], trip[1]
-    g2, h, g0 = a0 * b1 - a1 * b0, a0 * c1 - a1 * c0, b0 * c1 - b1 * c0
-    disc = h * h - g2 * g0
-    if disc.is_zero():
+    K, mul, m = s.ctx, s.ctx.pmul, s.ctx.pminor
+    (c0, b0, a0), (c1, b1, a1) = s.blocks[:2]
+    g2, h, g0 = m(a0, b1, a1, b0), m(a0, c1, a1, c0), m(b0, c1, b1, c0)
+    disc = m(h, h, g2, g0)
+    if disc == (0, 0):
         raise RichelotError("repeated fixed point; blocks share a root")
-    root = disc.sqrt()
+    root = K.psqrt(disc)
     if root is None:
         raise IrrationalPointsError(
             block_product(K, s.blocks, s.scale.key()))
-    if g2.is_zero():  # the minor g0 + 2h x has one root; v is at infinity
-        u = -(g0 / (2 * h))
-        Fv = [t[2] for t in trip]
-    else:
-        u, v = (root - h) / g2, -(root + h) / g2
-        Fv = [t[0] + v * (t[1] + v * t[2]) for t in trip]
-    Fu = [t[0] + u * (t[1] + u * t[2]) for t in trip]
-    if any(x.is_zero() for x in Fu + Fv):
+    # u and v as (x, z), the point x/z: z = g2 for both, or, when g2 = 0
+    # (the minor g0 + 2h x has one root), u = -g0/2h and v = (2h : 0)
+    h2 = (2 * h[0], 2 * h[1])
+    u, v = (((-g0[0], -g0[1]), h2), (h2, (0, 0))) if g2 == (0, 0) else (
+        ((root[0] - h[0], root[1] - h[1]), g2),
+        ((-root[0] - h[0], -root[1] - h[1]), g2))
+
+    def value(g, x, z):  # z^2 g(x/z): F_i(u)/F_i(v) keeps its value
+        return tuple(sum(t) % K.p for t in zip(
+            mul(g[0], mul(z, z)), mul(g[1], mul(x, z)), mul(g[2], mul(x, x))))
+    Fu, Fv = ([value(g, *pt) for g in s.blocks] for pt in (u, v))
+    uv = [mul(a, b) for a, b in zip(Fu, Fv)]
+    if (0, 0) in uv:
         raise RichelotError(
             "degenerate alpha/beta; input cannot be squarefree")
-    return (EllipticCurveE2(*(-(a / b) for a, b in zip(Fu, Fv))),
-            EllipticCurveE2(*(-(b / a) for a, b in zip(Fu, Fv))))
+    # 1/(F_i(u) F_i(v)), each from one inverse of the three products
+    inv = K.pinv(mul(uv[0], mul(uv[1], uv[2])))
+    invs = [mul(inv, mul(uv[i - 1], uv[i - 2])) for i in range(3)]
+
+    def curve(F):  # roots -F_i(u)/F_i(v) or -F_i(v)/F_i(u): -F_i^2 invs
+        return EllipticCurveE2(*(FieldElement(K, *(-x % K.p for x in mul(
+            mul(a, a), w))) for a, w in zip(F, invs)))
+    return curve(Fu), curve(Fv)

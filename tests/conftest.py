@@ -9,13 +9,14 @@ import pytest
 
 from richelot import genus2, gluing, graph, isogeny
 from richelot.field import FieldElement, make_field
-from richelot.genus2 import (INF, MATCHINGS, Genus2Curve, Genus2Error,
+from richelot.genus2 import (INF, MATCHINGS, ClassificationError,
+                             Genus2Curve, Genus2Error,
                              IrrationalPointsError, QuadraticSplitting,
-                             matching_splitting,
+                             RAType, matching_splitting,
                              orbit_partition, point_key,
                              splitting_root_pairs)
-from richelot.elliptic import EllipticCurveE2
-from richelot.gluing import product_kernels
+from richelot.elliptic import EllipticCurveE2, NonSplitTorsionError
+from richelot.gluing import DegenerateGluingError, product_kernels
 from richelot.poly import Poly, PolyError, is_squarefree, roots
 from richelot.isogeny import JacobianCodomain, RichelotError
 
@@ -866,3 +867,211 @@ def nth_root_old_scan_oracle(ctx, n):
             powers.append(powers[-1] * powers[0])
         if powers.index(ctx.one) == n - 1:
             return min(z for k, z in enumerate(powers, 1) if gcd(k, n) == 1)
+
+
+# ---------------------------------------------------------------------------
+# FieldElement oracles of the elliptic, gluing and Bolza steps: each is the
+# step as it ran on FieldElement objects before the int-pair kernels, kept
+# as the reference the int-pair step is checked against.
+
+
+def j_invariant_oracle(E):
+    """elliptic.j_invariant by the cross-ratio lam = (r3 - r1)/(r2 - r1):
+    256 (lam^2 - lam + 1)^3 / (lam^2 (lam - 1)^2)."""
+    lam = (E.r3 - E.r1) / (E.r2 - E.r1)
+    one = E.ctx.one
+    num = (lam * lam - lam + one) ** 3 * 256
+    den = (lam * lam) * ((lam - one) * (lam - one))
+    return num / den
+
+
+def two_isogeny_oracle(E, i):
+    """elliptic.two_isogeny by Velu's formulas on FieldElements: the
+    codomain (rk, rk + A + 2s, rk + A - 2s), its last two roots sorted,
+    with A = -(a + b), s = sqrt(ab), a and b the other roots minus rk."""
+    ctx = E.ctx
+    rk = E.root(i)
+    a, b = (E.root(k) - rk for k in (1, 2, 3) if k != i)
+    A = -(a + b)
+    s = (a * b).sqrt()
+    if s is None:
+        raise NonSplitTorsionError("codomain 2-torsion is irrational")
+    two = ctx.from_int(2)
+    r_new = [rk, rk + (A + two * s), rk + (A - two * s)]
+    if r_new[2] < r_new[1]:
+        r_new[1], r_new[2] = r_new[2], r_new[1]
+    return EllipticCurveE2(*r_new)
+
+
+def hlp_blocks_oracle(S, pi):
+    """The three HLP blocks (c0, 0, c2) of the kernel K_pi on S, as
+    FieldElement triples: a1, a2, b1, b2, the products of the squared
+    root differences, A = (a1/a2) prod_sp and B = (b1/b2) prod_s, eight
+    inverses in all.  None when a2 or b2 vanishes."""
+    ctx = S.ctx
+    s = S.E1.roots()
+    sp = tuple(S.E2.root(pi[t]) for t in range(3))
+    cyc = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    a2 = sum((s[i] * (sp[k] - sp[j]) for i, j, k in cyc), ctx.zero)
+    b2 = sum((sp[i] * (s[k] - s[j]) for i, j, k in cyc), ctx.zero)
+    if a2.is_zero() or b2.is_zero():
+        return None
+    a1 = sum(((s[j] - s[i]) * (s[j] - s[i]) / (sp[j] - sp[i])
+              for i, j, _ in cyc), ctx.zero)
+    b1 = sum(((sp[j] - sp[i]) * (sp[j] - sp[i]) / (s[j] - s[i])
+              for i, j, _ in cyc), ctx.zero)
+    prod_sp = prod_s = ctx.one
+    for i, j, _ in cyc:
+        prod_sp = prod_sp * ((sp[i] - sp[j]) * (sp[i] - sp[j]))
+        prod_s = prod_s * ((s[i] - s[j]) * (s[i] - s[j]))
+    A = (a1 / a2) * prod_sp
+    B = (b1 / b2) * prod_s
+    return [(B * ((sp[j] - sp[i]) * (sp[i] - sp[k])), ctx.zero,
+             A * ((s[j] - s[i]) * (s[i] - s[k]))) for i, j, k in cyc]
+
+
+def quotient_diagonal_oracle(S, k):
+    """gluing.quotient_diagonal with the HLP chain of hlp_blocks_oracle:
+    S for an isomorphism-induced kernel, else the JacobianCodomain of
+    y^2 = -F1 F2 F3 and its dual splitting {F1, F2, F3}."""
+    if k.perm in isomorphisms_oracle(S.E1, S.E2):
+        return S
+    ctx, blocks = S.ctx, hlp_blocks_oracle(S, k.perm)
+    if blocks is None:
+        raise DegenerateGluingError("HLP denominator vanished", k)
+    polys = [Poly(ctx, list(b)) for b in blocks]
+    f = poly_mul_oracle(poly_mul_oracle(poly_mul_oracle(
+        polys[0], polys[1]), polys[2]), -ctx.one)
+    try:
+        curve = Genus2Curve(f)
+    except Genus2Error as exc:
+        raise DegenerateGluingError(f"glued curve invalid: {exc}", k) \
+            from exc
+    return JacobianCodomain(curve, splitting_of(
+        [poly_monic_oracle(g) for g in polys], f.leading()))
+
+
+def split_degenerate_oracle(s):
+    """isogeny.split_degenerate on FieldElements: the fixed points u, v
+    of the pencil, the roots of g2 x^2 + 2h x + g0 (v at infinity when
+    g2 = 0), and the factors' roots -F_i(u)/F_i(v) and -F_i(v)/F_i(u),
+    one inverse each."""
+    K = s.ctx
+    trip = [tuple(FieldElement(K, *c) for c in g) for g in s.blocks]
+    (c0, b0, a0), (c1, b1, a1) = trip[0], trip[1]
+    g2, h, g0 = a0 * b1 - a1 * b0, a0 * c1 - a1 * c0, b0 * c1 - b1 * c0
+    disc = h * h - g2 * g0
+    if disc.is_zero():
+        raise RichelotError("repeated fixed point; blocks share a root")
+    root = disc.sqrt()
+    if root is None:
+        raise IrrationalPointsError(
+            genus2.block_product(K, s.blocks, s.scale.key()))
+    if g2.is_zero():
+        u = -(g0 / (2 * h))
+        Fv = [t[2] for t in trip]
+    else:
+        u, v = (root - h) / g2, -(root + h) / g2
+        Fv = [t[0] + v * (t[1] + v * t[2]) for t in trip]
+    Fu = [t[0] + u * (t[1] + u * t[2]) for t in trip]
+    if any(x.is_zero() for x in Fu + Fv):
+        raise RichelotError(
+            "degenerate alpha/beta; input cannot be squarefree")
+    return (EllipticCurveE2(*(-(a / b) for a, b in zip(Fu, Fv))),
+            EllipticCurveE2(*(-(b / a) for a, b in zip(Fu, Fv))))
+
+
+@dataclass(frozen=True)
+class DerivedInvariants:
+    """Bolza's derived invariants and the determinant 2R^2 = det(A_ij)."""
+
+    A11: FieldElement
+    A12: FieldElement
+    A22: FieldElement
+    A23: FieldElement
+    A31: FieldElement
+    A33: FieldElement
+    R_squared_times_2: FieldElement
+
+
+def derived_invariants(cp):
+    """Bolza's derived invariants of a ClebschPoint, on FieldElements."""
+    ctx = cp.A.ctx
+    A, B, C, D = cp.A, cp.B, cp.C, cp.D
+    third = ctx.from_int(3).inverse()
+    half = ctx.from_int(2).inverse()
+    A11 = 2 * C + third * (A * B)
+    A12 = ctx.from_int(2) * third * (B * B + A * C)
+    A22 = D
+    A31 = D
+    A23 = half * (B * A12) + third * (C * A11)
+    A33 = half * (B * A22) + third * (C * A12)
+    det = (A11 * (A22 * A33 - A23 * A23)
+           - A12 * (A12 * A33 - A23 * A31)
+           + A31 * (A12 * A23 - A22 * A31))
+    return DerivedInvariants(A11, A12, A22, A23, A31, A33, det)
+
+
+def ra_type_from_clebsch_oracle(cp):
+    """genus2.ra_type_from_clebsch with Bolza's rows on FieldElements
+    and derived_invariants."""
+    zero = cp.A.ctx.zero
+    A, B, C, D = cp.A, cp.B, cp.C, cp.D
+    dv = derived_invariants(cp)
+    if A == zero and B == zero and C == zero:
+        if D == zero:
+            raise ClassificationError("all Clebsch invariants vanish")
+        return RAType.II
+    if B == zero and C == zero and D == zero:
+        return RAType.VI
+    if 6 * B == A * A and D == zero and dv.A11 == zero and A != zero:
+        return RAType.V
+    if (6 * (C * C) == B * B * B and 3 * D == 2 * (B * dv.A11)
+            and 2 * (A * B) != 15 * C and D != zero):
+        return RAType.IV
+    if (B * dv.A11 - 2 * (A * dv.A12) == -6 * D
+            and C * dv.A11 + 2 * (B * dv.A12) == A * D
+            and 6 * (C * C) != B * B * B and D != zero):
+        return RAType.III
+    if dv.R_squared_times_2 == zero:
+        if dv.A11 * dv.A22 != dv.A12 * dv.A12:
+            return RAType.I
+        raise ClassificationError(
+            f"R = 0 but no special row matched: {cp}")
+    return RAType.A
+
+
+def canonical_key_oracle(cp):
+    """genus2.canonical_key on FieldElements: mu is 1/A, else B/C, else
+    B^2/D, else D/C^2, and the key is (mu A, mu^2 B, mu^3 C, mu^5 D)."""
+    coords = cp.tuple()
+    nonzero = [k for k, c in enumerate(coords) if not c.is_zero()]
+    if not nonzero:
+        raise Genus2Error("all Clebsch invariants vanish")
+    if len(nonzero) == 1:
+        unit = [(0, 0)] * 4
+        unit[nonzero[0]] = (1, 0)
+        return tuple(unit)
+    A, B, C, D = coords
+    if not A.is_zero():
+        mu = A.inverse()
+    elif not B.is_zero() and not C.is_zero():
+        mu = B / C
+    elif not B.is_zero():
+        mu = (B * B) / D
+    else:
+        mu = D / (C * C)
+    mu2 = mu * mu
+    mu3 = mu2 * mu
+    mu5 = mu3 * mu2
+    return ((mu * A).key(), (mu2 * B).key(), (mu3 * C).key(),
+            (mu5 * D).key())
+
+
+def ra_type_of_oracle(rep):
+    """graph.ra_type_of in its curve form, from a representative: the
+    Bolza rows on a curve's own Clebsch point, or a product's j's."""
+    if isinstance(rep, Genus2Curve):
+        return ra_type_from_clebsch_oracle(genus2.clebsch_invariants(rep))
+    return gluing.ra_type_product_vertex(j_invariant_oracle(rep.E1),
+                                        j_invariant_oracle(rep.E2))

@@ -181,11 +181,14 @@ def test_atlas_factors_no_normal_form(monkeypatch, ctx23):
 
 def test_atlas_sweep_keeps_its_clebsch_hits_and_gcd_tests(monkeypatch):
     # every case at p = 101 and 109, as the atlas benchmark sweeps them:
-    # the bounded clebsch_invariants memo hits 114 times on 112 curves,
-    # as it did unbounded.  The gcd squarefree test runs on the 36 glued
-    # curves and on the bare sextic x^6 + 1, once a prime, but not on
-    # the two-parameter normal forms, checked in closed form (of_blocks;
-    # 48 gcd tests before)
+    # the bounded clebsch_invariants memo hits 10 times on 112 curves,
+    # five a prime: the keys of the Type I, III and IV normal forms,
+    # whose sampling classified them, and the Type V and VI cross-checks.
+    # Each edge's target type is read off its key (ra_type_of), with no
+    # Clebsch point: 114 hits before.  The gcd squarefree test runs on
+    # the 36 glued curves and on the bare sextic x^6 + 1, once a prime,
+    # but not on the two-parameter normal forms, checked in closed form
+    # (of_blocks; 48 gcd tests before)
     memo = clebsch_invariants
     memo.cache_clear()
     gcds = count_calls(monkeypatch, "is_squarefree")
@@ -193,7 +196,7 @@ def test_atlas_sweep_keeps_its_clebsch_hits_and_gcd_tests(monkeypatch):
         for case in ALL_CASES:
             rep = verify_case(case, make_field(p))
             assert rep.ok, rep.summary()
-    assert memo.cache_info()[:2] == (114, 112)
+    assert memo.cache_info()[:2] == (10, 112)
     assert len(gcds) == 36 + 2
 
 

@@ -4,16 +4,18 @@ import random
 
 import pytest
 
-from richelot.elliptic import (EllipticCurveE2, curve_from_j,
-                               find_supersingular_seed, is_supersingular,
+from richelot.elliptic import (EllipticCurveE2, NonSplitTorsionError,
+                               curve_from_j, find_supersingular_seed,
+                               is_supersingular,
                                isomorphisms_with_torsion, j_invariant,
                                two_isogeny)
 from richelot.field import make_field
 from richelot.gluing import ProductSurface
 from richelot.graph import build_graph
 
-from conftest import (isomorphisms_oracle, point_count_supersingular,
-                      random_distinct_elements, random_element, square_set)
+from conftest import (isomorphisms_oracle, j_invariant_oracle,
+                      point_count_supersingular, random_distinct_elements,
+                      random_element, square_set, two_isogeny_oracle)
 
 
 def e_1728(ctx):
@@ -241,3 +243,30 @@ def test_supersingular_seed_by_hasse_invariant_at_409():
     # Hasse invariant against p^2 for a point count
     ctx = make_field(409)
     assert j_invariant(find_supersingular_seed(ctx)) == ctx.from_int(106)
+
+
+def _velu_outcome(step, E, i):
+    """The codomain's roots in order, or the error step raises."""
+    try:
+        return tuple(r.key() for r in step(E, i).roots())
+    except NonSplitTorsionError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("p", [23, 41, 101])
+def test_j_and_velu_match_their_field_element_oracles(p):
+    # 250 random curves with distinct roots: j's closed form in the root
+    # differences equals the cross-ratio form, and each Velu codomain
+    # equals the FieldElement chain's, its roots in order (the root
+    # ordering fixes A +- 2s with s the chosen square root of ab), or
+    # both raise on a non-split codomain
+    ctx, rng = make_field(p), random.Random(p)
+    split = 0
+    for _ in range(250):
+        E = EllipticCurveE2(*random_distinct_elements(ctx, rng, 3))
+        assert j_invariant(E) == j_invariant_oracle(E)
+        for i in (1, 2, 3):
+            got = _velu_outcome(two_isogeny, E, i)
+            assert got == _velu_outcome(two_isogeny_oracle, E, i)
+            split += got is not NonSplitTorsionError
+    assert 0 < split < 750

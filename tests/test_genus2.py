@@ -1,6 +1,7 @@
 """Genus-2 curves: splittings, Clebsch invariants, classifiers, keys."""
 
 import random
+from functools import partial
 from itertools import permutations
 from math import comb, factorial, perm
 
@@ -11,7 +12,7 @@ from richelot.field import ROOTS_KEPT, FieldElement, legendre, make_field
 from richelot.genus2 import (INF, MATCHINGS, ClebschPoint, Genus2Curve,
                              Genus2Error, IrrationalPointsError,
                              _INDEX_MATCHINGS, _block_roots, canonical_key,
-                             clebsch_invariants, derived_invariants,
+                             clebsch_invariants,
                              matching_action, matching_index,
                              matching_splitting, moebius_frames,
                              moebius_orbits_on_splittings,
@@ -28,11 +29,13 @@ from richelot.poly import (Poly, factor_quadratic_pieces, is_squarefree,
 
 from clebsch_fixtures import FIXTURES
 from conftest import (MoebiusMap, block_poly, block_roots_oracle,
-                      block_triple, clear_genus2_caches, count_calls,
+                      block_triple, canonical_key_oracle,
+                      clear_genus2_caches, count_calls, derived_invariants,
                       index_map_moebius, induced_index_map, label_pairing,
                       moebius_frames_oracle, moebius_search_oracle,
                       moebius_through, own_frames, poly_key_oracle,
-                      poly_monic_oracle, random_curve_with_irrational_points,
+                      poly_monic_oracle, ra_type_from_clebsch_oracle,
+                      random_curve_with_irrational_points,
                       random_distinct_elements, random_element,
                       recorded_dual_splitting, splitting_of,
                       splitting_points, stepped_hint, to_zero_one_inf,
@@ -1089,3 +1092,90 @@ def test_genus2_validation():
     with pytest.raises(Genus2Error):
         Genus2Curve(Poly.from_roots(
             ctx, [ctx.from_int(v) for v in (1, 1, 2, 3, 4, 5)]))
+
+
+def bolza_points(ctx, rng):
+    """244 Clebsch points, each of Bolza's rows among them: 120 random
+    points, a quarter of their coordinates zeroed, and 124 built on a
+    row and rescaled by a random mu, weights (1, 2, 3, 5).  The rows
+    II, VI, V and IV have closed forms; III and IV both lie on the
+    R = 0 points with D A11 = A12^2 and A12 = k A11 (A and k free, B a
+    root of a quadratic); Type I is the normal form of atlas; and the
+    one class that no row takes is (1 : 8/75 : 16/1125 : 128/28125),
+    on both the III and the IV rows but for 6C^2 = B^3 and 2AB = 15C.
+    The all-zero point ends the list."""
+    from richelot.atlas import normal_form
+    el = partial(random_element, ctx, rng)
+    nz = partial(random_nonzero, ctx, rng)
+    third, sixth = ctx.from_int(3).inverse(), ctx.from_int(6).inverse()
+    pts = [ClebschPoint(*(el() if rng.random() < 0.75 else ctx.zero
+                          for _ in range(4))) for _ in range(120)]
+    built = []
+    for _ in range(12):
+        a, t, k = nz(), nz(), el()
+        B = a * a * sixth
+        built += [(ctx.zero, ctx.zero, ctx.zero, a),
+                  (a, ctx.zero, ctx.zero, ctx.zero),
+                  (a, B, -(a * B) * sixth, ctx.zero)]
+        B, C = 6 * t * t, 6 * t * t * t
+        built.append((a, B, C, 2 * B * (2 * C + a * B * third) * third))
+        qa, qb = 2 * third, 3 * k * k - 4 * a * k * third
+        r = (qb * qb - 4 * qa * (2 * k * k * k * (a - 3 * k))).sqrt()
+        if r is not None:
+            B = (r - qb) / (2 * qa)
+            C = 3 * k * k * k - 3 * B * k / 2
+            built.append((a, B, C, k * k * (2 * C + a * B * third)))
+        q = ctx.from_int
+        built.append((ctx.one, q(8) / 75, q(16) / 1125, q(128) / 28125))
+    built += [clebsch_invariants(normal_form("I", ctx, rng=rng)[0]).tuple()
+              for _ in range(8)]
+    for A, B, C, D in built:
+        m = nz()
+        pts.append(ClebschPoint(m * A, m ** 2 * B, m ** 3 * C, m ** 5 * D))
+    pts += [rescale(ClebschPoint(*x), nz()) for x in built[:244 - len(pts)]]
+    return pts + [ClebschPoint(*[ctx.zero] * 4)]
+
+
+def _outcome(f, cp):
+    try:
+        return f(cp)
+    except Genus2Error as exc:
+        return type(exc), str(exc)
+
+
+def _row(cp):
+    """The type of cp, or the start of the ClassificationError that ends
+    with cp itself."""
+    got = _outcome(ra_type_from_clebsch, cp)
+    return got if isinstance(got, str) else got[1][:5]
+
+
+@pytest.mark.parametrize("p", [23, 41, 101])
+def test_bolza_rows_and_key_match_field_element_oracles(p):
+    # Bolza's rows and the canonical key on int pairs give the
+    # FieldElement forms' type, key or error on every point, every row
+    # and both ClassificationError rows reached
+    ctx, rng = make_field(p), random.Random(p)
+    points = bolza_points(ctx, rng)
+    assert len(points) >= 200
+    for cp in points:
+        assert _outcome(ra_type_from_clebsch, cp) \
+            == _outcome(ra_type_from_clebsch_oracle, cp)
+        assert _outcome(canonical_key, cp) \
+            == _outcome(canonical_key_oracle, cp)
+    assert set(map(_row, points)) \
+        == set(RAType.JACOBIAN) | {"all C", "R = 0"}
+
+
+@pytest.mark.parametrize("p", [23, 41, 101])
+def test_bolza_type_is_a_function_of_the_key(p):
+    # each row has one weight, so a point and its canonical key, itself
+    # a rescaled point but for single-coordinate points, have one type;
+    # the all-zero point has no key
+    ctx, rng = make_field(p), random.Random(p)
+    for cp in bolza_points(ctx, rng):
+        if all(x.is_zero() for x in cp.tuple()):
+            continue
+        key = canonical_key(cp)
+        assert _row(ClebschPoint(*(FieldElement(ctx, *x) for x in key))) \
+            == _row(cp)

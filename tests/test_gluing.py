@@ -1,19 +1,25 @@
 """Product-side quotients: product kernels, anti-isometries, HLP gluing."""
 
+import random
+
 import pytest
 
 from richelot.elliptic import EllipticCurveE2, j_invariant
 from richelot.genus2 import RAType, ra_type_from_clebsch, clebsch_invariants
 from itertools import permutations
 
-from richelot.gluing import (GluingError, ProductKernel, ProductSurface,
+from richelot.field import make_field
+from richelot.gluing import (DegenerateGluingError, GluingError,
+                             ProductKernel, ProductSurface,
                              kernel_action, kernel_maps, kernel_orbits,
                              product_kernels, quotient_diagonal,
                              quotient_product, ra_order_product,
                              ra_type_product_vertex)
+from richelot.graph import VertexKey
 from richelot.isogeny import JacobianCodomain, delta, split_degenerate
 
-from conftest import kernel_map_oracle, random_distinct_elements
+from conftest import (kernel_map_oracle, quotient_diagonal_oracle,
+                      random_distinct_elements, random_element)
 
 ID = (1, 2, 3)
 
@@ -114,8 +120,8 @@ def test_glue_split_round_trip(ctx23, rng):
         if not isinstance(res, JacobianCodomain):
             continue
         E, E2 = split_degenerate(res.dual)
-        assert sorted([j_invariant(E), j_invariant(E2)]) \
-            == list(S.j_pair())
+        assert VertexKey.of_surface(ProductSurface(E, E2)) \
+            == VertexKey.of_surface(S)
 
 
 def test_ra_type_product_vertex(ctx23):
@@ -206,3 +212,41 @@ def test_kernel_orbit_sizes(ctx23, rng):
                ProductSurface(e_0(ctx23), e_1728(ctx23))):
         orbits = kernel_orbits(S2)
         assert sum(len(o) for o in orbits) == 15
+
+
+def _glue_outcome(glue, S, k):
+    """"induced", the glued curve's coefficients with its dual splitting,
+    or the DegenerateGluingError glue raises."""
+    try:
+        res = glue(S, k)
+    except DegenerateGluingError as exc:
+        return str(exc), exc.kernel
+    if res is S:
+        return "induced"
+    return (tuple(c.key() for c in res.curve.f.coeffs), res.dual.blocks,
+            res.dual.scale.key())
+
+
+@pytest.mark.parametrize("p", [23, 41, 101])
+def test_quotient_diagonal_matches_hlp_oracle(p):
+    # 200 products, half of them E x (a random model of E), each under
+    # the six anti-isometries: the int-pair HLP construction gives the
+    # FieldElement chain's glued curve, coefficient by coefficient, and
+    # its dual splitting, or the same isomorphism-induced quotient
+    ctx, rng = make_field(p), random.Random(p)
+    seen = set()
+    for n in range(200):
+        S = random_product(ctx, rng)
+        if n % 2:
+            u = random_element(ctx, rng)
+            while u.is_zero():
+                u = random_element(ctx, rng)
+            t = random_element(ctx, rng)
+            roots = [u * r + t for r in S.E1.roots()]
+            rng.shuffle(roots)
+            S = ProductSurface(S.E1, EllipticCurveE2(*roots))
+        for k in product_kernels()[9:]:
+            got = _glue_outcome(quotient_diagonal, S, k)
+            assert got == _glue_outcome(quotient_diagonal_oracle, S, k)
+            seen.add(got if got == "induced" else len(got))
+    assert seen == {"induced", 3}

@@ -32,7 +32,7 @@ from conftest import (clear_genus2_caches, count_calls, dual_label,
                       isomorphisms_oracle, jacobian_orbits_oracle,
                       kernel_map_oracle, label_pairing, matching_pairing,
                       mirror_pairs, moebius_search_oracle, own_frames,
-                      patch_moves,
+                      patch_moves, ra_type_of_oracle,
                       random_curve_with_irrational_points, random_element,
                       reaching_edges, recorded_dual_splitting,
                       splitting_of, stepped_edges_oracle, stepped_hint)
@@ -567,12 +567,13 @@ def test_each_vertex_factored_once_and_validate_never(monkeypatch):
 
 def test_clebsch_memo_keeps_its_hits_within_its_bound(monkeypatch):
     # the clebsch_invariants memo keeps genus2.CLEBSCH_KEPT curves and
-    # still has every hit it had unbounded: 31 in a p = 41 build +
-    # validate, one per Jacobian built from a step's codomain, whose key
-    # the step had just read, and one per Jacobian query over 150
-    # lookups of random models of its vertices, while 1,323 curves pass
-    # through it.  weierstrass_points is never hit.  The build runs the
-    # gcd squarefree test only on its 11 glued curves
+    # is never hit: a vertex reads its RA type off its key (ra_type_of),
+    # so neither a p = 41 build + validate nor 150 lookups of random
+    # models of its vertices ask twice for one curve's Clebsch point,
+    # while 1,323 curves pass through it (31 and 119 hits before, one
+    # per Jacobian made from a curve whose key was just read).
+    # weierstrass_points is never hit.  The build runs the gcd
+    # squarefree test only on its 11 glued curves
     memo, points = genus2.clebsch_invariants, genus2.weierstrass_points
     memo.cache_clear()
     points.cache_clear()
@@ -580,7 +581,7 @@ def test_clebsch_memo_keeps_its_hits_within_its_bound(monkeypatch):
     ctx, rng = make_field(41), random.Random(41)
     g = build_graph(ctx)
     assert validate(g).ok
-    assert (len(gcds), memo.cache_info()[:2]) == (11, (31, 144))
+    assert (len(gcds), memo.cache_info()[:2]) == (11, (0, 144))
     vertices, jacobians = list(g.vertices.values()), 0
     for _ in range(150):
         v = rng.choice(vertices)
@@ -597,7 +598,7 @@ def test_clebsch_memo_keeps_its_hits_within_its_bound(monkeypatch):
         assert sorted((e.weight, e.target) for e in neighbourhood(rep)) \
             == sorted((e.weight, e.target) for e in v.edges)
     info = memo.cache_info()
-    assert (jacobians, info.hits, info.misses) == (119, 31 + 119, 1323)
+    assert (jacobians, info.hits, info.misses) == (119, 0, 1323)
     assert info.currsize == info.maxsize == genus2.CLEBSCH_KEPT
     assert points.cache_info().hits == 0
 
@@ -1009,7 +1010,7 @@ def test_mirrors_share_their_partners_maps_and_frames(
         w = v.partner
         assert v.key.kind == "product" and w.key == v.key.conjugate(p)
         assert (v.ra_type, v.ra_order) == (w.ra_type, w.ra_order)
-        assert v.ra_type == ra_type_of(v.representative)
+        assert v.ra_type == ra_type_of_oracle(v.representative)
         assert v.ra_order == ra_order_product(v.ra_type)
     for w, v in pairs:
         K = v.representative.ctx
@@ -1305,11 +1306,20 @@ def test_build_graph_stops_past_census_count(monkeypatch):
     # the census count bounds it.  A fresh key is sigma-fixed (b = 0)
     # just when the curve's own key is, and no fresh key is the
     # conjugate of another (b = 1, never 22): an edge derived from its
-    # Frobenius partner lands on the mirror of the partner's target
+    # Frobenius partner lands on the mirror of the partner's target.
+    # The fake keys are no Clebsch tuples, so RA types are read through
+    # the real key each one stands for
     fresh, real = iter(range(10 ** 6)), VertexKey.jacobian
-    monkeypatch.setattr(VertexKey, "jacobian", classmethod(
-        lambda cls, curve: cls("jacobian", ((next(fresh), int(
-            real(curve).conjugate(23) != real(curve))),))))
+    real_type, real_key = graph.ra_type_of, {}
+
+    def fake(cls, curve):
+        key = real(curve)
+        out = cls("jacobian", ((next(fresh), int(key.conjugate(23) != key)),))
+        real_key[out] = key
+        return out
+    monkeypatch.setattr(VertexKey, "jacobian", classmethod(fake))
+    monkeypatch.setattr(graph, "ra_type_of", lambda key, ctx: real_type(
+        real_key.get(key, key), ctx))
     with pytest.raises(GraphError, match=r"^\d+ vertices found at p = 23, "
                        r"but the census counts 16$"):
         build_graph(make_field(23))
@@ -1454,3 +1464,19 @@ def test_vertex_keys_unordered_product():
     E1 = e_1728(ctx)
     assert VertexKey.of_surface(ProductSurface(E0, E1)) \
         == VertexKey.of_surface(ProductSurface(E1, E0))
+
+
+@pytest.mark.parametrize(
+    "p", [41, 101, pytest.param(151, marks=pytest.mark.slow)])
+def test_key_type_is_the_curve_type_at_every_vertex(p):
+    # the RA type read off each vertex's key, Bolza's rows on a
+    # Jacobian's canonical Clebsch tuple or a product's j-pair, is the
+    # type of its representative, products and mirrors included
+    ctx = make_field(p)
+    g = build_graph(ctx)
+    kinds = set()
+    for key, v in g.vertices.items():
+        assert v.ra_type == ra_type_of(key, ctx) \
+            == ra_type_of_oracle(v.representative)
+        kinds.add(key.kind)
+    assert kinds == {"jacobian", "product"}

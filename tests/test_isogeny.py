@@ -19,7 +19,8 @@ from richelot.poly import Poly
 from conftest import (block_triple, check_split_against_oracle,
                       count_calls, random_distinct_elements,
                       random_element, richelot_poly_oracle, splitting_of,
-                      split_outcome, split_pencil_oracle)
+                      split_degenerate_oracle, split_outcome,
+                      split_pencil_oracle)
 
 
 @pytest.fixture(scope="module")
@@ -383,3 +384,33 @@ def test_richelot_generic_runs_on_ints(monkeypatch, richelot_edges):
         richelot_generic(spl)
     assert calls == [] and squarefree == []
     assert len(polys) == len(richelot_edges[41])
+
+
+def _split_exact(split, spl):
+    """The root triples of E and of E2, in order, or the error split
+    raises."""
+    try:
+        return tuple(tuple(r.key() for r in F.roots()) for F in split(spl))
+    except (IrrationalPointsError, RichelotError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("p", [23, 41, 101])
+def test_split_matches_field_element_oracle(p):
+    # 240 delta = 0 splittings from involutions, fixed points at
+    # infinity, a linear block, rational and conjugate fixed points
+    # alike: the six root quotients from one inverse give the factors
+    # of the FieldElement closed form, E and E2 and their roots in
+    # order, or the same typed error
+    ctx, rng = make_field(p), random.Random(p)
+    seen = {"inf": 0, "linear": 0, "rational": 0, "conjugate": 0}
+    while sum(seen.values()) < 240 or min(seen.values()) < 20:
+        s, n = random_element(ctx, rng), random_element(ctx, rng)
+        if (s * s - 4 * n).is_zero():
+            continue
+        kind = rng.choice(["inf", "linear", "rational"])
+        spl = involution_splitting(ctx, rng, s, None if kind == "inf"
+                                   else n, kind == "linear")
+        got = _split_exact(split_degenerate, spl)
+        assert got == _split_exact(split_degenerate_oracle, spl)
+        seen["conjugate" if got[0] is IrrationalPointsError else kind] += 1
