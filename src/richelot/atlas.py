@@ -529,9 +529,9 @@ def j_of_cubic(ctx, a, b, c, d):
 
 
 def _check_iii_isogenous_factors(ctx, u, edges) -> str:
-    """The factors of the two weight-1 Sigma codomains among edges, the
-    vertex's neighbourhood, are E = (1, u^2, u^-2) and its Velu quotient
-    E/<(1, 0)>, whose j-invariant has a known closed form in u."""
+    """The j's in the keys of the two weight-1 Sigma neighbours among
+    edges, the vertex's neighbourhood, are those of E = (1, u^2, u^-2)
+    and of its Velu quotient E/<(1, 0)>, whose j has a closed form in u."""
     one = ctx.one
     u2 = u * u
     E = EllipticCurveE2(one, u2, u2.inverse())
@@ -541,9 +541,8 @@ def _check_iii_isogenous_factors(ctx, u, edges) -> str:
     j_stated = j_of_cubic(ctx, stated[3], stated[2], stated[1], stated[0])
     if j_invariant(two_isogeny(E, 1)) != j_stated:  # E/<(1, 0)>
         return "FAIL: Velu quotient does not match the closed form"
-    seen = {j_invariant(F).key() for e in edges
-            if e.weight == 1 and _target_type(e, ctx) == RAType.SIGMA
-            for F in (e.hint[1].E1, e.hint[1].E2)}
+    seen = {j for e in edges if e.weight == 1
+            and _target_type(e, ctx) == RAType.SIGMA for j in e.target.data}
     if seen != {j_invariant(E).key(), j_stated.key()}:
         return "FAIL: the Sigma neighbours' factors are not E and E/<(1, 0)>"
     return "2-isogeny between the two elliptic-square factors verified"

@@ -90,53 +90,52 @@ class VertexKey:
         return hashlib.sha256(self.as_string().encode()).hexdigest()
 
 
-@dataclass
+@dataclass(slots=True)
 class OrbitEdge:
     """One reduced-automorphism orbit of kernels out of a vertex.
 
     hint is (kind, codomain, dual): in a built graph, the target's
     representative and the dual kernel's label there.  As _expand makes
-    it, the quotient by kernel_rep as computed and the dual on it: a
-    label, or a QuadraticSplitting on a curve a step computed.  An edge
-    derived from its Frobenius partner e has hint (e's kind, sigma of
-    e's codomain, e), and build_graph reads its dual off e's label.
+    it, the quotient by the first kernel as computed and the dual on
+    it: a label, or a QuadraticSplitting on a curve a step computed.  An
+    edge derived from its Frobenius partner e has hint (e's kind, sigma
+    of e's codomain, e), and build_graph reads its dual off e's label.
     kind ("jac", "glue", "split", "prod", "induced") names the step that
     built the edge, and "dual" an edge derived from the edge e it is
     dual to: its hint is e's source's representative and e's first
-    kernel label there.  kind is informational only.  kernels
-    labels the orbit's kernels, kernel_rep's first, by small ints: a
-    Jacobian's by the genus2.MATCHINGS index of their matching of its
-    points, a product's by their index in gluing.product_kernels().
+    kernel label there.  kind is informational only.  kernels labels
+    the orbit's kernels, the stepped one first, by small ints, which
+    rebuild them: at a Jacobian the genus2.MATCHINGS index of their
+    matching of its points, at a product the index in product_kernels().
     """
 
     source: VertexKey
     target: VertexKey
     weight: int
-    kernel_rep: object  # QuadraticSplitting | ProductKernel
     is_loop: bool
     hint: tuple = field(repr=False, default=())
     kernels: tuple = field(repr=False, default=())
 
     def sort_key(self):
-        return (self.source, self.target, self.weight, str(self.kernel_rep))
+        return (self.source, self.target, self.weight, self.kernels)
 
 
-@dataclass
+@dataclass(slots=True)
 class Vertex:
     """A graph vertex; Jacobians also hold their Weierstrass points.
 
     A Jacobian's points are its Weierstrass points: the roots of the
     step dual that reached it, pair by pair, so that dual is kernel 0
-    (a seed's are sorted), frames their moebius_frames index, and
-    ra_maps its RA maps as index maps of the points, read off the
-    frames once; only the build reads the frames.  A mirror has its
-    partner's RA maps and, at a Jacobian, its points conjugated in their
-    order, but no frames: moves onto it go through the partner.  sigma[l]
-    is the label of the Frobenius image of kernel l: the identity, but
-    at a sigma-fixed vertex.  edges are the orbit edges out of the
-    vertex; kernel_to_edge is the 15-tuple of their edges by kernel
-    label (OrbitEdge.kernels), for dual_edge to look duals up in.
-    build_graph fills in both when it expands it.
+    (a seed's are sorted), and ra_maps its RA maps as index maps of the
+    points, read off their frame table (moebius_frames), which only the
+    build keeps, while moves may read it.  A mirror has its partner's RA
+    maps and, at a Jacobian, its points conjugated in their order:
+    moves onto it go through the partner.  sigma[l] is the label of the
+    Frobenius image of kernel l: the identity, but at a sigma-fixed
+    vertex.  edges are the orbit edges out of the vertex; kernel_to_edge
+    is the 15-tuple of their edges by kernel label (OrbitEdge.kernels),
+    for dual_edge to look duals up in.  build_graph fills in both when
+    it expands it.
     """
 
     key: VertexKey
@@ -144,7 +143,6 @@ class Vertex:
     ra_type: str
     ra_order: int
     points: tuple = field(default=None, repr=False)
-    frames: object = field(default=None, repr=False)  # MoebiusIndex
     ra_maps: list = field(default=None, repr=False)
     sigma: tuple = field(default=tuple(range(15)), repr=False)
     partner: Vertex = field(default=None, repr=False, compare=False)
@@ -173,16 +171,16 @@ def ra_type_of(key: VertexKey, ctx: FieldCtx) -> str:
     return ra_type_product_vertex(*xs)
 
 
-def _make_vertex(key: VertexKey, rep, pts=None, partner=None) -> Vertex:
+def _make_vertex(key: VertexKey, rep, frames, pts=None, partner=None):
     """The vertex record of rep.  A Jacobian's points are pts, if given:
     the roots of the dual splitting on the edge that reached it, pair
     by pair, or those of the splitting given to neighbourhood, sorted.
     Only seeds and bare curves are factored.  The RA type is read off
-    key (ra_type_of).  A Jacobian builds its frames once and reads its
-    RA maps off them.  A mirror takes its partner's RA type, order and
-    maps, and a Jacobian partner's points, conjugated in order.  If
-    sigma fixes key, sigma is the _first_map of sigma(pts or rep) onto
-    rep, or GraphError raised."""
+    key (ra_type_of).  A Jacobian builds its frame table once, files it
+    as frames[key] and reads its RA maps off it.  A mirror takes its
+    partner's RA type, order and maps, and a Jacobian partner's points,
+    conjugated in order.  If sigma fixes key, sigma is the _first_map
+    of sigma(pts or rep) onto rep, or GraphError raised."""
     if partner:
         return Vertex(key=key, representative=rep, ra_type=partner.ra_type,
                       ra_order=partner.ra_order, ra_maps=partner.ra_maps,
@@ -194,13 +192,12 @@ def _make_vertex(key: VertexKey, rep, pts=None, partner=None) -> Vertex:
                    ra_order=ra_order_product(ra_type))
     else:
         pts = pts or weierstrass_points(rep)
-        frames = moebius_frames(rep.ctx, pts)
-        maps = list(moebius_stabilizing(rep.ctx, pts, frames))
+        frames[key] = moebius_frames(rep.ctx, pts)
+        maps = list(moebius_stabilizing(rep.ctx, pts, frames[key]))
         v = Vertex(key=key, representative=rep, ra_type=ra_type,
-                   ra_order=len(maps), points=pts, frames=frames,
-                   ra_maps=maps)
+                   ra_order=len(maps), points=pts, ra_maps=maps)
     if key.conjugate(rep.ctx.p) == key:
-        v.sigma = _first_map(_conjugate(pts or rep), v)
+        v.sigma = _first_map(_conjugate(pts or rep), v, frames)
     return v
 
 
@@ -220,7 +217,7 @@ def neighbourhood(rep) -> list:
     if isinstance(rep, QuadraticSplitting):
         pts = sorted(sum(splitting_root_pairs(rep), ()), key=point_key)
         rep = rep.curve()
-    return _expand(_make_vertex(VertexKey.of(rep), rep, pts))
+    return _expand(_make_vertex(VertexKey.of(rep), rep, {}, pts))
 
 
 def _expand(v: Vertex, vertices=None, incoming=()) -> list:
@@ -277,8 +274,7 @@ def _expand(v: Vertex, vertices=None, incoming=()) -> list:
                 e.target.conjugate(p), (e.hint[0], _conjugate(e.hint[1]), e))
         edges.append(OrbitEdge(
             source=v.key, target=tgt, weight=len(orbit),
-            kernel_rep=reps[orbit[0]], is_loop=(v.key == tgt),
-            hint=hint, kernels=ks))
+            is_loop=(v.key == tgt), hint=hint, kernels=ks))
         if u is v and e is None:
             if act[ks[0]] in ks and tgt.conjugate(p) != tgt:
                 raise GraphError(f"sigma moves {tgt.as_string()}, the "
@@ -299,20 +295,23 @@ def _conjugate(x):
     return x if x is INF else FieldElement(x.ctx, x.a, -x.b % x.ctx.p)
 
 
-def _first_map(src, v: Vertex):
+def _first_map(src, v: Vertex, frames: dict):
     """The first isomorphism onto v's representative as a label map m,
     kernel l of src going to m[l]: from the points src of a model, the
-    matching_action of the first moebius_stabilizing map on v's frames,
-    or from the product src, the first kernel_maps map.  Any one will
-    do: two differ by an automorphism of v, which keeps each orbit.
-    Onto a mirror it is the map of sigma(src) onto the partner."""
+    matching_action of the first moebius_stabilizing map on v's table
+    in frames, or from the product src, the first kernel_maps map.  Any
+    one will do: two differ by an automorphism of v, which keeps each
+    orbit.  Onto a mirror it is the map of sigma(src) onto the partner,
+    on the partner's table; GraphError if the table is gone."""
     w = v.partner or v
     src = src if w is v else _conjugate(src)
     if v.points is None:
         m = next(kernel_maps(src, w.representative), None)
+    elif w.key not in frames:
+        raise GraphError(f"no frame table to move onto {v.key.as_string()}")
     else:
         m = next(iter(moebius_stabilizing(w.representative.ctx, src,
-                                          w.frames)), None)
+                                          frames[w.key])), None)
         m = m and matching_action(tuple(m))
     if m is None:
         raise GraphError(f"no isomorphism onto {v.key.as_string()}: the "
@@ -364,17 +363,21 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
     from the step takes those roots as its points; onto another model
     the label map m of _first_map from them, or from the product, moves
     dual l to m[l].  A dual derived from a Frobenius partner is its
-    label, moved by the target's sigma.  Raises GraphError, naming the
+    label, moved by the target's sigma.  Moves read frame tables local
+    to the build, each dropped once its vertex and that vertex's
+    conjugate are expanded: every later edge into either is a dual or
+    derived from a Frobenius partner.  Raises GraphError, naming the
     edge, if a dual or a new vertex's Frobenius map finds no isomorphism
-    (as on a codomain that is no model of its target), or once the
-    graph holds more vertices than the census counts."""
+    (as on a codomain that is no model of its target) or no frame
+    table, or once the graph holds more vertices than the census counts."""
     if seed is None:
         E = find_supersingular_seed(ctx)
         seed = ProductSurface(E, E)
     key = VertexKey.of(seed)
     g = Graph(p=ctx.p, vertices={}, edges=[])
     bound = expected_counts(ctx.p).total()
-    g.vertices[key] = _make_vertex(key, seed)
+    frames = {}  # key -> the frame table of a Jacobian not yet released
+    g.vertices[key] = _make_vertex(key, seed, frames)
     queue = [key]  # the loop below reads what it appends
     incoming = {}  # key -> the edges into it from expanded vertices
     for cur in queue:
@@ -395,20 +398,24 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
                 if tgt is None:  # sigma(w), if built, keeps w's labels
                     w = g.vertices.get(e.target.conjugate(ctx.p))
                     tgt = g.vertices[e.target] = _make_vertex(
-                        e.target, rep, pts) if w is None else _make_vertex(
-                        e.target, _conjugate(w.representative), partner=w)
+                        e.target, _conjugate(w.representative) if w else rep,
+                        frames, pts, w)
                     fresh.append(e.target)
                 if isinstance(dual, OrbitEdge):  # the Frobenius partner
                     dual = tgt.sigma[dual.hint[2]]
                 elif rep is not tgt.representative:  # another model
-                    dual = _first_map(pts or rep, tgt)[dual]
+                    dual = _first_map(pts or rep, tgt, frames)[dual]
             except GraphError as exc:
                 raise GraphError(f"edge {e.source.as_string()} -> "
-                                 f"{e.target.as_string()} of kernel "
-                                 f"{e.kernel_rep}: {exc}") from None
+                                 f"{e.target.as_string()} of kernels "
+                                 f"{e.kernels}: {exc}") from None
             e.hint = kind, tgt.representative, dual
             if not (e.is_loop or tgt.edges):
                 incoming.setdefault(e.target, []).append(e)
+        c = g.vertices.get(cur.conjugate(ctx.p))
+        if c and c.edges:  # both expanded: no move reads their tables
+            frames.pop(cur, None)
+            frames.pop(c.key, None)
         if len(g.vertices) > bound:
             raise GraphError(f"{len(g.vertices)} vertices found at p = "
                              f"{ctx.p}, but the census counts {bound}")
@@ -531,22 +538,16 @@ def export(g: Graph, fmt: str) -> str:
     raise GraphError(f"unknown export format {fmt!r}")
 
 
-def _sorted_vertex_rows(g: Graph):
-    return sorted(({"key": key.as_string(), "kind": key.kind,
-                    "ra_type": v.ra_type, "ra_order": v.ra_order}
-                   for key, v in g.vertices.items()), key=lambda r: r["key"])
-
-
-def _sorted_edge_rows(g: Graph):
-    return sorted(({"src": e.source.as_string(), "dst": e.target.as_string(),
-                    "weight": e.weight, "loop": e.is_loop} for e in g.edges),
-                  key=lambda r: (r["src"], r["dst"], r["weight"]))
-
-
 def _export_json(g: Graph) -> str:
-    doc = {"p": g.p, "vertices": _sorted_vertex_rows(g),
-           "edges": _sorted_edge_rows(g)}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    vertices = sorted(({"key": key.as_string(), "kind": key.kind,
+                        "ra_type": v.ra_type, "ra_order": v.ra_order}
+                       for key, v in g.vertices.items()),
+                      key=lambda r: r["key"])
+    edges = sorted(({"src": e.source.as_string(), "dst": e.target.as_string(),
+                     "weight": e.weight, "loop": e.is_loop} for e in g.edges),
+                   key=lambda r: (r["src"], r["dst"], r["weight"]))
+    return json.dumps({"p": g.p, "vertices": vertices, "edges": edges},
+                      indent=2, sort_keys=True) + "\n"
 
 
 def _export_dot(g: Graph) -> str:

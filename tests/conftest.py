@@ -218,10 +218,33 @@ def moebius_frames_oracle(K, pts):
 
 
 def own_frames(v):
-    """The frames of the Jacobian vertex v's points: its own index, or,
-    at a mirror, which keeps none, one built from its points."""
-    return v.frames if v.partner is None \
-        else genus2.moebius_frames(v.representative.ctx, v.points)
+    """The frame table of the Jacobian vertex v's points, built again:
+    a vertex keeps none, and build_graph drops each table it built once
+    no move can read it (a mirror's moves read its partner's)."""
+    return genus2.moebius_frames(v.representative.ctx, v.points)
+
+
+def move_frames(v):
+    """The frames dict that graph._first_map reads to move onto v: the
+    table of v's points, or of its partner's at a mirror, filed under
+    that vertex's key; empty at a product, whose moves read none."""
+    w = v.partner or v
+    return {w.key: own_frames(w)} if w.points else {}
+
+
+def kernel_rep(g, e):
+    """The kernel that _expand stepped for the orbit edge e of the
+    graph g, rebuilt from its first label at e's source: the
+    matching_splitting of the MATCHINGS entry of that label over the
+    source's points, scaled by its curve's leading coefficient, or
+    product_kernels()[label] at a product."""
+    v, n = g.vertex(e.source), e.kernels[0]
+    if v.points is None:
+        return product_kernels()[n]
+    pts, f = v.points, v.representative.f
+    return matching_splitting(f.ctx, (), [(pts[a], pts[b])
+                                          for a, b in MATCHINGS[n]],
+                              f.leading())
 
 
 def mirror_pairs(g):
@@ -272,12 +295,12 @@ def jacobian_orbits_oracle(ctx, pts, scale, maps):
 
 
 def stepped_edges_oracle(v):
-    """The orbit edges out of the vertex v by one isogeny step per RA
-    orbit, on its first kernel: the expansion build_graph ran before it
-    derived each edge whose Frobenius partner or dual it knew, kept as
-    the oracle of the derived targets and of every recorded dual.  The
-    hints are the steps' own: the codomain as computed and the dual on
-    it."""
+    """(edge, kernel) for each orbit edge out of the vertex v, by one
+    isogeny step per RA orbit on its first kernel, the kernel stepped:
+    the expansion build_graph ran before it derived each edge whose
+    Frobenius partner or dual it knew, kept as the oracle of the derived
+    targets and of every recorded dual.  The hints are the steps' own:
+    the codomain as computed and the dual on it."""
     if v.key.kind == "jacobian":
         f = v.representative.f
         reps, labels = zip(*genus2.point_splittings(f.ctx, (), v.points,
@@ -292,10 +315,10 @@ def stepped_edges_oracle(v):
     for orbit in orbits:
         k = reps[orbit[0]]
         tgt, hint = step(k)
-        edges.append(graph.OrbitEdge(
-            source=v.key, target=tgt, weight=len(orbit), kernel_rep=k,
+        edges.append((graph.OrbitEdge(
+            source=v.key, target=tgt, weight=len(orbit),
             is_loop=(v.key == tgt), hint=hint,
-            kernels=tuple(labels[i] for i in orbit)))
+            kernels=tuple(labels[i] for i in orbit)), k))
     return edges
 
 
@@ -313,12 +336,12 @@ def recorded_dual_splitting(g, e):
 
 
 def stepped_hint(g, e):
-    """The hint of one step on e's kernel_rep, as _expand makes it: the
-    quotient as computed and the dual on it.  No recorded hint is
-    read."""
-    src = g.vertex(e.source)
-    return (graph._jacobian_step(e.kernel_rep) if src.points
-            else graph._product_step(src, e.kernel_rep))[1]
+    """The hint of one step on e's first kernel (kernel_rep), as _expand
+    makes it: the quotient as computed and the dual on it.  No recorded
+    hint is read."""
+    src, k = g.vertex(e.source), kernel_rep(g, e)
+    return (graph._jacobian_step(k) if src.points
+            else graph._product_step(src, k))[1]
 
 
 def reaching_edges(g):
@@ -344,11 +367,12 @@ def dual_label(tgt, hint):
     of one step onto a model of tgt, moved onto tgt's representative by
     the first isomorphism's label map m (graph._first_map), as
     build_graph moves it: a dual splitting is kernel 0 of its roots,
-    listed pair by pair, and label l goes to m[l]."""
+    listed pair by pair, and label l goes to m[l].  The frame table
+    moved on is built again (move_frames)."""
     _, codomain, dual = hint
     if isinstance(dual, QuadraticSplitting):
         codomain, dual = list(sum(splitting_root_pairs(dual), ())), 0
-    return graph._first_map(codomain, tgt)[dual]
+    return graph._first_map(codomain, tgt, move_frames(tgt))[dual]
 
 
 def patch_moves(monkeypatch, move=None):
@@ -367,8 +391,8 @@ def patch_moves(monkeypatch, move=None):
         finally:
             inside.pop()
 
-    def mapped(src, tgt):
-        m = first_map(src, tgt)
+    def mapped(src, tgt, frames):
+        m = first_map(src, tgt, frames)
         if inside:
             return m
         calls.append((src, tgt, m))

@@ -313,7 +313,7 @@ def test_criterion_7_round_trips():
             if factor_quadratic_pieces(C.f)[1]:
                 # points outside GF(p^2): no vertex to transport onto
                 with pytest.raises(IrrationalPointsError):
-                    _make_vertex(key, C)
+                    _make_vertex(key, C, {})
                 continue
             S2 = ProductSurface(*split_degenerate(res.dual))
             # the i <-> i matching of the split factors is the dual
@@ -321,7 +321,7 @@ def test_criterion_7_round_trips():
             reglue = quotient_diagonal(S2, ProductKernel.diagonal((1, 2, 3)))
             assert isinstance(reglue, JacobianCodomain)
             assert VertexKey.jacobian(reglue.curve) == key
-            v = _make_vertex(key, C)
+            v = _make_vertex(key, C, {})
             label = dual_label(v, ("glue", reglue.curve, reglue.dual))
             assert label_pairing(v.points, label) \
                 in _pairing_orbit(C, res.dual)

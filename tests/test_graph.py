@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import re
+import weakref
 from dataclasses import replace
 from itertools import permutations
 
@@ -30,12 +31,14 @@ from richelot.poly import Poly
 
 from conftest import (clear_genus2_caches, count_calls, dual_label,
                       isomorphisms_oracle, jacobian_orbits_oracle,
-                      kernel_map_oracle, label_pairing, matching_pairing,
-                      mirror_pairs, moebius_search_oracle, own_frames,
-                      patch_moves, ra_type_of_oracle,
+                      kernel_map_oracle, kernel_rep, label_pairing,
+                      matching_pairing, mirror_pairs, moebius_search_oracle,
+                      move_frames, own_frames, patch_moves,
+                      ra_type_of_oracle,
                       random_curve_with_irrational_points, random_element,
                       reaching_edges, recorded_dual_splitting,
-                      splitting_of, stepped_edges_oracle, stepped_hint)
+                      splitting_of, splitting_points, stepped_edges_oracle,
+                      stepped_hint)
 
 
 def e_1728(ctx):
@@ -76,19 +79,23 @@ def test_neighbourhood_type_ii_three_fives():
 @pytest.mark.parametrize("p", [23, 41])
 def test_neighbourhood_of_a_splitting_matches_its_curve(p):
     # a splitting stands for its curve() with its points read off
-    # the blocks; the edges equal those of the factored curve
+    # the blocks; the edges equal those of the factored curve, down to
+    # the hints of the steps: both read the same points, sorted, so
+    # their labels name the same kernels
     g = build_graph(make_field(p))
     for v in g.vertices.values():
         if v.key.kind != "jacobian":
             continue
         curve_edges = neighbourhood(v.representative)
-        for spl in [e.kernel_rep for e in v.edges][:3]:
+        for spl in [kernel_rep(g, e) for e in v.edges][:3]:
             assert spl.curve() == v.representative
+            assert splitting_points(spl) \
+                == list(weierstrass_points(v.representative))
             spl_edges = neighbourhood(spl)
             assert len(spl_edges) == len(curve_edges)
             for a, b in zip(spl_edges, curve_edges):
-                assert (a.target, a.weight, a.kernels, a.kernel_rep) \
-                    == (b.target, b.weight, b.kernels, b.kernel_rep)
+                assert (a.target, a.weight, a.kernels, a.hint) \
+                    == (b.target, b.weight, b.kernels, b.hint)
 
 
 def test_neighbourhood_of_a_splitting_with_an_irreducible_block(
@@ -228,7 +235,7 @@ def dual_edge_oracle(g, e):
     graph.dual_edge replaced, kept as the reference it is checked
     against.  The split branch re-glues every diagonal kernel at the
     target and keeps those that reproduce the source curve with a
-    dual splitting in e's orbit.  e's kernel_rep is stepped here
+    dual splitting in e's orbit.  e's first kernel is stepped here
     (stepped_hint), so no recorded hint is read."""
     tgt = g.vertex(e.target)
     src = g.vertex(e.source)
@@ -340,14 +347,14 @@ def test_edges_carry_their_orbit_kernels(p):
         if v.key.kind == "product":
             kernels = product_kernels()
             want = {k.elements() for k in kernels}
-            reps = [e.kernel_rep.elements() for e in v.edges]
+            reps = [kernel_rep(g, e).elements() for e in v.edges]
 
             def name(k):
                 return kernels[k].elements()
         else:
             pts = v.points
             want = {matching_pairing(m) for m in genus2._matchings(pts)}
-            reps = [matching_pairing(splitting_root_pairs(e.kernel_rep))
+            reps = [matching_pairing(splitting_root_pairs(kernel_rep(g, e)))
                     for e in v.edges]
 
             def name(k):
@@ -364,9 +371,10 @@ def test_edges_carry_their_orbit_kernels(p):
 
 def assert_jacobian_edges_match_label_oracle(g):
     # the edges out of each Jacobian vertex, labelled by MATCHINGS
-    # index, are those of the point-key orbit code: the same kernel_reps
-    # and weights in the same order, each label the oracle's pairing
-    # when translated, and the target each kernel_rep steps to
+    # index, are those of the point-key orbit code: the same kernels
+    # (kernel_rep) and weights in the same order, each label the
+    # oracle's pairing when translated, and the target each kernel
+    # steps to
     jacobians = [v for v in g.vertices.values() if v.key.kind == "jacobian"]
     assert jacobians
     for v in jacobians:
@@ -374,7 +382,7 @@ def assert_jacobian_edges_match_label_oracle(g):
         want = jacobian_orbits_oracle(
             K, pts, v.representative.f.leading(),
             moebius_stabilizing(K, pts, own_frames(v)))
-        assert [(e.kernel_rep, e.weight) for e in v.edges] \
+        assert [(kernel_rep(g, e), e.weight) for e in v.edges] \
             == [(rep, len(pairings)) for rep, pairings in want]
         for e, (rep, pairings) in zip(v.edges, want):
             assert tuple(label_pairing(pts, k) for k in e.kernels) \
@@ -642,7 +650,7 @@ def test_each_jacobian_vertex_builds_frames_once(monkeypatch):
     # order, its orbits and every dual moved onto the vertex or onto its
     # mirror, which builds none (10 and 40 indexes before, one per
     # Jacobian vertex); none for the mixed-rationality transport, which
-    # no p = 23 edge needs
+    # no p = 23 edge needs.  Each is built on its vertex's points.
     calls = count_calls(monkeypatch, "moebius_frames")
     for p, want in (23, 9), (41, 31):
         del calls[:]
@@ -653,8 +661,9 @@ def test_each_jacobian_vertex_builds_frames_once(monkeypatch):
                      if v.key.kind == "jacobian"]
         mirrors = {m.key for _, m in mirror_pairs(g)}
         assert len(calls) == len(jacobians) - len(mirrors) == want
-        assert all((v.frames is None) == (v.key in mirrors)
-                   for v in jacobians)
+        assert sorted(tuple(map(point_key, pts)) for _, pts in calls) \
+            == sorted(tuple(map(point_key, v.points)) for v in jacobians
+                      if v.key not in mirrors)
 
 
 def raw_hints(monkeypatch):
@@ -717,15 +726,16 @@ def test_each_jacobian_vertex_reads_its_ra_maps_once(monkeypatch):
 
 def assert_edges_match_stepping_oracle(g):
     # every vertex's edges are those of one step per orbit: the same
-    # target, weight, kernels and kernel_rep; and the stepped dual,
-    # moved onto the target, is in the orbit of the recorded label, so
-    # a derived dual is checked apart from the derived key
+    # target, weight, kernels and stepped kernel (kernel_rep); and the
+    # stepped dual, moved onto the target, is in the orbit of the
+    # recorded label, so a derived dual is checked apart from the
+    # derived key
     for v in g.vertices.values():
         want = stepped_edges_oracle(v)
-        assert [(e.target, e.weight, e.kernels, e.kernel_rep)
-                for e in v.edges] == [(o.target, o.weight, o.kernels,
-                                       o.kernel_rep) for o in want]
-        for e, o in zip(v.edges, want):
+        assert [(e.target, e.weight, e.kernels, kernel_rep(g, e))
+                for e in v.edges] == [(o.target, o.weight, o.kernels, k)
+                                      for o, k in want]
+        for e, (o, _) in zip(v.edges, want):
             tgt = g.vertex(e.target)
             assert dual_edge(g, e) is tgt.kernel_to_edge[
                 dual_label(tgt, o.hint)], e.sort_key()
@@ -985,7 +995,7 @@ PRODUCT_MIRRORS = {41: (0, 0), 43: (3, 10), 101: (8, 23)}
                          [(41, 9, 20), (43, 15, 59), (101, 173, 485)])
 def test_mirrors_share_their_partners_maps_and_frames(
         monkeypatch, p, mirrors, moves):
-    # a Jacobian mirror keeps no frames: it shares its partner's RA maps,
+    # a Jacobian mirror builds no frames: it shares its partner's RA maps,
     # which are the maps read off an index of its own points, and each
     # move onto it, made on its partner's index from the conjugated
     # source, is the label map of the first map onto that index.  A
@@ -1015,7 +1025,7 @@ def test_mirrors_share_their_partners_maps_and_frames(
     for w, v in pairs:
         K = v.representative.ctx
         own = moebius_frames(K, v.points)
-        assert v.partner is w and v.frames is None
+        assert v.partner is w
         assert v.ra_maps == w.ra_maps
         assert sorted(v.ra_maps) \
             == sorted(moebius_stabilizing(K, v.points, own))
@@ -1041,7 +1051,7 @@ def test_first_map_is_a_kernel_label_map_onto_either_kind(p):
         v = next(v for v in g.vertices.values() if v.key.kind == kind
                  and v.key.conjugate(p) == v.key and v.partner is None)
         m = graph._first_map(graph._conjugate(v.points or v.representative),
-                             v)
+                             v, move_frames(v))
         assert len(m) == 15 and sorted(m) == list(range(15))
         assert tuple(m) == tuple(v.sigma)
         for e in v.edges:
@@ -1117,6 +1127,77 @@ def test_build_moves_only_stepped_duals(monkeypatch):
             else src == list(sum(splitting_root_pairs(dual), ()))
 
 
+@pytest.mark.parametrize("p", [23, 41])
+def test_kernel_rep_rebuilds_the_stepped_kernel(monkeypatch, p):
+    # an edge keeps its kernel labels, not its kernels: kernel_rep
+    # rebuilds from the first label at the edge's source exactly the
+    # kernel that _expand stepped, on every stepped edge of both kinds
+    stepped = {}
+    for name in ("_jacobian_step", "_product_step"):
+        def step(*args, real=getattr(graph, name)):
+            out = real(*args)
+            stepped[id(out[1])] = out[1], args[-1]
+            return out
+        monkeypatch.setattr(graph, name, step)
+    raw = raw_hints(monkeypatch)
+    g = build_graph(make_field(p))
+    edges = [e for e in g.edges if id(raw[id(e)]) in stepped]
+    assert len(edges) == len(stepped)
+    assert {e.source.kind for e in edges} == {"jacobian", "product"}
+    for e in edges:
+        assert kernel_rep(g, e) == stepped[id(raw[id(e)])][1], e.sort_key()
+
+
+def test_build_names_an_edge_whose_frame_table_is_gone(monkeypatch):
+    # each frame table dropped as soon as its vertex is made: the first
+    # move onto a Jacobian finds no table, and the build raises a
+    # GraphError naming the edge, not a bare KeyError
+    raw = raw_hints(monkeypatch)
+    g = build_graph(make_field(41))
+    e = next(e for e in other_model_edges(g, raw)
+             if e.target.kind == "jacobian")
+    monkeypatch.undo()
+    make = graph._make_vertex
+
+    def released(key, rep, frames, *args):
+        v = make(key, rep, frames, *args)
+        frames.pop(key, None)
+        return v
+    monkeypatch.setattr(graph, "_make_vertex", released)
+    with pytest.raises(GraphError) as exc:
+        build_graph(make_field(41))
+    at = e.target.as_string()
+    assert str(exc.value) == (
+        f"edge {e.source.as_string()} -> {at} of kernels {e.kernels}: "
+        f"no frame table to move onto {at}")
+
+
+@pytest.mark.parametrize("p, tables, peak", [(41, 31, 17), (101, 275, 171)])
+def test_build_releases_every_frame_table(monkeypatch, p, tables, peak):
+    # build_graph keeps a Jacobian's frame table only while a move may
+    # read it: once the vertex and its conjugate are expanded, after the
+    # vertex's own moves.  Every table is freed by the time it returns,
+    # at most peak of them alive at once (all of them, to the end, when
+    # vertices kept their tables), and no built vertex or edge has a
+    # slot for a table or a kernel
+    refs, alive = [], []
+
+    class Tracked(genus2.MoebiusIndex):
+        __slots__ = ("__weakref__",)
+
+        def __init__(self, ctx, pts):
+            super().__init__(ctx, pts)
+            refs.append(weakref.ref(self))
+            alive.append(sum(r() is not None for r in refs))
+    monkeypatch.setattr(graph, "moebius_frames", Tracked)
+    g = build_graph(make_field(p))
+    assert len(refs) == tables
+    assert [r for r in refs if r() is not None] == []
+    assert max(alive) == peak
+    assert not any(hasattr(v, "frames") for v in g.vertices.values())
+    assert not any(hasattr(e, "kernel_rep") for e in g.edges)
+
+
 def test_frobenius_derived_edge_onto_a_target_its_partner_built(
         monkeypatch):
     # at a sigma-fixed vertex a derived orbit's partner, an earlier
@@ -1153,7 +1234,7 @@ def test_build_names_an_edge_whose_frobenius_labels_fail(monkeypatch):
     # the build makes the Frobenius map of a sigma-fixed Jacobian as it
     # builds the vertex; a Moebius search that finds no map there raises
     # from build_graph, naming the edge that reached the vertex by its
-    # source, its target and its kernel, as a failed move does
+    # source, its target and its kernel labels, as a failed move does
     g = build_graph(make_field(41))
     e = next(e for e in reaching_edges(g) if e.target.kind == "jacobian"
              and e.target.conjugate(41) == e.target)
@@ -1166,16 +1247,16 @@ def test_build_names_an_edge_whose_frobenius_labels_fail(monkeypatch):
         finally:
             inside.pop()
 
-    def no_map(src, v):  # no frames to map onto, in _make_vertex only
-        return first_map(src, replace(v, frames={})
-                         if inside and v.points else v)
+    def no_map(src, v, frames):  # an empty table, in _make_vertex only
+        return first_map(src, v, {v.key: {}} if inside and v.points
+                         else frames)
     monkeypatch.setattr(graph, "_make_vertex", in_make)
     monkeypatch.setattr(graph, "_first_map", no_map)
     with pytest.raises(GraphError) as exc:
         build_graph(make_field(41))
     at = e.target.as_string()
     assert str(exc.value) == (
-        f"edge {e.source.as_string()} -> {at} of kernel {e.kernel_rep}: "
+        f"edge {e.source.as_string()} -> {at} of kernels {e.kernels}: "
         f"no isomorphism onto {at}: the models do not match")
 
 
@@ -1202,7 +1283,7 @@ def test_expand_raises_on_a_record_against_its_frobenius_partner():
         and w.edges.index(e) < w.edges.index(o))
     record = replace(dual_edge(g, second), source=first.target)
     assert dual_label(w, record.hint) in second.kernels
-    v = graph._make_vertex(w.key, w.representative)
+    v = graph._make_vertex(w.key, w.representative, {})
     at = re.escape(f"orbit {second.kernels} at {w.key.as_string()}")
     with pytest.raises(GraphError, match=f"{at} is dual to an edge from "
                        f"{first.target.as_string()}, not its Frobenius"):
@@ -1219,7 +1300,7 @@ def test_frobenius_derivation_raises_on_inconsistent_partners(monkeypatch):
     edges = neighbourhood(C)
     assert [e.kernels for e in edges][:3] == [(0, 7, 12), (2,), (1, 10, 5)]
     real = graph._make_vertex
-    assert real(VertexKey.of(C), C).sigma == tuple(range(15))
+    assert real(VertexKey.of(C), C, {}).sigma == tuple(range(15))
     monkeypatch.setattr(graph, "_make_vertex", lambda *args: replace(
         real(*args), sigma=(1, 0) + tuple(range(2, 15))))
     with pytest.raises(GraphError, match=r"orbit \(1, 10, 5\) at jac:.* "
@@ -1329,7 +1410,7 @@ def test_build_names_an_edge_onto_a_non_isomorphic_model(monkeypatch):
     # two sigma-fixed classes at p = 23 merged under the key of the one
     # built first: the first step onto the other, its codomain no model
     # of the vertex with that key, raises from build_graph, naming the
-    # edge by its source, its target and its kernel
+    # edge by its source, its target and its kernel labels
     first = VertexKey("jacobian", ((1, 0), (8, 0), (0, 0), (22, 0)))
     other = VertexKey("jacobian", ((1, 0), (18, 0), (11, 0), (14, 0)))
     g = build_graph(make_field(23))
@@ -1343,7 +1424,7 @@ def test_build_names_an_edge_onto_a_non_isomorphic_model(monkeypatch):
         build_graph(make_field(23))
     at = first.as_string()
     assert str(exc.value) == (
-        f"edge {e.source.as_string()} -> {at} of kernel {e.kernel_rep}: "
+        f"edge {e.source.as_string()} -> {at} of kernels {e.kernels}: "
         f"no isomorphism onto {at}: the models do not match")
 
 

@@ -17,7 +17,7 @@ from richelot.isogeny import (RichelotError, delta, richelot_generic,
 from richelot.poly import Poly
 
 from conftest import (block_triple, check_split_against_oracle,
-                      count_calls, random_distinct_elements,
+                      count_calls, kernel_rep, random_distinct_elements,
                       random_element, richelot_poly_oracle, splitting_of,
                       split_degenerate_oracle, split_outcome,
                       split_pencil_oracle)
@@ -32,10 +32,9 @@ def graphs():
 def richelot_edges(graphs):
     """p -> the splittings with delta != 0 that label an edge out of a
     Jacobian vertex of the graph at p."""
-    return {p: [e.kernel_rep for e in g.edges
-                if isinstance(e.kernel_rep, QuadraticSplitting)
-                and not delta(e.kernel_rep).is_zero()]
-            for p, g in graphs.items()}
+    reps = {p: [kernel_rep(g, e) for e in g.edges] for p, g in graphs.items()}
+    return {p: [k for k in ks if isinstance(k, QuadraticSplitting)
+                and not delta(k).is_zero()] for p, ks in reps.items()}
 
 
 @pytest.fixture(scope="module")
