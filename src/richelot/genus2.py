@@ -351,71 +351,86 @@ def weierstrass_points(curve: Genus2Curve) -> list:
     return sorted(free, key=point_key)
 
 
-def _q_table(ctx, pts, triples) -> list:
-    """q(a, i, k) = (x_a - x_i)/(x_a - x_k) at 36a + 6i + k, for the
-    given triples (a, i, k) of indices into six points, as (a, b) int
-    pairs, a factor holding INF read as 1: one inverse per pair {a, k},
-    from the keys of the points (FieldElements and INF)."""
-    p, mul, inverse = ctx.p, ctx.pmul, ctx.pinv
-    xs = [x if x is INF else x.key() for x in pts]
-
-    def sub(x, y):
-        return (x[0] - y[0]) % p, (x[1] - y[1]) % p
-    dinv, q = {}, [None] * 216
-    for a, i, k in triples:
-        if (a, k) not in dinv:
-            if xs[a] is INF or xs[k] is INF:
-                dinv[a, k] = dinv[k, a] = (1, 0)
-            else:
-                d = dinv[a, k] = inverse(sub(xs[a], xs[k]))
-                dinv[k, a] = (-d[0] % p, -d[1] % p)
-        q[36 * a + 6 * i + k] = (dinv[a, k] if xs[a] is INF or xs[i] is INF
-                                 else mul(sub(xs[a], xs[i]), dinv[a, k]))
-    return q
-
-
-def _image(ctx, q, t, l):
-    """The image of x_l under the map sending (x_i, x_j, x_k), t = (i,
-    j, k), to (0, 1, inf): q(l, i, k) q(j, k, i), a reduced pair."""
-    i, j, k = t
-    return ctx.pmul(q[36 * l + 6 * i + k], q[36 * j + 6 * k + i])
-
-
 _TRIPLES = tuple(permutations(range(6), 3))
-# the indices outside each ordered triple, increasing
-_REST = {t: tuple(l for l in range(6) if l not in t) for t in _TRIPLES}
+# each triple t = (i, j, k) as (t, the slot of q(j, k, i), then l and
+# the slot of q(l, i, k) for each index l outside t, increasing): x_l's
+# image under t is q(l, i, k) q(j, k, i); t is filed under the first's
+_FRAMES = tuple((t, 36 * t[1] + 6 * t[2] + t[0]) + sum(
+    ((l, 36 * l + 6 * t[0] + t[2]) for l in range(6) if l not in t), ())
+    for t in _TRIPLES)
+
+
+def _q_plan(triples) -> tuple:
+    """For _q_table, the pairs a < k whose x_a - x_k the q(a, i, k) of
+    triples invert, and each triple's slots 36a + 6i + k, 6a + i and
+    6a + k: those of q, x_a - x_i and 1/(x_a - x_k)."""
+    return ({(min(a, k), max(a, k)) for a, _, k in triples},
+            tuple((36 * a + 6 * i + k, 6 * a + i, 6 * a + k)
+                  for a, i, k in triples))
+
+
+# a frame table's q, and a base frame's q(1, 2, 0) and q(l, 0, 2), l > 2
+_FRAME_PLAN = _q_plan(_TRIPLES)
+_BASE_PLAN = _q_plan(((1, 2, 0), (3, 0, 2), (4, 0, 2), (5, 0, 2)))
+
+
+def _q_table(ctx, pts, plan) -> list:
+    """q(a, i, k) = (x_a - x_i)/(x_a - x_k) of the six points pts, for
+    each triple of plan = _q_plan(triples), at 36a + 6i + k of a 216-list
+    as (a, b) int pairs, a factor holding INF read as 1: the differences
+    in flat 6x6 lists, one ctx.pinv per finite pair that plan inverts."""
+    (inverted, slots), p, nr, one = plan, ctx.p, ctx.nonresidue, (1, 0)
+    xs = [x if x is INF else x.key() for x in pts]
+    d, dinv, q = [one] * 36, [one] * 36, [None] * 216
+    for a, k in combinations(range(6), 2):
+        if xs[a] is not INF and xs[k] is not INF:
+            (aa, ab), (ka, kb) = xs[a], xs[k]
+            d[6 * a + k] = e = (aa - ka) % p, (ab - kb) % p
+            d[6 * k + a] = -e[0] % p, -e[1] % p
+            if (a, k) in inverted:
+                ea, eb = dinv[6 * a + k] = ctx.pinv(e)
+                dinv[6 * k + a] = -ea % p, -eb % p
+    for s, n, m in slots:
+        (xa, xb), (ya, yb) = d[n], dinv[m]
+        q[s] = (xa * ya + nr * xb * yb) % p, (xa * yb + xb * ya) % p
+    return q
 
 
 class MoebiusIndex:
     """The frames of six points pts by signature, as moebius_frames(ctx,
-    pts) builds them.  An ordered triple's frame is the triple, then the
-    other indices in the order of their images (_image), whose keys,
+    pts) builds them.  A triple (i, j, k)'s frame is the triple, then
+    the other indices l in the order of their images q(l, i, k) q(j, k,
+    i) under the map sending (x_i, x_j, x_k) to (0, 1, inf), whose keys,
     sorted and concatenated, are its signature.  Two point sets' frames
     share a signature exactly when a Moebius map sends each point of one
     to the point at the same place in the other.  It keeps the q table
-    (15 inverses), each triple filed by its first other point's image."""
+    of pts (15 inverses), each triple filed by its first other image."""
 
     __slots__ = ("ctx", "q", "filed")
 
     def __init__(self, ctx, pts):
-        self.ctx, self.q, self.filed = ctx, _q_table(ctx, pts, _TRIPLES), {}
-        for t in _TRIPLES:
-            key = _image(ctx, self.q, t, _REST[t][0])
-            self.filed[key] = self.filed.get(key, ()) + (t,)
+        p, nr, filed = ctx.p, ctx.nonresidue, {}
+        q = _q_table(ctx, pts, _FRAME_PLAN)
+        for frame in _FRAMES:
+            (za, zb), (xa, xb) = q[frame[1]], q[frame[3]]
+            key = (xa * za + nr * xb * zb) % p, (xa * zb + xb * za) % p
+            filed[key] = filed.get(key, ()) + (frame,)
+        self.ctx, self.q, self.filed = ctx, q, filed
 
     def get(self, signature, default=None) -> list:
         """The frames of signature in _TRIPLES order, or default if none:
         the triples filed under its images whose other images it holds."""
-        mul, q = self.ctx.pmul, self.q
+        p, nr, q = self.ctx.p, self.ctx.nonresidue, self.q
         rank = {signature[n:n + 2]: n // 2 for n in (0, 2, 4)}
         frames = []
         for w, n in rank.items():
-            for t in self.filed.get(w, ()):
-                (i, j, k), (first, *others) = t, _REST[t]
-                tail, c = [None] * 3, q[36 * j + 6 * k + i]  # as in _image
+            for t, c, first, _, l1, s1, l2, s2 in self.filed.get(w, ()):
+                (za, zb), tail = q[c], [None] * 3
                 tail[n] = first
-                for l in others:
-                    at = rank.get(mul(q[36 * l + 6 * i + k], c))
+                for l, s in (l1, s1), (l2, s2):
+                    xa, xb = q[s]
+                    at = rank.get(((xa * za + nr * xb * zb) % p,
+                                   (xa * zb + xb * za) % p))
                     if at is None:
                         break
                     tail[at] = l
@@ -428,16 +443,20 @@ class MoebiusIndex:
 moebius_frames = MoebiusIndex
 
 
-def moebius_stabilizing(ctx, src_pts, dst_frames):
-    """The Moebius maps sending the set src_pts onto the point set of
-    dst_frames = moebius_frames(ctx, dst_pts), in the package's one form
-    of such a map, an index map: m[i] is the index in dst_pts of the
-    image of src_pts[i].  One map per frame sharing the signature of
-    src_pts's base frame (0, 1, 2), whose q(1, 2, 0) and q(l, 0, 2)
-    take four inverses; the signature is read at once, and the maps are
-    yielded lazily, so that a caller wanting one builds one."""
-    q = _q_table(ctx, src_pts, ((1, 2, 0), (3, 0, 2), (4, 0, 2), (5, 0, 2)))
-    images = sorted(_image(ctx, q, (0, 1, 2), l) + (l,) for l in (3, 4, 5))
+def moebius_stabilizing(ctx, src, dst_frames):
+    """The Moebius maps sending the set of six points src onto the point
+    set of dst_frames = moebius_frames(ctx, dst_pts), in the package's
+    one form of such a map, an index map: m[i] is the index in dst_pts
+    of the image of src[i].  One map per frame sharing the signature of
+    src's base frame (0, 1, 2), read off q(1, 2, 0) and q(l, 0, 2): four
+    inverses, or none if src is the points' own MoebiusIndex (their RA
+    maps).  The signature is read at once, and the maps are yielded
+    lazily, so that a caller wanting one builds one."""
+    q = src.q if isinstance(src, MoebiusIndex) \
+        else _q_table(ctx, src, _BASE_PLAN)
+    p, nr, (za, zb) = ctx.p, ctx.nonresidue, q[48]
+    images = sorted(((xa * za + nr * xb * zb) % p, (xa * zb + xb * za) % p,
+                     l) for l in (3, 4, 5) for xa, xb in [q[36 * l + 2]])
     signature = sum((image[:2] for image in images), ())
     base = [0, 1, 2] + [l for *_, l in images]  # the base frame
     at = sorted(range(6), key=base.__getitem__)
@@ -447,11 +466,10 @@ def moebius_stabilizing(ctx, src_pts, dst_frames):
 @lru_cache(maxsize=AUTOMORPHISMS_KEPT)
 def reduced_automorphisms(curve: Genus2Curve) -> list:
     """RA(Jac(C)), the Moebius maps permuting the Weierstrass points, as
-    index maps of weierstrass_points(curve) (moebius_stabilizing on the
-    curve's own frames)."""
-    pts = weierstrass_points(curve)
-    return list(moebius_stabilizing(curve.ctx, pts,
-                                    moebius_frames(curve.ctx, pts)))
+    index maps of weierstrass_points(curve) (moebius_stabilizing of the
+    curve's own frames onto themselves)."""
+    frames = moebius_frames(curve.ctx, weierstrass_points(curve))
+    return list(moebius_stabilizing(curve.ctx, frames, frames))
 
 
 def splitting_pairing(spl: QuadraticSplitting):
@@ -523,46 +541,57 @@ def transform_curve(curve: Genus2Curve, a, b, c, d) -> Genus2Curve:
 # Clebsch invariants via transvectants
 
 
-def _term_table(m, n, h):
+def _term_table(m, n, h, fold=False):
     """Integer terms (t, x, y, c) of the h-th transvectant of binary
     forms F (order m) and G (order n): out[t] += c * F[x] * G[y].
 
     c sums, over j, (-1)^j binom(h, j) times the falling factorials that
     d^h/dx^(h-j)dz^j puts on F[x] and d^h/dx^j dz^(h-j) puts on G[y]:
-    the omega process and the product of partials in one integer.
+    the omega process and the product of partials in one integer.  With
+    fold, for a self-transvectant (F, F)_h, each term (y, x), x < y, is
+    merged into its mirror (x, y): both multiply F[x] by F[y].
     """
     coef = {}
     for j in range(h + 1):
         for x in range(h - j, m - j + 1):
             for y in range(j, n - h + j + 1):
-                coef[x, y] = coef.get((x, y), 0) + (-1) ** j * comb(h, j) \
+                at = (y, x) if fold and y < x else (x, y)
+                coef[at] = coef.get(at, 0) + (-1) ** j * comb(h, j) \
                     * perm(x, h - j) * perm(m - x, j) \
                     * perm(y, j) * perm(n - y, h - j)
     return tuple((x + y - h, x, y, c)
                  for (x, y), c in sorted(coef.items()) if c)
 
 
-# one term table per transvectant shape (m, n, h) in the Clebsch chain
-_TERM_TABLES = {s: _term_table(*s) for s in (
-    (6, 6, 6), (6, 6, 4), (4, 4, 4), (4, 4, 2), (6, 4, 4), (4, 2, 2),
-    (2, 2, 2))}
+@lru_cache(maxsize=8)
+def _chain_tables(p):
+    """The term table over GF(p) of each transvectant (m, n, h, fold) in
+    the Clebsch chain, folded for (f, f)_6, (f, f)_4, (i, i)_4 and
+    (i, i)_2: each c divided by the normaliser perm(m, h) perm(n, h) (a
+    unit as p > 5) and reduced mod p."""
+    return {(m, n, h, fold): tuple(
+        (t, x, y, c * pow(perm(m, h) * perm(n, h), -1, p) % p)
+        for t, x, y, c in _term_table(m, n, h, fold))
+        for m, n, h, fold in ((6, 6, 6, True), (6, 6, 4, True),
+                              (4, 4, 4, True), (4, 4, 2, True),
+                              (4, 4, 4, False), (6, 4, 4, False),
+                              (4, 2, 2, False), (2, 2, 2, False))}
 
 
 def _int_transvectant(ctx, F, m, G, n, h):
     """h-th transvectant of F (order m) and G (order n) with (a, b) int
-    pairs for coefficients a + b*i, divided by the normaliser
-    perm(m, h) perm(n, h) (invertible in characteristic > 5) and
-    reduced mod p once per output coefficient."""
+    pairs for coefficients a + b*i, normalised: one pass over its
+    _chain_tables table, folded when F is G, and one reduction mod p
+    per output coefficient."""
     p, nr = ctx.p, ctx.nonresidue
     size = m + n - 2 * h + 1
     re, im = [0] * size, [0] * size
-    for t, x, y, c in _TERM_TABLES[m, n, h]:
+    for t, x, y, c in _chain_tables(p)[m, n, h, F is G]:
         fa, fb = F[x]
         ga, gb = G[y]
         re[t] += c * (fa * ga + nr * fb * gb)
         im[t] += c * (fa * gb + fb * ga)
-    inv = pow(perm(m, h) * perm(n, h), -1, p)
-    return [(re[t] * inv % p, im[t] * inv % p) for t in range(size)]
+    return [(re[t] % p, im[t] % p) for t in range(size)]
 
 
 @dataclass(frozen=True)
@@ -586,8 +615,11 @@ def clebsch_invariants(curve: Genus2Curve) -> ClebschPoint:
     """Clebsch invariants of the defining sextic (degree-5 inputs are
     homogenized with a vanishing leading coefficient): nine
     transvectants on (a, b) int pairs, each one pass over its integer
-    term table.  Only the four invariants become FieldElements; the
-    FieldElement chain is the test oracle test_genus2.clebsch_oracle."""
+    term table: 74 terms in all, as the four self-transvectants fold
+    each term into its mirror, with the normalisers folded into the
+    terms once per prime (_chain_tables), so a curve takes no inverse.
+    Only the four invariants become FieldElements; the FieldElement
+    chain is the test oracle test_genus2.clebsch_oracle."""
     ctx = curve.ctx
     f = [(c.a, c.b) for c in (curve.f[k] for k in range(7))]
     A = _int_transvectant(ctx, f, 6, f, 6, 6)

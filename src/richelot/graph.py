@@ -22,7 +22,6 @@ is stepped at most once.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -176,11 +175,12 @@ def _make_vertex(key: VertexKey, rep, frames, pts=None, partner=None):
     the roots of the dual splitting on the edge that reached it, pair
     by pair, or those of the splitting given to neighbourhood, sorted.
     Only seeds and bare curves are factored.  The RA type is read off
-    key (ra_type_of).  A Jacobian builds its frame table once, files it
-    as frames[key] and reads its RA maps off it.  A mirror takes its
-    partner's RA type, order and maps, and a Jacobian partner's points,
-    conjugated in order.  If sigma fixes key, sigma is the _first_map
-    of sigma(pts or rep) onto rep, or GraphError raised."""
+    key (ra_type_of).  A Jacobian builds its frame table once (15
+    inverses), files it as frames[key] and reads its RA maps and their
+    base frame off it.  A mirror takes its partner's RA type, order and
+    maps, and a Jacobian partner's points, conjugated in order.  If
+    sigma fixes key, sigma is the _first_map of sigma(pts or rep) onto
+    rep, or GraphError raised."""
     if partner:
         return Vertex(key=key, representative=rep, ra_type=partner.ra_type,
                       ra_order=partner.ra_order, ra_maps=partner.ra_maps,
@@ -192,8 +192,8 @@ def _make_vertex(key: VertexKey, rep, frames, pts=None, partner=None):
                    ra_order=ra_order_product(ra_type))
     else:
         pts = pts or weierstrass_points(rep)
-        frames[key] = moebius_frames(rep.ctx, pts)
-        maps = list(moebius_stabilizing(rep.ctx, pts, frames[key]))
+        index = frames[key] = moebius_frames(rep.ctx, pts)
+        maps = list(moebius_stabilizing(rep.ctx, index, index))
         v = Vertex(key=key, representative=rep, ra_type=ra_type,
                    ra_order=len(maps), points=pts, ra_maps=maps)
     if key.conjugate(rep.ctx.p) == key:
@@ -539,15 +539,24 @@ def export(g: Graph, fmt: str) -> str:
 
 
 def _export_json(g: Graph) -> str:
-    vertices = sorted(({"key": key.as_string(), "kind": key.kind,
-                        "ra_type": v.ra_type, "ra_order": v.ra_order}
-                       for key, v in g.vertices.items()),
-                      key=lambda r: r["key"])
-    edges = sorted(({"src": e.source.as_string(), "dst": e.target.as_string(),
-                     "weight": e.weight, "loop": e.is_loop} for e in g.edges),
-                   key=lambda r: (r["src"], r["dst"], r["weight"]))
-    return json.dumps({"p": g.p, "vertices": vertices, "edges": edges},
-                      indent=2, sort_keys=True) + "\n"
+    """The sorted rows, as json.dumps(indent=2, sort_keys=True) lays them
+    out, by f-strings: keys, kinds and RA types need no escaping."""
+    edges = ",\n".join(
+        f'    {{\n      "dst": "{dst}",\n      "loop": {loop},\n      '
+        f'"src": "{src}",\n      "weight": {weight}\n    }}'
+        for src, dst, weight, loop in sorted(
+            (e.source.as_string(), e.target.as_string(), e.weight,
+             "true" if e.is_loop else "false") for e in g.edges))
+    vertices = ",\n".join(
+        f'    {{\n      "key": "{key}",\n      "kind": "{kind}",\n      '
+        f'"ra_order": {order},\n      "ra_type": "{ra_type}"\n    }}'
+        for key, kind, order, ra_type in sorted(
+            (key.as_string(), key.kind, v.ra_order, v.ra_type)
+            for key, v in g.vertices.items()))
+    edges, vertices = (f"[\n{rows}\n  ]" if rows else "[]"  # as json.dumps
+                       for rows in (edges, vertices))
+    return (f'{{\n  "edges": {edges},\n  "p": {g.p},\n'
+            f'  "vertices": {vertices}\n}}\n')
 
 
 def _export_dot(g: Graph) -> str:

@@ -194,8 +194,10 @@ def test_clebsch_matches_oracle_on_graph(p):
         assert clebsch_invariants(C) == clebsch_oracle(C), C
 
 
-@pytest.mark.parametrize("p", [23, 101, 1009])
+@pytest.mark.parametrize("p", [23, 101, 1009, 2**61 - 1, 2**127 - 1])
 def test_clebsch_matches_oracle_random(p, rng):
+    # up to cryptographic primes, where the normalisers folded into the
+    # term tables are reduced mod p
     ctx = make_field(p)
     for degree in (6, 5):
         for _ in range(20):
@@ -232,6 +234,36 @@ def test_clebsch_scaling_equivariant(p, rng):
         assert clebsch_invariants(scaled).tuple() == tuple(
             x * lam ** w for x, w in zip(clebsch_invariants(C).tuple(),
                                          (2, 4, 6, 10)))
+
+
+def test_clebsch_chain_runs_74_terms_and_no_inverse(monkeypatch, rng):
+    # the four self-transvectants (f, f)_6, (f, f)_4, (i, i)_4 and
+    # (i, i)_2 fold each term into its mirror (7 -> 4, 27 -> 15, 5 -> 3
+    # and 19 -> 11 terms): 74 terms a curve, 99 before.  The normalisers
+    # are in the per-prime tables, so a curve takes no inverse
+    C = random_curve_over_extension(make_field(101), rng, 6)
+    clebsch_invariants.cache_clear()
+    tables = genus2._chain_tables(101)
+    real, shapes, inverses = genus2._int_transvectant, [], []
+
+    def transvectant(ctx, F, m, G, n, h):
+        shapes.append((m, n, h, F is G))
+        return real(ctx, F, m, G, n, h)
+    monkeypatch.setattr(genus2, "_int_transvectant", transvectant)
+    monkeypatch.setattr(genus2, "pow", lambda *args: inverses.append(args)
+                        or pow(*args), raising=False)
+    real_pinv = type(C.ctx).pinv
+    monkeypatch.setattr(type(C.ctx), "pinv", lambda *args:
+                        inverses.append(args) or real_pinv(*args))
+    clebsch_invariants(C)
+    assert [len(tables[s]) for s in shapes] \
+        == [4, 15, 3, 11, 5, 15, 9, 9, 3]
+    assert sum(len(tables[s]) for s in shapes) == 74
+    assert sum(fold for *_, fold in shapes) == 4
+    assert inverses == []
+    # unfolded, the chain's tables hold the 99 terms of before
+    assert sum(len(genus2._term_table(m, n, h)) for m, n, h, _ in shapes) \
+        == 99
 
 
 def test_clebsch_runs_on_plain_integers(monkeypatch, rng):
@@ -466,7 +498,7 @@ def test_moebius_frames_match_oracle_on_graph(p):
             assert_frames_match_oracle(ctx, v.points)
 
 
-@pytest.mark.parametrize("p", [23, 101, 1009])
+@pytest.mark.parametrize("p", [23, 101, 1009, 2**127 - 1])
 def test_moebius_frames_match_oracle_random(p, rng):
     # six finite points, and five with INF at a random place
     ctx = make_field(p)

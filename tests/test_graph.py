@@ -1059,6 +1059,28 @@ def test_first_map_is_a_kernel_label_map_onto_either_kind(p):
                 == {e.target.conjugate(p)}
 
 
+def test_make_vertex_reads_its_ra_maps_off_its_own_table(monkeypatch):
+    # a Jacobian vertex that sigma does not fix, with six finite points,
+    # takes the 15 inverses of its frame table, one per pair of points,
+    # and reads its RA maps' base frame off that table's q: none more
+    g = build_graph(make_field(41))
+    v = next(v for v in g.vertices.values() if v.key.kind == "jacobian"
+             and v.key.conjugate(41) != v.key and v.partner is None
+             and genus2.INF not in v.points and v.ra_order > 1)
+    ctx, inverses = v.representative.ctx, []
+    real_pinv = type(ctx).pinv
+    monkeypatch.setattr(type(ctx), "pinv", lambda *args:
+                        inverses.append(args) or real_pinv(*args))
+    frames = {}
+    w = graph._make_vertex(v.key, v.representative, frames, v.points)
+    assert len(inverses) == 15
+    assert list(frames) == [v.key]
+    assert (w.ra_type, w.ra_order, w.ra_maps) \
+        == (v.ra_type, v.ra_order, v.ra_maps)
+    assert sorted(w.ra_maps) == sorted(moebius_stabilizing(
+        ctx, v.points, frames[v.key]))
+
+
 @pytest.mark.parametrize("p, fixed", [(23, 14), (29, 18), (41, 32)])
 def test_vertex_sigma_labels_each_kernels_frobenius_image(p, fixed):
     # at a sigma-fixed vertex sigma[l] labels the image of kernel l: its
@@ -1513,6 +1535,8 @@ def test_export_empty_graph_skeleton():
     g = Graph(p=11, vertices={}, edges=[])
     doc = json.loads(export(g, "json"))
     assert doc == {"p": 11, "vertices": [], "edges": []}
+    assert export(g, "json") == json.dumps(doc, indent=2, sort_keys=True) \
+        + "\n"
     dot = export(g, "dot")
     assert dot.startswith("digraph") and dot.rstrip().endswith("}")
 
