@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from typing import NamedTuple
 
 from .census import expected_counts
 from .elliptic import EllipticCurveE2, j_invariant, find_supersingular_seed
@@ -46,9 +47,9 @@ class GraphError(ValueError):
     """Inconsistent graph state; indicates a bug, not a valid input."""
 
 
-@dataclass(frozen=True, order=True)
-class VertexKey:
-    """Canonical identifier of a PPAS isomorphism class."""
+class VertexKey(NamedTuple):
+    """Canonical identifier of a PPAS isomorphism class: the tuple
+    (kind, data), which it hashes, compares and sorts as."""
 
     kind: str  # "jacobian" | "product"
     data: tuple
@@ -97,8 +98,8 @@ class OrbitEdge:
     representative and the dual kernel's label there.  As _expand makes
     it, the quotient by the first kernel as computed and the dual on
     it: a label, or a QuadraticSplitting on a curve a step computed.  An
-    edge derived from its Frobenius partner e has hint (e's kind, sigma
-    of e's codomain, e), and build_graph reads its dual off e's label.
+    edge derived from its Frobenius partner e has hint (e's kind, None,
+    e), and build_graph reads its dual off e's label.
     kind ("jac", "glue", "split", "prod", "induced") names the step that
     built the edge, and "dual" an edge derived from the edge e it is
     dual to: its hint is e's source's representative and e's first
@@ -106,7 +107,8 @@ class OrbitEdge:
     the orbit's kernels, the stepped one first, by small ints, which
     rebuild them: at a Jacobian the genus2.MATCHINGS index of their
     matching of its points, at a product the index in product_kernels().
-    """
+    A built edge holds its vertices' own key objects, and the edges of
+    one labelling share one kernels tuple."""
 
     source: VertexKey
     target: VertexKey
@@ -211,7 +213,7 @@ def neighbourhood(rep) -> list:
     splittings; for products: the torsion action groups the 15
     product/diagonal kernels.  One edge per orbit (_expand); when sigma
     fixes the vertex, half its sigma-paired orbits are derived, their
-    hints (kind, sigma of the partner's codomain, the partner edge).
+    hints (kind, None, the partner edge).
     """
     pts = None
     if isinstance(rep, QuadraticSplitting):
@@ -227,14 +229,13 @@ def _expand(v: Vertex, vertices=None, incoming=()) -> list:
     v from the expanded vertex s, read as the label e.hint[2], takes
     target s and hint ("dual", s's representative, e's first label).
     Else an orbit holding the Frobenius images of the kernels of a
-    known edge e takes target sigma(e.target) and hint (e's kind, sigma
-    of e's codomain, e); every other orbit steps on its first kernel.
-    Known edges are those of sigma(v), if expanded (in vertices), when
-    no dual is read, or, if sigma fixes v, v's earlier orbits; either
-    way their labels are moved by v.sigma.  Raises
-    GraphError if an orbit holds two duals, maps from two edges, or
-    names a target other than its partner's image, or if sigma moves a
-    self-paired orbit's target.
+    known edge e takes target sigma(e.target) and hint (e's kind, None,
+    e); every other orbit steps on its first kernel.  Known edges are
+    those of sigma(v), if expanded (in vertices), when no dual is read,
+    or, if sigma fixes v, v's earlier orbits; either way their labels
+    are moved by v.sigma.  Raises GraphError if an orbit holds two
+    duals, maps from two edges, or names a target other than its
+    partner's image, or if sigma moves a self-paired orbit's target.
     """
     if v.key.kind == "jacobian":
         f = v.representative.f
@@ -271,7 +272,7 @@ def _expand(v: Vertex, vertices=None, incoming=()) -> list:
                                  ", not its Frobenius partner's image")
         else:
             tgt, hint = step(reps[orbit[0]]) if e is None else (
-                e.target.conjugate(p), (e.hint[0], _conjugate(e.hint[1]), e))
+                e.target.conjugate(p), (e.hint[0], None, e))
         edges.append(OrbitEdge(
             source=v.key, target=tgt, weight=len(orbit),
             is_loop=(v.key == tgt), hint=hint, kernels=ks))
@@ -380,6 +381,7 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
     g.vertices[key] = _make_vertex(key, seed, frames)
     queue = [key]  # the loop below reads what it appends
     incoming = {}  # key -> the edges into it from expanded vertices
+    labellings = {}  # kernels tuple -> the one its edges share
     for cur in queue:
         v = g.vertices[cur]
         v.edges = _expand(v, g.vertices, incoming.pop(cur, ()))
@@ -388,6 +390,7 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
         g.edges.extend(v.edges)
         fresh = []
         for e in v.edges:
+            e.kernels = labellings.setdefault(e.kernels, e.kernels)
             kind, rep, dual = e.hint
             tgt = g.vertices.get(e.target)
             pts = None
@@ -409,7 +412,7 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
                 raise GraphError(f"edge {e.source.as_string()} -> "
                                  f"{e.target.as_string()} of kernels "
                                  f"{e.kernels}: {exc}") from None
-            e.hint = kind, tgt.representative, dual
+            e.target, e.hint = tgt.key, (kind, tgt.representative, dual)
             if not (e.is_loop or tgt.edges):
                 incoming.setdefault(e.target, []).append(e)
         c = g.vertices.get(cur.conjugate(ctx.p))
@@ -508,13 +511,12 @@ def validate(g: Graph) -> ValidationReport:
                    "Jacobian vertex" if not cls_bad
                    else f"violations: {cls_bad[:3]}"))
 
-    # plain tuples of key data (4 pairs at a Jacobian, 2 at a product)
-    conj = {key.data: key.conjugate(g.p).data for key in g.vertices}
-    out = {key.data: sorted((e.weight, e.target.data) for e in v.edges)
+    conj = {key: key.conjugate(g.p) for key in g.vertices}
+    out = {key: sorted((e.weight, e.target) for e in v.edges)
            for key, v in g.vertices.items()}
     first = next((key.as_string() for key in g.vertices
-                  if out.get(conj[key.data]) != sorted(
-                      (w, conj.get(t, ())) for w, t in out[key.data])), None)
+                  if out.get(conj[key]) != sorted(
+                      (w, conj.get(t, ())) for w, t in out[key])), None)
     checks.append(("Frobenius mirror", first is None, "sigma maps each "
                    "vertex's (weight, target)s onto its conjugate's"
                    if first is None else f"first violation at {first}"))

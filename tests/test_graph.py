@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import re
+import sys
 import weakref
 from dataclasses import replace
 from itertools import permutations
@@ -1220,6 +1221,43 @@ def test_build_releases_every_frame_table(monkeypatch, p, tables, peak):
     assert not any(hasattr(e, "kernel_rep") for e in g.edges)
 
 
+@pytest.mark.parametrize("p, labellings", [(41, 101), (101, 184)])
+def test_built_graph_shares_keys_and_kernels(p, labellings):
+    # each edge holds its vertices' own key objects, not one a step or a
+    # conjugation made, and the edges of one labelling share one kernels
+    # tuple (p = 41 held 526 kernels tuples and 10 keys a vertex before).
+    # A key hashes and sorts as the tuple (kind, data), as the frozen
+    # dataclass it replaced did, so every order and digest is unchanged
+    g = build_graph(make_field(p))
+    assert all(e.source is g.vertex(e.source).key
+               and e.target is g.vertex(e.target).key for e in g.edges)
+    assert len({id(e.kernels) for e in g.edges}) \
+        == len({e.kernels for e in g.edges}) == labellings
+    keys = list(g.vertices)
+    assert all(hash(k) == hash((k.kind, k.data)) for k in keys)
+    assert sorted(keys) == sorted(keys, key=lambda k: (k.kind, k.data))
+
+
+def test_expand_conjugates_no_partner_codomain(monkeypatch):
+    # a Frobenius-derived hint, as _expand makes it, holds no codomain:
+    # the build reads the dual off the target's sigma and builds a new
+    # target from its built conjugate, so sigma of the partner's
+    # codomain was thrown away (_expand made 143 conjugations before)
+    raw = raw_hints(monkeypatch)
+    callers, real = [], graph._conjugate
+
+    def conjugate(x):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(x)
+    monkeypatch.setattr(graph, "_conjugate", conjugate)
+    g = build_graph(make_field(41))
+    derived = frobenius_derived(g, raw)
+    assert len(derived) == 143
+    assert all(raw[id(e)][1] is None for e in derived)
+    assert callers and callers.count("_expand") == 0
+    assert validate(g).ok
+
+
 def test_frobenius_derived_edge_onto_a_target_its_partner_built(
         monkeypatch):
     # at a sigma-fixed vertex a derived orbit's partner, an earlier
@@ -1552,8 +1590,8 @@ def test_export_dot_tells_keys_with_equal_short_hashes_apart():
              if x != y) + 1
     assert a.sha256()[:8] == b.sha256()[:8] == "7bc01e97" and n > 8
     g = Graph(p=1009, vertices={k: Vertex(k, None, "Pi", 2) for k in (a, b)},
-              edges=[OrbitEdge(a, b, 15, None, False),
-                     OrbitEdge(b, a, 15, None, False)])
+              edges=[OrbitEdge(a, b, 15, is_loop=False),
+                     OrbitEdge(b, a, 15, is_loop=False)])
     va, vb = f"v{a.sha256()[:n]}", f"v{b.sha256()[:n]}"
     assert export(g, "dot").splitlines()[1:] == [
         f'  {va} [label="Pi/{a.sha256()[:n]}"];',
