@@ -3,11 +3,13 @@
 Polynomials are immutable coefficient tuples, lowest degree first,
 with no trailing zeros (the zero polynomial is the empty tuple).  Poly
 wraps the *_pairs kernels, which run on lists of (a, b) int pairs (as
-FieldCtx.pmul), reduced mod p once per output coefficient.  Factoring,
-by Cantor-Zassenhaus on int pairs, finds roots in GF(p^2) and pieces of
-degree at most 2, and rejects inputs with higher-degree factors.  One
-power of x + c gives both x^q and the first split of the linear part,
-and the quadratic formula splits a pair of linear factors.
+FieldCtx.pmul), reduced mod p once per output coefficient; powmod_pairs
+packs a residue mod h into two ints (Kronecker substitution), so that a
+product is four int products.  Factoring, by Cantor-Zassenhaus on int
+pairs, finds roots in GF(p^2) and pieces of degree at most 2, and
+rejects inputs with higher-degree factors.  One power of x + c gives
+both x^q and the first split of the linear part, and the quadratic
+formula splits a pair of linear factors.
 """
 
 from __future__ import annotations
@@ -130,17 +132,15 @@ def add_pairs(ctx, f, g, sign=1) -> list:
                     [b + sign * d for (_, b), (_, d) in z])
 
 
-def mul_pairs(ctx, f, g, h=None) -> list:
-    """f*g, or f*g mod a monic h; each output coefficient reduced once."""
+def mul_pairs(ctx, f, g) -> list:
+    """f*g, each output coefficient reduced once."""
     nr, n = ctx.nonresidue, len(f) + len(g) - 1
     re, im = [0] * n, [0] * n
     for i, (a, b) in enumerate(f):
         for j, (c, d) in enumerate(g):
             re[i + j] += a * c + nr * b * d
             im[i + j] += a * d + b * c
-    if h is None:
-        return _reduced(ctx.p, re, im)
-    return divmod_pairs(ctx, list(zip(re, im)), h)[1]
+    return _reduced(ctx.p, re, im)
 
 
 def divmod_pairs(ctx, f, h):
@@ -179,13 +179,47 @@ def gcd_pairs(ctx, f, g) -> list:
 
 
 def powmod_pairs(ctx, f, e, h) -> list:
-    """f^e mod a monic h, by left-to-right square and multiply."""
-    out, base = [(1, 0)], divmod_pairs(ctx, f, h)[1]
+    """f^e mod a monic h of degree n, e >= 0, by left-to-right square and
+    multiply on residues packed as two ints, the real and imaginary parts
+    with coefficient k in bits [kw, kw + w) (Kronecker substitution), for
+    w = bit_length(2n(1 + nr)(p - 1)^2) + 1.  A product takes four int
+    products (a square three); its n - 1 high slots, each reduced mod p,
+    fold back through a table of x^n ... x^(2n-2) mod h, and then its n
+    low slots are reduced mod p once.  All parts are reduced and
+    nonnegative, so a slot holds at most n(1 + nr)(p - 1)^2 from the
+    product plus (n - 1)(1 + nr)(p - 1)^2 from the fold, below
+    2^(w - 1): no slot carries or borrows."""
+    if e < 0:
+        raise PolyError(f"negative exponent {e} in a power mod h")
+    p, nr, n = ctx.p, ctx.nonresidue, len(h) - 1
+    w = (2 * n * (1 + nr) * (p - 1) ** 2).bit_length() + 1
+    mask, below = (1 << w) - 1, (1 << n * w) - 1
+    low, high = range(0, n * w, w), range(n * w, (2 * n - 1) * w, w)
+
+    def pack(g):
+        return tuple(sum(c[k] << s for c, s in zip(g, low)) for k in (0, 1))
+
+    def fold(re, im):
+        lo_re, lo_im = re & below, im & below
+        for (tr, ti), s in zip(table, high):
+            a, b = (re >> s & mask) % p, (im >> s & mask) % p
+            lo_re += a * tr + nr * b * ti
+            lo_im += a * ti + b * tr
+        re = im = 0
+        for s in low:
+            re |= (lo_re >> s & mask) % p << s
+            im |= (lo_im >> s & mask) % p << s
+        return re, im
+
+    table = [pack([(-a % p, -b % p) for a, b in h[:-1]])]  # x^n mod h
+    while len(table) < n - 1:
+        table.append(fold(table[-1][0] << w, table[-1][1] << w))
+    (r, i), (c, d) = (1, 0), pack(divmod_pairs(ctx, f, h)[1])
     for bit in bin(e)[2:]:
-        out = mul_pairs(ctx, out, out, h)
+        r, i = fold(r * r + nr * i * i, r * i << 1)
         if bit == "1":
-            out = mul_pairs(ctx, out, base, h)
-    return out
+            r, i = fold(r * c + nr * i * d, r * d + i * c)
+    return _reduced(p, *([x >> s & mask for s in low] for x in (r, i)))
 
 
 def quadratic_roots_pairs(ctx, g):
@@ -215,7 +249,8 @@ def _linear_part(ctx, h, rng):
     as (x + c)^q = x^q + c, and gcd(lin, w - 1) is lin's first split."""
     u = [(rng.randrange(ctx.p), rng.randrange(ctx.p)), (1, 0)]
     w = powmod_pairs(ctx, u, (ctx.order - 1) // 2, h)
-    xq = add_pairs(ctx, mul_pairs(ctx, mul_pairs(ctx, w, w), u, h), u[:1], -1)
+    xq = divmod_pairs(ctx, mul_pairs(ctx, mul_pairs(ctx, w, w), u), h)[1]
+    xq = add_pairs(ctx, xq, u[:1], -1)
     lin = gcd_pairs(ctx, h, add_pairs(ctx, xq, _X, -1))
     g = gcd_pairs(ctx, lin, add_pairs(ctx, w, [(1, 0)], -1))
     return xq, lin, _split(ctx, [g, divmod_pairs(ctx, lin, g)[0]], 1, rng)

@@ -771,7 +771,9 @@ def poly_gcd_oracle(f, g):
 
 
 def poly_powmod_oracle(f, e, m):
-    """f^e mod m, by right-to-left square and multiply."""
+    """f^e mod m, e >= 0, by right-to-left square and multiply."""
+    if e < 0:
+        raise PolyError(f"negative exponent {e} in a power mod m")
     result = Poly(f.ctx, [f.ctx.one])
     base = poly_divmod_oracle(f, m)[1]
     while e:

@@ -336,6 +336,49 @@ def test_poly_wrappers_match_oracle(rng):
                 assert f.powmod(e, m) == poly_powmod_oracle(f, e, m)
 
 
+@pytest.mark.parametrize("p", [23, 41, 101, 2**61 - 1, 2**127 - 1])
+def test_powmod_pairs_matches_oracle(p):
+    # the packed square and multiply against the FieldElement one, on
+    # random monic moduli of degree 1 to 6, for the exponents factoring
+    # uses; f longer than the modulus, f = 0, and f with every
+    # coefficient p - 1, whose square loads a slot with n(1 + nr)(p - 1)^2
+    # before the fold adds to it.  The oracle's f^q and f^((q^2 - 1)/2)
+    # are h^2 f and h^(q + 1) for its h = f^((q - 1)/2), which halves its
+    # work at the two large primes.
+    ctx, rng = make_field(p), random.Random(p)
+    q = ctx.order
+    for n in range(1, 7):
+        m = Poly(ctx, [random_element(ctx, rng) for _ in range(n)]
+                 + [ctx.one])
+        longer = Poly(ctx, [random_element(ctx, rng) for _ in range(n + 3)]
+                      + [ctx.one])
+        top = Poly(ctx, [ctx.element(p - 1, p - 1)] * n)
+        for f in (longer, Poly(ctx, []), top):
+            h = poly_powmod_oracle(f, (q - 1) // 2, m)
+            want = [poly_powmod_oracle(f, e, m) for e in (0, 1, 2)] + [
+                poly_divmod_oracle(poly_mul_oracle(
+                    poly_mul_oracle(h, h), f), m)[1],
+                h, poly_powmod_oracle(h, q + 1, m)]
+            for e, w in zip((0, 1, 2, q, (q - 1) // 2, (q * q - 1) // 2),
+                            want):
+                got = poly.powmod_pairs(ctx, f.pairs(), e, m.pairs())
+                assert Poly.from_pairs(ctx, got) == w, (n, f, e)
+
+
+def test_powmod_refuses_a_negative_exponent():
+    # bin(-3) is "-0b11", whose "b" once read as a 0 bit: f^-3 came out
+    # as f^3.  The oracle's e >>= 1 never reached 0, so it looped.
+    ctx = make_field(23)
+    f, m = Poly.from_ints(ctx, [1, 2]), Poly.from_ints(ctx, [3, 0, 1])
+    with pytest.raises(PolyError, match="negative exponent -3"):
+        f.powmod(-3, m)
+    with pytest.raises(PolyError, match="negative exponent -1"):
+        poly.powmod_pairs(ctx, f.pairs(), -1, m.pairs())
+    with pytest.raises(PolyError, match="negative exponent -3"):
+        poly_powmod_oracle(f, -3, m)
+    assert f.powmod(0, m) == Poly.from_ints(ctx, [1])
+
+
 def test_factoring_runs_on_ints(monkeypatch):
     # factor_quadratic_pieces at p = 41, on lookup models and on sextics
     # with irreducible quadratic factors, makes no FieldElement product,
