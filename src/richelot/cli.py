@@ -21,7 +21,7 @@ from .elliptic import curve_from_j
 from .field import FieldError, make_field
 from .genus2 import Genus2Curve
 from .gluing import ProductSurface
-from .graph import (VertexKey, build_graph, export, neighbourhood,
+from .graph import (VertexKey, build_graph, export_rows, neighbourhood,
                     ra_type_of, validate)
 from .poly import Poly
 
@@ -63,7 +63,7 @@ def _cmd_graph(args) -> int:
     # -o opens before the build, as a shell > would
     with open(args.output, "w") if args.output \
             else contextlib.nullcontext(sys.stdout) as fh:
-        fh.write(export(build_graph(ctx), args.format))
+        fh.writelines(export_rows(build_graph(ctx), args.format))
     return 0
 
 

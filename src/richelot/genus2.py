@@ -32,6 +32,7 @@ from .poly import (Poly, add_pairs, factor_quadratic_pieces, is_squarefree,
                    mul_pairs, quadratic_roots_pairs)
 
 # The most curves each memo below keeps, least recently used out first.
+FACTORINGS_KEPT = 128
 SPLITTINGS_KEPT = 128
 WEIERSTRASS_KEPT = 128
 AUTOMORPHISMS_KEPT = 128
@@ -160,11 +161,21 @@ class Genus2Curve:
 
 
 def block_product(ctx: FieldCtx, blocks, scale) -> Poly:
-    """scale * g1*g2*g3, multiplied on (a, b) int pairs, low first."""
-    f = [scale]
-    for g in blocks:
-        f = mul_pairs(ctx, f, g)
-    return Poly.from_pairs(ctx, f)
+    """scale * g1*g2*g3, blocks (c0, c1, c2) low first, packed as in
+    poly.powmod_pairs: a block's real parts in one int, c_k at bits [kw,
+    kw + w), its imaginary parts in another; four int products a block,
+    one unpacking.  Reduced nonnegative inputs and nr > 0 put at most
+    the real x^3 slot of the all-(p - 1)(1 + i) product, 7(1 + 6nr +
+    nr^2)(p - 1)^4, in a slot: below 2^(w - 1), w its bit_length + 1."""
+    p, nr = ctx.p, ctx.nonresidue
+    w = (7 * (1 + 6 * nr + nr * nr) * (p - 1) ** 4).bit_length() + 1
+    re, im = scale
+    for (a0, b0), (a1, b1), (a2, b2) in blocks:
+        c, d = a0 | (a1 | a2 << w) << w, b0 | (b1 | b2 << w) << w
+        re, im = re * c + nr * im * d, re * d + im * c
+    mask = (1 << w) - 1
+    return Poly.from_pairs(ctx, [((re >> s & mask) % p, (im >> s & mask) % p)
+                                 for s in range(0, 7 * w, w)])
 
 
 def monic_block(ctx: FieldCtx, g) -> tuple:
@@ -240,6 +251,7 @@ MATCHINGS = _INDEX_MATCHINGS[6]
 _PAIR_BITS = [1 << n | 1 << 6 * (n % 6) + n // 6 for n in range(36)]
 _MATCHING_INDEX = {sum(_PAIR_BITS[6 * a + b] for a, b in m): n
                    for n, m in enumerate(MATCHINGS)}
+_FLAT_MATCHINGS = tuple(sum(m, ()) for m in MATCHINGS)  # 3 pairs, flat
 
 
 def matching_index(pairs) -> int:
@@ -251,9 +263,13 @@ def matching_index(pairs) -> int:
 @lru_cache(maxsize=720)  # one entry per permutation of range(6)
 def matching_action(perm: tuple) -> tuple:
     """The permutation of MATCHINGS indices induced by the index map
-    perm of range(6), a tuple."""
-    return tuple(_MATCHING_INDEX[sum(_PAIR_BITS[6 * perm[a] + perm[b]]
-                                     for a, b in m)] for m in MATCHINGS)
+    perm of range(6), a tuple: each matching's three image pairs keyed
+    as matching_index does, read off its flat 6-tuple."""
+    bits, index = _PAIR_BITS, _MATCHING_INDEX
+    return tuple(index[bits[6 * perm[a] + perm[b]]
+                       + bits[6 * perm[c] + perm[d]]
+                       + bits[6 * perm[e] + perm[f]]]
+                 for a, b, c, d, e, f in _FLAT_MATCHINGS)
 
 
 def pairing_index(pairs) -> int:
@@ -278,10 +294,13 @@ def point_splittings(ctx, forced, free, scale) -> list:
     return out
 
 
-def _forced_free(f):
-    """One Cantor-Zassenhaus factoring of the sextic f, as (forced,
-    free): its irreducible quadratic factors as monic blocks, and its
-    rational roots (and infinity, for degree-5 models)."""
+@lru_cache(maxsize=FACTORINGS_KEPT)
+def _forced_free(curve: Genus2Curve):
+    """One Cantor-Zassenhaus factoring of the curve's sextic f, as
+    (forced, free): its irreducible quadratic factors as monic blocks,
+    and its rational roots (and infinity, for degree-5 models); shared
+    by splittings and weierstrass_points."""
+    f = curve.f
     linears, quads = factor_quadratic_pieces(f)
     free = [-g[0] for g in linears] + ([INF] if f.degree() == 5 else [])
     return [tuple((g[k].a, g[k].b) for k in range(3)) for g in quads], free
@@ -295,9 +314,8 @@ def splittings(curve: Genus2Curve) -> list:
     Galois-stable pairs: point_splittings around the forced blocks of
     _forced_free.  15 splittings exactly when all are rational.
     """
-    f = curve.f
-    return [s for s, _ in point_splittings(f.ctx, *_forced_free(f),
-                                           f.leading())]
+    return [s for s, _ in point_splittings(
+        curve.ctx, *_forced_free(curve), curve.f.leading())]
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +362,9 @@ def weierstrass_points(curve: Genus2Curve) -> list:
     Raises IrrationalPointsError when f has an irreducible quadratic
     factor; superspecial vertices have none.  Graph vertices reached by
     an edge read theirs off its recorded dual splitting instead."""
-    f = curve.f
-    forced, free = _forced_free(f)
+    forced, free = _forced_free(curve)
     if forced:
-        raise IrrationalPointsError(f, len(_INDEX_MATCHINGS[len(free)]))
+        raise IrrationalPointsError(curve.f, len(_INDEX_MATCHINGS[len(free)]))
     return sorted(free, key=point_key)
 
 
@@ -361,25 +378,21 @@ _FRAMES = tuple((t, 36 * t[1] + 6 * t[2] + t[0]) + sum(
 
 
 def _q_plan(triples) -> tuple:
-    """For _q_table, the pairs a < k whose x_a - x_k the q(a, i, k) of
-    triples invert, and each triple's slots 36a + 6i + k, 6a + i and
-    6a + k: those of q, x_a - x_i and 1/(x_a - x_k)."""
-    return ({(min(a, k), max(a, k)) for a, _, k in triples},
-            tuple((36 * a + 6 * i + k, 6 * a + i, 6 * a + k)
-                  for a, i, k in triples))
+    """For _q_table, each triple (a, i, k)'s slots 36a + 6i + k, 6a + i
+    and 6a + k: those of q(a, i, k), x_a - x_i and 1/(x_a - x_k)."""
+    return tuple((36 * a + 6 * i + k, 6 * a + i, 6 * a + k)
+                 for a, i, k in triples)
 
 
-# a frame table's q, and a base frame's q(1, 2, 0) and q(l, 0, 2), l > 2
-_FRAME_PLAN = _q_plan(_TRIPLES)
-_BASE_PLAN = _q_plan(((1, 2, 0), (3, 0, 2), (4, 0, 2), (5, 0, 2)))
+_FRAME_PLAN = _q_plan(_TRIPLES)  # a frame table's q
 
 
 def _q_table(ctx, pts, plan) -> list:
     """q(a, i, k) = (x_a - x_i)/(x_a - x_k) of the six points pts, for
     each triple of plan = _q_plan(triples), at 36a + 6i + k of a 216-list
     as (a, b) int pairs, a factor holding INF read as 1: the differences
-    in flat 6x6 lists, one ctx.pinv per finite pair that plan inverts."""
-    (inverted, slots), p, nr, one = plan, ctx.p, ctx.nonresidue, (1, 0)
+    in flat 6x6 lists, one ctx.pinv per finite pair."""
+    p, nr, one = ctx.p, ctx.nonresidue, (1, 0)
     xs = [x if x is INF else x.key() for x in pts]
     d, dinv, q = [one] * 36, [one] * 36, [None] * 216
     for a, k in combinations(range(6), 2):
@@ -387,10 +400,9 @@ def _q_table(ctx, pts, plan) -> list:
             (aa, ab), (ka, kb) = xs[a], xs[k]
             d[6 * a + k] = e = (aa - ka) % p, (ab - kb) % p
             d[6 * k + a] = -e[0] % p, -e[1] % p
-            if (a, k) in inverted:
-                ea, eb = dinv[6 * a + k] = ctx.pinv(e)
-                dinv[6 * k + a] = -ea % p, -eb % p
-    for s, n, m in slots:
+            ea, eb = dinv[6 * a + k] = ctx.pinv(e)
+            dinv[6 * k + a] = -ea % p, -eb % p
+    for s, n, m in plan:
         (xa, xb), (ya, yb) = d[n], dinv[m]
         q[s] = (xa * ya + nr * xb * yb) % p, (xa * yb + xb * ya) % p
     return q
@@ -443,20 +455,37 @@ class MoebiusIndex:
 moebius_frames = MoebiusIndex
 
 
+def _base_images(ctx, pts) -> list:
+    """The images of x_3, x_4 and x_5 under the Moebius map sending x_0,
+    x_1 and x_2 to 0, 1 and inf, as (a, b) int pairs: x_l goes to d(l, 0)
+    d(1, 2) / (d(l, 2) d(1, 0)), d(a, k) = x_a - x_k read as 1 when
+    either point is INF, as _q_table does.  Eight differences, and one
+    inverse: of the product of d(1, 0) and the three d(l, 2)."""
+    p, mul, ds = ctx.p, ctx.pmul, []
+    for i, j in ((1, 2), (1, 0), (3, 0), (3, 2), (4, 0), (4, 2), (5, 0),
+                 (5, 2)):
+        x, y = pts[i], pts[j]
+        ds.append((1, 0) if x is INF or y is INF
+                  else ((x.a - y.a) % p, (x.b - y.b) % p))
+    d12, d10, d30, d32, d40, d42, d50, d52 = ds
+    d34 = mul(d32, d42)
+    k = mul(d12, ctx.pinv(mul(mul(d34, d52), d10)))
+    return [mul(mul(d30, k), mul(d42, d52)), mul(mul(d40, k), mul(d32, d52)),
+            mul(mul(d50, k), d34)]
+
+
 def moebius_stabilizing(ctx, src, dst_frames):
     """The Moebius maps sending the set of six points src onto the point
     set of dst_frames = moebius_frames(ctx, dst_pts), in the package's
     one form of such a map, an index map: m[i] is the index in dst_pts
     of the image of src[i].  One map per frame sharing the signature of
-    src's base frame (0, 1, 2), read off q(1, 2, 0) and q(l, 0, 2): four
-    inverses, or none if src is the points' own MoebiusIndex (their RA
-    maps).  The signature is read at once, and the maps are yielded
-    lazily, so that a caller wanting one builds one."""
-    q = src.q if isinstance(src, MoebiusIndex) \
-        else _q_table(ctx, src, _BASE_PLAN)
-    p, nr, (za, zb) = ctx.p, ctx.nonresidue, q[48]
-    images = sorted(((xa * za + nr * xb * zb) % p, (xa * zb + xb * za) % p,
-                     l) for l in (3, 4, 5) for xa, xb in [q[36 * l + 2]])
+    src's base frame (0, 1, 2): its images q(l, 0, 2) q(1, 2, 0) of x_3,
+    x_4 and x_5 read off src's own MoebiusIndex (their RA maps), or else
+    _base_images, one inverse.  The signature is read at once, and the
+    maps are yielded lazily, so that a caller wanting one builds one."""
+    images = _base_images(ctx, src) if not isinstance(src, MoebiusIndex) \
+        else [ctx.pmul(src.q[36 * l + 2], src.q[48]) for l in (3, 4, 5)]
+    images = sorted(image + (l,) for image, l in zip(images, (3, 4, 5)))
     signature = sum((image[:2] for image in images), ())
     base = [0, 1, 2] + [l for *_, l in images]  # the base frame
     at = sorted(range(6), key=base.__getitem__)
@@ -542,8 +571,9 @@ def transform_curve(curve: Genus2Curve, a, b, c, d) -> Genus2Curve:
 
 
 def _term_table(m, n, h, fold=False):
-    """Integer terms (t, x, y, c) of the h-th transvectant of binary
-    forms F (order m) and G (order n): out[t] += c * F[x] * G[y].
+    """Integer terms (x, y, c) of the h-th transvectant of binary forms
+    F (order m) and G (order n), in one row per output coefficient t,
+    each term adding c * F[x] * G[y] to out[t], t = x + y - h.
 
     c sums, over j, (-1)^j binom(h, j) times the falling factorials that
     d^h/dx^(h-j)dz^j puts on F[x] and d^h/dx^j dz^(h-j) puts on G[y]:
@@ -559,39 +589,51 @@ def _term_table(m, n, h, fold=False):
                 coef[at] = coef.get(at, 0) + (-1) ** j * comb(h, j) \
                     * perm(x, h - j) * perm(m - x, j) \
                     * perm(y, j) * perm(n - y, h - j)
-    return tuple((x + y - h, x, y, c)
-                 for (x, y), c in sorted(coef.items()) if c)
+    rows = [[] for _ in range(m + n - 2 * h + 1)]
+    for (x, y), c in sorted(coef.items()):
+        if c:
+            rows[x + y - h].append((x, y, c))
+    return rows
 
 
 @lru_cache(maxsize=8)
 def _chain_tables(p):
-    """The term table over GF(p) of each transvectant (m, n, h, fold) in
-    the Clebsch chain, folded for (f, f)_6, (f, f)_4, (i, i)_4 and
-    (i, i)_2: each c divided by the normaliser perm(m, h) perm(n, h) (a
-    unit as p > 5) and reduced mod p."""
-    return {(m, n, h, fold): tuple(
-        (t, x, y, c * pow(perm(m, h) * perm(n, h), -1, p) % p)
-        for t, x, y, c in _term_table(m, n, h, fold))
+    """(w, tables) over GF(p): the rows of each transvectant (m, n, h,
+    fold) of the Clebsch chain, folded for (f, f)_6, (f, f)_4, (i, i)_4
+    and (i, i)_2, each c over the normaliser perm(m, h) perm(n, h) (a
+    unit as p > 5) mod p; w = bit_length(2(p - 1)^2 S) + 1, S the
+    largest sum of c over a row, is _int_transvectant's slot width."""
+    tables = {(m, n, h, fold): tuple(tuple(
+        (x, y, c * pow(perm(m, h) * perm(n, h), -1, p) % p)
+        for x, y, c in row) for row in _term_table(m, n, h, fold))
         for m, n, h, fold in ((6, 6, 6, True), (6, 6, 4, True),
                               (4, 4, 4, True), (4, 4, 2, True),
                               (4, 4, 4, False), (6, 4, 4, False),
                               (4, 2, 2, False), (2, 2, 2, False))}
+    most = max(sum(c for *_, c in row)
+               for rows in tables.values() for row in rows)
+    return (2 * (p - 1) ** 2 * most).bit_length() + 1, tables
 
 
 def _int_transvectant(ctx, F, m, G, n, h):
-    """h-th transvectant of F (order m) and G (order n) with (a, b) int
-    pairs for coefficients a + b*i, normalised: one pass over its
-    _chain_tables table, folded when F is G, and one reduction mod p
-    per output coefficient."""
+    """h-th transvectant of F (order m) and G (order n), normalised, on
+    packed coefficients: u + v*i is the int u | v << w (_chain_tables).
+    A term c F[x] G[y], F[x] = u + v*i and G[y] = s + t*i, is one int
+    product whose three w-bit slots hold c us, c(ut + vs) and c vt; an
+    output sums its row of terms and is unpacked once, reduced mod p
+    and packed again.  With inputs and c reduced and nonnegative a slot
+    holds at most 2(p - 1)^2 S < 2^(w - 1), so none carries.  The table
+    is folded when F is G."""
     p, nr = ctx.p, ctx.nonresidue
-    size = m + n - 2 * h + 1
-    re, im = [0] * size, [0] * size
-    for t, x, y, c in _chain_tables(p)[m, n, h, F is G]:
-        fa, fb = F[x]
-        ga, gb = G[y]
-        re[t] += c * (fa * ga + nr * fb * gb)
-        im[t] += c * (fa * gb + fb * ga)
-    return [(re[t] % p, im[t] % p) for t in range(size)]
+    w, tables = _chain_tables(p)
+    mask, out = (1 << w) - 1, []
+    for row in tables[m, n, h, F is G]:
+        s = 0
+        for x, y, c in row:
+            s += c * F[x] * G[y]
+        out.append(((s & mask) + nr * (s >> 2 * w)) % p
+                   | (s >> w & mask) % p << w)
+    return out
 
 
 @dataclass(frozen=True)
@@ -613,15 +655,15 @@ class ClebschPoint:
 @lru_cache(maxsize=CLEBSCH_KEPT)
 def clebsch_invariants(curve: Genus2Curve) -> ClebschPoint:
     """Clebsch invariants of the defining sextic (degree-5 inputs are
-    homogenized with a vanishing leading coefficient): nine
-    transvectants on (a, b) int pairs, each one pass over its integer
-    term table: 74 terms in all, as the four self-transvectants fold
-    each term into its mirror, with the normalisers folded into the
-    terms once per prime (_chain_tables), so a curve takes no inverse.
-    Only the four invariants become FieldElements; the FieldElement
-    chain is the test oracle test_genus2.clebsch_oracle."""
+    homogenized with a vanishing leading coefficient): nine packed
+    transvectants (_int_transvectant), 74 terms in all, as the four
+    self-transvectants fold each term into its mirror, with the
+    normalisers in the per-prime tables (_chain_tables), so a curve
+    takes no inverse.  Only A, B, C and D are unpacked, as FieldElements;
+    the FieldElement chain is the test oracle test_genus2.clebsch_oracle."""
     ctx = curve.ctx
-    f = [(c.a, c.b) for c in (curve.f[k] for k in range(7))]
+    w = _chain_tables(ctx.p)[0]
+    f = [c.a | c.b << w for c in (curve.f[k] for k in range(7))]
     A = _int_transvectant(ctx, f, 6, f, 6, 6)
     i4 = _int_transvectant(ctx, f, 6, f, 6, 4)
     B = _int_transvectant(ctx, i4, 4, i4, 4, 4)
@@ -631,7 +673,8 @@ def clebsch_invariants(curve: Genus2Curve) -> ClebschPoint:
     y2 = _int_transvectant(ctx, i4, 4, y1, 2, 2)
     y3 = _int_transvectant(ctx, i4, 4, y2, 2, 2)
     D = _int_transvectant(ctx, y3, 2, y1, 2, 2)
-    return ClebschPoint(*(FieldElement(ctx, *X[0]) for X in (A, B, C, D)))
+    return ClebschPoint(*(FieldElement(ctx, X[0] & (1 << w) - 1, X[0] >> w)
+                          for X in (A, B, C, D)))
 
 
 def ra_type_from_clebsch(cp: ClebschPoint) -> str:

@@ -533,6 +533,11 @@ def validate(g: Graph) -> ValidationReport:
 
 def export(g: Graph, fmt: str) -> str:
     """Serialize the graph; byte-stable for a fixed graph."""
+    return "".join(export_rows(g, fmt))
+
+
+def export_rows(g: Graph, fmt: str):
+    """export(g, fmt) one vertex or edge row at a time, to write out."""
     if fmt == "json":
         return _export_json(g)
     if fmt == "dot":
@@ -540,39 +545,42 @@ def export(g: Graph, fmt: str) -> str:
     raise GraphError(f"unknown export format {fmt!r}")
 
 
-def _export_json(g: Graph) -> str:
-    """The sorted rows, as json.dumps(indent=2, sort_keys=True) lays them
-    out, by f-strings: keys, kinds and RA types need no escaping."""
-    edges = ",\n".join(
-        f'    {{\n      "dst": "{dst}",\n      "loop": {loop},\n      '
-        f'"src": "{src}",\n      "weight": {weight}\n    }}'
-        for src, dst, weight, loop in sorted(
-            (e.source.as_string(), e.target.as_string(), e.weight,
-             "true" if e.is_loop else "false") for e in g.edges))
-    vertices = ",\n".join(
-        f'    {{\n      "key": "{key}",\n      "kind": "{kind}",\n      '
-        f'"ra_order": {order},\n      "ra_type": "{ra_type}"\n    }}'
-        for key, kind, order, ra_type in sorted(
-            (key.as_string(), key.kind, v.ra_order, v.ra_type)
-            for key, v in g.vertices.items()))
-    edges, vertices = (f"[\n{rows}\n  ]" if rows else "[]"  # as json.dumps
-                       for rows in (edges, vertices))
-    return (f'{{\n  "edges": {edges},\n  "p": {g.p},\n'
-            f'  "vertices": {vertices}\n}}\n')
+def _export_json(g: Graph):
+    """The sorted rows in turn, as json.dumps(indent=2, sort_keys=True)
+    lays them out: keys, kinds and RA types need no escaping."""
+    name = {key: key.as_string() for key in g.vertices}
+    edges = sorted((name[e.source], name[e.target], e.weight,
+                    "true" if e.is_loop else "false") for e in g.edges)
+    edges = (f'    {{\n      "dst": "{dst}",\n      "loop": {loop},\n      '
+             f'"src": "{src}",\n      "weight": {weight}\n    }}'
+             for src, dst, weight, loop in edges)
+    vertices = (f'    {{\n      "key": "{name[key]}",\n      "kind": '
+                f'"{key.kind}",\n      "ra_order": {v.ra_order},\n      '
+                f'"ra_type": "{v.ra_type}"\n    }}'
+                for key, v in sorted(g.vertices.items(),
+                                     key=lambda kv: name[kv[0]]))
+    for head, rows in (('{\n  "edges": ', edges),
+                       (f',\n  "p": {g.p},\n  "vertices": ', vertices)):
+        yield head
+        sep = "["  # a list as json.dumps lays it out, [] if empty
+        for row in rows:
+            yield f"{sep}\n{row}"
+            sep = ","
+        yield "[]" if sep == "[" else "\n  ]"
+    yield "\n}\n"
 
 
-def _export_dot(g: Graph) -> str:
+def _export_dot(g: Graph):
     """Node names are v and the shortest sha256 prefix of at least 8
     digits that tells every two vertices of g apart."""
-    lines = [f'digraph richelot_{g.p} {{']
+    yield f'digraph richelot_{g.p} {{\n'
     digests, n = {key: key.sha256() for key in g.vertices}, 8
     while len({d[:n] for d in digests.values()}) < len(digests):
         n += 1
     for key in sorted(g.vertices):
-        lines.append(f'  v{digests[key][:n]} [label="'
-                     f'{g.vertices[key].ra_type}/{digests[key][:n]}"];')
+        yield (f'  v{digests[key][:n]} [label="'
+               f'{g.vertices[key].ra_type}/{digests[key][:n]}"];\n')
     for e in sorted(g.edges, key=OrbitEdge.sort_key):
-        lines.append(f'  v{digests[e.source][:n]} -> '
-                     f'v{digests[e.target][:n]} [label="{e.weight}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield (f'  v{digests[e.source][:n]} -> '
+               f'v{digests[e.target][:n]} [label="{e.weight}"];\n')
+    yield "}\n"

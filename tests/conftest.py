@@ -17,7 +17,7 @@ from richelot.genus2 import (INF, MATCHINGS, ClassificationError,
                              splitting_root_pairs)
 from richelot.elliptic import EllipticCurveE2, NonSplitTorsionError
 from richelot.gluing import DegenerateGluingError, product_kernels
-from richelot.poly import Poly, PolyError, is_squarefree, roots
+from richelot.poly import Poly, PolyError, is_squarefree, mul_pairs, roots
 from richelot.isogeny import JacobianCodomain, RichelotError
 
 
@@ -215,6 +215,37 @@ def moebius_frames_oracle(K, pts):
                         ())
         frames.setdefault(signature, []).append(triple)
     return frames
+
+
+# the q(1, 2, 0) and q(l, 0, 2), l > 2, of a base frame
+BASE_PLAN = genus2._q_plan(((1, 2, 0), (3, 0, 2), (4, 0, 2), (5, 0, 2)))
+
+
+def base_images_oracle(ctx, pts):
+    """The images of x_3, x_4 and x_5 under the map sending (x_0, x_1,
+    x_2) to (0, 1, inf), as q(l, 0, 2) q(1, 2, 0) off a _q_table of
+    BASE_PLAN: the base frame moebius_stabilizing read before
+    genus2._base_images, kept as its oracle."""
+    q = genus2._q_table(ctx, pts, BASE_PLAN)
+    return [ctx.pmul(q[36 * l + 2], q[48]) for l in (3, 4, 5)]
+
+
+def block_product_oracle(ctx, blocks, scale):
+    """scale * g1*g2*g3 by a chain of mul_pairs: the form of
+    genus2.block_product before it packed its parts, kept as its
+    oracle."""
+    f = [scale]
+    for g in blocks:
+        f = mul_pairs(ctx, f, g)
+    return Poly.from_pairs(ctx, f)
+
+
+def matching_action_oracle(perm):
+    """genus2.matching_action as a generator sum over each matching's
+    pairs, the form it had before it read flat 6-tuples."""
+    return tuple(genus2._MATCHING_INDEX[sum(
+        genus2._PAIR_BITS[6 * perm[a] + perm[b]] for a, b in m)]
+        for m in MATCHINGS)
 
 
 def own_frames(v):
@@ -418,8 +449,8 @@ def count_calls(monkeypatch, name, module=genus2):
 def clear_genus2_caches():
     """Empty the curve caches, so a count_calls pin sees every factoring
     and Moebius search the code under test would make cold."""
-    for cached in (genus2.splittings, genus2.weierstrass_points,
-                   genus2.reduced_automorphisms):
+    for cached in (genus2._forced_free, genus2.splittings,
+                   genus2.weierstrass_points, genus2.reduced_automorphisms):
         cached.cache_clear()
 
 

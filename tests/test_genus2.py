@@ -28,10 +28,12 @@ from richelot.poly import (Poly, factor_quadratic_pieces, is_squarefree,
                            roots as poly_roots)
 
 from clebsch_fixtures import FIXTURES
-from conftest import (MoebiusMap, block_poly, block_roots_oracle,
+from conftest import (MoebiusMap, base_images_oracle, block_poly,
+                      block_product_oracle, block_roots_oracle,
                       block_triple, canonical_key_oracle,
                       clear_genus2_caches, count_calls, derived_invariants,
                       index_map_moebius, induced_index_map, label_pairing,
+                      matching_action_oracle,
                       moebius_frames_oracle, moebius_search_oracle,
                       moebius_through, own_frames, poly_key_oracle,
                       poly_monic_oracle, ra_type_from_clebsch_oracle,
@@ -240,15 +242,21 @@ def test_clebsch_chain_runs_74_terms_and_no_inverse(monkeypatch, rng):
     # the four self-transvectants (f, f)_6, (f, f)_4, (i, i)_4 and
     # (i, i)_2 fold each term into its mirror (7 -> 4, 27 -> 15, 5 -> 3
     # and 19 -> 11 terms): 74 terms a curve, 99 before.  The normalisers
-    # are in the per-prime tables, so a curve takes no inverse
+    # are in the per-prime tables, so a curve takes no inverse.  Every
+    # transvectant reads and returns packed ints, one per coefficient
     C = random_curve_over_extension(make_field(101), rng, 6)
     clebsch_invariants.cache_clear()
-    tables = genus2._chain_tables(101)
+    w, rows = genus2._chain_tables(101)
+    tables = {s: sum(rows[s], ()) for s in rows}
     real, shapes, inverses = genus2._int_transvectant, [], []
 
     def transvectant(ctx, F, m, G, n, h):
         shapes.append((m, n, h, F is G))
-        return real(ctx, F, m, G, n, h)
+        out = real(ctx, F, m, G, n, h)
+        assert [len(F), len(G), len(out)] \
+            == [m + 1, n + 1, m + n - 2 * h + 1]
+        assert all(type(c) is int and c >> 2 * w == 0 for c in F + G + out)
+        return out
     monkeypatch.setattr(genus2, "_int_transvectant", transvectant)
     monkeypatch.setattr(genus2, "pow", lambda *args: inverses.append(args)
                         or pow(*args), raising=False)
@@ -256,14 +264,80 @@ def test_clebsch_chain_runs_74_terms_and_no_inverse(monkeypatch, rng):
     monkeypatch.setattr(type(C.ctx), "pinv", lambda *args:
                         inverses.append(args) or real_pinv(*args))
     clebsch_invariants(C)
+    assert [len(rows[s]) for s in shapes] == [1, 5, 1, 5, 1, 3, 3, 3, 1]
     assert [len(tables[s]) for s in shapes] \
         == [4, 15, 3, 11, 5, 15, 9, 9, 3]
     assert sum(len(tables[s]) for s in shapes) == 74
     assert sum(fold for *_, fold in shapes) == 4
     assert inverses == []
     # unfolded, the chain's tables hold the 99 terms of before
-    assert sum(len(genus2._term_table(m, n, h)) for m, n, h, _ in shapes) \
-        == 99
+    assert sum(len(row) for m, n, h, _ in shapes
+               for row in genus2._term_table(m, n, h)) == 99
+
+
+# the primes of the packed-kernel oracle tests, up to cryptographic size
+PACKED_PRIMES = [41, 101, 2**61 - 1, 2**127 - 1]
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_packed_clebsch_chain_matches_oracles(p, rng):
+    # each transvectant of the chain on the worst case (p - 1)(1 + i) in
+    # every coefficient, whose largest row puts 2(p - 1)^2 S, the slot
+    # bound, in a slot; then the chain on curves of degree 6 and 5 whose
+    # coefficients are all, or in part, the worst case
+    ctx = make_field(p)
+    w, tables = genus2._chain_tables(p)
+    worst = ctx.element(p - 1, p - 1)
+    for m, n, h, fold in tables:
+        F, G = [worst] * (m + 1), [worst] * (n + 1)
+        PF, PG = ([p - 1 | p - 1 << w] * (k + 1) for k in (m, n))
+        got = genus2._int_transvectant(ctx, PF, m, PF if fold else PG, n, h)
+        assert [(c & (1 << w) - 1, c >> w) for c in got] \
+            == [c.key() for c in _transvectant(ctx, F, m, G, n, h)]
+    curves = [Genus2Curve(Poly(ctx, [worst] * (d + 1))) for d in (6, 5)]
+    for degree in (6, 5) * 5:
+        f = random_curve_over_extension(ctx, rng, degree).f.coeffs
+        f = [worst if rng.random() < 0.5 else c for c in f[:-1]] + [worst]
+        if is_squarefree(Poly(ctx, f)):
+            curves.append(Genus2Curve(Poly(ctx, f)))
+    assert len(curves) > 8
+    for C in curves:
+        assert clebsch_invariants.__wrapped__(C) == clebsch_oracle(C), C
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_block_product_matches_mul_pairs_oracle(p, rng):
+    # three blocks, one of them linear for a quintic, random or the
+    # worst case (p - 1)(1 + i) in every coefficient and the scale, whose
+    # x^3 slot holds the bound 7(1 + 6nr + nr^2)(p - 1)^4
+    ctx = make_field(p)
+    worst = (p - 1, p - 1)
+    for trial in range(24):
+        blocks = [tuple(worst if trial < 4 or rng.random() < 0.3 else
+                        random_element(ctx, rng).key() for _ in range(3))
+                  for _ in range(3)]
+        if trial % 2:
+            blocks[0] = blocks[0][:2] + ((0, 0),)
+        scale = worst if trial < 4 else random_element(ctx, rng).key()
+        assert genus2.block_product(ctx, blocks, scale) \
+            == block_product_oracle(ctx, blocks, scale)
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_base_images_match_q_table_oracle(p, rng):
+    # six distinct points, (p - 1)(1 + i) among them, and INF put at each
+    # of the six places in turn: the base frame's images of x_3, x_4 and
+    # x_5 are those of the four-inverse q table
+    ctx = make_field(p)
+    worst = ctx.element(p - 1, p - 1)
+    for _ in range(6):
+        pts = random_distinct_elements(ctx, rng, 6)
+        if worst not in pts:
+            pts[rng.randrange(6)] = worst
+        for at in [None] + list(range(6)):
+            src = pts if at is None else pts[:at] + [INF] + pts[at + 1:]
+            assert genus2._base_images(ctx, src) \
+                == base_images_oracle(ctx, src)
 
 
 def test_clebsch_runs_on_plain_integers(monkeypatch, rng):
@@ -526,8 +600,8 @@ def test_moebius_frames_match_oracle_irrational_points(ctx23, rng):
 def test_moebius_frames_run_on_plain_integers(monkeypatch, rng):
     # over GF(p^2) the frames and their matching make no FieldElement
     # multiplication and build no FieldElement; a table of six finite
-    # points takes one inverse per unordered pair, and a base frame the
-    # four of its q(1, 2, 0) and q(l, 0, 2)
+    # points takes one inverse per unordered pair, and a base frame one,
+    # shared by its three images (four, one per q, before)
     ctx = make_field(101)
     pts = random_distinct_elements(ctx, rng, 6)
     muls, built, inverses = [], [], []
@@ -543,7 +617,7 @@ def test_moebius_frames_run_on_plain_integers(monkeypatch, rng):
     frames = moebius_frames(ctx, pts)
     assert len(inverses) == 15
     perms = moebius_stabilizing(ctx, pts, frames)
-    assert len(inverses) == 15 + 4
+    assert len(inverses) == 15 + 1
     assert list(range(6)) in perms
     assert len(muls) == 0
     assert len(built) == 0
@@ -579,8 +653,9 @@ def test_moebius_stabilizing_match_search_oracle_on_graph(p):
 
 def test_matching_action_matches_brute_force_and_composes():
     # MATCHINGS are the 15 perfect matchings of range(6); each of the
-    # 720 permutations acts on them as moving their pairs as sets, and
-    # the action of a composite is the composite of the actions
+    # 720 permutations acts on them as moving their pairs as sets, as the
+    # generator-sum form of the action did (uncached), and the action of
+    # a composite is the composite of the actions
     as_sets = [frozenset(map(frozenset, m)) for m in MATCHINGS]
     assert len(set(as_sets)) == 15
     assert all(sorted(a for pair in m for a in pair) == list(range(6))
@@ -592,6 +667,7 @@ def test_matching_action_matches_brute_force_and_composes():
         assert matching_action(g) == tuple(
             as_sets.index(frozenset(frozenset(g[a] for a in pair)
                                     for pair in m)) for m in as_sets)
+        assert matching_action.__wrapped__(g) == matching_action_oracle(g)
     rng = random.Random(6)
     for g in perms:
         for h in rng.sample(perms, 8):
@@ -898,14 +974,38 @@ def test_weierstrass_points_factor_once_with_quadratic_factor(monkeypatch):
     assert str(from_splitting.value) == str(exc.value)
 
 
+def test_splittings_and_points_share_one_factoring(monkeypatch, rng):
+    # a bare curve asked for its splittings and its Weierstrass points,
+    # in either order, is factored once (twice before): both read the
+    # _forced_free memo.  So is a curve with irrational points, whose
+    # points raise the typed error from the memoized factoring
+    ctx = make_field(101)
+    curves = [random_split_curve(ctx, rng), random_split_curve(ctx, rng, 5),
+              random_curve_with_irrational_points(ctx, rng)]
+    clear_genus2_caches()
+    calls = count_calls(monkeypatch, "factor_quadratic_pieces")
+    asks = (splittings, weierstrass_points)
+    for n, C in enumerate(curves):
+        for ask in asks if n % 2 == 0 else asks[::-1]:
+            try:
+                ask(C)
+            except IrrationalPointsError:
+                assert ask is weierstrass_points and n == 2
+        assert len(calls) == n + 1
+    assert [len(splittings(C)) for C in curves] == [15, 15, 3]
+    assert [f for f, in calls] == [C.f for C in curves]
+    assert genus2._forced_free.cache_info()[:2] == (3, 3)
+
+
 @pytest.mark.slow
 def test_curve_memos_stay_within_their_bounds():
-    # 200 random split sextics at p = 2^127 - 1, each factored for its
-    # points and its splittings, keyed and searched for automorphisms:
+    # 200 random split sextics at p = 2^127 - 1, each factored once for
+    # its points and its splittings, keyed and searched for automorphisms:
     # every curve memo fills to its bound and no further, and so does
     # the field's memo of roots in GF(p) (it held 1,099 with no bound)
     ctx, rng = make_field(2 ** 127 - 1), random.Random(127)
-    memos = {genus2.splittings: genus2.SPLITTINGS_KEPT,
+    memos = {genus2._forced_free: genus2.FACTORINGS_KEPT,
+             genus2.splittings: genus2.SPLITTINGS_KEPT,
              genus2.weierstrass_points: genus2.WEIERSTRASS_KEPT,
              genus2.reduced_automorphisms: genus2.AUTOMORPHISMS_KEPT,
              genus2.clebsch_invariants: genus2.CLEBSCH_KEPT}
