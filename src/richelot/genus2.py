@@ -119,38 +119,21 @@ class Genus2Curve:
 
     @classmethod
     def of_blocks(cls, ctx: FieldCtx, blocks, scale) -> "Genus2Curve":
-        """y^2 = scale * g1*g2*g3; scale and each block's (c0, c1, c2),
-        low first, are (a, b) int pairs.  Of degree 5 or 6, the product
-        is squarefree iff each block, as a binary quadratic form, has a
-        nonzero discriminant and each two a nonzero resultant
-        (c2 e0 - e2 c0)^2 - (c2 e1 - e2 c1)(c1 e0 - e1 c0); that also
-        vanishes on two linear blocks, as both vanish at infinity."""
-        m = ctx.pminor
-        f = block_product(ctx, blocks, scale)
-        if f.degree() not in (5, 6):
-            raise Genus2Error(f"degree must be 5 or 6, got {f.degree()}")
-        forms = [m(c1, c1, (4 * c2[0], 4 * c2[1]), c0)
-                 for c0, c1, c2 in blocks]
-        for (c0, c1, c2), (e0, e1, e2) in combinations(blocks, 2):
-            r = m(c2, e0, e2, c0)
-            forms.append(m(r, r, m(c2, e1, e2, c1), m(c1, e0, e1, c0)))
-        if (0, 0) in forms:
-            raise Genus2Error("defining polynomial must be squarefree")
-        return cls._checked(f)
+        """y^2 = scale * g1*g2*g3 on int pairs (squarefree_product)."""
+        return cls._checked(ctx, squarefree_product(ctx, blocks, scale))
 
     @classmethod
-    def _checked(cls, f: Poly) -> "Genus2Curve":
-        """The curve of f, shown squarefree of degree 5 or 6."""
+    def _checked(cls, ctx, pairs) -> "Genus2Curve":
+        """The curve of the (a, b) pairs, shown squarefree, degree 5/6."""
         curve = object.__new__(cls)
-        object.__setattr__(curve, "f", f)
+        object.__setattr__(curve, "f", Poly.from_pairs(ctx, pairs))
         return curve
 
     def conjugate(self) -> "Genus2Curve":
         """The Frobenius image a + b*i -> a - b*i, coefficientwise: it is
         squarefree as self is, the Frobenius being a field automorphism."""
-        p = self.ctx.p
-        return self._checked(Poly.from_pairs(
-            self.ctx, [(c.a, -c.b % p) for c in self.f.coeffs]))
+        K, p = self.ctx, self.ctx.p
+        return self._checked(K, [(c.a, -c.b % p) for c in self.f.coeffs])
 
     @property
     def ctx(self) -> FieldCtx:
@@ -160,13 +143,13 @@ class Genus2Curve:
         return f"Genus2Curve({self.f})"
 
 
-def block_product(ctx: FieldCtx, blocks, scale) -> Poly:
-    """scale * g1*g2*g3, blocks (c0, c1, c2) low first, packed as in
-    poly.powmod_pairs: a block's real parts in one int, c_k at bits [kw,
-    kw + w), its imaginary parts in another; four int products a block,
-    one unpacking.  Reduced nonnegative inputs and nr > 0 put at most
-    the real x^3 slot of the all-(p - 1)(1 + i) product, 7(1 + 6nr +
-    nr^2)(p - 1)^4, in a slot: below 2^(w - 1), w its bit_length + 1."""
+def block_product(ctx: FieldCtx, blocks, scale) -> list:
+    """scale * g1*g2*g3 as seven (a, b) pairs, blocks (c0, c1, c2) low
+    first, packed as in poly.powmod_pairs: a block's real parts in one
+    int, c_k at bits [kw, kw + w), its imaginary parts in another; four
+    int products a block, one unpacking.  Reduced nonnegative inputs and
+    nr > 0 put at most the real x^3 slot of the all-(p - 1)(1 + i) one,
+    7(1 + 6nr + nr^2)(p - 1)^4, below 2^(w - 1), w its bit_length + 1."""
     p, nr = ctx.p, ctx.nonresidue
     w = (7 * (1 + 6 * nr + nr * nr) * (p - 1) ** 4).bit_length() + 1
     re, im = scale
@@ -174,8 +157,26 @@ def block_product(ctx: FieldCtx, blocks, scale) -> Poly:
         c, d = a0 | (a1 | a2 << w) << w, b0 | (b1 | b2 << w) << w
         re, im = re * c + nr * im * d, re * d + im * c
     mask = (1 << w) - 1
-    return Poly.from_pairs(ctx, [((re >> s & mask) % p, (im >> s & mask) % p)
-                                 for s in range(0, 7 * w, w)])
+    return [((re >> s & mask) % p, (im >> s & mask) % p)
+            for s in range(0, 7 * w, w)]
+
+
+def squarefree_product(ctx: FieldCtx, blocks, scale) -> list:
+    """block_product, or Genus2Error unless of degree 5 or 6 and, in
+    closed form, squarefree: iff each block, as a binary quadratic form,
+    has a nonzero discriminant and each two a nonzero resultant (c2 e0 -
+    e2 c0)^2 - (c2 e1 - e2 c1)(c1 e0 - e1 c0), which also vanishes on
+    two linear blocks, as both vanish at infinity."""
+    m, f = ctx.pminor, block_product(ctx, blocks, scale)
+    if f[6] == f[5] == (0, 0):
+        raise Genus2Error("degree must be 5 or 6, got at most 4")
+    forms = [m(c1, c1, (4 * c2[0], 4 * c2[1]), c0) for c0, c1, c2 in blocks]
+    for (c0, c1, c2), (e0, e1, e2) in combinations(blocks, 2):
+        r = m(c2, e0, e2, c0)
+        forms.append(m(r, r, m(c2, e1, e2, c1), m(c1, e0, e1, c0)))
+    if (0, 0) in forms:
+        raise Genus2Error("defining polynomial must be squarefree")
+    return f
 
 
 def monic_block(ctx: FieldCtx, g) -> tuple:
@@ -349,8 +350,8 @@ def splitting_root_pairs(spl: QuadraticSplitting) -> list:
     roots = [_block_roots(g, spl.ctx) for g in spl.blocks]
     if None in roots:
         rational = 2 * (len(roots) - roots.count(None))
-        raise IrrationalPointsError(
-            block_product(spl.ctx, spl.blocks, spl.scale.key()),
+        raise IrrationalPointsError(Poly.from_pairs(spl.ctx, block_product(
+            spl.ctx, spl.blocks, spl.scale.key())),
             len(_INDEX_MATCHINGS[rational]))
     return roots
 
@@ -652,18 +653,13 @@ class ClebschPoint:
         return f"({self.A}:{self.B}:{self.C}:{self.D})"
 
 
-@lru_cache(maxsize=CLEBSCH_KEPT)
-def clebsch_invariants(curve: Genus2Curve) -> ClebschPoint:
-    """Clebsch invariants of the defining sextic (degree-5 inputs are
-    homogenized with a vanishing leading coefficient): nine packed
-    transvectants (_int_transvectant), 74 terms in all, as the four
-    self-transvectants fold each term into its mirror, with the
-    normalisers in the per-prime tables (_chain_tables), so a curve
-    takes no inverse.  Only A, B, C and D are unpacked, as FieldElements;
-    the FieldElement chain is the test oracle test_genus2.clebsch_oracle."""
-    ctx = curve.ctx
+def clebsch_pairs(ctx, f) -> tuple:
+    """Clebsch invariants (A, B, C, D) as (a, b) int pairs of the sextic
+    f, seven pairs low first: nine packed transvectants, 74 terms in all,
+    as the four self-transvectants fold each term into its mirror, with
+    the normalisers in the per-prime tables, so no inverse."""
     w = _chain_tables(ctx.p)[0]
-    f = [c.a | c.b << w for c in (curve.f[k] for k in range(7))]
+    f = [a | b << w for a, b in f]
     A = _int_transvectant(ctx, f, 6, f, 6, 6)
     i4 = _int_transvectant(ctx, f, 6, f, 6, 4)
     B = _int_transvectant(ctx, i4, 4, i4, 4, 4)
@@ -673,8 +669,16 @@ def clebsch_invariants(curve: Genus2Curve) -> ClebschPoint:
     y2 = _int_transvectant(ctx, i4, 4, y1, 2, 2)
     y3 = _int_transvectant(ctx, i4, 4, y2, 2, 2)
     D = _int_transvectant(ctx, y3, 2, y1, 2, 2)
-    return ClebschPoint(*(FieldElement(ctx, X[0] & (1 << w) - 1, X[0] >> w)
-                          for X in (A, B, C, D)))
+    return tuple((X[0] & (1 << w) - 1, X[0] >> w) for X in (A, B, C, D))
+
+
+@lru_cache(maxsize=CLEBSCH_KEPT)
+def clebsch_invariants(curve: Genus2Curve) -> ClebschPoint:
+    """clebsch_pairs of the defining sextic (a quintic's x^6 one zero),
+    as FieldElements; test_genus2.clebsch_oracle is its oracle."""
+    ctx = curve.ctx
+    return ClebschPoint(*(FieldElement(ctx, *x) for x in clebsch_pairs(
+        ctx, [curve.f[k].key() for k in range(7)])))
 
 
 def ra_type_from_clebsch(cp: ClebschPoint) -> str:
@@ -749,8 +753,13 @@ _KEY_CACHE = {}
 
 
 def canonical_key(cp: ClebschPoint):
-    """Weighted normal form of (A, B, C, D) under the action
-    (mu A, mu^2 B, mu^3 C, mu^5 D) of mu in GF(p^2)^*.
+    """The weighted normal form of cp: canonical_key_pairs of its pairs."""
+    return canonical_key_pairs(cp.A.ctx, [x.key() for x in cp.tuple()])
+
+
+def canonical_key_pairs(ctx, coords) -> tuple:
+    """Weighted normal form of coords = (A, B, C, D), (a, b) int pairs,
+    under the action (mu A, mu^2 B, mu^3 C, mu^5 D) of mu in GF(p^2)^*.
 
     Every even-weight rescaling by lambda in the algebraic closure acts
     through such a mu.  With two or more nonzero coordinates exactly one
@@ -758,29 +767,25 @@ def canonical_key(cp: ClebschPoint):
     else D' = B'^2; else D' = C'^2.  Its image is therefore a complete
     invariant of the class.  Tuples with a single nonzero coordinate
     normalize to unit tuples.  mu = num/den takes one FieldElement
-    inverse; the rest runs on (a, b) int pairs.
+    inverse (perfbench's lookup reaches the field layer through it).
     """
-    mul = cp.A.ctx.pmul
-    coords = cp.tuple()
-    nonzero = [k for k, c in enumerate(coords) if not c.is_zero()]
+    mul, zero = ctx.pmul, (0, 0)
+    nonzero = [k for k, c in enumerate(coords) if c != zero]
     if not nonzero:
         raise Genus2Error("all Clebsch invariants vanish")
     if len(nonzero) == 1:
-        unit = [(0, 0)] * 4
-        unit[nonzero[0]] = (1, 0)
-        return tuple(unit)
+        return tuple((1, 0) if c != zero else zero for c in coords)
 
     A, B, C, D = coords
-    if not A.is_zero():
+    if A != zero:
         num, den = (1, 0), A
-    elif not B.is_zero() and not C.is_zero():
-        num, den = B.key(), C
-    elif not B.is_zero():  # C = 0, D != 0 (two nonzero coords)
-        num, den = mul(B.key(), B.key()), D
+    elif B != zero and C != zero:
+        num, den = B, C
+    elif B != zero:  # C = 0, D != 0 (two nonzero coords)
+        num, den = mul(B, B), D
     else:  # A = B = 0, C and D nonzero
-        num, den = D.key(), C * C
-    mu = mul(num, den.inverse().key())
+        num, den = D, mul(C, C)
+    mu = mul(num, FieldElement(ctx, *den).inverse().key())
     mu2 = mul(mu, mu)
     mu3 = mul(mu2, mu)
-    return (mul(mu, A.key()), mul(mu2, B.key()), mul(mu3, C.key()),
-            mul(mul(mu3, mu2), D.key()))
+    return (mul(mu, A), mul(mu2, B), mul(mu3, C), mul(mul(mu3, mu2), D))

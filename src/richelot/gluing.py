@@ -20,6 +20,7 @@ from .field import FieldElement
 from .genus2 import Genus2Curve, Genus2Error, QuadraticSplitting, RAType, \
     RA_ORDER, block_product, monic_block, orbit_partition
 from .isogeny import JacobianCodomain
+from .poly import Poly
 
 
 class GluingError(ValueError):
@@ -151,12 +152,12 @@ def quotient_diagonal(S: ProductSurface, k: ProductKernel):
                mul(A, mul(ds[t], ds[t - 1]))) for t in range(3)]
     f = block_product(ctx, blocks, (ctx.p - 1, 0))
     try:
-        curve = Genus2Curve(f)
+        curve = Genus2Curve(Poly.from_pairs(ctx, f))
     except Genus2Error as exc:
         raise DegenerateGluingError(f"glued curve invalid: {exc}", k) \
             from exc
-    return JacobianCodomain(curve, QuadraticSplitting.make(
-        [monic_block(ctx, b) for b in blocks], f.leading()))
+    return JacobianCodomain(f, QuadraticSplitting.make(
+        [monic_block(ctx, b) for b in blocks], curve.f.leading()))
 
 
 def ra_type_product_vertex(j1: FieldElement, j2: FieldElement) -> str:

@@ -32,7 +32,8 @@ from .elliptic import EllipticCurveE2, j_invariant, find_supersingular_seed
 from .field import FieldCtx, FieldElement
 from .genus2 import (INF, ClebschPoint, Genus2Curve, JACOBIAN_ORDER_TO_TYPE,
                      RA_ORDER, QuadraticSplitting, canonical_key,
-                     clebsch_invariants, matching_action, moebius_frames,
+                     canonical_key_pairs, clebsch_invariants, clebsch_pairs,
+                     matching_action, moebius_frames,
                      moebius_orbits_on_splittings, moebius_stabilizing,
                      point_key, point_splittings, ra_type_from_clebsch,
                      splitting_root_pairs, weierstrass_points)
@@ -40,7 +41,8 @@ from .gluing import (ProductKernel, ProductSurface, kernel_index,
                      kernel_maps, kernel_orbits, product_kernels,
                      quotient_diagonal, quotient_product,
                      ra_order_product, ra_type_product_vertex)
-from .isogeny import delta, richelot_generic, split_degenerate
+from .isogeny import JacobianCodomain, delta, richelot_generic, \
+    split_degenerate
 
 
 class GraphError(ValueError):
@@ -57,6 +59,13 @@ class VertexKey(NamedTuple):
     @classmethod
     def jacobian(cls, curve: Genus2Curve) -> "VertexKey":
         return cls("jacobian", canonical_key(clebsch_invariants(curve)))
+
+    @classmethod
+    def of_codomain(cls, cod: JacobianCodomain) -> "VertexKey":
+        """cls.jacobian(cod.curve) off the sextic's pairs: no curve."""
+        ctx = cod.dual.ctx
+        return cls("jacobian", canonical_key_pairs(
+            ctx, clebsch_pairs(ctx, cod.sextic)))
 
     @classmethod
     def product(cls, j1, j2) -> "VertexKey":
@@ -96,8 +105,8 @@ class OrbitEdge:
 
     hint is (kind, codomain, dual): in a built graph, the target's
     representative and the dual kernel's label there.  As _expand makes
-    it, the quotient by the first kernel as computed and the dual on
-    it: a label, or a QuadraticSplitting on a curve a step computed.  An
+    it, the quotient by the first kernel as computed, a JacobianCodomain
+    from a Jacobian step, and the dual on it: a label or a splitting.  An
     edge derived from its Frobenius partner e has hint (e's kind, None,
     e), and build_graph reads its dual off e's label.
     kind ("jac", "glue", "split", "prod", "induced") names the step that
@@ -219,7 +228,10 @@ def neighbourhood(rep) -> list:
     if isinstance(rep, QuadraticSplitting):
         pts = sorted(sum(splitting_root_pairs(rep), ()), key=point_key)
         rep = rep.curve()
-    return _expand(_make_vertex(VertexKey.of(rep), rep, {}, pts))
+    edges = _expand(_make_vertex(VertexKey.of(rep), rep, {}, pts))
+    for e in (e for e in edges if isinstance(e.hint[1], JacobianCodomain)):
+        e.hint = e.hint[0], e.hint[1].curve, e.hint[2]  # the public hint
+    return edges
 
 
 def _expand(v: Vertex, vertices=None, incoming=()) -> list:
@@ -324,7 +336,7 @@ def _jacobian_step(spl):
     d = delta(spl)
     if not d.is_zero():
         cod = richelot_generic(spl, d)
-        return VertexKey.jacobian(cod.curve), ("jac", cod.curve, cod.dual)
+        return VertexKey.of_codomain(cod), ("jac", cod, cod.dual)
     S = ProductSurface(*split_degenerate(spl, d))
     # the i <-> i matching generates the dual kernel
     return VertexKey.of_surface(S), (
@@ -344,7 +356,7 @@ def _product_step(v: Vertex, k):
         # isomorphism-induced: the quotient is S again, and its
         # identification maps the kernel onto itself (self-dual)
         return v.key, ("induced", S, kernel_index(k))
-    return VertexKey.jacobian(res.curve), ("glue", res.curve, res.dual)
+    return VertexKey.of_codomain(res), ("glue", res, res.dual)
 
 
 def build_graph(ctx: FieldCtx, seed=None) -> Graph:
@@ -400,6 +412,8 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
                     dual = 0
                 if tgt is None:  # sigma(w), if built, keeps w's labels
                     w = g.vertices.get(e.target.conjugate(ctx.p))
+                    if w is None and isinstance(rep, JacobianCodomain):
+                        rep = rep.curve  # the one curve a codomain makes
                     tgt = g.vertices[e.target] = _make_vertex(
                         e.target, _conjugate(w.representative) if w else rep,
                         frames, pts, w)
@@ -511,12 +525,14 @@ def validate(g: Graph) -> ValidationReport:
                    "Jacobian vertex" if not cls_bad
                    else f"violations: {cls_bad[:3]}"))
 
-    conj = {key: key.conjugate(g.p) for key in g.vertices}
-    out = {key: sorted((e.weight, e.target) for e in v.edges)
-           for key, v in g.vertices.items()}
-    first = next((key.as_string() for key in g.vertices
-                  if out.get(conj[key]) != sorted(
-                      (w, conj.get(t, ())) for w, t in out[key])), None)
+    ids = {key: i for i, key in enumerate(g.vertices)}  # keys off g next
+    out = [sorted((e.weight, ids.setdefault(e.target, len(ids)))
+                  for e in v.edges) for v in g.vertices.values()]
+    n, p = len(out), g.p
+    conj = [ids.setdefault(key.conjugate(p), len(ids)) for key in g.vertices]
+    first = next((key.as_string() for key, c, o in zip(g.vertices, conj, out)
+                  if (out[c] if c < n else None) != sorted(
+                      (w, conj[t] if t < n else -1) for w, t in o)), None)
     checks.append(("Frobenius mirror", first is None, "sigma maps each "
                    "vertex's (weight, target)s onto its conjugate's"
                    if first is None else f"first violation at {first}"))

@@ -13,11 +13,13 @@ roots are read off the blocks' values at u and v.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .elliptic import EllipticCurveE2
 from .field import FieldElement
 from .genus2 import Genus2Curve, Genus2Error, IrrationalPointsError, \
-    QuadraticSplitting, block_product, monic_block
+    QuadraticSplitting, block_product, monic_block, squarefree_product
+from .poly import Poly
 
 
 class RichelotError(ValueError):
@@ -39,17 +41,22 @@ def delta(s: QuadraticSplitting) -> FieldElement:
 @dataclass(frozen=True)
 class JacobianCodomain:
     """A quotient that is a Jacobian, from Richelot's formulas or the
-    HLP gluing: the new curve and the splitting of the dual kernel."""
+    HLP gluing: its curve's checked sextic, seven (a, b) pairs low first,
+    and the dual kernel's splitting; curve is made on its first read."""
 
-    curve: Genus2Curve
+    sextic: list
     dual: QuadraticSplitting
+
+    @cached_property
+    def curve(self) -> Genus2Curve:
+        return Genus2Curve._checked(self.dual.ctx, self.sextic)
 
 
 def richelot_generic(s: QuadraticSplitting, d=None) -> JacobianCodomain:
     """Richelot's algorithm: G_i = (F_j' F_k - F_k' F_j)/delta, on (a, b)
     int pairs, where delta G_i is the 2x2 minors (b_j c_k - b_k c_j)
     + 2(a_j c_k - a_k c_j) x + (a_j b_k - a_k b_j) x^2 of the blocks.
-    Genus2Curve.of_blocks checks y^2 = G_0 G_1 G_2 in closed form; the
+    squarefree_product checks y^2 = G_0 G_1 G_2 in closed form; the
     dual splitting is the G_i made monic.  d is delta(s), if known."""
     d = delta(s) if d is None else d
     if d.is_zero():
@@ -60,11 +67,12 @@ def richelot_generic(s: QuadraticSplitting, d=None) -> JacobianCodomain:
           m(aj, bk, ak, bj)) for (cj, bj, aj), (ck, bk, ak)
          in zip(F[1:] + F[:1], F[2:] + F[:2])]
     try:
-        curve = Genus2Curve.of_blocks(ctx, G, mul(dinv, mul(dinv, dinv)))
+        f = squarefree_product(ctx, G, mul(dinv, mul(dinv, dinv)))
     except Genus2Error as exc:
         raise RichelotError(f"degenerate Richelot codomain: {exc}") from exc
-    return JacobianCodomain(curve, QuadraticSplitting.make(
-        [monic_block(ctx, g) for g in G], curve.f.leading()))
+    return JacobianCodomain(f, QuadraticSplitting.make(
+        [monic_block(ctx, g) for g in G],
+        FieldElement(ctx, *(f[6] if f[6] != (0, 0) else f[5]))))
 
 
 def split_degenerate(s: QuadraticSplitting, d=None) -> tuple:
@@ -105,8 +113,8 @@ def split_degenerate(s: QuadraticSplitting, d=None) -> tuple:
         raise RichelotError("repeated fixed point; blocks share a root")
     root = K.psqrt(disc)
     if root is None:
-        raise IrrationalPointsError(
-            block_product(K, s.blocks, s.scale.key()))
+        raise IrrationalPointsError(Poly.from_pairs(
+            K, block_product(K, s.blocks, s.scale.key())))
     # u and v as (x, z), the point x/z: z = g2 for both, or, when g2 = 0
     # (the minor g0 + 2h x has one root), u = -g0/2h and v = (2h : 0)
     h2 = (2 * h[0], 2 * h[1])

@@ -366,13 +366,22 @@ def recorded_dual_splitting(g, e):
                         w.representative.f.leading())
 
 
+def codomain_of(hint):
+    """The codomain in a hint as _expand makes it: a JacobianCodomain's
+    curve, made on its first read (so the curve of a codomain that built
+    its target is that target's representative), else the codomain."""
+    cod = hint[1]
+    return cod.curve if isinstance(cod, JacobianCodomain) else cod
+
+
 def stepped_hint(g, e):
-    """The hint of one step on e's first kernel (kernel_rep), as _expand
-    makes it: the quotient as computed and the dual on it.  No recorded
-    hint is read."""
+    """The hint of one step on e's first kernel (kernel_rep), as
+    neighbourhood returns it: the quotient as computed (codomain_of)
+    and the dual on it.  No recorded hint is read."""
     src, k = g.vertex(e.source), kernel_rep(g, e)
-    return (graph._jacobian_step(k) if src.points
+    hint = (graph._jacobian_step(k) if src.points
             else graph._product_step(src, k))[1]
+    return hint[0], codomain_of(hint), hint[2]
 
 
 def reaching_edges(g):
@@ -533,11 +542,12 @@ def richelot_poly_oracle(s):
          for j, k in ((1, 2), (2, 0), (0, 1))]
     fprime = G[0] * G[1] * G[2]
     try:
-        curve = Genus2Curve(fprime)
+        Genus2Curve(fprime)  # the gcd squarefree test
     except genus2.Genus2Error as exc:
         raise RichelotError(f"degenerate Richelot codomain: {exc}") from exc
-    return JacobianCodomain(curve, splitting_of(
-        [poly_monic_oracle(g) for g in G], fprime.leading()))
+    return JacobianCodomain([fprime[k].key() for k in range(7)],
+                            splitting_of([poly_monic_oracle(g) for g in G],
+                                         fprime.leading()))
 
 
 def transform_curve_oracle(curve, a, b, c, d):
@@ -1000,11 +1010,11 @@ def quotient_diagonal_oracle(S, k):
     f = poly_mul_oracle(poly_mul_oracle(poly_mul_oracle(
         polys[0], polys[1]), polys[2]), -ctx.one)
     try:
-        curve = Genus2Curve(f)
+        Genus2Curve(f)  # the gcd squarefree test
     except Genus2Error as exc:
         raise DegenerateGluingError(f"glued curve invalid: {exc}", k) \
             from exc
-    return JacobianCodomain(curve, splitting_of(
+    return JacobianCodomain([f[k].key() for k in range(7)], splitting_of(
         [poly_monic_oracle(g) for g in polys], f.leading()))
 
 
@@ -1022,8 +1032,8 @@ def split_degenerate_oracle(s):
         raise RichelotError("repeated fixed point; blocks share a root")
     root = disc.sqrt()
     if root is None:
-        raise IrrationalPointsError(
-            genus2.block_product(K, s.blocks, s.scale.key()))
+        raise IrrationalPointsError(Poly.from_pairs(
+            K, genus2.block_product(K, s.blocks, s.scale.key())))
     if g2.is_zero():
         u = -(g0 / (2 * h))
         Fv = [t[2] for t in trip]

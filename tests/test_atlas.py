@@ -10,8 +10,10 @@ from richelot.atlas import (ALL_CASES, AtlasError,
                             type_ii_kernels, verify_case,
                             verify_permutation_fixtures)
 from richelot.field import make_field
-from richelot.genus2 import (Genus2Curve, RAType, clebsch_invariants,
-                             matching_splitting, orbit_partition, splittings)
+from richelot.genus2 import (Genus2Curve, IrrationalPointsError, RAType,
+                             clebsch_invariants, matching_splitting,
+                             orbit_partition, splitting_root_pairs,
+                             splittings)
 from richelot.graph import VertexKey, neighbourhood
 from richelot.poly import Poly
 
@@ -181,14 +183,15 @@ def test_atlas_factors_no_normal_form(monkeypatch, ctx23):
 
 def test_atlas_sweep_keeps_its_clebsch_hits_and_gcd_tests(monkeypatch):
     # every case at p = 101 and 109, as the atlas benchmark sweeps them:
-    # the bounded clebsch_invariants memo hits 10 times on 112 curves,
+    # the bounded clebsch_invariants memo hits 10 times on 14 curves,
     # five a prime: the keys of the Type I, III and IV normal forms,
     # whose sampling classified them, and the Type V and VI cross-checks.
-    # Each edge's target type is read off its key (ra_type_of), with no
-    # Clebsch point: 114 hits before.  The gcd squarefree test runs on
-    # the 36 glued curves and on the bare sextic x^6 + 1, once a prime,
-    # but not on the two-parameter normal forms, checked in closed form
-    # (of_blocks; 48 gcd tests before)
+    # Step codomains are keyed off their sextics' int pairs, with no
+    # curve (112 curves before), and each edge's target type is read
+    # off its key (ra_type_of), with no Clebsch point: 114 hits before.
+    # The gcd squarefree test runs on the 36 glued curves and on the bare
+    # sextic x^6 + 1, once a prime, but not on the two-parameter normal
+    # forms, checked in closed form (of_blocks; 48 gcd tests before)
     memo = clebsch_invariants
     memo.cache_clear()
     gcds = count_calls(monkeypatch, "is_squarefree")
@@ -196,7 +199,7 @@ def test_atlas_sweep_keeps_its_clebsch_hits_and_gcd_tests(monkeypatch):
         for case in ALL_CASES:
             rep = verify_case(case, make_field(p))
             assert rep.ok, rep.summary()
-    assert memo.cache_info()[:2] == (10, 112)
+    assert memo.cache_info()[:2] == (10, 14)
     assert len(gcds) == 36 + 2
 
 
@@ -213,6 +216,28 @@ def test_curve_two_param_is_checked_in_closed_form(monkeypatch):
     for bad in ((s, s), (s, -s), (one, t), (ctx.zero, t)):
         with pytest.raises(AtlasError, match="^parameters violate"):
             curve_two_param(ctx, *bad)
+
+
+def test_type_i_neighbourhood_steps_take_no_square_root(monkeypatch):
+    # the atlas Type I normal form at p = 101: its neighbourhood returns
+    # the edges of all 15 kernels, though some Richelot codomains have
+    # Weierstrass points outside GF(p^2).  A step keys its codomain off
+    # the sextic's pairs and finds no root: only the query's own three
+    # blocks are solved, to read its points off them
+    ctx = make_field(101)
+    spl = normal_form_splitting(ctx, normal_form("I", ctx)[1])
+    roots = count_calls(monkeypatch, "_block_roots")
+    edges = neighbourhood(spl)
+    assert len(roots) == 3
+    assert sum(e.weight for e in edges) == 15
+    irrational = 0
+    for e in edges:
+        if e.hint[0] == "jac":
+            try:
+                splitting_root_pairs(e.hint[2])
+            except IrrationalPointsError:
+                irrational += 1
+    assert irrational > 0
 
 
 def test_normal_form_splitting_is_the_normal_form():

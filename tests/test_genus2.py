@@ -7,7 +7,7 @@ from math import comb, factorial, perm
 
 import pytest
 
-from richelot import genus2
+from richelot import genus2, graph
 from richelot.field import ROOTS_KEPT, FieldElement, legendre, make_field
 from richelot.genus2 import (INF, MATCHINGS, ClebschPoint, Genus2Curve,
                              Genus2Error, IrrationalPointsError,
@@ -23,7 +23,8 @@ from richelot.genus2 import (INF, MATCHINGS, ClebschPoint, Genus2Curve,
                              splitting_pairing, splitting_root_pairs,
                              splittings,
                              transform_curve, weierstrass_points, RAType)
-from richelot.graph import build_graph
+from richelot.graph import VertexKey, build_graph
+from richelot.isogeny import JacobianCodomain, RichelotError, richelot_generic
 from richelot.poly import (Poly, factor_quadratic_pieces, is_squarefree,
                            roots as poly_roots)
 
@@ -305,6 +306,69 @@ def test_packed_clebsch_chain_matches_oracles(p, rng):
         assert clebsch_invariants.__wrapped__(C) == clebsch_oracle(C), C
 
 
+def step_key_oracle(curve):
+    """The vertex key data of a curve by the FieldElement oracles of the
+    Clebsch chain and the weighted normal form."""
+    return canonical_key_oracle(clebsch_oracle(curve))
+
+
+@pytest.mark.parametrize("p", [23, 41])
+def test_step_keys_match_curve_keys_on_graph(monkeypatch, p):
+    # every delta != 0 kernel a build steps: the key read off the
+    # codomain's sextic pairs, with no curve made (VertexKey.of_codomain),
+    # is the key of the codomain's curve, by clebsch_invariants and by
+    # the FieldElement oracles
+    stepped, real = [], graph._jacobian_step
+    monkeypatch.setattr(graph, "_jacobian_step", lambda spl: stepped.append(
+        (spl, real(spl))) or stepped[-1][1])
+    build_graph(make_field(p))
+    steps = [(spl, key, hint) for spl, (key, hint) in stepped
+             if hint[0] == "jac"]
+    assert steps
+    for spl, key, (_, cod, dual) in steps:
+        assert isinstance(cod, JacobianCodomain) and dual is cod.dual
+        assert key == VertexKey.jacobian(richelot_generic(spl).curve)
+        assert key.data == step_key_oracle(cod.curve), spl
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 2**127 - 1])
+def test_step_keys_match_curve_keys_random(p, rng):
+    # random splittings, a degree-5 codomain among them (two blocks
+    # with one x coefficient make a linear G block), and sextics of the
+    # worst-case coefficient (p - 1)(1 + i), of degree 6 and 5, straight
+    # into the pair cores of clebsch_invariants and canonical_key
+    ctx = make_field(p)
+    worst = (p - 1, p - 1)
+    quintics = 0
+    for trial in range(24):
+        blocks = [(random_element(ctx, rng).key(),
+                   random_element(ctx, rng).key(), (1, 0))
+                  for _ in range(3)]
+        if trial % 3 == 0:
+            blocks[1] = (blocks[1][0], blocks[0][1], (1, 0))
+        spl = QuadraticSplitting.make(blocks, random_element(ctx, rng))
+        cod = richelot_generic(spl)
+        quintics += cod.sextic[6] == (0, 0)
+        key = VertexKey.of_codomain(cod)
+        assert key == VertexKey.jacobian(cod.curve)
+        assert key.data == step_key_oracle(cod.curve)
+    assert quintics == 8
+    for f in ([worst] * 7, [worst] * 6 + [(0, 0)]):
+        curve = Genus2Curve(Poly.from_pairs(ctx, f))
+        assert genus2.canonical_key_pairs(ctx, genus2.clebsch_pairs(ctx, f)) \
+            == step_key_oracle(curve) == VertexKey.jacobian(curve).data
+
+
+def test_step_onto_a_degenerate_codomain_raises(ctx23):
+    # blocks sharing the root 1: the closed-form check of the codomain's
+    # sextic pairs still refuses it, before any key is read
+    blocks = [Poly.from_roots(ctx23, list(map(ctx23.from_int, pair)))
+              for pair in ((1, 2), (1, 3), (4, 5))]
+    spl = splitting_of(blocks, ctx23.one)
+    with pytest.raises(RichelotError, match="degenerate Richelot codomain"):
+        graph._jacobian_step(spl)
+
+
 @pytest.mark.parametrize("p", PACKED_PRIMES)
 def test_block_product_matches_mul_pairs_oracle(p, rng):
     # three blocks, one of them linear for a quintic, random or the
@@ -319,8 +383,8 @@ def test_block_product_matches_mul_pairs_oracle(p, rng):
         if trial % 2:
             blocks[0] = blocks[0][:2] + ((0, 0),)
         scale = worst if trial < 4 else random_element(ctx, rng).key()
-        assert genus2.block_product(ctx, blocks, scale) \
-            == block_product_oracle(ctx, blocks, scale)
+        assert Poly.from_pairs(ctx, genus2.block_product(
+            ctx, blocks, scale)) == block_product_oracle(ctx, blocks, scale)
 
 
 @pytest.mark.parametrize("p", PACKED_PRIMES)

@@ -30,8 +30,8 @@ from richelot.graph import (GraphError, OrbitEdge, build_graph, dual_edge,
 from richelot.isogeny import JacobianCodomain
 from richelot.poly import Poly
 
-from conftest import (clear_genus2_caches, count_calls, dual_label,
-                      isomorphisms_oracle, jacobian_orbits_oracle,
+from conftest import (clear_genus2_caches, codomain_of, count_calls,
+                      dual_label, isomorphisms_oracle, jacobian_orbits_oracle,
                       kernel_map_oracle, kernel_rep, label_pairing,
                       matching_pairing, mirror_pairs, moebius_search_oracle,
                       move_frames, own_frames, patch_moves,
@@ -574,13 +574,44 @@ def test_each_vertex_factored_once_and_validate_never(monkeypatch):
         == dict.fromkeys(names, 0)
 
 
+def test_build_makes_curves_only_for_representatives(monkeypatch):
+    # a p = 41 build makes one Genus2Curve per Jacobian representative:
+    # each of the 31 built from a step reads its codomain's curve, made
+    # off the checked sextic pairs, and each of the 9 mirrors conjugates
+    # its partner's; and one per glued curve, 11, for its gcd squarefree
+    # test.  Every other codomain is keyed with no curve (each of the
+    # 133 Richelot codomains made its curve before), and validate makes
+    # none
+    made, checked = [], Genus2Curve._checked
+    post_init = Genus2Curve.__post_init__
+    monkeypatch.setattr(Genus2Curve, "_checked", classmethod(
+        lambda cls, ctx, pairs: made.append("closed form")
+        or checked(ctx, pairs)))
+    monkeypatch.setattr(Genus2Curve, "__post_init__", lambda self:
+                        made.append("gcd") or post_init(self))
+    g = build_graph(make_field(41))
+    jacobians = [v for v in g.vertices.values() if v.key.kind == "jacobian"]
+    mirrors = mirror_pairs(g)
+    built = [e for e in reaching_edges(g) if e.target.kind == "jacobian"
+             and e.hint[0] in ("jac", "glue")
+             and g.vertex(e.target).partner is None]
+    assert (len(jacobians), len(mirrors), len(built)) == (40, 9, 31)
+    assert (made.count("closed form"), made.count("gcd")) == (40, 11)
+    assert validate(g).ok
+    assert len(made) == 51
+
+
 def test_clebsch_memo_keeps_its_hits_within_its_bound(monkeypatch):
     # the clebsch_invariants memo keeps genus2.CLEBSCH_KEPT curves and
     # is never hit: a vertex reads its RA type off its key (ra_type_of),
     # so neither a p = 41 build + validate nor 150 lookups of random
-    # models of its vertices ask twice for one curve's Clebsch point,
-    # while 1,323 curves pass through it (31 and 119 hits before, one
-    # per Jacobian made from a curve whose key was just read).
+    # models of its vertices ask twice for one curve's Clebsch point.
+    # Step codomains are keyed off their sextics' int pairs
+    # (VertexKey.of_codomain), with no curve, so only the 119 queried
+    # Jacobians pass through it, and it never fills (1,323 curves and a
+    # full memo before, 144 of them the build's; 31 and 119 hits before
+    # that, one per Jacobian made from a curve whose key was just read;
+    # test_curve_memos_stay_within_their_bounds fills it).
     # weierstrass_points is never hit.  The build runs the gcd
     # squarefree test only on its 11 glued curves
     memo, points = genus2.clebsch_invariants, genus2.weierstrass_points
@@ -590,7 +621,7 @@ def test_clebsch_memo_keeps_its_hits_within_its_bound(monkeypatch):
     ctx, rng = make_field(41), random.Random(41)
     g = build_graph(ctx)
     assert validate(g).ok
-    assert (len(gcds), memo.cache_info()[:2]) == (11, (0, 144))
+    assert (len(gcds), memo.cache_info()[:2]) == (11, (0, 0))
     vertices, jacobians = list(g.vertices.values()), 0
     for _ in range(150):
         v = rng.choice(vertices)
@@ -607,8 +638,8 @@ def test_clebsch_memo_keeps_its_hits_within_its_bound(monkeypatch):
         assert sorted((e.weight, e.target) for e in neighbourhood(rep)) \
             == sorted((e.weight, e.target) for e in v.edges)
     info = memo.cache_info()
-    assert (jacobians, info.hits, info.misses) == (119, 0, 1323)
-    assert info.currsize == info.maxsize == genus2.CLEBSCH_KEPT
+    assert (jacobians, info.hits, info.misses) == (119, 0, 119)
+    assert info.currsize == 119 < info.maxsize == genus2.CLEBSCH_KEPT
     assert points.cache_info().hits == 0
 
 
@@ -691,7 +722,8 @@ def other_model_edges(g, raw):
     model than their target's representative: those whose dual
     build_graph moves by an isomorphism."""
     return [e for e in g.edges if not isinstance(raw[id(e)][2], OrbitEdge)
-            and raw[id(e)][1] is not g.vertex(e.target).representative]
+            and codomain_of(raw[id(e)])
+            is not g.vertex(e.target).representative]
 
 
 def test_each_jacobian_vertex_reads_its_ra_maps_once(monkeypatch):
@@ -949,7 +981,7 @@ def test_validate_finds_roots_only_of_duals_on_another_model(monkeypatch):
     other = [e for e in other_model_edges(g, raw)
              if e.target.kind == "jacobian"]
     built = [e for e in reaching_edges(g) if e.target.kind == "jacobian"
-             and raw[id(e)][1] is g.vertex(e.target).representative]
+             and codomain_of(raw[id(e)]) is g.vertex(e.target).representative]
     assert len(roots) == 3 * (len(other) + len(built)) == 3 * (113 + 31)
     del roots[:]
     assert validate(g).ok
@@ -1114,7 +1146,7 @@ def test_a_vertex_built_from_a_step_holds_its_dual_as_kernel_0(
     g = build_graph(make_field(p))
     built = [e for e in reaching_edges(g)
              if isinstance(raw[id(e)][2], genus2.QuadraticSplitting)
-             and raw[id(e)][1] is g.vertex(e.target).representative]
+             and codomain_of(raw[id(e)]) is g.vertex(e.target).representative]
     assert len(built) == n
     for e in built:
         v, (kind, _, dual) = g.vertex(e.target), raw[id(e)]
@@ -1449,16 +1481,22 @@ def test_build_graph_stops_past_census_count(monkeypatch):
     # conjugate of another (b = 1, never 22): an edge derived from its
     # Frobenius partner lands on the mirror of the partner's target.
     # The fake keys are no Clebsch tuples, so RA types are read through
-    # the real key each one stands for
-    fresh, real = iter(range(10 ** 6)), VertexKey.jacobian
+    # the real key each one stands for.  Curves and step codomains
+    # (VertexKey.of_codomain) are faked alike
+    fresh = iter(range(10 ** 6))
     real_type, real_key = graph.ra_type_of, {}
 
-    def fake(cls, curve):
-        key = real(curve)
-        out = cls("jacobian", ((next(fresh), int(key.conjugate(23) != key)),))
-        real_key[out] = key
-        return out
-    monkeypatch.setattr(VertexKey, "jacobian", classmethod(fake))
+    def faking(real):
+        def fake(cls, curve):
+            key = real(curve)
+            out = cls("jacobian",
+                      ((next(fresh), int(key.conjugate(23) != key)),))
+            real_key[out] = key
+            return out
+        return classmethod(fake)
+    for name in ("jacobian", "of_codomain"):
+        monkeypatch.setattr(VertexKey, name,
+                            faking(getattr(VertexKey, name)))
     monkeypatch.setattr(graph, "ra_type_of", lambda key, ctx: real_type(
         real_key.get(key, key), ctx))
     with pytest.raises(GraphError, match=r"^\d+ vertices found at p = 23, "
@@ -1477,9 +1515,11 @@ def test_build_names_an_edge_onto_a_non_isomorphic_model(monkeypatch):
     assert {first, other} <= set(g.vertices)
     assert list(g.vertices).index(first) < list(g.vertices).index(other)
     e = next(e for e in g.edges if e.target == other)
-    real = VertexKey.jacobian
-    monkeypatch.setattr(VertexKey, "jacobian", classmethod(
-        lambda cls, curve: first if real(curve) == other else real(curve)))
+    for name in ("jacobian", "of_codomain"):  # curves and step codomains
+        real = getattr(VertexKey, name)
+        monkeypatch.setattr(VertexKey, name, classmethod(
+            lambda cls, x, real=real: first if real(x) == other
+            else real(x)))
     with pytest.raises(GraphError) as exc:
         build_graph(make_field(23))
     at = first.as_string()
