@@ -11,8 +11,7 @@ from .poly import Poly
 from .elliptic import EllipticCurveE2, j_invariant, two_isogeny
 from .genus2 import (Genus2Curve, QuadraticSplitting, ClebschPoint,
                      clebsch_invariants, splittings, reduced_automorphisms,
-                     ra_type_from_clebsch, ra_type_from_automorphisms,
-                     canonical_key, RAType)
+                     ra_type_from_clebsch, canonical_key, RAType)
 from .isogeny import delta, richelot_generic, split_degenerate
 from .gluing import (ProductSurface, ProductKernel, product_kernels,
                      quotient_product, quotient_diagonal,
@@ -28,8 +27,7 @@ __all__ = [
     "EllipticCurveE2", "j_invariant", "two_isogeny",
     "Genus2Curve", "QuadraticSplitting", "ClebschPoint",
     "clebsch_invariants", "splittings", "reduced_automorphisms",
-    "ra_type_from_clebsch", "ra_type_from_automorphisms",
-    "canonical_key", "RAType",
+    "ra_type_from_clebsch", "canonical_key", "RAType",
     "delta", "richelot_generic", "split_degenerate",
     "ProductSurface", "ProductKernel", "product_kernels",
     "quotient_product", "quotient_diagonal",

@@ -64,8 +64,9 @@ def curve_two_param(ctx: FieldCtx, s, t) -> Genus2Curve:
 
 
 def _root_pairs(ctx, s, t):
+    """K_1..K_15 as matchings of the Weierstrass points, (a, b) pairs."""
     one = ctx.one
-    return [
+    return [[(x.key(), y.key()) for x, y in m] for m in [
         [(one, -one), (s, -s), (t, -t)],            # K1
         [(one, -one), (-s, -t), (s, t)],            # K2
         [(one, -one), (-s, t), (s, -t)],            # K3
@@ -81,7 +82,7 @@ def _root_pairs(ctx, s, t):
         [(one, s), (t, -one), (-s, -t)],            # K13
         [(-one, -s), (one, t), (s, -t)],            # K14
         [(one, s), (-one, -t), (t, -s)],            # K15
-    ]
+    ]]
 
 
 def normal_form_splitting(ctx: FieldCtx, st) -> QuadraticSplitting:
@@ -401,11 +402,12 @@ TYPE_II_TABLE = {
 
 def type_ii_kernels(ctx: FieldCtx) -> list:
     """Orbit representatives K_1, K_2, K_3 of x^5 - 1, as matchings of
-    its Weierstrass points."""
+    its Weierstrass points, (a, b) pairs and INF."""
     z5 = ctx.nth_root_of_unity(5)
     if z5 is None:
         raise AtlasError(f"x^5 - 1 has irrational kernels at p = {ctx.p}")
-    return [[(ctx.one, INF), (z5 ** a, z5 ** b), (z5 ** c, z5 ** d)]
+    z = [(z5 ** k).key() for k in range(5)]
+    return [[(z[0], INF), (z[a], z[b]), (z[c], z[d])]
             for (a, b), (c, d) in (((1, 2), (3, 4)), ((1, 3), (2, 4)),
                                    ((1, 4), (2, 3)))]
 

@@ -9,6 +9,7 @@ GF(p^2).  This module provides
   transvectants of the binary sextic as integer term tables on (a, b)
   int pairs, one reduction mod p per output coefficient, and Bolza's
   classification on them,
+* Weierstrass points as (a, b) int pairs, or INF, which sorts first,
 * the reduced automorphism group and Moebius maps between six-point
   sets in one form, index maps between frames of equal signature: each
   ordered triple of Weierstrass points, sent to (0, 1, inf), followed
@@ -223,16 +224,18 @@ def _matchings(items):
             yield [pair] + sub
 
 
-INF = "inf"  # the point at infinity on the x-line
+# The point at infinity on the x-line, beside the finite points, which
+# are (a, b) int pairs: it sorts before each of them, and is falsy.
+INF = ()
 
 
 def _pair_block(ctx, r, s) -> tuple:
     """x^2 - (r + s)x + rs on (a, b) int pairs, x - r when s is INF."""
-    if r is INF or s is INF:
-        t = s if r is INF else r
-        return (-t.a % ctx.p, -t.b % ctx.p), (1, 0), (0, 0)
-    return (ctx.pmul((r.a, r.b), (s.a, s.b)),
-            ((-r.a - s.a) % ctx.p, (-r.b - s.b) % ctx.p), (1, 0))
+    p = ctx.p
+    if not (r and s):
+        a, b = r or s
+        return (-a % p, -b % p), (1, 0), (0, 0)
+    return ctx.pmul(r, s), ((-r[0] - s[0]) % p, (-r[1] - s[1]) % p), (1, 0)
 
 
 def matching_splitting(ctx, forced, matching, scale) -> QuadraticSplitting:
@@ -275,15 +278,14 @@ def matching_action(perm: tuple) -> tuple:
 
 def pairing_index(pairs) -> int:
     """The kernel label of three pairs of six distinct points: their
-    matching's MATCHINGS index over the points sorted by point_key."""
-    keys = sorted(point_key(x) for pair in pairs for x in pair)
-    return matching_index([keys.index(point_key(x)) for x in pair]
-                          for pair in pairs)
+    matching's MATCHINGS index over the points, sorted."""
+    pts = sorted(x for pair in pairs for x in pair)
+    return matching_index([pts.index(x) for x in pair] for pair in pairs)
 
 
 def point_splittings(ctx, forced, free, scale) -> list:
     """(splitting, index) for each perfect matching of the free points
-    (GF(p^2) elements and INF) around the forced irreducible blocks, one
+    ((a, b) pairs and INF) around the forced irreducible blocks, one
     block made per pair, sorted by blocks.  The index is the matching's
     in _matchings order: with six free points, the kernel label."""
     block = {(i, j): _pair_block(ctx, free[i], free[j])
@@ -301,9 +303,10 @@ def _forced_free(curve: Genus2Curve):
     (forced, free): its irreducible quadratic factors as monic blocks,
     and its rational roots (and infinity, for degree-5 models); shared
     by splittings and weierstrass_points."""
-    f = curve.f
+    f, p = curve.f, curve.ctx.p
     linears, quads = factor_quadratic_pieces(f)
-    free = [-g[0] for g in linears] + ([INF] if f.degree() == 5 else [])
+    free = [(-g[0].a % p, -g[0].b % p) for g in linears]
+    free += [INF] * (f.degree() == 5)
     return [tuple((g[k].a, g[k].b) for k in range(3)) for g in quads], free
 
 
@@ -323,21 +326,13 @@ def splittings(curve: Genus2Curve) -> list:
 # Weierstrass points, and Moebius maps between them as index maps
 
 
-def point_key(pt):
-    """Sort key on points of the projective x-line; infinity first."""
-    if pt is INF:
-        return (0,)
-    return (1, ) + pt.key()
-
-
 def _block_roots(g, ctx):
     """The two points of a monic block (c0, c1, c2) of int pairs, INF
     partnering a linear block's root; None when the block is irreducible
     over GF(p^2).  Quadratic blocks run on quadratic_roots_pairs."""
     if g[2] == (0, 0):
-        return FieldElement(ctx, -g[0][0] % ctx.p, -g[0][1] % ctx.p), INF
-    r = quadratic_roots_pairs(ctx, g)
-    return None if r is None else tuple(FieldElement(ctx, *x) for x in r)
+        return (-g[0][0] % ctx.p, -g[0][1] % ctx.p), INF
+    return quadratic_roots_pairs(ctx, g)
 
 
 def splitting_root_pairs(spl: QuadraticSplitting) -> list:
@@ -359,14 +354,14 @@ def splitting_root_pairs(spl: QuadraticSplitting) -> list:
 @lru_cache(maxsize=WEIERSTRASS_KEPT)
 def weierstrass_points(curve: Genus2Curve) -> list:
     """The six Weierstrass points of the curve, sorted: the roots of f's
-    linear factors (and INF if f is a quintic), from one factoring.
+    linear factors (and INF, first, if f is a quintic), from one factoring.
     Raises IrrationalPointsError when f has an irreducible quadratic
     factor; superspecial vertices have none.  Graph vertices reached by
     an edge read theirs off its recorded dual splitting instead."""
     forced, free = _forced_free(curve)
     if forced:
         raise IrrationalPointsError(curve.f, len(_INDEX_MATCHINGS[len(free)]))
-    return sorted(free, key=point_key)
+    return sorted(free)
 
 
 _TRIPLES = tuple(permutations(range(6), 3))
@@ -394,11 +389,10 @@ def _q_table(ctx, pts, plan) -> list:
     as (a, b) int pairs, a factor holding INF read as 1: the differences
     in flat 6x6 lists, one ctx.pinv per finite pair."""
     p, nr, one = ctx.p, ctx.nonresidue, (1, 0)
-    xs = [x if x is INF else x.key() for x in pts]
     d, dinv, q = [one] * 36, [one] * 36, [None] * 216
     for a, k in combinations(range(6), 2):
-        if xs[a] is not INF and xs[k] is not INF:
-            (aa, ab), (ka, kb) = xs[a], xs[k]
+        if pts[a] and pts[k]:
+            (aa, ab), (ka, kb) = pts[a], pts[k]
             d[6 * a + k] = e = (aa - ka) % p, (ab - kb) % p
             d[6 * k + a] = -e[0] % p, -e[1] % p
             ea, eb = dinv[6 * a + k] = ctx.pinv(e)
@@ -466,8 +460,8 @@ def _base_images(ctx, pts) -> list:
     for i, j in ((1, 2), (1, 0), (3, 0), (3, 2), (4, 0), (4, 2), (5, 0),
                  (5, 2)):
         x, y = pts[i], pts[j]
-        ds.append((1, 0) if x is INF or y is INF
-                  else ((x.a - y.a) % p, (x.b - y.b) % p))
+        ds.append(((x[0] - y[0]) % p, (x[1] - y[1]) % p) if x and y
+                  else (1, 0))
     d12, d10, d30, d32, d40, d42, d50, d52 = ds
     d34 = mul(d32, d42)
     k = mul(d12, ctx.pinv(mul(mul(d34, d52), d10)))
@@ -503,10 +497,9 @@ def reduced_automorphisms(curve: Genus2Curve) -> list:
 
 
 def splitting_pairing(spl: QuadraticSplitting):
-    """The splitting as a partition of its Weierstrass point keys, one
+    """The splitting as a partition of its Weierstrass points, one
     square root per block (splitting_root_pairs)."""
-    return frozenset(frozenset(map(point_key, pair))
-                     for pair in splitting_root_pairs(spl))
+    return frozenset(map(frozenset, splitting_root_pairs(spl)))
 
 
 def orbit_partition(points, gens) -> list:
@@ -734,15 +727,6 @@ def ra_type_from_clebsch(cp: ClebschPoint) -> str:
         raise ClassificationError(
             f"R = 0 but no special row matched: {cp}")
     return RAType.A
-
-
-def ra_type_from_automorphisms(curve: Genus2Curve) -> str:
-    """RA-type from the order (1/2/4/5/6/12/24) of reduced_automorphisms."""
-    order = len(reduced_automorphisms(curve))
-    if order not in JACOBIAN_ORDER_TO_TYPE:
-        raise ClassificationError(
-            f"unexpected reduced automorphism group order {order}")
-    return JACOBIAN_ORDER_TO_TYPE[order]
 
 
 # ---------------------------------------------------------------------------

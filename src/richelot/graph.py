@@ -30,12 +30,12 @@ from typing import NamedTuple
 from .census import expected_counts
 from .elliptic import EllipticCurveE2, j_invariant, find_supersingular_seed
 from .field import FieldCtx, FieldElement
-from .genus2 import (INF, ClebschPoint, Genus2Curve, JACOBIAN_ORDER_TO_TYPE,
+from .genus2 import (ClebschPoint, Genus2Curve, JACOBIAN_ORDER_TO_TYPE,
                      RA_ORDER, QuadraticSplitting, canonical_key,
                      canonical_key_pairs, clebsch_invariants, clebsch_pairs,
                      matching_action, moebius_frames,
                      moebius_orbits_on_splittings, moebius_stabilizing,
-                     point_key, point_splittings, ra_type_from_clebsch,
+                     point_splittings, ra_type_from_clebsch,
                      splitting_root_pairs, weierstrass_points)
 from .gluing import (ProductKernel, ProductSurface, kernel_index,
                      kernel_maps, kernel_orbits, product_kernels,
@@ -134,18 +134,18 @@ class OrbitEdge:
 class Vertex:
     """A graph vertex; Jacobians also hold their Weierstrass points.
 
-    A Jacobian's points are its Weierstrass points: the roots of the
-    step dual that reached it, pair by pair, so that dual is kernel 0
-    (a seed's are sorted), and ra_maps its RA maps as index maps of the
-    points, read off their frame table (moebius_frames), which only the
-    build keeps, while moves may read it.  A mirror has its partner's RA
-    maps and, at a Jacobian, its points conjugated in their order:
-    moves onto it go through the partner.  sigma[l] is the label of the
-    Frobenius image of kernel l: the identity, but at a sigma-fixed
-    vertex.  edges are the orbit edges out of the vertex; kernel_to_edge
-    is the 15-tuple of their edges by kernel label (OrbitEdge.kernels),
-    for dual_edge to look duals up in.  build_graph fills in both when
-    it expands it.
+    A Jacobian's points are its Weierstrass points, (a, b) int pairs or
+    INF: the roots of the step dual that reached it, pair by pair, so
+    that dual is kernel 0 (a seed's are sorted), and ra_maps its RA maps
+    as index maps of the points, read off their frame table
+    (moebius_frames), which only the build keeps, while moves may read
+    it.  A mirror has its partner's RA maps and, at a Jacobian, its
+    points conjugated in their order: moves onto it go through the
+    partner.  sigma[l] is the label of the Frobenius image of kernel l:
+    the identity, but at a sigma-fixed vertex.  edges are the orbit
+    edges out of the vertex; kernel_to_edge is the 15-tuple of their
+    edges by kernel label (OrbitEdge.kernels), for dual_edge to look
+    duals up in.  build_graph fills in both when it expands it.
     """
 
     key: VertexKey
@@ -192,10 +192,11 @@ def _make_vertex(key: VertexKey, rep, frames, pts=None, partner=None):
     maps, and a Jacobian partner's points, conjugated in order.  If
     sigma fixes key, sigma is the _first_map of sigma(pts or rep) onto
     rep, or GraphError raised."""
+    p = rep.ctx.p
     if partner:
         return Vertex(key=key, representative=rep, ra_type=partner.ra_type,
                       ra_order=partner.ra_order, ra_maps=partner.ra_maps,
-                      points=partner.points and _conjugate(partner.points),
+                      points=partner.points and _conjugate(partner.points, p),
                       partner=partner)
     ra_type = ra_type_of(key, rep.ctx)
     if key.kind != "jacobian":
@@ -207,8 +208,8 @@ def _make_vertex(key: VertexKey, rep, frames, pts=None, partner=None):
         maps = list(moebius_stabilizing(rep.ctx, index, index))
         v = Vertex(key=key, representative=rep, ra_type=ra_type,
                    ra_order=len(maps), points=pts, ra_maps=maps)
-    if key.conjugate(rep.ctx.p) == key:
-        v.sigma = _first_map(_conjugate(pts or rep), v, frames)
+    if key.conjugate(p) == key:
+        v.sigma = _first_map(_conjugate(pts or rep, p), v, frames)
     return v
 
 
@@ -220,18 +221,16 @@ def neighbourhood(rep) -> list:
     are read off its blocks, sorted; only a bare curve is factored.
     For Jacobians: the reduced automorphisms permute the 15 rational
     splittings; for products: the torsion action groups the 15
-    product/diagonal kernels.  One edge per orbit (_expand); when sigma
-    fixes the vertex, half its sigma-paired orbits are derived, their
-    hints (kind, None, the partner edge).
+    product/diagonal kernels.  One edge per orbit (_expand), its hint as
+    _expand made it: a Jacobian codomain's curve is its .curve, made on
+    first read.  When sigma fixes the vertex, half its sigma-paired
+    orbits are derived, their hints (kind, None, the partner edge).
     """
     pts = None
     if isinstance(rep, QuadraticSplitting):
-        pts = sorted(sum(splitting_root_pairs(rep), ()), key=point_key)
+        pts = sorted(sum(splitting_root_pairs(rep), ()))
         rep = rep.curve()
-    edges = _expand(_make_vertex(VertexKey.of(rep), rep, {}, pts))
-    for e in (e for e in edges if isinstance(e.hint[1], JacobianCodomain)):
-        e.hint = e.hint[0], e.hint[1].curve, e.hint[2]  # the public hint
-    return edges
+    return _expand(_make_vertex(VertexKey.of(rep), rep, {}, pts))
 
 
 def _expand(v: Vertex, vertices=None, incoming=()) -> list:
@@ -296,16 +295,15 @@ def _expand(v: Vertex, vertices=None, incoming=()) -> list:
     return edges
 
 
-def _conjugate(x):
-    """sigma of a point (INF is fixed), point list, curve or product."""
+def _conjugate(x, p):
+    """sigma over GF(p^2) of a point list (INF fixed), curve or product."""
     if isinstance(x, list):
-        return list(map(_conjugate, x))
+        return [pt and (pt[0], -pt[1] % p) for pt in x]
     if isinstance(x, Genus2Curve):
         return x.conjugate()
-    if isinstance(x, ProductSurface):
-        return ProductSurface(*(EllipticCurveE2(*map(_conjugate, E.roots()))
-                                for E in (x.E1, x.E2)))
-    return x if x is INF else FieldElement(x.ctx, x.a, -x.b % x.ctx.p)
+    return ProductSurface(*(EllipticCurveE2(*(
+        FieldElement(r.ctx, r.a, -r.b % p) for r in E.roots()))
+        for E in (x.E1, x.E2)))
 
 
 def _first_map(src, v: Vertex, frames: dict):
@@ -317,7 +315,7 @@ def _first_map(src, v: Vertex, frames: dict):
     orbit.  Onto a mirror it is the map of sigma(src) onto the partner,
     on the partner's table; GraphError if the table is gone."""
     w = v.partner or v
-    src = src if w is v else _conjugate(src)
+    src = src if w is v else _conjugate(src, w.representative.ctx.p)
     if v.points is None:
         m = next(kernel_maps(src, w.representative), None)
     elif w.key not in frames:
@@ -415,7 +413,8 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
                     if w is None and isinstance(rep, JacobianCodomain):
                         rep = rep.curve  # the one curve a codomain makes
                     tgt = g.vertices[e.target] = _make_vertex(
-                        e.target, _conjugate(w.representative) if w else rep,
+                        e.target,
+                        _conjugate(w.representative, ctx.p) if w else rep,
                         frames, pts, w)
                     fresh.append(e.target)
                 if isinstance(dual, OrbitEdge):  # the Frobenius partner
@@ -447,7 +446,9 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
 def dual_edge(g: Graph, e: OrbitEdge) -> OrbitEdge:
     """The orbit edge at e.target containing the dual kernel of e: the
     edge of the label build_graph recorded in e's hint."""
-    tgt = g.vertex(e.target)
+    tgt = g.vertices.get(e.target)
+    if tgt is None:
+        raise GraphError("target vertex not in the graph")
     if not tgt.edges:
         raise GraphError("target vertex not expanded")
     return tgt.kernel_to_edge[e.hint[2]]
@@ -492,11 +493,11 @@ def validate(g: Graph) -> ValidationReport:
         except GraphError as exc:
             dual_err.append((e.sort_key(), str(exc)))
     for e in g.edges:
-        d = duals.get(id(e))
-        if d is None:
+        d, src = duals.get(id(e)), g.vertices.get(e.source)
+        if d is None or src is None:  # a missing source fails d's dual
             continue
-        lhs = g.vertex(e.source).ra_order * d.weight
-        rhs = g.vertex(e.target).ra_order * e.weight
+        lhs = src.ra_order * d.weight
+        rhs = g.vertices[e.target].ra_order * e.weight
         if lhs != rhs:
             ratio_bad.append((e.sort_key(), lhs, rhs))
         if duals.get(id(d)) is not e:

@@ -223,11 +223,12 @@ def powmod_pairs(ctx, f, e, h) -> list:
 
 
 def quadratic_roots_pairs(ctx, g):
-    """The roots of a monic quadratic (c0, c1, 1), psqrt's first, or None."""
+    """The two roots of a monic quadratic (c0, c1, 1), a tuple of (a, b)
+    pairs, psqrt's first, or None."""
     (c, b), p, h = g[:2], ctx.p, (ctx.p + 1) // 2
     s = ctx.psqrt(ctx.pminor(b, b, (4, 0), c))
-    return s and [((u - b[0]) * h % p, (v - b[1]) * h % p)
-                  for u, v in (s, (-s[0], -s[1]))]
+    return s and (((s[0] - b[0]) * h % p, (s[1] - b[1]) * h % p),
+                  ((-s[0] - b[0]) * h % p, (-s[1] - b[1]) * h % p))
 
 
 # -- squarefree test, roots and factoring ---------------------------------

@@ -9,11 +9,11 @@ import pytest
 
 from richelot import genus2, gluing, graph, isogeny
 from richelot.field import FieldElement, make_field
-from richelot.genus2 import (INF, MATCHINGS, ClassificationError,
-                             Genus2Curve, Genus2Error,
+from richelot.genus2 import (INF, JACOBIAN_ORDER_TO_TYPE, MATCHINGS,
+                             ClassificationError, Genus2Curve, Genus2Error,
                              IrrationalPointsError, QuadraticSplitting,
                              RAType, matching_splitting,
-                             orbit_partition, point_key,
+                             orbit_partition, reduced_automorphisms,
                              splitting_root_pairs)
 from richelot.elliptic import EllipticCurveE2, NonSplitTorsionError
 from richelot.gluing import DegenerateGluingError, product_kernels
@@ -82,6 +82,12 @@ def random_distinct_elements(ctx, rng, n):
     return out
 
 
+def random_distinct_points(ctx, rng, n):
+    """random_distinct_elements as finite points, as genus2 holds them:
+    (a, b) int pairs."""
+    return [x.key() for x in random_distinct_elements(ctx, rng, n)]
+
+
 def random_curve_with_irrational_points(ctx, rng):
     """Four distinct rational roots times an irreducible quadratic: two
     Weierstrass points lie in GF(p^4) only."""
@@ -96,11 +102,16 @@ def random_curve_with_irrational_points(ctx, rng):
             return Genus2Curve(f)
 
 
+def point_element(ctx, pt):
+    """A point as genus2 holds it, an (a, b) int pair or INF, as the
+    FieldElement (INF kept) that the Moebius oracles compute on."""
+    return pt and FieldElement(ctx, *pt)
+
+
 @dataclass(frozen=True)
 class MoebiusMap:
     """x -> (ax + b)/(cx + d), scaled so the first nonzero entry of
-    (a, b, c, d) is 1.  Entries live in GF(p^2) or GF(p^4), whichever
-    field the Weierstrass points needed.  The form of a Moebius map
+    (a, b, c, d) is 1, entries in GF(p^2).  The form of a Moebius map
     genus2 kept before index maps became its only one, kept for the
     oracles and for the tests that apply maps to points."""
 
@@ -123,24 +134,24 @@ class MoebiusMap:
         return (self.a.key(), self.b.key(), self.c.key(), self.d.key())
 
     def apply(self, pt):
-        if pt is INF:
-            if self.c.is_zero():
-                return INF
-            return self.a / self.c
-        den = self.c * pt + self.d
-        if den.is_zero():
-            return INF
-        return (self.a * pt + self.b) / den
+        """The image of the point pt, a pair or INF, as genus2 holds it."""
+        if pt == INF:
+            num, den = self.a, self.c
+        else:
+            x = point_element(self.a.ctx, pt)
+            num, den = self.a * x + self.b, self.c * x + self.d
+        return INF if den.is_zero() else (num / den).key()
 
 
 def to_zero_one_inf(K, p1, p2, p3):
     """Matrix of the Moebius map sending (p1, p2, p3) to (0, 1, inf)."""
     one, zero = K.one, K.zero
-    if p1 is INF:
+    p1, p2, p3 = (point_element(K, x) for x in (p1, p2, p3))
+    if p1 == INF:
         return (zero, p2 - p3, one, -p3)
-    if p2 is INF:
+    if p2 == INF:
         return (one, -p1, one, -p3)
-    if p3 is INF:
+    if p3 == INF:
         return (one, -p1, zero, p2 - p1)
     return ((p2 - p3), -(p1 * (p2 - p3)), (p2 - p1), -(p3 * (p2 - p1)))
 
@@ -168,8 +179,8 @@ def index_map_moebius(K, src_pts, dst_pts, m):
 def induced_index_map(m, src_pts, dst_pts):
     """The index map of the MoebiusMap m from src_pts into dst_pts:
     entry i is the index in dst_pts of m's image of src_pts[i]."""
-    index = {point_key(q): i for i, q in enumerate(dst_pts)}
-    return [index[point_key(m.apply(q))] for q in src_pts]
+    index = {q: i for i, q in enumerate(dst_pts)}
+    return [index[m.apply(q)] for q in src_pts]
 
 
 def moebius_search_oracle(K, src_pts, dst_pts, first_only=False):
@@ -182,14 +193,14 @@ def moebius_search_oracle(K, src_pts, dst_pts, first_only=False):
     all of src_pts into dst_pts.  With first_only, returns the first
     hit (or None); otherwise the deduplicated list sorted by map key.
     """
-    keys = set(point_key(p) for p in dst_pts)
+    keys = set(dst_pts)
     base = src_pts[:3]
     found = {}
     for triple in permutations(dst_pts, 3):
         m = moebius_through(K, base, triple)
         if m.key() in found:
             continue
-        if all(point_key(m.apply(p)) in keys for p in src_pts):
+        if all(m.apply(p) in keys for p in src_pts):
             if first_only:
                 return m
             found[m.key()] = m
@@ -210,7 +221,7 @@ def moebius_frames_oracle(K, pts):
     frames = {}
     for triple in permutations(range(len(pts)), 3):
         frame = MoebiusMap(*to_zero_one_inf(K, *(pts[i] for i in triple)))
-        signature = sum(sorted(frame.apply(pts[i]).key()
+        signature = sum(sorted(frame.apply(pts[i])
                                for i in range(len(pts)) if i not in triple),
                         ())
         frames.setdefault(signature, []).append(triple)
@@ -289,10 +300,10 @@ def mirror_pairs(g):
 
 
 def matching_pairing(matching) -> frozenset:
-    """A matching of Weierstrass points as its pairs of point keys: the
+    """A matching of Weierstrass points as a set of point pairs: the
     kernel label genus2.matching_pairing made before labels were
     MATCHINGS indices, kept as the label oracle."""
-    return frozenset(frozenset(map(point_key, pair)) for pair in matching)
+    return frozenset(map(frozenset, matching))
 
 
 def label_pairing(pts, n):
@@ -313,7 +324,7 @@ def jacobian_orbits_oracle(ctx, pts, scale, maps):
            for m in genus2._matchings(list(pts))]
     out.sort(key=lambda sp: sp[0].blocks)
     pairings = [pr for _, pr in out]
-    keys = [point_key(p) for p in pts]
+    keys = list(pts)
     index_of = {pr: i for i, pr in enumerate(pairings)}
     actions = []
     for m in maps:
@@ -360,8 +371,8 @@ def recorded_dual_splitting(g, e):
     INF, of each pair (r, s) of its matching."""
     w = g.vertex(e.target)
     ctx, pts = w.representative.ctx, w.points
-    return splitting_of([Poly.from_roots(ctx, [x for x in (pts[a], pts[b])
-                                               if x is not INF])
+    return splitting_of([Poly.from_roots(ctx, [point_element(ctx, x)
+                                               for x in (pts[a], pts[b]) if x])
                          for a, b in MATCHINGS[e.hint[2]]],
                         w.representative.f.leading())
 
@@ -398,8 +409,8 @@ def reaching_edges(g):
 
 def splitting_points(spl):
     """The Weierstrass points of y^2 = spl.curve(), read off spl's
-    blocks, sorted by point_key."""
-    return sorted(sum(splitting_root_pairs(spl), ()), key=point_key)
+    blocks, sorted."""
+    return sorted(sum(splitting_root_pairs(spl), ()))
 
 
 def dual_label(tgt, hint):
@@ -610,15 +621,15 @@ def block_roots_oracle(g, ctx):
     partnering a linear block's root; None when the block is irreducible
     over GF(p^2).  FieldElement arithmetic throughout: what
     genus2._block_roots computed before it ran on int pairs, kept as its
-    oracle."""
+    oracle; the points as genus2 holds them, (a, b) pairs or INF."""
     c, b = (FieldElement(ctx, *x) for x in g[:2])
     if g[2] == (0, 0):
-        return -c, INF
+        return (-c).key(), INF
     s = (b * b - 4 * c).sqrt()
     if s is None:
         return None
     half = ctx.from_int(2).inverse()
-    return (s - b) * half, (-b - s) * half
+    return ((s - b) * half).key(), ((-b - s) * half).key()
 
 
 def isomorphisms_oracle(E, E2):
@@ -1106,6 +1117,17 @@ def ra_type_from_clebsch_oracle(cp):
         raise ClassificationError(
             f"R = 0 but no special row matched: {cp}")
     return RAType.A
+
+
+def ra_type_from_automorphisms(curve) -> str:
+    """RA-type from the order (1/2/4/5/6/12/24) of reduced_automorphisms:
+    the Moebius classifier genus2 exported while no src path called it,
+    kept as the oracle the Clebsch classifier is checked against."""
+    order = len(reduced_automorphisms(curve))
+    if order not in JACOBIAN_ORDER_TO_TYPE:
+        raise ClassificationError(
+            f"unexpected reduced automorphism group order {order}")
+    return JACOBIAN_ORDER_TO_TYPE[order]
 
 
 def canonical_key_oracle(cp):

@@ -26,7 +26,6 @@ from richelot.field import make_field
 from richelot.genus2 import (Genus2Curve, IrrationalPointsError,
                              JACOBIAN_ORDER_TO_TYPE, RAType, RA_ORDER,
                              canonical_key, clebsch_invariants,
-                             point_key, ra_type_from_automorphisms,
                              ra_type_from_clebsch, reduced_automorphisms,
                              splittings, splitting_pairing, transform_curve,
                              weierstrass_points)
@@ -39,7 +38,8 @@ from richelot.poly import Poly, factor_quadratic_pieces, is_squarefree
 
 from clebsch_fixtures import FIXTURES
 from conftest import (check_split_against_oracle, dual_label,
-                      index_map_moebius, label_pairing)
+                      index_map_moebius, label_pairing,
+                      ra_type_from_automorphisms)
 
 CENSUS_PRIMES = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 RANDOM_PRIMES = (11, 23, 31)
@@ -262,16 +262,13 @@ def _pairing_orbit(C, spl):
     K, pts = C.ctx, weierstrass_points(C)
     maps = [index_map_moebius(K, pts, pts, m)
             for m in reduced_automorphisms(C)]
-    pt_of_key = {point_key(p): p for p in pts}
     base = splitting_pairing(spl)
     orbit = {base}
     frontier = [base]
     while frontier:
         cur = frontier.pop()
         for m in maps:
-            img = frozenset(
-                frozenset(point_key(m.apply(pt_of_key[k])) for k in pair)
-                for pair in cur)
+            img = frozenset(frozenset(map(m.apply, pair)) for pair in cur)
             if img not in orbit:
                 orbit.add(img)
                 frontier.append(img)

@@ -16,9 +16,8 @@ from richelot.genus2 import (INF, MATCHINGS, ClebschPoint, Genus2Curve,
                              matching_action, matching_index,
                              matching_splitting, moebius_frames,
                              moebius_orbits_on_splittings,
-                             moebius_stabilizing, orbit_partition, point_key,
+                             moebius_stabilizing, orbit_partition,
                              point_splittings, QuadraticSplitting,
-                             ra_type_from_automorphisms,
                              ra_type_from_clebsch, reduced_automorphisms,
                              splitting_pairing, splitting_root_pairs,
                              splittings,
@@ -36,10 +35,12 @@ from conftest import (MoebiusMap, base_images_oracle, block_poly,
                       index_map_moebius, induced_index_map, label_pairing,
                       matching_action_oracle,
                       moebius_frames_oracle, moebius_search_oracle,
-                      moebius_through, own_frames, poly_key_oracle,
-                      poly_monic_oracle, ra_type_from_clebsch_oracle,
+                      moebius_through, own_frames, point_element,
+                      poly_key_oracle, poly_monic_oracle,
+                      ra_type_from_automorphisms, ra_type_from_clebsch_oracle,
                       random_curve_with_irrational_points,
-                      random_distinct_elements, random_element,
+                      random_distinct_elements, random_distinct_points,
+                      random_element,
                       recorded_dual_splitting, splitting_of,
                       splitting_points, stepped_hint, to_zero_one_inf,
                       transform_curve_oracle)
@@ -393,9 +394,9 @@ def test_base_images_match_q_table_oracle(p, rng):
     # of the six places in turn: the base frame's images of x_3, x_4 and
     # x_5 are those of the four-inverse q table
     ctx = make_field(p)
-    worst = ctx.element(p - 1, p - 1)
+    worst = (p - 1, p - 1)
     for _ in range(6):
-        pts = random_distinct_elements(ctx, rng, 6)
+        pts = random_distinct_points(ctx, rng, 6)
         if worst not in pts:
             pts[rng.randrange(6)] = worst
         for at in [None] + list(range(6)):
@@ -580,8 +581,8 @@ def test_reduced_automorphisms_match_search_oracle_on_graph(p):
     for v in g.vertices.values():
         if v.key.kind == "jacobian":
             assert_ra_matches_search_oracle(v.representative)
-            keys = sorted(map(point_key, v.points))
-            at = [keys.index(point_key(x)) for x in v.points]
+            keys = sorted(v.points)
+            at = [keys.index(x) for x in v.points]
             translated = []
             for m in v.ra_maps:
                 t = [None] * 6
@@ -609,13 +610,13 @@ def assert_frames_match_oracle(K, pts):
         for fr in frs:
             to_frame = MoebiusMap(*to_zero_one_inf(
                 K, *(pts[i] for i in fr[:3])))
-            assert sum((to_frame.apply(pts[i]).key() for i in fr[3:]),
+            assert sum((to_frame.apply(pts[i]) for i in fr[3:]),
                        ()) == signature
             # the map between two frames of a signature keeps the tails
             m = moebius_through(K, [pts[i] for i in frs[0][:3]],
                                 [pts[i] for i in fr[:3]])
-            assert [point_key(m.apply(pts[i])) for i in frs[0][3:]] \
-                == [point_key(pts[i]) for i in fr[3:]]
+            assert [m.apply(pts[i]) for i in frs[0][3:]] \
+                == [pts[i] for i in fr[3:]]
         for n in range(6):
             changed = list(signature)
             changed[n] = (changed[n] + 1) % K.p
@@ -641,8 +642,8 @@ def test_moebius_frames_match_oracle_random(p, rng):
     # six finite points, and five with INF at a random place
     ctx = make_field(p)
     for _ in range(10):
-        assert_frames_match_oracle(ctx, random_distinct_elements(ctx, rng, 6))
-        pts = random_distinct_elements(ctx, rng, 5)
+        assert_frames_match_oracle(ctx, random_distinct_points(ctx, rng, 6))
+        pts = random_distinct_points(ctx, rng, 5)
         pts.insert(rng.randrange(6), INF)
         assert_frames_match_oracle(ctx, pts)
 
@@ -667,7 +668,7 @@ def test_moebius_frames_run_on_plain_integers(monkeypatch, rng):
     # points takes one inverse per unordered pair, and a base frame one,
     # shared by its three images (four, one per q, before)
     ctx = make_field(101)
-    pts = random_distinct_elements(ctx, rng, 6)
+    pts = random_distinct_points(ctx, rng, 6)
     muls, built, inverses = [], [], []
     real_mul, real_init = FieldElement.__mul__, FieldElement.__init__
     real_pinv = type(ctx).pinv
@@ -703,16 +704,26 @@ def test_moebius_stabilizing_match_search_oracle_on_graph(p):
         # the index labels, translated to pairings through MATCHINGS
         pairings = [label_pairing(pts, n) for n in range(15)]
         index_of = {pr: i for i, pr in enumerate(pairings)}
-        at_key = {point_key(q): q for q in pts}
         actions = [[index_of[frozenset(
-            frozenset(point_key(m.apply(at_key[k])) for k in pair)
-            for pair in pairing)] for pairing in pairings] for m in maps]
+            frozenset(map(m.apply, pair)) for pair in pairing)]
+            for pairing in pairings] for m in maps]
         want = {frozenset(pairings[i] for i in orbit)
                 for orbit in orbit_partition(range(15), actions)}
         got = {}
         for n, e in enumerate(v.kernel_to_edge):
             got.setdefault(id(e), set()).add(pairings[n])
         assert {frozenset(o) for o in got.values()} == want
+
+
+def test_inf_sorts_first_and_is_no_pair():
+    # points are (a, b) int pairs or INF: INF sorts before every pair,
+    # so sorted points put it first; it is falsy, equals no pair and
+    # cannot be unpacked as one
+    pts = [(0, 1), INF, (0, 0), (1, 0)]
+    assert sorted(pts) == [INF, (0, 0), (0, 1), (1, 0)]
+    assert not INF and INF != (0, 0) and INF == ()
+    with pytest.raises(ValueError):
+        a, b = INF
 
 
 def test_matching_action_matches_brute_force_and_composes():
@@ -743,14 +754,15 @@ def test_matching_action_matches_brute_force_and_composes():
 def weierstrass_points_oracle(curve):
     """Weierstrass points by factoring: the Cantor-Zassenhaus path that
     genus2.weierstrass_points replaced, kept as the reference the
-    block-root path is checked against."""
+    block-root path is checked against: over GF(p^2), the points as
+    genus2 holds them, (a, b) pairs or INF."""
     ctx = curve.ctx
     linears, quads = factor_quadratic_pieces(curve.f)
     if not quads:
-        pts = [-g[0] for g in linears]
+        pts = [(-g[0]).key() for g in linears]
         if curve.f.degree() == 5:
             pts.append(INF)
-        pts.sort(key=point_key)
+        pts.sort()
         return ctx, pts
     ext = ctx.extension()
     pts = [ext.embed(-g[0]) for g in linears]
@@ -765,7 +777,7 @@ def weierstrass_points_oracle(curve):
         pts.extend([r1, r2])
     if curve.f.degree() == 5:
         pts.append(INF)
-    pts.sort(key=point_key)
+    pts.sort(key=lambda x: x and x.key())
     return ext, pts
 
 
@@ -801,7 +813,7 @@ def test_splitting_points_match_factoring_oracle(ctx23, rng, n_roots,
             assert all(splitting_points(s) == want for s in splittings(C))
             checked += 1
             continue
-        r = sum(x is INF or x.in_base_field() for x in want)
+        r = sum(x == INF or x.in_base_field() for x in want)
         with pytest.raises(IrrationalPointsError) as exc:
             weierstrass_points(C)
         assert exc.value.kernels == len(_INDEX_MATCHINGS[r])
@@ -832,7 +844,7 @@ def test_splitting_points_match_factoring_oracle_on_graph(p):
             want = weierstrass_points_oracle(rep)
             assert (rep.ctx, weierstrass_points(rep)) == want
             # a mirror's points follow its partner's order
-            assert (rep.ctx, sorted(v.points, key=point_key)) == want
+            assert (rep.ctx, sorted(v.points)) == want
 
 
 @pytest.mark.parametrize("p", [23, 41])
@@ -952,8 +964,9 @@ def test_point_splittings_run_on_ints(monkeypatch):
     for pts, scale in cases:
         for spl, n in point_splittings(ctx, (), pts, scale):
             pairs = [(pts[a], pts[b]) for a, b in MATCHINGS[n]]
-            blocks = [Poly(ctx, [-s, ctx.one]) if r is INF
-                      else Poly.from_roots(ctx, [r, s]) for r, s in pairs]
+            blocks = [Poly.from_roots(ctx, [point_element(ctx, x)
+                                            for x in (r, s) if x])
+                      for r, s in pairs]
             assert spl == splitting_of(blocks, scale)
     muls, polys = [], []
     real_mul, real_init = FieldElement.__mul__, Poly.__init__
@@ -972,14 +985,14 @@ def test_point_splittings_build_each_pair_block_once(monkeypatch):
     # 10 with INF among them, and no _matchings recursion per call; the
     # splittings and labels are matching_splitting's per MATCHINGS entry
     ctx = make_field(23)
-    reps = [(v.representative, v.points[-1])
+    reps = [(v.representative, ctx.element(*v.points[-1]))
             for v in build_graph(ctx).vertices.values()
             if v.key.kind == "jacobian"]
     quintics = [transform_curve(rep, r, ctx.one, ctx.one, ctx.zero)
                 for rep, r in reps]
     cases = [(weierstrass_points(C), C.f.leading())
              for C in [rep for rep, _ in reps] + quintics]
-    assert sum(pts[0] is INF for pts, _ in cases) == len(quintics)
+    assert sum(pts[0] == INF for pts, _ in cases) == len(quintics)
     for pts, scale in cases:
         want = sorted(((matching_splitting(ctx, (), [
             (pts[a], pts[b]) for a, b in m], scale), n)
@@ -993,7 +1006,7 @@ def test_point_splittings_build_each_pair_block_once(monkeypatch):
         got = point_splittings(ctx, (), pts, scale)
         monkeypatch.undo()
         assert got == want
-        assert len(muls) == (10 if pts[0] is INF else 15)
+        assert len(muls) == (10 if pts[0] == INF else 15)
         assert recursions == []
 
 
@@ -1005,7 +1018,7 @@ def test_weierstrass_points_match_splitting_path(p):
     curves = []
     for v in build_graph(ctx).vertices.values():
         if v.key.kind == "jacobian":
-            rep, r = v.representative, v.points[-1]
+            rep, r = v.representative, ctx.element(*v.points[-1])
             a, b = random_element(ctx, rng), random_element(ctx, rng)
             curves += [rep, transform_curve(rep, r, ctx.one, ctx.one,
                                             ctx.zero),
@@ -1016,7 +1029,7 @@ def test_weierstrass_points_match_splitting_path(p):
         pts = weierstrass_points(C)
         assert pts == splitting_points(splittings(C)[0])
         assert len(pts) == 6
-        assert [x for x in pts if x is INF] == [INF] * (C.f.degree() == 5)
+        assert [x for x in pts if x == INF] == [INF] * (C.f.degree() == 5)
 
 
 def test_weierstrass_points_factor_once_with_quadratic_factor(monkeypatch):
@@ -1079,7 +1092,7 @@ def test_curve_memos_stay_within_their_bounds():
         pts = [ctx.element(rng.randrange(ctx.p), rng.randrange(ctx.p))
                for _ in range(6)]
         C = Genus2Curve(Poly.from_roots(ctx, pts))
-        assert weierstrass_points(C) == sorted(pts, key=point_key)
+        assert weierstrass_points(C) == sorted(x.key() for x in pts)
         assert len(splittings(C)) == 15
         assert reduced_automorphisms(C)[0] == list(range(6))
         clebsch_invariants(C)

@@ -17,10 +17,11 @@ from richelot.cli import run
 from richelot.elliptic import (EllipticCurveE2, isomorphisms_with_torsion,
                                two_isogeny)
 from richelot.field import FieldCtx, FieldElement, make_field
-from richelot.genus2 import (Genus2Curve, IrrationalPointsError, RAType,
-                             moebius_frames, moebius_stabilizing, point_key,
-                             reduced_automorphisms, splitting_root_pairs,
-                             splittings, transform_curve, weierstrass_points)
+from richelot.genus2 import (INF, Genus2Curve, IrrationalPointsError, RAType,
+                             moebius_frames, moebius_stabilizing,
+                             point_splittings, reduced_automorphisms,
+                             splitting_root_pairs, splittings,
+                             transform_curve, weierstrass_points)
 from richelot.gluing import (ProductKernel, ProductSurface, kernel_maps,
                              product_kernels, quotient_diagonal,
                              ra_order_product)
@@ -75,6 +76,71 @@ def test_neighbourhood_type_ii_three_fives():
     C = Genus2Curve(Poly.from_ints(ctx, [-1, 0, 0, 0, 0, 1]))
     edges = neighbourhood(C)
     assert sorted(e.weight for e in edges) == [5, 5, 5]
+
+
+def test_neighbourhood_makes_no_curve_for_a_step_codomain(monkeypatch):
+    # the p = 41 Type-A random model that CI pins: neighbourhood returns
+    # the hints _expand made, so a Jacobian step's hint[1] is its
+    # JacobianCodomain, and no curve is made for any step codomain; its
+    # curve, made on first read, is a model of the edge's target
+    ctx = make_field(41)
+    C = Genus2Curve(Poly(ctx, [ctx.element(a, b) for a, b in (
+        (10, 30), (32, 3), (37, 31), (35, 2), (17, 40), (1, 4), (2, 8))]))
+    made, real = [], Genus2Curve._checked.__func__
+    monkeypatch.setattr(Genus2Curve, "_checked", classmethod(
+        lambda cls, *args: made.append(args) or real(cls, *args)))
+    edges = neighbourhood(C)
+    assert sum(e.weight for e in edges) == 15
+    cods = [e.hint[1] for e in edges if e.hint[1] is not None]
+    assert cods and all(isinstance(cod, JacobianCodomain)
+                        and "curve" not in vars(cod) for cod in cods)
+    assert made == []
+    for e in edges:
+        if e.hint[1] is not None:
+            assert VertexKey.jacobian(e.hint[1].curve) == e.target
+    assert len(made) == len(cods)
+
+
+def is_point(x) -> bool:
+    """A point as genus2 holds it: INF, or an (a, b) pair of ints."""
+    return x == INF or (type(x) is tuple and len(x) == 2
+                        and all(type(c) is int for c in x))
+
+
+@pytest.mark.parametrize("p", [41, 101])
+def test_points_are_int_pairs_or_inf(p):
+    # every Jacobian vertex's points, its curve's weierstrass_points and
+    # the splitting_root_pairs of its 15 kernels hold no FieldElement:
+    # each point is an (a, b) int pair or INF, which sorts before them,
+    # as in a quintic model of a vertex
+    ctx = make_field(p)
+    g = build_graph(ctx)
+    jacobians = [v for v in g.vertices.values() if v.key.kind == "jacobian"]
+    assert jacobians
+    for v in jacobians:
+        f = v.representative.f
+        pts = weierstrass_points(v.representative)
+        assert all(map(is_point, v.points)) and all(map(is_point, pts))
+        assert pts == sorted(v.points)
+        for spl, _ in point_splittings(f.ctx, (), v.points, f.leading()):
+            assert all(map(is_point, sum(splitting_root_pairs(spl), ())))
+    r = ctx.element(*jacobians[0].points[-1])
+    pts = weierstrass_points(transform_curve(jacobians[0].representative, r,
+                                             ctx.one, ctx.one, ctx.zero))
+    assert pts[0] == INF and len(pts) == 6 and all(map(is_point, pts))
+
+
+def test_cold_build_makes_fewer_field_elements(monkeypatch):
+    # Weierstrass points, their conjugates and root pairs are int pairs:
+    # a cold p = 41 build makes 1,479 FieldElements (2,649 while points
+    # were FieldElements)
+    clear_genus2_caches()
+    genus2.clebsch_invariants.cache_clear()
+    ctx, made, real = make_field(41), [], FieldElement.__init__
+    monkeypatch.setattr(FieldElement, "__init__",
+                        lambda *args: made.append(args) or real(*args))
+    build_graph(ctx)
+    assert len(made) == 1479
 
 
 @pytest.mark.parametrize("p", [23, 41])
@@ -209,12 +275,11 @@ def transport_pairing_oracle(dst_curve, spl):
     dst_curve as a pairing by the first map moebius_search_oracle finds."""
     pairs = splitting_root_pairs(spl)
     pts2 = weierstrass_points(dst_curve)
-    pts1 = sorted((p for pair in pairs for p in pair), key=point_key)
+    pts1 = sorted(p for pair in pairs for p in pair)
     m = moebius_search_oracle(dst_curve.ctx, pts1, pts2, first_only=True)
     if m is None:
         raise GraphError("no Moebius map between isomorphic models")
-    return frozenset(frozenset(point_key(m.apply(p)) for p in pair)
-                     for pair in pairs)
+    return frozenset(frozenset(map(m.apply, pair)) for pair in pairs)
 
 
 def edge_of_pairing(v, pairing):
@@ -321,9 +386,9 @@ def test_dual_transport_from_codomain_with_irrational_points():
     C = sextic_x6_plus_1(ctx)
     g = build_graph(ctx, seed=C)
     v = g.vertex(VertexKey.of(C))
-    pts = v.points
+    pts = [ctx.element(*x) for x in v.points]
     m = ctx.nonsquare()
-    halves = [x for x in pts if point_key(x) < point_key(-x)]
+    halves = [x for x in pts if x < -x]
     spl = splitting_of(
         [Poly(ctx, [-(m * x * x), ctx.zero, ctx.one]) for x in halves],
         ctx.one)
@@ -693,8 +758,8 @@ def test_each_jacobian_vertex_builds_frames_once(monkeypatch):
                      if v.key.kind == "jacobian"]
         mirrors = {m.key for _, m in mirror_pairs(g)}
         assert len(calls) == len(jacobians) - len(mirrors) == want
-        assert sorted(tuple(map(point_key, pts)) for _, pts in calls) \
-            == sorted(tuple(map(point_key, v.points)) for v in jacobians
+        assert sorted(tuple(pts) for _, pts in calls) \
+            == sorted(tuple(v.points) for v in jacobians
                       if v.key not in mirrors)
 
 
@@ -1004,13 +1069,12 @@ def test_mirror_vertices_keep_their_partners_labels(p):
              if built.index(key.conjugate(p)) < built.index(key)]
     assert len(pairs) == {23: 1, 41: 9}[p]
 
-    def conj(x):
-        return x if x is genus2.INF else (x.a, -x.b % p)
+    def conj(x):  # an (a, b) pair or INF
+        return x and (x[0], -x[1] % p)
     for w, m in pairs:
         assert [(c.a, c.b) for c in m.representative.f.coeffs] \
-            == [conj(c) for c in w.representative.f.coeffs]
-        assert [x if x is genus2.INF else (x.a, x.b) for x in m.points] \
-            == list(map(conj, w.points)), m.key.as_string()
+            == [conj(c.key()) for c in w.representative.f.coeffs]
+        assert m.points == list(map(conj, w.points)), m.key.as_string()
     for w, m in pairs:
         first, later = sorted((w, m), key=lambda v: expanded.index(v.key))
         for o in later.edges:
@@ -1083,8 +1147,9 @@ def test_first_map_is_a_kernel_label_map_onto_either_kind(p):
     for kind in ("jacobian", "product"):
         v = next(v for v in g.vertices.values() if v.key.kind == kind
                  and v.key.conjugate(p) == v.key and v.partner is None)
-        m = graph._first_map(graph._conjugate(v.points or v.representative),
-                             v, move_frames(v))
+        m = graph._first_map(
+            graph._conjugate(v.points or v.representative, p), v,
+            move_frames(v))
         assert len(m) == 15 and sorted(m) == list(range(15))
         assert tuple(m) == tuple(v.sigma)
         for e in v.edges:
@@ -1278,9 +1343,9 @@ def test_expand_conjugates_no_partner_codomain(monkeypatch):
     raw = raw_hints(monkeypatch)
     callers, real = [], graph._conjugate
 
-    def conjugate(x):
+    def conjugate(x, p):
         callers.append(sys._getframe(1).f_code.co_name)
-        return real(x)
+        return real(x, p)
     monkeypatch.setattr(graph, "_conjugate", conjugate)
     g = build_graph(make_field(41))
     derived = frobenius_derived(g, raw)
@@ -1446,6 +1511,22 @@ def test_validate_frobenius_mirror_catches_a_wrong_conjugate(monkeypatch):
               if not ok]
     assert failed == [("Frobenius mirror",
                        f"first violation at {first.as_string()}")]
+
+
+def test_validate_reports_an_edge_into_a_missing_vertex():
+    # a graph missing one Jacobian vertex: validate returns its report,
+    # whose dual-edges check fails and names an edge into that vertex
+    g = build_graph(make_field(23))
+    key = next(key for key in g.vertices if key.kind == "jacobian")
+    del g.vertices[key]
+    first = next(e for e in g.edges if e.target == key)
+    with pytest.raises(GraphError, match="^target vertex not in the graph"):
+        dual_edge(g, first)
+    checks = {name: (ok, detail) for name, ok, detail in validate(g).checks}
+    ok, detail = checks["dual-edges well-defined"]
+    assert not ok
+    assert detail.startswith(f"failures: [({first.sort_key()!r}, ")
+    assert repr(key) in detail
 
 
 def test_validate_mass_formula_catches_a_wrong_ra_order():

@@ -176,7 +176,7 @@ def lookup_models(p, rng, vertices=None):
             a, b, c, d = (random_element(ctx, rng) for _ in range(4))
             if not (a * d - b * c).is_zero():
                 break
-        r = v.points[-1]  # never INF, which sorts first
+        r = ctx.element(*v.points[-1])  # never INF, which sorts first
         out += [rep.f, transform_curve(rep, a, b, c, d).f,
                 transform_curve(rep, r, ctx.one, ctx.one, ctx.zero).f]
     return out
