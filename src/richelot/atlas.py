@@ -90,7 +90,7 @@ def normal_form_splitting(ctx: FieldCtx, st) -> QuadraticSplitting:
     st: of curve_two_param(ctx, *st), or of x^5 - 1 for st = None.  Its
     curve() is the normal form."""
     pairs = type_ii_kernels(ctx)[0] if st is None else _root_pairs(ctx, *st)[0]
-    return matching_splitting(ctx, (), pairs, ctx.one)
+    return matching_splitting(ctx, (), pairs, (1, 0))
 
 
 def index_relabellings(ctx: FieldCtx, s, t) -> list:
@@ -220,7 +220,7 @@ def _s_t(case: str, ctx: FieldCtx, x):
         return s_t_type_iv(ctx, x[0])
     u = x[0]
     if u.is_zero() or u ** 4 == ctx.one:
-        raise AtlasError("u**4 must not be 1")
+        raise AtlasError("u must be nonzero and u**4 must not be 1")
     return u, u.inverse()
 
 

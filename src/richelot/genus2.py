@@ -3,19 +3,18 @@
 A curve is y^2 = f(x) with f squarefree of degree 5 or 6 over
 GF(p^2).  This module provides
 
-* the rational quadratic splittings (the (2,2)-kernels), each block a
-  (c0, c1, c2) triple of (a, b) int pairs from matching to transport,
-* Clebsch invariants (A : B : C : D) in P(2, 4, 6, 10), computed by
-  transvectants of the binary sextic as integer term tables on (a, b)
-  int pairs, one reduction mod p per output coefficient, and Bolza's
-  classification on them,
+* the rational quadratic splittings (the (2,2)-kernels), their blocks
+  (c0, c1, c2) and scales in (a, b) int pairs from matching to transport,
+* Clebsch invariants (A : B : C : D) in P(2, 4, 6, 10) of a sextic's
+  seven (a, b) int pairs, by transvectants as integer term tables, one
+  reduction mod p per output coefficient,
 * Weierstrass points as (a, b) int pairs, or INF, which sorts first,
 * the reduced automorphism group and Moebius maps between six-point
   sets in one form, index maps between frames of equal signature: each
   ordered triple of Weierstrass points, sent to (0, 1, inf), followed
   by the other three in the order of their images, the cross-ratios
   on (a, b) int pairs, looked up in an index filed by one image each,
-* the two independent RA-type classifiers and the canonical vertex key.
+* Bolza's RA-type rows and the canonical key, on Clebsch pairs.
 
 Every point these read lies in GF(p^2), as at every superspecial vertex;
 a curve with a Weierstrass point outside it raises IrrationalPointsError.
@@ -140,6 +139,10 @@ class Genus2Curve:
     def ctx(self) -> FieldCtx:
         return self.f.ctx
 
+    @property
+    def sextic(self) -> list:  # seven (a, b) pairs, low first
+        return [self.f[k].key() for k in range(7)]
+
     def __repr__(self):
         return f"Genus2Curve({self.f})"
 
@@ -188,28 +191,25 @@ def monic_block(ctx: FieldCtx, g) -> tuple:
 
 @dataclass(frozen=True)
 class QuadraticSplitting:
-    """Three monic blocks g1*g2*g3 with scale * g1*g2*g3 = f.
+    """Three monic blocks g1*g2*g3 over ctx with scale * g1*g2*g3 = f.
 
     A block is its coefficients (c0, c1, c2), low first, as (a, b) int
-    pairs; c2 = (0, 0) in a degree-5 curve's linear block.  Blocks sort
-    by degree, then by coefficients from the low end: blocks is the key.
+    pairs, like scale; c2 = (0, 0) in a degree-5 curve's linear block.
+    Blocks sort by degree, then coefficients from the low end: the key.
     """
 
+    ctx: FieldCtx
     blocks: tuple
-    scale: FieldElement
+    scale: tuple
 
     @classmethod
-    def make(cls, blocks, scale) -> "QuadraticSplitting":
+    def make(cls, ctx, blocks, scale) -> "QuadraticSplitting":
         """The splitting of the monic blocks, sorted by (c2, c0, c1)."""
-        return cls(tuple(sorted(blocks, key=lambda g: (g[2], g))), scale)
-
-    @property
-    def ctx(self) -> FieldCtx:
-        return self.scale.ctx
+        return cls(ctx, tuple(sorted(blocks, key=lambda g: (g[2], g))), scale)
 
     def curve(self) -> Genus2Curve:
         """y^2 = scale * g1*g2*g3, checked in closed form (of_blocks)."""
-        return Genus2Curve.of_blocks(self.ctx, self.blocks, self.scale.key())
+        return Genus2Curve.of_blocks(self.ctx, self.blocks, self.scale)
 
 
 def _matchings(items):
@@ -241,8 +241,8 @@ def _pair_block(ctx, r, s) -> tuple:
 def matching_splitting(ctx, forced, matching, scale) -> QuadraticSplitting:
     """The forced monic blocks plus the block of each pair (r, s) of the
     matching: x^2 - (r + s)x + rs, or x - r when s is INF."""
-    return QuadraticSplitting.make(
-        list(forced) + [_pair_block(ctx, r, s) for r, s in matching], scale)
+    return QuadraticSplitting.make(ctx, list(forced) + [
+        _pair_block(ctx, r, s) for r, s in matching], scale)
 
 
 # The perfect matchings of range(n), each its increasing pairs in order.
@@ -291,7 +291,7 @@ def point_splittings(ctx, forced, free, scale) -> list:
     block = {(i, j): _pair_block(ctx, free[i], free[j])
              for i, j in combinations(range(len(free)), 2)}
     out = [(QuadraticSplitting.make(
-        list(forced) + [block[pr] for pr in m], scale), n)
+        ctx, list(forced) + [block[pr] for pr in m], scale), n)
         for n, m in enumerate(_INDEX_MATCHINGS[len(free)])]
     out.sort(key=lambda sp: sp[0].blocks)
     return out
@@ -319,7 +319,7 @@ def splittings(curve: Genus2Curve) -> list:
     _forced_free.  15 splittings exactly when all are rational.
     """
     return [s for s, _ in point_splittings(
-        curve.ctx, *_forced_free(curve), curve.f.leading())]
+        curve.ctx, *_forced_free(curve), curve.f.leading().key())]
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +346,7 @@ def splitting_root_pairs(spl: QuadraticSplitting) -> list:
     if None in roots:
         rational = 2 * (len(roots) - roots.count(None))
         raise IrrationalPointsError(Poly.from_pairs(spl.ctx, block_product(
-            spl.ctx, spl.blocks, spl.scale.key())),
-            len(_INDEX_MATCHINGS[rational]))
+            spl.ctx, spl.blocks, spl.scale)), len(_INDEX_MATCHINGS[rational]))
     return roots
 
 
@@ -667,28 +666,31 @@ def clebsch_pairs(ctx, f) -> tuple:
 
 @lru_cache(maxsize=CLEBSCH_KEPT)
 def clebsch_invariants(curve: Genus2Curve) -> ClebschPoint:
-    """clebsch_pairs of the defining sextic (a quintic's x^6 one zero),
-    as FieldElements; test_genus2.clebsch_oracle is its oracle."""
-    ctx = curve.ctx
-    return ClebschPoint(*(FieldElement(ctx, *x) for x in clebsch_pairs(
-        ctx, [curve.f[k].key() for k in range(7)])))
+    """clebsch_pairs of curve.sextic, as FieldElements;
+    test_genus2.clebsch_oracle is its oracle."""
+    return ClebschPoint(*(FieldElement(curve.ctx, *x)
+                          for x in clebsch_pairs(curve.ctx, curve.sextic)))
 
 
 def ra_type_from_clebsch(cp: ClebschPoint) -> str:
-    """Bolza's criteria, rows evaluated most-special-first, on (a, b)
-    int pairs, with his derived invariants A11 = 2C + AB/3, A12 =
-    2(B^2 + AC)/3, A22 = A31 = D, A23 = B A12/2 + C A11/3 and A33 =
-    B A22/2 + C A12/3, and det(A_ij) = 2R^2.
+    """ra_type_from_clebsch_pairs of cp's coordinates."""
+    return ra_type_from_clebsch_pairs(cp.A.ctx, [x.key() for x in cp.tuple()])
+
+
+def ra_type_from_clebsch_pairs(ctx, coords) -> str:
+    """Bolza's criteria on coords = (A, B, C, D), (a, b) int pairs, rows
+    evaluated most-special-first, with his derived invariants A11 = 2C +
+    AB/3, A12 = 2(B^2 + AC)/3, A22 = A31 = D, A23 = B A12/2 + C A11/3
+    and A33 = B A22/2 + C A12/3, and det(A_ij) = 2R^2.
 
     Each row equates terms of one weight in (A, B, C, D) of weights
-    (1, 2, 3, 5), so a rescaled point (canonical_key) has cp's type.
-    The Type-I row is implemented as A11*A22 != A12^2 (the printed
-    inequality is weight-inhomogeneous); any curve falling through
-    every row raises ClassificationError.
+    (1, 2, 3, 5), so a rescaled point (canonical_key_pairs) has their
+    type.  The Type-I row is implemented as A11*A22 != A12^2 (the printed
+    inequality is weight-inhomogeneous); any curve falling through every
+    row raises ClassificationError.
     """
-    ctx = cp.A.ctx
     p, mul, m = ctx.p, ctx.pmul, ctx.pminor
-    A, B, C, D = (x.key() for x in cp.tuple())
+    A, B, C, D = coords
     third, half = pow(3, -1, p), pow(2, -1, p)
 
     def lin(*terms):  # the sum of c * x over the (c, x) terms, reduced
@@ -724,8 +726,8 @@ def ra_type_from_clebsch(cp: ClebschPoint) -> str:
     if det == zero:
         if m(A11, D, A12, A12) != zero:
             return RAType.I
-        raise ClassificationError(
-            f"R = 0 but no special row matched: {cp}")
+        cp = ":".join(f"{a}+{b}i" if b else str(a) for a, b in coords)
+        raise ClassificationError(f"R = 0 but no special row matched: ({cp})")
     return RAType.A
 
 

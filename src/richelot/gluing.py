@@ -157,7 +157,7 @@ def quotient_diagonal(S: ProductSurface, k: ProductKernel):
         raise DegenerateGluingError(f"glued curve invalid: {exc}", k) \
             from exc
     return JacobianCodomain(f, QuadraticSplitting.make(
-        [monic_block(ctx, b) for b in blocks], curve.f.leading()))
+        ctx, [monic_block(ctx, b) for b in blocks], curve.f.leading().key()))
 
 
 def ra_type_product_vertex(j1: FieldElement, j2: FieldElement) -> str:

@@ -30,12 +30,11 @@ from typing import NamedTuple
 from .census import expected_counts
 from .elliptic import EllipticCurveE2, j_invariant, find_supersingular_seed
 from .field import FieldCtx, FieldElement
-from .genus2 import (ClebschPoint, Genus2Curve, JACOBIAN_ORDER_TO_TYPE,
-                     RA_ORDER, QuadraticSplitting, canonical_key,
-                     canonical_key_pairs, clebsch_invariants, clebsch_pairs,
+from .genus2 import (Genus2Curve, JACOBIAN_ORDER_TO_TYPE, RA_ORDER,
+                     QuadraticSplitting, canonical_key_pairs, clebsch_pairs,
                      matching_action, moebius_frames,
                      moebius_orbits_on_splittings, moebius_stabilizing,
-                     point_splittings, ra_type_from_clebsch,
+                     point_splittings, ra_type_from_clebsch_pairs,
                      splitting_root_pairs, weierstrass_points)
 from .gluing import (ProductKernel, ProductSurface, kernel_index,
                      kernel_maps, kernel_orbits, product_kernels,
@@ -50,22 +49,17 @@ class GraphError(ValueError):
 
 
 class VertexKey(NamedTuple):
-    """Canonical identifier of a PPAS isomorphism class: the tuple
-    (kind, data), which it hashes, compares and sorts as."""
+    """Canonical identifier of a PPAS isomorphism class: (kind, data),
+    data a tuple of (a, b) pairs; it hashes, compares and sorts as that."""
 
     kind: str  # "jacobian" | "product"
     data: tuple
 
     @classmethod
-    def jacobian(cls, curve: Genus2Curve) -> "VertexKey":
-        return cls("jacobian", canonical_key(clebsch_invariants(curve)))
-
-    @classmethod
-    def of_codomain(cls, cod: JacobianCodomain) -> "VertexKey":
-        """cls.jacobian(cod.curve) off the sextic's pairs: no curve."""
-        ctx = cod.dual.ctx
+    def jacobian(cls, x) -> "VertexKey":
+        """The Clebsch key of x.sextic, x a curve or a JacobianCodomain."""
         return cls("jacobian", canonical_key_pairs(
-            ctx, clebsch_pairs(ctx, cod.sextic)))
+            x.ctx, clebsch_pairs(x.ctx, x.sextic)))
 
     @classmethod
     def product(cls, j1, j2) -> "VertexKey":
@@ -173,12 +167,11 @@ class Graph:
 def ra_type_of(key: VertexKey, ctx: FieldCtx) -> str:
     """RA type of the class of key, over ctx: Bolza's rows on a
     Jacobian's canonical Clebsch tuple, which has the type of every
-    model's Clebsch point (ra_type_from_clebsch), or a product's j-pair
-    (ra_type_product_vertex)."""
-    xs = [FieldElement(ctx, *x) for x in key.data]
+    model's Clebsch point (ra_type_from_clebsch_pairs), or a product's
+    j-pair (ra_type_product_vertex)."""
     if key.kind == "jacobian":
-        return ra_type_from_clebsch(ClebschPoint(*xs))
-    return ra_type_product_vertex(*xs)
+        return ra_type_from_clebsch_pairs(ctx, key.data)
+    return ra_type_product_vertex(*(FieldElement(ctx, *x) for x in key.data))
 
 
 def _make_vertex(key: VertexKey, rep, frames, pts=None, partner=None):
@@ -250,7 +243,8 @@ def _expand(v: Vertex, vertices=None, incoming=()) -> list:
     """
     if v.key.kind == "jacobian":
         f = v.representative.f
-        reps, labels = zip(*point_splittings(f.ctx, (), v.points, f.leading()))
+        reps, labels = zip(*point_splittings(f.ctx, (), v.points,
+                                             f.leading().key()))
         orbits = moebius_orbits_on_splittings(labels, v.ra_maps)
         step = _jacobian_step
     else:
@@ -334,7 +328,7 @@ def _jacobian_step(spl):
     d = delta(spl)
     if not d.is_zero():
         cod = richelot_generic(spl, d)
-        return VertexKey.of_codomain(cod), ("jac", cod, cod.dual)
+        return VertexKey.jacobian(cod), ("jac", cod, cod.dual)
     S = ProductSurface(*split_degenerate(spl, d))
     # the i <-> i matching generates the dual kernel
     return VertexKey.of_surface(S), (
@@ -354,7 +348,7 @@ def _product_step(v: Vertex, k):
         # isomorphism-induced: the quotient is S again, and its
         # identification maps the kernel onto itself (self-dual)
         return v.key, ("induced", S, kernel_index(k))
-    return VertexKey.of_codomain(res), ("glue", res, res.dual)
+    return VertexKey.jacobian(res), ("glue", res, res.dual)
 
 
 def build_graph(ctx: FieldCtx, seed=None) -> Graph:

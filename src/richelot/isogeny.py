@@ -42,14 +42,18 @@ def delta(s: QuadraticSplitting) -> FieldElement:
 class JacobianCodomain:
     """A quotient that is a Jacobian, from Richelot's formulas or the
     HLP gluing: its curve's checked sextic, seven (a, b) pairs low first,
-    and the dual kernel's splitting; curve is made on its first read."""
+    and the dual kernel's splitting, over ctx; curve is made on first read."""
 
     sextic: list
     dual: QuadraticSplitting
 
+    @property
+    def ctx(self):
+        return self.dual.ctx
+
     @cached_property
     def curve(self) -> Genus2Curve:
-        return Genus2Curve._checked(self.dual.ctx, self.sextic)
+        return Genus2Curve._checked(self.ctx, self.sextic)
 
 
 def richelot_generic(s: QuadraticSplitting, d=None) -> JacobianCodomain:
@@ -71,8 +75,8 @@ def richelot_generic(s: QuadraticSplitting, d=None) -> JacobianCodomain:
     except Genus2Error as exc:
         raise RichelotError(f"degenerate Richelot codomain: {exc}") from exc
     return JacobianCodomain(f, QuadraticSplitting.make(
-        [monic_block(ctx, g) for g in G],
-        FieldElement(ctx, *(f[6] if f[6] != (0, 0) else f[5]))))
+        ctx, [monic_block(ctx, g) for g in G],
+        f[6] if f[6] != (0, 0) else f[5]))
 
 
 def split_degenerate(s: QuadraticSplitting, d=None) -> tuple:
@@ -114,7 +118,7 @@ def split_degenerate(s: QuadraticSplitting, d=None) -> tuple:
     root = K.psqrt(disc)
     if root is None:
         raise IrrationalPointsError(Poly.from_pairs(
-            K, block_product(K, s.blocks, s.scale.key())))
+            K, block_product(K, s.blocks, s.scale)))
     # u and v as (x, z), the point x/z: z = g2 for both, or, when g2 = 0
     # (the minor g0 + 2h x has one root), u = -g0/2h and v = (2h : 0)
     h2 = (2 * h[0], 2 * h[1])

@@ -53,8 +53,10 @@ def block_poly(ctx, t):
 
 
 def splitting_of(blocks, scale):
-    """QuadraticSplitting.make of Poly blocks, through block_triple."""
-    return QuadraticSplitting.make([block_triple(g) for g in blocks], scale)
+    """QuadraticSplitting.make of Poly blocks, through block_triple, and
+    of the FieldElement scale, as its (a, b) pair."""
+    return QuadraticSplitting.make(
+        scale.ctx, [block_triple(g) for g in blocks], scale.key())
 
 
 def poly_key_oracle(t):
@@ -286,7 +288,7 @@ def kernel_rep(g, e):
     pts, f = v.points, v.representative.f
     return matching_splitting(f.ctx, (), [(pts[a], pts[b])
                                           for a, b in MATCHINGS[n]],
-                              f.leading())
+                              f.leading().key())
 
 
 def mirror_pairs(g):
@@ -346,7 +348,7 @@ def stepped_edges_oracle(v):
     if v.key.kind == "jacobian":
         f = v.representative.f
         reps, labels = zip(*genus2.point_splittings(f.ctx, (), v.points,
-                                                    f.leading()))
+                                                    f.leading().key()))
         orbits = genus2.moebius_orbits_on_splittings(labels, v.ra_maps)
         step = graph._jacobian_step
     else:
@@ -726,7 +728,7 @@ def split_pencil_oracle(s):
     disc, K = d1 * d1 - 4 * (d2 * d0), ctx
     if disc.sqrt() is None:
         raise IrrationalPointsError(
-            blocks[0] * blocks[1] * blocks[2] * s.scale)
+            blocks[0] * blocks[1] * blocks[2] * FieldElement(ctx, *s.scale))
     root, den = disc.sqrt(), (K.from_int(2) * d2).inverse()
     t1, t2 = (root - d1) * den, -(root + d1) * den
     U, V = (_pencil_square_root(tuple(a + t * b for a, b in zip(F1, F2)), K)
@@ -1044,7 +1046,7 @@ def split_degenerate_oracle(s):
     root = disc.sqrt()
     if root is None:
         raise IrrationalPointsError(Poly.from_pairs(
-            K, genus2.block_product(K, s.blocks, s.scale.key())))
+            K, genus2.block_product(K, s.blocks, s.scale)))
     if g2.is_zero():
         u = -(g0 / (2 * h))
         Fv = [t[2] for t in trip]

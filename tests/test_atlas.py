@@ -46,8 +46,10 @@ def test_normal_form_rejects_degenerate_params(ctx23):
     with pytest.raises(AtlasError):
         normal_form("I", ctx23, params=(ctx23.from_int(4),
                                         ctx23.from_int(4)))
-    with pytest.raises(AtlasError):
-        normal_form("III", ctx23, params=(ctx23.one,))
+    for u in (ctx23.one, ctx23.zero):  # u^4 = 1, and u = 0, with no 1/u
+        with pytest.raises(AtlasError) as exc:
+            normal_form("III", ctx23, params=(u,))
+        assert str(exc.value) == "u must be nonzero and u**4 must not be 1"
 
 
 def test_normal_form_checks_param_count(ctx23):
@@ -183,11 +185,16 @@ def test_atlas_factors_no_normal_form(monkeypatch, ctx23):
 
 def test_atlas_sweep_keeps_its_clebsch_hits_and_gcd_tests(monkeypatch):
     # every case at p = 101 and 109, as the atlas benchmark sweeps them:
-    # the bounded clebsch_invariants memo hits 10 times on 14 curves,
-    # five a prime: the keys of the Type I, III and IV normal forms,
-    # whose sampling classified them, and the Type V and VI cross-checks.
-    # Step codomains are keyed off their sextics' int pairs, with no
-    # curve (112 curves before), and each edge's target type is read
+    # the bounded clebsch_invariants memo is asked once for each of 8
+    # curves, four a prime, and never hit: the sampling of the Type I,
+    # III and IV normal forms classifies them, and the Type VI
+    # cross-check reads its point.  VertexKey.jacobian keys every curve
+    # off its sextic's int pairs (10 hits on 14 curves before, five a
+    # prime: the keys of the Type I, III, IV and VI normal forms, and of
+    # C_III(zeta_6) in the Type V cross-check; the Type II normal form's
+    # and x^6 + 1's were two more misses a prime).  Step codomains are
+    # keyed off their sextics' int pairs, with no curve (112 curves
+    # before), and each edge's target type is read
     # off its key (ra_type_of), with no Clebsch point: 114 hits before.
     # The gcd squarefree test runs on the 36 glued curves and on the bare
     # sextic x^6 + 1, once a prime, but not on the two-parameter normal
@@ -199,7 +206,7 @@ def test_atlas_sweep_keeps_its_clebsch_hits_and_gcd_tests(monkeypatch):
         for case in ALL_CASES:
             rep = verify_case(case, make_field(p))
             assert rep.ok, rep.summary()
-    assert memo.cache_info()[:2] == (10, 14)
+    assert memo.cache_info()[:2] == (0, 8)
     assert len(gcds) == 36 + 2
 
 

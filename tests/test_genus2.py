@@ -316,9 +316,10 @@ def step_key_oracle(curve):
 @pytest.mark.parametrize("p", [23, 41])
 def test_step_keys_match_curve_keys_on_graph(monkeypatch, p):
     # every delta != 0 kernel a build steps: the key read off the
-    # codomain's sextic pairs, with no curve made (VertexKey.of_codomain),
-    # is the key of the codomain's curve, by clebsch_invariants and by
-    # the FieldElement oracles
+    # codomain's sextic pairs, with no curve made (VertexKey.jacobian of
+    # the codomain), is the key of the codomain's curve, by
+    # VertexKey.jacobian, by the public canonical_key of
+    # clebsch_invariants and by the FieldElement oracles
     stepped, real = [], graph._jacobian_step
     monkeypatch.setattr(graph, "_jacobian_step", lambda spl: stepped.append(
         (spl, real(spl))) or stepped[-1][1])
@@ -328,8 +329,10 @@ def test_step_keys_match_curve_keys_on_graph(monkeypatch, p):
     assert steps
     for spl, key, (_, cod, dual) in steps:
         assert isinstance(cod, JacobianCodomain) and dual is cod.dual
-        assert key == VertexKey.jacobian(richelot_generic(spl).curve)
-        assert key.data == step_key_oracle(cod.curve), spl
+        curve = richelot_generic(spl).curve
+        assert key == VertexKey.jacobian(cod) == VertexKey.jacobian(curve)
+        assert key.data == canonical_key(clebsch_invariants(curve)) \
+            == step_key_oracle(cod.curve), spl
 
 
 @pytest.mark.parametrize("p", [2**61 - 1, 2**127 - 1])
@@ -347,12 +350,15 @@ def test_step_keys_match_curve_keys_random(p, rng):
                   for _ in range(3)]
         if trial % 3 == 0:
             blocks[1] = (blocks[1][0], blocks[0][1], (1, 0))
-        spl = QuadraticSplitting.make(blocks, random_element(ctx, rng))
+        spl = QuadraticSplitting.make(ctx, blocks,
+                                      random_element(ctx, rng).key())
         cod = richelot_generic(spl)
         quintics += cod.sextic[6] == (0, 0)
-        key = VertexKey.of_codomain(cod)
+        key = VertexKey.jacobian(cod)
+        assert cod.ctx is ctx and cod.sextic == cod.curve.sextic
         assert key == VertexKey.jacobian(cod.curve)
-        assert key.data == step_key_oracle(cod.curve)
+        assert key.data == canonical_key(clebsch_invariants(cod.curve)) \
+            == step_key_oracle(cod.curve)
     assert quintics == 8
     for f in ([worst] * 7, [worst] * 6 + [(0, 0)]):
         curve = Genus2Curve(Poly.from_pairs(ctx, f))
@@ -908,7 +914,7 @@ def test_block_roots_match_oracle_random(p):
         if kind == 4:
             assert got is None
             spl = QuadraticSplitting.make(
-                [blk, next(random_monic_blocks(ctx, rng, 1))[1]], ctx.one)
+                ctx, [blk, next(random_monic_blocks(ctx, rng, 1))[1]], (1, 0))
             with pytest.raises(IrrationalPointsError) as exc:
                 splitting_root_pairs(spl)
             assert exc.value.kernels == 1
@@ -933,7 +939,7 @@ def test_point_splittings_match_factoring_oracle_random(ctx23, rng):
         C = random_split_curve(ctx23, rng, degree)
         pts = weierstrass_points(C)
         assert [(spl, label_pairing(pts, n)) for spl, n in
-                point_splittings(ctx23, (), pts, C.f.leading())] \
+                point_splittings(ctx23, (), pts, C.f.leading().key())] \
             == splittings_with_pairings_oracle(C), C
 
 
@@ -945,7 +951,8 @@ def test_point_splittings_match_factoring_oracle_on_graph(p):
         if v.key.kind == "jacobian":
             rep, pts = v.representative, v.points
             built = [(spl, label_pairing(pts, n)) for spl, n in
-                     point_splittings(rep.ctx, (), pts, rep.f.leading())]
+                     point_splittings(rep.ctx, (), pts,
+                                      rep.f.leading().key())]
             want = splittings_with_pairings_oracle(rep)
             assert built == want, v.key.as_string()
             assert len(v.kernel_to_edge) == 15
@@ -959,7 +966,7 @@ def test_point_splittings_run_on_ints(monkeypatch):
     # and no Poly
     ctx = make_field(41)
     g = build_graph(ctx)
-    cases = [(v.points, v.representative.f.leading())
+    cases = [(v.points, v.representative.f.leading().key())
              for v in g.vertices.values() if v.key.kind == "jacobian"]
     for pts, scale in cases:
         for spl, n in point_splittings(ctx, (), pts, scale):
@@ -967,7 +974,7 @@ def test_point_splittings_run_on_ints(monkeypatch):
             blocks = [Poly.from_roots(ctx, [point_element(ctx, x)
                                             for x in (r, s) if x])
                       for r, s in pairs]
-            assert spl == splitting_of(blocks, scale)
+            assert spl == splitting_of(blocks, ctx.element(*scale))
     muls, polys = [], []
     real_mul, real_init = FieldElement.__mul__, Poly.__init__
     monkeypatch.setattr(FieldElement, "__mul__",
@@ -990,7 +997,7 @@ def test_point_splittings_build_each_pair_block_once(monkeypatch):
             if v.key.kind == "jacobian"]
     quintics = [transform_curve(rep, r, ctx.one, ctx.one, ctx.zero)
                 for rep, r in reps]
-    cases = [(weierstrass_points(C), C.f.leading())
+    cases = [(weierstrass_points(C), C.f.leading().key())
              for C in [rep for rep, _ in reps] + quintics]
     assert sum(pts[0] == INF for pts, _ in cases) == len(quintics)
     for pts, scale in cases:
@@ -1116,7 +1123,7 @@ def test_make_sorts_blocks_by_poly_key_order(rng):
                              (0, 0))
             for t in blocks:
                 assert poly_key_oracle(t) == block_poly(ctx, t).key()
-            got = QuadraticSplitting.make(blocks, ctx.one).blocks
+            got = QuadraticSplitting.make(ctx, blocks, (1, 0)).blocks
             assert list(got) == sorted(blocks, key=poly_key_oracle)
 
 
@@ -1129,7 +1136,7 @@ def test_point_splittings_keep_poly_key_order(p):
         if v.key.kind == "jacobian":
             f = v.representative.f
             spls = [s for s, _ in point_splittings(
-                f.ctx, (), v.points, f.leading())]
+                f.ctx, (), v.points, f.leading().key())]
             assert spls == sorted(spls, key=lambda s: tuple(
                 poly_key_oracle(b) for b in s.blocks))
 
@@ -1288,7 +1295,7 @@ def test_orbit_sizes_sum_to_fifteen(ctx23, rng):
         C = random_split_curve(ctx23, rng)
         pts = weierstrass_points(C)
         labels = [n for _, n in
-                  point_splittings(ctx23, (), pts, C.f.leading())]
+                  point_splittings(ctx23, (), pts, C.f.leading().key())]
         orbits = moebius_orbits_on_splittings(
             labels, reduced_automorphisms(C))
         assert sum(len(o) for o in orbits) == 15
@@ -1363,17 +1370,29 @@ def _row(cp):
 def test_bolza_rows_and_key_match_field_element_oracles(p):
     # Bolza's rows and the canonical key on int pairs give the
     # FieldElement forms' type, key or error on every point, every row
-    # and both ClassificationError rows reached
+    # and both ClassificationError rows reached.  The pair core
+    # ra_type_from_clebsch_pairs, as graph.ra_type_of calls it on a
+    # Jacobian key's data, gives them too, also on the Jacobian keys of
+    # the p = 41 and 101 graphs
     ctx, rng = make_field(p), random.Random(p)
     points = bolza_points(ctx, rng)
     assert len(points) >= 200
-    for cp in points:
-        assert _outcome(ra_type_from_clebsch, cp) \
-            == _outcome(ra_type_from_clebsch_oracle, cp)
+    keys = [] if p == 23 else [key.data for key in build_graph(ctx).vertices
+                                if key.kind == "jacobian"]
+    assert len(keys) == {23: 0, 41: 40, 101: 448}[p]
+    extra = [ClebschPoint(*(FieldElement(ctx, *x) for x in data))
+             for data in keys]
+    for cp in points + extra:
+        want = _outcome(ra_type_from_clebsch_oracle, cp)
+        assert _outcome(ra_type_from_clebsch, cp) == want
+        assert _outcome(partial(genus2.ra_type_from_clebsch_pairs, ctx),
+                        tuple(x.key() for x in cp.tuple())) == want
         assert _outcome(canonical_key, cp) \
             == _outcome(canonical_key_oracle, cp)
     assert set(map(_row, points)) \
         == set(RAType.JACOBIAN) | {"all C", "R = 0"}
+    assert set(map(_row, extra)) <= set(RAType.JACOBIAN)
+    assert [canonical_key(cp) for cp in extra] == keys
 
 
 @pytest.mark.parametrize("p", [23, 41, 101])

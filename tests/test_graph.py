@@ -108,21 +108,36 @@ def is_point(x) -> bool:
 
 
 @pytest.mark.parametrize("p", [41, 101])
-def test_points_are_int_pairs_or_inf(p):
+def test_points_are_int_pairs_or_inf(monkeypatch, p):
     # every Jacobian vertex's points, its curve's weierstrass_points and
     # the splitting_root_pairs of its 15 kernels hold no FieldElement:
     # each point is an (a, b) int pair or INF, which sorts before them,
-    # as in a quintic model of a vertex
+    # as in a quintic model of a vertex.  Every splitting the build
+    # makes, the 15 kernels _expand builds at each Jacobian and the dual
+    # of each Jacobian step and gluing, holds ctx and an int-pair scale
+    made, spl_type = [], genus2.QuadraticSplitting
+    real = spl_type.__init__
+    monkeypatch.setattr(spl_type, "__init__", lambda self, *args:
+                        made.append(self) or real(self, *args))
+    raw = raw_hints(monkeypatch)
     ctx = make_field(p)
     g = build_graph(ctx)
+    monkeypatch.undo()
     jacobians = [v for v in g.vertices.values() if v.key.kind == "jacobian"]
     assert jacobians
+    duals = [h for h in raw.values() if isinstance(h[2], spl_type)]
+    assert {kind for kind, *_ in duals} == {"jac", "glue"}
+    assert len(made) == 15 * len(jacobians) + len(duals)
+    assert {id(h[2]) for h in duals} <= set(map(id, made))
+    assert all(s.ctx is ctx and is_point(s.scale) and s.scale != INF
+               for s in made)
     for v in jacobians:
         f = v.representative.f
         pts = weierstrass_points(v.representative)
         assert all(map(is_point, v.points)) and all(map(is_point, pts))
         assert pts == sorted(v.points)
-        for spl, _ in point_splittings(f.ctx, (), v.points, f.leading()):
+        for spl, _ in point_splittings(f.ctx, (), v.points,
+                                       f.leading().key()):
             assert all(map(is_point, sum(splitting_root_pairs(spl), ())))
     r = ctx.element(*jacobians[0].points[-1])
     pts = weierstrass_points(transform_curve(jacobians[0].representative, r,
@@ -131,16 +146,19 @@ def test_points_are_int_pairs_or_inf(p):
 
 
 def test_cold_build_makes_fewer_field_elements(monkeypatch):
-    # Weierstrass points, their conjugates and root pairs are int pairs:
-    # a cold p = 41 build makes 1,479 FieldElements (2,649 while points
-    # were FieldElements)
+    # Weierstrass points, their conjugates and root pairs are int pairs,
+    # as are splitting scales, and a Jacobian's RA type is read off its
+    # key's pairs: a cold p = 41 build makes 1,222 FieldElements (1,479
+    # while richelot_generic made each dual's scale one and ra_type_of
+    # wrapped each Jacobian key in four; 2,649 while points were
+    # FieldElements)
     clear_genus2_caches()
     genus2.clebsch_invariants.cache_clear()
     ctx, made, real = make_field(41), [], FieldElement.__init__
     monkeypatch.setattr(FieldElement, "__init__",
                         lambda *args: made.append(args) or real(*args))
     build_graph(ctx)
-    assert len(made) == 1479
+    assert len(made) == 1222
 
 
 @pytest.mark.parametrize("p", [23, 41])
@@ -446,7 +464,7 @@ def assert_jacobian_edges_match_label_oracle(g):
     for v in jacobians:
         K, pts = v.representative.ctx, v.points
         want = jacobian_orbits_oracle(
-            K, pts, v.representative.f.leading(),
+            K, pts, v.representative.f.leading().key(),
             moebius_stabilizing(K, pts, own_frames(v)))
         assert [(kernel_rep(g, e), e.weight) for e in v.edges] \
             == [(rep, len(pairings)) for rep, pairings in want]
@@ -668,15 +686,16 @@ def test_build_makes_curves_only_for_representatives(monkeypatch):
 
 def test_clebsch_memo_keeps_its_hits_within_its_bound(monkeypatch):
     # the clebsch_invariants memo keeps genus2.CLEBSCH_KEPT curves and
-    # is never hit: a vertex reads its RA type off its key (ra_type_of),
-    # so neither a p = 41 build + validate nor 150 lookups of random
-    # models of its vertices ask twice for one curve's Clebsch point.
-    # Step codomains are keyed off their sextics' int pairs
-    # (VertexKey.of_codomain), with no curve, so only the 119 queried
-    # Jacobians pass through it, and it never fills (1,323 curves and a
-    # full memo before, 144 of them the build's; 31 and 119 hits before
-    # that, one per Jacobian made from a curve whose key was just read;
-    # test_curve_memos_stay_within_their_bounds fills it).
+    # is never read: a vertex reads its RA type off its key (ra_type_of),
+    # and VertexKey.jacobian keys curves and step codomains alike off
+    # their sextics' int pairs, so neither a p = 41 build + validate nor
+    # 150 lookups of random models of its vertices, 119 of them
+    # Jacobians, ask it for a Clebsch point (119 misses before, one per
+    # queried Jacobian, while curves were keyed through it; 1,323
+    # curves and a full memo before that, 144 of them the build's; 31
+    # and 119 hits before that, one per Jacobian made from a curve whose
+    # key was just read; test_curve_memos_stay_within_their_bounds
+    # fills it).
     # weierstrass_points is never hit.  The build runs the gcd
     # squarefree test only on its 11 glued curves
     memo, points = genus2.clebsch_invariants, genus2.weierstrass_points
@@ -703,8 +722,8 @@ def test_clebsch_memo_keeps_its_hits_within_its_bound(monkeypatch):
         assert sorted((e.weight, e.target) for e in neighbourhood(rep)) \
             == sorted((e.weight, e.target) for e in v.edges)
     info = memo.cache_info()
-    assert (jacobians, info.hits, info.misses) == (119, 0, 119)
-    assert info.currsize == 119 < info.maxsize == genus2.CLEBSCH_KEPT
+    assert (jacobians, info.hits, info.misses) == (119, 0, 0)
+    assert info.currsize == 0 < info.maxsize == genus2.CLEBSCH_KEPT
     assert points.cache_info().hits == 0
 
 
@@ -1562,22 +1581,17 @@ def test_build_graph_stops_past_census_count(monkeypatch):
     # conjugate of another (b = 1, never 22): an edge derived from its
     # Frobenius partner lands on the mirror of the partner's target.
     # The fake keys are no Clebsch tuples, so RA types are read through
-    # the real key each one stands for.  Curves and step codomains
-    # (VertexKey.of_codomain) are faked alike
+    # the real key each one stands for.  Curves and step codomains both
+    # go through VertexKey.jacobian
     fresh = iter(range(10 ** 6))
-    real_type, real_key = graph.ra_type_of, {}
+    real_type, real_key, real = graph.ra_type_of, {}, VertexKey.jacobian
 
-    def faking(real):
-        def fake(cls, curve):
-            key = real(curve)
-            out = cls("jacobian",
-                      ((next(fresh), int(key.conjugate(23) != key)),))
-            real_key[out] = key
-            return out
-        return classmethod(fake)
-    for name in ("jacobian", "of_codomain"):
-        monkeypatch.setattr(VertexKey, name,
-                            faking(getattr(VertexKey, name)))
+    def fake(cls, x):
+        key = real(x)
+        out = cls("jacobian", ((next(fresh), int(key.conjugate(23) != key)),))
+        real_key[out] = key
+        return out
+    monkeypatch.setattr(VertexKey, "jacobian", classmethod(fake))
     monkeypatch.setattr(graph, "ra_type_of", lambda key, ctx: real_type(
         real_key.get(key, key), ctx))
     with pytest.raises(GraphError, match=r"^\d+ vertices found at p = 23, "
@@ -1596,11 +1610,9 @@ def test_build_names_an_edge_onto_a_non_isomorphic_model(monkeypatch):
     assert {first, other} <= set(g.vertices)
     assert list(g.vertices).index(first) < list(g.vertices).index(other)
     e = next(e for e in g.edges if e.target == other)
-    for name in ("jacobian", "of_codomain"):  # curves and step codomains
-        real = getattr(VertexKey, name)
-        monkeypatch.setattr(VertexKey, name, classmethod(
-            lambda cls, x, real=real: first if real(x) == other
-            else real(x)))
+    real = VertexKey.jacobian  # of curves and step codomains alike
+    monkeypatch.setattr(VertexKey, "jacobian", classmethod(
+        lambda cls, x: first if real(x) == other else real(x)))
     with pytest.raises(GraphError) as exc:
         build_graph(make_field(23))
     at = first.as_string()
