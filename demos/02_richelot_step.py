@@ -42,9 +42,9 @@ for spl in spls:
         print("  2-torsion of E and E' by block:",
               list(zip(E.roots(), E2.roots())))
     else:
-        cod = richelot_generic(spl)
-        back = richelot_generic(cod.dual)
-        same = canonical_key(clebsch_invariants(back.curve)) == key
+        cod, dual = richelot_generic(spl)
+        back, _ = richelot_generic(dual)
+        same = canonical_key(clebsch_invariants(back)) == key
         print("generic kernel -> Jacobian of type",
-              ra_type_from_clebsch(clebsch_invariants(cod.curve)),
+              ra_type_from_clebsch(clebsch_invariants(cod)),
               "| double step returns start:", same)

@@ -40,9 +40,10 @@ for k in kernels:
         continue
     res = quotient_diagonal(S, k)
     if res is not S:
-        t = ra_type_from_clebsch(clebsch_invariants(res.curve))
+        curve, dual = res
+        t = ra_type_from_clebsch(clebsch_invariants(curve))
         # splitting the dual kernel recovers the original j-pair
-        back = sorted(j_invariant(E) for E in split_degenerate(res.dual))
+        back = sorted(j_invariant(E) for E in split_degenerate(dual))
         print(f"{k}: glues to a Type-{t} Jacobian;"
               " round trip recovers j-pair:",
               back == sorted([j_invariant(S.E1), j_invariant(S.E2)]))

@@ -31,9 +31,7 @@ except ImportError:  # Python 3.12 and later
 from .elliptic import EllipticCurveE2, curve_from_j, j_invariant, two_isogeny
 from .field import FieldCtx
 from .genus2 import (INF, Genus2Curve, QuadraticSplitting, RAType,
-                     clebsch_invariants, matching_splitting,
-                     orbit_partition, pairing_index,
-                     ra_type_from_clebsch)
+                     matching_splitting, orbit_partition, pairing_index)
 from .gluing import ProductSurface
 from .graph import VertexKey, neighbourhood, ra_type_of
 from .poly import Poly
@@ -229,7 +227,8 @@ def normal_form(case: str, ctx: FieldCtx, params=None, rng=None):
 
     Jacobian cases return (Genus2Curve, (s, t)); product cases a
     ProductSurface.  Sampled parameters are redrawn until the vertex
-    classifies as exactly the intended type.  Case I takes two params,
+    classifies as exactly the intended type, by ra_type_of its key, as
+    the graph classifies.  Case I takes two params,
     III and IV one, every other case none.
     """
     if case not in ALL_CASES:
@@ -250,7 +249,7 @@ def normal_form(case: str, ctx: FieldCtx, params=None, rng=None):
                 if params:
                     raise
                 continue
-            if params or ra_type_from_clebsch(clebsch_invariants(C)) == case:
+            if params or ra_type_of(VertexKey.jacobian(C), ctx) == case:
                 return C, (s, t)
         raise AtlasError(f"no generic Type-{case} parameters found")
     if case == "V":
@@ -509,8 +508,7 @@ def _extra_case_checks(case, ctx, rep, params, edges) -> str:
             return "FAIL: x^6 + 1 and C_III(zeta_6) keys differ"
         return "x^6+1 key matches C_III(zeta_6)"
     if case == "VI":
-        cp = clebsch_invariants(rep)
-        if not (cp.B.is_zero() and cp.C.is_zero() and cp.D.is_zero()):
+        if VertexKey.jacobian(rep).data[1:] != ((0, 0),) * 3:
             return "FAIL: Type-VI Clebsch point is not (1:0:0:0)"
         return "Clebsch point is (1:0:0:0)"
     return ""

@@ -3,6 +3,8 @@
 A curve is y^2 = f(x) with f squarefree of degree 5 or 6 over
 GF(p^2).  This module provides
 
+* Genus2Curve, the checked sextic as seven (a, b) int pairs, low first;
+  its Poly f, which factoring reads, is made on first read,
 * the rational quadratic splittings (the (2,2)-kernels), their blocks
   (c0, c1, c2) and scales in (a, b) int pairs from matching to transport,
 * Clebsch invariants (A : B : C : D) in P(2, 4, 6, 10) of a sextic's
@@ -23,7 +25,7 @@ a curve with a Weierstrass point outside it raises IrrationalPointsError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from math import comb, perm
 
@@ -104,18 +106,27 @@ JACOBIAN_ORDER_TO_TYPE = {RA_ORDER[t]: t for t in RAType.JACOBIAN}
 # Curves and splittings
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Genus2Curve:
-    """y^2 = f(x), f squarefree of degree 5 or 6: by gcd(f, f') for a
-    bare f, in closed form for a product of blocks (of_blocks)."""
+    """y^2 = f(x), f squarefree of degree 5 or 6 over ctx, held as its
+    sextic, seven (a, b) int pairs low first (a quintic's top one is
+    (0, 0)): checked by gcd(f, f') for a bare Poly f, in closed form for
+    a product of blocks (of_blocks).  Equal, and hashed, as (ctx,
+    sextic); the Poly f is kept when given, else made on first read."""
 
-    f: Poly
+    ctx: FieldCtx
+    sextic: tuple
 
-    def __post_init__(self):
-        if self.f.degree() not in (5, 6):
-            raise Genus2Error(f"degree must be 5 or 6, got {self.f.degree()}")
-        if not is_squarefree(self.f):
+    def __init__(self, f: Poly):
+        if f.is_zero():
+            raise Genus2Error("defining polynomial is zero")
+        if f.degree() not in (5, 6):
+            raise Genus2Error(f"degree must be 5 or 6, got {f.degree()}")
+        if not is_squarefree(f):
             raise Genus2Error("defining polynomial must be squarefree")
+        object.__setattr__(self, "ctx", f.ctx)
+        object.__setattr__(self, "sextic", tuple(f[k].key() for k in range(7)))
+        object.__setattr__(self, "f", f)
 
     @classmethod
     def of_blocks(cls, ctx: FieldCtx, blocks, scale) -> "Genus2Curve":
@@ -126,22 +137,24 @@ class Genus2Curve:
     def _checked(cls, ctx, pairs) -> "Genus2Curve":
         """The curve of the (a, b) pairs, shown squarefree, degree 5/6."""
         curve = object.__new__(cls)
-        object.__setattr__(curve, "f", Poly.from_pairs(ctx, pairs))
+        object.__setattr__(curve, "ctx", ctx)
+        object.__setattr__(curve, "sextic", tuple(pairs))
         return curve
 
     def conjugate(self) -> "Genus2Curve":
         """The Frobenius image a + b*i -> a - b*i, coefficientwise: it is
         squarefree as self is, the Frobenius being a field automorphism."""
-        K, p = self.ctx, self.ctx.p
-        return self._checked(K, [(c.a, -c.b % p) for c in self.f.coeffs])
+        p = self.ctx.p
+        return self._checked(self.ctx, [(a, -b % p) for a, b in self.sextic])
+
+    @cached_property
+    def f(self) -> Poly:
+        return Poly.from_pairs(self.ctx, self.sextic)
 
     @property
-    def ctx(self) -> FieldCtx:
-        return self.f.ctx
-
-    @property
-    def sextic(self) -> list:  # seven (a, b) pairs, low first
-        return [self.f[k].key() for k in range(7)]
+    def leading(self) -> tuple:
+        """The leading coefficient of f, an (a, b) pair."""
+        return self.sextic[6] if self.sextic[6] != (0, 0) else self.sextic[5]
 
     def __repr__(self):
         return f"Genus2Curve({self.f})"
@@ -319,7 +332,7 @@ def splittings(curve: Genus2Curve) -> list:
     _forced_free.  15 splittings exactly when all are rational.
     """
     return [s for s, _ in point_splittings(
-        curve.ctx, *_forced_free(curve), curve.f.leading().key())]
+        curve.ctx, *_forced_free(curve), curve.leading)]
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +565,7 @@ def transform_curve(curve: Genus2Curve, a, b, c, d) -> Genus2Curve:
     # z -> c x + d z, and set z = 1, on int pairs.
     num, den, out = [b.key(), a.key()], [d.key(), c.key()], []
     for k in range(7):
-        t = [curve.f[k].key()]
+        t = [curve.sextic[k]]
         for g in [num] * k + [den] * (6 - k):
             t = mul_pairs(ctx, t, g)
         out = add_pairs(ctx, out, t)

@@ -19,7 +19,6 @@ from .elliptic import (EllipticCurveE2, isomorphisms_with_torsion,
 from .field import FieldElement
 from .genus2 import Genus2Curve, Genus2Error, QuadraticSplitting, RAType, \
     RA_ORDER, block_product, monic_block, orbit_partition
-from .isogeny import JacobianCodomain
 from .poly import Poly
 
 
@@ -115,8 +114,9 @@ def quotient_diagonal(S: ProductSurface, k: ProductKernel):
     the factors, the quotient is E1 x E2 again, and S itself is
     returned; otherwise the Howe--Leprevost--Poonen construction
     produces the genus-2 curve y^2 = -F1 F2 F3 whose Jacobian is the
-    quotient, returned as a JacobianCodomain whose dual is the
-    splitting {F1, F2, F3} of the dual kernel.  On (a, b) int pairs:
+    quotient, returned as (curve, dual), dual the splitting {F1, F2, F3}
+    of the dual kernel; the curve is Genus2Curve of the Poly, by the gcd
+    squarefree test.  On (a, b) int pairs:
     with d_t = s_j - s_i and d'_t = s'_j - s'_i over the cyclic (i, j),
     HLP's A = a1 prod(d'_t^2)/a2 is D sum_t d_t^2 d'_(t-1) d'_(t-2)/a2,
     D = prod(d'_t), and B likewise, so one inverse, of a2 b2, serves.
@@ -156,8 +156,8 @@ def quotient_diagonal(S: ProductSurface, k: ProductKernel):
     except Genus2Error as exc:
         raise DegenerateGluingError(f"glued curve invalid: {exc}", k) \
             from exc
-    return JacobianCodomain(f, QuadraticSplitting.make(
-        ctx, [monic_block(ctx, b) for b in blocks], curve.f.leading().key()))
+    return curve, QuadraticSplitting.make(
+        ctx, [monic_block(ctx, b) for b in blocks], curve.leading)
 
 
 def ra_type_product_vertex(j1: FieldElement, j2: FieldElement) -> str:

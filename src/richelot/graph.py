@@ -40,8 +40,7 @@ from .gluing import (ProductKernel, ProductSurface, kernel_index,
                      kernel_maps, kernel_orbits, product_kernels,
                      quotient_diagonal, quotient_product,
                      ra_order_product, ra_type_product_vertex)
-from .isogeny import JacobianCodomain, delta, richelot_generic, \
-    split_degenerate
+from .isogeny import delta, richelot_generic, split_degenerate
 
 
 class GraphError(ValueError):
@@ -56,10 +55,10 @@ class VertexKey(NamedTuple):
     data: tuple
 
     @classmethod
-    def jacobian(cls, x) -> "VertexKey":
-        """The Clebsch key of x.sextic, x a curve or a JacobianCodomain."""
+    def jacobian(cls, C: Genus2Curve) -> "VertexKey":
+        """The Clebsch key of the curve C, read off its sextic's pairs."""
         return cls("jacobian", canonical_key_pairs(
-            x.ctx, clebsch_pairs(x.ctx, x.sextic)))
+            C.ctx, clebsch_pairs(C.ctx, C.sextic)))
 
     @classmethod
     def product(cls, j1, j2) -> "VertexKey":
@@ -99,10 +98,11 @@ class OrbitEdge:
 
     hint is (kind, codomain, dual): in a built graph, the target's
     representative and the dual kernel's label there.  As _expand makes
-    it, the quotient by the first kernel as computed, a JacobianCodomain
-    from a Jacobian step, and the dual on it: a label or a splitting.  An
-    edge derived from its Frobenius partner e has hint (e's kind, None,
-    e), and build_graph reads its dual off e's label.
+    it, the quotient by the first kernel as computed (a Jacobian step's
+    Genus2Curve holds its sextic's pairs, with no Poly made), and the
+    dual on it: a label or a splitting.  An edge derived from its
+    Frobenius partner e has hint (e's kind, None, e), and build_graph
+    reads its dual off e's label.
     kind ("jac", "glue", "split", "prod", "induced") names the step that
     built the edge, and "dual" an edge derived from the edge e it is
     dual to: its hint is e's source's representative and e's first
@@ -215,9 +215,10 @@ def neighbourhood(rep) -> list:
     For Jacobians: the reduced automorphisms permute the 15 rational
     splittings; for products: the torsion action groups the 15
     product/diagonal kernels.  One edge per orbit (_expand), its hint as
-    _expand made it: a Jacobian codomain's curve is its .curve, made on
-    first read.  When sigma fixes the vertex, half its sigma-paired
-    orbits are derived, their hints (kind, None, the partner edge).
+    _expand made it: a Jacobian codomain is a curve on its sextic's
+    pairs, its Poly f made on first read.  When sigma fixes the vertex,
+    half its sigma-paired orbits are derived, their hints (kind, None,
+    the partner edge).
     """
     pts = None
     if isinstance(rep, QuadraticSplitting):
@@ -242,9 +243,8 @@ def _expand(v: Vertex, vertices=None, incoming=()) -> list:
     partner's image, or if sigma moves a self-paired orbit's target.
     """
     if v.key.kind == "jacobian":
-        f = v.representative.f
-        reps, labels = zip(*point_splittings(f.ctx, (), v.points,
-                                             f.leading().key()))
+        C = v.representative
+        reps, labels = zip(*point_splittings(C.ctx, (), v.points, C.leading))
         orbits = moebius_orbits_on_splittings(labels, v.ra_maps)
         step = _jacobian_step
     else:
@@ -327,8 +327,8 @@ def _first_map(src, v: Vertex, frames: dict):
 def _jacobian_step(spl):
     d = delta(spl)
     if not d.is_zero():
-        cod = richelot_generic(spl, d)
-        return VertexKey.jacobian(cod), ("jac", cod, cod.dual)
+        C, dual = richelot_generic(spl, d)
+        return VertexKey.jacobian(C), ("jac", C, dual)
     S = ProductSurface(*split_degenerate(spl, d))
     # the i <-> i matching generates the dual kernel
     return VertexKey.of_surface(S), (
@@ -348,7 +348,7 @@ def _product_step(v: Vertex, k):
         # isomorphism-induced: the quotient is S again, and its
         # identification maps the kernel onto itself (self-dual)
         return v.key, ("induced", S, kernel_index(k))
-    return VertexKey.jacobian(res), ("glue", res, res.dual)
+    return VertexKey.jacobian(res[0]), ("glue", *res)
 
 
 def build_graph(ctx: FieldCtx, seed=None) -> Graph:
@@ -365,7 +365,9 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
     shares w's RA maps, and moves onto it go through w.  Each dual is
     labelled on its target once, as its edge is recorded.  A step's
     dual is kernel 0 over its roots, pair by pair, so a Jacobian built
-    from the step takes those roots as its points; onto another model
+    from the step takes those roots as its points, and the step's
+    codomain curve, on its sextic's pairs, as its representative, with
+    no Poly made but for a glued curve's gcd test; onto another model
     the label map m of _first_map from them, or from the product, moves
     dual l to m[l].  A dual derived from a Frobenius partner is its
     label, moved by the target's sigma.  Moves read frame tables local
@@ -404,8 +406,6 @@ def build_graph(ctx: FieldCtx, seed=None) -> Graph:
                     dual = 0
                 if tgt is None:  # sigma(w), if built, keeps w's labels
                     w = g.vertices.get(e.target.conjugate(ctx.p))
-                    if w is None and isinstance(rep, JacobianCodomain):
-                        rep = rep.curve  # the one curve a codomain makes
                     tgt = g.vertices[e.target] = _make_vertex(
                         e.target,
                         _conjugate(w.representative, ctx.p) if w else rep,

@@ -2,9 +2,10 @@
 
 For a quadratic splitting {F1, F2, F3} of y^2 = f(x), the determinant
 delta of the coefficient matrix decides the shape of the quotient:
-delta != 0 gives another Jacobian via Richelot's formulas (with the
-dual kernel as the codomain splitting), delta = 0 splits the quotient
-into a product of two elliptic curves.  Then the blocks span a pencil
+delta != 0 gives another Jacobian via Richelot's formulas, returned as
+(curve, dual): the codomain curve on its sextic's (a, b) pairs, and the
+dual kernel as its splitting.  delta = 0 splits the quotient into a
+product of two elliptic curves.  Then the blocks span a pencil
 with two square members (x - u)^2 and (x - v)^2, at the fixed points
 u, v where Richelot's minor of two blocks vanishes, and the factors'
 roots are read off the blocks' values at u and v.
@@ -12,13 +13,10 @@ roots are read off the blocks' values at u and v.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 from .elliptic import EllipticCurveE2
 from .field import FieldElement
 from .genus2 import Genus2Curve, Genus2Error, IrrationalPointsError, \
-    QuadraticSplitting, block_product, monic_block, squarefree_product
+    QuadraticSplitting, block_product, monic_block
 from .poly import Poly
 
 
@@ -38,30 +36,13 @@ def delta(s: QuadraticSplitting) -> FieldElement:
     return FieldElement(ctx, *(sum(x) % ctx.p for x in zip(*t)))
 
 
-@dataclass(frozen=True)
-class JacobianCodomain:
-    """A quotient that is a Jacobian, from Richelot's formulas or the
-    HLP gluing: its curve's checked sextic, seven (a, b) pairs low first,
-    and the dual kernel's splitting, over ctx; curve is made on first read."""
-
-    sextic: list
-    dual: QuadraticSplitting
-
-    @property
-    def ctx(self):
-        return self.dual.ctx
-
-    @cached_property
-    def curve(self) -> Genus2Curve:
-        return Genus2Curve._checked(self.ctx, self.sextic)
-
-
-def richelot_generic(s: QuadraticSplitting, d=None) -> JacobianCodomain:
+def richelot_generic(s: QuadraticSplitting, d=None) -> tuple:
     """Richelot's algorithm: G_i = (F_j' F_k - F_k' F_j)/delta, on (a, b)
     int pairs, where delta G_i is the 2x2 minors (b_j c_k - b_k c_j)
     + 2(a_j c_k - a_k c_j) x + (a_j b_k - a_k b_j) x^2 of the blocks.
-    squarefree_product checks y^2 = G_0 G_1 G_2 in closed form; the
-    dual splitting is the G_i made monic.  d is delta(s), if known."""
+    Returns (curve, dual): the curve y^2 = G_0 G_1 G_2 on its pairs,
+    checked in closed form (of_blocks), with no Poly made, and the dual
+    kernel's splitting, the G_i made monic.  d is delta(s), if known."""
     d = delta(s) if d is None else d
     if d.is_zero():
         raise RichelotError("delta = 0: quotient is an elliptic product")
@@ -71,12 +52,11 @@ def richelot_generic(s: QuadraticSplitting, d=None) -> JacobianCodomain:
           m(aj, bk, ak, bj)) for (cj, bj, aj), (ck, bk, ak)
          in zip(F[1:] + F[:1], F[2:] + F[:2])]
     try:
-        f = squarefree_product(ctx, G, mul(dinv, mul(dinv, dinv)))
+        curve = Genus2Curve.of_blocks(ctx, G, mul(dinv, mul(dinv, dinv)))
     except Genus2Error as exc:
         raise RichelotError(f"degenerate Richelot codomain: {exc}") from exc
-    return JacobianCodomain(f, QuadraticSplitting.make(
-        ctx, [monic_block(ctx, g) for g in G],
-        f[6] if f[6] != (0, 0) else f[5]))
+    return curve, QuadraticSplitting.make(
+        ctx, [monic_block(ctx, g) for g in G], curve.leading)
 
 
 def split_degenerate(s: QuadraticSplitting, d=None) -> tuple:

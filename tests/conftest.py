@@ -18,7 +18,7 @@ from richelot.genus2 import (INF, JACOBIAN_ORDER_TO_TYPE, MATCHINGS,
 from richelot.elliptic import EllipticCurveE2, NonSplitTorsionError
 from richelot.gluing import DegenerateGluingError, product_kernels
 from richelot.poly import Poly, PolyError, is_squarefree, mul_pairs, roots
-from richelot.isogeny import JacobianCodomain, RichelotError
+from richelot.isogeny import RichelotError
 
 
 @pytest.fixture(scope="session")
@@ -285,10 +285,10 @@ def kernel_rep(g, e):
     v, n = g.vertex(e.source), e.kernels[0]
     if v.points is None:
         return product_kernels()[n]
-    pts, f = v.points, v.representative.f
-    return matching_splitting(f.ctx, (), [(pts[a], pts[b])
+    pts, C = v.points, v.representative
+    return matching_splitting(C.ctx, (), [(pts[a], pts[b])
                                           for a, b in MATCHINGS[n]],
-                              f.leading().key())
+                              C.leading)
 
 
 def mirror_pairs(g):
@@ -346,9 +346,9 @@ def stepped_edges_oracle(v):
     targets and of every recorded dual.  The hints are the steps' own:
     the codomain as computed and the dual on it."""
     if v.key.kind == "jacobian":
-        f = v.representative.f
-        reps, labels = zip(*genus2.point_splittings(f.ctx, (), v.points,
-                                                    f.leading().key()))
+        C = v.representative
+        reps, labels = zip(*genus2.point_splittings(C.ctx, (), v.points,
+                                                    C.leading))
         orbits = genus2.moebius_orbits_on_splittings(labels, v.ra_maps)
         step = graph._jacobian_step
     else:
@@ -379,22 +379,13 @@ def recorded_dual_splitting(g, e):
                         w.representative.f.leading())
 
 
-def codomain_of(hint):
-    """The codomain in a hint as _expand makes it: a JacobianCodomain's
-    curve, made on its first read (so the curve of a codomain that built
-    its target is that target's representative), else the codomain."""
-    cod = hint[1]
-    return cod.curve if isinstance(cod, JacobianCodomain) else cod
-
-
 def stepped_hint(g, e):
     """The hint of one step on e's first kernel (kernel_rep), as
-    neighbourhood returns it: the quotient as computed (codomain_of)
-    and the dual on it.  No recorded hint is read."""
+    neighbourhood returns it: the quotient as computed and the dual on
+    it.  No recorded hint is read."""
     src, k = g.vertex(e.source), kernel_rep(g, e)
-    hint = (graph._jacobian_step(k) if src.points
+    return (graph._jacobian_step(k) if src.points
             else graph._product_step(src, k))[1]
-    return hint[0], codomain_of(hint), hint[2]
 
 
 def reaching_edges(g):
@@ -555,12 +546,11 @@ def richelot_poly_oracle(s):
          for j, k in ((1, 2), (2, 0), (0, 1))]
     fprime = G[0] * G[1] * G[2]
     try:
-        Genus2Curve(fprime)  # the gcd squarefree test
+        curve = Genus2Curve(fprime)  # the gcd squarefree test
     except genus2.Genus2Error as exc:
         raise RichelotError(f"degenerate Richelot codomain: {exc}") from exc
-    return JacobianCodomain([fprime[k].key() for k in range(7)],
-                            splitting_of([poly_monic_oracle(g) for g in G],
-                                         fprime.leading()))
+    return curve, splitting_of([poly_monic_oracle(g) for g in G],
+                               fprime.leading())
 
 
 def transform_curve_oracle(curve, a, b, c, d):
@@ -1012,8 +1002,8 @@ def hlp_blocks_oracle(S, pi):
 
 def quotient_diagonal_oracle(S, k):
     """gluing.quotient_diagonal with the HLP chain of hlp_blocks_oracle:
-    S for an isomorphism-induced kernel, else the JacobianCodomain of
-    y^2 = -F1 F2 F3 and its dual splitting {F1, F2, F3}."""
+    S for an isomorphism-induced kernel, else the curve y^2 = -F1 F2 F3
+    and its dual splitting {F1, F2, F3}."""
     if k.perm in isomorphisms_oracle(S.E1, S.E2):
         return S
     ctx, blocks = S.ctx, hlp_blocks_oracle(S, k.perm)
@@ -1023,12 +1013,12 @@ def quotient_diagonal_oracle(S, k):
     f = poly_mul_oracle(poly_mul_oracle(poly_mul_oracle(
         polys[0], polys[1]), polys[2]), -ctx.one)
     try:
-        Genus2Curve(f)  # the gcd squarefree test
+        curve = Genus2Curve(f)  # the gcd squarefree test
     except Genus2Error as exc:
         raise DegenerateGluingError(f"glued curve invalid: {exc}", k) \
             from exc
-    return JacobianCodomain([f[k].key() for k in range(7)], splitting_of(
-        [poly_monic_oracle(g) for g in polys], f.leading()))
+    return curve, splitting_of([poly_monic_oracle(g) for g in polys],
+                               f.leading())
 
 
 def split_degenerate_oracle(s):

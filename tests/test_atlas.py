@@ -185,10 +185,11 @@ def test_atlas_factors_no_normal_form(monkeypatch, ctx23):
 
 def test_atlas_sweep_keeps_its_clebsch_hits_and_gcd_tests(monkeypatch):
     # every case at p = 101 and 109, as the atlas benchmark sweeps them:
-    # the bounded clebsch_invariants memo is asked once for each of 8
-    # curves, four a prime, and never hit: the sampling of the Type I,
-    # III and IV normal forms classifies them, and the Type VI
-    # cross-check reads its point.  VertexKey.jacobian keys every curve
+    # the bounded clebsch_invariants memo is never asked.  The sampling
+    # of the Type I, III and IV normal forms classifies them by
+    # ra_type_of their keys, and the Type VI cross-check reads its key
+    # (8 misses before, four a prime, while both went through Clebsch
+    # points).  VertexKey.jacobian keys every curve
     # off its sextic's int pairs (10 hits on 14 curves before, five a
     # prime: the keys of the Type I, III, IV and VI normal forms, and of
     # C_III(zeta_6) in the Type V cross-check; the Type II normal form's
@@ -206,7 +207,7 @@ def test_atlas_sweep_keeps_its_clebsch_hits_and_gcd_tests(monkeypatch):
         for case in ALL_CASES:
             rep = verify_case(case, make_field(p))
             assert rep.ok, rep.summary()
-    assert memo.cache_info()[:2] == (0, 8)
+    assert memo.cache_info()[:2] == (0, 0)
     assert len(gcds) == 36 + 2
 
 

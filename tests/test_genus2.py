@@ -23,7 +23,7 @@ from richelot.genus2 import (INF, MATCHINGS, ClebschPoint, Genus2Curve,
                              splittings,
                              transform_curve, weierstrass_points, RAType)
 from richelot.graph import VertexKey, build_graph
-from richelot.isogeny import JacobianCodomain, RichelotError, richelot_generic
+from richelot.isogeny import RichelotError, richelot_generic
 from richelot.poly import (Poly, factor_quadratic_pieces, is_squarefree,
                            roots as poly_roots)
 
@@ -82,7 +82,10 @@ def test_splittings_product_reproduces_f(ctx23, rng):
     for _ in range(10):
         C = random_split_curve(ctx23, rng)
         for s in splittings(C):
-            assert s.curve().f == C.f
+            D = s.curve()
+            assert "f" not in vars(D)  # of_blocks makes no Poly
+            assert D == C and hash(D) == hash(C)
+            assert D.f == C.f
 
 
 def test_splitting_keeps_irreducible_blocks(ctx11, rng):
@@ -316,10 +319,10 @@ def step_key_oracle(curve):
 @pytest.mark.parametrize("p", [23, 41])
 def test_step_keys_match_curve_keys_on_graph(monkeypatch, p):
     # every delta != 0 kernel a build steps: the key read off the
-    # codomain's sextic pairs, with no curve made (VertexKey.jacobian of
-    # the codomain), is the key of the codomain's curve, by
-    # VertexKey.jacobian, by the public canonical_key of
-    # clebsch_invariants and by the FieldElement oracles
+    # codomain curve's sextic pairs, with no Poly made, is the key of a
+    # fresh step's curve, by VertexKey.jacobian, by the public
+    # canonical_key of clebsch_invariants and by the FieldElement
+    # oracles
     stepped, real = [], graph._jacobian_step
     monkeypatch.setattr(graph, "_jacobian_step", lambda spl: stepped.append(
         (spl, real(spl))) or stepped[-1][1])
@@ -328,11 +331,11 @@ def test_step_keys_match_curve_keys_on_graph(monkeypatch, p):
              if hint[0] == "jac"]
     assert steps
     for spl, key, (_, cod, dual) in steps:
-        assert isinstance(cod, JacobianCodomain) and dual is cod.dual
-        curve = richelot_generic(spl).curve
+        assert isinstance(cod, Genus2Curve)
+        curve = richelot_generic(spl)[0]
         assert key == VertexKey.jacobian(cod) == VertexKey.jacobian(curve)
         assert key.data == canonical_key(clebsch_invariants(curve)) \
-            == step_key_oracle(cod.curve), spl
+            == step_key_oracle(cod), spl
 
 
 @pytest.mark.parametrize("p", [2**61 - 1, 2**127 - 1])
@@ -352,13 +355,12 @@ def test_step_keys_match_curve_keys_random(p, rng):
             blocks[1] = (blocks[1][0], blocks[0][1], (1, 0))
         spl = QuadraticSplitting.make(ctx, blocks,
                                       random_element(ctx, rng).key())
-        cod = richelot_generic(spl)
+        cod = richelot_generic(spl)[0]
         quintics += cod.sextic[6] == (0, 0)
         key = VertexKey.jacobian(cod)
-        assert cod.ctx is ctx and cod.sextic == cod.curve.sextic
-        assert key == VertexKey.jacobian(cod.curve)
-        assert key.data == canonical_key(clebsch_invariants(cod.curve)) \
-            == step_key_oracle(cod.curve)
+        assert cod.ctx is ctx and cod == Genus2Curve(cod.f)
+        assert key.data == canonical_key(clebsch_invariants(cod)) \
+            == step_key_oracle(cod)
     assert quintics == 8
     for f in ([worst] * 7, [worst] * 6 + [(0, 0)]):
         curve = Genus2Curve(Poly.from_pairs(ctx, f))
@@ -951,8 +953,7 @@ def test_point_splittings_match_factoring_oracle_on_graph(p):
         if v.key.kind == "jacobian":
             rep, pts = v.representative, v.points
             built = [(spl, label_pairing(pts, n)) for spl, n in
-                     point_splittings(rep.ctx, (), pts,
-                                      rep.f.leading().key())]
+                     point_splittings(rep.ctx, (), pts, rep.leading)]
             want = splittings_with_pairings_oracle(rep)
             assert built == want, v.key.as_string()
             assert len(v.kernel_to_edge) == 15
@@ -966,7 +967,7 @@ def test_point_splittings_run_on_ints(monkeypatch):
     # and no Poly
     ctx = make_field(41)
     g = build_graph(ctx)
-    cases = [(v.points, v.representative.f.leading().key())
+    cases = [(v.points, v.representative.leading)
              for v in g.vertices.values() if v.key.kind == "jacobian"]
     for pts, scale in cases:
         for spl, n in point_splittings(ctx, (), pts, scale):
@@ -1134,9 +1135,9 @@ def test_point_splittings_keep_poly_key_order(p):
     g = build_graph(make_field(p))
     for v in g.vertices.values():
         if v.key.kind == "jacobian":
-            f = v.representative.f
+            C = v.representative
             spls = [s for s, _ in point_splittings(
-                f.ctx, (), v.points, f.leading().key())]
+                C.ctx, (), v.points, C.leading)]
             assert spls == sorted(spls, key=lambda s: tuple(
                 poly_key_oracle(b) for b in s.blocks))
 
@@ -1305,6 +1306,8 @@ def test_genus2_validation():
     ctx = make_field(11)
     with pytest.raises(Genus2Error):
         Genus2Curve(Poly.from_ints(ctx, [1, 2, 3, 4, 1]))  # degree 4
+    with pytest.raises(Genus2Error, match="defining polynomial is zero"):
+        Genus2Curve(Poly(ctx, []))
     with pytest.raises(Genus2Error):
         Genus2Curve(Poly.from_roots(
             ctx, [ctx.from_int(v) for v in (1, 1, 2, 3, 4, 5)]))

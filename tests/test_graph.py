@@ -28,10 +28,9 @@ from richelot.gluing import (ProductKernel, ProductSurface, kernel_maps,
 from richelot.graph import (GraphError, OrbitEdge, build_graph, dual_edge,
                             export, neighbourhood, ra_type_of, validate,
                             VertexKey)
-from richelot.isogeny import JacobianCodomain
 from richelot.poly import Poly
 
-from conftest import (clear_genus2_caches, codomain_of, count_calls,
+from conftest import (clear_genus2_caches, count_calls,
                       dual_label, isomorphisms_oracle, jacobian_orbits_oracle,
                       kernel_map_oracle, kernel_rep, label_pairing,
                       matching_pairing, mirror_pairs, moebius_search_oracle,
@@ -81,23 +80,26 @@ def test_neighbourhood_type_ii_three_fives():
 def test_neighbourhood_makes_no_curve_for_a_step_codomain(monkeypatch):
     # the p = 41 Type-A random model that CI pins: neighbourhood returns
     # the hints _expand made, so a Jacobian step's hint[1] is its
-    # JacobianCodomain, and no curve is made for any step codomain; its
-    # curve, made on first read, is a model of the edge's target
+    # codomain curve on its sextic's pairs, and no Poly is made for any
+    # step codomain; its Poly f is made on its first read, once, and the
+    # curve is a model of the edge's target
     ctx = make_field(41)
     C = Genus2Curve(Poly(ctx, [ctx.element(a, b) for a, b in (
         (10, 30), (32, 3), (37, 31), (35, 2), (17, 40), (1, 4), (2, 8))]))
-    made, real = [], Genus2Curve._checked.__func__
-    monkeypatch.setattr(Genus2Curve, "_checked", classmethod(
-        lambda cls, *args: made.append(args) or real(cls, *args)))
+    weierstrass_points(C)  # the input's factoring makes its factors
+    made, real = [], Poly.__init__
+    monkeypatch.setattr(Poly, "__init__", lambda self, *args:
+                        made.append(args) or real(self, *args))
     edges = neighbourhood(C)
     assert sum(e.weight for e in edges) == 15
     cods = [e.hint[1] for e in edges if e.hint[1] is not None]
-    assert cods and all(isinstance(cod, JacobianCodomain)
-                        and "curve" not in vars(cod) for cod in cods)
+    assert cods and all(isinstance(cod, Genus2Curve)
+                        and "f" not in vars(cod) for cod in cods)
     assert made == []
     for e in edges:
         if e.hint[1] is not None:
-            assert VertexKey.jacobian(e.hint[1].curve) == e.target
+            assert VertexKey.jacobian(e.hint[1]) == e.target
+            assert e.hint[1].f is e.hint[1].f  # made on the first read
     assert len(made) == len(cods)
 
 
@@ -132,12 +134,11 @@ def test_points_are_int_pairs_or_inf(monkeypatch, p):
     assert all(s.ctx is ctx and is_point(s.scale) and s.scale != INF
                for s in made)
     for v in jacobians:
-        f = v.representative.f
-        pts = weierstrass_points(v.representative)
+        C = v.representative
+        pts = weierstrass_points(C)
         assert all(map(is_point, v.points)) and all(map(is_point, pts))
         assert pts == sorted(v.points)
-        for spl, _ in point_splittings(f.ctx, (), v.points,
-                                       f.leading().key()):
+        for spl, _ in point_splittings(C.ctx, (), v.points, C.leading):
             assert all(map(is_point, sum(splitting_root_pairs(spl), ())))
     r = ctx.element(*jacobians[0].points[-1])
     pts = weierstrass_points(transform_curve(jacobians[0].representative, r,
@@ -148,7 +149,9 @@ def test_points_are_int_pairs_or_inf(monkeypatch, p):
 def test_cold_build_makes_fewer_field_elements(monkeypatch):
     # Weierstrass points, their conjugates and root pairs are int pairs,
     # as are splitting scales, and a Jacobian's RA type is read off its
-    # key's pairs: a cold p = 41 build makes 1,222 FieldElements (1,479
+    # key's pairs, and a step's codomain curve holds its sextic's pairs,
+    # its Poly unmade: a cold p = 41 build makes 942 FieldElements
+    # (1,222 while each representative made its curve's Poly; 1,479
     # while richelot_generic made each dual's scale one and ra_type_of
     # wrapped each Jacobian key in four; 2,649 while points were
     # FieldElements)
@@ -158,7 +161,7 @@ def test_cold_build_makes_fewer_field_elements(monkeypatch):
     monkeypatch.setattr(FieldElement, "__init__",
                         lambda *args: made.append(args) or real(*args))
     build_graph(ctx)
-    assert len(made) == 1222
+    assert len(made) == 942
 
 
 @pytest.mark.parametrize("p", [23, 41])
@@ -367,11 +370,12 @@ def dual_edge_oracle(g, e):
         for perm in sorted(permutations((1, 2, 3))):
             kk = ProductKernel.diagonal(perm)
             res = quotient_diagonal(S_rep, kk)
-            if not isinstance(res, JacobianCodomain):
+            if res is S_rep:
                 continue
-            if VertexKey.jacobian(res.curve) != e.source:
+            curve, dual = res
+            if VertexKey.jacobian(curve) != e.source:
                 continue
-            pairing = transport_pairing_oracle(src_curve, res.dual)
+            pairing = transport_pairing_oracle(src_curve, dual)
             if pairing in src_edge_pairings:
                 candidates.append(edge_of_product_kernel(tgt, kk))
         if not candidates:
@@ -464,7 +468,7 @@ def assert_jacobian_edges_match_label_oracle(g):
     for v in jacobians:
         K, pts = v.representative.ctx, v.points
         want = jacobian_orbits_oracle(
-            K, pts, v.representative.f.leading().key(),
+            K, pts, v.representative.leading,
             moebius_stabilizing(K, pts, own_frames(v)))
         assert [(kernel_rep(g, e), e.weight) for e in v.edges] \
             == [(rep, len(pairings)) for rep, pairings in want]
@@ -658,20 +662,16 @@ def test_each_vertex_factored_once_and_validate_never(monkeypatch):
 
 
 def test_build_makes_curves_only_for_representatives(monkeypatch):
-    # a p = 41 build makes one Genus2Curve per Jacobian representative:
-    # each of the 31 built from a step reads its codomain's curve, made
-    # off the checked sextic pairs, and each of the 9 mirrors conjugates
-    # its partner's; and one per glued curve, 11, for its gcd squarefree
-    # test.  Every other codomain is keyed with no curve (each of the
-    # 133 Richelot codomains made its curve before), and validate makes
-    # none
-    made, checked = [], Genus2Curve._checked
-    post_init = Genus2Curve.__post_init__
-    monkeypatch.setattr(Genus2Curve, "_checked", classmethod(
-        lambda cls, ctx, pairs: made.append("closed form")
-        or checked(ctx, pairs)))
-    monkeypatch.setattr(Genus2Curve, "__post_init__", lambda self:
-                        made.append("gcd") or post_init(self))
+    # a p = 41 build + validate makes a Poly only for each of its 11
+    # glued curves, for their gcd squarefree test: each of the 31
+    # Jacobians built from a step holds its codomain curve's sextic
+    # pairs, each of the 9 mirrors conjugates its partner's pairs, and
+    # every other codomain is keyed off its pairs (51 Polys before,
+    # while each of the 40 representatives made its curve's Poly)
+    made, real = [], Poly.__init__
+    monkeypatch.setattr(Poly, "__init__", lambda self, *args:
+                        made.append(args) or real(self, *args))
+    gcd = count_calls(monkeypatch, "is_squarefree")
     g = build_graph(make_field(41))
     jacobians = [v for v in g.vertices.values() if v.key.kind == "jacobian"]
     mirrors = mirror_pairs(g)
@@ -679,9 +679,12 @@ def test_build_makes_curves_only_for_representatives(monkeypatch):
              and e.hint[0] in ("jac", "glue")
              and g.vertex(e.target).partner is None]
     assert (len(jacobians), len(mirrors), len(built)) == (40, 9, 31)
-    assert (made.count("closed form"), made.count("gcd")) == (40, 11)
+    assert (len(made), len(gcd)) == (11, 11)
+    glued = [g.vertex(e.target) for e in built if e.hint[0] == "glue"]
+    assert [v for v in jacobians if "f" in vars(v.representative)] \
+        == glued
     assert validate(g).ok
-    assert len(made) == 51
+    assert len(made) == 11
 
 
 def test_clebsch_memo_keeps_its_hits_within_its_bound(monkeypatch):
@@ -806,8 +809,7 @@ def other_model_edges(g, raw):
     model than their target's representative: those whose dual
     build_graph moves by an isomorphism."""
     return [e for e in g.edges if not isinstance(raw[id(e)][2], OrbitEdge)
-            and codomain_of(raw[id(e)])
-            is not g.vertex(e.target).representative]
+            and raw[id(e)][1] is not g.vertex(e.target).representative]
 
 
 def test_each_jacobian_vertex_reads_its_ra_maps_once(monkeypatch):
@@ -1065,7 +1067,7 @@ def test_validate_finds_roots_only_of_duals_on_another_model(monkeypatch):
     other = [e for e in other_model_edges(g, raw)
              if e.target.kind == "jacobian"]
     built = [e for e in reaching_edges(g) if e.target.kind == "jacobian"
-             and codomain_of(raw[id(e)]) is g.vertex(e.target).representative]
+             and raw[id(e)][1] is g.vertex(e.target).representative]
     assert len(roots) == 3 * (len(other) + len(built)) == 3 * (113 + 31)
     del roots[:]
     assert validate(g).ok
@@ -1230,7 +1232,7 @@ def test_a_vertex_built_from_a_step_holds_its_dual_as_kernel_0(
     g = build_graph(make_field(p))
     built = [e for e in reaching_edges(g)
              if isinstance(raw[id(e)][2], genus2.QuadraticSplitting)
-             and codomain_of(raw[id(e)]) is g.vertex(e.target).representative]
+             and raw[id(e)][1] is g.vertex(e.target).representative]
     assert len(built) == n
     for e in built:
         v, (kind, _, dual) = g.vertex(e.target), raw[id(e)]

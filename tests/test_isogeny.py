@@ -46,9 +46,9 @@ def split_kernels(graphs):
         out[p] = []
         for v in g.vertices.values():
             if isinstance(v.representative, Genus2Curve):
-                f = v.representative.f
+                C = v.representative
                 out[p] += [spl for spl, _ in point_splittings(
-                    f.ctx, (), v.points, f.leading().key())
+                    C.ctx, (), v.points, C.leading)
                     if delta(spl).is_zero()]
     return out
 
@@ -109,10 +109,10 @@ def test_double_step_returns_source_key(ctx23, rng):
         for spl in splittings(C):
             if delta(spl).is_zero():
                 continue
-            cod = richelot_generic(spl)
-            assert not delta(cod.dual).is_zero()
-            back = richelot_generic(cod.dual)
-            assert canonical_key(clebsch_invariants(back.curve)) == key
+            _, dual = richelot_generic(spl)
+            assert not delta(dual).is_zero()
+            back, _ = richelot_generic(dual)
+            assert canonical_key(clebsch_invariants(back)) == key
 
 
 def test_split_k1_of_two_param_curve(ctx23):
@@ -285,9 +285,8 @@ def test_dual_splitting_round_trips_all_kernels(ctx23, rng):
     for spl in splittings(C):
         if delta(spl).is_zero():
             continue
-        cod = richelot_generic(spl)
-        back = richelot_generic(cod.dual)
-        assert canonical_key(clebsch_invariants(back.curve)) == key
+        back, _ = richelot_generic(richelot_generic(spl)[1])
+        assert canonical_key(clebsch_invariants(back)) == key
         checked += 1
     assert checked > 0
 
@@ -297,11 +296,11 @@ def test_richelot_generic_matches_poly_oracle(p, richelot_edges):
     # every delta != 0 edge of the graph: same codomain, same dual
     assert richelot_edges[p]
     for spl in richelot_edges[p]:
-        got, want = richelot_generic(spl), richelot_poly_oracle(spl)
-        assert got.sextic == want.sextic
-        assert got.curve.f == want.curve.f
-        assert got.dual.blocks == want.dual.blocks
-        assert got.dual.scale == want.dual.scale
+        (got, dual), (want, want_dual) = (richelot_generic(spl),
+                                          richelot_poly_oracle(spl))
+        assert got == want and got.f == want.f
+        assert dual.blocks == want_dual.blocks
+        assert dual.scale == want_dual.scale
 
 
 def _verdict(make):
@@ -367,8 +366,9 @@ def test_degenerate_richelot_codomain_raises(ctx23):
 def test_richelot_generic_runs_on_ints(monkeypatch, richelot_edges):
     # every delta != 0 edge at p = 41: no FieldElement product, inverse
     # or square root, no Poly product and no gcd squarefree test; no
-    # Poly is built, as the codomain's curve is made on its first read
-    # (one Poly per step before, the codomain's f in of_blocks)
+    # Poly is built, as the codomain curve holds its sextic's pairs and
+    # makes its Poly f on first read (one Poly per step before, the
+    # codomain's f in of_blocks)
     calls, polys = [], []
     for name in ("__mul__", "__rmul__", "inverse", "sqrt"):
         real = getattr(FieldElement, name)
